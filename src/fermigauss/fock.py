@@ -61,9 +61,11 @@ class FockOperator:
             raise StructureError(
                 f"operator on {self.modes} modes must be {dim} x {dim}, got {mat.shape}"
             )
+        if not np.isfinite(mat).all():
+            raise StructureError("operator has non-finite entries")
         if self.hermitian:
             dev = np.abs(mat - mat.conj().T).max()
-            if dev > HERMITICITY_TOL:
+            if not dev <= HERMITICITY_TOL:
                 raise StructureError(
                     f"operator flagged hermitian deviates from its adjoint by {dev:.3e}"
                 )
@@ -175,18 +177,19 @@ def quadratic_hamiltonian(coeff, cap: int = DEFAULT_MODE_CAP) -> FockOperator:
     """
     mat = coeff.assembled() if hasattr(coeff, "assembled") else np.asarray(coeff, dtype=complex)
     modes = _check_coefficient_structure(mat)
-    _check_modes(modes, cap)
-    tensor = _quadratic_tensor(modes)
-    out = 0.5 * np.einsum("kl,klab->ab", mat, tensor)
+    out = quadratic_hamiltonian_batch(mat[None], cap)[0]
     herm = np.abs(mat - mat.conj().T).max() <= INPUT_HERMITICITY_TOL
     return FockOperator(modes, out, hermitian=herm)
 
 
 def quadratic_hamiltonian_batch(mats: np.ndarray, cap: int = DEFAULT_MODE_CAP) -> np.ndarray:
-    """Vectorized quadratic_hamiltonian for a stack of coefficient matrices.
+    """Fock matrices (1/2) gamma^dag H gamma for a stack of coefficient matrices.
 
-    ``mats`` has shape (n, 2M, 2M); no per-element structure validation is done,
-    so callers are expected to feed matrices built by validated constructors.
+    This is the package's one contraction against the quadratic tensor; the
+    scalar quadratic_hamiltonian is this call with n = 1. ``mats`` has shape
+    (n, 2M, 2M); no per-element structure validation is done, so callers are
+    expected to feed matrices built by validated constructors (or validated
+    one at a time, as quadratic_hamiltonian does).
     """
     mats = np.asarray(mats, dtype=complex)
     modes = mats.shape[-1] // 2

@@ -15,12 +15,11 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BranchCutError, ContractError, DegenerateSpectrumError, StructureError
-from .fock import (
+from .fock import (  # noqa: F401  op_exp stays importable here: benchmark/tracing.py wraps it
     DEFAULT_MODE_CAP,
     FockOperator,
     _check_modes,
     _frozen,
-    _quadratic_tensor,
     op_exp,
     quadratic_hamiltonian,
 )
@@ -67,18 +66,20 @@ class BdgMatrix:
                 f"blocks of a {m}-mode coefficient matrix must be {m} x {m}; "
                 f"got h {h.shape}, delta {d.shape}, lower {dl.shape}"
             )
+        if not (np.isfinite(h).all() and np.isfinite(d).all() and np.isfinite(dl).all()):
+            raise StructureError("coefficient blocks have non-finite entries")
         skew = np.abs(d + d.T).max()
-        if skew > STRUCTURE_TOL:
+        if not skew <= STRUCTURE_TOL:
             raise StructureError(f"pairing block is not skew-symmetric: max violation {skew:.3e}")
         skew_l = np.abs(dl + dl.T).max()
-        if skew_l > STRUCTURE_TOL:
+        if not skew_l <= STRUCTURE_TOL:
             raise StructureError(f"lower pairing block is not skew-symmetric: max violation {skew_l:.3e}")
         if self.hermitian:
             herm = np.abs(h - h.conj().T).max()
-            if herm > STRUCTURE_TOL:
+            if not herm <= STRUCTURE_TOL:
                 raise StructureError(f"single-particle block is not hermitian: max violation {herm:.3e}")
             cross = np.abs(dl + d.conj()).max()
-            if cross > STRUCTURE_TOL:
+            if not cross <= STRUCTURE_TOL:
                 raise StructureError(
                     f"lower pairing block inconsistent with hermiticity: max violation {cross:.3e}"
                 )
@@ -270,25 +271,27 @@ def trace_formula(bdg: BdgMatrix, pair_tolerance: float = PAIR_TOL) -> float:
 def gaussian_normalized(bdg: BdgMatrix) -> FockOperator:
     """Trace-normalized exponential of the quadratic operator of ``bdg``.
 
-    The divisor is the exact Fock-space trace; agreement with the closed-form
-    product of 2 cosh(lambda_j / 2) is a separately tested identity. The result
-    is hermitian, positive definite and has unit trace.
+    This is exp_normalized_fock_batch applied to the one Fock matrix of
+    ``bdg``, so large coefficient scales do not overflow. The divisor is the
+    exact Fock-space trace; agreement with the closed-form product of
+    2 cosh(lambda_j / 2) is a separately tested identity. The result is
+    hermitian, positive definite and has unit trace.
     """
     ham = quadratic_hamiltonian(bdg)
     if not ham.hermitian:
         raise ContractError("normalized Gaussian operators require a hermitian coefficient matrix")
-    big = op_exp(ham)
-    z = big.trace().real
-    return FockOperator(bdg.modes, big.matrix / z, hermitian=True)
+    return FockOperator(bdg.modes, exp_normalized_fock_batch(ham.matrix[None])[0], hermitian=True)
 
 
 def exp_normalized_fock_batch(hams: np.ndarray) -> np.ndarray:
     """Trace-normalized exponentials of a stack of hermitian Fock matrices.
 
-    Vectorized core used by the Monte Carlo and quadrature drivers; the
-    spectrum is shifted by its maximum before exponentiation, which the trace
-    normalization divides back out. Agrees with gaussian_normalized to
-    rounding error (cross-checked in the test suite).
+    The package's one normalized-exponential kernel: gaussian_normalized,
+    gaussian_number_conserving and the Monte Carlo and quadrature drivers all
+    go through it. The spectrum is shifted by its maximum before
+    exponentiation, which the trace normalization divides back out, so no
+    entry overflows. Its independent oracle is the per-mode product form in
+    the rotated mode basis (test_gaussian.py, test_matches_per_mode_product).
     """
     w, v = np.linalg.eigh(hams)
     w = w - w.max(axis=-1, keepdims=True)
@@ -305,23 +308,12 @@ def _stable_filling(w: np.ndarray) -> np.ndarray:
 def gaussian_number_conserving(h, cap: int = DEFAULT_MODE_CAP) -> FockOperator:
     """Normalized number-conserving Gaussian operator for hermitian h.
 
-    Identical to gaussian_normalized on the embedding (h, delta = 0); the
-    normalizing trace equals det 2 cosh(h/2) over the M x M block itself.
+    This is gaussian_normalized on the embedding (h, delta = 0), whose
+    quadratic operator is a^dag h a - (1/2) tr h; the normalizing trace equals
+    det 2 cosh(h/2) over the M x M block itself.
     """
     h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise StructureError(f"expected a square matrix, got {h.shape}")
-    modes = h.shape[0]
-    _check_modes(modes, cap)
-    dev = np.abs(h - h.conj().T).max()
-    if dev > STRUCTURE_TOL:
-        raise StructureError(f"matrix is not hermitian: max violation {dev:.3e}")
-    tensor = _quadratic_tensor(modes)[:modes, :modes]
-    dim = 1 << modes
-    ham = np.einsum("kl,klab->ab", h, tensor) - 0.5 * np.trace(h).real * np.eye(dim)
-    big = op_exp(FockOperator(modes, ham, hermitian=True))
-    z = big.trace().real
-    return FockOperator(modes, big.matrix / z, hermitian=True)
+    return gaussian_normalized(make_bdg(h, np.zeros_like(h), cap=cap))
 
 
 def greens_parameterization(h) -> GreensPair:

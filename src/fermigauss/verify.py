@@ -20,6 +20,7 @@ from .ensembles import (
     RngSpec,
     SymmetryClass,
     WeightSpec,
+    assemble_blocks,
     random_polar_rotation,
     sample_class_d,
     sample_class_d_batch,
@@ -189,27 +190,18 @@ def _rotated_gaussian_ops(points: np.ndarray, rotation: np.ndarray | None) -> np
     return exp_normalized_fock_batch(hams)
 
 
-@lru_cache(maxsize=None)
-def _ncons_tensor(modes: int) -> np.ndarray:
-    return _quadratic_tensor(modes)[:modes, :modes]
-
-
 def _rotated_ncons_ops(points: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
     """Normalized number-conserving operators at h = U diag(lam) U^dag.
 
     ``unitaries`` is either one M x M matrix shared by all points or a stack
-    matching the points.
+    matching the points. Same algorithm as gaussian_number_conserving,
+    vectorized: h is embedded as (h, delta = 0).
     """
-    n, m = points.shape
     if unitaries.ndim == 2:
         h = np.einsum("ak,sk,bk->sab", unitaries, points.astype(complex), unitaries.conj())
     else:
         h = np.einsum("sak,sk,sbk->sab", unitaries, points.astype(complex), unitaries.conj())
-    tensor = _ncons_tensor(m)
-    dim = 1 << m
-    hams = np.einsum("skl,klab->sab", h, tensor)
-    shift = 0.5 * points.sum(axis=1)
-    hams -= shift[:, None, None] * np.eye(dim)
+    hams = quadratic_hamiltonian_batch(assemble_blocks(h, np.zeros_like(h)))
     return exp_normalized_fock_batch(hams)
 
 
@@ -719,7 +711,7 @@ def verify_nc_modified(
     target is 2^-M times the identity."""
     spec = _as_rngspec(rng)
     chunks, per = _chunk_layout(n_samples)
-    _ncons_tensor(modes)  # warm the cache before any thread fan-out
+    _quadratic_tensor(modes)  # warm the cache before any thread fan-out
     run = sample_radial_mcmc(
         CLASS_D,
         WeightSpec.nc_modified(p),
@@ -802,11 +794,11 @@ def operator_identity_suite(max_modes: int = 3, seed: int = 42, trials: int = 50
     for t in range(trials):
         m = 1 + t % min(max_modes, 3)
         h = _hermitian_matrix(gen, m)
-        tensor = _ncons_tensor(m)
-        ham = FockOperator(m, np.einsum("kl,klab->ab", h, tensor), hermitian=True)
-        direct = op_exp(ham)
+        # the embedding (h, 0) gives a^dag h a - (1/2) tr h; undo the shift
+        direct = op_exp(quadratic_hamiltonian(assemble_blocks(h, np.zeros_like(h))))
+        direct = math.exp(0.5 * np.trace(h).real) * direct.matrix
         ordered = normal_ordered_exp(scipy.linalg.expm(h) - np.eye(m))
-        worst = max(worst, float(np.abs(direct.matrix - ordered.matrix).max()))
+        worst = max(worst, float(np.abs(direct - ordered.matrix).max()))
     out.append(CriterionResult("normal-ordered exponential identity", worst, 1e-9, worst <= 1e-9))
 
     # trace formula three ways
@@ -857,15 +849,14 @@ def operator_identity_suite(max_modes: int = 3, seed: int = 42, trials: int = 50
         )
         worst_g = max(worst_g, float(np.abs(lhs - rhs).max()))
 
-        h1 = 0.5 * _hermitian_matrix(gen, m)
-        h2 = 0.5 * _hermitian_matrix(gen, m)
+        h1 = _hermitian_matrix(gen, m)
+        h2 = _hermitian_matrix(gen, m)
+        scale = 1.2 / (np.abs(np.linalg.eigvalsh(h1)).max() + np.abs(np.linalg.eigvalsh(h2)).max())
+        h1, h2 = scale * h1, scale * h2
         hc = compose_number_conserving(h1, h2)
-        tensor = _ncons_tensor(m)
-        eye = np.eye(1 << m)
 
         def gn(hmat):
-            ham = np.einsum("kl,klab->ab", hmat, tensor) - 0.5 * np.trace(hmat) * eye
-            return scipy.linalg.expm(ham)
+            return scipy.linalg.expm(quadratic_hamiltonian(assemble_blocks(hmat, np.zeros_like(hmat))).matrix)
 
         worst_n = max(worst_n, float(np.abs(gn(hc) - gn(h1) @ gn(h2)).max()))
     out.append(CriterionResult("general composition law at operator level", worst_g, 1e-9, worst_g <= 1e-9))
@@ -873,14 +864,16 @@ def operator_identity_suite(max_modes: int = 3, seed: int = 42, trials: int = 50
         CriterionResult("number-conserving composition law at operator level", worst_n, 1e-9, worst_n <= 1e-9)
     )
 
-    # number-conserving embedding
+    # number-conserving embedding against exp(a^dag h a) built from mode operators
     worst = 0.0
     for t in range(trials // 2):
         m = 1 + t % min(max_modes, 3)
         h = _hermitian_matrix(gen, m)
-        emb = gaussian_normalized(make_bdg(h, np.zeros((m, m))))
-        direct = gaussian_number_conserving(h)
-        worst = max(worst, float(np.abs(emb.matrix - direct.matrix).max()))
+        ann = [a.matrix for a in build_mode_operators(m)]
+        ham = sum(h[k, l] * ann[k].conj().T @ ann[l] for k in range(m) for l in range(m))
+        direct = op_exp(FockOperator(m, ham, hermitian=True))
+        emb = gaussian_number_conserving(h)
+        worst = max(worst, float(np.abs(emb.matrix - direct.matrix / direct.trace().real).max()))
     out.append(CriterionResult("number-conserving embedding (delta = 0)", worst, 1e-12, worst <= 1e-12))
 
     # diagonal form in the transformed mode basis

@@ -29,6 +29,13 @@ class TestFockOperator:
         with pytest.raises(StructureError):
             FockOperator(1, bad, hermitian=True)
 
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_non_finite_entries_rejected(self, hermitian):
+        mat = np.eye(2)
+        mat[1, 1] = np.nan
+        with pytest.raises(StructureError):
+            FockOperator(1, mat, hermitian=hermitian)
+
     def test_matrix_is_immutable(self):
         op = FockOperator.identity(2)
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import scipy.linalg
 from conftest import hermitian_matrix, max_abs, skew_matrix
 
 from fermigauss import (
+    BdgMatrix,
     ContractError,
     DegenerateSpectrumError,
     RngSpec,
@@ -36,6 +37,14 @@ class TestMakeBdg:
         delta = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(StructureError, match="skew-symmetric"):
             make_bdg(np.eye(2), delta)
+
+    @pytest.mark.parametrize("hermitian", [False, True])
+    def test_non_finite_entries_rejected(self, hermitian):
+        h = np.eye(2)
+        h[0, 0] = np.nan
+        zero = np.zeros((2, 2))
+        with pytest.raises(StructureError):
+            BdgMatrix(2, h, zero, delta_lower=zero, hermitian=hermitian)
 
     def test_non_hermitian_h_rejected(self):
         h = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -118,6 +127,21 @@ class TestGaussianNormalized:
             op = gaussian_normalized(sample_class_d(modes, 1.0, gen))
             assert np.linalg.eigvalsh(op.matrix).min() >= -1e-12
             assert abs(op.trace().real - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    def test_matches_per_mode_product(self, modes, scale):
+        # prod_j [(1 - t_j)/2 I + t_j n_j] with t_j = tanh(lambda_j / 2) and n_j
+        # the number operators of the rotated modes b = U (a, a^dag)
+        bdg = sample_class_d(modes, 1.0, RngSpec(27, stream=modes))
+        bdg = make_bdg(scale * bdg.h, scale * bdg.delta)
+        polar = polar_decompose(bdg)
+        bops = np.einsum("jk,kab->jab", polar.bogoliubov[:modes], _gamma_ops(modes))
+        eye = np.eye(1 << modes)
+        want = eye
+        for t, b in zip(np.tanh(polar.lambdas / 2.0), bops):
+            want = want @ (0.5 * (1.0 - t) * eye + t * (b.conj().T @ b))
+        assert max_abs(gaussian_normalized(bdg).matrix, want) < 1e-9
 
     def test_batch_path_matches_public_op(self):
         gen = RngSpec(24).generator()

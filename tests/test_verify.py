@@ -202,6 +202,12 @@ class TestSuites:
         for res in results:
             assert res.passed, f"{res.name}: {res.measured} > {res.tolerance}"
 
+    @pytest.mark.parametrize("seed", [32, 51, 52, 57])
+    def test_operator_identity_suite_green_at_large_draw_seeds(self, seed):
+        # these seeds draw h1, h2 whose unscaled norms exceed compose_number_conserving's gate
+        for res in operator_identity_suite(max_modes=3, seed=seed):
+            assert res.passed, f"{res.name}: {res.measured} > {res.tolerance}"
+
     def test_selberg_consistency_suite_is_green(self):
         for res in selberg_consistency_suite(max_modes=6):
             assert res.passed, res.name
