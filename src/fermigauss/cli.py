@@ -210,10 +210,9 @@ def _cmd_number_conserving(args) -> int:
         args.modes, args.p, args.samples, spec, workers=args.workers, keep_samples=bool(args.csv)
     )
     lams = rep.details.pop("lambda_samples", None)
-    warnings = [w for w in (rep.details.get("mcmc_warning"),) if w]
     criteria = [reports.estimator_to_criterion("modified-weight mean reaches the identity", rep)]
     payload = (lams, args.modes) if args.csv else None
-    return _finish(args, "number-conserving", criteria, warnings, csv_payload=payload)
+    return _finish(args, "number-conserving", criteria, csv_payload=payload)
 
 
 def _cmd_selberg(args) -> int:

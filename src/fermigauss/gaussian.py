@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import BranchCutError, ContractError, DegenerateSpectrumError, StructureError
+from .errors import BranchCutError, ContractError, DegenerateSpectrumError, DomainError, StructureError
 from .fock import (  # noqa: F401  op_exp stays importable here: benchmark/tracing.py wraps it
     DEFAULT_MODE_CAP,
     FockOperator,
@@ -29,6 +29,9 @@ STRUCTURE_TOL = 1e-10
 
 #: Default tolerance for matching +-lambda eigenvalue pairs.
 PAIR_TOL = 1e-8
+
+#: Log of the largest finite float.
+LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 def _sigma_x(modes: int) -> np.ndarray:
@@ -263,8 +266,12 @@ def trace_formula(bdg: BdgMatrix, pair_tolerance: float = PAIR_TOL) -> float:
     Equals the exact Fock trace of the exponentiated quadratic operator, and
     the *square root* of the determinant of 2 cosh(H/2) taken over the doubled
     2M x 2M matrix (each factor appears there twice, once per pair member).
+    Raises DomainError when the trace exceeds the float range.
     """
     lam = paired_eigenvalues(bdg, pair_tolerance)
+    log_trace = float(np.sum(np.abs(lam) / 2.0 + np.log1p(np.exp(-np.abs(lam)))))
+    if not log_trace < LOG_FLOAT_MAX:
+        raise DomainError(f"trace overflows a float: its log is {log_trace:.6g}")
     return float(np.prod(2.0 * np.cosh(lam / 2.0)))
 
 

@@ -15,8 +15,7 @@ import numpy as np
 import scipy.linalg
 
 from . import selberg
-from .ensembles import (
-    CLASS_D,
+from .ensembles import (  # noqa: F401  sample_radial_mcmc stays importable here: benchmark/tracing.py wraps it
     RngSpec,
     SymmetryClass,
     WeightSpec,
@@ -63,9 +62,6 @@ ABS_FLOOR = 1e-12
 
 #: Named seed from which the deterministic quadrature rotations are derived.
 ROTATION_SEED = 8128
-
-#: Substream offset reserved for the radial MCMC chain inside the MC drivers.
-MCMC_STREAM_OFFSET = 1_000_000
 
 QUAD_TOL = 1e-8
 QUAD_CONVERGENCE_TOL = 1e-9
@@ -127,22 +123,31 @@ def _chunk_layout(n_samples: int) -> tuple[int, int]:
     return chunks, per
 
 
-def _run_chunks(worker, n_chunks: int, workers: int = 1) -> list:
+def _run_chunks(worker, n_samples: int, spec: RngSpec, modes: int, workers: int = 1) -> tuple[list, int]:
+    """The chunked Monte Carlo estimator: ``worker(generator, per)`` once per
+    chunk, chunk i drawing from the i-th substream past ``spec``, so results
+    do not depend on the worker count. Returns the chunk results in chunk
+    order and the total sample count."""
+    chunks, per = _chunk_layout(n_samples)
+    _quadratic_tensor(modes)  # warm the cache before any thread fan-out
+
+    def task(i: int):
+        return worker(spec.with_stream(spec.stream + i).generator(), per)
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, range(n_chunks)))
-    return [worker(i) for i in range(n_chunks)]
+            return list(pool.map(task, range(chunks))), chunks * per
+    return [task(i) for i in range(chunks)], chunks * per
 
 
-def _combine_chunks(chunk_means: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Grand mean and per-entry batch-means standard error from equal chunks."""
-    k = chunk_means.shape[0]
-    mean = chunk_means.mean(axis=0)
+def _batch_se(chunk_values: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """Per-entry batch-means standard error of equal-sized chunk estimates about ``center``."""
+    k = chunk_values.shape[0]
     if k < 2:
-        return mean, np.zeros(mean.shape, dtype=float)
-    dev = chunk_means - mean
+        return np.zeros(center.shape, dtype=float)
+    dev = chunk_values - center
     var = ((dev.real**2).sum(axis=0) + (dev.imag**2).sum(axis=0)) / (k - 1)
-    return mean, np.sqrt(var / k)
+    return np.sqrt(var / k)
 
 
 def _entry_gate(mean: np.ndarray, target: np.ndarray, se: np.ndarray) -> tuple[bool, dict]:
@@ -164,6 +169,24 @@ MC_RULE = (
     "every entry within 5 standard errors of the target "
     "(absolute floor 1e-12), at most max(1, 1% of entries) between 3 and 5 SE"
 )
+
+
+def _mc_report(modes: int, mean: np.ndarray, se: np.ndarray, samples: int, spec: RngSpec, details: dict) -> EstimatorReport:
+    """Gate a Monte Carlo mean against 2^-M I; ``details`` follow the gate's own entries."""
+    dim = 1 << modes
+    target = FockOperator(modes, np.eye(dim) / dim, hermitian=True)
+    passed, info = _entry_gate(mean, target.matrix, se)
+    return EstimatorReport(
+        target=target,
+        mean=FockOperator(modes, mean),
+        max_abs_deviation=float(np.abs(mean - target.matrix).max()),
+        per_entry_se=se,
+        samples=samples,
+        seed=spec,
+        passed=passed,
+        criterion=MC_RULE,
+        details={**info, **details},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +290,13 @@ def _weight_factor(weight: WeightSpec, lam: np.ndarray) -> np.ndarray:
     raise ContractError(f"no closed per-mode factor for weight kind {weight.kind!r}")
 
 
+def _tensor_pair(lam: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two-mode tensor product of a one-mode rule: points (n^2, 2) and weights (n^2,)."""
+    l1, l2 = np.meshgrid(lam, lam, indexing="ij")
+    w1, w2 = np.meshgrid(w, w, indexing="ij")
+    return np.column_stack([l1.ravel(), l2.ravel()]), (w1 * w2).ravel()
+
+
 def _fold_signs(points: np.ndarray, wts: np.ndarray, modes: int):
     """Reflect half-line tensor nodes into all sign orthants."""
     out_p, out_w = [], []
@@ -295,18 +325,9 @@ def _class_rule(sym_class: SymmetryClass, weight: WeightSpec, modes: int, order:
         return points, wts
 
     if alpha % 2 == 0 and beta % 2 == 0:
-        lam, w = _line_rule(weight, order)
-        l1, l2 = np.meshgrid(lam, lam, indexing="ij")
-        w1, w2 = np.meshgrid(w, w, indexing="ij")
-        points = np.column_stack([l1.ravel(), l2.ravel()])
-        wts = (w1 * w2).ravel()
+        points, wts = _tensor_pair(*_line_rule(weight, order))
     elif beta % 2 == 0:
-        lam, w = _half_line_rule(weight, order)
-        l1, l2 = np.meshgrid(lam, lam, indexing="ij")
-        w1, w2 = np.meshgrid(w, w, indexing="ij")
-        points = np.column_stack([l1.ravel(), l2.ravel()])
-        wts = (w1 * w2).ravel()
-        points, wts = _fold_signs(points, wts, 2)
+        points, wts = _fold_signs(*_tensor_pair(*_half_line_rule(weight, order)), 2)
     else:
         # odd |Delta| power: integrate the ordered sector of the positive
         # quadrant (where the kink sits on the boundary) and add both
@@ -340,11 +361,8 @@ def _hermitian_rule(weight: WeightSpec, modes: int, order: int):
     lam, w = _line_rule(weight, order)
     if modes == 1:
         return lam[:, None], w.copy()
-    l1, l2 = np.meshgrid(lam, lam, indexing="ij")
-    w1, w2 = np.meshgrid(w, w, indexing="ij")
-    points = np.column_stack([l1.ravel(), l2.ravel()])
-    wts = (w1 * w2).ravel() * (points[:, 0] - points[:, 1]) ** 2
-    return points, wts
+    points, wts = _tensor_pair(lam, w)
+    return points, wts * (points[:, 0] - points[:, 1]) ** 2
 
 
 def radial_quadrature_nodes(
@@ -361,13 +379,12 @@ def class_d_lambda_samples(modes: int, p: float, rng, n_samples: int) -> np.ndar
     """Eigenvalue-pair representatives of the class-D draws that the Monte
     Carlo drivers consume, chunk for chunk (identical streams, identical
     matrices)."""
-    spec = _as_rngspec(rng)
-    chunks, per = _chunk_layout(n_samples)
-    out = []
-    for i in range(chunks):
-        mats = sample_class_d_batch(modes, p, spec.with_stream(spec.stream + i), per)
-        out.append(np.linalg.eigvalsh(mats)[:, modes:])
-    return np.concatenate(out)
+
+    def worker(gen: np.random.Generator, per: int) -> np.ndarray:
+        return np.linalg.eigvalsh(sample_class_d_batch(modes, p, gen, per))[:, modes:]
+
+    chunk_points, _ = _run_chunks(worker, n_samples, _as_rngspec(rng), modes)
+    return np.concatenate(chunk_points)
 
 
 def _weighted_mean_ops(points, wts, op_batch_fn) -> np.ndarray:
@@ -472,10 +489,7 @@ def shifted_weight_quadrature_deviation(
         points = lam[:, None]
         wts = w.copy()
     else:
-        l1, l2 = np.meshgrid(lam, lam, indexing="ij")
-        w1, w2 = np.meshgrid(w, w, indexing="ij")
-        points = np.column_stack([l1.ravel(), l2.ravel()])
-        wts = (w1 * w2).ravel()
+        points, wts = _tensor_pair(lam, w)
     dens = np.abs(points[:, 0:1] ** 2 - points[:, 1:2] ** 2) ** sym_class.beta if modes == 2 else 1.0
     if modes == 2:
         wts = wts * dens.ravel()
@@ -492,31 +506,16 @@ def verify_resolution_mc(
     """Monte Carlo mean of normalized Gaussian operators over Gaussian-weight
     class-D draws; target is 2^-M times the identity, gated entrywise at 5 SE."""
     spec = _as_rngspec(rng)
-    chunks, per = _chunk_layout(n_samples)
-    _quadratic_tensor(modes)  # warm the cache before any thread fan-out
 
-    def worker(i: int) -> np.ndarray:
-        mats = sample_class_d_batch(modes, p, spec.with_stream(spec.stream + i), per)
-        ops = exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats))
-        return ops.mean(axis=0)
+    def worker(gen: np.random.Generator, per: int) -> np.ndarray:
+        mats = sample_class_d_batch(modes, p, gen, per)
+        return exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats)).mean(axis=0)
 
-    chunk_means = np.stack(_run_chunks(worker, chunks, workers))
-    mean, se = _combine_chunks(chunk_means)
-    dim = 1 << modes
-    target = FockOperator(modes, np.eye(dim) / dim, hermitian=True)
-    passed, info = _entry_gate(mean, target.matrix, se)
-    info.update({"p": p, "chunks": chunks, "workers": workers})
-    return EstimatorReport(
-        target=target,
-        mean=FockOperator(modes, mean),
-        max_abs_deviation=float(np.abs(mean - target.matrix).max()),
-        per_entry_se=se,
-        samples=chunks * per,
-        seed=spec,
-        passed=passed,
-        criterion=MC_RULE,
-        details=info,
-    )
+    chunk_means, samples = _run_chunks(worker, n_samples, spec, modes, workers)
+    chunk_means = np.stack(chunk_means)
+    mean = chunk_means.mean(axis=0)
+    details = {"p": p, "chunks": chunk_means.shape[0], "workers": workers}
+    return _mc_report(modes, mean, _batch_se(chunk_means, mean), samples, spec, details)
 
 
 # ---------------------------------------------------------------------------
@@ -537,12 +536,10 @@ def verify_canonical_triviality(
     betas = [float(b) for b in betas]
     if not betas:
         raise ContractError("need at least one beta")
-    chunks, per = _chunk_layout(n_samples)
     dim = 1 << modes
-    _quadratic_tensor(modes)  # warm the cache before any thread fan-out
 
-    def worker(i: int):
-        mats = sample_class_d_batch(modes, p, spec.with_stream(spec.stream + i), per)
+    def worker(gen: np.random.Generator, per: int):
+        mats = sample_class_d_batch(modes, p, gen, per)
         w, v = np.linalg.eigh(quadratic_hamiltonian_batch(mats))
         nums, dens = [], []
         for beta in betas:
@@ -552,51 +549,30 @@ def verify_canonical_triviality(
             dens.append(float(ew.sum(axis=1).mean()))
         return np.stack(nums), np.array(dens)
 
-    results = _run_chunks(worker, chunks, workers)
+    results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
     nums = np.stack([r[0] for r in results])  # (chunks, nbeta, d, d)
     dens = np.stack([r[1] for r in results])  # (chunks, nbeta)
 
-    target = FockOperator(modes, np.eye(dim) / dim, hermitian=True)
     reports = []
-    means, ses = [], []
     for bi, beta in enumerate(betas):
         grand = nums[:, bi].mean(axis=0) / dens[:, bi].mean()
-        ratios = nums[:, bi] / dens[:, bi, None, None]
-        k = ratios.shape[0]
-        if k > 1:
-            dev = ratios - grand
-            var = ((dev.real**2).sum(axis=0) + (dev.imag**2).sum(axis=0)) / (k - 1)
-            se = np.sqrt(var / k)
-        else:
-            se = np.zeros((dim, dim))
-        means.append(grand)
-        ses.append(se)
-        passed, info = _entry_gate(grand, target.matrix, se)
+        se = _batch_se(nums[:, bi] / dens[:, bi, None, None], grand)
+        details = {"beta": beta, "p": p}
         if beta == 0.0:
-            exact_dev = float(np.abs(grand - target.matrix).max())
-            info["beta_zero_exact_deviation"] = exact_dev
-            passed = passed and exact_dev <= 1e-14
-        info.update({"beta": beta, "p": p})
-        reports.append(
-            EstimatorReport(
-                target=target,
-                mean=FockOperator(modes, grand),
-                max_abs_deviation=float(np.abs(grand - target.matrix).max()),
-                per_entry_se=se,
-                samples=chunks * per,
-                seed=spec,
-                passed=passed,
-                criterion=MC_RULE + ("; beta = 0 must be exact" if beta == 0.0 else ""),
-                details=info,
-            )
-        )
+            exact_dev = float(np.abs(grand - np.eye(dim) / dim).max())
+            details = {"beta_zero_exact_deviation": exact_dev, **details}
+        rep = _mc_report(modes, grand, se, samples, spec, details)
+        if beta == 0.0:
+            rep.passed = rep.passed and exact_dev <= 1e-14
+            rep.criterion += "; beta = 0 must be exact"
+        reports.append(rep)
     for i, rep in enumerate(reports):
         worst = 0.0
-        for j in range(len(betas)):
+        for j, other in enumerate(reports):
             if j == i:
                 continue
-            dev = np.abs(means[i] - means[j])
-            comb = np.sqrt(ses[i] ** 2 + ses[j] ** 2)
+            dev = np.abs(rep.mean.matrix - other.mean.matrix)
+            comb = np.sqrt(rep.per_entry_se**2 + other.per_entry_se**2)
             ok = (dev <= 5.0 * comb) | (dev <= ABS_FLOOR)
             worst = max(worst, float((dev / np.maximum(comb, 1e-300)).max()) if comb.any() else 0.0)
             if not ok.all():
@@ -702,60 +678,36 @@ def verify_nc_modified(
     n_samples: int,
     rng,
     workers: int = 1,
-    burn_in: int = 10_000,
-    thin: int = 10,
     keep_samples: bool = False,
 ) -> EstimatorReport:
     """Monte Carlo mean of number-conserving operators with eigenvalues drawn
     from the parity-restoring modified weight and independent Haar rotations;
-    target is 2^-M times the identity."""
+    target is 2^-M times the identity.
+
+    The modified weight times the hermitian Jacobian is the class-D radial
+    density at stiffness p/2,
+    Delta(lam)^2 * prod_{i<j} (lam_i + lam_j)^2 exp(-p sum lam^2)
+    = Delta(lam^2)^2 exp(-p sum lam^2),
+    even in every eigenvalue. Each chunk therefore samples it exactly: the
+    pair representatives of class-D draws at p/2, with independent random
+    signs.
+    """
     spec = _as_rngspec(rng)
-    chunks, per = _chunk_layout(n_samples)
-    _quadratic_tensor(modes)  # warm the cache before any thread fan-out
-    run = sample_radial_mcmc(
-        CLASS_D,
-        WeightSpec.nc_modified(p),
-        modes,
-        steps=chunks * per,
-        rng=spec.with_stream(spec.stream + MCMC_STREAM_OFFSET),
-        burn_in=burn_in,
-        thin=thin,
-        chains=chunks,
-    )
-    lams = run.samples  # chain-major: chunk i <-> chain i
+    WeightSpec.nc_modified(p)  # rejects p <= 0 with the caller's value
 
-    def worker(i: int) -> np.ndarray:
-        pts = lams[i * per : (i + 1) * per]
-        us = sample_haar_unitary_batch(modes, spec.with_stream(spec.stream + i), pts.shape[0])
-        return _rotated_ncons_ops(pts, us).mean(axis=0)
+    def worker(gen: np.random.Generator, per: int):
+        pts = np.linalg.eigvalsh(sample_class_d_batch(modes, 0.5 * p, gen, per))[:, modes:]
+        pts = pts * gen.choice((-1.0, 1.0), size=(per, modes))
+        us = sample_haar_unitary_batch(modes, gen, per)
+        return _rotated_ncons_ops(pts, us).mean(axis=0), pts
 
-    chunk_means = np.stack(_run_chunks(worker, chunks, workers))
-    mean, se = _combine_chunks(chunk_means)
-    dim = 1 << modes
-    target = FockOperator(modes, np.eye(dim) / dim, hermitian=True)
-    passed, info = _entry_gate(mean, target.matrix, se)
-    info.update(
-        {
-            "p": p,
-            "chunks": chunks,
-            "mcmc_acceptance": run.acceptance_rate,
-            "mcmc_step": run.step,
-            "mcmc_warning": run.warning,
-        }
-    )
+    results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
+    chunk_means = np.stack([r[0] for r in results])
+    mean = chunk_means.mean(axis=0)
+    details = {"p": p, "chunks": chunk_means.shape[0]}
     if keep_samples:
-        info["lambda_samples"] = lams
-    return EstimatorReport(
-        target=target,
-        mean=FockOperator(modes, mean),
-        max_abs_deviation=float(np.abs(mean - target.matrix).max()),
-        per_entry_se=se,
-        samples=lams.shape[0],
-        seed=spec,
-        passed=passed,
-        criterion=MC_RULE,
-        details=info,
-    )
+        details["lambda_samples"] = np.concatenate([r[1] for r in results])
+    return _mc_report(modes, mean, _batch_se(chunk_means, mean), samples, spec, details)
 
 
 # ---------------------------------------------------------------------------

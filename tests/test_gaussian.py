@@ -9,8 +9,10 @@ from fermigauss import (
     BdgMatrix,
     ContractError,
     DegenerateSpectrumError,
+    DomainError,
     RngSpec,
     StructureError,
+    build_mode_operators,
     compose_general,
     compose_number_conserving,
     gaussian_normalized,
@@ -168,6 +170,14 @@ class TestTraceFormula:
             exact = scipy.linalg.expm(quadratic_hamiltonian(bdg).matrix).trace().real
             assert abs(trace_formula(bdg) - exact) / exact < 1e-9
 
+    def test_large_scale_is_finite_or_raises(self):
+        bdg = sample_class_d(3, 1.0, RngSpec(5))
+        big = make_bdg(100.0 * bdg.h, 100.0 * bdg.delta)
+        exact = scipy.linalg.expm(quadratic_hamiltonian(big).matrix).trace().real
+        assert abs(trace_formula(big) - exact) / exact < 1e-9
+        with pytest.raises(DomainError, match="log"):
+            trace_formula(make_bdg(1000.0 * bdg.h, 1000.0 * bdg.delta))
+
     def test_determinant_power_is_one_half(self):
         # the doubled-matrix determinant counts every pair factor twice, so the
         # exact trace is its square root; the first power overshoots
@@ -247,6 +257,17 @@ class TestNumberConserving:
             embedded = gaussian_normalized(make_bdg(h, np.zeros((modes, modes))))
             assert max_abs(direct.matrix, embedded.matrix) < 1e-12
             assert abs(direct.trace().real - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    def test_matches_mode_operator_exponential(self, modes, scale):
+        # independent oracle: expm of sum_kl h_kl a_k^dag a_l over its trace
+        h = scale * hermitian_matrix(RngSpec(34).generator(), modes)
+        ann = [a.matrix for a in build_mode_operators(modes)]
+        ham = sum(h[k, l] * ann[k].conj().T @ ann[l] for k in range(modes) for l in range(modes))
+        direct = scipy.linalg.expm(ham)
+        expected = direct / direct.trace().real
+        assert max_abs(gaussian_number_conserving(h).matrix, expected) <= 1e-9 * np.abs(expected).max()
 
     def test_normalizer_is_block_determinant(self):
         gen = RngSpec(31).generator()
