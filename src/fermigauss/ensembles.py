@@ -218,19 +218,17 @@ def sample_haar_unitary_batch(modes: int, rng, count: int) -> np.ndarray:
     return q * (d / np.abs(d))[:, None, :]
 
 
-def random_polar_rotation(modes: int, rng, p: float = 1.0, max_tries: int = 64) -> PolarForm:
-    """Polar form of a random class-D draw; redraws on (probability-zero)
-    degenerate spectra. Used to produce reproducible rotations for the
-    verification drivers."""
+def random_polar_rotation(modes: int, rng) -> PolarForm:
+    """Polar form of a random class-D draw at p = 1; redraws on
+    (probability-zero) degenerate spectra, up to 64 times. Used to produce
+    reproducible rotations for the verification drivers."""
     gen = _as_generator(rng)
-    for _ in range(max_tries):
+    for _ in range(64):
         try:
-            return polar_decompose(sample_class_d(modes, p, gen))
+            return polar_decompose(sample_class_d(modes, 1.0, gen))
         except DegenerateSpectrumError:
             continue
-    raise DegenerateSpectrumError(
-        f"failed to draw a non-degenerate spectrum in {max_tries} tries"
-    )
+    raise DegenerateSpectrumError("failed to draw a non-degenerate spectrum in 64 tries")
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,11 @@ bit-twiddling exercise.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import factorial
+from math import factorial, log
 
 import numpy as np
 
-from .errors import CapacityError, ContractError, StructureError
+from .errors import CapacityError, ContractError, DomainError, StructureError
 
 #: Largest mode count accepted by default (64 x 64 matrices). Overridable per call.
 DEFAULT_MODE_CAP = 6
@@ -21,8 +21,12 @@ DEFAULT_MODE_CAP = 6
 #: Absolute tolerance used when an operator claims to be hermitian.
 HERMITICITY_TOL = 1e-12
 
-#: Looser tolerance for validating hermiticity of *inputs*.
-INPUT_HERMITICITY_TOL = 1e-10
+#: Looser tolerance for validating the structure of *inputs* (hermiticity,
+#: skew symmetry, particle-hole blocks).
+STRUCTURE_TOL = 1e-10
+
+#: Log of the largest finite float.
+LOG_FLOAT_MAX = log(np.finfo(float).max)
 
 
 def _check_modes(modes: int, cap: int) -> None:
@@ -143,7 +147,7 @@ def _quadratic_tensor(modes: int) -> np.ndarray:
     return out
 
 
-def _check_coefficient_structure(mat: np.ndarray, tol: float = INPUT_HERMITICITY_TOL) -> int:
+def _check_coefficient_structure(mat: np.ndarray, tol: float = STRUCTURE_TOL) -> int:
     """Validate the particle-hole block structure of a 2M x 2M coefficient matrix.
 
     Requires sigma_x-antisymmetry (both off-diagonal blocks antisymmetric and the
@@ -178,7 +182,7 @@ def quadratic_hamiltonian(coeff, cap: int = DEFAULT_MODE_CAP) -> FockOperator:
     mat = coeff.assembled() if hasattr(coeff, "assembled") else np.asarray(coeff, dtype=complex)
     modes = _check_coefficient_structure(mat)
     out = quadratic_hamiltonian_batch(mat[None], cap)[0]
-    herm = np.abs(mat - mat.conj().T).max() <= INPUT_HERMITICITY_TOL
+    herm = np.abs(mat - mat.conj().T).max() <= STRUCTURE_TOL
     return FockOperator(modes, out, hermitian=herm)
 
 
@@ -198,14 +202,32 @@ def quadratic_hamiltonian_batch(mats: np.ndarray, cap: int = DEFAULT_MODE_CAP) -
     return 0.5 * np.einsum("skl,klab->sab", mats, tensor)
 
 
+def from_eigenpairs(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The matrix v diag(w) v^dag from eigenvalues ``w`` and eigenvector columns ``v``.
+
+    The package's one rebuild from eigenpairs. It covers one matrix, a stack
+    (``w`` of shape (n, d), ``v`` of shape (n, d, d)), or one ``v`` shared by a
+    stack of ``w``.
+    """
+    return (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
+
+
 def op_exp(op: FockOperator, scale: float = 1.0) -> FockOperator:
-    """exp(scale * A) of a hermitian Fock operator, via spectral decomposition."""
+    """exp(scale * A) of a hermitian Fock operator, via spectral decomposition.
+
+    The rebuild is symmetrized, since its rounding error grows with the
+    largest entry. Raises DomainError when an entry would exceed the float
+    range.
+    """
     dev = np.abs(op.matrix - op.matrix.conj().T).max()
-    if dev > INPUT_HERMITICITY_TOL:
+    if dev > STRUCTURE_TOL:
         raise ContractError(f"op_exp requires a hermitian operator; deviation {dev:.3e}")
     w, v = np.linalg.eigh(op.matrix)
-    mat = (v * np.exp(scale * w)) @ v.conj().T
-    return FockOperator(op.modes, mat, hermitian=True)
+    w = scale * w
+    if not w.max() < LOG_FLOAT_MAX:
+        raise DomainError(f"exponential overflows a float: the log of its largest eigenvalue is {w.max():.6g}")
+    mat = from_eigenpairs(np.exp(w), v)
+    return FockOperator(op.modes, 0.5 * mat + 0.5 * mat.conj().T, hermitian=True)
 
 
 def normal_ordered_exp(coeff, cap: int = DEFAULT_MODE_CAP) -> FockOperator:

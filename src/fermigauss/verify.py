@@ -32,6 +32,7 @@ from .fock import (
     _annihilators,
     _quadratic_tensor,
     build_mode_operators,
+    from_eigenpairs,
     normal_ordered_exp,
     op_exp,
     quadratic_hamiltonian,
@@ -207,8 +208,7 @@ def _rotated_gaussian_ops(points: np.ndarray, rotation: np.ndarray | None) -> np
         idx = np.arange(2 * m)
         mats[:, idx, idx] = diag
     else:
-        u = rotation
-        mats = np.einsum("ka,sk,kb->sab", u.conj(), diag, u)
+        mats = from_eigenpairs(diag, rotation.conj().T)
     hams = quadratic_hamiltonian_batch(mats)
     return exp_normalized_fock_batch(hams)
 
@@ -220,10 +220,7 @@ def _rotated_ncons_ops(points: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
     matching the points. Same algorithm as gaussian_number_conserving,
     vectorized: h is embedded as (h, delta = 0).
     """
-    if unitaries.ndim == 2:
-        h = np.einsum("ak,sk,bk->sab", unitaries, points.astype(complex), unitaries.conj())
-    else:
-        h = np.einsum("sak,sk,sbk->sab", unitaries, points.astype(complex), unitaries.conj())
+    h = from_eigenpairs(points, unitaries)
     hams = quadratic_hamiltonian_batch(assemble_blocks(h, np.zeros_like(h)))
     return exp_normalized_fock_batch(hams)
 
@@ -544,8 +541,7 @@ def verify_canonical_triviality(
         nums, dens = [], []
         for beta in betas:
             ew = np.exp(-beta * w)
-            op = np.einsum("sab,sb,scb->sac", v, ew, v.conj())
-            nums.append(op.mean(axis=0))
+            nums.append(from_eigenpairs(ew, v).mean(axis=0))
             dens.append(float(ew.sum(axis=1).mean()))
         return np.stack(nums), np.array(dens)
 
@@ -608,9 +604,7 @@ def _closest_identity_multiple(mat: np.ndarray) -> tuple[float, float]:
     return float(c), float(max(off, 0.5 * (diag.max() - diag.min())))
 
 
-def nc_even_weight_quadrature(
-    modes: int, p: float, quad_order: int = 60, rotation_seed: int = ROTATION_SEED
-) -> tuple[np.ndarray, np.ndarray]:
+def nc_even_weight_quadrature(modes: int, p: float, quad_order: int = 60) -> tuple[np.ndarray, np.ndarray]:
     """Quadrature mean of rotated number-conserving operators under the
     hermitian-matrix measure with the even weight exp(-p sum lam^2).
 
@@ -619,7 +613,7 @@ def nc_even_weight_quadrature(
     not even in each eigenvalue separately and a nonzero residual survives.
     """
     weight = WeightSpec.nc_even(p)
-    u = sample_haar_unitary_batch(modes, RngSpec(rotation_seed, stream=2), 1)[0]
+    u = sample_haar_unitary_batch(modes, RngSpec(ROTATION_SEED, stream=2), 1)[0]
     rule = lambda order: _hermitian_rule(weight, modes, order)
     q, _ = _converged_mean(rule, lambda pts: _rotated_ncons_ops(pts, u), quad_order)
     return q, u

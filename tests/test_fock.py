@@ -6,6 +6,7 @@ from conftest import hermitian_matrix, max_abs
 from fermigauss import (
     CapacityError,
     ContractError,
+    DomainError,
     FockOperator,
     StructureError,
     build_mode_operators,
@@ -145,6 +146,15 @@ class TestOpExp:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ContractError):
             op_exp(FockOperator(1, np.array([[0.0, 1.0], [0.0, 0.0]])))
+
+    def test_large_scale_matches_expm_or_raises(self):
+        # entries reach 1e68 at x100, far above the absolute hermiticity tolerance
+        b = sample_class_d(3, 1.0, RngSpec(5))
+        ham = quadratic_hamiltonian(make_bdg(100 * b.h, 100 * b.delta))
+        want = scipy.linalg.expm(ham.matrix)
+        assert max_abs(op_exp(ham).matrix, want) <= 1e-12 * np.abs(want).max()
+        with pytest.raises(DomainError, match="log"):
+            op_exp(quadratic_hamiltonian(make_bdg(1000 * b.h, 1000 * b.delta)))
 
 
 class TestNormalOrderedExp:

@@ -360,6 +360,14 @@ class TestComposeGeneral:
         with pytest.raises(ContractError, match="spectral norm"):
             compose_general(big, big)
 
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    @pytest.mark.parametrize("total", [0.5, 1.5, 3.1])
+    def test_matches_logm_reference(self, modes, total):
+        gen = RngSpec(40 + modes).generator()
+        b1, b2 = _small_norm_pair(gen, modes, total)
+        want = scipy.linalg.logm(scipy.linalg.expm(b1.assembled()) @ scipy.linalg.expm(b2.assembled()))
+        assert max_abs(compose_general(b1, b2).assembled(), want) < 1e-10
+
 
 class TestComposeNumberConserving:
     def test_inverse_element(self):
@@ -392,3 +400,13 @@ class TestComposeNumberConserving:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ContractError):
             compose_number_conserving(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
+
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    @pytest.mark.parametrize("total", [0.5, 1.5, 3.1])
+    def test_matches_logm_reference(self, modes, total):
+        gen = RngSpec(43 + modes).generator()
+        h1, h2 = hermitian_matrix(gen, modes), hermitian_matrix(gen, modes)
+        norm = np.abs(np.linalg.eigvalsh(h1)).max() + np.abs(np.linalg.eigvalsh(h2)).max()
+        h1, h2 = (total / norm) * h1, (total / norm) * h2
+        want = scipy.linalg.logm(scipy.linalg.expm(h1) @ scipy.linalg.expm(h2))
+        assert max_abs(compose_number_conserving(h1, h2), want) < 1e-10

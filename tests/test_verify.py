@@ -98,6 +98,13 @@ class TestResolutionMc:
         assert np.array_equal(a.mean.matrix, b.mean.matrix)
         assert np.array_equal(a.per_entry_se, b.per_entry_se)
 
+    def test_worker_count_invariance_at_six_modes(self):
+        # the 64 x 64 eigenpair rebuilds are BLAS matrix products
+        a = verify_resolution_mc(6, 1.0, 64, RngSpec(8), workers=1)
+        b = verify_resolution_mc(6, 1.0, 64, RngSpec(8), workers=2)
+        assert np.array_equal(a.mean.matrix, b.mean.matrix)
+        assert np.array_equal(a.per_entry_se, b.per_entry_se)
+
     def test_agrees_with_quadrature_target(self):
         # joint check of the Cartesian measure and the radial-plus-angular one
         mc = verify_resolution_mc(2, 1.0, 40_000, RngSpec(9))
