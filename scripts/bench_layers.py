@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Per-layer times of one Monte Carlo chunk, at M = 1..6 modes.
+
+Times the four layers of the resolution-of-unity worker on one chunk of
+4000 class-D draws at p = 1:
+
+- sample:   sample_class_d_batch
+- assemble: quadratic_hamiltonian_batch
+- kernel:   exp_normalized_fock_batch
+- reduce:   the chunk mean as a full 2^M x 2^M matrix (embedded from the
+            parity blocks where the package returns blocks)
+
+Each layer runs 5 times; the table gives the minimum and the median in
+seconds. The numerical environment (numpy, scipy and BLAS versions, CPU
+count, affinity, thread variables) is recorded beside the table, through
+benchmark/environment.py. Run from the repository root:
+
+    python3 scripts/bench_layers.py --label change --out BENCH_6.json
+    python3 scripts/bench_layers.py --src ../other-checkout/src --label parent --out BENCH_6.json
+
+``--src`` names the directory holding the ``fermigauss`` package to time
+(default: this checkout's ``src``). ``--out`` adds the table under
+``--label`` to the JSON file, keeping the tables already in it; without
+``--out`` the result is printed. At M = 6 a tree that assembles full dense
+matrices holds about 1 GB at once.
+"""
+
+import argparse
+import json
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CHUNK = 4000
+REPEATS = 5
+
+
+def _timed(fn, *args):
+    start = time.perf_counter()
+    out = fn(*args)
+    return time.perf_counter() - start, out
+
+
+def layer_table() -> dict:
+    from fermigauss import fock, gaussian
+    from fermigauss.ensembles import RngSpec, sample_class_d_batch
+
+    def reduce(ops):
+        mean = ops.mean(axis=0)
+        return fock.embed_parity_blocks(mean) if mean.ndim == 3 else mean
+
+    table = {}
+    for modes in range(1, 7):
+        gen = RngSpec(modes).generator()
+        fock.quadratic_hamiltonian_batch(sample_class_d_batch(modes, 1.0, gen, 1))  # warm per-M caches
+        times = {"sample": [], "assemble": [], "kernel": [], "reduce": []}
+        for _ in range(REPEATS):
+            dt, mats = _timed(sample_class_d_batch, modes, 1.0, gen, CHUNK)
+            times["sample"].append(dt)
+            dt, hams = _timed(fock.quadratic_hamiltonian_batch, mats)
+            times["assemble"].append(dt)
+            del mats
+            dt, ops = _timed(gaussian.exp_normalized_fock_batch, hams)
+            times["kernel"].append(dt)
+            del hams
+            dt, mean = _timed(reduce, ops)
+            times["reduce"].append(dt)
+            del ops
+            assert mean.shape == (1 << modes, 1 << modes)
+        table[str(modes)] = {
+            layer: {"min_s": min(ts), "median_s": statistics.median(ts)} for layer, ts in times.items()
+        }
+        print(f"M = {modes}: " + ", ".join(f"{k} {v['median_s']:.4f} s" for k, v in table[str(modes)].items()),
+              file=sys.stderr)
+    return table
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the fermigauss package")
+    parser.add_argument("--label", default="change", help="name of this table in the output")
+    parser.add_argument("--out", type=Path, help="JSON file to add the table to")
+    args = parser.parse_args()
+    if not (args.src / "fermigauss" / "__init__.py").is_file():
+        sys.exit(f"error: no fermigauss package under {args.src}")
+    sys.path.insert(0, str(args.src.resolve()))
+    sys.path.insert(1, str(ROOT / "benchmark"))
+    from environment import environment
+
+    entry = {
+        "chunk": CHUNK,
+        "repeats": REPEATS,
+        "p": 1.0,
+        "environment": environment(workers=1),
+        "layers": layer_table(),
+    }
+    if args.out is None:
+        print(json.dumps({args.label: entry}, indent=2))
+        return 0
+    data = json.loads(args.out.read_text()) if args.out.is_file() else {}
+    data.setdefault("tables", {})[args.label] = entry
+    args.out.write_text(json.dumps(data, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -131,7 +131,11 @@ def build_mode_operators(modes: int, cap: int = DEFAULT_MODE_CAP) -> list[FockOp
 
 @lru_cache(maxsize=None)
 def _gamma_ops(modes: int) -> np.ndarray:
-    """Stacked matrices of (a_1..a_M, a_1^dag..a_M^dag), shape (2M, dim, dim)."""
+    """Stacked matrices of (a_1..a_M, a_1^dag..a_M^dag), shape (2M, dim, dim).
+
+    Kept as a dense oracle for the tests; the package assembles through
+    _assembly_plan.
+    """
     ann = _annihilators(modes)
     stack = np.stack(list(ann) + [m.conj().T for m in ann])
     stack.setflags(write=False)
@@ -140,10 +144,96 @@ def _gamma_ops(modes: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _quadratic_tensor(modes: int) -> np.ndarray:
-    """T[k, l] = gamma_k^dag @ gamma_l, shape (2M, 2M, dim, dim)."""
+    """T[k, l] = gamma_k^dag @ gamma_l, shape (2M, 2M, dim, dim); a dense test oracle."""
     gam = _gamma_ops(modes)
     out = np.einsum("kba,lbc->klac", gam.conj(), gam)
     out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _parities(modes: int) -> np.ndarray:
+    """Occupation parity (0 or 1) of every basis state."""
+    out = np.array([n.bit_count() & 1 for n in range(1 << modes)])
+    out.setflags(write=False)
+    return out
+
+
+def _ladder(states: np.ndarray, mode: int, create: bool, parity: np.ndarray):
+    """a_mode (or its adjoint) on basis states: (image states, signs, nonzero mask).
+
+    The sign string counts the occupied modes below ``mode``; ``parity`` is
+    _parities of the mode count.
+    """
+    bit = 1 << mode
+    alive = (states & bit) == 0 if create else (states & bit) != 0
+    return states ^ bit, 1.0 - 2.0 * parity[states & (bit - 1)], alive
+
+
+@lru_cache(maxsize=None)
+def _parity_sectors(modes: int) -> np.ndarray:
+    """Basis states of even and odd occupation parity, ascending, shape (2, dim/2)."""
+    parity = _parities(modes)
+    out = np.stack([np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)])
+    out.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _assembly_plan(modes: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray]:
+    """Scatter plan of (1/2) gamma^dag H gamma into the two parity blocks.
+
+    gamma_k^dag gamma_l maps each basis state to at most one basis state of
+    the same parity, with a sign. Each such (k, l, state) term adds the
+    coefficient at flat index k * 2M + l, times +-1/2, to one entry of the
+    (2, dim/2, dim/2) blocks. The entries that receive terms are ordered by
+    their term count, most first, so the j-th terms of all entries with more
+    than j terms form a prefix: slot j holds their coefficient indices and
+    factors. ``layout`` maps each flat block entry to its position in that
+    order, or one past the end for the entries no term reaches.
+    """
+    half = 1 << (modes - 1)
+    parity = _parities(modes)
+    rank = np.empty(1 << modes, dtype=np.intp)
+    rank[_parity_sectors(modes)] = np.arange(half)
+    states = np.arange(1 << modes)
+    coeff, factor, target = [], [], []
+    for k in range(2 * modes):
+        for l in range(2 * modes):
+            # gamma_l, then gamma_k^dag
+            mid, s1, alive1 = _ladder(states, l % modes, l >= modes, parity)
+            out, s2, alive2 = _ladder(mid, k % modes, k < modes, parity)
+            alive = alive1 & alive2
+            src, dst = states[alive], out[alive]
+            coeff.append(np.full(src.size, k * 2 * modes + l))
+            factor.append(0.5 * (s1 * s2)[alive])
+            target.append((parity[src] * half + rank[dst]) * half + rank[src])
+    coeff, factor = np.concatenate(coeff), np.concatenate(factor)
+    entries, inverse, counts = np.unique(np.concatenate(target), return_inverse=True, return_counts=True)
+    by_count = np.argsort(-counts, kind="stable")
+    position = np.empty_like(by_count)
+    position[by_count] = np.arange(entries.size)
+    order = np.argsort(position[inverse], kind="stable")
+    sorted_position = position[inverse][order]
+    slot = np.arange(order.size) - np.searchsorted(sorted_position, sorted_position)
+    slots = tuple((coeff[order[slot == j]], factor[order[slot == j]]) for j in range(counts.max()))
+    layout = np.full(2 * half * half, entries.size)
+    layout[entries[by_count]] = np.arange(entries.size)
+    for arr in (layout, *(a for pair in slots for a in pair)):
+        arr.setflags(write=False)
+    return slots, layout
+
+
+def embed_parity_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Full (..., dim, dim) matrices from their (..., 2, dim/2, dim/2) parity blocks.
+
+    The package's one place where parity blocks become Fock matrices; every
+    entry that couples the two parities is exactly 0.
+    """
+    sectors = _parity_sectors(blocks.shape[-1].bit_length())
+    dim = 2 * blocks.shape[-1]
+    out = np.zeros(blocks.shape[:-3] + (dim, dim), dtype=blocks.dtype)
+    out[..., sectors[:, :, None], sectors[:, None, :]] = blocks
     return out
 
 
@@ -181,25 +271,38 @@ def quadratic_hamiltonian(coeff, cap: int = DEFAULT_MODE_CAP) -> FockOperator:
     """
     mat = coeff.assembled() if hasattr(coeff, "assembled") else np.asarray(coeff, dtype=complex)
     modes = _check_coefficient_structure(mat)
-    out = quadratic_hamiltonian_batch(mat[None], cap)[0]
+    out = embed_parity_blocks(quadratic_hamiltonian_batch(mat[None], cap)[0])
     herm = np.abs(mat - mat.conj().T).max() <= STRUCTURE_TOL
     return FockOperator(modes, out, hermitian=herm)
 
 
 def quadratic_hamiltonian_batch(mats: np.ndarray, cap: int = DEFAULT_MODE_CAP) -> np.ndarray:
-    """Fock matrices (1/2) gamma^dag H gamma for a stack of coefficient matrices.
+    """Parity blocks of the Fock matrices (1/2) gamma^dag H gamma for a stack
+    of coefficient matrices.
 
-    This is the package's one contraction against the quadratic tensor; the
-    scalar quadratic_hamiltonian is this call with n = 1. ``mats`` has shape
-    (n, 2M, 2M); no per-element structure validation is done, so callers are
-    expected to feed matrices built by validated constructors (or validated
-    one at a time, as quadratic_hamiltonian does).
+    This is the package's one Fock assembly; the scalar quadratic_hamiltonian
+    is this call with n = 1, embedded. ``mats`` has shape (n, 2M, 2M) and the
+    result (n, 2, 2^(M-1), 2^(M-1)): the even-parity block, then the odd one,
+    each over its basis states in ascending order (embed_parity_blocks turns
+    them into full matrices). It gathers and adds the coefficients slot by
+    slot over the cached _assembly_plan, then lays the sums out in blocks.
+    No per-element structure validation is done, so callers are expected to
+    feed matrices built by validated constructors (or validated one at a
+    time, as quadratic_hamiltonian does).
     """
     mats = np.asarray(mats, dtype=complex)
     modes = mats.shape[-1] // 2
     _check_modes(modes, cap)
-    tensor = _quadratic_tensor(modes)
-    return 0.5 * np.einsum("skl,klab->sab", mats, tensor)
+    slots, layout = _assembly_plan(modes)
+    flat = mats.reshape(len(mats), -1)
+    (coeff, factor), *rest = slots
+    sums = np.empty((len(mats), coeff.size + 1), dtype=complex)
+    sums[:, -1] = 0.0  # the entries no term reaches
+    np.multiply(np.take(flat, coeff, axis=1), factor, out=sums[:, :-1])
+    for coeff, factor in rest:
+        sums[:, : coeff.size] += np.take(flat, coeff, axis=1) * factor
+    half = 1 << (modes - 1)
+    return np.take(sums, layout, axis=1).reshape(len(mats), 2, half, half)
 
 
 def from_eigenpairs(w: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -280,19 +280,23 @@ def gaussian_normalized(bdg: BdgMatrix) -> FockOperator:
 
 
 def exp_normalized_fock_batch(hams: np.ndarray) -> np.ndarray:
-    """Trace-normalized exponentials of a stack of hermitian Fock matrices.
+    """Trace-normalized exponentials of a stack of hermitian Fock operators.
 
     The package's one normalized-exponential kernel: gaussian_normalized,
     gaussian_number_conserving and the Monte Carlo and quadrature drivers all
-    go through it. The spectrum is shifted by its maximum before
-    exponentiation, which the trace normalization divides back out, so no
-    entry overflows. Its independent oracle is the per-mode product form in
-    the rotated mode basis (test_gaussian.py, test_matches_per_mode_product).
+    go through it. ``hams`` is (n, d, d) full matrices or (n, 2, d/2, d/2)
+    parity blocks; each of the n operators is normalized jointly over all its
+    blocks. Its spectrum is shifted by one common maximum before
+    exponentiation, which the joint trace normalization divides back out, so
+    no entry overflows and the blocks keep their relative weight. Its
+    independent oracle is the per-mode product form in the rotated mode basis
+    (test_gaussian.py, test_matches_per_mode_product).
     """
     w, v = np.linalg.eigh(hams)
-    mats = from_eigenpairs(np.exp(w - w.max(axis=-1, keepdims=True)), v)
-    tr = np.einsum("saa->s", mats).real
-    return mats / tr[:, None, None]
+    op_axes = tuple(range(1, w.ndim))
+    mats = from_eigenpairs(np.exp(w - w.max(axis=op_axes, keepdims=True)), v)
+    tr = np.einsum("...aa->...", mats).real.sum(axis=op_axes[:-1])
+    return mats / tr.reshape((-1,) + (1,) * (mats.ndim - 1))
 
 
 @np.errstate(over="ignore")

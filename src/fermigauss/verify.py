@@ -30,8 +30,9 @@ from .errors import ContractError, NonConvergenceError
 from .fock import (
     FockOperator,
     _annihilators,
-    _quadratic_tensor,
+    _assembly_plan,
     build_mode_operators,
+    embed_parity_blocks,
     from_eigenpairs,
     normal_ordered_exp,
     op_exp,
@@ -130,7 +131,7 @@ def _run_chunks(worker, n_samples: int, spec: RngSpec, modes: int, workers: int 
     do not depend on the worker count. Returns the chunk results in chunk
     order and the total sample count."""
     chunks, per = _chunk_layout(n_samples)
-    _quadratic_tensor(modes)  # warm the cache before any thread fan-out
+    _assembly_plan(modes)  # warm the cache before any thread fan-out
 
     def task(i: int):
         return worker(spec.with_stream(spec.stream + i).generator(), per)
@@ -151,6 +152,15 @@ def _batch_se(chunk_values: np.ndarray, center: np.ndarray) -> np.ndarray:
     return np.sqrt(var / k)
 
 
+def _max_sigma(dev: np.ndarray, se: np.ndarray) -> float:
+    """Largest deviation in standard errors over the entries the gate judges,
+    those above ABS_FLOOR; 0 when there are none or no SE at all."""
+    if not se.any():
+        return 0.0
+    judged = dev > ABS_FLOOR
+    return float((dev[judged] / np.maximum(se[judged], 1e-300)).max(initial=0.0))
+
+
 def _entry_gate(mean: np.ndarray, target: np.ndarray, se: np.ndarray) -> tuple[bool, dict]:
     dev = np.abs(mean - target)
     ok = (dev <= 5.0 * se) | (dev <= ABS_FLOOR)
@@ -158,7 +168,7 @@ def _entry_gate(mean: np.ndarray, target: np.ndarray, se: np.ndarray) -> tuple[b
     allowed = max(1, int(0.01 * dev.size))
     passed = bool(ok.all() and band.sum() <= allowed)
     info = {
-        "max_sigma": float((dev / np.maximum(se, 1e-300)).max()) if se.any() else 0.0,
+        "max_sigma": _max_sigma(dev, se),
         "band_entries": int(band.sum()),
         "band_allowed": allowed,
         "frobenius_deviation": float(np.linalg.norm(mean - target)),
@@ -195,11 +205,12 @@ def _mc_report(modes: int, mean: np.ndarray, se: np.ndarray, samples: int, spec:
 # ---------------------------------------------------------------------------
 
 
-def _rotated_gaussian_ops(points: np.ndarray, rotation: np.ndarray | None) -> np.ndarray:
+def _rotated_gaussian_blocks(points: np.ndarray, rotation: np.ndarray | None) -> np.ndarray:
     """Normalized Gaussian operators for coefficient matrices U^-1 diag(lam,-lam) U.
 
     ``points`` is (N, M); ``rotation`` the 2M x 2M transformation U (None for
-    the identity). Same algorithm as gaussian_normalized, vectorized.
+    the identity). Same algorithm as gaussian_normalized, vectorized; returns
+    the parity blocks, shape (N, 2, 2^(M-1), 2^(M-1)).
     """
     n, m = points.shape
     diag = np.concatenate([points, -points], axis=1)
@@ -213,16 +224,26 @@ def _rotated_gaussian_ops(points: np.ndarray, rotation: np.ndarray | None) -> np
     return exp_normalized_fock_batch(hams)
 
 
-def _rotated_ncons_ops(points: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
+def _rotated_ncons_blocks(points: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
     """Normalized number-conserving operators at h = U diag(lam) U^dag.
 
     ``unitaries`` is either one M x M matrix shared by all points or a stack
     matching the points. Same algorithm as gaussian_number_conserving,
-    vectorized: h is embedded as (h, delta = 0).
+    vectorized: h is embedded as (h, delta = 0). Returns the parity blocks.
     """
     h = from_eigenpairs(points, unitaries)
     hams = quadratic_hamiltonian_batch(assemble_blocks(h, np.zeros_like(h)))
     return exp_normalized_fock_batch(hams)
+
+
+def _rotated_gaussian_ops(points: np.ndarray, rotation: np.ndarray | None) -> np.ndarray:
+    """_rotated_gaussian_blocks as full matrices, one per point."""
+    return embed_parity_blocks(_rotated_gaussian_blocks(points, rotation))
+
+
+def _rotated_ncons_ops(points: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
+    """_rotated_ncons_blocks as full matrices, one per point."""
+    return embed_parity_blocks(_rotated_ncons_blocks(points, unitaries))
 
 
 # ---------------------------------------------------------------------------
@@ -385,8 +406,9 @@ def class_d_lambda_samples(modes: int, p: float, rng, n_samples: int) -> np.ndar
 
 
 def _weighted_mean_ops(points, wts, op_batch_fn) -> np.ndarray:
+    """Weighted mean of the parity-blocked operators, as a full matrix."""
     ops = op_batch_fn(points)
-    return np.einsum("s,sab->ab", wts, ops) / wts.sum()
+    return embed_parity_blocks(np.einsum("s,spab->pab", wts, ops) / wts.sum())
 
 
 def _converged_mean(rule_fn, op_batch_fn, order: int):
@@ -434,9 +456,9 @@ def verify_resolution_quadrature(
     alt = random_polar_rotation(modes, RngSpec(ROTATION_SEED, stream=1))
     rule = lambda order: _class_rule(sym_class, weight, modes, order)
 
-    q_main, delta = _converged_mean(rule, lambda pts: _rotated_gaussian_ops(pts, u_main), quad_order)
+    q_main, delta = _converged_mean(rule, lambda pts: _rotated_gaussian_blocks(pts, u_main), quad_order)
     pts_hi, wts_hi = rule(2 * quad_order)
-    q_alt = _weighted_mean_ops(pts_hi, wts_hi, lambda pts: _rotated_gaussian_ops(pts, alt.bogoliubov))
+    q_alt = _weighted_mean_ops(pts_hi, wts_hi, lambda pts: _rotated_gaussian_blocks(pts, alt.bogoliubov))
 
     dim = 1 << modes
     target = FockOperator(modes, np.eye(dim) / dim, hermitian=True)
@@ -492,7 +514,7 @@ def shifted_weight_quadrature_deviation(
         wts = wts * dens.ravel()
     if sym_class.alpha:
         wts = wts * np.abs(points).prod(axis=1) ** sym_class.alpha
-    q = _weighted_mean_ops(points, wts, lambda pts: _rotated_gaussian_ops(pts, None))
+    q = _weighted_mean_ops(points, wts, lambda pts: _rotated_gaussian_blocks(pts, None))
     dim = 1 << modes
     return float(np.abs(q - np.eye(dim) / dim).max())
 
@@ -506,7 +528,7 @@ def verify_resolution_mc(
 
     def worker(gen: np.random.Generator, per: int) -> np.ndarray:
         mats = sample_class_d_batch(modes, p, gen, per)
-        return exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats)).mean(axis=0)
+        return embed_parity_blocks(exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats)).mean(axis=0))
 
     chunk_means, samples = _run_chunks(worker, n_samples, spec, modes, workers)
     chunk_means = np.stack(chunk_means)
@@ -541,8 +563,8 @@ def verify_canonical_triviality(
         nums, dens = [], []
         for beta in betas:
             ew = np.exp(-beta * w)
-            nums.append(from_eigenpairs(ew, v).mean(axis=0))
-            dens.append(float(ew.sum(axis=1).mean()))
+            nums.append(embed_parity_blocks(from_eigenpairs(ew, v).mean(axis=0)))
+            dens.append(float(ew.sum(axis=(1, 2)).mean()))
         return np.stack(nums), np.array(dens)
 
     results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
@@ -570,7 +592,7 @@ def verify_canonical_triviality(
             dev = np.abs(rep.mean.matrix - other.mean.matrix)
             comb = np.sqrt(rep.per_entry_se**2 + other.per_entry_se**2)
             ok = (dev <= 5.0 * comb) | (dev <= ABS_FLOOR)
-            worst = max(worst, float((dev / np.maximum(comb, 1e-300)).max()) if comb.any() else 0.0)
+            worst = max(worst, _max_sigma(dev, comb))
             if not ok.all():
                 rep.passed = False
         rep.details["pairwise_max_sigma"] = worst
@@ -615,7 +637,7 @@ def nc_even_weight_quadrature(modes: int, p: float, quad_order: int = 60) -> tup
     weight = WeightSpec.nc_even(p)
     u = sample_haar_unitary_batch(modes, RngSpec(ROTATION_SEED, stream=2), 1)[0]
     rule = lambda order: _hermitian_rule(weight, modes, order)
-    q, _ = _converged_mean(rule, lambda pts: _rotated_ncons_ops(pts, u), quad_order)
+    q, _ = _converged_mean(rule, lambda pts: _rotated_ncons_blocks(pts, u), quad_order)
     return q, u
 
 
@@ -693,7 +715,7 @@ def verify_nc_modified(
         pts = np.linalg.eigvalsh(sample_class_d_batch(modes, 0.5 * p, gen, per))[:, modes:]
         pts = pts * gen.choice((-1.0, 1.0), size=(per, modes))
         us = sample_haar_unitary_batch(modes, gen, per)
-        return _rotated_ncons_ops(pts, us).mean(axis=0), pts
+        return embed_parity_blocks(_rotated_ncons_blocks(pts, us).mean(axis=0)), pts
 
     results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
     chunk_means = np.stack([r[0] for r in results])

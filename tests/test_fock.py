@@ -15,9 +15,10 @@ from fermigauss import (
     op_exp,
     quadratic_hamiltonian,
     sample_class_d,
+    sample_class_d_batch,
     RngSpec,
 )
-from fermigauss.fock import _quadratic_tensor
+from fermigauss.fock import _parity_sectors, _quadratic_tensor, embed_parity_blocks, quadratic_hamiltonian_batch
 
 
 class TestFockOperator:
@@ -115,6 +116,32 @@ class TestQuadraticHamiltonian:
                     - bdg.delta.conj()[i, j] * a[i] @ a[j]
                 )
         assert max_abs(quadratic_hamiltonian(bdg).matrix, expected) < 1e-14
+
+
+class TestAssemblyPlan:
+    # the dense tensor is the oracle: it is built from the mode-operator
+    # matrices, the plan from the bit operations alone
+
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
+    def test_blocks_match_dense_contraction(self, modes):
+        mats = sample_class_d_batch(modes, 1.0, RngSpec(61, stream=modes), 5)
+        dense = 0.5 * np.einsum("skl,klab->sab", mats, _quadratic_tensor(modes))
+        blocks = quadratic_hamiltonian_batch(mats)
+        half = 1 << (modes - 1)
+        assert blocks.shape == (5, 2, half, half)
+        for parity, states in enumerate(_parity_sectors(modes)):
+            assert max_abs(blocks[:, parity], dense[:, states[:, None], states]) <= 1e-15
+
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
+    def test_embedding_is_zero_across_parities(self, modes):
+        mats = sample_class_d_batch(modes, 1.0, RngSpec(62, stream=modes), 3)
+        full = embed_parity_blocks(quadratic_hamiltonian_batch(mats))
+        states = np.arange(1 << modes)
+        parity = np.array([int(n).bit_count() & 1 for n in states])
+        across = parity[:, None] != parity[None, :]
+        assert (full[:, across] == 0).all()
+        dense = 0.5 * np.einsum("skl,klab->sab", mats, _quadratic_tensor(modes))
+        assert max_abs(full, dense) <= 1e-15
 
 
 class TestOpExp:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 from conftest import hermitian_matrix, max_abs, skew_matrix
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermigauss import (
     BdgMatrix,
@@ -23,10 +25,12 @@ from fermigauss import (
     paired_eigenvalues,
     polar_decompose,
     quadratic_hamiltonian,
+    random_polar_rotation,
     sample_class_d,
+    sample_class_d_batch,
     trace_formula,
 )
-from fermigauss.fock import _gamma_ops
+from fermigauss.fock import _gamma_ops, embed_parity_blocks, quadratic_hamiltonian_batch
 from fermigauss.gaussian import exp_normalized_fock_batch
 
 
@@ -153,6 +157,76 @@ class TestGaussianNormalized:
                 quadratic_hamiltonian(bdg).matrix[None, :, :]
             )[0]
             assert max_abs(batch, gaussian_normalized(bdg).matrix) < 1e-13
+
+
+def _rotated_bdg(lambdas, seed):
+    # U^dag diag(lambda, -lambda) U for a random canonical transformation U
+    modes = len(lambdas)
+    u = random_polar_rotation(modes, RngSpec(seed)).bogoliubov
+    mat = u.conj().T @ np.diag(np.concatenate([lambdas, -lambdas])).astype(complex) @ u
+    return make_bdg(mat[:modes, :modes], mat[:modes, modes:])
+
+
+@st.composite
+def _pair_spectra(draw):
+    # spread, clustered (gaps down to 1e-12) and exactly degenerate pairs
+    modes = draw(st.integers(1, 6))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    gap = draw(st.sampled_from([None, 0.0, 1e-12, 1e-8]))
+    if gap is None:
+        lam = draw(st.lists(st.floats(0.0, 3.0), min_size=modes, max_size=modes))
+    else:
+        lam = draw(st.floats(0.0, 3.0)) + gap * np.arange(modes)
+    return scale * np.asarray(lam, dtype=float), draw(st.integers(0, 2**16))
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
+    def test_blocks_match_full_kernel(self, modes, scale):
+        mats = scale * sample_class_d_batch(modes, 1.0, RngSpec(28, stream=modes), 4)
+        blocks = quadratic_hamiltonian_batch(mats)
+        full = exp_normalized_fock_batch(embed_parity_blocks(blocks))
+        assert max_abs(embed_parity_blocks(exp_normalized_fock_batch(blocks)), full) <= 1e-13
+
+    @pytest.mark.parametrize("modes", [1, 3])
+    def test_joint_shift_keeps_block_weights(self, modes):
+        # all pair energies >= 30: the top of one parity block sits 30 below the
+        # other's, so its weight is ~e^-30; normalizing each block on its own
+        # would give each block weight 1/2
+        lam = 30.0 + 5.0 * np.arange(modes)
+        bdg = make_bdg(np.diag(lam), np.zeros((modes, modes)))
+        out = embed_parity_blocks(exp_normalized_fock_batch(quadratic_hamiltonian_batch(bdg.assembled()[None])))[0]
+        states = np.arange(1 << modes)
+        occupied = (states[:, None] >> np.arange(modes)) & 1
+        want = np.where(occupied, 1.0 / (1.0 + np.exp(-lam)), 1.0 / (1.0 + np.exp(lam))).prod(axis=1)
+        assert max_abs(out, np.diag(want)) <= 1e-13
+        parity = np.array([int(n).bit_count() & 1 for n in states])
+        assert np.diagonal(out).real[parity != modes % 2].sum() < 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(_pair_spectra())
+    def test_unit_trace_and_positive(self, spectrum):
+        lam, seed = spectrum
+        blocks = quadratic_hamiltonian_batch(_rotated_bdg(lam, seed).assembled()[None])
+        out = exp_normalized_fock_batch(blocks)[0]
+        assert abs(np.trace(out, axis1=-2, axis2=-1).sum().real - 1.0) <= 1e-12
+        assert np.linalg.eigvalsh(out).min() >= -1e-13
+        # the largest eigenvalue is prod_j 1 / (1 + e^-lambda_j), at every scale
+        want = np.prod(1.0 / (1.0 + np.exp(-lam)))
+        assert abs(np.linalg.eigvalsh(out).max() - want) <= 1e-9 * want
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(_pair_spectra())
+    def test_block_trace_matches_trace_formula(self, spectrum):
+        lam, seed = spectrum
+        if lam.sum() > 1000.0:  # the trace leaves the float range; trace_formula raises
+            lam = lam * (1000.0 / lam.sum())
+        bdg = _rotated_bdg(lam, seed)
+        w = np.linalg.eigvalsh(quadratic_hamiltonian_batch(bdg.assembled()[None]))
+        assert w.shape == (1, 2, 1 << (len(lam) - 1))
+        exact = trace_formula(bdg)
+        assert abs(np.exp(w).sum() - exact) <= 1e-9 * exact
 
 
 class TestTraceFormula:

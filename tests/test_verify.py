@@ -20,7 +20,9 @@ from fermigauss import (
     verify_resolution_mc,
     verify_resolution_quadrature,
 )
-from fermigauss.verify import _closest_identity_multiple, load_failure_floor
+from fermigauss import sample_class_d_batch
+from fermigauss.fock import _quadratic_tensor
+from fermigauss.verify import _closest_identity_multiple, _entry_gate, load_failure_floor
 
 
 class TestResolutionQuadrature:
@@ -105,6 +107,21 @@ class TestResolutionMc:
         assert np.array_equal(a.mean.matrix, b.mean.matrix)
         assert np.array_equal(a.per_entry_se, b.per_entry_se)
 
+    def test_six_mode_chunk_means_match_dense_formula(self):
+        # the formula before parity blocks: dense tensor contraction, full-size
+        # eigh, shift by the maximum, rebuild, divide by the trace
+        spec = RngSpec(8)
+        rep = verify_resolution_mc(6, 1.0, 64, spec)
+        assert rep.details["chunks"] == 16
+        tensor = _quadratic_tensor(6)
+        chunk_means = []
+        for i in range(16):
+            mats = sample_class_d_batch(6, 1.0, spec.with_stream(spec.stream + i).generator(), 4)
+            w, v = np.linalg.eigh(0.5 * np.einsum("skl,klab->sab", mats, tensor))
+            ops = np.einsum("sab,sb,scb->sac", v, np.exp(w - w.max(axis=1, keepdims=True)), v.conj())
+            chunk_means.append((ops / np.einsum("saa->s", ops).real[:, None, None]).mean(axis=0))
+        assert np.abs(rep.mean.matrix - np.mean(chunk_means, axis=0)).max() <= 1e-13
+
     def test_agrees_with_quadrature_target(self):
         # joint check of the Cartesian measure and the radial-plus-angular one
         mc = verify_resolution_mc(2, 1.0, 40_000, RngSpec(9))
@@ -112,6 +129,19 @@ class TestResolutionMc:
         dev = np.abs(mc.mean.matrix - quad.mean.matrix)
         gate = 5.0 * np.maximum(mc.per_entry_se, 1e-12)
         assert (dev <= gate).all()
+
+
+class TestEntryGate:
+    def test_max_sigma_skips_entries_below_the_floor(self):
+        # a rounding-level deviation over a rounding-level SE reads 10 sigma,
+        # but the gate passes it through the absolute floor
+        target = np.zeros((2, 2))
+        mean = np.array([[1e-15, 0.0], [0.0, 0.02]])
+        se = np.array([[1e-16, 0.0], [0.0, 0.01]])
+        passed, info = _entry_gate(mean, target, se)
+        assert passed
+        assert info["max_sigma"] == 2.0
+        assert _entry_gate(np.full((2, 2), 1e-15), target, se)[1]["max_sigma"] == 0.0
 
 
 class TestCanonicalTriviality:
@@ -122,6 +152,11 @@ class TestCanonicalTriviality:
         assert reps[0].details["beta_zero_exact_deviation"] <= 1e-14
         for rep in reps:
             assert rep.details["pairwise_max_sigma"] < 5.0
+
+    def test_beta_zero_reports_exact_deviation_not_noise_ratio(self):
+        rep = verify_canonical_triviality(2, 1.0, [0.0, 0.5], 20_000, RngSpec(6))[0]
+        assert rep.details["beta_zero_exact_deviation"] <= 1e-14
+        assert rep.details["max_sigma"] == 0.0
 
     def test_empty_betas_rejected(self):
         with pytest.raises(ContractError):
