@@ -198,7 +198,7 @@ def _cmd_number_conserving(args) -> int:
     spec = RngSpec(args.seed, args.stream)
     if args.variant == "failure":
         rep = verify_nc_failure(args.modes, args.p, args.quad_order)
-        criteria = [reports.estimator_to_criterion("even-weight residual exceeds the golden floor", rep)]
+        criteria = [reports.estimator_to_criterion("even-weight residual exceeds the oracle floor", rep)]
         payload = None
         if args.csv:
             pts, _ = radial_quadrature_nodes(

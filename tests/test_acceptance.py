@@ -27,7 +27,7 @@ from fermigauss import (
     laguerre_selberg_log,
     selberg_integral_log,
 )
-from fermigauss.verify import load_failure_floor
+from fermigauss.verify import FAILURE_FLOOR_FRACTION, nc_failure_residual
 
 from test_selberg import (
     gauss_hermite_2d,
@@ -170,19 +170,19 @@ def test_acceptance_6_canonical_triviality():
 def test_acceptance_7_number_conserving_dichotomy():
     start = time.perf_counter()
     fail_rep = verify_nc_failure(2, 1.0)
-    golden = load_failure_floor(2, 1.0)
+    floor = FAILURE_FLOOR_FRACTION * nc_failure_residual(1.0)
     mod_rep = verify_nc_modified(2, 1.0, 100_000, RngSpec(707))
     elapsed = time.perf_counter() - start
     ok = (
         fail_rep.passed
-        and fail_rep.max_abs_deviation >= golden["failure_floor"] > 0.0
+        and fail_rep.max_abs_deviation >= floor > 0.0
         and mod_rep.passed
     )
     report(
         7,
-        "number-conserving dichotomy (even weight fails above golden floor; modified weight converges)",
+        "number-conserving dichotomy (even weight fails above oracle floor; modified weight converges)",
         ok and elapsed < 120.0,
-        f"residual {fail_rep.max_abs_deviation:.4f} >= floor {golden['failure_floor']:.4f}, "
+        f"residual {fail_rep.max_abs_deviation:.4f} >= floor {floor:.4f}, "
         f"modified dev {mod_rep.max_abs_deviation:.1e}, {elapsed:.1f}s",
     )
 

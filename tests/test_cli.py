@@ -29,6 +29,30 @@ class TestExitCodes:
     def test_mc_with_determinant_weight_rejected(self):
         assert run(["resolution", "--mode", "mc", "--weight", "determinant"]) == 2
 
+    def test_nc_failure_runs_away_from_unit_stiffness(self):
+        assert run(["number-conserving", "--variant", "failure", "--modes", "2", "-p", "2"]) == 0
+
+    def test_nc_failure_rejects_zero_stiffness(self, capsys):
+        assert run(["number-conserving", "--variant", "failure", "--modes", "2", "-p", "0"]) == 2
+        assert "p > 0" in capsys.readouterr().err
+
+    def test_zero_quad_order_is_usage_error(self, capsys):
+        assert run(["resolution", "--mode", "quad", "--modes", "1", "--quad-order", "0"]) == 2
+        assert "quad_order >= 1, got 0" in capsys.readouterr().err
+
+    def test_hermite_quad_order_beyond_float_range_is_usage_error(self, capsys):
+        for argv in (
+            ["resolution", "--mode", "quad", "--modes", "2", "--quad-order", "200"],
+            ["number-conserving", "--variant", "failure", "--quad-order", "200"],
+        ):
+            assert run(argv) == 2
+            err = capsys.readouterr().err
+            assert "400-node Gauss-Hermite rule" in err and "quad_order" in err
+
+    def test_legendre_quad_order_200_still_passes(self):
+        argv = ["resolution", "--mode", "quad", "--modes", "2", "-p", "2", "--weight", "determinant"]
+        assert run(argv + ["--quad-order", "200"]) == 0
+
 
 class TestReports:
     def test_quad_report_structure(self, tmp_path):

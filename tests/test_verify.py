@@ -7,6 +7,7 @@ from fermigauss import (
     CLASS_D,
     CLASS_DIII,
     ContractError,
+    DomainError,
     RngSpec,
     WeightSpec,
     nc_even_weight_quadrature,
@@ -21,8 +22,8 @@ from fermigauss import (
     verify_resolution_quadrature,
 )
 from fermigauss import sample_class_d_batch
-from fermigauss.fock import _quadratic_tensor
-from fermigauss.verify import _closest_identity_multiple, _entry_gate, load_failure_floor
+from fermigauss.fock import _quadratic_tensor, embed_parity_blocks
+from fermigauss.verify import FAILURE_FLOOR_FRACTION, _closest_identity_multiple, _entry_gate, nc_failure_residual
 
 
 class TestResolutionQuadrature:
@@ -167,10 +168,10 @@ class TestNcFailure:
     def test_residual_exceeds_golden_floor(self):
         rep = verify_nc_failure(2, 1.0)
         assert rep.passed
-        golden = load_failure_floor(2, 1.0)
-        assert rep.max_abs_deviation >= golden["failure_floor"]
+        oracle = nc_failure_residual(1.0)
+        assert rep.max_abs_deviation >= FAILURE_FLOOR_FRACTION * oracle
         # quadrature residual reproduces the scalar-oracle value
-        assert abs(rep.max_abs_deviation - golden["oracle_residual"]) < 1e-6
+        assert abs(rep.max_abs_deviation - oracle) < 1e-6
 
     def test_residual_sits_in_number_sector(self):
         rep = verify_nc_failure(2, 1.0)
@@ -184,6 +185,38 @@ class TestNcFailure:
     def test_other_mode_counts_rejected(self):
         with pytest.raises(ContractError):
             verify_nc_failure(3, 1.0)
+
+    @pytest.mark.parametrize("p", [0.25, 0.5, 1.0, 2.0, 5.0, 20.0])
+    def test_residual_matches_adaptive_quadrature(self, p):
+        # |E[t_1 t_2]| / 4 from three adaptive 1-D integrals, none in closed form
+        from scipy.integrate import quad
+
+        kw = {"epsabs": 1e-13, "epsrel": 1e-13, "limit": 400}
+        i1, _ = quad(lambda lam: 2.0 * lam * np.tanh(lam / 2.0) * np.exp(-p * lam * lam), 0, np.inf, **kw)
+        i2, _ = quad(lambda lam: 2.0 * lam * lam * np.exp(-p * lam * lam), 0, np.inf, **kw)
+        i0, _ = quad(lambda lam: 2.0 * np.exp(-p * lam * lam), 0, np.inf, **kw)
+        expected = abs(-2.0 * i1 * i1 / (2.0 * i2 * i0)) / 4.0
+        assert abs(nc_failure_residual(p) - expected) <= 1e-13
+
+    def test_residual_at_unit_stiffness(self):
+        assert abs(nc_failure_residual(1.0) - 0.025227828724403045) <= 1e-15
+
+    @pytest.mark.parametrize("p", [0.5, 2.0])
+    def test_passes_away_from_unit_stiffness(self, p):
+        rep = verify_nc_failure(2, p)
+        assert rep.passed
+        assert abs(rep.max_abs_deviation - nc_failure_residual(p)) <= 1e-12
+
+    def test_nonpositive_stiffness_rejected(self):
+        with pytest.raises(DomainError):
+            verify_nc_failure(2, 0.0)
+
+    @pytest.mark.parametrize("quad_order", [0, -3])
+    def test_empty_quadrature_rejected(self, quad_order):
+        with pytest.raises(ContractError, match="quad_order"):
+            verify_nc_failure(2, 1.0, quad_order)
+        with pytest.raises(ContractError, match="quad_order"):
+            shifted_weight_quadrature_deviation(1, CLASS_D, 1.0, 0.5, quad_order)
 
 
 class TestNcModified:
@@ -250,25 +283,25 @@ class TestNcModifiedSampler:
 class TestBatchedPaths:
     def test_ncons_batch_matches_public_op(self):
         from fermigauss import gaussian_number_conserving, sample_haar_unitary
-        from fermigauss.verify import _rotated_ncons_ops
+        from fermigauss.verify import _rotated_ncons_blocks
 
         gen = RngSpec(99).generator()
         for modes in (1, 2, 3):
             lam = gen.normal(size=(1, modes))
             u = sample_haar_unitary(modes, gen)
-            batch = _rotated_ncons_ops(lam, u)[0]
+            batch = embed_parity_blocks(_rotated_ncons_blocks(lam, u))[0]
             h = u @ np.diag(lam[0]) @ u.conj().T
             assert np.abs(batch - gaussian_number_conserving(h).matrix).max() < 1e-13
 
     def test_gaussian_batch_matches_public_op_with_rotation(self):
         from fermigauss import gaussian_normalized, make_bdg
-        from fermigauss.verify import _rotated_gaussian_ops
+        from fermigauss.verify import _rotated_gaussian_blocks
 
         gen = RngSpec(98).generator()
         for modes in (1, 2):
             lam = np.abs(gen.normal(size=(1, modes))) + 0.3
             rot = random_polar_rotation(modes, gen)
-            batch = _rotated_gaussian_ops(lam, rot.bogoliubov)[0]
+            batch = embed_parity_blocks(_rotated_gaussian_blocks(lam, rot.bogoliubov))[0]
             u = rot.bogoliubov
             mat = u.conj().T @ np.diag(np.concatenate([lam[0], -lam[0]])) @ u
             bdg = make_bdg(mat[:modes, :modes], mat[:modes, modes:])
