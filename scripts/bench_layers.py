@@ -10,13 +10,21 @@ Times the four layers of the resolution-of-unity worker on one chunk of
 - reduce:   the chunk mean as a full 2^M x 2^M matrix (embedded from the
             parity blocks where the package returns blocks)
 
-Each layer runs 5 times; the table gives the minimum and the median in
+It then times the three report layers of one M = 6, 400-sample Monte
+Carlo report (seed 0, unscaled), the size of report the ``mc_m6``
+benchmark workload writes:
+
+- estimator_to_criterion: the estimator as a criterion dict
+- build_report:           the report document (with its ``git describe``)
+- write_report:           encoding and writing the JSON file
+
+Each layer runs 5 times; the tables give the minimum and the median in
 seconds. The numerical environment (numpy, scipy and BLAS versions, CPU
 count, affinity, thread variables) is recorded beside the table, through
 benchmark/environment.py. Run from the repository root:
 
-    python3 scripts/bench_layers.py --label change --out BENCH_6.json
-    python3 scripts/bench_layers.py --src ../other-checkout/src --label parent --out BENCH_6.json
+    python3 scripts/bench_layers.py --label change --out BENCH_8.json
+    python3 scripts/bench_layers.py --src ../other-checkout/src --label parent --out BENCH_8.json
 
 ``--src`` names the directory holding the ``fermigauss`` package to time
 (default: this checkout's ``src``). ``--out`` adds the table under
@@ -29,18 +37,24 @@ import argparse
 import json
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 CHUNK = 4000
 REPEATS = 5
+REPORT_MODES, REPORT_SAMPLES = 6, 400
 
 
 def _timed(fn, *args):
     start = time.perf_counter()
     out = fn(*args)
     return time.perf_counter() - start, out
+
+
+def _min_median(times: dict) -> dict:
+    return {layer: {"min_s": min(ts), "median_s": statistics.median(ts)} for layer, ts in times.items()}
 
 
 def layer_table() -> dict:
@@ -69,12 +83,36 @@ def layer_table() -> dict:
             times["reduce"].append(dt)
             del ops
             assert mean.shape == (1 << modes, 1 << modes)
-        table[str(modes)] = {
-            layer: {"min_s": min(ts), "median_s": statistics.median(ts)} for layer, ts in times.items()
-        }
+        table[str(modes)] = _min_median(times)
         print(f"M = {modes}: " + ", ".join(f"{k} {v['median_s']:.4f} s" for k, v in table[str(modes)].items()),
               file=sys.stderr)
     return table
+
+
+def report_table() -> dict:
+    from fermigauss import reports
+    from fermigauss.ensembles import RngSpec
+    from fermigauss.verify import verify_resolution_mc
+
+    spec = RngSpec(0)
+    rep = verify_resolution_mc(REPORT_MODES, 1.0, REPORT_SAMPLES, spec)
+    # the parameters the CLI records for `resolution --mode mc`
+    params = {"mode": "mc", "modes": REPORT_MODES, "p": 1.0, "weight": "gaussian", "sym_class": "D",
+              "samples": REPORT_SAMPLES, "quad_order": 60, "workers": 1, "seed": 0, "stream": 0}
+    times = {"estimator_to_criterion": [], "build_report": [], "write_report": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        for _ in range(REPEATS):
+            dt, crit = _timed(reports.estimator_to_criterion, "resolution of unity (Monte Carlo)", rep)
+            times["estimator_to_criterion"].append(dt)
+            dt, doc = _timed(reports.build_report, "resolution", params, spec, [crit])
+            times["build_report"].append(dt)
+            dt, path = _timed(reports.write_report, doc, str(Path(tmp) / "report.json"))
+            times["write_report"].append(dt)
+        size = path.stat().st_size
+    table = _min_median(times)
+    print("report: " + ", ".join(f"{k} {v['median_s']:.4f} s" for k, v in table.items()) + f", {size} B",
+          file=sys.stderr)
+    return {"modes": REPORT_MODES, "samples": REPORT_SAMPLES, "bytes": size, "layers": table}
 
 
 def main() -> int:
@@ -95,6 +133,7 @@ def main() -> int:
         "p": 1.0,
         "environment": environment(workers=1),
         "layers": layer_table(),
+        "report": report_table(),
     }
     if args.out is None:
         print(json.dumps({args.label: entry}, indent=2))

@@ -87,8 +87,8 @@ class WeightSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise DomainError(f"unknown weight kind {self.kind!r}; choose one of {self.KINDS}")
-        if self.p <= 0:
-            raise DomainError(f"domain violation: p > 0 required, got p = {self.p}")
+        if not (math.isfinite(self.p) and self.p > 0):
+            raise DomainError(f"domain violation: finite p > 0 required, got p = {self.p}")
 
     @classmethod
     def determinant(cls, p: float) -> "WeightSpec":
@@ -187,8 +187,8 @@ def assemble_blocks(h: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 def sample_class_d(modes: int, p: float, rng) -> BdgMatrix:
     """One class-D coefficient matrix with density proportional to exp(-p Tr[H^2])."""
-    if p <= 0:
-        raise DomainError(f"domain violation: p > 0 required, got p = {p}")
+    if not (math.isfinite(p) and p > 0):
+        raise DomainError(f"domain violation: finite p > 0 required, got p = {p}")
     gen = _as_generator(rng)
     h, delta = _class_d_blocks(modes, p, gen, 1)
     return make_bdg(h[0], delta[0])
@@ -196,8 +196,8 @@ def sample_class_d(modes: int, p: float, rng) -> BdgMatrix:
 
 def sample_class_d_batch(modes: int, p: float, rng, count: int) -> np.ndarray:
     """Assembled stack of `count` class-D draws, shape (count, 2M, 2M)."""
-    if p <= 0:
-        raise DomainError(f"domain violation: p > 0 required, got p = {p}")
+    if not (math.isfinite(p) and p > 0):
+        raise DomainError(f"domain violation: finite p > 0 required, got p = {p}")
     gen = _as_generator(rng)
     h, delta = _class_d_blocks(modes, p, gen, count)
     return assemble_blocks(h, delta)

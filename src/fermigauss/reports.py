@@ -20,18 +20,45 @@ from .verify import CriterionResult, EstimatorReport
 REPORT_DIR_ENV = "FERMIGAUSS_REPORT_DIR"
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(x) for x in obj.tolist()]
+_INDENT = "  "
+
+
+def _encode(obj, level: int) -> str:
+    """The standard ``json`` encoding of ``obj`` at ``indent=2``, byte for
+    byte, for an object nested ``level`` deep. numpy arrays and scalars go out as their ``tolist()`` and
+    ``item()``, an ``RngSpec`` as ``{"seed", "stream"}``; dict keys must be
+    strings. A finite float64 array of one or two dimensions is rendered in
+    bulk from one ``repr`` of its list, since json writes each float as its
+    shortest repr; everything else goes through json itself, so NaN, Infinity
+    and string escapes are json's own."""
+    pad = "\n" + _INDENT * level
+    inner = pad + _INDENT
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        if not obj:
+            return "{}"
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError(f"report keys must be strings, got {key!r}")
+        items = (json.dumps(k) + ": " + _encode(v, level + 1) for k, v in obj.items())
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(x) for x in obj]
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join(_encode(x, level + 1) for x in obj) + pad + "]"
+    if isinstance(obj, np.ndarray):
+        if obj.dtype != np.float64 or obj.ndim not in (1, 2) or obj.size == 0 or not np.isfinite(obj).all():
+            return _encode(obj.tolist(), level)
+        text = repr(obj.tolist())
+        if obj.ndim == 1:
+            return "[" + inner + text[1:-1].replace(", ", "," + inner) + pad + "]"
+        row = inner + _INDENT
+        body = text[2:-2].replace("], [", inner + "]," + inner + "[" + row).replace(", ", "," + row)
+        return "[" + inner + "[" + row + body + inner + "]" + pad + "]"
     if isinstance(obj, RngSpec):
-        return {"seed": obj.seed, "stream": obj.stream}
-    return obj
+        return _encode({"seed": obj.seed, "stream": obj.stream}, level)
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    return json.dumps(obj)
 
 
 def fock_to_doc(op: FockOperator) -> dict:
@@ -40,18 +67,15 @@ def fock_to_doc(op: FockOperator) -> dict:
         "modes": op.modes,
         "dimension": op.dim,
         "layout": "row-major [re, im] pairs",
-        "entries": [[float(z.real), float(z.imag)] for z in flat],
+        "entries": np.column_stack((flat.real, flat.imag)),
     }
 
 
 def estimator_to_criterion(name: str, report: EstimatorReport) -> dict:
     if report.per_entry_se is None:
-        tol_or_se = {"kind": "tolerance", "value": _jsonable(report.details.get("tolerance", 1e-8))}
+        tol_or_se = {"kind": "tolerance", "value": report.details.get("tolerance", 1e-8)}
     else:
-        tol_or_se = {
-            "kind": "standard_error",
-            "matrix": [[float(x) for x in row] for row in report.per_entry_se],
-        }
+        tol_or_se = {"kind": "standard_error", "matrix": np.asarray(report.per_entry_se, dtype=float)}
     return {
         "name": name,
         "target": fock_to_doc(report.target),
@@ -61,7 +85,7 @@ def estimator_to_criterion(name: str, report: EstimatorReport) -> dict:
         "samples": report.samples,
         "rule": report.criterion,
         "passed": report.passed,
-        "details": _jsonable(report.details),
+        "details": report.details,
     }
 
 
@@ -95,10 +119,10 @@ def git_describe() -> str:
 def build_report(command: str, parameters: dict, seed: RngSpec | None, criteria: list, warnings=None) -> dict:
     return {
         "command": command,
-        "parameters": _jsonable(parameters),
-        "seed": _jsonable(seed),
+        "parameters": parameters,
+        "seed": seed,
         "git_describe": git_describe(),
-        "criteria": _jsonable(criteria),
+        "criteria": criteria,
         "warnings": list(warnings or []),
         "passed": bool(all(c.get("passed", False) for c in criteria)),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -117,7 +141,7 @@ def resolve_out_path(path: str) -> Path:
 def write_report(doc: dict, path: str) -> Path:
     out = resolve_out_path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(doc, indent=2) + "\n")
+    out.write_text(_encode(doc, 0) + "\n")
     return out
 
 

@@ -78,8 +78,8 @@ def radial_gaussian_integral_log(modes: int, p: float, alternate_exponent: bool 
     """
     if modes < 1:
         raise DomainError(f"need modes >= 1, got {modes}")
-    if p <= 0:
-        raise DomainError(f"domain violation: p > 0 required, got {p}")
+    if not (math.isfinite(p) and p > 0):
+        raise DomainError(f"domain violation: finite p > 0 required, got p = {p}")
     exponent = modes * (modes - 1.0) if alternate_exponent else modes * (modes - 0.5)
     j = np.arange(1, modes + 1)
     return float(-exponent * math.log(2 * p) + (gammaln(1 + j) + gammaln(j - 0.5)).sum())
@@ -90,8 +90,8 @@ def cartesian_gaussian_integral_log(modes: int, p: float) -> float:
     components of a particle-hole coefficient matrix."""
     if modes < 1:
         raise DomainError(f"need modes >= 1, got {modes}")
-    if p <= 0:
-        raise DomainError(f"domain violation: p > 0 required, got {p}")
+    if not (math.isfinite(p) and p > 0):
+        raise DomainError(f"domain violation: finite p > 0 required, got p = {p}")
     return float(
         modes * (2 * modes - 1) / 2.0 * math.log(math.pi / (2 * p)) - modes * (modes - 1) * LOG2
     )
@@ -115,9 +115,9 @@ def norm_const_det_log(modes: int, p: float) -> float:
     prod (1 + lam_j^2)^(-2p) against the class-D measure. Requires p > M - 3/4."""
     if modes < 1:
         raise DomainError(f"need modes >= 1, got {modes}")
-    if p <= modes - 0.75:
+    if not (math.isfinite(p) and p > modes - 0.75):
         raise DomainError(
-            f"domain violation: p > M - 3/4 required (M = {modes}), got p = {p}"
+            f"domain violation: finite p > M - 3/4 required (M = {modes}), got p = {p}"
         )
     j = np.arange(modes)
     return float(
@@ -132,6 +132,6 @@ def norm_const_gauss_log(modes: int, p: float) -> float:
     exp(-p Tr[H^2]) against the class-D measure."""
     if modes < 1:
         raise DomainError(f"need modes >= 1, got {modes}")
-    if p <= 0:
-        raise DomainError(f"domain violation: p > 0 required, got {p}")
+    if not (math.isfinite(p) and p > 0):
+        raise DomainError(f"domain violation: finite p > 0 required, got p = {p}")
     return float(modes**2 * LOG2 + modes * (modes - 0.5) * math.log(2 * p / math.pi))

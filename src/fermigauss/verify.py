@@ -24,11 +24,13 @@ from .ensembles import (  # noqa: F401  sample_radial_mcmc stays importable here
     sample_haar_unitary_batch,
     sample_radial_mcmc,
 )
-from .errors import ContractError, NonConvergenceError
+from .errors import ContractError, DomainError, NonConvergenceError
 from .fock import (
+    DEFAULT_MODE_CAP,
     FockOperator,
     _annihilators,
     _assembly_plan,
+    _check_modes,
     build_mode_operators,
     embed_parity_blocks,
     from_eigenpairs,
@@ -131,6 +133,7 @@ def _run_chunks(worker, n_samples: int, spec: RngSpec, modes: int, workers: int 
     chunk, chunk i drawing from the i-th substream past ``spec``, so results
     do not depend on the worker count. Returns the chunk results in chunk
     order and the total sample count."""
+    _check_modes(modes, DEFAULT_MODE_CAP)
     chunks, per = _chunk_layout(n_samples)
     _assembly_plan(modes)  # warm the cache before any thread fan-out
 
@@ -558,6 +561,9 @@ def verify_canonical_triviality(
     betas = [float(b) for b in betas]
     if not betas:
         raise ContractError("need at least one beta")
+    for beta in betas:
+        if not math.isfinite(beta):
+            raise DomainError(f"domain violation: finite beta required, got beta = {beta}")
     dim = 1 << modes
 
     def worker(gen: np.random.Generator, per: int):

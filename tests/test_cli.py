@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from fermigauss.cli import run
 
@@ -53,6 +54,28 @@ class TestExitCodes:
         argv = ["resolution", "--mode", "quad", "--modes", "2", "-p", "2", "--weight", "determinant"]
         assert run(argv + ["--quad-order", "200"]) == 0
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["resolution", "--mode", "mc", "--samples", "16"],
+            ["resolution", "--mode", "quad"],
+            ["number-conserving", "--variant", "failure"],
+            ["number-conserving", "--variant", "modified", "--samples", "16"],
+        ],
+    )
+    def test_non_finite_stiffness_is_domain_error(self, argv, value, capsys):
+        assert run(argv + ["-p", value]) == 2
+        assert f"got p = {value}" in capsys.readouterr().err
+
+    def test_zero_modes_is_capacity_error_before_any_work(self, capsys):
+        assert run(["resolution", "--mode", "mc", "--modes", "0", "--samples", "16"]) == 2
+        assert "mode count must be a positive integer, got 0" in capsys.readouterr().err
+
+    def test_non_finite_beta_is_domain_error(self, capsys):
+        assert run(["canonical", "--betas", "0,nan", "--samples", "16"]) == 2
+        assert "got beta = nan" in capsys.readouterr().err
+
 
 class TestReports:
     def test_quad_report_structure(self, tmp_path):
@@ -91,6 +114,25 @@ class TestReports:
         assert run(base + ["--workers", "3", "--out", str(out2)]) == 0
         d1, d2 = read_report(out1), read_report(out2)
         assert d1["criteria"][0]["measured"] == d2["criteria"][0]["measured"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["identities", "--modes", "2", "--trials", "2"],
+            ["resolution", "--mode", "quad", "--modes", "2", "-p", "2", "--weight", "determinant"],
+            ["resolution", "--mode", "mc", "--modes", "6", "--samples", "16"],
+            ["canonical", "--modes", "2", "--samples", "400"],
+            ["number-conserving", "--variant", "failure"],
+            ["number-conserving", "--variant", "modified", "--samples", "400"],
+            ["selberg", "--consistency", "--max-modes", "3"],
+            ["ensembles", "--samples", "200", "--burn-in", "200"],
+        ],
+    )
+    def test_report_is_the_stock_indent_2_encoding(self, argv, tmp_path):
+        out = tmp_path / "report.json"
+        assert run(argv + ["--seed", "1", "--out", str(out)]) in (0, 1)
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
     def test_report_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FERMIGAUSS_REPORT_DIR", str(tmp_path))

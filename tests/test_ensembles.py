@@ -86,6 +86,13 @@ class TestClassDSampler:
         with pytest.raises(DomainError):
             sample_class_d(2, 0.0, RngSpec(0))
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_non_finite_p(self, p):
+        with pytest.raises(DomainError, match=f"got p = {p}"):
+            sample_class_d(2, p, RngSpec(0))
+        with pytest.raises(DomainError, match=f"got p = {p}"):
+            sample_class_d_batch(2, p, RngSpec(0), 4)
+
 
 class TestHaarSampler:
     def test_unitary_every_draw(self):
@@ -186,6 +193,9 @@ class TestWeightSpec:
             WeightSpec("cauchy", 1.0)
         with pytest.raises(DomainError):
             WeightSpec.gaussian(-1.0)
+        for p in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError, match=f"got p = {p}"):
+                WeightSpec.gaussian(p)
         assert WeightSpec.determinant(2.0).is_even
         assert not WeightSpec.nc_modified(1.0).is_even
         assert WeightSpec.nc_even(1.0).uses_hermitian_jacobian

@@ -227,6 +227,19 @@ class TestNormalizationConstants:
         with pytest.raises(DomainError, match="M - 3/4"):
             norm_const_det_log(2, 2.0 - 0.75)
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_det_non_finite_p(self, p):
+        with pytest.raises(DomainError, match=f"M - 3/4 required \\(M = 2\\), got p = {p}"):
+            norm_const_det_log(2, p)
+
+    @pytest.mark.parametrize("p", [0.0, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "closed_form", [radial_gaussian_integral_log, cartesian_gaussian_integral_log, norm_const_gauss_log]
+    )
+    def test_gauss_domain_errors(self, closed_form, p):
+        with pytest.raises(DomainError, match=f"got p = {p}"):
+            closed_form(2, p)
+
     def test_gauss_single_mode_closed_value(self):
         assert abs(math.exp(norm_const_gauss_log(1, 1.0)) - 2.0 * math.sqrt(2.0 / math.pi)) < 1e-12
 
