@@ -293,6 +293,8 @@ def sample_radial_mcmc(
     """
     if steps < 1:
         raise ContractError(f"need at least one retained sample, got steps = {steps}")
+    if thin < 1 or burn_in < 0:
+        raise ContractError(f"need thin >= 1 and burn_in >= 0, got thin = {thin}, burn_in = {burn_in}")
     weight.validate_for(modes, None if weight.uses_hermitian_jacobian else sym_class)
     gen = _as_generator(rng)
     chains = min(chains, steps)

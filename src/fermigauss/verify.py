@@ -14,6 +14,7 @@ import scipy.linalg
 
 from . import selberg
 from .ensembles import (  # noqa: F401  sample_radial_mcmc stays importable here: benchmark/tracing.py wraps it
+    CLASS_D,
     RngSpec,
     SymmetryClass,
     WeightSpec,
@@ -24,7 +25,7 @@ from .ensembles import (  # noqa: F401  sample_radial_mcmc stays importable here
     sample_haar_unitary_batch,
     sample_radial_mcmc,
 )
-from .errors import ContractError, DomainError, NonConvergenceError
+from .errors import CapacityError, ContractError, DomainError, NonConvergenceError
 from .fock import (
     DEFAULT_MODE_CAP,
     FockOperator,
@@ -133,6 +134,8 @@ def _run_chunks(worker, n_samples: int, spec: RngSpec, modes: int, workers: int 
     chunk, chunk i drawing from the i-th substream past ``spec``, so results
     do not depend on the worker count. Returns the chunk results in chunk
     order and the total sample count."""
+    if workers < 1:
+        raise ContractError(f"need workers >= 1, got {workers}")
     _check_modes(modes, DEFAULT_MODE_CAP)
     chunks, per = _chunk_layout(n_samples)
     _assembly_plan(modes)  # warm the cache before any thread fan-out
@@ -209,23 +212,15 @@ def _mc_report(modes: int, mean: np.ndarray, se: np.ndarray, samples: int, spec:
 # ---------------------------------------------------------------------------
 
 
-def _rotated_gaussian_blocks(points: np.ndarray, rotation: np.ndarray | None) -> np.ndarray:
+def _rotated_gaussian_blocks(points: np.ndarray, rotation: np.ndarray) -> np.ndarray:
     """Normalized Gaussian operators for coefficient matrices U^-1 diag(lam,-lam) U.
 
-    ``points`` is (N, M); ``rotation`` the 2M x 2M transformation U (None for
-    the identity). Same algorithm as gaussian_normalized, vectorized; returns
-    the parity blocks, shape (N, 2, 2^(M-1), 2^(M-1)).
+    ``points`` is (N, M); ``rotation`` the 2M x 2M transformation U. Same
+    algorithm as gaussian_normalized, vectorized; returns the parity blocks,
+    shape (N, 2, 2^(M-1), 2^(M-1)).
     """
-    n, m = points.shape
-    diag = np.concatenate([points, -points], axis=1)
-    if rotation is None:
-        mats = np.zeros((n, 2 * m, 2 * m), dtype=complex)
-        idx = np.arange(2 * m)
-        mats[:, idx, idx] = diag
-    else:
-        mats = from_eigenpairs(diag, rotation.conj().T)
-    hams = quadratic_hamiltonian_batch(mats)
-    return exp_normalized_fock_batch(hams)
+    mats = from_eigenpairs(np.concatenate([points, -points], axis=1), rotation.conj().T)
+    return exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats))
 
 
 def _rotated_ncons_blocks(points: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
@@ -241,7 +236,7 @@ def _rotated_ncons_blocks(points: np.ndarray, unitaries: np.ndarray) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# Quadrature rules for the radial densities
+# The radial quadrature rule
 # ---------------------------------------------------------------------------
 
 
@@ -272,139 +267,107 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _gauss_scale(weight: WeightSpec) -> float:
     """Coefficient c of the Gaussian factor exp(-c lam^2) in the weight."""
+    if weight.kind == "nc_modified":
+        raise ContractError(f"no per-mode quadrature rule for weight kind {weight.kind!r}")
     return 2.0 * weight.p if weight.kind == "gaussian" else weight.p
 
 
-def _line_rule(weight: WeightSpec, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Full-line nodes and weights absorbing the per-mode weight factor."""
-    if weight.kind in ("gaussian", "nc_even"):
-        scale = math.sqrt(_gauss_scale(weight))
-        x, w = _hermgauss(order)
-        return x / scale, w / scale
-    if weight.kind == "determinant":
-        x, w = _leggauss(order)
-        theta = 0.5 * math.pi * x
-        lam = np.tan(theta)
-        wts = 0.5 * math.pi * w * (1.0 + lam**2) ** (1.0 - 2.0 * weight.p)
-        return lam, wts
-    raise ContractError(f"no per-mode quadrature rule for weight kind {weight.kind!r}")
-
-
-def _half_line_rule(weight: WeightSpec, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on (0, inf) with the weight factor included."""
-    x, w = _leggauss(order)
-    if weight.kind in ("gaussian", "nc_even"):
-        c = _gauss_scale(weight)
-        cutoff = math.sqrt(50.0 / c)
-        lam = 0.5 * cutoff * (x + 1.0)
-        wts = 0.5 * cutoff * w * np.exp(-c * lam**2)
-        return lam, wts
-    if weight.kind == "determinant":
-        theta = 0.25 * math.pi * (x + 1.0)
-        lam = np.tan(theta)
-        wts = 0.25 * math.pi * w * (1.0 + lam**2) ** (1.0 - 2.0 * weight.p)
-        return lam, wts
-    raise ContractError(f"no per-mode quadrature rule for weight kind {weight.kind!r}")
-
-
 def _weight_factor(weight: WeightSpec, lam: np.ndarray) -> np.ndarray:
-    if weight.kind in ("gaussian", "nc_even"):
-        return np.exp(-_gauss_scale(weight) * lam**2)
     if weight.kind == "determinant":
         return (1.0 + lam**2) ** (-2.0 * weight.p)
-    raise ContractError(f"no closed per-mode factor for weight kind {weight.kind!r}")
+    return np.exp(-_gauss_scale(weight) * lam**2)
 
 
-def _tensor_pair(lam: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Two-mode tensor product of a one-mode rule: points (n^2, 2) and weights (n^2,)."""
-    l1, l2 = np.meshgrid(lam, lam, indexing="ij")
-    w1, w2 = np.meshgrid(w, w, indexing="ij")
-    return np.column_stack([l1.ravel(), l2.ravel()]), (w1 * w2).ravel()
+def _weight_rule(weight: WeightSpec, order: int, half: bool) -> tuple[np.ndarray, np.ndarray]:
+    """One-mode nodes and weights absorbing the weight factor, on the full
+    line or, with ``half``, on (0, inf). The determinant weight maps Gauss-
+    Legendre nodes through lam = tan(theta); the Gaussian weights use Gauss-
+    Hermite on the line and Gauss-Legendre up to exp(-c lam^2) = e^-50 on
+    the half line."""
+    if weight.kind == "determinant":
+        x, w = _leggauss(order)
+        jac = 0.25 * math.pi if half else 0.5 * math.pi
+        lam = np.tan(jac * (x + 1.0) if half else jac * x)
+        return lam, jac * w * (1.0 + lam**2) ** (1.0 - 2.0 * weight.p)
+    c = _gauss_scale(weight)
+    if half:
+        x, w = _leggauss(order)
+        jac = 0.5 * math.sqrt(50.0 / c)
+        lam = jac * (x + 1.0)
+        return lam, jac * w * np.exp(-c * lam**2)
+    x, w = _hermgauss(order)
+    scale = math.sqrt(c)
+    return x / scale, w / scale
 
 
-def _fold_signs(points: np.ndarray, wts: np.ndarray, modes: int):
-    """Reflect half-line tensor nodes into all sign orthants."""
-    out_p, out_w = [], []
-    for pattern in range(1 << modes):
-        signs = np.array([1.0 if pattern & (1 << j) else -1.0 for j in range(modes)])
-        out_p.append(points * signs)
-        out_w.append(wts)
-    return np.concatenate(out_p), np.concatenate(out_w)
+def _tensor(lam: np.ndarray, w: np.ndarray, modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """One- or two-mode tensor power of a one-mode rule: points (n^modes, modes)
+    and weights (n^modes,)."""
+    if modes not in (1, 2):
+        raise ContractError("radial quadrature is implemented for one or two modes")
+    if modes == 1:
+        return lam[:, None], w
+    return np.column_stack([np.repeat(lam, lam.size), np.tile(lam, lam.size)]), np.outer(w, w).ravel()
 
 
-def _radial_density(points: np.ndarray, sym_class: SymmetryClass) -> np.ndarray:
-    """The class radial density |Delta(lam^2)|^beta prod |lam_j|^alpha at one-
-    or two-mode points (N, M), without the weight factor."""
-    dens = np.ones(points.shape[0])
-    if points.shape[1] == 2:
-        dens = np.abs(points[:, 0] ** 2 - points[:, 1] ** 2) ** sym_class.beta
+def _fold_signs(points: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reflect positive-orthant nodes into all sign orthants."""
+    modes = points.shape[1]
+    signs = [np.array([1.0 if s & (1 << j) else -1.0 for j in range(modes)]) for s in range(1 << modes)]
+    return np.concatenate([points * s for s in signs]), np.tile(wts, 1 << modes)
+
+
+def _radial_density(points: np.ndarray, sym_class: SymmetryClass, hermitian: bool) -> np.ndarray:
+    """The radial density without the weight factor at one- or two-mode points
+    (N, M): the class Jacobian |Delta(lam^2)|^beta prod |lam_j|^alpha or, with
+    ``hermitian``, the hermitian-matrix Jacobian Delta(lam)^2."""
+    n, m = points.shape
+    if hermitian:
+        return np.ones(n) if m == 1 else (points[:, 0] - points[:, 1]) ** 2
+    dens = np.ones(n) if m == 1 else np.abs(points[:, 0] ** 2 - points[:, 1] ** 2) ** sym_class.beta
     if sym_class.alpha:
         dens = dens * np.abs(points).prod(axis=1) ** sym_class.alpha
     return dens
 
 
-def _class_rule(sym_class: SymmetryClass, weight: WeightSpec, modes: int, order: int):
-    """Nodes and weights integrating f against the unnormalized radial density
-    |Delta(lam^2)|^beta prod |lam_j|^alpha * weight(lam) over R^modes."""
-    if modes > 2:
-        raise ContractError("radial quadrature is implemented for one or two modes")
-    alpha, beta = sym_class.alpha, sym_class.beta
-    if modes == 1:
-        if alpha % 2 == 0:
-            lam, wts = _line_rule(weight, order)
-        else:
-            lam, wts = _half_line_rule(weight, order)
-            lam, wts = _fold_signs(lam[:, None], wts, 1)
-            lam = lam.ravel()
-        points = lam[:, None]
-        return points, wts * _radial_density(points, sym_class)
-
-    if alpha % 2 == 0 and beta % 2 == 0:
-        points, wts = _tensor_pair(*_line_rule(weight, order))
-    elif beta % 2 == 0:
-        points, wts = _fold_signs(*_tensor_pair(*_half_line_rule(weight, order)), 2)
-    else:
-        # odd |Delta| power: integrate the ordered sector of the positive
-        # quadrant (where the kink sits on the boundary) and add both
-        # orderings, then reflect into the sign orthants
-        outer, w_outer = _half_line_rule(weight, order)
-        r, w_r = _leggauss(order)
-        r = 0.5 * (r + 1.0)
-        w_r = 0.5 * w_r
-        rr, tt = np.meshgrid(r, outer, indexing="ij")
-        wr, wt = np.meshgrid(w_r, w_outer, indexing="ij")
-        inner = (rr * tt).ravel()
-        t = tt.ravel()
-        base_w = (wr * wt).ravel() * t * _weight_factor(weight, inner)
-        points = np.concatenate(
-            [np.column_stack([inner, t]), np.column_stack([t, inner])]
-        )
-        wts = np.concatenate([base_w, base_w])
-        points, wts = _fold_signs(points, wts, 2)
-
-    return points, wts * _radial_density(points, sym_class)
-
-
-def _hermitian_rule(weight: WeightSpec, modes: int, order: int):
-    """Nodes and weights for Delta(lam)^2 * weight over R^modes (the
-    hermitian-matrix radial measure)."""
-    if modes > 2:
-        raise ContractError("radial quadrature is implemented for one or two modes")
-    lam, w = _line_rule(weight, order)
-    if modes == 1:
-        return lam[:, None], w.copy()
-    points, wts = _tensor_pair(lam, w)
-    return points, wts * (points[:, 0] - points[:, 1]) ** 2
-
-
 def radial_quadrature_nodes(
     sym_class: SymmetryClass, weight: WeightSpec, modes: int, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Public accessor for the tensor rule (points, weights) used by the
-    quadrature verifiers; handy for dumping the node set."""
-    if weight.uses_hermitian_jacobian:
-        return _hermitian_rule(weight, modes, order)
-    return _class_rule(sym_class, weight, modes, order)
+    """The radial quadrature rule of every verifier: points (N, modes) and
+    weights integrating f against the radial density times the weight over
+    R^modes, for one or two modes. The density is the class Jacobian of
+    ``sym_class``, or Delta(lam)^2 for the number-conserving weight kinds.
+
+    An even power of every kink is a plain tensor rule. An odd alpha puts a
+    kink at lam_j = 0, so the positive orthant is integrated and reflected;
+    an odd beta puts one at |lam_1| = |lam_2|, so the ordered sector of the
+    positive quadrant is integrated, both orderings are added, and the result
+    is reflected. Raises DomainError when the stiffness leaves the rule
+    outside float64.
+    """
+    hermitian = weight.uses_hermitian_jacobian
+    alpha, beta = (0, 2) if hermitian else (sym_class.alpha, sym_class.beta)
+    with np.errstate(all="ignore"):
+        if modes == 2 and beta % 2:
+            r, w_r = _leggauss(order)
+            t, w_t = _weight_rule(weight, order, True)
+            inner = np.outer(0.5 * (r + 1.0), t).ravel()
+            t = np.tile(t, order)
+            base = np.outer(0.5 * w_r, w_t).ravel() * t * _weight_factor(weight, inner)
+            sector = np.concatenate([np.column_stack([inner, t]), np.column_stack([t, inner])])
+            points, wts = _fold_signs(sector, np.concatenate([base, base]))
+        elif alpha % 2:
+            points, wts = _fold_signs(*_tensor(*_weight_rule(weight, order, True), modes))
+        else:
+            points, wts = _tensor(*_weight_rule(weight, order, False), modes)
+        wts = wts * _radial_density(points, sym_class, hermitian)
+        total = wts.sum()
+    if not (np.isfinite(points).all() and np.isfinite(wts).all() and 0.0 < total < math.inf):
+        raise DomainError(
+            f"the {weight.kind} weight at p = {weight.p} gives a radial quadrature rule "
+            f"outside float64 (total weight {total:.3g}); choose a moderate p"
+        )
+    return points, wts
 
 
 def class_d_lambda_samples(modes: int, p: float, rng, n_samples: int) -> np.ndarray:
@@ -425,17 +388,19 @@ def _weighted_mean_ops(points, wts, op_batch_fn) -> np.ndarray:
     return embed_parity_blocks(np.einsum("s,spab->pab", wts, ops) / wts.sum())
 
 
-def _converged_mean(rule_fn, op_batch_fn, order: int):
-    """Weighted operator mean at `order` and `2 * order`; they must agree."""
-    q_lo = _weighted_mean_ops(*rule_fn(order), op_batch_fn)
-    q_hi = _weighted_mean_ops(*rule_fn(2 * order), op_batch_fn)
+def _converged_mean(sym_class: SymmetryClass, weight: WeightSpec, modes: int, order: int, op_batch_fn):
+    """Weighted operator mean at `order` and `2 * order`, which must agree.
+    Returns the `2 * order` mean, the change and the `2 * order` rule."""
+    q_lo = _weighted_mean_ops(*radial_quadrature_nodes(sym_class, weight, modes, order), op_batch_fn)
+    rule_hi = radial_quadrature_nodes(sym_class, weight, modes, 2 * order)
+    q_hi = _weighted_mean_ops(*rule_hi, op_batch_fn)
     delta = float(np.abs(q_hi - q_lo).max())
     if delta > QUAD_CONVERGENCE_TOL:
         raise NonConvergenceError(
             f"quadrature order doubling changed the mean by {delta:.3e} "
             f"(> {QUAD_CONVERGENCE_TOL}); increase quad_order"
         )
-    return q_hi, delta
+    return q_hi, delta, rule_hi
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +422,6 @@ def verify_resolution_quadrature(
     Convergence is checked by order doubling, and independence from the
     rotation by comparing against a second, deterministically seeded rotation.
     """
-    if modes > 2:
-        raise ContractError("quadrature verification is implemented for one or two modes")
     if not weight.is_even:
         raise ContractError(
             f"weight kind {weight.kind!r} is not even in each eigenvalue; "
@@ -466,12 +429,11 @@ def verify_resolution_quadrature(
         )
     weight.validate_for(modes, sym_class)
 
-    u_main = None if rotation is None else rotation.bogoliubov
+    u_main = np.eye(2 * modes) if rotation is None else rotation.bogoliubov
     alt = random_polar_rotation(modes, RngSpec(ROTATION_SEED, stream=1))
-    rule = lambda order: _class_rule(sym_class, weight, modes, order)
-
-    q_main, delta = _converged_mean(rule, lambda pts: _rotated_gaussian_blocks(pts, u_main), quad_order)
-    pts_hi, wts_hi = rule(2 * quad_order)
+    q_main, delta, (pts_hi, wts_hi) = _converged_mean(
+        sym_class, weight, modes, quad_order, lambda pts: _rotated_gaussian_blocks(pts, u_main)
+    )
     q_alt = _weighted_mean_ops(pts_hi, wts_hi, lambda pts: _rotated_gaussian_blocks(pts, alt.bogoliubov))
 
     dim = 1 << modes
@@ -513,14 +475,10 @@ def shifted_weight_quadrature_deviation(
     """Max-entry deviation from 2^-M I when the Gaussian weight is displaced by
     ``offset`` (hence not even). Demonstrates that the evenness hypothesis is
     doing real work; no pass rule attached."""
-    if modes > 2:
-        raise ContractError("quadrature verification is implemented for one or two modes")
-    scale = math.sqrt(2.0 * p)
-    x, w = _hermgauss(quad_order)
-    lam = x / scale + offset
-    points, wts = (lam[:, None], w) if modes == 1 else _tensor_pair(lam, w)
-    wts = wts * _radial_density(points, sym_class)
-    q = _weighted_mean_ops(points, wts, lambda pts: _rotated_gaussian_blocks(pts, None))
+    lam, w = _weight_rule(WeightSpec.gaussian(p), quad_order, False)
+    points, wts = _tensor(lam + offset, w, modes)
+    wts = wts * _radial_density(points, sym_class, False)
+    q = _weighted_mean_ops(points, wts, lambda pts: _rotated_gaussian_blocks(pts, np.eye(2 * modes)))
     dim = 1 << modes
     return float(np.abs(q - np.eye(dim) / dim).max())
 
@@ -631,8 +589,7 @@ def nc_even_weight_quadrature(modes: int, p: float, quad_order: int = 60) -> tup
     """
     weight = WeightSpec.nc_even(p)
     u = sample_haar_unitary_batch(modes, RngSpec(ROTATION_SEED, stream=2), 1)[0]
-    rule = lambda order: _hermitian_rule(weight, modes, order)
-    q, _ = _converged_mean(rule, lambda pts: _rotated_ncons_blocks(pts, u), quad_order)
+    q, _, _ = _converged_mean(CLASS_D, weight, modes, quad_order, lambda pts: _rotated_ncons_blocks(pts, u))
     return q, u
 
 
@@ -750,6 +707,10 @@ def _hermitian_matrix(gen: np.random.Generator, m: int) -> np.ndarray:
 
 def operator_identity_suite(max_modes: int = 3, seed: int = 42, trials: int = 50) -> list[CriterionResult]:
     """Run the operator-level identity checks and return one result per check."""
+    if max_modes < 1:
+        raise CapacityError(f"mode count must be a positive integer, got {max_modes}")
+    if trials < 1:
+        raise ContractError(f"the identity suite needs trials >= 1, got {trials}")
     gen = RngSpec(seed).generator()
     out = []
 
@@ -846,7 +807,7 @@ def operator_identity_suite(max_modes: int = 3, seed: int = 42, trials: int = 50
 
     # number-conserving embedding against exp(a^dag h a) built from mode operators
     worst = 0.0
-    for t in range(trials // 2):
+    for t in range(max(1, trials // 2)):
         m = 1 + t % min(max_modes, 3)
         h = _hermitian_matrix(gen, m)
         ann = [a.matrix for a in build_mode_operators(m)]
@@ -858,7 +819,7 @@ def operator_identity_suite(max_modes: int = 3, seed: int = 42, trials: int = 50
 
     # diagonal form in the transformed mode basis
     worst_prod, worst_diag = 0.0, 0.0
-    for t in range(trials // 2):
+    for t in range(max(1, trials // 2)):
         m = 1 + t % min(max_modes, 3)
         polar = random_polar_rotation(m, gen)
         bdg_mat = polar.bogoliubov.conj().T @ polar.diagonal_coefficient() @ polar.bogoliubov
@@ -915,6 +876,8 @@ def selberg_consistency_suite(max_modes: int = 6, ps=(0.5, 1.0, 3.0)) -> list[Cr
     """Closed-form consistency checks: angular + radial = Cartesian in log
     space, p-independence of the angular volume, and unit normalization of the
     two weight constants."""
+    if max_modes < 1:
+        raise ContractError(f"the consistency suite needs max_modes >= 1, got {max_modes}")
     out = []
     worst = 0.0
     for m in range(1, max_modes + 1):

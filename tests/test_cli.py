@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -75,6 +76,39 @@ class TestExitCodes:
     def test_non_finite_beta_is_domain_error(self, capsys):
         assert run(["canonical", "--betas", "0,nan", "--samples", "16"]) == 2
         assert "got beta = nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["resolution", "--mode", "quad", "--modes", "2", "-p", "1e-300"], "p = 1e-300"),
+            (["resolution", "--mode", "quad", "--modes", "2", "-p", "1e300"], "p = 1e+300"),
+            (["resolution", "--mode", "quad", "--modes", "2", "--weight", "determinant", "-p", "1e300"], "p = 1e+300"),
+            (["number-conserving", "--variant", "failure", "-p", "1e-300"], "p = 1e-300"),
+            (["number-conserving", "--variant", "failure", "-p", "1e300"], "p = 1e+300"),
+        ],
+    )
+    def test_extreme_stiffness_is_domain_error_without_warning(self, argv, named, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv) == 2
+        assert caught == []
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["identities", "--modes", "0"], "positive integer, got 0"),
+            (["identities", "--trials", "0"], "trials >= 1, got 0"),
+            (["resolution", "--mode", "mc", "--samples", "16", "--workers", "0"], "workers >= 1, got 0"),
+            (["resolution", "--mode", "mc", "--samples", "16", "--workers", "-1"], "workers >= 1, got -1"),
+            (["selberg", "--consistency", "--max-modes", "0"], "max_modes >= 1, got 0"),
+            (["ensembles", "--samples", "10", "--thin", "0"], "thin = 0"),
+            (["ensembles", "--samples", "10", "--burn-in", "-5"], "burn_in = -5"),
+        ],
+    )
+    def test_out_of_range_count_is_usage_error(self, argv, message, capsys):
+        assert run(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestReports:

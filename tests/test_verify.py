@@ -1,5 +1,9 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from fermigauss import (
     CLASS_C,
@@ -23,7 +27,14 @@ from fermigauss import (
 )
 from fermigauss import sample_class_d_batch
 from fermigauss.fock import _quadratic_tensor, embed_parity_blocks
-from fermigauss.verify import FAILURE_FLOOR_FRACTION, _closest_identity_multiple, _entry_gate, nc_failure_residual
+from fermigauss.selberg import laguerre_selberg_log, selberg_integral_log
+from fermigauss.verify import (
+    FAILURE_FLOOR_FRACTION,
+    _closest_identity_multiple,
+    _entry_gate,
+    nc_failure_residual,
+    radial_quadrature_nodes,
+)
 
 
 class TestResolutionQuadrature:
@@ -76,6 +87,79 @@ class TestResolutionQuadrature:
         assert dev2 > 10.0 * 1e-8
         # restoring evenness restores the resolution
         assert shifted_weight_quadrature_deviation(1, CLASS_D, 1.0, 0.0) < 1e-10
+
+
+def _radial_total_log(sym, weight, modes):
+    """Log of the integral of the radial density times the weight over R^modes,
+    from the closed forms: Laguerre-Selberg for exp(-2p lam^2) (rescaled from
+    exp(-x^2/2) by x = 2 sqrt(p) lam), Selberg in x = lam^2 for the determinant
+    weight, and Mehta's integral for Delta(lam)^2 exp(-p lam^2)."""
+    a, b, p = sym.alpha, sym.beta, weight.p
+    if weight.kind == "gaussian":
+        scale_power = modes * (1 + a) + b * modes * (modes - 1)
+        return laguerre_selberg_log((a + 1) / 2, b / 2, modes) - scale_power * math.log(2.0 * math.sqrt(p))
+    if weight.kind == "determinant":
+        return selberg_integral_log((a + 1) / 2, 2 * p - (a + 1) / 2 - b * (modes - 1), b / 2, modes)
+    mehta = 0.5 * modes * math.log(2.0 * math.pi) + gammaln(np.arange(2, modes + 2)).sum()
+    return mehta - 0.5 * modes**2 * math.log(2.0 * p)
+
+
+class TestRadialQuadratureNodes:
+    """The one radial rule against closed forms, branch by branch: D and C take
+    the plain tensor rule, DIII and one-mode CI the sign fold, two-mode CI the
+    ordered sector, and nc_even the hermitian Jacobian."""
+
+    @staticmethod
+    def _relative_error(sym, weight, modes):
+        _, wts = radial_quadrature_nodes(sym, weight, modes, 60)
+        return abs(math.expm1(math.log(wts.sum()) - _radial_total_log(sym, weight, modes)))
+
+    @pytest.mark.parametrize("sym", [CLASS_D, CLASS_C, CLASS_DIII, CLASS_CI], ids=lambda s: s.label)
+    @pytest.mark.parametrize("modes", [1, 2])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    def test_gaussian_weight_total(self, sym, modes, p):
+        assert self._relative_error(sym, WeightSpec.gaussian(p), modes) < 1e-12
+
+    @pytest.mark.parametrize("sym", [CLASS_D, CLASS_C, CLASS_DIII, CLASS_CI], ids=lambda s: s.label)
+    @pytest.mark.parametrize("modes", [1, 2])
+    @pytest.mark.parametrize("above", [2.0, 3.0])
+    def test_determinant_weight_total(self, sym, modes, above):
+        # p sits `above` the integrability edge: close to the edge the
+        # tan-mapped rule converges slowly (two-mode CI at p = 2 is 1.6e-11 off
+        # at 60 nodes), which the verifiers' order doubling reports
+        edge = max(modes - 0.75, (2 * sym.beta * (modes - 1) + sym.alpha + 1) / 4.0)
+        assert self._relative_error(sym, WeightSpec.determinant(edge + above), modes) < 1e-12
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    def test_hermitian_measure_total(self, modes, p):
+        assert self._relative_error(CLASS_D, WeightSpec.nc_even(p), modes) < 1e-12
+
+    def test_node_counts(self):
+        gauss = WeightSpec.gaussian(1.0)
+        counts = {
+            s.label: [radial_quadrature_nodes(s, gauss, m, 10)[0].shape for m in (1, 2)]
+            for s in (CLASS_D, CLASS_C, CLASS_DIII, CLASS_CI)
+        }
+        assert counts == {
+            "D": [(10, 1), (100, 2)],
+            "C": [(10, 1), (100, 2)],
+            "DIII": [(20, 1), (400, 2)],
+            "CI": [(20, 1), (800, 2)],
+        }
+
+    def test_rejects_three_modes_and_the_modified_weight(self):
+        with pytest.raises(ContractError, match="one or two modes"):
+            radial_quadrature_nodes(CLASS_D, WeightSpec.gaussian(1.0), 3, 10)
+        with pytest.raises(ContractError, match="nc_modified"):
+            radial_quadrature_nodes(CLASS_D, WeightSpec.nc_modified(1.0), 2, 10)
+
+    @pytest.mark.parametrize(
+        "weight", [WeightSpec.gaussian(1e-300), WeightSpec.gaussian(1e300), WeightSpec.determinant(1e300)]
+    )
+    def test_rule_outside_float64_is_domain_error(self, weight):
+        with pytest.raises(DomainError, match=re.escape(f"{weight.kind} weight at p = {weight.p}")):
+            radial_quadrature_nodes(CLASS_D, weight, 2, 60)
 
 
 class TestResolutionMc:
@@ -319,6 +403,22 @@ class TestSuites:
         # these seeds draw h1, h2 whose unscaled norms exceed compose_number_conserving's gate
         for res in operator_identity_suite(max_modes=3, seed=seed):
             assert res.passed, f"{res.name}: {res.measured} > {res.tolerance}"
+
+    def test_single_trial_runs_every_loop(self, monkeypatch):
+        import fermigauss.verify as verify
+
+        calls = {"gaussian_number_conserving": 0, "random_polar_rotation": 0}
+        for name in calls:
+            original = getattr(verify, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(verify, name, counted)
+        operator_identity_suite(max_modes=3, seed=42, trials=1)
+        # one embedding trial plus the ten parameterization rebuilds; one rotation
+        assert calls == {"gaussian_number_conserving": 11, "random_polar_rotation": 1}
 
     def test_selberg_consistency_suite_is_green(self):
         for res in selberg_consistency_suite(max_modes=6):
