@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import reports
-from .ensembles import RngSpec, WeightSpec, sample_radial_mcmc, symmetry_class
+from .ensembles import CLASS_D, RngSpec, WeightSpec, sample_radial_mcmc, symmetry_class
 from .errors import FermigaussError
 from .verify import (
     class_d_lambda_samples,
@@ -172,6 +172,10 @@ def _cmd_resolution(args) -> int:
         return _finish(args, "resolution", criteria, csv_payload=payload)
     if args.weight != "gaussian":
         raise FermigaussError("the Monte Carlo resolution run samples the Gaussian weight only")
+    if sym is not CLASS_D:
+        raise FermigaussError(
+            f"the Monte Carlo resolution run samples class D only, got --symmetry-class {sym.label}"
+        )
     rep = verify_resolution_mc(args.modes, args.p, args.samples, spec, workers=args.workers)
     criteria = [reports.estimator_to_criterion("resolution of unity (Monte Carlo)", rep)]
     payload = None
@@ -182,7 +186,12 @@ def _cmd_resolution(args) -> int:
 
 def _cmd_canonical(args) -> int:
     spec = RngSpec(args.seed, args.stream)
-    betas = [float(b) for b in args.betas.split(",") if b.strip()]
+    betas = []
+    for token in filter(None, (b.strip() for b in args.betas.split(","))):
+        try:
+            betas.append(float(token))
+        except ValueError:
+            raise FermigaussError(f"--betas takes comma-separated numbers, got {token!r}") from None
     reps = verify_canonical_triviality(args.modes, args.p, betas, args.samples, spec, workers=args.workers)
     criteria = [
         reports.estimator_to_criterion(f"canonical mixture at beta={beta:g}", rep)

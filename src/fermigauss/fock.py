@@ -12,6 +12,7 @@ from itertools import product
 from math import factorial, log
 
 import numpy as np
+import scipy.sparse
 
 from .errors import CapacityError, ContractError, DomainError, StructureError
 
@@ -83,23 +84,8 @@ class FockOperator:
     def identity(cls, modes: int) -> "FockOperator":
         return cls(modes, np.eye(1 << modes, dtype=complex), hermitian=True)
 
-    def dagger(self) -> "FockOperator":
-        return FockOperator(self.modes, self.matrix.conj().T, hermitian=self.hermitian)
-
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
-
-    def __matmul__(self, other: "FockOperator") -> "FockOperator":
-        return FockOperator(self.modes, self.matrix @ other.matrix)
-
-    def __add__(self, other: "FockOperator") -> "FockOperator":
-        return FockOperator(self.modes, self.matrix + other.matrix)
-
-    def __sub__(self, other: "FockOperator") -> "FockOperator":
-        return FockOperator(self.modes, self.matrix - other.matrix)
-
-    def __rmul__(self, scalar: complex) -> "FockOperator":
-        return FockOperator(self.modes, scalar * self.matrix)
 
 
 @lru_cache(maxsize=None)
@@ -180,17 +166,14 @@ def _parity_sectors(modes: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _assembly_plan(modes: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...], np.ndarray]:
-    """Scatter plan of (1/2) gamma^dag H gamma into the two parity blocks.
+def _assembly_plan(modes: int) -> scipy.sparse.csr_array:
+    """The linear map from a 2M x 2M coefficient matrix to the parity blocks
+    of (1/2) gamma^dag H gamma, as one sparse matrix.
 
     gamma_k^dag gamma_l maps each basis state to at most one basis state of
-    the same parity, with a sign. Each such (k, l, state) term adds the
-    coefficient at flat index k * 2M + l, times +-1/2, to one entry of the
-    (2, dim/2, dim/2) blocks. The entries that receive terms are ordered by
-    their term count, most first, so the j-th terms of all entries with more
-    than j terms form a prefix: slot j holds their coefficient indices and
-    factors. ``layout`` maps each flat block entry to its position in that
-    order, or one past the end for the entries no term reaches.
+    the same parity, with a sign. Each such (k, l, state) term is an entry
+    +-1/2 in column k * 2M + l (the flat coefficient index) and in the row of
+    the flat (2, dim/2, dim/2) block entry it reaches.
     """
     half = 1 << (modes - 1)
     parity = _parities(modes)
@@ -208,20 +191,13 @@ def _assembly_plan(modes: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray], ...
             coeff.append(np.full(src.size, k * 2 * modes + l))
             factor.append(0.5 * (s1 * s2)[alive])
             target.append((parity[src] * half + rank[dst]) * half + rank[src])
-    coeff, factor = np.concatenate(coeff), np.concatenate(factor)
-    entries, inverse, counts = np.unique(np.concatenate(target), return_inverse=True, return_counts=True)
-    by_count = np.argsort(-counts, kind="stable")
-    position = np.empty_like(by_count)
-    position[by_count] = np.arange(entries.size)
-    order = np.argsort(position[inverse], kind="stable")
-    sorted_position = position[inverse][order]
-    slot = np.arange(order.size) - np.searchsorted(sorted_position, sorted_position)
-    slots = tuple((coeff[order[slot == j]], factor[order[slot == j]]) for j in range(counts.max()))
-    layout = np.full(2 * half * half, entries.size)
-    layout[entries[by_count]] = np.arange(entries.size)
-    for arr in (layout, *(a for pair in slots for a in pair)):
+    plan = scipy.sparse.csr_array(
+        (np.concatenate(factor), (np.concatenate(target), np.concatenate(coeff))),
+        shape=(2 * half * half, 4 * modes * modes),
+    )
+    for arr in (plan.data, plan.indices, plan.indptr):
         arr.setflags(write=False)
-    return slots, layout
+    return plan
 
 
 def embed_parity_blocks(blocks: np.ndarray) -> np.ndarray:
@@ -284,25 +260,19 @@ def quadratic_hamiltonian_batch(mats: np.ndarray, cap: int = DEFAULT_MODE_CAP) -
     is this call with n = 1, embedded. ``mats`` has shape (n, 2M, 2M) and the
     result (n, 2, 2^(M-1), 2^(M-1)): the even-parity block, then the odd one,
     each over its basis states in ascending order (embed_parity_blocks turns
-    them into full matrices). It gathers and adds the coefficients slot by
-    slot over the cached _assembly_plan, then lays the sums out in blocks.
-    No per-element structure validation is done, so callers are expected to
-    feed matrices built by validated constructors (or validated one at a
-    time, as quadratic_hamiltonian does).
+    them into full matrices). It is one product with the cached
+    _assembly_plan, copied to C order: the product holds the stack transposed,
+    and downstream reductions round differently over that layout. No
+    per-element structure validation is done, so callers are expected to feed
+    matrices built by validated constructors (or validated one at a time, as
+    quadratic_hamiltonian does).
     """
     mats = np.asarray(mats, dtype=complex)
     modes = mats.shape[-1] // 2
     _check_modes(modes, cap)
-    slots, layout = _assembly_plan(modes)
-    flat = mats.reshape(len(mats), -1)
-    (coeff, factor), *rest = slots
-    sums = np.empty((len(mats), coeff.size + 1), dtype=complex)
-    sums[:, -1] = 0.0  # the entries no term reaches
-    np.multiply(np.take(flat, coeff, axis=1), factor, out=sums[:, :-1])
-    for coeff, factor in rest:
-        sums[:, : coeff.size] += np.take(flat, coeff, axis=1) * factor
     half = 1 << (modes - 1)
-    return np.take(sums, layout, axis=1).reshape(len(mats), 2, half, half)
+    flat = mats.reshape(len(mats), -1)
+    return np.ascontiguousarray((_assembly_plan(modes) @ flat.T).T).reshape(len(mats), 2, half, half)
 
 
 def from_eigenpairs(w: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -168,6 +168,17 @@ def _max_sigma(dev: np.ndarray, se: np.ndarray) -> float:
     return float((dev[judged] / np.maximum(se[judged], 1e-300)).max(initial=0.0))
 
 
+def _require_judged(se: np.ndarray, p: float, samples: int) -> None:
+    """Raise DomainError when no per-entry SE exceeds ABS_FLOOR: the gate then
+    judges no entry, so a pass would say nothing (at huge p every draw is
+    below rounding and every operator is 2^-M I)."""
+    if not (se > ABS_FLOOR).any():
+        raise DomainError(
+            f"no per-entry standard error exceeds the {ABS_FLOOR:g} floor at p = {p} "
+            f"({samples} samples), so the Monte Carlo gate would judge no entry"
+        )
+
+
 def _entry_gate(mean: np.ndarray, target: np.ndarray, se: np.ndarray) -> tuple[bool, dict]:
     dev = np.abs(mean - target)
     ok = (dev <= 5.0 * se) | (dev <= ABS_FLOOR)
@@ -487,7 +498,8 @@ def verify_resolution_mc(
     modes: int, p: float, n_samples: int, rng, workers: int = 1
 ) -> EstimatorReport:
     """Monte Carlo mean of normalized Gaussian operators over Gaussian-weight
-    class-D draws; target is 2^-M times the identity, gated entrywise at 5 SE."""
+    class-D draws; target is 2^-M times the identity, gated entrywise at 5 SE.
+    Raises DomainError when the gate would judge no entry."""
     spec = _as_rngspec(rng)
 
     def worker(gen: np.random.Generator, per: int) -> np.ndarray:
@@ -497,8 +509,10 @@ def verify_resolution_mc(
     chunk_means, samples = _run_chunks(worker, n_samples, spec, modes, workers)
     chunk_means = np.stack(chunk_means)
     mean = chunk_means.mean(axis=0)
+    se = _batch_se(chunk_means, mean)
+    _require_judged(se, p, samples)
     details = {"p": p, "chunks": chunk_means.shape[0], "workers": workers}
-    return _mc_report(modes, mean, _batch_se(chunk_means, mean), samples, spec, details)
+    return _mc_report(modes, mean, se, samples, spec, details)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +527,8 @@ def verify_canonical_triviality(
 
     For every beta the normalized mixture equals 2^-M times the identity; the
     beta = 0 case is exact by construction. Each report carries the pairwise
-    agreement with the other betas in its details.
+    agreement with the other betas in its details. Raises DomainError when
+    the gate would judge no entry at some beta != 0.
     """
     spec = _as_rngspec(rng)
     betas = [float(b) for b in betas]
@@ -546,6 +561,8 @@ def verify_canonical_triviality(
         if beta == 0.0:
             exact_dev = float(np.abs(grand - np.eye(dim) / dim).max())
             details = {"beta_zero_exact_deviation": exact_dev, **details}
+        else:
+            _require_judged(se, p, samples)
         rep = _mc_report(modes, grand, se, samples, spec, details)
         if beta == 0.0:
             rep.passed = rep.passed and exact_dev <= 1e-14
@@ -675,7 +692,7 @@ def verify_nc_modified(
     = Delta(lam^2)^2 exp(-p sum lam^2),
     even in every eigenvalue. Each chunk therefore samples it exactly: the
     pair representatives of class-D draws at p/2, with independent random
-    signs.
+    signs. Raises DomainError when the gate would judge no entry.
     """
     spec = _as_rngspec(rng)
     WeightSpec.nc_modified(p)  # rejects p <= 0 with the caller's value
@@ -689,10 +706,12 @@ def verify_nc_modified(
     results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
     chunk_means = np.stack([r[0] for r in results])
     mean = chunk_means.mean(axis=0)
+    se = _batch_se(chunk_means, mean)
+    _require_judged(se, p, samples)
     details = {"p": p, "chunks": chunk_means.shape[0]}
     if keep_samples:
         details["lambda_samples"] = np.concatenate([r[1] for r in results])
-    return _mc_report(modes, mean, _batch_se(chunk_means, mean), samples, spec, details)
+    return _mc_report(modes, mean, se, samples, spec, details)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,33 @@ class TestExitCodes:
         assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["resolution", "--mode", "mc", "--modes", "2", "--samples", "64"],
+            ["number-conserving", "--variant", "modified", "--samples", "64"],
+            ["canonical", "--betas", "0,0.5", "--samples", "64"],
+        ],
+    )
+    def test_monte_carlo_gate_judging_no_entry_is_domain_error(self, argv, capsys):
+        # at p = 1e300 every draw is below rounding and every operator is 2^-M I
+        assert run(argv + ["-p", "1e300"]) == 2
+        err = capsys.readouterr().err
+        assert "p = 1e+300" in err and "judge no entry" in err
+
+    def test_canonical_beta_zero_alone_runs_at_huge_stiffness(self):
+        # beta = 0 is exact by construction, so its report means something at any p
+        assert run(["canonical", "--betas", "0", "-p", "1e300", "--samples", "16"]) == 0
+
+    @pytest.mark.parametrize("label", ["C", "DIII", "CI"])
+    def test_mc_with_other_symmetry_class_rejected(self, label, capsys):
+        assert run(["resolution", "--mode", "mc", "--symmetry-class", label, "--samples", "16"]) == 2
+        assert f"class D only, got --symmetry-class {label}" in capsys.readouterr().err
+
+    def test_non_numeric_beta_is_usage_error(self, capsys):
+        assert run(["canonical", "--betas", "0,abc", "--samples", "16"]) == 2
+        assert "got 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["identities", "--modes", "0"], "positive integer, got 0"),

@@ -10,6 +10,7 @@ from fermigauss import (
     FockOperator,
     StructureError,
     build_mode_operators,
+    compose_general,
     make_bdg,
     normal_ordered_exp,
     op_exp,
@@ -125,10 +126,17 @@ class TestAssemblyPlan:
     @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
     def test_blocks_match_dense_contraction(self, modes):
         mats = sample_class_d_batch(modes, 1.0, RngSpec(61, stream=modes), 5)
+        # a composed element has the particle-hole structure but, from two
+        # modes on, is not hermitian
+        unit = mats[:2] / np.abs(np.linalg.eigvalsh(mats[:2])).max(axis=-1)[:, None, None]
+        b1, b2 = (make_bdg(d[:modes, :modes], d[:modes, modes:]) for d in unit)
+        composed = compose_general(b1, b2)
+        assert composed.hermitian == (modes == 1)
+        mats = np.concatenate([mats, composed.assembled()[None]])
         dense = 0.5 * np.einsum("skl,klab->sab", mats, _quadratic_tensor(modes))
         blocks = quadratic_hamiltonian_batch(mats)
         half = 1 << (modes - 1)
-        assert blocks.shape == (5, 2, half, half)
+        assert blocks.shape == (6, 2, half, half)
         for parity, states in enumerate(_parity_sectors(modes)):
             assert max_abs(blocks[:, parity], dense[:, states[:, None], states]) <= 1e-15
 

@@ -180,6 +180,39 @@ def _pair_spectra(draw):
     return scale * np.asarray(lam, dtype=float), draw(st.integers(0, 2**16))
 
 
+@st.composite
+def _split_spectra(draw):
+    # distinct positive pairs, every gap and the smallest pair far above PAIR_TOL
+    modes = draw(st.integers(1, 4))
+    scale = 10.0 ** draw(st.floats(-2.0, 2.0))
+    steps = draw(st.lists(st.floats(0.05, 1.0), min_size=modes, max_size=modes))
+    return scale * np.cumsum(steps), draw(st.integers(0, 2**16))
+
+
+@st.composite
+def _small_norm_pairs(draw):
+    # two random elements whose spectral norms add up to below pi
+    modes = draw(st.integers(1, 3))
+    total = draw(st.floats(0.05, 3.0))
+    share = draw(st.floats(0.1, 0.9))
+    return modes, total * share, total * (1.0 - share), draw(st.integers(0, 2**16))
+
+
+def _with_norm(mat, norm):
+    return (norm / np.abs(np.linalg.eigvalsh(mat)).max()) * mat
+
+
+def _bdg(mat):
+    m = mat.shape[0] // 2
+    return make_bdg(mat[:m, :m], mat[:m, m:])
+
+
+def _embedded(h):
+    # the plain 2M x 2M coefficient matrix diag(h, -h^T); h need not be hermitian
+    zero = np.zeros_like(h)
+    return np.block([[h, zero], [zero, -h.T]])
+
+
 class TestBlockKernel:
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 100.0, 1000.0])
     @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
@@ -305,6 +338,21 @@ class TestPolarDecompose:
                 assert max_abs(car, (i == j) * eye) < 1e-10
                 assert max_abs(b[i] @ b[j] + b[j] @ b[i]) < 1e-10
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(_split_spectra())
+    def test_round_trip_property(self, spectrum):
+        lam, seed = spectrum
+        bdg = _rotated_bdg(lam, seed)
+        polar = polar_decompose(bdg)
+        m, u = len(lam), polar.bogoliubov
+        tol = 1e-12 * lam.max()
+        assert max_abs(polar.lambdas, lam) <= tol
+        rebuilt = u.conj().T @ polar.diagonal_coefficient() @ u
+        assert max_abs(rebuilt, bdg.assembled()) <= tol
+        assert max_abs(polar_decompose(_bdg(rebuilt)).lambdas, lam) <= tol
+        # canonical: the creation rows are the conjugated annihilation rows, blocks swapped
+        assert max_abs(u[m:], u[:m].conj()[:, np.r_[m : 2 * m, 0:m]]) <= 1e-12
+
     def test_degenerate_spectrum_rejected(self):
         with pytest.raises(DegenerateSpectrumError, match="perturb"):
             polar_decompose(make_bdg(np.zeros((2, 2)), np.zeros((2, 2))))
@@ -429,6 +477,18 @@ class TestComposeGeneral:
         assembled = comp.assembled()
         assert max_abs(assembled[2:, :2], -comp.delta.conj()) > 1e-12
 
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(_small_norm_pairs())
+    def test_group_law_property(self, pair):
+        modes, n1, n2, seed = pair
+        gen = RngSpec(seed).generator()
+        b1, b2 = (_bdg(_with_norm(sample_class_d(modes, 1.0, gen).assembled(), n)) for n in (n1, n2))
+        comp = compose_general(b1, b2)
+        want = scipy.linalg.expm(b1.assembled()) @ scipy.linalg.expm(b2.assembled())
+        assert max_abs(scipy.linalg.expm(comp.assembled()), want) <= 1e-10
+        fock = [scipy.linalg.expm(quadratic_hamiltonian(b).matrix) for b in (b1, b2)]
+        assert max_abs(scipy.linalg.expm(quadratic_hamiltonian(comp).matrix), fock[0] @ fock[1]) <= 1e-9
+
     def test_norm_gate(self):
         big = make_bdg(2.0 * np.eye(2), np.zeros((2, 2)))
         with pytest.raises(ContractError, match="spectral norm"):
@@ -470,6 +530,20 @@ class TestComposeNumberConserving:
             h2 = 0.5 * hermitian_matrix(gen, 2)
             h = compose_number_conserving(h1, h2)
             assert max_abs(unnormalized(h), unnormalized(h1) @ unnormalized(h2)) < 1e-9
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(_small_norm_pairs())
+    def test_group_law_property(self, pair):
+        modes, n1, n2, seed = pair
+        gen = RngSpec(seed).generator()
+        h1, h2 = (_with_norm(hermitian_matrix(gen, modes), n) for n in (n1, n2))
+        h = compose_number_conserving(h1, h2)
+        want = scipy.linalg.expm(h1) @ scipy.linalg.expm(h2)
+        assert max_abs(scipy.linalg.expm(h), want) <= 1e-10
+        # on Fock space, through the embedding (h, delta = 0): traceless
+        # a^dag h a - (1/2) tr h, so the law needs tr h = tr h1 + tr h2 too
+        fock = [scipy.linalg.expm(quadratic_hamiltonian(_embedded(x)).matrix) for x in (h, h1, h2)]
+        assert max_abs(fock[0], fock[1] @ fock[2]) <= 1e-9
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ContractError):

@@ -173,6 +173,11 @@ class TestResolutionMc:
         with pytest.raises(ContractError):
             verify_resolution_mc(1, 1.0, 0, RngSpec(0))
 
+    def test_no_standard_error_is_domain_error(self):
+        # one sample is one chunk, which has no batch-means SE
+        with pytest.raises(DomainError, match=r"p = 1.0 \(1 samples\)"):
+            verify_resolution_mc(1, 1.0, 1, RngSpec(0))
+
     def test_deterministic(self):
         a = verify_resolution_mc(2, 1.0, 8_000, RngSpec(7, 3))
         b = verify_resolution_mc(2, 1.0, 8_000, RngSpec(7, 3))
