@@ -163,7 +163,6 @@ def _cmd_resolution(args) -> int:
     if args.mode == "quad":
         rotation = random_polar_rotation(args.modes, spec)
         rep = verify_resolution_quadrature(args.modes, sym, weight, rotation, args.quad_order)
-        rep.details["tolerance"] = 1e-8
         criteria = [reports.estimator_to_criterion("resolution of unity (quadrature)", rep)]
         payload = None
         if args.csv:

@@ -261,11 +261,11 @@ def quadratic_hamiltonian_batch(mats: np.ndarray, cap: int = DEFAULT_MODE_CAP) -
     result (n, 2, 2^(M-1), 2^(M-1)): the even-parity block, then the odd one,
     each over its basis states in ascending order (embed_parity_blocks turns
     them into full matrices). It is one product with the cached
-    _assembly_plan, copied to C order: the product holds the stack transposed,
-    and downstream reductions round differently over that layout. No
-    per-element structure validation is done, so callers are expected to feed
-    matrices built by validated constructors (or validated one at a time, as
-    quadratic_hamiltonian does).
+    _assembly_plan, copied to C order: eigh keeps its input's layout, and over
+    the transposed product the chunk means would sum in another order (the
+    kernel is no faster on it). No per-element structure validation is done,
+    so callers are expected to feed matrices built by validated constructors
+    (or validated one at a time, as quadratic_hamiltonian does).
     """
     mats = np.asarray(mats, dtype=complex)
     modes = mats.shape[-1] // 2

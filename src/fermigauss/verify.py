@@ -130,7 +130,7 @@ def _chunk_layout(n_samples: int) -> tuple[int, int]:
 
 
 def _run_chunks(worker, n_samples: int, spec: RngSpec, modes: int, workers: int = 1) -> tuple[list, int]:
-    """The chunked Monte Carlo estimator: ``worker(generator, per)`` once per
+    """Chunked Monte Carlo sampling: ``worker(generator, per)`` once per
     chunk, chunk i drawing from the i-th substream past ``spec``, so results
     do not depend on the worker count. Returns the chunk results in chunk
     order and the total sample count."""
@@ -149,14 +149,16 @@ def _run_chunks(worker, n_samples: int, spec: RngSpec, modes: int, workers: int 
     return [task(i) for i in range(chunks)], chunks * per
 
 
-def _batch_se(chunk_values: np.ndarray, center: np.ndarray) -> np.ndarray:
-    """Per-entry batch-means standard error of equal-sized chunk estimates about ``center``."""
-    k = chunk_values.shape[0]
-    if k < 2:
-        return np.zeros(center.shape, dtype=float)
-    dev = chunk_values - center
-    var = ((dev.real**2).sum(axis=0) + (dev.imag**2).sum(axis=0)) / (k - 1)
-    return np.sqrt(var / k)
+def _chunk_estimate(chunks, log_weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """The chunked Monte Carlo estimator: the grand mean of equal-sized chunk
+    estimates and the batch-means SE of their spread about it, per entry. Chunk
+    k may weigh e^log_weights[k], taken relative to the largest so none overflows."""
+    x = np.stack(chunks)
+    w = None if log_weights is None else np.exp(np.subtract(log_weights, np.max(log_weights)))
+    mean = np.average(x, axis=0, weights=w)
+    dev = x - mean  # zero for a single chunk, which has no SE
+    var = ((dev.real**2).sum(axis=0) + (dev.imag**2).sum(axis=0)) / max(len(x) - 1, 1)
+    return mean, np.sqrt(var / len(x))
 
 
 def _max_sigma(dev: np.ndarray, se: np.ndarray) -> float:
@@ -472,6 +474,7 @@ def verify_resolution_quadrature(
             "convergence_delta": delta,
             "rotation_delta": rot_delta,
             "odd_mode_coefficients": [float(abs(c)) for c in odd_coeffs],
+            "tolerance": QUAD_TOL,
         },
     )
 
@@ -507,11 +510,9 @@ def verify_resolution_mc(
         return embed_parity_blocks(exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats)).mean(axis=0))
 
     chunk_means, samples = _run_chunks(worker, n_samples, spec, modes, workers)
-    chunk_means = np.stack(chunk_means)
-    mean = chunk_means.mean(axis=0)
-    se = _batch_se(chunk_means, mean)
+    mean, se = _chunk_estimate(chunk_means)
     _require_judged(se, p, samples)
-    details = {"p": p, "chunks": chunk_means.shape[0], "workers": workers}
+    details = {"p": p, "chunks": len(chunk_means), "workers": workers}
     return _mc_report(modes, mean, se, samples, spec, details)
 
 
@@ -542,21 +543,22 @@ def verify_canonical_triviality(
     def worker(gen: np.random.Generator, per: int):
         mats = sample_class_d_batch(modes, p, gen, per)
         w, v = np.linalg.eigh(quadratic_hamiltonian_batch(mats))
-        nums, dens = [], []
+        ratios, log_dens = [], []  # per beta: sum exp(-beta H) / sum Tr exp(-beta H), log of the denominator
         for beta in betas:
-            ew = np.exp(-beta * w)
-            nums.append(embed_parity_blocks(from_eigenpairs(ew, v).mean(axis=0)))
-            dens.append(float(ew.sum(axis=(1, 2)).mean()))
-        return np.stack(nums), np.array(dens)
+            shift = abs(beta) * float(np.abs(w).max())  # bounds -beta w, and is its maximum: the spectrum is symmetric
+            if not shift < math.inf:
+                raise DomainError(f"beta = {beta} times an energy of the draws at p = {p} overflows a float")
+            ew = np.exp(-beta * w - shift)
+            trace = ew.sum(axis=(1, 2)).mean()
+            ratios.append(embed_parity_blocks(from_eigenpairs(ew, v).mean(axis=0)) / trace)
+            log_dens.append(shift + math.log(trace))
+        return ratios, log_dens
 
     results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
-    nums = np.stack([r[0] for r in results])  # (chunks, nbeta, d, d)
-    dens = np.stack([r[1] for r in results])  # (chunks, nbeta)
 
     reports = []
     for bi, beta in enumerate(betas):
-        grand = nums[:, bi].mean(axis=0) / dens[:, bi].mean()
-        se = _batch_se(nums[:, bi] / dens[:, bi, None, None], grand)
+        grand, se = _chunk_estimate([r[0][bi] for r in results], [r[1][bi] for r in results])
         details = {"beta": beta, "p": p}
         if beta == 0.0:
             exact_dev = float(np.abs(grand - np.eye(dim) / dim).max())
@@ -704,11 +706,9 @@ def verify_nc_modified(
         return embed_parity_blocks(_rotated_ncons_blocks(pts, us).mean(axis=0)), pts
 
     results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
-    chunk_means = np.stack([r[0] for r in results])
-    mean = chunk_means.mean(axis=0)
-    se = _batch_se(chunk_means, mean)
+    mean, se = _chunk_estimate([r[0] for r in results])
     _require_judged(se, p, samples)
-    details = {"p": p, "chunks": chunk_means.shape[0]}
+    details = {"p": p, "chunks": len(results)}
     if keep_samples:
         details["lambda_samples"] = np.concatenate([r[1] for r in results])
     return _mc_report(modes, mean, se, samples, spec, details)

@@ -117,6 +117,13 @@ class TestExitCodes:
         assert run(["resolution", "--mode", "mc", "--symmetry-class", label, "--samples", "16"]) == 2
         assert f"class D only, got --symmetry-class {label}" in capsys.readouterr().err
 
+    def test_large_beta_runs_without_overflow(self):
+        assert run(["canonical", "--betas", "0,1000", "--samples", "4000"]) in (0, 1)
+
+    def test_beta_times_energy_past_float_range_is_domain_error(self, capsys):
+        assert run(["canonical", "--betas", "0,1e308", "-p", "0.01", "--samples", "64"]) == 2
+        assert "beta = 1e+308" in capsys.readouterr().err
+
     def test_non_numeric_beta_is_usage_error(self, capsys):
         assert run(["canonical", "--betas", "0,abc", "--samples", "16"]) == 2
         assert "got 'abc'" in capsys.readouterr().err

@@ -137,6 +137,8 @@ class TestAssemblyPlan:
         blocks = quadratic_hamiltonian_batch(mats)
         half = 1 << (modes - 1)
         assert blocks.shape == (6, 2, half, half)
+        # eigh keeps its input's layout, and the drivers' chunk means sum in layout order
+        assert blocks.flags.c_contiguous
         for parity, states in enumerate(_parity_sectors(modes)):
             assert max_abs(blocks[:, parity], dense[:, states[:, None], states]) <= 1e-15
 

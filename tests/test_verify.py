@@ -26,10 +26,12 @@ from fermigauss import (
     verify_resolution_quadrature,
 )
 from fermigauss import sample_class_d_batch
-from fermigauss.fock import _quadratic_tensor, embed_parity_blocks
+from fermigauss.fock import _quadratic_tensor, embed_parity_blocks, quadratic_hamiltonian_batch
 from fermigauss.selberg import laguerre_selberg_log, selberg_integral_log
 from fermigauss.verify import (
     FAILURE_FLOOR_FRACTION,
+    QUAD_TOL,
+    _chunk_estimate,
     _closest_identity_multiple,
     _entry_gate,
     nc_failure_residual,
@@ -42,6 +44,7 @@ class TestResolutionQuadrature:
         rep = verify_resolution_quadrature(1, CLASS_D, WeightSpec.gaussian(1.0))
         assert rep.max_abs_deviation < 1e-10
         assert rep.passed
+        assert list(rep.details.items())[-1] == ("tolerance", QUAD_TOL)
 
     def test_two_modes_with_rotation(self):
         rotation = random_polar_rotation(2, RngSpec(77))
@@ -234,6 +237,35 @@ class TestEntryGate:
         assert _entry_gate(np.full((2, 2), 1e-15), target, se)[1]["max_sigma"] == 0.0
 
 
+class TestChunkEstimate:
+    @pytest.mark.parametrize("shape", [(3, 2, 2), (16, 8, 8), (16, 64, 64)])
+    def test_unweighted_is_mean_and_batch_se_bit_for_bit(self, shape):
+        gen = RngSpec(12).generator()
+        chunks = list(gen.normal(size=shape) + 1j * gen.normal(size=shape))
+        mean, se = _chunk_estimate(chunks)
+        stack = np.stack(chunks)
+        assert np.array_equal(mean, stack.mean(axis=0))
+        # the batch-means formula the drivers used before the estimator was shared
+        k = len(chunks)
+        dev = stack - mean
+        var = ((dev.real**2).sum(axis=0) + (dev.imag**2).sum(axis=0)) / (k - 1)
+        assert np.array_equal(se, np.sqrt(var / k))
+
+    def test_log_weights_far_outside_float_range_stay_finite(self):
+        gen = RngSpec(13).generator()
+        chunks = list(gen.normal(size=(16, 4, 4)) + 1j * gen.normal(size=(16, 4, 4)))
+        log_w = gen.uniform(-1e3, 1e3, size=16)
+        mean, se = _chunk_estimate(chunks, log_w)
+        assert np.isfinite(mean).all() and np.isfinite(se).all()
+        num, den = 0.0, 0.0
+        for lw, chunk in zip(log_w, chunks):
+            num = num + math.exp(lw - log_w.max()) * chunk
+            den += math.exp(lw - log_w.max())
+        assert np.abs(mean - num / den).max() <= 1e-15
+        spread = sum(np.abs(chunk - num / den) ** 2 for chunk in chunks)
+        assert np.abs(se - np.sqrt(spread / (16 * 15))).max() <= 1e-14
+
+
 class TestCanonicalTriviality:
     def test_beta_zero_exact_and_family_consistent(self):
         betas = [0.0, 0.4, 1.0]
@@ -251,6 +283,33 @@ class TestCanonicalTriviality:
     def test_empty_betas_rejected(self):
         with pytest.raises(ContractError):
             verify_canonical_triviality(2, 1.0, [], 1000, RngSpec(0))
+
+    def test_means_are_ratios_of_chunk_sums(self):
+        # the formula before log weights: unshifted exp(-beta w), summed over all draws
+        spec = RngSpec(14)
+        betas = [0.0, 0.7, 1.5]
+        reps = verify_canonical_triviality(2, 1.0, betas, 2_000, spec)
+        nums, dens = np.zeros((3, 4, 4), dtype=complex), np.zeros(3)
+        for i in range(16):
+            mats = sample_class_d_batch(2, 1.0, spec.with_stream(spec.stream + i).generator(), 125)
+            w, v = np.linalg.eigh(embed_parity_blocks(quadratic_hamiltonian_batch(mats)))
+            for bi, beta in enumerate(betas):
+                ew = np.exp(-beta * w)
+                nums[bi] += np.einsum("sab,sb,scb->ac", v, ew, v.conj())
+                dens[bi] += ew.sum()
+        for rep, num, den in zip(reps, nums, dens):
+            assert np.abs(rep.mean.matrix - num / den).max() <= 1e-13
+
+    @pytest.mark.parametrize("beta", [1000.0, -1000.0])
+    def test_large_beta_gives_finite_means(self, beta):
+        reps = verify_canonical_triviality(2, 1.0, [0.0, beta], 4000, RngSpec(3))
+        for rep in reps:
+            assert np.isfinite(rep.mean.matrix).all() and np.isfinite(rep.per_entry_se).all()
+        assert reps[1].mean.trace().real == pytest.approx(1.0, abs=1e-12)
+
+    def test_beta_times_energy_past_float_range_is_domain_error(self):
+        with pytest.raises(DomainError, match=r"beta = 1e\+308"):
+            verify_canonical_triviality(2, 0.01, [0.0, 1e308], 64, RngSpec(0))
 
 
 class TestNcFailure:
