@@ -1,14 +1,23 @@
 #!/usr/bin/env python3
 """Per-layer times of one Monte Carlo chunk, at M = 1..6 modes.
 
-Times the four layers of the resolution-of-unity worker on one chunk of
-4000 class-D draws at p = 1:
+Times the layers of the resolution-of-unity worker on one chunk of 4000
+class-D draws at p = 1, through the Fock construction:
 
 - sample:   sample_class_d_batch
 - assemble: quadratic_hamiltonian_batch
 - kernel:   exp_normalized_fock_batch
 - reduce:   the chunk mean as a full 2^M x 2^M matrix (embedded from the
             parity blocks where the package returns blocks)
+
+and, where the package has the Wick kernel, the path that replaces the
+last three on the same draws:
+
+- wick:     the 2M x 2M eigh, wick_mean_blocks and embed_parity_blocks
+
+A second table times both paths at M = 6 on chunks of 25 draws, the chunk
+size of the ``mc_m6`` benchmark workload (``fock`` = assemble, kernel and
+reduce; ``wick`` as above), 50 repeats each, interleaved.
 
 It then times the three report layers of one M = 6, 400-sample Monte
 Carlo report (seed 0, unscaled), the size of report the ``mc_m6``
@@ -23,8 +32,8 @@ seconds. The numerical environment (numpy, scipy and BLAS versions, CPU
 count, affinity, thread variables) is recorded beside the table, through
 benchmark/environment.py. Run from the repository root:
 
-    python3 scripts/bench_layers.py --label change --out BENCH_8.json
-    python3 scripts/bench_layers.py --src ../other-checkout/src --label parent --out BENCH_8.json
+    python3 scripts/bench_layers.py --label change --out BENCH_12.json
+    python3 scripts/bench_layers.py --src ../other-checkout/src --label parent --out BENCH_12.json
 
 ``--src`` names the directory holding the ``fermigauss`` package to time
 (default: this checkout's ``src``). ``--out`` adds the table under
@@ -41,9 +50,12 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 CHUNK = 4000
 REPEATS = 5
+SMALL_MODES, SMALL_CHUNK, SMALL_REPEATS = 6, 25, 50
 REPORT_MODES, REPORT_SAMPLES = 6, 400
 
 
@@ -57,36 +69,81 @@ def _min_median(times: dict) -> dict:
     return {layer: {"min_s": min(ts), "median_s": statistics.median(ts)} for layer, ts in times.items()}
 
 
+def _wick(mats):
+    from fermigauss import fock, gaussian
+
+    return fock.embed_parity_blocks(gaussian.wick_mean_blocks(*np.linalg.eigh(mats)))
+
+
+def _reduce(ops):
+    from fermigauss import fock
+
+    mean = ops.mean(axis=0)
+    return fock.embed_parity_blocks(mean) if mean.ndim == 3 else mean
+
+
 def layer_table() -> dict:
     from fermigauss import fock, gaussian
     from fermigauss.ensembles import RngSpec, sample_class_d_batch
 
-    def reduce(ops):
-        mean = ops.mean(axis=0)
-        return fock.embed_parity_blocks(mean) if mean.ndim == 3 else mean
-
+    has_wick = hasattr(gaussian, "wick_mean_blocks")
     table = {}
     for modes in range(1, 7):
         gen = RngSpec(modes).generator()
-        fock.quadratic_hamiltonian_batch(sample_class_d_batch(modes, 1.0, gen, 1))  # warm per-M caches
-        times = {"sample": [], "assemble": [], "kernel": [], "reduce": []}
+        warm = sample_class_d_batch(modes, 1.0, gen, 1)  # warm per-M caches
+        fock.quadratic_hamiltonian_batch(warm)
+        times = {"sample": [], "assemble": [], "kernel": [], "reduce": []} | ({"wick": []} if has_wick else {})
+        if has_wick:
+            _wick(warm)
         for _ in range(REPEATS):
             dt, mats = _timed(sample_class_d_batch, modes, 1.0, gen, CHUNK)
             times["sample"].append(dt)
+            if has_wick:
+                dt, wick_mean = _timed(_wick, mats)
+                times["wick"].append(dt)
             dt, hams = _timed(fock.quadratic_hamiltonian_batch, mats)
             times["assemble"].append(dt)
             del mats
             dt, ops = _timed(gaussian.exp_normalized_fock_batch, hams)
             times["kernel"].append(dt)
             del hams
-            dt, mean = _timed(reduce, ops)
+            dt, mean = _timed(_reduce, ops)
             times["reduce"].append(dt)
             del ops
             assert mean.shape == (1 << modes, 1 << modes)
+            if has_wick:
+                assert np.abs(wick_mean - mean).max() <= 1e-12
         table[str(modes)] = _min_median(times)
         print(f"M = {modes}: " + ", ".join(f"{k} {v['median_s']:.4f} s" for k, v in table[str(modes)].items()),
               file=sys.stderr)
     return table
+
+
+def small_chunk_table() -> dict | None:
+    """Both paths at M = 6 on 25-draw chunks, interleaved; None without the Wick kernel."""
+    from fermigauss import fock, gaussian
+    from fermigauss.ensembles import RngSpec, sample_class_d_batch
+
+    if not hasattr(gaussian, "wick_mean_blocks"):
+        return None
+    gen = RngSpec(SMALL_MODES).generator()
+
+    def fock_path(mats):
+        return _reduce(gaussian.exp_normalized_fock_batch(fock.quadratic_hamiltonian_batch(mats)))
+
+    times = {"fock": [], "wick": []}
+    for i in range(SMALL_REPEATS + 1):
+        mats = sample_class_d_batch(SMALL_MODES, 1.0, gen, SMALL_CHUNK)
+        dt_f, mean_f = _timed(fock_path, mats)
+        dt_w, mean_w = _timed(_wick, mats)
+        assert np.abs(mean_w - mean_f).max() <= 1e-12
+        if i:  # the first round warms the per-M caches
+            times["fock"].append(dt_f)
+            times["wick"].append(dt_w)
+    table = _min_median(times)
+    print(f"M = {SMALL_MODES}, {SMALL_CHUNK} draws: " + ", ".join(f"{k} {v['median_s']:.4f} s" for k, v in table.items()),
+          file=sys.stderr)
+    return {"modes": SMALL_MODES, "draws": SMALL_CHUNK, "repeats": SMALL_REPEATS, "layers": table}
 
 
 def report_table() -> dict:
@@ -133,6 +190,7 @@ def main() -> int:
         "p": 1.0,
         "environment": environment(workers=1),
         "layers": layer_table(),
+        "small_chunk": small_chunk_table(),
         "report": report_table(),
     }
     if args.out is None:

@@ -200,6 +200,99 @@ def _assembly_plan(modes: int) -> scipy.sparse.csr_array:
     return plan
 
 
+#: Powers of i, indexed by their exponent mod 4.
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+@dataclass(frozen=True)
+class WickPlan:
+    """Tables that turn a Majorana covariance into parity blocks, for one mode count.
+
+    Majorana operators are c_2j = a_j + a_j^dag and c_2j+1 = -i (a_j - a_j^dag),
+    so c = majorana @ gamma. A normalized Gaussian operator L has the Wick
+    coordinates Tr(L c_S) = Pf(K_S), K_ab = Tr(L c_a c_b), over the
+    ascending even subsets S of the 2M Majorana indices, and
+    L = 2^-M sum_S (-1)^(k(k-1)/2) Pf(K_S) c_S with k = |S|. Off its unit
+    diagonal K = i Gamma, Gamma real antisymmetric, so Pf(K_S) = i^(k/2) Pf(Gamma_S).
+
+    The subsets are numbered by size, then by bit mask (bit a for c_a): the
+    empty set, the ``pair_rows[i] < pair_cols[i]`` pairs, then one level per
+    size k = 4..2M. Level k expands Pf(Gamma_S) along the lowest index s_1:
+    sum_t (-1)^t Gamma_{s_1 s_(t+2)} Pf(Gamma_(S - {s_1, s_(t+2)})), and
+    ``levels`` holds, per level, the (pair, smaller subset) numbers of those
+    k - 1 terms, each an (n_k, k - 1) array within its own level. ``scatter``
+    maps the 2^(2M-1) coordinates Pf(Gamma_S) to the flat parity blocks of L,
+    (2, 2^(M-1), 2^(M-1)) as quadratic_hamiltonian_batch lays them out; every
+    entry is 2^-M times a power of i.
+    """
+
+    majorana: np.ndarray
+    pair_rows: np.ndarray
+    pair_cols: np.ndarray
+    levels: tuple[tuple[np.ndarray, np.ndarray], ...]
+    scatter: scipy.sparse.csr_array
+
+
+@lru_cache(maxsize=None)
+def _wick_plan(modes: int) -> WickPlan:
+    """The cached WickPlan of ``modes`` modes, built with vectorized bit operations.
+
+    Block entry (dst, src) gathers the 2^M subsets S whose c_S maps src to
+    dst. Mode j contributes 1, c_2j, c_2j+1 or c_2j c_2j+1 to c_S, as bit j
+    of dst ^ src (``flips``) and of a free index select, so c_S is a product over
+    ascending modes. The higher modes act first and flip only their own bits,
+    so mode j acts on src's bits: its sign string is src's parity below j, and
+    c_2j+1 adds a phase -i or i as bit j of src is set or not. With the
+    convention's (-1)^(k(k-1)/2) i^(k/2) = i^(3k/2) every phase is an integer
+    power of i.
+    """
+    majorana = np.zeros((2 * modes, 2 * modes), dtype=complex)
+    for j in range(modes):
+        majorana[2 * j, [j, j + modes]] = 1.0, 1.0
+        majorana[2 * j + 1, [j, j + modes]] = -1j, 1j
+
+    # Pfaffian recursion: subsets by size, then mask
+    size = np.bitwise_count(np.arange(1 << (2 * modes)))
+    order = np.argsort(size, kind="stable")
+    order = order[size[order] % 2 == 0]
+    number = np.empty(1 << (2 * modes), dtype=np.intp)
+    number[order] = np.arange(order.size)
+    starts = np.searchsorted(size[order], np.arange(0, 2 * modes + 3, 2))
+    levels = []
+    for k in range(2, 2 * modes + 1, 2):
+        masks = order[starts[k // 2] : starts[k // 2 + 1]]
+        elems = np.nonzero((masks[:, None] >> np.arange(2 * modes)) & 1)[1].reshape(masks.size, k)
+        pairs = (1 << elems[:, :1]) | (1 << elems[:, 1:])
+        if k == 2:
+            pair_rows, pair_cols = elems[:, 0], elems[:, 1]
+        else:
+            levels.append((number[pairs] - starts[1], number[masks[:, None] ^ pairs] - starts[k // 2 - 1]))
+
+    # scatter: small integers keep the (2^(2M-1), 2^M) bit arrays cheap to build
+    dtype = np.min_scalar_type(1 << (2 * modes))
+    half = 1 << (modes - 1)
+    sectors = _parity_sectors(modes).astype(dtype)
+    dst = np.repeat(sectors, half, axis=1).reshape(-1, 1)
+    src = np.tile(sectors, (1, half)).reshape(-1, 1)
+    flips, free = dst ^ src, np.arange(1 << modes, dtype=dtype)[None, :]
+    subset = np.zeros((flips.size, free.size), dtype=dtype)
+    phase = np.zeros_like(subset)
+    for j in range(modes):
+        xj, yj = (flips >> j) & 1, (free >> j) & 1
+        subset |= np.where(xj == 1, 1 << (2 * j + yj), (3 * yj) << (2 * j))
+        below = np.bitwise_count(src & ((1 << j) - 1)) & 1
+        phase += 2 * xj * below + yj * (1 + 2 * ((src >> j) & 1))
+    phase += 3 * (np.bitwise_count(subset) // 2)
+    scatter = scipy.sparse.csr_array(
+        (_I_POWERS[phase.ravel() & 3] / (1 << modes), number[subset.ravel()], np.arange(0, subset.size + 1, free.size)),
+        shape=(flips.size, order.size),
+    )
+    frozen = [majorana, pair_rows, pair_cols, scatter.data, scatter.indices, scatter.indptr]
+    for arr in frozen + [a for level in levels for a in level]:
+        arr.setflags(write=False)
+    return WickPlan(majorana, pair_rows, pair_cols, tuple(levels), scatter)
+
+
 def embed_parity_blocks(blocks: np.ndarray) -> np.ndarray:
     """Full (..., dim, dim) matrices from their (..., 2, dim/2, dim/2) parity blocks.
 
@@ -278,9 +371,10 @@ def quadratic_hamiltonian_batch(mats: np.ndarray, cap: int = DEFAULT_MODE_CAP) -
 def from_eigenpairs(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The matrix v diag(w) v^dag from eigenvalues ``w`` and eigenvector columns ``v``.
 
-    The package's one rebuild from eigenpairs. It covers one matrix, a stack
-    (``w`` of shape (n, d), ``v`` of shape (n, d, d)), or one ``v`` shared by a
-    stack of ``w``.
+    The package's one rebuild from eigenpairs (gaussian.wick_coordinates forms
+    only the imaginary part of one, in real arithmetic). It covers one matrix,
+    a stack (``w`` of shape (n, d), ``v`` of shape (n, d, d)), or one ``v``
+    shared by a stack of ``w``.
     """
     return (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 

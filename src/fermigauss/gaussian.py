@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BranchCutError, ContractError, DegenerateSpectrumError, DomainError, StructureError
 from .fock import (  # noqa: F401  op_exp stays importable here: benchmark/tracing.py wraps it
@@ -22,6 +21,7 @@ from .fock import (  # noqa: F401  op_exp stays importable here: benchmark/traci
     FockOperator,
     _check_modes,
     _frozen,
+    _wick_plan,
     from_eigenpairs,
     op_exp,
     quadratic_hamiltonian,
@@ -258,10 +258,18 @@ def trace_formula(bdg: BdgMatrix, pair_tolerance: float = PAIR_TOL) -> float:
     Raises DomainError when the trace exceeds the float range.
     """
     lam = paired_eigenvalues(bdg, pair_tolerance)
-    log_trace = float(np.sum(np.abs(lam) / 2.0 + np.log1p(np.exp(-np.abs(lam)))))
+    log_trace = float(log_trace_of_pairs(lam))
     if not log_trace < LOG_FLOAT_MAX:
         raise DomainError(f"trace overflows a float: its log is {log_trace:.6g}")
     return float(np.prod(2.0 * np.cosh(lam / 2.0)))
+
+
+def log_trace_of_pairs(lam: np.ndarray) -> np.ndarray:
+    """sum_j log(2 cosh(lambda_j / 2)) over the last axis, the log of the Fock
+    trace of the exponentiated quadratic operator, taken stably as
+    |lambda|/2 + log1p(exp(-|lambda|)) so that no cosh overflows."""
+    a = np.abs(lam)
+    return np.sum(a / 2.0 + np.log1p(np.exp(-a)), axis=-1)
 
 
 def gaussian_normalized(bdg: BdgMatrix) -> FockOperator:
@@ -282,9 +290,10 @@ def gaussian_normalized(bdg: BdgMatrix) -> FockOperator:
 def exp_normalized_fock_batch(hams: np.ndarray) -> np.ndarray:
     """Trace-normalized exponentials of a stack of hermitian Fock operators.
 
-    The package's one normalized-exponential kernel: gaussian_normalized,
-    gaussian_number_conserving and the Monte Carlo and quadrature drivers all
-    go through it. ``hams`` is (n, d, d) full matrices or (n, 2, d/2, d/2)
+    The package's one normalized-exponential kernel on Fock matrices:
+    gaussian_normalized, gaussian_number_conserving and the quadrature
+    drivers go through it, and the Monte Carlo drivers check their Wick means
+    against it. ``hams`` is (n, d, d) full matrices or (n, 2, d/2, d/2)
     parity blocks; each of the n operators is normalized jointly over all its
     blocks. Its spectrum is shifted by one common maximum before
     exponentiation, which the joint trace normalization divides back out, so
@@ -297,6 +306,65 @@ def exp_normalized_fock_batch(hams: np.ndarray) -> np.ndarray:
     mats = from_eigenpairs(np.exp(w - w.max(axis=op_axes, keepdims=True)), v)
     tr = np.einsum("...aa->...", mats).real.sum(axis=op_axes[:-1])
     return mats / tr.reshape((-1,) + (1,) * (mats.ndim - 1))
+
+
+def _draw_weights(count: int, log_weights=None) -> np.ndarray:
+    """Normalized weights of ``count`` draws: equal, or e^log_weights taken
+    relative to the largest, so none overflows."""
+    if log_weights is None:
+        return np.full(count, 1.0 / count)
+    w = np.exp(np.subtract(log_weights, np.max(log_weights)))
+    return w / w.sum()
+
+
+def wick_coordinates(w: np.ndarray, v: np.ndarray, log_weights=None) -> np.ndarray:
+    """Mean Wick coordinates Pf(Gamma_S) of the normalized Gaussian operators of
+    a stack of coefficient matrices, given by their eigenpairs, in the subset
+    order of fock.WickPlan.
+
+    Draw s has the 2M x 2M coefficient matrix v[s] diag(w[s]) v[s]^dag; with
+    ``log_weights`` draw s weighs e^log_weights[s]. The filling
+    G = (1 + e^H)^-1 enters as G - I/2 = v diag(t) v^dag with t = -tanh(w/2)/2,
+    so K - I = u diag(t) u^dag = i Gamma with u = majorana v, and w = 0 gives
+    Gamma = 0 exactly. Gamma, the imaginary part of that rebuild, is
+    X - X^T with X = (Im u) diag(t) (Re u)^T, in real arithmetic and exactly
+    antisymmetric. The empty set's coordinate is 1. The draws run along the
+    last axis of the recursion, and each level is averaged before the next.
+    """
+    modes = w.shape[-1] // 2
+    _check_modes(modes, DEFAULT_MODE_CAP)
+    plan = _wick_plan(modes)
+    u = plan.majorana @ v
+    x = (u.imag * -0.5 * np.tanh(0.5 * w)[:, None, :]) @ np.swapaxes(u.real, -1, -2)
+    pairs = np.ascontiguousarray((x - np.swapaxes(x, -1, -2))[:, plan.pair_rows, plan.pair_cols].T)
+    weights = _draw_weights(len(w), log_weights)
+    coords, prev = [np.ones(1), pairs @ weights], pairs
+    for pair, sub in plan.levels:
+        cur = pairs[pair[:, 0]] * prev[sub[:, 0]]
+        for t in range(1, pair.shape[1]):
+            term = pairs[pair[:, t]] * prev[sub[:, t]]
+            if t % 2:
+                cur -= term
+            else:
+                cur += term
+        coords.append(cur @ weights)
+        prev = cur
+    return np.concatenate(coords)
+
+
+def wick_mean_blocks(w: np.ndarray, v: np.ndarray, log_weights=None) -> np.ndarray:
+    """Mean of the normalized Gaussian operators of a stack of coefficient
+    matrices, given by their eigenpairs, as parity blocks; no Fock matrix is formed.
+
+    The Monte Carlo drivers' kernel. It equals
+    exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats)) averaged over
+    the draws (weighted as in wick_coordinates), shape (2, 2^(M-1), 2^(M-1)):
+    the scatter of fock.WickPlan applied once to the mean coordinates.
+    """
+    modes = w.shape[-1] // 2
+    coords = wick_coordinates(w, v, log_weights)
+    half = 1 << (modes - 1)
+    return (_wick_plan(modes).scatter @ coords).reshape(2, half, half)
 
 
 @np.errstate(over="ignore")
@@ -346,6 +414,8 @@ def _principal_log(a: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
         raise ContractError(
             f"combined spectral norm {total:.3f} >= pi; large-norm composition is out of scope"
         )
+    import scipy.linalg  # only here and in the identity suite: keeps it off the import path
+
     x = from_eigenpairs(np.exp(wa / 2.0), va)
     exp_b = from_eigenpairs(np.exp(wb), vb)
     ws, vs = np.linalg.eigh(x @ exp_b @ x)

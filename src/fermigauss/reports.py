@@ -72,10 +72,12 @@ def fock_to_doc(op: FockOperator) -> dict:
 
 
 def estimator_to_criterion(name: str, report: EstimatorReport) -> dict:
-    if report.per_entry_se is None:
-        tol_or_se = {"kind": "tolerance", "value": report.details.get("tolerance", 1e-8)}
-    else:
+    if report.per_entry_se is not None:
         tol_or_se = {"kind": "standard_error", "matrix": np.asarray(report.per_entry_se, dtype=float)}
+    elif "failure_floor" in report.details:  # the residual must exceed it
+        tol_or_se = {"kind": "floor", "value": report.details["failure_floor"]}
+    else:
+        tol_or_se = {"kind": "tolerance", "value": report.details["tolerance"]}
     return {
         "name": name,
         "target": fock_to_doc(report.target),

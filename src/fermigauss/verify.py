@@ -5,12 +5,11 @@ consistency suites shared by the test suite and the CLI.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from . import selberg
 from .ensembles import (  # noqa: F401  sample_radial_mcmc stays importable here: benchmark/tracing.py wraps it
@@ -30,8 +29,8 @@ from .fock import (
     DEFAULT_MODE_CAP,
     FockOperator,
     _annihilators,
-    _assembly_plan,
     _check_modes,
+    _wick_plan,
     build_mode_operators,
     embed_parity_blocks,
     from_eigenpairs,
@@ -42,14 +41,17 @@ from .fock import (
 )
 from .gaussian import (
     PolarForm,
+    _draw_weights,
     compose_general,
     compose_number_conserving,
     exp_normalized_fock_batch,
     gaussian_normalized,
     gaussian_number_conserving,
     greens_parameterization,
+    log_trace_of_pairs,
     make_bdg,
     paired_eigenvalues,
+    wick_mean_blocks,
 )
 
 #: Samples per Monte Carlo chunk; the chunk index doubles as the RNG substream,
@@ -72,6 +74,12 @@ QUAD_CONVERGENCE_TOL = 1e-9
 #: The even-weight residual must exceed this fraction of nc_failure_residual.
 FAILURE_FLOOR_FRACTION = 0.95
 
+#: Largest max-entry gap allowed between a Monte Carlo chunk's Wick mean and
+#: the mean of the same draws built through the Fock construction. Single
+#: operators agree to about 2e-13 at energies near 1000, and a weighted
+#: canonical mean there is carried by one draw.
+FOCK_CHECK_TOL = 1e-12
+
 
 @dataclass
 class EstimatorReport:
@@ -81,7 +89,8 @@ class EstimatorReport:
     deviation against the target at the deterministic tolerance (plus
     rotation independence); for Monte Carlo runs the entrywise gate
     |mean - target| <= 5 SE with at most max(1, 1% of entries) in the
-    3-to-5 SE band, entries below a 1e-12 absolute floor always passing.
+    3-to-5 SE band, entries below a 1e-12 absolute floor always passing,
+    and chunk 0's Wick mean within FOCK_CHECK_TOL of its Fock construction.
     """
 
     target: FockOperator
@@ -138,14 +147,20 @@ def _run_chunks(worker, n_samples: int, spec: RngSpec, modes: int, workers: int 
         raise ContractError(f"need workers >= 1, got {workers}")
     _check_modes(modes, DEFAULT_MODE_CAP)
     chunks, per = _chunk_layout(n_samples)
-    _assembly_plan(modes)  # warm the cache before any thread fan-out
+    _wick_plan(modes)  # warm the cache before any thread fan-out
 
     def task(i: int):
         return worker(spec.with_stream(spec.stream + i).generator(), per)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(task, range(chunks))), chunks * per
+            futures = [pool.submit(task, i) for i in range(chunks)]
+            wait(futures, return_when=FIRST_EXCEPTION)
+            for fut in futures:  # after an error, drop the chunks not yet started
+                fut.cancel()
+            # chunks queue in order, so every chunk before a failed one has
+            # started, and the first error in chunk order is the one raised
+            return [fut.result() for fut in futures], chunks * per
     return [task(i) for i in range(chunks)], chunks * per
 
 
@@ -198,12 +213,27 @@ def _entry_gate(mean: np.ndarray, target: np.ndarray, se: np.ndarray) -> tuple[b
 
 MC_RULE = (
     "every entry within 5 standard errors of the target "
-    "(absolute floor 1e-12), at most max(1, 1% of entries) between 3 and 5 SE"
+    "(absolute floor 1e-12), at most max(1, 1% of entries) between 3 and 5 SE; "
+    f"chunk 0's Wick mean within {FOCK_CHECK_TOL:g} of the same draws through the Fock construction"
 )
 
 
-def _mc_report(modes: int, mean: np.ndarray, se: np.ndarray, samples: int, spec: RngSpec, details: dict) -> EstimatorReport:
-    """Gate a Monte Carlo mean against 2^-M I; ``details`` follow the gate's own entries."""
+def _fock_check(mats: np.ndarray, wick_mean: np.ndarray, log_weights=None) -> float:
+    """Max-entry gap between a chunk's Wick mean (a full matrix) and the mean
+    of the normalized Gaussian operators of its coefficient matrices ``mats``
+    built through quadratic_hamiltonian_batch and exp_normalized_fock_batch,
+    weighted alike. It keeps the Fock construction under test in every
+    Monte Carlo run."""
+    ops = exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats))
+    fock_mean = embed_parity_blocks(np.einsum("s,spab->pab", _draw_weights(len(mats), log_weights), ops))
+    return float(np.abs(fock_mean - wick_mean).max())
+
+
+def _mc_report(
+    modes: int, mean: np.ndarray, se: np.ndarray, samples: int, spec: RngSpec, details: dict, fock_dev: float
+) -> EstimatorReport:
+    """Gate a Monte Carlo mean against 2^-M I and its chunk-0 Fock gap
+    ``fock_dev`` against FOCK_CHECK_TOL; ``details`` follow the gate's own entries."""
     dim = 1 << modes
     target = FockOperator(modes, np.eye(dim) / dim, hermitian=True)
     passed, info = _entry_gate(mean, target.matrix, se)
@@ -214,9 +244,9 @@ def _mc_report(modes: int, mean: np.ndarray, se: np.ndarray, samples: int, spec:
         per_entry_se=se,
         samples=samples,
         seed=spec,
-        passed=passed,
+        passed=passed and fock_dev <= FOCK_CHECK_TOL,
         criterion=MC_RULE,
-        details={**info, **details},
+        details={**info, **details, "fock_check_deviation": fock_dev},
     )
 
 
@@ -506,14 +536,14 @@ def verify_resolution_mc(
     spec = _as_rngspec(rng)
 
     def worker(gen: np.random.Generator, per: int) -> np.ndarray:
-        mats = sample_class_d_batch(modes, p, gen, per)
-        return embed_parity_blocks(exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats)).mean(axis=0))
+        return embed_parity_blocks(wick_mean_blocks(*np.linalg.eigh(sample_class_d_batch(modes, p, gen, per))))
 
     chunk_means, samples = _run_chunks(worker, n_samples, spec, modes, workers)
     mean, se = _chunk_estimate(chunk_means)
     _require_judged(se, p, samples)
+    first = sample_class_d_batch(modes, p, spec.generator(), samples // len(chunk_means))
     details = {"p": p, "chunks": len(chunk_means), "workers": workers}
-    return _mc_report(modes, mean, se, samples, spec, details)
+    return _mc_report(modes, mean, se, samples, spec, details, _fock_check(first, chunk_means[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -527,9 +557,13 @@ def verify_canonical_triviality(
     """Normalized means of exp(-beta H_op) over Gaussian-weight class-D draws.
 
     For every beta the normalized mixture equals 2^-M times the identity; the
-    beta = 0 case is exact by construction. Each report carries the pairwise
+    beta = 0 case is exact by construction. exp(-beta H_op) is its trace
+    prod_j 2 cosh(beta lambda_j / 2) times L(-beta H), so each chunk is the
+    Wick mean of L(-beta H) with those traces as log weights, and the chunks
+    weigh the log of their mean trace. Each report carries the pairwise
     agreement with the other betas in its details. Raises DomainError when
-    the gate would judge no entry at some beta != 0.
+    beta times an energy of the draws overflows a float, or when the gate
+    would judge no entry at some beta != 0.
     """
     spec = _as_rngspec(rng)
     betas = [float(b) for b in betas]
@@ -540,32 +574,37 @@ def verify_canonical_triviality(
             raise DomainError(f"domain violation: finite beta required, got beta = {beta}")
     dim = 1 << modes
 
+    def log_traces(w: np.ndarray, beta: float) -> np.ndarray:
+        """log Tr exp(-beta H_op) per draw, from the eigenvalues w of the draws."""
+        if not abs(beta) * float(np.abs(w).max()) < math.inf:
+            raise DomainError(f"beta = {beta} times an energy of the draws at p = {p} overflows a float")
+        return log_trace_of_pairs(beta * w[:, modes:])
+
     def worker(gen: np.random.Generator, per: int):
-        mats = sample_class_d_batch(modes, p, gen, per)
-        w, v = np.linalg.eigh(quadratic_hamiltonian_batch(mats))
-        ratios, log_dens = [], []  # per beta: sum exp(-beta H) / sum Tr exp(-beta H), log of the denominator
+        w, v = np.linalg.eigh(sample_class_d_batch(modes, p, gen, per))
+        out = []  # per beta: the chunk's weighted Wick mean and the log of its mean trace
         for beta in betas:
-            shift = abs(beta) * float(np.abs(w).max())  # bounds -beta w, and is its maximum: the spectrum is symmetric
-            if not shift < math.inf:
-                raise DomainError(f"beta = {beta} times an energy of the draws at p = {p} overflows a float")
-            ew = np.exp(-beta * w - shift)
-            trace = ew.sum(axis=(1, 2)).mean()
-            ratios.append(embed_parity_blocks(from_eigenpairs(ew, v).mean(axis=0)) / trace)
-            log_dens.append(shift + math.log(trace))
-        return ratios, log_dens
+            log_tr = log_traces(w, beta)
+            top = log_tr.max()
+            log_mean = top + math.log(np.exp(log_tr - top).mean())
+            out.append((embed_parity_blocks(wick_mean_blocks(-beta * w, v, log_tr)), log_mean))
+        return out
 
     results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
+    first = sample_class_d_batch(modes, p, spec.generator(), samples // len(results))
+    first_w = np.linalg.eigh(first)[0]  # chunk 0's eigenvalues, bit for bit
 
     reports = []
     for bi, beta in enumerate(betas):
-        grand, se = _chunk_estimate([r[0][bi] for r in results], [r[1][bi] for r in results])
+        grand, se = _chunk_estimate([r[bi][0] for r in results], [r[bi][1] for r in results])
         details = {"beta": beta, "p": p}
         if beta == 0.0:
             exact_dev = float(np.abs(grand - np.eye(dim) / dim).max())
             details = {"beta_zero_exact_deviation": exact_dev, **details}
         else:
             _require_judged(se, p, samples)
-        rep = _mc_report(modes, grand, se, samples, spec, details)
+        fock_dev = _fock_check(-beta * first, results[0][bi][0], log_traces(first_w, beta))
+        rep = _mc_report(modes, grand, se, samples, spec, details, fock_dev)
         if beta == 0.0:
             rep.passed = rep.passed and exact_dev <= 1e-14
             rep.criterion += "; beta = 0 must be exact"
@@ -699,19 +738,29 @@ def verify_nc_modified(
     spec = _as_rngspec(rng)
     WeightSpec.nc_modified(p)  # rejects p <= 0 with the caller's value
 
-    def worker(gen: np.random.Generator, per: int):
+    def draw(gen: np.random.Generator, per: int):
         pts = np.linalg.eigvalsh(sample_class_d_batch(modes, 0.5 * p, gen, per))[:, modes:]
         pts = pts * gen.choice((-1.0, 1.0), size=(per, modes))
-        us = sample_haar_unitary_batch(modes, gen, per)
-        return embed_parity_blocks(_rotated_ncons_blocks(pts, us).mean(axis=0)), pts
+        return pts, sample_haar_unitary_batch(modes, gen, per)
+
+    def worker(gen: np.random.Generator, per: int):
+        # the embedding (h, 0) of h = U diag(pts) U^dag has the eigenpairs
+        # [pts, -pts] and blockdiag(U, conj U): no eigh is needed
+        pts, us = draw(gen, per)
+        v = np.zeros((per, 2 * modes, 2 * modes), dtype=complex)
+        v[:, :modes, :modes] = us
+        v[:, modes:, modes:] = us.conj()
+        return embed_parity_blocks(wick_mean_blocks(np.concatenate([pts, -pts], axis=1), v)), pts
 
     results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
     mean, se = _chunk_estimate([r[0] for r in results])
     _require_judged(se, p, samples)
+    h = from_eigenpairs(*draw(spec.generator(), samples // len(results)))
+    fock_dev = _fock_check(assemble_blocks(h, np.zeros_like(h)), results[0][0])
     details = {"p": p, "chunks": len(results)}
     if keep_samples:
         details["lambda_samples"] = np.concatenate([r[1] for r in results])
-    return _mc_report(modes, mean, se, samples, spec, details)
+    return _mc_report(modes, mean, se, samples, spec, details, fock_dev)
 
 
 # ---------------------------------------------------------------------------
@@ -730,6 +779,8 @@ def operator_identity_suite(max_modes: int = 3, seed: int = 42, trials: int = 50
         raise CapacityError(f"mode count must be a positive integer, got {max_modes}")
     if trials < 1:
         raise ContractError(f"the identity suite needs trials >= 1, got {trials}")
+    import scipy.linalg  # only here and in gaussian._principal_log: keeps it off the import path
+
     gen = RngSpec(seed).generator()
     out = []
 

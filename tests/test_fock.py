@@ -19,7 +19,13 @@ from fermigauss import (
     sample_class_d_batch,
     RngSpec,
 )
-from fermigauss.fock import _parity_sectors, _quadratic_tensor, embed_parity_blocks, quadratic_hamiltonian_batch
+from fermigauss.fock import (
+    _parity_sectors,
+    _quadratic_tensor,
+    _wick_plan,
+    embed_parity_blocks,
+    quadratic_hamiltonian_batch,
+)
 
 
 class TestFockOperator:
@@ -152,6 +158,34 @@ class TestAssemblyPlan:
         assert (full[:, across] == 0).all()
         dense = 0.5 * np.einsum("skl,klab->sab", mats, _quadratic_tensor(modes))
         assert max_abs(full, dense) <= 1e-15
+
+
+class TestWickPlan:
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
+    def test_scatter_columns_are_orthogonal_monomials(self, modes):
+        # Tr(c_S^dag c_T) = 2^M delta_ST, and each c_S is 2^M entries of modulus
+        # 1, scaled by 2^-M: the scatter has orthogonal columns of norm^2 2^-M
+        # and every block entry gathers 2^M coordinates
+        scatter = _wick_plan(modes).scatter
+        dim = 1 << modes
+        assert scatter.shape == (dim * dim // 2, 1 << (2 * modes - 1))
+        assert (np.diff(scatter.indptr) == dim).all()
+        assert (np.abs(scatter.data) == 1.0 / dim).all()
+        gram = (scatter.conj().T @ scatter).toarray()
+        assert np.array_equal(gram, np.eye(scatter.shape[1]) / dim)
+
+    @pytest.mark.parametrize("modes", [2, 4])
+    def test_recursion_expands_along_the_lowest_index(self, modes):
+        plan = _wick_plan(modes)
+        assert (plan.pair_rows < plan.pair_cols).all()
+        assert [level[0].shape[1] for level in plan.levels] == list(range(3, 2 * modes, 2))
+
+    def test_cached_and_read_only(self):
+        plan = _wick_plan(3)
+        assert _wick_plan(3) is plan
+        for arr in (plan.majorana, plan.pair_rows, plan.scatter.data, plan.levels[0][0]):
+            with pytest.raises(ValueError):
+                arr[0] = 0
 
 
 class TestOpExp:

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -30,8 +32,10 @@ from fermigauss import (
     sample_class_d_batch,
     trace_formula,
 )
-from fermigauss.fock import _gamma_ops, embed_parity_blocks, quadratic_hamiltonian_batch
-from fermigauss.gaussian import exp_normalized_fock_batch
+from fermigauss import gaussian
+from fermigauss.cli import run
+from fermigauss.fock import _annihilators, _gamma_ops, _wick_plan, embed_parity_blocks, quadratic_hamiltonian_batch
+from fermigauss.gaussian import exp_normalized_fock_batch, wick_coordinates, wick_mean_blocks
 
 
 class TestMakeBdg:
@@ -260,6 +264,96 @@ class TestBlockKernel:
         assert w.shape == (1, 2, 1 << (len(lam) - 1))
         exact = trace_formula(bdg)
         assert abs(np.exp(w).sum() - exact) <= 1e-9 * exact
+
+
+def _majoranas(modes):
+    # dense oracle: c_2j = a_j + a_j^dag and c_2j+1 = -i (a_j - a_j^dag)
+    out = []
+    for a in _annihilators(modes):
+        out += [a + a.conj().T, -1j * (a - a.conj().T)]
+    return out
+
+
+def _even_subsets(modes):
+    # the kernel's coordinate order: by size, then by bit mask
+    even = (s for s in range(1 << (2 * modes)) if s.bit_count() % 2 == 0)
+    return sorted(even, key=lambda s: (s.bit_count(), s))
+
+
+@st.composite
+def _wick_draws(draw):
+    # three class-D draws at one scale in 1e-3..1e3, M = 1..4
+    modes = draw(st.integers(1, 4))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    return scale * sample_class_d_batch(modes, 1.0, RngSpec(draw(st.integers(0, 2**16))), 3)
+
+
+class TestWickKernel:
+    # the Fock kernel and the dense Majorana matrices are the oracles: the
+    # Wick kernel builds neither
+
+    @staticmethod
+    def _check_per_operator(mats):
+        fock = exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats))
+        w, v = np.linalg.eigh(mats)
+        for s in range(len(mats)):
+            assert max_abs(wick_mean_blocks(w[s : s + 1], v[s : s + 1]), fock[s]) <= 1e-12
+        assert max_abs(wick_mean_blocks(w, v), fock.mean(axis=0)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(_wick_draws())
+    def test_matches_fock_kernel_per_operator(self, mats):
+        self._check_per_operator(mats)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    def test_matches_fock_kernel_at_six_modes(self, scale):
+        self._check_per_operator(scale * sample_class_d_batch(6, 1.0, RngSpec(29), 3))
+
+    @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+    @given(_wick_draws())
+    def test_coordinates_are_majorana_moments(self, mats):
+        # Tr(L c_S) = Pf(K_S) = i^(k/2) Pf(Gamma_S) with c_S the ascending product
+        modes = mats.shape[-1] // 2
+        ops = embed_parity_blocks(exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats[:1])))[0]
+        coords = wick_coordinates(*np.linalg.eigh(mats[:1]))
+        majoranas = _majoranas(modes)
+        for subset, coord in zip(_even_subsets(modes), coords, strict=True):
+            c_s = np.eye(1 << modes)
+            for a in range(2 * modes):
+                if subset >> a & 1:
+                    c_s = c_s @ majoranas[a]
+            assert abs(np.trace(ops @ c_s) - 1j ** (subset.bit_count() // 2) * coord) <= 1e-12
+
+    def test_log_weights_weigh_each_draw(self):
+        mats = sample_class_d_batch(3, 1.0, RngSpec(30), 5)
+        log_w = np.array([-800.0, 700.0, 699.0, 0.0, 701.5])
+        fock = exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats))
+        rel = np.exp(log_w - log_w.max())
+        want = np.einsum("s,spab->pab", rel / rel.sum(), fock)
+        assert max_abs(wick_mean_blocks(*np.linalg.eigh(mats), log_w), want) <= 1e-12
+
+    @pytest.mark.parametrize("modes", [1, 3, 6])
+    def test_zero_energies_give_exactly_the_maximally_mixed_state(self, modes):
+        v = np.linalg.eigh(sample_class_d_batch(modes, 1.0, RngSpec(31), 4))[1]
+        out = embed_parity_blocks(wick_mean_blocks(np.zeros((4, 2 * modes)), v))
+        assert np.array_equal(out, np.eye(1 << modes) / (1 << modes))
+
+    def test_perturbed_phase_fails_the_report_through_the_cross_check(self, monkeypatch, tmp_path):
+        # i times one entry of the parity coordinate's column: the entrywise
+        # gate cannot see it, the Fock cross-check of chunk 0 does
+        argv = ["resolution", "--mode", "mc", "--modes", "3", "--samples", "400", "--seed", "1"]
+        assert run(argv + ["--out", str(tmp_path / "good.json")]) == 0
+        plan = _wick_plan(3)
+        scatter = plan.scatter
+        data = scatter.data.copy()
+        data[np.flatnonzero(scatter.indices == scatter.shape[1] - 1)[0]] *= 1j
+        bad = dataclasses.replace(plan, scatter=type(scatter)((data, scatter.indices, scatter.indptr), shape=scatter.shape))
+        monkeypatch.setattr(gaussian, "_wick_plan", lambda modes: bad)
+        assert run(argv + ["--out", str(tmp_path / "bad.json")]) == 1
+        good, bad = (json.loads((tmp_path / f"{n}.json").read_text())["criteria"][0] for n in ("good", "bad"))
+        assert good["details"]["fock_check_deviation"] <= 1e-15
+        assert bad["details"]["fock_check_deviation"] > 1e-4
+        assert bad["details"]["max_sigma"] < 3.0 and bad["details"]["band_entries"] == 0
 
 
 class TestTraceFormula:

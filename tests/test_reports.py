@@ -9,7 +9,8 @@ from hypothesis.extra import numpy as hnp
 
 from fermigauss.ensembles import RngSpec
 from fermigauss.fock import FockOperator
-from fermigauss.reports import _encode, fock_to_doc
+from fermigauss.reports import _encode, estimator_to_criterion, fock_to_doc
+from fermigauss.verify import verify_nc_failure
 
 FINITE_EDGES = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e-5, 1e16)
 
@@ -71,3 +72,12 @@ def test_fock_entries_are_row_major_re_im_pairs():
     assert [math.copysign(1.0, x) for pair in doc["entries"] for x in pair] == [
         math.copysign(1.0, x) for pair in want for x in pair
     ]
+
+
+def test_failure_report_states_its_floor():
+    rep = verify_nc_failure(2, 1.0, 20)
+    crit = estimator_to_criterion("even-weight residual exceeds the oracle floor", rep)
+    assert crit["tolerance_or_se"] == {"kind": "floor", "value": rep.details["failure_floor"]}
+    del rep.details["failure_floor"]
+    with pytest.raises(KeyError, match="tolerance"):  # no default tolerance is made up
+        estimator_to_criterion("no bound", rep)

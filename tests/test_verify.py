@@ -1,5 +1,7 @@
 import math
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -30,10 +32,12 @@ from fermigauss.fock import _quadratic_tensor, embed_parity_blocks, quadratic_ha
 from fermigauss.selberg import laguerre_selberg_log, selberg_integral_log
 from fermigauss.verify import (
     FAILURE_FLOOR_FRACTION,
+    FOCK_CHECK_TOL,
     QUAD_TOL,
     _chunk_estimate,
     _closest_identity_multiple,
     _entry_gate,
+    _run_chunks,
     nc_failure_residual,
     radial_quadrature_nodes,
 )
@@ -237,6 +241,47 @@ class TestEntryGate:
         assert _entry_gate(np.full((2, 2), 1e-15), target, se)[1]["max_sigma"] == 0.0
 
 
+class TestRunChunks:
+    def test_error_in_chunk_zero_stops_the_fan_out(self):
+        calls, lock = [], threading.Lock()
+
+        def worker(gen, per):
+            with lock:
+                calls.append(gen.bit_generator.seed_seq.spawn_key)
+            if gen.bit_generator.seed_seq.spawn_key == (0,):
+                raise DomainError("chunk 0 failed")
+            time.sleep(0.02)
+            return per
+
+        with pytest.raises(DomainError, match="chunk 0 failed"):
+            _run_chunks(worker, 64, RngSpec(0), 1, workers=2)
+        assert (0,) in calls and len(calls) < 16
+
+    def test_first_error_in_chunk_order_is_raised(self):
+        def worker(gen, per):
+            stream = gen.bit_generator.seed_seq.spawn_key[0]
+            if stream in (3, 9):
+                time.sleep(0.05 if stream == 3 else 0.0)
+                raise DomainError(f"chunk {stream} failed")
+            return per
+
+        for workers in (1, 2):
+            with pytest.raises(DomainError, match="chunk 3 failed"):
+                _run_chunks(worker, 64, RngSpec(0), 1, workers=workers)
+
+
+class TestFockCrossCheck:
+    def test_every_monte_carlo_report_carries_it(self):
+        reps = [
+            verify_resolution_mc(2, 1.0, 400, RngSpec(15)),
+            verify_nc_modified(2, 1.0, 400, RngSpec(15)),
+            *verify_canonical_triviality(2, 1.0, [0.0, 0.7, -1000.0], 400, RngSpec(15)),
+        ]
+        for rep in reps:
+            assert 0.0 <= rep.details["fock_check_deviation"] <= FOCK_CHECK_TOL
+            assert f"within {FOCK_CHECK_TOL:g} of the same draws through the Fock construction" in rep.criterion
+
+
 class TestChunkEstimate:
     @pytest.mark.parametrize("shape", [(3, 2, 2), (16, 8, 8), (16, 64, 64)])
     def test_unweighted_is_mean_and_batch_se_bit_for_bit(self, shape):
@@ -274,6 +319,13 @@ class TestCanonicalTriviality:
         assert reps[0].details["beta_zero_exact_deviation"] <= 1e-14
         for rep in reps:
             assert rep.details["pairwise_max_sigma"] < 5.0
+
+    @pytest.mark.parametrize("modes", [1, 4])
+    def test_beta_zero_mean_is_exactly_the_maximally_mixed_state(self, modes):
+        rep = verify_canonical_triviality(modes, 1.0, [0.0, 0.5], 400, RngSpec(16), workers=2)[0]
+        assert np.array_equal(rep.mean.matrix, np.eye(1 << modes) / (1 << modes))
+        assert rep.details["beta_zero_exact_deviation"] == 0.0
+        assert not rep.per_entry_se.any()
 
     def test_beta_zero_reports_exact_deviation_not_noise_ratio(self):
         rep = verify_canonical_triviality(2, 1.0, [0.0, 0.5], 20_000, RngSpec(6))[0]
