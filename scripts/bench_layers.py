@@ -19,6 +19,17 @@ A second table times both paths at M = 6 on chunks of 25 draws, the chunk
 size of the ``mc_m6`` benchmark workload (``fock`` = assemble, kernel and
 reduce; ``wick`` as above), 50 repeats each, interleaved.
 
+A ``quad`` table times the weighted mean over the nodes of the two-mode,
+order-120 class-D rule (Gaussian weight, p = 1, no rotation; 14400 nodes,
+the larger rule of the default ``resolution --mode quad``) both ways, and
+one whole default verify_resolution_quadrature, interleaved:
+
+- fock:  from_eigenpairs, quadratic_hamiltonian_batch,
+         exp_normalized_fock_batch, the weighted mean and the embedding
+- wick:  wick_mean_blocks on the nodes' eigenpairs with the log weights of
+         the nonzero-weight nodes, and the embedding
+- verify_resolution_quadrature: the driver, as the package runs it
+
 It then times the three report layers of one M = 6, 400-sample Monte
 Carlo report (seed 0, unscaled), the size of report the ``mc_m6``
 benchmark workload writes:
@@ -32,8 +43,8 @@ seconds. The numerical environment (numpy, scipy and BLAS versions, CPU
 count, affinity, thread variables) is recorded beside the table, through
 benchmark/environment.py. Run from the repository root:
 
-    python3 scripts/bench_layers.py --label change --out BENCH_12.json
-    python3 scripts/bench_layers.py --src ../other-checkout/src --label parent --out BENCH_12.json
+    python3 scripts/bench_layers.py --label change --out BENCH_13.json
+    python3 scripts/bench_layers.py --src ../other-checkout/src --label parent --out BENCH_13.json
 
 ``--src`` names the directory holding the ``fermigauss`` package to time
 (default: this checkout's ``src``). ``--out`` adds the table under
@@ -56,6 +67,7 @@ ROOT = Path(__file__).resolve().parents[1]
 CHUNK = 4000
 REPEATS = 5
 SMALL_MODES, SMALL_CHUNK, SMALL_REPEATS = 6, 25, 50
+QUAD_MODES, QUAD_ORDER = 2, 120
 REPORT_MODES, REPORT_SAMPLES = 6, 400
 
 
@@ -146,6 +158,42 @@ def small_chunk_table() -> dict | None:
     return {"modes": SMALL_MODES, "draws": SMALL_CHUNK, "repeats": SMALL_REPEATS, "layers": table}
 
 
+def quad_table() -> dict:
+    """The quadrature mean through the Fock path and the Wick kernel, and one
+    whole verify_resolution_quadrature, interleaved, each REPEATS times."""
+    from fermigauss import fock, gaussian
+    from fermigauss.ensembles import CLASS_D, WeightSpec
+    from fermigauss.verify import radial_quadrature_nodes, verify_resolution_quadrature
+
+    weight = WeightSpec.gaussian(1.0)
+    pts, wts = radial_quadrature_nodes(CLASS_D, weight, QUAD_MODES, QUAD_ORDER)
+    w, v, keep = np.concatenate([pts, -pts], axis=1), np.eye(2 * QUAD_MODES), wts > 0.0
+
+    def fock_path():
+        ops = gaussian.exp_normalized_fock_batch(fock.quadratic_hamiltonian_batch(fock.from_eigenpairs(w, v)))
+        return fock.embed_parity_blocks(np.einsum("s,spab->pab", wts, ops) / wts.sum())
+
+    def wick_path():
+        return fock.embed_parity_blocks(gaussian.wick_mean_blocks(w[keep], v, np.log(wts[keep])))
+
+    def whole():
+        return verify_resolution_quadrature(QUAD_MODES, CLASS_D, weight)
+
+    times = {"fock": [], "wick": [], "verify_resolution_quadrature": []}
+    for i in range(REPEATS + 1):
+        dt_f, mean_f = _timed(fock_path)
+        dt_w, mean_w = _timed(wick_path)
+        dt_v, _ = _timed(whole)
+        assert np.abs(mean_w - mean_f).max() <= 1e-13
+        if i:  # the first round warms the per-M caches
+            for layer, dt in zip(times, (dt_f, dt_w, dt_v)):
+                times[layer].append(dt)
+    table = _min_median(times)
+    print(f"quad M = {QUAD_MODES}, {len(pts)} nodes: " + ", ".join(f"{k} {v['median_s']:.4f} s" for k, v in table.items()),
+          file=sys.stderr)
+    return {"modes": QUAD_MODES, "order": QUAD_ORDER, "nodes": len(pts), "layers": table}
+
+
 def report_table() -> dict:
     from fermigauss import reports
     from fermigauss.ensembles import RngSpec
@@ -191,6 +239,7 @@ def main() -> int:
         "environment": environment(workers=1),
         "layers": layer_table(),
         "small_chunk": small_chunk_table(),
+        "quad": quad_table(),
         "report": report_table(),
     }
     if args.out is None:

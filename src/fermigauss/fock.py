@@ -355,8 +355,8 @@ def quadratic_hamiltonian_batch(mats: np.ndarray, cap: int = DEFAULT_MODE_CAP) -
     each over its basis states in ascending order (embed_parity_blocks turns
     them into full matrices). It is one product with the cached
     _assembly_plan, copied to C order: eigh keeps its input's layout, and over
-    the transposed product the chunk means would sum in another order (the
-    kernel is no faster on it). No per-element structure validation is done,
+    the transposed product the means built from it (the drivers' Fock
+    cross-checks) would sum in another order (the kernel is no faster on it). No per-element structure validation is done,
     so callers are expected to feed matrices built by validated constructors
     (or validated one at a time, as quadratic_hamiltonian does).
     """

@@ -291,11 +291,10 @@ def exp_normalized_fock_batch(hams: np.ndarray) -> np.ndarray:
     """Trace-normalized exponentials of a stack of hermitian Fock operators.
 
     The package's one normalized-exponential kernel on Fock matrices:
-    gaussian_normalized, gaussian_number_conserving and the quadrature
-    drivers go through it, and the Monte Carlo drivers check their Wick means
-    against it. ``hams`` is (n, d, d) full matrices or (n, 2, d/2, d/2)
-    parity blocks; each of the n operators is normalized jointly over all its
-    blocks. Its spectrum is shifted by one common maximum before
+    gaussian_normalized and gaussian_number_conserving go through it, and the
+    Monte Carlo and quadrature drivers check their Wick means against it.
+    ``hams`` is (n, d, d) full matrices or (n, 2, d/2, d/2) parity blocks;
+    each of the n operators is normalized jointly over all its blocks. Its spectrum is shifted by one common maximum before
     exponentiation, which the joint trace normalization divides back out, so
     no entry overflows and the blocks keep their relative weight. Its
     independent oracle is the per-mode product form in the rotated mode basis
@@ -322,8 +321,9 @@ def wick_coordinates(w: np.ndarray, v: np.ndarray, log_weights=None) -> np.ndarr
     a stack of coefficient matrices, given by their eigenpairs, in the subset
     order of fock.WickPlan.
 
-    Draw s has the 2M x 2M coefficient matrix v[s] diag(w[s]) v[s]^dag; with
-    ``log_weights`` draw s weighs e^log_weights[s]. The filling
+    Draw s has the 2M x 2M coefficient matrix v[s] diag(w[s]) v[s]^dag, or
+    v diag(w[s]) v^dag when one ``v`` is shared by every draw (the nodes of a
+    quadrature rule); with ``log_weights`` draw s weighs e^log_weights[s]. The filling
     G = (1 + e^H)^-1 enters as G - I/2 = v diag(t) v^dag with t = -tanh(w/2)/2,
     so K - I = u diag(t) u^dag = i Gamma with u = majorana v, and w = 0 gives
     Gamma = 0 exactly. Gamma, the imaginary part of that rebuild, is
@@ -356,7 +356,7 @@ def wick_mean_blocks(w: np.ndarray, v: np.ndarray, log_weights=None) -> np.ndarr
     """Mean of the normalized Gaussian operators of a stack of coefficient
     matrices, given by their eigenpairs, as parity blocks; no Fock matrix is formed.
 
-    The Monte Carlo drivers' kernel. It equals
+    The kernel of the Monte Carlo and quadrature drivers. It equals
     exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats)) averaged over
     the draws (weighted as in wick_coordinates), shape (2, 2^(M-1), 2^(M-1)):
     the scatter of fock.WickPlan applied once to the mean coordinates.

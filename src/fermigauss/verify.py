@@ -74,10 +74,11 @@ QUAD_CONVERGENCE_TOL = 1e-9
 #: The even-weight residual must exceed this fraction of nc_failure_residual.
 FAILURE_FLOOR_FRACTION = 0.95
 
-#: Largest max-entry gap allowed between a Monte Carlo chunk's Wick mean and
-#: the mean of the same draws built through the Fock construction. Single
-#: operators agree to about 2e-13 at energies near 1000, and a weighted
-#: canonical mean there is carried by one draw.
+#: Largest max-entry gap allowed between a Wick mean (of a Monte Carlo chunk
+#: or a quadrature rule) and the mean of the same draws or nodes built
+#: through the Fock construction. Single operators agree to about 2e-13 at
+#: energies near 1000, and a weighted canonical mean there is carried by one
+#: draw.
 FOCK_CHECK_TOL = 1e-12
 
 
@@ -87,10 +88,12 @@ class EstimatorReport:
 
     ``passed`` reflects the stated rule: for quadrature runs the max-entry
     deviation against the target at the deterministic tolerance (plus
-    rotation independence); for Monte Carlo runs the entrywise gate
-    |mean - target| <= 5 SE with at most max(1, 1% of entries) in the
-    3-to-5 SE band, entries below a 1e-12 absolute floor always passing,
-    and chunk 0's Wick mean within FOCK_CHECK_TOL of its Fock construction.
+    rotation independence, and the quad_order rule's Wick mean within
+    FOCK_CHECK_TOL of its Fock construction); for Monte Carlo runs the
+    entrywise gate |mean - target| <= 5 SE with at most max(1, 1% of
+    entries) in the 3-to-5 SE band, entries below a 1e-12 absolute floor
+    always passing, and chunk 0's Wick mean within FOCK_CHECK_TOL of its
+    Fock construction.
     """
 
     target: FockOperator
@@ -219,11 +222,11 @@ MC_RULE = (
 
 
 def _fock_check(mats: np.ndarray, wick_mean: np.ndarray, log_weights=None) -> float:
-    """Max-entry gap between a chunk's Wick mean (a full matrix) and the mean
-    of the normalized Gaussian operators of its coefficient matrices ``mats``
+    """Max-entry gap between a Wick mean (a full matrix) and the mean of the
+    normalized Gaussian operators of the same coefficient matrices ``mats``
     built through quadratic_hamiltonian_batch and exp_normalized_fock_batch,
     weighted alike. It keeps the Fock construction under test in every
-    Monte Carlo run."""
+    Monte Carlo and quadrature run."""
     ops = exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats))
     fock_mean = embed_parity_blocks(np.einsum("s,spab->pab", _draw_weights(len(mats), log_weights), ops))
     return float(np.abs(fock_mean - wick_mean).max())
@@ -256,26 +259,41 @@ def _mc_report(
 
 
 def _rotated_gaussian_blocks(points: np.ndarray, rotation: np.ndarray) -> np.ndarray:
-    """Normalized Gaussian operators for coefficient matrices U^-1 diag(lam,-lam) U.
+    """Normalized Gaussian operators for coefficient matrices U^-1 diag(lam,-lam) U,
+    one Fock matrix per node.
 
     ``points`` is (N, M); ``rotation`` the 2M x 2M transformation U. Same
     algorithm as gaussian_normalized, vectorized; returns the parity blocks,
-    shape (N, 2, 2^(M-1), 2^(M-1)).
+    shape (N, 2, 2^(M-1), 2^(M-1)). The drivers take the Wick path
+    (_quadrature_mean); the tests hold it to this one.
     """
     mats = from_eigenpairs(np.concatenate([points, -points], axis=1), rotation.conj().T)
     return exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats))
 
 
 def _rotated_ncons_blocks(points: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
-    """Normalized number-conserving operators at h = U diag(lam) U^dag.
+    """Normalized number-conserving operators at h = U diag(lam) U^dag, one
+    Fock matrix per node.
 
     ``unitaries`` is either one M x M matrix shared by all points or a stack
     matching the points. Same algorithm as gaussian_number_conserving,
     vectorized: h is embedded as (h, delta = 0). Returns the parity blocks.
+    The drivers take the Wick path; the tests hold it to this one.
     """
     h = from_eigenpairs(points, unitaries)
     hams = quadratic_hamiltonian_batch(assemble_blocks(h, np.zeros_like(h)))
     return exp_normalized_fock_batch(hams)
+
+
+def _ncons_eigenvectors(unitaries: np.ndarray) -> np.ndarray:
+    """blockdiag(U, conj U), for one U or a stack: the eigenvectors of the
+    embedding (h, 0) of h = U diag(lam) U^dag, whose eigenvalues are
+    [lam, -lam]."""
+    m = unitaries.shape[-1]
+    v = np.zeros(unitaries.shape[:-2] + (2 * m, 2 * m), dtype=complex)
+    v[..., :m, :m] = unitaries
+    v[..., m:, m:] = unitaries.conj()
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +404,8 @@ def radial_quadrature_nodes(
     an odd beta puts one at |lam_1| = |lam_2|, so the ordered sector of the
     positive quadrant is integrated, both orderings are added, and the result
     is reflected. Raises DomainError when the stiffness leaves the rule
-    outside float64.
+    outside float64, and ContractError when every node sits on a zero of the
+    density (an order too low for it).
     """
     hermitian = weight.uses_hermitian_jacobian
     alpha, beta = (0, 2) if hermitian else (sym_class.alpha, sym_class.beta)
@@ -405,7 +424,16 @@ def radial_quadrature_nodes(
             points, wts = _tensor(*_weight_rule(weight, order, False), modes)
         wts = wts * _radial_density(points, sym_class, hermitian)
         total = wts.sum()
-    if not (np.isfinite(points).all() and np.isfinite(wts).all() and 0.0 < total < math.inf):
+    finite = np.isfinite(points).all() and np.isfinite(wts).all()
+    if finite and total == 0.0:
+        # scaling the nodes moves the density's underflow, not its zeros
+        unit = points / (np.abs(points).max() or 1.0)
+        if not _radial_density(unit, sym_class, hermitian).any():
+            raise ContractError(
+                f"every node of the order-{order} radial rule sits on a zero of the radial density "
+                f"(total weight 0); raise quad_order"
+            )
+    if not (finite and 0.0 < total < math.inf):
         raise DomainError(
             f"the {weight.kind} weight at p = {weight.p} gives a radial quadrature rule "
             f"outside float64 (total weight {total:.3g}); choose a moderate p"
@@ -425,25 +453,42 @@ def class_d_lambda_samples(modes: int, p: float, rng, n_samples: int) -> np.ndar
     return np.concatenate(chunk_points)
 
 
-def _weighted_mean_ops(points, wts, op_batch_fn) -> np.ndarray:
-    """Weighted mean of the parity-blocked operators, as a full matrix."""
-    ops = op_batch_fn(points)
-    return embed_parity_blocks(np.einsum("s,spab->pab", wts, ops) / wts.sum())
+def _quadrature_mean(points: np.ndarray, wts: np.ndarray, v: np.ndarray):
+    """Weighted Wick mean, as a full matrix, of the normalized Gaussian
+    operators with eigenvalues [lam, -lam] at the nodes lam and the shared
+    eigenvectors ``v``; no Fock matrix is formed. Nodes of zero weight sit on
+    a zero of the radial density and are dropped, since their log weight
+    would be -inf. Returns the mean, the nodes' eigenvalues and their log
+    weights."""
+    keep = wts > 0.0
+    w = np.concatenate([points[keep], -points[keep]], axis=1)
+    log_w = np.log(wts[keep])
+    return embed_parity_blocks(wick_mean_blocks(w, v, log_w)), w, log_w
 
 
-def _converged_mean(sym_class: SymmetryClass, weight: WeightSpec, modes: int, order: int, op_batch_fn):
-    """Weighted operator mean at `order` and `2 * order`, which must agree.
-    Returns the `2 * order` mean, the change and the `2 * order` rule."""
-    q_lo = _weighted_mean_ops(*radial_quadrature_nodes(sym_class, weight, modes, order), op_batch_fn)
+def _converged_mean(sym_class: SymmetryClass, weight: WeightSpec, modes: int, order: int, v: np.ndarray):
+    """Wick mean of the operators with eigenvectors ``v`` over the `order` and
+    `2 * order` rules, which must agree. The `order` rule's nodes also go
+    through the Fock construction (_fock_check), weighted alike. Returns the
+    `2 * order` mean, the change, the `2 * order` rule and the Fock gap."""
+    q_lo, w_lo, log_lo = _quadrature_mean(*radial_quadrature_nodes(sym_class, weight, modes, order), v)
+    fock_dev = _fock_check(from_eigenpairs(w_lo, v), q_lo, log_lo)
     rule_hi = radial_quadrature_nodes(sym_class, weight, modes, 2 * order)
-    q_hi = _weighted_mean_ops(*rule_hi, op_batch_fn)
+    q_hi = _quadrature_mean(*rule_hi, v)[0]
     delta = float(np.abs(q_hi - q_lo).max())
     if delta > QUAD_CONVERGENCE_TOL:
         raise NonConvergenceError(
             f"quadrature order doubling changed the mean by {delta:.3e} "
             f"(> {QUAD_CONVERGENCE_TOL}); increase quad_order"
         )
-    return q_hi, delta, rule_hi
+    return q_hi, delta, rule_hi, fock_dev
+
+
+def _fock_rule(quad_order: int) -> str:
+    return (
+        f"the order-{quad_order} rule's Wick mean within {FOCK_CHECK_TOL:g} of the same nodes "
+        f"through the Fock construction"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -472,19 +517,18 @@ def verify_resolution_quadrature(
         )
     weight.validate_for(modes, sym_class)
 
-    u_main = np.eye(2 * modes) if rotation is None else rotation.bogoliubov
+    # the coefficient matrix U^-1 diag(lam, -lam) U has the eigenvectors U^dag
+    v_main = np.eye(2 * modes) if rotation is None else rotation.bogoliubov.conj().T
     alt = random_polar_rotation(modes, RngSpec(ROTATION_SEED, stream=1))
-    q_main, delta, (pts_hi, wts_hi) = _converged_mean(
-        sym_class, weight, modes, quad_order, lambda pts: _rotated_gaussian_blocks(pts, u_main)
-    )
-    q_alt = _weighted_mean_ops(pts_hi, wts_hi, lambda pts: _rotated_gaussian_blocks(pts, alt.bogoliubov))
+    q_main, delta, (pts_hi, wts_hi), fock_dev = _converged_mean(sym_class, weight, modes, quad_order, v_main)
+    q_alt = _quadrature_mean(pts_hi, wts_hi, alt.bogoliubov.conj().T)[0]
 
     dim = 1 << modes
     target = FockOperator(modes, np.eye(dim) / dim, hermitian=True)
     dev = float(np.abs(q_main - target.matrix).max())
     rot_delta = float(np.abs(q_main - q_alt).max())
     odd_coeffs = np.einsum("s,sj->j", wts_hi, np.tanh(pts_hi / 2.0)) / wts_hi.sum()
-    passed = dev <= QUAD_TOL and rot_delta <= QUAD_TOL
+    passed = dev <= QUAD_TOL and rot_delta <= QUAD_TOL and fock_dev <= FOCK_CHECK_TOL
     return EstimatorReport(
         target=target,
         mean=FockOperator(modes, q_main),
@@ -495,7 +539,7 @@ def verify_resolution_quadrature(
         passed=passed,
         criterion=(
             f"max-entry deviation from 2^-{modes} I <= {QUAD_TOL} and "
-            f"rotation-independence delta <= {QUAD_TOL}"
+            f"rotation-independence delta <= {QUAD_TOL}; {_fock_rule(quad_order)}"
         ),
         details={
             "symmetry_class": sym_class.label,
@@ -504,6 +548,7 @@ def verify_resolution_quadrature(
             "convergence_delta": delta,
             "rotation_delta": rot_delta,
             "odd_mode_coefficients": [float(abs(c)) for c in odd_coeffs],
+            "fock_check_deviation": fock_dev,
             "tolerance": QUAD_TOL,
         },
     )
@@ -522,7 +567,12 @@ def shifted_weight_quadrature_deviation(
     lam, w = _weight_rule(WeightSpec.gaussian(p), quad_order, False)
     points, wts = _tensor(lam + offset, w, modes)
     wts = wts * _radial_density(points, sym_class, False)
-    q = _weighted_mean_ops(points, wts, lambda pts: _rotated_gaussian_blocks(pts, np.eye(2 * modes)))
+    if not wts.any():
+        raise ContractError(
+            f"every node of the order-{quad_order} shifted rule sits on a zero of the radial density; "
+            f"raise quad_order"
+        )
+    q = _quadrature_mean(points, wts, np.eye(2 * modes))[0]
     dim = 1 << modes
     return float(np.abs(q - np.eye(dim) / dim).max())
 
@@ -645,10 +695,14 @@ def nc_even_weight_quadrature(modes: int, p: float, quad_order: int = 60) -> tup
     proportional to the identity; with two the eigenvalue-repulsion factor is
     not even in each eigenvalue separately and a nonzero residual survives.
     """
-    weight = WeightSpec.nc_even(p)
+    return _nc_even_mean(modes, p, quad_order)[:2]
+
+
+def _nc_even_mean(modes: int, p: float, quad_order: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """nc_even_weight_quadrature's mean and rotation, and its Fock gap."""
     u = sample_haar_unitary_batch(modes, RngSpec(ROTATION_SEED, stream=2), 1)[0]
-    q, _, _ = _converged_mean(CLASS_D, weight, modes, quad_order, lambda pts: _rotated_ncons_blocks(pts, u))
-    return q, u
+    q, _, _, fock_dev = _converged_mean(CLASS_D, WeightSpec.nc_even(p), modes, quad_order, _ncons_eigenvectors(u))
+    return q, u, fock_dev
 
 
 def nc_failure_residual(p: float) -> float:
@@ -671,12 +725,13 @@ def verify_nc_failure(modes: int = 2, p: float = 1.0, quad_order: int = 60) -> E
     """Quadrature of the number-conserving family against the even weight: the
     residual distance from all identity multiples must *exceed* the oracle
     floor, FAILURE_FLOOR_FRACTION of nc_failure_residual(p), and must live
-    entirely in the rotated number-operator sector."""
+    entirely in the rotated number-operator sector; its Wick mean is held to
+    the Fock construction as in verify_resolution_quadrature."""
     if modes != 2:
         raise ContractError("the even-weight failure demonstration is pinned at two modes")
     oracle = nc_failure_residual(p)
     floor = FAILURE_FLOOR_FRACTION * oracle
-    q, u = nc_even_weight_quadrature(modes, p, quad_order)
+    q, u, fock_dev = _nc_even_mean(modes, p, quad_order)
     c, residual = _closest_identity_multiple(q)
 
     # residual decomposition over {I, N_1, N_2, N_1 N_2} built from b = U^dag a
@@ -690,7 +745,7 @@ def verify_nc_failure(modes: int = 2, p: float = 1.0, quad_order: int = 60) -> E
 
     dim = 1 << modes
     target = FockOperator(modes, c * np.eye(dim), hermitian=True)
-    passed = residual >= floor and sector_residual < 1e-9
+    passed = residual >= floor and sector_residual < 1e-9 and fock_dev <= FOCK_CHECK_TOL
     return EstimatorReport(
         target=target,
         mean=FockOperator(modes, q),
@@ -702,7 +757,7 @@ def verify_nc_failure(modes: int = 2, p: float = 1.0, quad_order: int = 60) -> E
         criterion=(
             f"min over c of the max-entry norm of (mean - c I) must exceed the oracle "
             f"floor {floor:.6g} and project onto the rotated "
-            f"number-operator sector to within 1e-9"
+            f"number-operator sector to within 1e-9; {_fock_rule(quad_order)}"
         ),
         details={
             "p": p,
@@ -711,6 +766,7 @@ def verify_nc_failure(modes: int = 2, p: float = 1.0, quad_order: int = 60) -> E
             "failure_floor": floor,
             "oracle_residual": oracle,
             "sector_residual": sector_residual,
+            "fock_check_deviation": fock_dev,
         },
     )
 
@@ -747,9 +803,7 @@ def verify_nc_modified(
         # the embedding (h, 0) of h = U diag(pts) U^dag has the eigenpairs
         # [pts, -pts] and blockdiag(U, conj U): no eigh is needed
         pts, us = draw(gen, per)
-        v = np.zeros((per, 2 * modes, 2 * modes), dtype=complex)
-        v[:, :modes, :modes] = us
-        v[:, modes:, modes:] = us.conj()
+        v = _ncons_eigenvectors(us)
         return embed_parity_blocks(wick_mean_blocks(np.concatenate([pts, -pts], axis=1), v)), pts
 
     results, samples = _run_chunks(worker, n_samples, spec, modes, workers)

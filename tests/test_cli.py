@@ -51,6 +51,22 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert "400-node Gauss-Hermite rule" in err and "quad_order" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["resolution", "--mode", "quad", "--modes", "2"],
+            ["resolution", "--mode", "quad", "--modes", "2", "--weight", "determinant", "-p", "2"],
+            ["resolution", "--mode", "quad", "--modes", "1", "--symmetry-class", "C"],
+            ["number-conserving", "--variant", "failure"],
+        ],
+    )
+    def test_rule_too_coarse_for_its_density_names_quad_order(self, argv, capsys):
+        # the one node sits on a zero of the radial density, whatever p is
+        assert run(argv + ["--quad-order", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "sits on a zero of the radial density" in err and "raise quad_order" in err
+        assert "moderate p" not in err
+
     def test_legendre_quad_order_200_still_passes(self):
         argv = ["resolution", "--mode", "quad", "--modes", "2", "-p", "2", "--weight", "determinant"]
         assert run(argv + ["--quad-order", "200"]) == 0

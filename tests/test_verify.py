@@ -1,7 +1,10 @@
+import dataclasses
+import json
 import math
 import re
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -27,8 +30,9 @@ from fermigauss import (
     verify_resolution_mc,
     verify_resolution_quadrature,
 )
-from fermigauss import sample_class_d_batch
-from fermigauss.fock import _quadratic_tensor, embed_parity_blocks, quadratic_hamiltonian_batch
+from fermigauss import gaussian, sample_class_d_batch
+from fermigauss.cli import run
+from fermigauss.fock import _quadratic_tensor, _wick_plan, embed_parity_blocks, quadratic_hamiltonian_batch
 from fermigauss.selberg import laguerre_selberg_log, selberg_integral_log
 from fermigauss.verify import (
     FAILURE_FLOOR_FRACTION,
@@ -37,7 +41,12 @@ from fermigauss.verify import (
     _chunk_estimate,
     _closest_identity_multiple,
     _entry_gate,
+    _radial_density,
+    _rotated_gaussian_blocks,
+    _rotated_ncons_blocks,
     _run_chunks,
+    _tensor,
+    _weight_rule,
     nc_failure_residual,
     radial_quadrature_nodes,
 )
@@ -162,6 +171,22 @@ class TestRadialQuadratureNodes:
             radial_quadrature_nodes(CLASS_D, WeightSpec.nc_modified(1.0), 2, 10)
 
     @pytest.mark.parametrize(
+        "sym, weight, modes, order",
+        [
+            (CLASS_D, WeightSpec.gaussian(1.0), 2, 1),
+            (CLASS_D, WeightSpec.gaussian(1.0), 2, 2),
+            (CLASS_D, WeightSpec.determinant(2.0), 2, 1),
+            (CLASS_C, WeightSpec.gaussian(1.0), 1, 1),
+            (CLASS_D, WeightSpec.nc_even(1.0), 2, 1),
+        ],
+        ids=["D-2-order1", "D-2-order2", "D-determinant-2-order1", "C-1-order1", "nc_even-2-order1"],
+    )
+    def test_rule_with_every_node_on_a_density_zero_names_quad_order(self, sym, weight, modes, order):
+        # a node at lam = 0 or on |lam_1| = |lam_2| carries no weight whatever p is
+        with pytest.raises(ContractError, match=f"order-{order} radial rule .* raise quad_order"):
+            radial_quadrature_nodes(sym, weight, modes, order)
+
+    @pytest.mark.parametrize(
         "weight", [WeightSpec.gaussian(1e-300), WeightSpec.gaussian(1e300), WeightSpec.determinant(1e300)]
     )
     def test_rule_outside_float64_is_domain_error(self, weight):
@@ -280,6 +305,91 @@ class TestFockCrossCheck:
         for rep in reps:
             assert 0.0 <= rep.details["fock_check_deviation"] <= FOCK_CHECK_TOL
             assert f"within {FOCK_CHECK_TOL:g} of the same draws through the Fock construction" in rep.criterion
+
+
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_every_quadrature_report_carries_it(self, modes):
+        reps = [verify_resolution_quadrature(modes, CLASS_D, WeightSpec.gaussian(1.0), quad_order=30)]
+        if modes == 2:
+            reps.append(verify_nc_failure(2, 1.0, quad_order=30))
+        for rep in reps:
+            assert 0.0 <= rep.details["fock_check_deviation"] <= FOCK_CHECK_TOL
+            assert f"order-30 rule's Wick mean within {FOCK_CHECK_TOL:g} of the same nodes" in rep.criterion
+        assert list(reps[0].details)[-2:] == ["fock_check_deviation", "tolerance"]
+
+
+def _fock_quadrature_mean(points, wts, op_batch_fn) -> np.ndarray:
+    """The quadrature mean one Fock matrix per node, as the drivers took it
+    before the Wick kernel: the weighted mean of the parity blocks, embedded."""
+    return embed_parity_blocks(np.einsum("s,spab->pab", wts, op_batch_fn(points)) / wts.sum())
+
+
+class TestWickQuadrature:
+    """The quadrature drivers' Wick means against the per-node Fock path."""
+
+    @pytest.mark.parametrize("weight", [WeightSpec.gaussian(1.0), WeightSpec.determinant(4.0)], ids=lambda w: w.kind)
+    @pytest.mark.parametrize("sym", [CLASS_D, CLASS_C, CLASS_DIII, CLASS_CI], ids=lambda s: s.label)
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_resolution_matches_the_per_node_fock_path(self, modes, sym, weight):
+        rotation = random_polar_rotation(modes, RngSpec(5))
+        rep = verify_resolution_quadrature(modes, sym, weight, rotation)
+        pts, wts = radial_quadrature_nodes(sym, weight, modes, 120)
+        want = _fock_quadrature_mean(pts, wts, lambda p: _rotated_gaussian_blocks(p, rotation.bogoliubov))
+        assert np.abs(rep.mean.matrix - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("offset", [0.1, 0.5])
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_shifted_weight_matches_the_per_node_fock_path(self, modes, offset):
+        lam, w = _weight_rule(WeightSpec.gaussian(1.0), 60, False)
+        pts, wts = _tensor(lam + offset, w, modes)
+        wts = wts * _radial_density(pts, CLASS_D, False)
+        want = _fock_quadrature_mean(pts, wts, lambda p: _rotated_gaussian_blocks(p, np.eye(2 * modes)))
+        want_dev = np.abs(want - np.eye(1 << modes) / (1 << modes)).max()
+        assert abs(shifted_weight_quadrature_deviation(modes, CLASS_D, 1.0, offset) - want_dev) <= 1e-13
+
+    @pytest.mark.parametrize("p", [1.0, 2.5])
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_nc_even_weight_matches_the_per_node_fock_path(self, modes, p):
+        q, u = nc_even_weight_quadrature(modes, p)
+        pts, wts = radial_quadrature_nodes(CLASS_D, WeightSpec.nc_even(p), modes, 120)
+        assert np.abs(q - _fock_quadrature_mean(pts, wts, lambda x: _rotated_ncons_blocks(x, u))).max() <= 1e-13
+
+    def test_shifted_rule_with_every_node_on_a_density_zero_names_quad_order(self):
+        # one node per mode at lam = offset: the two-mode node sits on lam_1 = lam_2
+        with pytest.raises(ContractError, match="order-1 shifted rule .* raise quad_order"):
+            shifted_weight_quadrature_deviation(2, CLASS_D, 1.0, 0.5, 1)
+
+    def test_zero_weight_nodes_raise_no_warning(self):
+        # the class-D tensor rule puts 240 of its 14400 nodes on lam_1 = +-lam_2
+        _, wts = radial_quadrature_nodes(CLASS_D, WeightSpec.gaussian(1.0), 2, 120)
+        assert (wts == 0.0).sum() == 240
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert verify_resolution_quadrature(2, CLASS_D, WeightSpec.gaussian(1.0)).passed
+            assert verify_nc_failure(2, 1.0).passed
+            shifted_weight_quadrature_deviation(2, CLASS_D, 1.0, 0.1)
+        assert caught == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["resolution", "--mode", "quad", "--modes", "2"], ["number-conserving", "--variant", "failure"]],
+        ids=["resolution", "failure"],
+    )
+    def test_perturbed_phase_fails_the_report_through_the_cross_check(self, argv, monkeypatch, tmp_path):
+        # i times one entry of the empty set's column: the resolution mean
+        # carries no other coordinate, so that is where a broken phase shows
+        argv = argv + ["--quad-order", "30"]
+        assert run(argv + ["--out", str(tmp_path / "good.json")]) == 0
+        plan = _wick_plan(2)
+        scatter = plan.scatter
+        data = scatter.data.copy()
+        data[np.flatnonzero(scatter.indices == 0)[0]] *= 1j
+        bad = dataclasses.replace(plan, scatter=type(scatter)((data, scatter.indices, scatter.indptr), shape=scatter.shape))
+        monkeypatch.setattr(gaussian, "_wick_plan", lambda modes: bad)
+        assert run(argv + ["--out", str(tmp_path / "bad.json")]) == 1
+        good, bad = (json.loads((tmp_path / f"{n}.json").read_text())["criteria"][0] for n in ("good", "bad"))
+        assert good["details"]["fock_check_deviation"] <= FOCK_CHECK_TOL
+        assert bad["details"]["fock_check_deviation"] > 1e-4
 
 
 class TestChunkEstimate:
