@@ -39,9 +39,13 @@ benchmark workload writes:
 - write_report:           encoding and writing the JSON file
 
 Each layer runs 5 times; the tables give the minimum and the median in
-seconds. The numerical environment (numpy, scipy and BLAS versions, CPU
-count, affinity, thread variables) is recorded beside the table, through
-benchmark/environment.py. Run from the repository root:
+seconds. Every table runs with both bundled OpenBLAS builds on one thread,
+as inside a CLI call, through this checkout's ``fermigauss/blas.py`` (so a
+``--src`` tree without that module is timed the same way), and the thread
+count each build reads there is recorded as ``blas_threads``. The numerical
+environment (numpy, scipy and BLAS versions, CPU count, affinity, thread
+variables) is recorded beside it, through benchmark/environment.py. Run
+from the repository root:
 
     python3 scripts/bench_layers.py --label change --out BENCH_13.json
     python3 scripts/bench_layers.py --src ../other-checkout/src --label parent --out BENCH_13.json
@@ -54,6 +58,7 @@ matrices holds about 1 GB at once.
 """
 
 import argparse
+import importlib.util
 import json
 import statistics
 import sys
@@ -220,6 +225,15 @@ def report_table() -> dict:
     return {"modes": REPORT_MODES, "samples": REPORT_SAMPLES, "bytes": size, "layers": table}
 
 
+def blas_helper():
+    """This checkout's fermigauss/blas.py, loaded by path: it imports nothing
+    from the package, so it serves whichever tree ``--src`` names."""
+    spec = importlib.util.spec_from_file_location("fermigauss_blas", ROOT / "src" / "fermigauss" / "blas.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding the fermigauss package")
@@ -232,16 +246,19 @@ def main() -> int:
     sys.path.insert(1, str(ROOT / "benchmark"))
     from environment import environment
 
-    entry = {
-        "chunk": CHUNK,
-        "repeats": REPEATS,
-        "p": 1.0,
-        "environment": environment(workers=1),
-        "layers": layer_table(),
-        "small_chunk": small_chunk_table(),
-        "quad": quad_table(),
-        "report": report_table(),
-    }
+    blas = blas_helper()
+    with blas.blas_threads():
+        entry = {
+            "chunk": CHUNK,
+            "repeats": REPEATS,
+            "p": 1.0,
+            "environment": environment(workers=1),
+            "blas_threads": blas.thread_counts(),
+            "layers": layer_table(),
+            "small_chunk": small_chunk_table(),
+            "quad": quad_table(),
+            "report": report_table(),
+        }
     if args.out is None:
         print(json.dumps({args.label: entry}, indent=2))
         return 0

@@ -1,0 +1,151 @@
+#!/usr/bin/env python3
+"""Parent-versus-change timings in alternating fresh processes.
+
+For each workload, runs ``benchmark/run.py`` of the parent tree and of the
+change tree in pairs, each run in a fresh interpreter, with one seed per
+pair and the side that runs first alternating from pair to pair, and
+records every end-to-end metric of every run. For each metric it writes
+both trees' values, the per-pair ratios change/parent, the number of pairs
+the change won, both medians and the parent's interquartile range.
+
+It then times ``resolution --mode mc --modes 6 --samples 16000`` at
+``--workers 1`` and ``--workers 2`` in fresh processes, in pairs that
+alternate which count runs first, in both trees: wall and CPU seconds of
+the ``cli.run`` call alone, unscaled.
+
+Run from the repository root of the change, with the parent checked out
+elsewhere:
+
+    python3 scripts/bench_pairs.py --parent ../parent --out BENCH_14.json
+
+``--out`` adds the result under ``pairs`` and ``workers`` to the JSON file,
+keeping what is already in it.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKLOADS = ("checks", "mc_m6", "nc_modified")
+#: Metrics where a smaller value is better; the rest are rates.
+LOWER_IS_BETTER = {"wall_s", "cpu_s", "peak_rss_mb", "setup_s"}
+WORKERS_ARGV = ["resolution", "--mode", "mc", "--modes", "6", "--samples", "16000", "--seed", "1"]
+TIME_CALL = """
+import json, sys, time
+sys.path.insert(0, "src")
+from fermigauss import cli
+argv = json.loads(sys.argv[1])
+wall, cpu = time.perf_counter(), time.process_time()
+code = cli.run(argv)
+print(json.dumps({"code": code, "wall_s": time.perf_counter() - wall, "cpu_s": time.process_time() - cpu}))
+"""
+
+
+def _last_json(stdout: str) -> dict:
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=tree, capture_output=True, text=True, check=True,
+    )
+    result = _last_json(proc.stdout)
+    return {"failed": result["failed"]} | {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def timed_call(tree: Path, argv: list[str]) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-c", TIME_CALL, json.dumps(argv + ["--out", "/dev/null"])],
+        cwd=tree, capture_output=True, text=True, check=True,
+    )
+    return _last_json(proc.stdout)
+
+
+def summary(parent: list[float], change: list[float], lower_is_better: bool) -> dict:
+    ratios = [c / p for p, c in zip(parent, change)]
+    q1, _, q3 = statistics.quantiles(parent, n=4)
+    med = statistics.median(parent)
+    return {
+        "parent": parent,
+        "change": change,
+        "ratios": ratios,
+        "change_won": sum((r < 1.0) if lower_is_better else (r > 1.0) for r in ratios),
+        "parent_median": med,
+        "change_median": statistics.median(change),
+        "parent_iqr_rel": (q3 - q1) / med,
+    }
+
+
+def pairs(parent: Path, change: Path, count: int, seconds: float) -> dict:
+    out = {}
+    for workload in WORKLOADS:
+        runs = {"parent": [], "change": []}
+        for seed in range(1, count + 1):
+            order = (("parent", parent), ("change", change))
+            for label, tree in order if seed % 2 else order[::-1]:
+                runs[label].append(bench_run(tree, workload, seed, seconds))
+            p, c = runs["parent"][-1], runs["change"][-1]
+            print(f"{workload} pair {seed}: cpu_s {p['cpu_s']:.3f} / {c['cpu_s']:.3f}, "
+                  f"wall_s {p['wall_s']:.3f} / {c['wall_s']:.3f}", file=sys.stderr)
+        out[workload] = {
+            "failed": {label: [r["failed"] for r in rs] for label, rs in runs.items()},
+            "metrics": {
+                name: summary([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
+                              name in LOWER_IS_BETTER)
+                for name in runs["parent"][0]
+                if name != "failed"
+            },
+        }
+    return out
+
+
+def workers(parent: Path, change: Path, count: int) -> dict:
+    out = {}
+    for label, tree in (("parent", parent), ("change", change)):
+        runs = {1: [], 2: []}
+        for k in range(count):
+            for n in (1, 2) if k % 2 == 0 else (2, 1):
+                runs[n].append(timed_call(tree, WORKERS_ARGV + ["--workers", str(n)]))
+        one, two = ([r["wall_s"] for r in runs[n]] for n in (1, 2))
+        out[label] = {
+            "workers_1": runs[1],
+            "workers_2": runs[2],
+            "two_won": sum(b < a for a, b in zip(one, two)),
+            "wall_median": {"1": statistics.median(one), "2": statistics.median(two)},
+        }
+        print(f"{label} workers: 1 -> {out[label]['wall_median']['1']:.3f} s, "
+              f"2 -> {out[label]['wall_median']['2']:.3f} s, 2 won {out[label]['two_won']} of {count}",
+              file=sys.stderr)
+    return out
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="root of the parent checkout")
+    parser.add_argument("--change", type=Path, default=ROOT, help="root of the change checkout (default: this one)")
+    parser.add_argument("--pairs", type=int, default=10, help="benchmark pairs per workload")
+    parser.add_argument("--seconds", type=float, default=25.0, help="--seconds of each benchmark run")
+    parser.add_argument("--worker-pairs", type=int, default=5, help="--workers 1/2 pairs per tree")
+    parser.add_argument("--out", type=Path, help="JSON file to add the result to")
+    args = parser.parse_args()
+    result = {
+        "settings": {"pairs": args.pairs, "seconds": args.seconds, "worker_pairs": args.worker_pairs,
+                     "workers_argv": WORKERS_ARGV},
+        "pairs": pairs(args.parent, args.change, args.pairs, args.seconds),
+        "workers": workers(args.parent, args.change, args.worker_pairs),
+    }
+    if args.out is None:
+        print(json.dumps(result, indent=2))
+        return 0
+    data = json.loads(args.out.read_text()) if args.out.is_file() else {}
+    args.out.write_text(json.dumps(data | result, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

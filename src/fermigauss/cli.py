@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import reports
+from .blas import blas_threads
 from .ensembles import CLASS_D, RngSpec, WeightSpec, sample_radial_mcmc, symmetry_class
 from .errors import FermigaussError
 from .verify import (
@@ -263,7 +264,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        with blas_threads():
+            return args.func(args)
     except FermigaussError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

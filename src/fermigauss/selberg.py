@@ -9,12 +9,17 @@ suite.
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DomainError
 
 LOG2 = math.log(2.0)
 LOG_PI = math.log(math.pi)
+
+
+#: log|Gamma(x)| entrywise, through ``math.lgamma``. The arrays here hold one
+#: term per mode, all with positive arguments in the validated domains, so no
+#: pole is ever met; this keeps ``scipy.special`` off the import path.
+_lgamma = np.vectorize(math.lgamma, otypes=[float])
 
 
 def vandermonde(lams) -> float:
@@ -45,11 +50,11 @@ def selberg_integral_log(a: float, b: float, g: float, n: int) -> float:
         raise DomainError(f"domain violation: g > {-bound} required, got g = {g}")
     j = np.arange(n)
     terms = (
-        gammaln(1 + g + j * g)
-        + gammaln(a + j * g)
-        + gammaln(b + j * g)
-        - gammaln(1 + g)
-        - gammaln(a + b + (n + j - 1) * g)
+        _lgamma(1 + g + j * g)
+        + _lgamma(a + j * g)
+        + _lgamma(b + j * g)
+        - _lgamma(1 + g)
+        - _lgamma(a + b + (n + j - 1) * g)
     )
     return float(terms.sum())
 
@@ -64,7 +69,7 @@ def laguerre_selberg_log(atilde: float, g: float, n: int) -> float:
     if g < 0:
         raise DomainError(f"domain violation: g >= 0 required, got {g}")
     j = np.arange(1, n + 1)
-    terms = gammaln(1 + j * g) + gammaln(atilde + g * (j - 1)) - gammaln(1 + g)
+    terms = _lgamma(1 + j * g) + _lgamma(atilde + g * (j - 1)) - _lgamma(1 + g)
     return float((atilde * n + g * n * (n - 1)) * LOG2 + terms.sum())
 
 
@@ -82,7 +87,7 @@ def radial_gaussian_integral_log(modes: int, p: float, alternate_exponent: bool 
         raise DomainError(f"domain violation: finite p > 0 required, got p = {p}")
     exponent = modes * (modes - 1.0) if alternate_exponent else modes * (modes - 0.5)
     j = np.arange(1, modes + 1)
-    return float(-exponent * math.log(2 * p) + (gammaln(1 + j) + gammaln(j - 0.5)).sum())
+    return float(-exponent * math.log(2 * p) + (_lgamma(1 + j) + _lgamma(j - 0.5)).sum())
 
 
 def cartesian_gaussian_integral_log(modes: int, p: float) -> float:
@@ -106,7 +111,7 @@ def angular_volume_log(modes: int) -> float:
     return float(
         modes * (modes - 0.5) * LOG_PI
         - modes * (modes - 1) * LOG2
-        - (gammaln(2 + j) + gammaln(j + 0.5)).sum()
+        - (_lgamma(2 + j) + _lgamma(j + 0.5)).sum()
     )
 
 
@@ -123,7 +128,7 @@ def norm_const_det_log(modes: int, p: float) -> float:
     return float(
         modes**2 * LOG2
         - modes * (modes - 0.5) * LOG_PI
-        + (gammaln(2 * p - modes + j + 1) - gammaln(2 * p - 2 * modes + j + 1.5)).sum()
+        + (_lgamma(2 * p - modes + j + 1) - _lgamma(2 * p - 2 * modes + j + 1.5)).sum()
     )
 
 

@@ -1,9 +1,16 @@
+import contextlib
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fermigauss import blas, cli
 from fermigauss.cli import run
 
 
@@ -300,3 +307,140 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("modes 2\n")
         assert run(["resolution", "--config", str(cfg)]) == 2
+
+
+@pytest.fixture
+def builds_at_two():
+    """Both bundled OpenBLAS builds on 2 threads for the test, their own counts after it."""
+    assert set(blas.thread_counts()) == {"numpy", "scipy"}
+    with blas.blas_threads(2):
+        yield
+
+
+def spy_on_selberg(monkeypatch, seen, passed=True):
+    """Record the BLAS thread counts inside `selberg`; optionally fail every check."""
+    real = cli.selberg_consistency_suite
+
+    def spy(max_modes):
+        seen.append(blas.thread_counts())
+        return [dataclasses.replace(r, passed=r.passed and passed) for r in real(max_modes)]
+
+    monkeypatch.setattr(cli, "selberg_consistency_suite", spy)
+
+
+class TestBlasThreads:
+    SELBERG = ["selberg", "--consistency", "--max-modes", "2"]
+
+    @pytest.mark.parametrize("passed, code", [(True, 0), (False, 1)])
+    def test_pinned_inside_and_restored_after_a_verdict(self, passed, code, builds_at_two, monkeypatch):
+        seen = []
+        spy_on_selberg(monkeypatch, seen, passed)
+        assert run(self.SELBERG) == code
+        assert seen == [{"numpy": 1, "scipy": 1}]
+        assert blas.thread_counts() == {"numpy": 2, "scipy": 2}
+
+    def test_restored_after_a_usage_error_inside_the_call(self, builds_at_two, monkeypatch, capsys):
+        def usage_error(max_modes):
+            assert blas.thread_counts() == {"numpy": 1, "scipy": 1}
+            raise cli.FermigaussError("bad input")
+
+        monkeypatch.setattr(cli, "selberg_consistency_suite", usage_error)
+        assert run(self.SELBERG) == 2
+        assert "bad input" in capsys.readouterr().err
+        assert blas.thread_counts() == {"numpy": 2, "scipy": 2}
+
+    def test_restored_after_an_exception_from_a_subcommand(self, builds_at_two, monkeypatch):
+        def crash(max_modes):
+            raise RuntimeError("crash")
+
+        monkeypatch.setattr(cli, "selberg_consistency_suite", crash)
+        with pytest.raises(RuntimeError, match="crash"):
+            run(self.SELBERG)
+        assert blas.thread_counts() == {"numpy": 2, "scipy": 2}
+
+    def test_parse_error_touches_no_count(self, builds_at_two):
+        assert run(["selberg", "--nope"]) == 2
+        assert blas.thread_counts() == {"numpy": 2, "scipy": 2}
+
+    def test_scipy_build_pinned_after_the_lazy_scipy_linalg_import(self):
+        # a fresh interpreter, so that `identities` is what imports scipy.linalg
+        script = """
+import json, sys
+from fermigauss import blas, cli
+assert "scipy.linalg" not in sys.modules and "scipy.special" not in sys.modules
+real, seen = cli.operator_identity_suite, {"before": blas.thread_counts()}
+def spy(*args):
+    out = real(*args)
+    with open("/proc/self/maps") as fh:
+        seen["mapped"] = sorted({l.split()[-1] for l in fh if "libscipy_openblas-" in l})
+    seen["counts"] = blas.thread_counts()
+    seen["linalg"] = "scipy.linalg" in sys.modules
+    return out
+cli.operator_identity_suite = spy
+code = cli.run(["identities", "--modes", "2", "--trials", "2"])
+print(json.dumps({"code": code, "after": blas.thread_counts(), **seen}))
+"""
+        src = str(Path(blas.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env)
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen["code"] == 0 and seen["linalg"]
+        assert seen["counts"] == {"numpy": 1, "scipy": 1}
+        assert seen["after"] == seen["before"]
+        # scipy.linalg runs on the one copy of scipy's OpenBLAS, the copy the helper set
+        assert len(seen["mapped"]) == 1
+
+    @pytest.mark.parametrize("broken", [("numpy",), ("scipy",), ("numpy", "scipy")])
+    @pytest.mark.parametrize("part", ["library", "symbol"])
+    def test_missing_library_or_symbol_leaves_that_build_alone(self, part, broken, builds_at_two, monkeypatch):
+        real = blas._controls()
+        builds = [
+            (pkg, "libmissing-*.so" if part == "library" and pkg in broken else pattern,
+             "missing_symbol" if part == "symbol" and pkg in broken else get, put)
+            for pkg, pattern, get, put in blas.BUILDS
+        ]
+        monkeypatch.setattr(blas, "BUILDS", tuple(builds))
+        blas._controls.cache_clear()
+        try:
+            seen = []
+            real_suite = cli.selberg_consistency_suite
+
+            def spy(max_modes):
+                seen.append({pkg: get() for pkg, (get, _) in real.items()})
+                return real_suite(max_modes)
+
+            monkeypatch.setattr(cli, "selberg_consistency_suite", spy)
+            assert run(self.SELBERG) == 0
+        finally:
+            blas._controls.cache_clear()
+        assert seen == [{pkg: 2 if pkg in broken else 1 for pkg in real}]
+        assert {pkg: get() for pkg, (get, _) in real.items()} == {"numpy": 2, "scipy": 2}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["resolution", "--mode", "mc", "--modes", "6", "--samples", "400"],
+            ["canonical", "--modes", "3", "--samples", "2000"],
+            ["number-conserving", "--variant", "modified", "--modes", "3", "--samples", "2000"],
+        ],
+    )
+    def test_reports_byte_identical_at_one_and_two_blas_threads(self, argv, monkeypatch, tmp_path):
+        seen = []
+
+        def pinned_at(count):
+            @contextlib.contextmanager
+            def pin():
+                with blas.blas_threads(count):
+                    seen.append(blas.thread_counts())
+                    yield
+
+            return pin
+
+        texts = []
+        for count in (1, 2):
+            monkeypatch.setattr(cli, "blas_threads", pinned_at(count))
+            out = tmp_path / f"threads-{count}.json"
+            assert run(argv + ["--seed", "5", "--out", str(out)]) in (0, 1)
+            texts.append(strip_timestamp(out.read_text()))
+        assert seen == [{"numpy": 1, "scipy": 1}, {"numpy": 2, "scipy": 2}]
+        assert texts[0] == texts[1]

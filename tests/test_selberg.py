@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
-from scipy.special import betaln
+from scipy.special import betaln, gammaln
 
 from fermigauss import (
     DomainError,
+    selberg,
     RngSpec,
     angular_volume_log,
     cartesian_gaussian_integral_log,
@@ -263,3 +264,26 @@ class TestNormalizationConstants:
         for m in (1, 2, 3):
             shift = norm_const_gauss_log(m, 3.0) - norm_const_gauss_log(m, 1.0)
             assert abs(shift - m * (m - 0.5) * math.log(3.0)) < 1e-12
+
+
+LGAMMA_CASES = (
+    [(selberg_integral_log, (a, b, g, n)) for a, b in [(0.3, 0.5), (2.5, 3.0)] for g in (-0.02, 0.5, 1.0, 2.0)
+     for n in (1, 2, 6, 12)]
+    + [(selberg_integral_log, (0.5, 2 * p - 2 * m + 1.5, 1.0, m)) for m, p in [(1, 1.0), (3, 3.0), (6, 6.0)]]
+    + [(laguerre_selberg_log, (at, g, n)) for at in (0.5, 2.5) for g in (0.0, 0.5, 2.0) for n in (1, 6, 12)]
+    + [(radial_gaussian_integral_log, (m, p)) for m in (1, 3, 6, 12) for p in (0.1, 1.0, 7.0)]
+    + [(angular_volume_log, (m,)) for m in (1, 2, 6, 12)]
+    + [(norm_const_det_log, (m, p)) for m in (1, 2, 6, 12) for p in (m, 13.0, 50.0)]
+)
+
+
+class TestLgammaAgainstScipy:
+    """The closed forms take log-gamma from math.lgamma; scipy's gammaln is the oracle."""
+
+    @pytest.mark.parametrize("closed_form, args", LGAMMA_CASES, ids=lambda v: getattr(v, "__name__", str(v)))
+    def test_matches_gammaln(self, closed_form, args, monkeypatch):
+        value = closed_form(*args)
+        monkeypatch.setattr(selberg, "_lgamma", gammaln)
+        reference = closed_form(*args)
+        # relative, with the scale floored at 1 for values near zero
+        assert abs(value - reference) <= 1e-13 * max(abs(reference), 1.0)
