@@ -1,19 +1,17 @@
 #!/usr/bin/env python3
 """Per-layer times of one Monte Carlo chunk, at M = 1..6 modes.
 
-Times the layers of the resolution-of-unity worker on one chunk of 4000
-class-D draws at p = 1, through the Fock construction:
+Times one chunk of 4000 class-D draws at p = 1: the draws, the chunk mean
+that every resolution-of-unity worker takes through the Wick kernel, and
+the chunk-0 Fock cross-check on the same draws, whose three layers are
+the Fock construction that only chunk 0 runs:
 
 - sample:   sample_class_d_batch
+- wick:     the 2M x 2M eigh, wick_mean_blocks and embed_parity_blocks
 - assemble: quadratic_hamiltonian_batch
 - kernel:   exp_normalized_fock_batch
-- reduce:   the chunk mean as a full 2^M x 2^M matrix (embedded from the
-            parity blocks where the package returns blocks)
-
-and, where the package has the Wick kernel, the path that replaces the
-last three on the same draws:
-
-- wick:     the 2M x 2M eigh, wick_mean_blocks and embed_parity_blocks
+- reduce:   the chunk mean as a full 2^M x 2^M matrix, embedded from the
+            parity blocks
 
 A second table times both paths at M = 6 on chunks of 25 draws, the chunk
 size of the ``mc_m6`` benchmark workload (``fock`` = assemble, kernel and
@@ -53,8 +51,8 @@ from the repository root:
 ``--src`` names the directory holding the ``fermigauss`` package to time
 (default: this checkout's ``src``). ``--out`` adds the table under
 ``--label`` to the JSON file, keeping the tables already in it; without
-``--out`` the result is printed. At M = 6 a tree that assembles full dense
-matrices holds about 1 GB at once.
+``--out`` the result is printed. ``--src`` needs a tree with the Wick
+kernel (``gaussian.wick_mean_blocks``).
 """
 
 import argparse
@@ -95,29 +93,25 @@ def _wick(mats):
 def _reduce(ops):
     from fermigauss import fock
 
-    mean = ops.mean(axis=0)
-    return fock.embed_parity_blocks(mean) if mean.ndim == 3 else mean
+    return fock.embed_parity_blocks(ops.mean(axis=0))
 
 
 def layer_table() -> dict:
     from fermigauss import fock, gaussian
     from fermigauss.ensembles import RngSpec, sample_class_d_batch
 
-    has_wick = hasattr(gaussian, "wick_mean_blocks")
     table = {}
     for modes in range(1, 7):
         gen = RngSpec(modes).generator()
         warm = sample_class_d_batch(modes, 1.0, gen, 1)  # warm per-M caches
         fock.quadratic_hamiltonian_batch(warm)
-        times = {"sample": [], "assemble": [], "kernel": [], "reduce": []} | ({"wick": []} if has_wick else {})
-        if has_wick:
-            _wick(warm)
+        _wick(warm)
+        times = {"sample": [], "assemble": [], "kernel": [], "reduce": [], "wick": []}
         for _ in range(REPEATS):
             dt, mats = _timed(sample_class_d_batch, modes, 1.0, gen, CHUNK)
             times["sample"].append(dt)
-            if has_wick:
-                dt, wick_mean = _timed(_wick, mats)
-                times["wick"].append(dt)
+            dt, wick_mean = _timed(_wick, mats)
+            times["wick"].append(dt)
             dt, hams = _timed(fock.quadratic_hamiltonian_batch, mats)
             times["assemble"].append(dt)
             del mats
@@ -127,22 +121,18 @@ def layer_table() -> dict:
             dt, mean = _timed(_reduce, ops)
             times["reduce"].append(dt)
             del ops
-            assert mean.shape == (1 << modes, 1 << modes)
-            if has_wick:
-                assert np.abs(wick_mean - mean).max() <= 1e-12
+            assert np.abs(wick_mean - mean).max() <= 1e-12
         table[str(modes)] = _min_median(times)
         print(f"M = {modes}: " + ", ".join(f"{k} {v['median_s']:.4f} s" for k, v in table[str(modes)].items()),
               file=sys.stderr)
     return table
 
 
-def small_chunk_table() -> dict | None:
-    """Both paths at M = 6 on 25-draw chunks, interleaved; None without the Wick kernel."""
+def small_chunk_table() -> dict:
+    """Both paths at M = 6 on 25-draw chunks, interleaved."""
     from fermigauss import fock, gaussian
     from fermigauss.ensembles import RngSpec, sample_class_d_batch
 
-    if not hasattr(gaussian, "wick_mean_blocks"):
-        return None
     gen = RngSpec(SMALL_MODES).generator()
 
     def fock_path(mats):

@@ -84,7 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_selberg)
 
     p = subs.add_parser("ensembles", help="radial eigenvalue sampler / dumps")
-    p.add_argument("--dump-eigenvalues", action="store_true")
     p.add_argument("--symmetry-class", default="D", dest="sym_class")
     p.add_argument("--weight", choices=WeightSpec.KINDS, default="gaussian")
     p.add_argument("-p", "--stiffness", type=float, default=1.0, dest="p")

@@ -291,6 +291,8 @@ def sample_radial_mcmc(
     size tuned toward 40% acceptance, then thinned. Log-density arithmetic
     throughout; proposals on a coincidence zero are rejected outright.
     """
+    if modes < 1:
+        raise ContractError(f"need at least one mode, got modes = {modes}")
     if steps < 1:
         raise ContractError(f"need at least one retained sample, got steps = {steps}")
     if thin < 1 or burn_in < 0:

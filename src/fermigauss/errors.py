@@ -6,7 +6,7 @@ class FermigaussError(Exception):
 
 
 class CapacityError(FermigaussError, ValueError):
-    """Mode count exceeds the configured Fock-space cap."""
+    """Mode count exceeds the Fock-space cap."""
 
 
 class StructureError(FermigaussError, ValueError):

@@ -16,7 +16,7 @@ import scipy.sparse
 
 from .errors import CapacityError, ContractError, DomainError, StructureError
 
-#: Largest mode count accepted by default (64 x 64 matrices). Overridable per call.
+#: Largest mode count of every Fock-space construction (64 x 64 matrices).
 DEFAULT_MODE_CAP = 6
 
 #: Absolute tolerance used when an operator claims to be hermitian.
@@ -30,14 +30,11 @@ STRUCTURE_TOL = 1e-10
 LOG_FLOAT_MAX = log(np.finfo(float).max)
 
 
-def _check_modes(modes: int, cap: int) -> None:
+def _check_modes(modes: int) -> None:
     if not isinstance(modes, (int, np.integer)) or modes < 1:
         raise CapacityError(f"mode count must be a positive integer, got {modes!r}")
-    if modes > cap:
-        raise CapacityError(
-            f"mode count {modes} exceeds the Fock-space cap of {cap} modes "
-            f"(pass a larger cap explicitly to override)"
-        )
+    if modes > DEFAULT_MODE_CAP:
+        raise CapacityError(f"mode count {modes} exceeds the Fock-space cap of {DEFAULT_MODE_CAP} modes")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -105,13 +102,13 @@ def _annihilators(modes: int) -> tuple[np.ndarray, ...]:
     return tuple(ops)
 
 
-def build_mode_operators(modes: int, cap: int = DEFAULT_MODE_CAP) -> list[FockOperator]:
+def build_mode_operators(modes: int) -> list[FockOperator]:
     """Annihilation operators a_1 .. a_M as Fock-space matrices.
 
     The returned operators satisfy {a_i, a_j^dag} = delta_ij and {a_i, a_j} = 0
     exactly (entries are 0 or +-1), and annihilate the vacuum (basis index 0).
     """
-    _check_modes(modes, cap)
+    _check_modes(modes)
     return [FockOperator(modes, m) for m in _annihilators(modes)]
 
 
@@ -329,7 +326,7 @@ def _check_coefficient_structure(mat: np.ndarray, tol: float = STRUCTURE_TOL) ->
     return m
 
 
-def quadratic_hamiltonian(coeff, cap: int = DEFAULT_MODE_CAP) -> FockOperator:
+def quadratic_hamiltonian(coeff) -> FockOperator:
     """Fock-space operator (1/2) gamma^dag H gamma for a 2M x 2M coefficient matrix.
 
     Accepts a BdgMatrix or a plain 2M x 2M array with valid block structure.
@@ -340,12 +337,12 @@ def quadratic_hamiltonian(coeff, cap: int = DEFAULT_MODE_CAP) -> FockOperator:
     """
     mat = coeff.assembled() if hasattr(coeff, "assembled") else np.asarray(coeff, dtype=complex)
     modes = _check_coefficient_structure(mat)
-    out = embed_parity_blocks(quadratic_hamiltonian_batch(mat[None], cap)[0])
+    out = embed_parity_blocks(quadratic_hamiltonian_batch(mat[None])[0])
     herm = np.abs(mat - mat.conj().T).max() <= STRUCTURE_TOL
     return FockOperator(modes, out, hermitian=herm)
 
 
-def quadratic_hamiltonian_batch(mats: np.ndarray, cap: int = DEFAULT_MODE_CAP) -> np.ndarray:
+def quadratic_hamiltonian_batch(mats: np.ndarray) -> np.ndarray:
     """Parity blocks of the Fock matrices (1/2) gamma^dag H gamma for a stack
     of coefficient matrices.
 
@@ -354,18 +351,16 @@ def quadratic_hamiltonian_batch(mats: np.ndarray, cap: int = DEFAULT_MODE_CAP) -
     result (n, 2, 2^(M-1), 2^(M-1)): the even-parity block, then the odd one,
     each over its basis states in ascending order (embed_parity_blocks turns
     them into full matrices). It is one product with the cached
-    _assembly_plan, copied to C order: eigh keeps its input's layout, and over
-    the transposed product the means built from it (the drivers' Fock
-    cross-checks) would sum in another order (the kernel is no faster on it). No per-element structure validation is done,
-    so callers are expected to feed matrices built by validated constructors
-    (or validated one at a time, as quadratic_hamiltonian does).
+    _assembly_plan. No per-element structure validation is done, so callers
+    are expected to feed matrices built by validated constructors (or
+    validated one at a time, as quadratic_hamiltonian does).
     """
     mats = np.asarray(mats, dtype=complex)
     modes = mats.shape[-1] // 2
-    _check_modes(modes, cap)
+    _check_modes(modes)
     half = 1 << (modes - 1)
     flat = mats.reshape(len(mats), -1)
-    return np.ascontiguousarray((_assembly_plan(modes) @ flat.T).T).reshape(len(mats), 2, half, half)
+    return (_assembly_plan(modes) @ flat.T).T.reshape(len(mats), 2, half, half)
 
 
 def from_eigenpairs(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -397,7 +392,7 @@ def op_exp(op: FockOperator, scale: float = 1.0) -> FockOperator:
     return FockOperator(op.modes, 0.5 * mat + 0.5 * mat.conj().T, hermitian=True)
 
 
-def normal_ordered_exp(coeff, cap: int = DEFAULT_MODE_CAP) -> FockOperator:
+def normal_ordered_exp(coeff) -> FockOperator:
     """Normal-ordered exponential :exp(a^dag B a): by its terminating expansion.
 
     Evaluates sum_{k=0..M} (1/k!) sum over index tuples of
@@ -410,7 +405,7 @@ def normal_ordered_exp(coeff, cap: int = DEFAULT_MODE_CAP) -> FockOperator:
     if bmat.ndim != 2 or bmat.shape[0] != bmat.shape[1]:
         raise StructureError(f"coefficient must be a square matrix, got {bmat.shape}")
     modes = bmat.shape[0]
-    _check_modes(modes, cap)
+    _check_modes(modes)
     dim = 1 << modes
     ann = _annihilators(modes)
     cre = [m.conj().T for m in ann]

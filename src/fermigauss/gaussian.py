@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import BranchCutError, ContractError, DegenerateSpectrumError, DomainError, StructureError
 from .fock import (  # noqa: F401  op_exp stays importable here: benchmark/tracing.py wraps it
-    DEFAULT_MODE_CAP,
     LOG_FLOAT_MAX,
     STRUCTURE_TOL,
     FockOperator,
@@ -155,7 +154,7 @@ class GreensPair:
         object.__setattr__(self, "n_tilde", _frozen(nt))
 
 
-def make_bdg(h, delta, cap: int = DEFAULT_MODE_CAP) -> BdgMatrix:
+def make_bdg(h, delta) -> BdgMatrix:
     """Validate blocks and build a hermitian coefficient matrix.
 
     Rejects (rather than symmetrizes) inputs whose single-particle block is not
@@ -171,11 +170,11 @@ def make_bdg(h, delta, cap: int = DEFAULT_MODE_CAP) -> BdgMatrix:
             f"blocks must be square matrices of equal dimension, got {h.shape} and {delta.shape}"
         )
     modes = h.shape[0]
-    _check_modes(modes, cap)
+    _check_modes(modes)
     return BdgMatrix(modes, h, delta)
 
 
-def make_bdg_from_r(r, cap: int = DEFAULT_MODE_CAP) -> BdgMatrix:
+def make_bdg_from_r(r) -> BdgMatrix:
     """Coefficient matrix sigma @ R for an antisymmetric quadratic-form matrix R.
 
     sigma is the off-diagonal identity block matrix, so the round trip
@@ -186,7 +185,7 @@ def make_bdg_from_r(r, cap: int = DEFAULT_MODE_CAP) -> BdgMatrix:
     if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] % 2:
         raise StructureError(f"quadratic-form matrix must be square of even dimension, got {r.shape}")
     modes = r.shape[0] // 2
-    _check_modes(modes, cap)
+    _check_modes(modes)
     anti = np.abs(r + r.T).max()
     if anti > STRUCTURE_TOL:
         raise StructureError(f"quadratic-form matrix is not antisymmetric: max violation {anti:.3e}")
@@ -197,7 +196,7 @@ def make_bdg_from_r(r, cap: int = DEFAULT_MODE_CAP) -> BdgMatrix:
             f"sigma @ R is not hermitian (max violation {herm:.3e}); "
             f"only hermitian elements are accepted here"
         )
-    return make_bdg(assembled[:modes, :modes], assembled[:modes, modes:], cap=cap)
+    return make_bdg(assembled[:modes, :modes], assembled[:modes, modes:])
 
 
 def _paired_eigh(bdg: BdgMatrix, pair_tolerance: float, context: str) -> tuple[np.ndarray, np.ndarray]:
@@ -332,7 +331,7 @@ def wick_coordinates(w: np.ndarray, v: np.ndarray, log_weights=None) -> np.ndarr
     last axis of the recursion, and each level is averaged before the next.
     """
     modes = w.shape[-1] // 2
-    _check_modes(modes, DEFAULT_MODE_CAP)
+    _check_modes(modes)
     plan = _wick_plan(modes)
     u = plan.majorana @ v
     x = (u.imag * -0.5 * np.tanh(0.5 * w)[:, None, :]) @ np.swapaxes(u.real, -1, -2)

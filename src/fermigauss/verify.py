@@ -26,7 +26,6 @@ from .ensembles import (  # noqa: F401  sample_radial_mcmc stays importable here
 )
 from .errors import CapacityError, ContractError, DomainError, NonConvergenceError
 from .fock import (
-    DEFAULT_MODE_CAP,
     FockOperator,
     _annihilators,
     _check_modes,
@@ -142,18 +141,19 @@ def _chunk_layout(n_samples: int) -> tuple[int, int]:
 
 
 def _run_chunks(worker, n_samples: int, spec: RngSpec, modes: int, workers: int = 1) -> tuple[list, int]:
-    """Chunked Monte Carlo sampling: ``worker(generator, per)`` once per
-    chunk, chunk i drawing from the i-th substream past ``spec``, so results
-    do not depend on the worker count. Returns the chunk results in chunk
-    order and the total sample count."""
+    """Chunked Monte Carlo sampling: ``worker(generator, per, first)`` once
+    per chunk, chunk i drawing from the i-th substream past ``spec``, so
+    results do not depend on the worker count. ``first`` is set for chunk 0
+    alone, whose worker runs the Fock cross-check on its own draws. Returns
+    the chunk results in chunk order and the total sample count."""
     if workers < 1:
         raise ContractError(f"need workers >= 1, got {workers}")
-    _check_modes(modes, DEFAULT_MODE_CAP)
+    _check_modes(modes)
     chunks, per = _chunk_layout(n_samples)
     _wick_plan(modes)  # warm the cache before any thread fan-out
 
     def task(i: int):
-        return worker(spec.with_stream(spec.stream + i).generator(), per)
+        return worker(spec.with_stream(spec.stream + i).generator(), per, i == 0)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -446,7 +446,7 @@ def class_d_lambda_samples(modes: int, p: float, rng, n_samples: int) -> np.ndar
     Carlo drivers consume, chunk for chunk (identical streams, identical
     matrices)."""
 
-    def worker(gen: np.random.Generator, per: int) -> np.ndarray:
+    def worker(gen: np.random.Generator, per: int, first: bool) -> np.ndarray:
         return np.linalg.eigvalsh(sample_class_d_batch(modes, p, gen, per))[:, modes:]
 
     chunk_points, _ = _run_chunks(worker, n_samples, _as_rngspec(rng), modes)
@@ -563,10 +563,14 @@ def shifted_weight_quadrature_deviation(
 ) -> float:
     """Max-entry deviation from 2^-M I when the Gaussian weight is displaced by
     ``offset`` (hence not even). Demonstrates that the evenness hypothesis is
-    doing real work; no pass rule attached."""
+    doing real work; no pass rule attached. Raises DomainError when the
+    shifted rule leaves float64."""
     lam, w = _weight_rule(WeightSpec.gaussian(p), quad_order, False)
-    points, wts = _tensor(lam + offset, w, modes)
-    wts = wts * _radial_density(points, sym_class, False)
+    with np.errstate(all="ignore"):
+        points, wts = _tensor(lam + offset, w, modes)
+        wts = wts * _radial_density(points, sym_class, False)
+    if not (np.isfinite(points).all() and np.isfinite(wts).all()):
+        raise DomainError(f"offset = {offset} puts the shifted rule outside float64; choose a finite, moderate offset")
     if not wts.any():
         raise ContractError(
             f"every node of the order-{quad_order} shifted rule sits on a zero of the radial density; "
@@ -585,15 +589,16 @@ def verify_resolution_mc(
     Raises DomainError when the gate would judge no entry."""
     spec = _as_rngspec(rng)
 
-    def worker(gen: np.random.Generator, per: int) -> np.ndarray:
-        return embed_parity_blocks(wick_mean_blocks(*np.linalg.eigh(sample_class_d_batch(modes, p, gen, per))))
+    def worker(gen: np.random.Generator, per: int, first: bool):
+        mats = sample_class_d_batch(modes, p, gen, per)
+        mean = embed_parity_blocks(wick_mean_blocks(*np.linalg.eigh(mats)))
+        return mean, _fock_check(mats, mean) if first else None
 
-    chunk_means, samples = _run_chunks(worker, n_samples, spec, modes, workers)
-    mean, se = _chunk_estimate(chunk_means)
+    results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
+    mean, se = _chunk_estimate([r[0] for r in results])
     _require_judged(se, p, samples)
-    first = sample_class_d_batch(modes, p, spec.generator(), samples // len(chunk_means))
-    details = {"p": p, "chunks": len(chunk_means), "workers": workers}
-    return _mc_report(modes, mean, se, samples, spec, details, _fock_check(first, chunk_means[0]))
+    details = {"p": p, "chunks": len(results), "workers": workers}
+    return _mc_report(modes, mean, se, samples, spec, details, results[0][1])
 
 
 # ---------------------------------------------------------------------------
@@ -624,26 +629,21 @@ def verify_canonical_triviality(
             raise DomainError(f"domain violation: finite beta required, got beta = {beta}")
     dim = 1 << modes
 
-    def log_traces(w: np.ndarray, beta: float) -> np.ndarray:
-        """log Tr exp(-beta H_op) per draw, from the eigenvalues w of the draws."""
-        if not abs(beta) * float(np.abs(w).max()) < math.inf:
-            raise DomainError(f"beta = {beta} times an energy of the draws at p = {p} overflows a float")
-        return log_trace_of_pairs(beta * w[:, modes:])
-
-    def worker(gen: np.random.Generator, per: int):
-        w, v = np.linalg.eigh(sample_class_d_batch(modes, p, gen, per))
-        out = []  # per beta: the chunk's weighted Wick mean and the log of its mean trace
+    def worker(gen: np.random.Generator, per: int, first: bool):
+        mats = sample_class_d_batch(modes, p, gen, per)
+        w, v = np.linalg.eigh(mats)
+        out = []  # per beta: the chunk's Wick mean, the log of its mean trace, chunk 0's Fock gap
         for beta in betas:
-            log_tr = log_traces(w, beta)
+            if not abs(beta) * float(np.abs(w).max()) < math.inf:
+                raise DomainError(f"beta = {beta} times an energy of the draws at p = {p} overflows a float")
+            log_tr = log_trace_of_pairs(beta * w[:, modes:])  # log Tr exp(-beta H_op) per draw
             top = log_tr.max()
             log_mean = top + math.log(np.exp(log_tr - top).mean())
-            out.append((embed_parity_blocks(wick_mean_blocks(-beta * w, v, log_tr)), log_mean))
+            mean = embed_parity_blocks(wick_mean_blocks(-beta * w, v, log_tr))
+            out.append((mean, log_mean, _fock_check(-beta * mats, mean, log_tr) if first else None))
         return out
 
     results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
-    first = sample_class_d_batch(modes, p, spec.generator(), samples // len(results))
-    first_w = np.linalg.eigh(first)[0]  # chunk 0's eigenvalues, bit for bit
-
     reports = []
     for bi, beta in enumerate(betas):
         grand, se = _chunk_estimate([r[bi][0] for r in results], [r[bi][1] for r in results])
@@ -653,8 +653,7 @@ def verify_canonical_triviality(
             details = {"beta_zero_exact_deviation": exact_dev, **details}
         else:
             _require_judged(se, p, samples)
-        fock_dev = _fock_check(-beta * first, results[0][bi][0], log_traces(first_w, beta))
-        rep = _mc_report(modes, grand, se, samples, spec, details, fock_dev)
+        rep = _mc_report(modes, grand, se, samples, spec, details, results[0][bi][2])
         if beta == 0.0:
             rep.passed = rep.passed and exact_dev <= 1e-14
             rep.criterion += "; beta = 0 must be exact"
@@ -794,27 +793,26 @@ def verify_nc_modified(
     spec = _as_rngspec(rng)
     WeightSpec.nc_modified(p)  # rejects p <= 0 with the caller's value
 
-    def draw(gen: np.random.Generator, per: int):
+    def worker(gen: np.random.Generator, per: int, first: bool):
         pts = np.linalg.eigvalsh(sample_class_d_batch(modes, 0.5 * p, gen, per))[:, modes:]
         pts = pts * gen.choice((-1.0, 1.0), size=(per, modes))
-        return pts, sample_haar_unitary_batch(modes, gen, per)
-
-    def worker(gen: np.random.Generator, per: int):
+        us = sample_haar_unitary_batch(modes, gen, per)
         # the embedding (h, 0) of h = U diag(pts) U^dag has the eigenpairs
         # [pts, -pts] and blockdiag(U, conj U): no eigh is needed
-        pts, us = draw(gen, per)
-        v = _ncons_eigenvectors(us)
-        return embed_parity_blocks(wick_mean_blocks(np.concatenate([pts, -pts], axis=1), v)), pts
+        mean = embed_parity_blocks(wick_mean_blocks(np.concatenate([pts, -pts], axis=1), _ncons_eigenvectors(us)))
+        fock_dev = None
+        if first:
+            h = from_eigenpairs(pts, us)
+            fock_dev = _fock_check(assemble_blocks(h, np.zeros_like(h)), mean)
+        return mean, pts, fock_dev
 
     results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
     mean, se = _chunk_estimate([r[0] for r in results])
     _require_judged(se, p, samples)
-    h = from_eigenpairs(*draw(spec.generator(), samples // len(results)))
-    fock_dev = _fock_check(assemble_blocks(h, np.zeros_like(h)), results[0][0])
     details = {"p": p, "chunks": len(results)}
     if keep_samples:
         details["lambda_samples"] = np.concatenate([r[1] for r in results])
-    return _mc_report(modes, mean, se, samples, spec, details, fock_dev)
+    return _mc_report(modes, mean, se, samples, spec, details, results[0][2])
 
 
 # ---------------------------------------------------------------------------

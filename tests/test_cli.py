@@ -96,6 +96,9 @@ class TestExitCodes:
         assert run(["resolution", "--mode", "mc", "--modes", "0", "--samples", "16"]) == 2
         assert "mode count must be a positive integer, got 0" in capsys.readouterr().err
 
+    def test_radial_sampler_has_no_fock_cap(self):
+        assert run(["ensembles", "--modes", "7", "--samples", "50", "--burn-in", "200"]) in (0, 1)
+
     def test_non_finite_beta_is_domain_error(self, capsys):
         assert run(["canonical", "--betas", "0,nan", "--samples", "16"]) == 2
         assert "got beta = nan" in capsys.readouterr().err
@@ -161,6 +164,8 @@ class TestExitCodes:
             (["selberg", "--consistency", "--max-modes", "0"], "max_modes >= 1, got 0"),
             (["ensembles", "--samples", "10", "--thin", "0"], "thin = 0"),
             (["ensembles", "--samples", "10", "--burn-in", "-5"], "burn_in = -5"),
+            (["ensembles", "--samples", "10", "--modes", "0"], "modes = 0"),
+            (["ensembles", "--samples", "10", "--modes", "-1"], "modes = -1"),
         ],
     )
     def test_out_of_range_count_is_usage_error(self, argv, message, capsys):
@@ -236,7 +241,7 @@ class TestCsvDumps:
         csv = tmp_path / "eig.csv"
         code = run(
             [
-                "ensembles", "--dump-eigenvalues", "--symmetry-class", "D",
+                "ensembles", "--symmetry-class", "D",
                 "--weight", "gaussian", "-p", "1", "--modes", "2",
                 "--samples", "500", "--seed", "3", "--csv", str(csv),
             ]

@@ -32,15 +32,25 @@ from fermigauss import (
 )
 from fermigauss import gaussian, sample_class_d_batch
 from fermigauss.cli import run
-from fermigauss.fock import _quadratic_tensor, _wick_plan, embed_parity_blocks, quadratic_hamiltonian_batch
+from fermigauss.ensembles import assemble_blocks, sample_haar_unitary_batch
+from fermigauss.fock import (
+    _quadratic_tensor,
+    _wick_plan,
+    embed_parity_blocks,
+    from_eigenpairs,
+    quadratic_hamiltonian_batch,
+)
 from fermigauss.selberg import laguerre_selberg_log, selberg_integral_log
 from fermigauss.verify import (
     FAILURE_FLOOR_FRACTION,
     FOCK_CHECK_TOL,
     QUAD_TOL,
     _chunk_estimate,
+    _chunk_layout,
     _closest_identity_multiple,
     _entry_gate,
+    _fock_check,
+    _ncons_eigenvectors,
     _radial_density,
     _rotated_gaussian_blocks,
     _rotated_ncons_blocks,
@@ -95,6 +105,15 @@ class TestResolutionQuadrature:
     def test_mode_cap(self):
         with pytest.raises(ContractError):
             verify_resolution_quadrature(3, CLASS_D, WeightSpec.gaussian(1.0))
+
+    @pytest.mark.parametrize("modes, sym", [(2, CLASS_D), (1, CLASS_C)])
+    @pytest.mark.parametrize("offset, named", [(math.nan, "nan"), (math.inf, "inf"), (1e300, "1e+300")])
+    def test_extreme_offset_is_domain_error_without_warning(self, modes, sym, offset, named):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DomainError, match=re.escape(f"offset = {named}")):
+                shifted_weight_quadrature_deviation(modes, sym, 1.0, offset)
+        assert caught == []
 
     def test_shifted_weight_breaks_resolution(self):
         dev = shifted_weight_quadrature_deviation(1, CLASS_D, 1.0, 0.5)
@@ -267,10 +286,18 @@ class TestEntryGate:
 
 
 class TestRunChunks:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_only_chunk_zero_is_told_it_is_first(self, workers):
+        def worker(gen, per, first):
+            return gen.bit_generator.seed_seq.spawn_key, first
+
+        results, _ = _run_chunks(worker, 64, RngSpec(0), 1, workers=workers)
+        assert results == [((i,), i == 0) for i in range(16)]
+
     def test_error_in_chunk_zero_stops_the_fan_out(self):
         calls, lock = [], threading.Lock()
 
-        def worker(gen, per):
+        def worker(gen, per, first):
             with lock:
                 calls.append(gen.bit_generator.seed_seq.spawn_key)
             if gen.bit_generator.seed_seq.spawn_key == (0,):
@@ -283,7 +310,7 @@ class TestRunChunks:
         assert (0,) in calls and len(calls) < 16
 
     def test_first_error_in_chunk_order_is_raised(self):
-        def worker(gen, per):
+        def worker(gen, per, first):
             stream = gen.bit_generator.seed_seq.spawn_key[0]
             if stream in (3, 9):
                 time.sleep(0.05 if stream == 3 else 0.0)
@@ -306,6 +333,40 @@ class TestFockCrossCheck:
             assert 0.0 <= rep.details["fock_check_deviation"] <= FOCK_CHECK_TOL
             assert f"within {FOCK_CHECK_TOL:g} of the same draws through the Fock construction" in rep.criterion
 
+    # each driver's chunk 0 checks its own draws; the tests redraw chunk 0
+    # from spec.generator(), the stream _run_chunks gives it
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_resolution_mc_checks_chunk_zero(self, workers):
+        spec, modes, n = RngSpec(16), 2, 400
+        rep = verify_resolution_mc(modes, 1.0, n, spec, workers=workers)
+        mats = sample_class_d_batch(modes, 1.0, spec.generator(), _chunk_layout(n)[1])
+        wick = embed_parity_blocks(gaussian.wick_mean_blocks(*np.linalg.eigh(mats)))
+        assert rep.details["fock_check_deviation"] == _fock_check(mats, wick)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_canonical_checks_chunk_zero(self, workers):
+        spec, modes, n, betas = RngSpec(16), 2, 400, [0.0, 0.7, -3.0]
+        reps = verify_canonical_triviality(modes, 1.0, betas, n, spec, workers=workers)
+        mats = sample_class_d_batch(modes, 1.0, spec.generator(), _chunk_layout(n)[1])
+        w, v = np.linalg.eigh(mats)
+        for beta, rep in zip(betas, reps):
+            log_tr = gaussian.log_trace_of_pairs(beta * w[:, modes:])
+            wick = embed_parity_blocks(gaussian.wick_mean_blocks(-beta * w, v, log_tr))
+            assert rep.details["fock_check_deviation"] == _fock_check(-beta * mats, wick, log_tr)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nc_modified_checks_chunk_zero(self, workers):
+        spec, modes, n, p = RngSpec(16), 2, 400, 1.0
+        rep = verify_nc_modified(modes, p, n, spec, workers=workers)
+        gen, per = spec.generator(), _chunk_layout(n)[1]
+        pts = np.linalg.eigvalsh(sample_class_d_batch(modes, 0.5 * p, gen, per))[:, modes:]
+        pts = pts * gen.choice((-1.0, 1.0), size=(per, modes))
+        us = sample_haar_unitary_batch(modes, gen, per)
+        w = np.concatenate([pts, -pts], axis=1)
+        wick = embed_parity_blocks(gaussian.wick_mean_blocks(w, _ncons_eigenvectors(us)))
+        h = from_eigenpairs(pts, us)
+        assert rep.details["fock_check_deviation"] == _fock_check(assemble_blocks(h, np.zeros_like(h)), wick)
 
     @pytest.mark.parametrize("modes", [1, 2])
     def test_every_quadrature_report_carries_it(self, modes):
