@@ -8,6 +8,14 @@ records every end-to-end metric of every run. For each metric it writes
 both trees' values, the per-pair ratios change/parent, the number of pairs
 the change won, both medians and the parent's interquartile range.
 
+With ``--aa COPY``, a second copy of the parent joins every pair as a third
+run, and the order of the three rotates from pair to pair. Each metric
+then also carries the A/A control: the copy's values, the per-pair ratios
+copy/parent, their median and interquartile range, and their spread, the
+largest distance of an A/A ratio from 1. A change's median ratio that
+stands further from 1 than that spread is more than the noise between two
+copies of one tree in the same session.
+
 It then times ``resolution --mode mc --modes 6 --samples 16000`` at
 ``--workers 1`` and ``--workers 2`` in fresh processes, in pairs that
 alternate which count runs first, in both trees: wall and CPU seconds of
@@ -17,6 +25,7 @@ Run from the repository root of the change, with the parent checked out
 elsewhere:
 
     python3 scripts/bench_pairs.py --parent ../parent --out BENCH_14.json
+    python3 scripts/bench_pairs.py --parent ../parent --aa ../parent-copy --out BENCH_16.json
 
 ``--out`` adds the result under ``pairs`` and ``workers`` to the JSON file,
 keeping what is already in it.
@@ -66,11 +75,11 @@ def timed_call(tree: Path, argv: list[str]) -> dict:
     return _last_json(proc.stdout)
 
 
-def summary(parent: list[float], change: list[float], lower_is_better: bool) -> dict:
+def summary(parent: list[float], change: list[float], lower_is_better: bool, aa: list[float] | None = None) -> dict:
     ratios = [c / p for p, c in zip(parent, change)]
     q1, _, q3 = statistics.quantiles(parent, n=4)
     med = statistics.median(parent)
-    return {
+    out = {
         "parent": parent,
         "change": change,
         "ratios": ratios,
@@ -79,24 +88,36 @@ def summary(parent: list[float], change: list[float], lower_is_better: bool) -> 
         "change_median": statistics.median(change),
         "parent_iqr_rel": (q3 - q1) / med,
     }
+    if aa is not None:
+        aa_ratios = [a / p for p, a in zip(parent, aa)]
+        aq1, _, aq3 = statistics.quantiles(aa_ratios, n=4)
+        out["aa"] = {
+            "copy": aa,
+            "ratios": aa_ratios,
+            "median_ratio": statistics.median(aa_ratios),
+            "ratio_iqr": aq3 - aq1,
+            "spread": max(abs(r - 1.0) for r in aa_ratios),
+        }
+    return out
 
 
-def pairs(parent: Path, change: Path, count: int, seconds: float) -> dict:
+def pairs(parent: Path, change: Path, count: int, seconds: float, aa: Path | None = None) -> dict:
+    trees = [("parent", parent), ("change", change)] + ([("aa", aa)] if aa else [])
     out = {}
     for workload in WORKLOADS:
-        runs = {"parent": [], "change": []}
+        runs = {label: [] for label, _ in trees}
         for seed in range(1, count + 1):
-            order = (("parent", parent), ("change", change))
-            for label, tree in order if seed % 2 else order[::-1]:
+            k = (seed - 1) % len(trees)  # which tree runs first rotates from pair to pair
+            for label, tree in trees[k:] + trees[:k]:
                 runs[label].append(bench_run(tree, workload, seed, seconds))
-            p, c = runs["parent"][-1], runs["change"][-1]
-            print(f"{workload} pair {seed}: cpu_s {p['cpu_s']:.3f} / {c['cpu_s']:.3f}, "
-                  f"wall_s {p['wall_s']:.3f} / {c['wall_s']:.3f}", file=sys.stderr)
+            print(f"{workload} pair {seed}: " + ", ".join(
+                f"{name} " + " / ".join(f"{rs[-1][name]:.3f}" for rs in runs.values()) for name in ("cpu_s", "wall_s")
+            ), file=sys.stderr)
         out[workload] = {
             "failed": {label: [r["failed"] for r in rs] for label, rs in runs.items()},
             "metrics": {
                 name: summary([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
-                              name in LOWER_IS_BETTER)
+                              name in LOWER_IS_BETTER, [r[name] for r in runs["aa"]] if aa else None)
                 for name in runs["parent"][0]
                 if name != "failed"
             },
@@ -128,6 +149,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="root of the parent checkout")
     parser.add_argument("--change", type=Path, default=ROOT, help="root of the change checkout (default: this one)")
+    parser.add_argument("--aa", type=Path, help="root of a second copy of the parent, run as an A/A control")
     parser.add_argument("--pairs", type=int, default=10, help="benchmark pairs per workload")
     parser.add_argument("--seconds", type=float, default=25.0, help="--seconds of each benchmark run")
     parser.add_argument("--worker-pairs", type=int, default=5, help="--workers 1/2 pairs per tree")
@@ -135,8 +157,8 @@ def main() -> int:
     args = parser.parse_args()
     result = {
         "settings": {"pairs": args.pairs, "seconds": args.seconds, "worker_pairs": args.worker_pairs,
-                     "workers_argv": WORKERS_ARGV},
-        "pairs": pairs(args.parent, args.change, args.pairs, args.seconds),
+                     "workers_argv": WORKERS_ARGV, "aa": args.aa is not None},
+        "pairs": pairs(args.parent, args.change, args.pairs, args.seconds, args.aa),
         "workers": workers(args.parent, args.change, args.worker_pairs),
     }
     if args.out is None:

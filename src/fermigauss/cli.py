@@ -5,6 +5,7 @@ Exit codes: 0 all checks passed, 1 a verification failed its criterion,
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -36,7 +37,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--stream", type=int, default=0, help="base substream index (default 0)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="fermigauss", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
 

@@ -6,6 +6,7 @@ from the timestamp field, identical invocations produce byte-identical files.
 """
 
 import datetime
+import functools
 import json
 import os
 import subprocess
@@ -28,9 +29,11 @@ def _encode(obj, level: int) -> str:
     byte, for an object nested ``level`` deep. numpy arrays and scalars go out as their ``tolist()`` and
     ``item()``, an ``RngSpec`` as ``{"seed", "stream"}``; dict keys must be
     strings. A finite float64 array of one or two dimensions is rendered in
-    bulk from one ``repr`` of its list, since json writes each float as its
-    shortest repr; everything else goes through json itself, so NaN, Infinity
-    and string escapes are json's own."""
+    bulk, since json writes each float as its shortest repr: each distinct
+    magnitude (bit pattern of its absolute value) is formatted once, and a
+    set sign bit prefixes "-", as repr(-x) is "-" + repr(x) (so -0.0 stays
+    "-0.0"). Everything else goes through json itself, so NaN, Infinity and
+    string escapes are json's own."""
     pad = "\n" + _INDENT * level
     inner = pad + _INDENT
     if isinstance(obj, dict):
@@ -48,12 +51,19 @@ def _encode(obj, level: int) -> str:
     if isinstance(obj, np.ndarray):
         if obj.dtype != np.float64 or obj.ndim not in (1, 2) or obj.size == 0 or not np.isfinite(obj).all():
             return _encode(obj.tolist(), level)
-        text = repr(obj.tolist())
+        flat = obj.ravel()
+        mags, inverse = np.unique(np.abs(flat).view(np.uint64), return_inverse=True)
+        strs = [repr(x) for x in mags.view(np.float64).tolist()]
+        table = np.array(strs + ["-" + t for t in strs], dtype=object)
+        texts = table[inverse + len(mags) * np.signbit(flat)].tolist()
         if obj.ndim == 1:
-            return "[" + inner + text[1:-1].replace(", ", "," + inner) + pad + "]"
+            return "[" + inner + ("," + inner).join(texts) + pad + "]"
         row = inner + _INDENT
-        body = text[2:-2].replace("], [", inner + "]," + inner + "[" + row).replace(", ", "," + row)
-        return "[" + inner + "[" + row + body + inner + "]" + pad + "]"
+        rows, cols = obj.shape
+        parts = [""] * (2 * len(texts) - 1)  # the entries, each followed by its separator
+        parts[0::2] = texts
+        parts[1::2] = ((["," + row] * (cols - 1) + [inner + "]," + inner + "[" + row]) * rows)[:-1]
+        return "[" + inner + "[" + row + "".join(parts) + inner + "]" + pad + "]"
     if isinstance(obj, RngSpec):
         return _encode({"seed": obj.seed, "stream": obj.stream}, level)
     if isinstance(obj, np.generic):
@@ -102,7 +112,9 @@ def result_to_criterion(res: CriterionResult) -> dict:
     }
 
 
+@functools.cache
 def git_describe() -> str:
+    """``git describe`` of the package's checkout, read once per process."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--tags"],

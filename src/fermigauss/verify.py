@@ -57,6 +57,10 @@ from .gaussian import (
 #: which makes results independent of how chunks are assigned to workers.
 CHUNK = 4000
 
+#: Draws of chunk 0 that the Monte Carlo drivers also build through the Fock
+#: construction (_chunk_fock_check): a fixed cost per run, whatever the chunk size.
+FOCK_CHECK_DRAWS = 4
+
 #: Minimum number of chunks, so batch-means standard errors stay usable.
 MIN_CHUNKS = 16
 
@@ -91,8 +95,8 @@ class EstimatorReport:
     FOCK_CHECK_TOL of its Fock construction); for Monte Carlo runs the
     entrywise gate |mean - target| <= 5 SE with at most max(1, 1% of
     entries) in the 3-to-5 SE band, entries below a 1e-12 absolute floor
-    always passing, and chunk 0's Wick mean within FOCK_CHECK_TOL of its
-    Fock construction.
+    always passing, and the Wick mean of chunk 0's first FOCK_CHECK_DRAWS
+    draws within FOCK_CHECK_TOL of the same draws through the Fock construction.
     """
 
     target: FockOperator
@@ -144,7 +148,8 @@ def _run_chunks(worker, n_samples: int, spec: RngSpec, modes: int, workers: int 
     """Chunked Monte Carlo sampling: ``worker(generator, per, first)`` once
     per chunk, chunk i drawing from the i-th substream past ``spec``, so
     results do not depend on the worker count. ``first`` is set for chunk 0
-    alone, whose worker runs the Fock cross-check on its own draws. Returns
+    alone, whose worker runs the Fock cross-check on its own first
+    FOCK_CHECK_DRAWS draws (_chunk_fock_check). Returns
     the chunk results in chunk order and the total sample count."""
     if workers < 1:
         raise ContractError(f"need workers >= 1, got {workers}")
@@ -217,7 +222,8 @@ def _entry_gate(mean: np.ndarray, target: np.ndarray, se: np.ndarray) -> tuple[b
 MC_RULE = (
     "every entry within 5 standard errors of the target "
     "(absolute floor 1e-12), at most max(1, 1% of entries) between 3 and 5 SE; "
-    f"chunk 0's Wick mean within {FOCK_CHECK_TOL:g} of the same draws through the Fock construction"
+    f"the Wick mean of chunk 0's first {FOCK_CHECK_DRAWS} draws within {FOCK_CHECK_TOL:g} "
+    f"of the same draws through the Fock construction"
 )
 
 
@@ -226,10 +232,23 @@ def _fock_check(mats: np.ndarray, wick_mean: np.ndarray, log_weights=None) -> fl
     normalized Gaussian operators of the same coefficient matrices ``mats``
     built through quadratic_hamiltonian_batch and exp_normalized_fock_batch,
     weighted alike. It keeps the Fock construction under test in every
-    Monte Carlo and quadrature run."""
+    Monte Carlo run (through _chunk_fock_check) and every quadrature run (on
+    the whole quad_order rule)."""
     ops = exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats))
     fock_mean = embed_parity_blocks(np.einsum("s,spab->pab", _draw_weights(len(mats), log_weights), ops))
     return float(np.abs(fock_mean - wick_mean).max())
+
+
+def _chunk_fock_check(mats: np.ndarray, w: np.ndarray, v: np.ndarray, log_weights=None) -> float:
+    """_fock_check of the first FOCK_CHECK_DRAWS draws of a chunk against
+    their own Wick mean, from the eigenpairs ``w``, ``v`` the chunk already
+    has, weighted by their ``log_weights`` when given. The chunk's mean is
+    left alone; a wrong phase anywhere in the Wick scatter shows on a few
+    draws as on thousands, and the Fock matrices cost 2^M x 2^M each."""
+    head = slice(FOCK_CHECK_DRAWS)
+    log_w = None if log_weights is None else log_weights[head]
+    wick = embed_parity_blocks(wick_mean_blocks(w[head], v[head], log_w))
+    return _fock_check(mats[head], wick, log_w)
 
 
 def _mc_report(
@@ -564,7 +583,9 @@ def shifted_weight_quadrature_deviation(
     """Max-entry deviation from 2^-M I when the Gaussian weight is displaced by
     ``offset`` (hence not even). Demonstrates that the evenness hypothesis is
     doing real work; no pass rule attached. Raises DomainError when the
-    shifted rule leaves float64."""
+    shifted rule leaves float64 or its nodes round together at a huge offset,
+    and ContractError when every node sits on a zero of the density (an
+    order too low for it)."""
     lam, w = _weight_rule(WeightSpec.gaussian(p), quad_order, False)
     with np.errstate(all="ignore"):
         points, wts = _tensor(lam + offset, w, modes)
@@ -572,6 +593,15 @@ def shifted_weight_quadrature_deviation(
     if not (np.isfinite(points).all() and np.isfinite(wts).all()):
         raise DomainError(f"offset = {offset} puts the shifted rule outside float64; choose a finite, moderate offset")
     if not wts.any():
+        # in exact arithmetic, an order >= 2 rule has x_1 = +-x_2 at every node
+        # only at offset 0, so a true zero stays at an offset scaled to unit
+        # size, while nodes lam + offset that round together part again
+        unit, _ = _tensor(lam + offset / max(1.0, abs(offset)), w, modes)
+        if _radial_density(unit, sym_class, False).any():
+            raise DomainError(
+                f"offset = {offset} exceeds the float resolution of the shifted rule: its nodes "
+                f"lam + offset round together onto a zero of the radial density; choose a moderate offset"
+            )
         raise ContractError(
             f"every node of the order-{quad_order} shifted rule sits on a zero of the radial density; "
             f"raise quad_order"
@@ -591,8 +621,8 @@ def verify_resolution_mc(
 
     def worker(gen: np.random.Generator, per: int, first: bool):
         mats = sample_class_d_batch(modes, p, gen, per)
-        mean = embed_parity_blocks(wick_mean_blocks(*np.linalg.eigh(mats)))
-        return mean, _fock_check(mats, mean) if first else None
+        w, v = np.linalg.eigh(mats)
+        return embed_parity_blocks(wick_mean_blocks(w, v)), _chunk_fock_check(mats, w, v) if first else None
 
     results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
     mean, se = _chunk_estimate([r[0] for r in results])
@@ -639,8 +669,10 @@ def verify_canonical_triviality(
             log_tr = log_trace_of_pairs(beta * w[:, modes:])  # log Tr exp(-beta H_op) per draw
             top = log_tr.max()
             log_mean = top + math.log(np.exp(log_tr - top).mean())
-            mean = embed_parity_blocks(wick_mean_blocks(-beta * w, v, log_tr))
-            out.append((mean, log_mean, _fock_check(-beta * mats, mean, log_tr) if first else None))
+            w_beta = -beta * w  # the eigenvalues of -beta H
+            mean = embed_parity_blocks(wick_mean_blocks(w_beta, v, log_tr))
+            fock_dev = _chunk_fock_check(-beta * mats[:FOCK_CHECK_DRAWS], w_beta, v, log_tr) if first else None
+            out.append((mean, log_mean, fock_dev))
         return out
 
     results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
@@ -799,12 +831,12 @@ def verify_nc_modified(
         us = sample_haar_unitary_batch(modes, gen, per)
         # the embedding (h, 0) of h = U diag(pts) U^dag has the eigenpairs
         # [pts, -pts] and blockdiag(U, conj U): no eigh is needed
-        mean = embed_parity_blocks(wick_mean_blocks(np.concatenate([pts, -pts], axis=1), _ncons_eigenvectors(us)))
+        w, v = np.concatenate([pts, -pts], axis=1), _ncons_eigenvectors(us)
         fock_dev = None
         if first:
-            h = from_eigenpairs(pts, us)
-            fock_dev = _fock_check(assemble_blocks(h, np.zeros_like(h)), mean)
-        return mean, pts, fock_dev
+            h = from_eigenpairs(pts[:FOCK_CHECK_DRAWS], us[:FOCK_CHECK_DRAWS])
+            fock_dev = _chunk_fock_check(assemble_blocks(h, np.zeros_like(h)), w, v)
+        return embed_parity_blocks(wick_mean_blocks(w, v)), pts, fock_dev
 
     results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
     mean, se = _chunk_estimate([r[0] for r in results])

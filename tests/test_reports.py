@@ -9,8 +9,8 @@ from hypothesis.extra import numpy as hnp
 
 from fermigauss.ensembles import RngSpec
 from fermigauss.fock import FockOperator
-from fermigauss.reports import _encode, estimator_to_criterion, fock_to_doc
-from fermigauss.verify import verify_nc_failure
+from fermigauss.reports import _encode, build_report, estimator_to_criterion, fock_to_doc
+from fermigauss.verify import verify_nc_failure, verify_resolution_mc
 
 FINITE_EDGES = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1e-5, 1e16)
 
@@ -42,6 +42,13 @@ docs = st.recursive(
 )
 
 
+def repeats(n: int) -> np.ndarray:
+    """n floats, most of them repeated, some negated, with every FINITE_EDGES value."""
+    gen = RngSpec(9).generator()
+    pool = np.concatenate([FINITE_EDGES, gen.normal(size=12), 1e-300 * gen.normal(size=4)])
+    return gen.choice(pool, size=n) * gen.choice((-1.0, 1.0), size=n)
+
+
 def stock(doc) -> str:
     """The standard library's indent=2 encoder, numpy values through their tolist()."""
     return json.dumps(doc, indent=2, default=lambda obj: obj.tolist())
@@ -52,8 +59,22 @@ class TestEncode:
     @given(docs)
     @example({"entries": np.array([[-0.0, 5e-324], [1e308, 1.0]]), "se": np.zeros((3, 0)), "none": np.empty(0)})
     @example([np.array([0.5, math.nan, -math.inf]), (), {}, [[]], {"": ()}])
+    @example([np.array([0.0, -0.0, 0.0, -0.0]), np.array([[5e-324, -5e-324], [-5e-324, 5e-324], [1e308, -1e308]])])
+    @example({"pairs": repeats(600).reshape(300, 2), "flat": repeats(300), "square": repeats(400).reshape(20, 20)})
     def test_matches_the_stock_indent_2_encoder(self, doc):
         assert _encode(doc, 0) == stock(doc)
+
+    @pytest.mark.parametrize("shape", [(500,), (250, 2), (20, 20), (1, 300), (300, 1)])
+    def test_repeated_and_negated_floats_match_the_stock_encoder(self, shape):
+        arr = repeats(math.prod(shape)).reshape(shape)
+        assert len(np.unique(arr.view(np.uint64))) < arr.size / 4
+        for doc in (arr, [arr, {"nested": arr}], {"strided": arr.T, "every_other": arr.ravel()[::2]}):
+            assert _encode(doc, 0) == stock(doc)
+
+    def test_full_monte_carlo_report_at_six_modes_matches_the_stock_encoder(self):
+        rep = verify_resolution_mc(6, 1.0, 64, RngSpec(5))
+        doc = build_report("resolution", {"modes": 6}, rep.seed, [estimator_to_criterion("resolution", rep)])
+        assert _encode(doc, 0) == stock(doc | {"seed": {"seed": 5, "stream": 0}})
 
     def test_rng_spec_is_a_seed_and_stream_object(self):
         doc = {"seed": RngSpec(7, 3), "none": None}

@@ -43,6 +43,7 @@ from fermigauss.fock import (
 from fermigauss.selberg import laguerre_selberg_log, selberg_integral_log
 from fermigauss.verify import (
     FAILURE_FLOOR_FRACTION,
+    FOCK_CHECK_DRAWS,
     FOCK_CHECK_TOL,
     QUAD_TOL,
     _chunk_estimate,
@@ -322,6 +323,17 @@ class TestRunChunks:
                 _run_chunks(worker, 64, RngSpec(0), 1, workers=workers)
 
 
+def _break_parity_phase(monkeypatch, modes: int) -> None:
+    """Make the Wick kernel at ``modes`` modes multiply one entry of the
+    parity coordinate's scatter column (the full Majorana set's) by i."""
+    plan = _wick_plan(modes)
+    scatter = plan.scatter
+    data = scatter.data.copy()
+    data[np.flatnonzero(scatter.indices == scatter.shape[1] - 1)[0]] *= 1j
+    bad = dataclasses.replace(plan, scatter=type(scatter)((data, scatter.indices, scatter.indptr), shape=scatter.shape))
+    monkeypatch.setattr(gaussian, "_wick_plan", lambda m: bad if m == modes else _wick_plan(m))
+
+
 class TestFockCrossCheck:
     def test_every_monte_carlo_report_carries_it(self):
         reps = [
@@ -333,40 +345,67 @@ class TestFockCrossCheck:
             assert 0.0 <= rep.details["fock_check_deviation"] <= FOCK_CHECK_TOL
             assert f"within {FOCK_CHECK_TOL:g} of the same draws through the Fock construction" in rep.criterion
 
-    # each driver's chunk 0 checks its own draws; the tests redraw chunk 0
-    # from spec.generator(), the stream _run_chunks gives it
+    # each driver's chunk 0 checks its own first FOCK_CHECK_DRAWS draws; the
+    # tests redraw chunk 0 from spec.generator(), the stream _run_chunks gives it
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_resolution_mc_checks_chunk_zero(self, workers):
-        spec, modes, n = RngSpec(16), 2, 400
+        spec, modes, n, k = RngSpec(16), 2, 400, FOCK_CHECK_DRAWS
         rep = verify_resolution_mc(modes, 1.0, n, spec, workers=workers)
         mats = sample_class_d_batch(modes, 1.0, spec.generator(), _chunk_layout(n)[1])
-        wick = embed_parity_blocks(gaussian.wick_mean_blocks(*np.linalg.eigh(mats)))
-        assert rep.details["fock_check_deviation"] == _fock_check(mats, wick)
+        w, v = np.linalg.eigh(mats)
+        wick = embed_parity_blocks(gaussian.wick_mean_blocks(w[:k], v[:k]))
+        assert rep.details["fock_check_deviation"] == _fock_check(mats[:k], wick)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_canonical_checks_chunk_zero(self, workers):
-        spec, modes, n, betas = RngSpec(16), 2, 400, [0.0, 0.7, -3.0]
+        spec, modes, n, betas, k = RngSpec(16), 2, 400, [0.0, 0.7, -3.0], FOCK_CHECK_DRAWS
         reps = verify_canonical_triviality(modes, 1.0, betas, n, spec, workers=workers)
         mats = sample_class_d_batch(modes, 1.0, spec.generator(), _chunk_layout(n)[1])
         w, v = np.linalg.eigh(mats)
         for beta, rep in zip(betas, reps):
-            log_tr = gaussian.log_trace_of_pairs(beta * w[:, modes:])
-            wick = embed_parity_blocks(gaussian.wick_mean_blocks(-beta * w, v, log_tr))
-            assert rep.details["fock_check_deviation"] == _fock_check(-beta * mats, wick, log_tr)
+            log_tr = gaussian.log_trace_of_pairs(beta * w[:, modes:])[:k]
+            wick = embed_parity_blocks(gaussian.wick_mean_blocks(-beta * w[:k], v[:k], log_tr))
+            assert rep.details["fock_check_deviation"] == _fock_check(-beta * mats[:k], wick, log_tr)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_nc_modified_checks_chunk_zero(self, workers):
-        spec, modes, n, p = RngSpec(16), 2, 400, 1.0
+        spec, modes, n, p, k = RngSpec(16), 2, 400, 1.0, FOCK_CHECK_DRAWS
         rep = verify_nc_modified(modes, p, n, spec, workers=workers)
         gen, per = spec.generator(), _chunk_layout(n)[1]
         pts = np.linalg.eigvalsh(sample_class_d_batch(modes, 0.5 * p, gen, per))[:, modes:]
         pts = pts * gen.choice((-1.0, 1.0), size=(per, modes))
         us = sample_haar_unitary_batch(modes, gen, per)
         w = np.concatenate([pts, -pts], axis=1)
-        wick = embed_parity_blocks(gaussian.wick_mean_blocks(w, _ncons_eigenvectors(us)))
-        h = from_eigenpairs(pts, us)
+        wick = embed_parity_blocks(gaussian.wick_mean_blocks(w[:k], _ncons_eigenvectors(us[:k])))
+        h = from_eigenpairs(pts[:k], us[:k])
         assert rep.details["fock_check_deviation"] == _fock_check(assemble_blocks(h, np.zeros_like(h)), wick)
+
+    # power: i times one entry of the parity coordinate's scatter column moves
+    # no entry far enough for the 5 SE gate, but the check of 4 draws sees it
+
+    @pytest.mark.parametrize("modes", [1, 2, 3, 6])
+    def test_resolution_mc_fails_on_a_wrong_phase(self, modes, monkeypatch):
+        assert verify_resolution_mc(modes, 1.0, 64, RngSpec(17)).details["fock_check_deviation"] <= FOCK_CHECK_TOL
+        _break_parity_phase(monkeypatch, modes)
+        rep = verify_resolution_mc(modes, 1.0, 64, RngSpec(17))
+        assert rep.details["fock_check_deviation"] > 1e-6 and not rep.passed
+
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    def test_nc_modified_fails_on_a_wrong_phase(self, modes, monkeypatch):
+        assert verify_nc_modified(modes, 1.0, 64, RngSpec(17)).details["fock_check_deviation"] <= FOCK_CHECK_TOL
+        _break_parity_phase(monkeypatch, modes)
+        rep = verify_nc_modified(modes, 1.0, 64, RngSpec(17))
+        assert rep.details["fock_check_deviation"] > 1e-6 and not rep.passed
+
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    def test_canonical_fails_on_a_wrong_phase(self, modes, monkeypatch):
+        betas = [0.7, -1000.0]
+        for rep in verify_canonical_triviality(modes, 1.0, betas, 400, RngSpec(17)):
+            assert rep.details["fock_check_deviation"] <= FOCK_CHECK_TOL
+        _break_parity_phase(monkeypatch, modes)
+        for rep in verify_canonical_triviality(modes, 1.0, betas, 400, RngSpec(17)):
+            assert rep.details["fock_check_deviation"] > 1e-6 and not rep.passed
 
     @pytest.mark.parametrize("modes", [1, 2])
     def test_every_quadrature_report_carries_it(self, modes):
@@ -419,6 +458,15 @@ class TestWickQuadrature:
         # one node per mode at lam = offset: the two-mode node sits on lam_1 = lam_2
         with pytest.raises(ContractError, match="order-1 shifted rule .* raise quad_order"):
             shifted_weight_quadrature_deviation(2, CLASS_D, 1.0, 0.5, 1)
+
+    @pytest.mark.parametrize("offset", [1e17, 1e150, -1e150])
+    def test_offset_beyond_float_resolution_is_domain_error(self, offset):
+        # the nodes lam + offset round together, so every node sits on
+        # lam_1 = lam_2; no quad_order helps, and order 1 still names it
+        with pytest.raises(DomainError, match=re.escape(f"offset = {offset} exceeds the float resolution")):
+            shifted_weight_quadrature_deviation(2, CLASS_D, 1.0, offset)
+        with pytest.raises(ContractError, match="order-1 shifted rule .* raise quad_order"):
+            shifted_weight_quadrature_deviation(2, CLASS_D, 1.0, offset, 1)
 
     def test_zero_weight_nodes_raise_no_warning(self):
         # the class-D tensor rule puts 240 of its 14400 nodes on lam_1 = +-lam_2
