@@ -19,13 +19,17 @@ reduce; ``wick`` as above), 50 repeats each, interleaved.
 
 A ``quad`` table times the weighted mean over the nodes of the two-mode,
 order-120 class-D rule (Gaussian weight, p = 1, no rotation; 14400 nodes,
-the larger rule of the default ``resolution --mode quad``) both ways, and
-one whole default verify_resolution_quadrature, interleaved:
+the larger rule of the default ``resolution --mode quad``) both ways, the
+Fock cross-check as the driver runs it, and one whole default
+verify_resolution_quadrature, interleaved:
 
-- fock:  from_eigenpairs, quadratic_hamiltonian_batch,
-         exp_normalized_fock_batch, the weighted mean and the embedding
-- wick:  wick_mean_blocks on the nodes' eigenpairs with the log weights of
-         the nonzero-weight nodes, and the embedding
+- fock:       from_eigenpairs, quadratic_hamiltonian_batch,
+              exp_normalized_fock_batch, the weighted mean and the embedding
+- wick:       wick_mean_blocks on the nodes' eigenpairs with the log weights
+              of the nonzero-weight nodes, and the embedding
+- fock_check: the last 4 nonzero-weight nodes of the order-60 rule (the
+              rule the driver checks), their weighted Wick mean and the same
+              nodes through the fock layers, and the max-entry gap
 - verify_resolution_quadrature: the driver, as the package runs it
 
 It then times the three report layers of one M = 6, 400-sample Monte
@@ -71,6 +75,7 @@ CHUNK = 4000
 REPEATS = 5
 SMALL_MODES, SMALL_CHUNK, SMALL_REPEATS = 6, 25, 50
 QUAD_MODES, QUAD_ORDER = 2, 120
+CHECK_NODES = 4  # verify.FOCK_CHECK_DRAWS
 REPORT_MODES, REPORT_SAMPLES = 6, 400
 
 
@@ -154,8 +159,11 @@ def small_chunk_table() -> dict:
 
 
 def quad_table() -> dict:
-    """The quadrature mean through the Fock path and the Wick kernel, and one
-    whole verify_resolution_quadrature, interleaved, each REPEATS times."""
+    """The quadrature mean through the Fock path and the Wick kernel, the
+    Fock cross-check of the last CHECK_NODES nodes of the half-order rule,
+    and one whole verify_resolution_quadrature, interleaved, each REPEATS
+    times. Built from public functions only, so any ``--src`` tree with the
+    Wick kernel runs it."""
     from fermigauss import fock, gaussian
     from fermigauss.ensembles import CLASS_D, WeightSpec
     from fermigauss.verify import radial_quadrature_nodes, verify_resolution_quadrature
@@ -171,17 +179,30 @@ def quad_table() -> dict:
     def wick_path():
         return fock.embed_parity_blocks(gaussian.wick_mean_blocks(w[keep], v, np.log(wts[keep])))
 
+    lo_pts, lo_wts = radial_quadrature_nodes(CLASS_D, weight, QUAD_MODES, QUAD_ORDER // 2)
+    lo_keep = lo_wts > 0.0
+    w_last = np.concatenate([lo_pts, -lo_pts], axis=1)[lo_keep][-CHECK_NODES:]
+    log_last = np.log(lo_wts[lo_keep])[-CHECK_NODES:]
+
+    def fock_check():
+        wick = fock.embed_parity_blocks(gaussian.wick_mean_blocks(w_last, v, log_last))
+        ops = gaussian.exp_normalized_fock_batch(fock.quadratic_hamiltonian_batch(fock.from_eigenpairs(w_last, v)))
+        node_w = np.exp(log_last - log_last.max())
+        fock_mean = fock.embed_parity_blocks(np.einsum("s,spab->pab", node_w / node_w.sum(), ops))
+        return float(np.abs(fock_mean - wick).max())
+
     def whole():
         return verify_resolution_quadrature(QUAD_MODES, CLASS_D, weight)
 
-    times = {"fock": [], "wick": [], "verify_resolution_quadrature": []}
+    times = {"fock": [], "wick": [], "fock_check": [], "verify_resolution_quadrature": []}
     for i in range(REPEATS + 1):
         dt_f, mean_f = _timed(fock_path)
         dt_w, mean_w = _timed(wick_path)
+        dt_c, gap = _timed(fock_check)
         dt_v, _ = _timed(whole)
-        assert np.abs(mean_w - mean_f).max() <= 1e-13
+        assert np.abs(mean_w - mean_f).max() <= 1e-13 and gap <= 1e-12
         if i:  # the first round warms the per-M caches
-            for layer, dt in zip(times, (dt_f, dt_w, dt_v)):
+            for layer, dt in zip(times, (dt_f, dt_w, dt_c, dt_v)):
                 times[layer].append(dt)
     table = _min_median(times)
     print(f"quad M = {QUAD_MODES}, {len(pts)} nodes: " + ", ".join(f"{k} {v['median_s']:.4f} s" for k, v in table.items()),

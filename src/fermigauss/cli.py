@@ -260,6 +260,7 @@ def run(argv=None) -> int:
     try:
         argv = _apply_config(argv)
         args = build_parser().parse_args(argv)
+        RngSpec(args.seed, args.stream)  # a bad seed or stream fails before any work
     except FermigaussError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

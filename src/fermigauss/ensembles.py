@@ -52,6 +52,11 @@ class RngSpec:
     seed: int
     stream: int = 0
 
+    def __post_init__(self):
+        for name, value in (("seed", self.seed), ("stream", self.stream)):
+            if not isinstance(value, (int, np.integer)) or value < 0:
+                raise ContractError(f"{name} must be a non-negative integer, got {name} = {value!r}")
+
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.PCG64(seq))

@@ -113,28 +113,6 @@ def build_mode_operators(modes: int) -> list[FockOperator]:
 
 
 @lru_cache(maxsize=None)
-def _gamma_ops(modes: int) -> np.ndarray:
-    """Stacked matrices of (a_1..a_M, a_1^dag..a_M^dag), shape (2M, dim, dim).
-
-    Kept as a dense oracle for the tests; the package assembles through
-    _assembly_plan.
-    """
-    ann = _annihilators(modes)
-    stack = np.stack(list(ann) + [m.conj().T for m in ann])
-    stack.setflags(write=False)
-    return stack
-
-
-@lru_cache(maxsize=None)
-def _quadratic_tensor(modes: int) -> np.ndarray:
-    """T[k, l] = gamma_k^dag @ gamma_l, shape (2M, 2M, dim, dim); a dense test oracle."""
-    gam = _gamma_ops(modes)
-    out = np.einsum("kba,lbc->klac", gam.conj(), gam)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
 def _parities(modes: int) -> np.ndarray:
     """Occupation parity (0 or 1) of every basis state."""
     out = np.array([n.bit_count() & 1 for n in range(1 << modes)])

@@ -57,8 +57,9 @@ from .gaussian import (
 #: which makes results independent of how chunks are assigned to workers.
 CHUNK = 4000
 
-#: Draws of chunk 0 that the Monte Carlo drivers also build through the Fock
-#: construction (_chunk_fock_check): a fixed cost per run, whatever the chunk size.
+#: Draws or nodes that every driver also builds through the Fock construction
+#: (_fock_check): chunk 0's first draws, or the quad_order rule's last kept
+#: nodes; a fixed cost per run, whatever the chunk size or quad_order.
 FOCK_CHECK_DRAWS = 4
 
 #: Minimum number of chunks, so batch-means standard errors stay usable.
@@ -77,11 +78,10 @@ QUAD_CONVERGENCE_TOL = 1e-9
 #: The even-weight residual must exceed this fraction of nc_failure_residual.
 FAILURE_FLOOR_FRACTION = 0.95
 
-#: Largest max-entry gap allowed between a Wick mean (of a Monte Carlo chunk
-#: or a quadrature rule) and the mean of the same draws or nodes built
-#: through the Fock construction. Single operators agree to about 2e-13 at
-#: energies near 1000, and a weighted canonical mean there is carried by one
-#: draw.
+#: Largest max-entry gap allowed between the Wick mean of FOCK_CHECK_DRAWS
+#: draws or nodes and their mean built through the Fock construction. Single
+#: operators agree to about 2e-13 at energies near 1000, and a weighted
+#: canonical mean there is carried by one draw.
 FOCK_CHECK_TOL = 1e-12
 
 
@@ -91,8 +91,9 @@ class EstimatorReport:
 
     ``passed`` reflects the stated rule: for quadrature runs the max-entry
     deviation against the target at the deterministic tolerance (plus
-    rotation independence, and the quad_order rule's Wick mean within
-    FOCK_CHECK_TOL of its Fock construction); for Monte Carlo runs the
+    rotation independence, and the Wick mean of the quad_order rule's last
+    FOCK_CHECK_DRAWS kept nodes within FOCK_CHECK_TOL of the same nodes
+    through the Fock construction); for Monte Carlo runs the
     entrywise gate |mean - target| <= 5 SE with at most max(1, 1% of
     entries) in the 3-to-5 SE band, entries below a 1e-12 absolute floor
     always passing, and the Wick mean of chunk 0's first FOCK_CHECK_DRAWS
@@ -148,9 +149,9 @@ def _run_chunks(worker, n_samples: int, spec: RngSpec, modes: int, workers: int 
     """Chunked Monte Carlo sampling: ``worker(generator, per, first)`` once
     per chunk, chunk i drawing from the i-th substream past ``spec``, so
     results do not depend on the worker count. ``first`` is set for chunk 0
-    alone, whose worker runs the Fock cross-check on its own first
-    FOCK_CHECK_DRAWS draws (_chunk_fock_check). Returns
-    the chunk results in chunk order and the total sample count."""
+    alone, whose worker hands its own first FOCK_CHECK_DRAWS draws to the
+    Fock cross-check (_fock_check). Returns the chunk results in chunk order
+    and the total sample count."""
     if workers < 1:
         raise ContractError(f"need workers >= 1, got {workers}")
     _check_modes(modes)
@@ -227,28 +228,20 @@ MC_RULE = (
 )
 
 
-def _fock_check(mats: np.ndarray, wick_mean: np.ndarray, log_weights=None) -> float:
-    """Max-entry gap between a Wick mean (a full matrix) and the mean of the
-    normalized Gaussian operators of the same coefficient matrices ``mats``
-    built through quadratic_hamiltonian_batch and exp_normalized_fock_batch,
-    weighted alike. It keeps the Fock construction under test in every
-    Monte Carlo run (through _chunk_fock_check) and every quadrature run (on
-    the whole quad_order rule)."""
+def _fock_check(mats: np.ndarray, w: np.ndarray, v: np.ndarray, log_weights=None) -> float:
+    """Max-entry gap between the Wick mean of exactly the draws or nodes it is
+    handed, from their eigenpairs ``w`` and ``v`` (stacked, or one ``v``
+    shared by every node), and the mean of the normalized Gaussian operators
+    of the same coefficient matrices ``mats`` built through
+    quadratic_hamiltonian_batch and exp_normalized_fock_batch, both weighted
+    by ``log_weights`` when given. The one Fock cross-check of every driver:
+    the Monte Carlo workers hand it chunk 0's first FOCK_CHECK_DRAWS draws
+    with their raw ``mats`` (so an eigenvector-convention error shows), and
+    _converged_mean the last FOCK_CHECK_DRAWS kept nodes of its rule."""
+    wick = embed_parity_blocks(wick_mean_blocks(w, v, log_weights))
     ops = exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats))
     fock_mean = embed_parity_blocks(np.einsum("s,spab->pab", _draw_weights(len(mats), log_weights), ops))
-    return float(np.abs(fock_mean - wick_mean).max())
-
-
-def _chunk_fock_check(mats: np.ndarray, w: np.ndarray, v: np.ndarray, log_weights=None) -> float:
-    """_fock_check of the first FOCK_CHECK_DRAWS draws of a chunk against
-    their own Wick mean, from the eigenpairs ``w``, ``v`` the chunk already
-    has, weighted by their ``log_weights`` when given. The chunk's mean is
-    left alone; a wrong phase anywhere in the Wick scatter shows on a few
-    draws as on thousands, and the Fock matrices cost 2^M x 2^M each."""
-    head = slice(FOCK_CHECK_DRAWS)
-    log_w = None if log_weights is None else log_weights[head]
-    wick = embed_parity_blocks(wick_mean_blocks(w[head], v[head], log_w))
-    return _fock_check(mats[head], wick, log_w)
+    return float(np.abs(fock_mean - wick).max())
 
 
 def _mc_report(
@@ -270,49 +263,6 @@ def _mc_report(
         criterion=MC_RULE,
         details={**info, **details, "fock_check_deviation": fock_dev},
     )
-
-
-# ---------------------------------------------------------------------------
-# Batched operator evaluation
-# ---------------------------------------------------------------------------
-
-
-def _rotated_gaussian_blocks(points: np.ndarray, rotation: np.ndarray) -> np.ndarray:
-    """Normalized Gaussian operators for coefficient matrices U^-1 diag(lam,-lam) U,
-    one Fock matrix per node.
-
-    ``points`` is (N, M); ``rotation`` the 2M x 2M transformation U. Same
-    algorithm as gaussian_normalized, vectorized; returns the parity blocks,
-    shape (N, 2, 2^(M-1), 2^(M-1)). The drivers take the Wick path
-    (_quadrature_mean); the tests hold it to this one.
-    """
-    mats = from_eigenpairs(np.concatenate([points, -points], axis=1), rotation.conj().T)
-    return exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats))
-
-
-def _rotated_ncons_blocks(points: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
-    """Normalized number-conserving operators at h = U diag(lam) U^dag, one
-    Fock matrix per node.
-
-    ``unitaries`` is either one M x M matrix shared by all points or a stack
-    matching the points. Same algorithm as gaussian_number_conserving,
-    vectorized: h is embedded as (h, delta = 0). Returns the parity blocks.
-    The drivers take the Wick path; the tests hold it to this one.
-    """
-    h = from_eigenpairs(points, unitaries)
-    hams = quadratic_hamiltonian_batch(assemble_blocks(h, np.zeros_like(h)))
-    return exp_normalized_fock_batch(hams)
-
-
-def _ncons_eigenvectors(unitaries: np.ndarray) -> np.ndarray:
-    """blockdiag(U, conj U), for one U or a stack: the eigenvectors of the
-    embedding (h, 0) of h = U diag(lam) U^dag, whose eigenvalues are
-    [lam, -lam]."""
-    m = unitaries.shape[-1]
-    v = np.zeros(unitaries.shape[:-2] + (2 * m, 2 * m), dtype=complex)
-    v[..., :m, :m] = unitaries
-    v[..., m:, m:] = unitaries.conj()
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -487,11 +437,15 @@ def _quadrature_mean(points: np.ndarray, wts: np.ndarray, v: np.ndarray):
 
 def _converged_mean(sym_class: SymmetryClass, weight: WeightSpec, modes: int, order: int, v: np.ndarray):
     """Wick mean of the operators with eigenvectors ``v`` over the `order` and
-    `2 * order` rules, which must agree. The `order` rule's nodes also go
-    through the Fock construction (_fock_check), weighted alike. Returns the
-    `2 * order` mean, the change, the `2 * order` rule and the Fock gap."""
+    `2 * order` rules, which must agree. The `order` rule's last
+    FOCK_CHECK_DRAWS kept nodes, its outermost in the all-positive orthant,
+    go through _fock_check: there every tanh(lam_j / 2) is near 1, so every
+    Wick coordinate of their mean is of order one (those of the whole rule's
+    mean vanish by the resolution of unity). Returns the `2 * order` mean,
+    the change, the `2 * order` rule and the Fock gap."""
     q_lo, w_lo, log_lo = _quadrature_mean(*radial_quadrature_nodes(sym_class, weight, modes, order), v)
-    fock_dev = _fock_check(from_eigenpairs(w_lo, v), q_lo, log_lo)
+    last = slice(-FOCK_CHECK_DRAWS, None)  # v is shared by every node: never index it by node
+    fock_dev = _fock_check(from_eigenpairs(w_lo[last], v), w_lo[last], v, log_lo[last])
     rule_hi = radial_quadrature_nodes(sym_class, weight, modes, 2 * order)
     q_hi = _quadrature_mean(*rule_hi, v)[0]
     delta = float(np.abs(q_hi - q_lo).max())
@@ -505,8 +459,8 @@ def _converged_mean(sym_class: SymmetryClass, weight: WeightSpec, modes: int, or
 
 def _fock_rule(quad_order: int) -> str:
     return (
-        f"the order-{quad_order} rule's Wick mean within {FOCK_CHECK_TOL:g} of the same nodes "
-        f"through the Fock construction"
+        f"the Wick mean of the order-{quad_order} rule's last {FOCK_CHECK_DRAWS} kept nodes within "
+        f"{FOCK_CHECK_TOL:g} of the same nodes through the Fock construction"
     )
 
 
@@ -535,6 +489,8 @@ def verify_resolution_quadrature(
             f"the resolution hypothesis requires an even integrable weight"
         )
     weight.validate_for(modes, sym_class)
+    if rotation is not None and rotation.modes != modes:
+        raise ContractError(f"the rotation acts on {rotation.modes} modes, but the run has modes = {modes}")
 
     # the coefficient matrix U^-1 diag(lam, -lam) U has the eigenvectors U^dag
     v_main = np.eye(2 * modes) if rotation is None else rotation.bogoliubov.conj().T
@@ -622,7 +578,8 @@ def verify_resolution_mc(
     def worker(gen: np.random.Generator, per: int, first: bool):
         mats = sample_class_d_batch(modes, p, gen, per)
         w, v = np.linalg.eigh(mats)
-        return embed_parity_blocks(wick_mean_blocks(w, v)), _chunk_fock_check(mats, w, v) if first else None
+        k = FOCK_CHECK_DRAWS
+        return embed_parity_blocks(wick_mean_blocks(w, v)), _fock_check(mats[:k], w[:k], v[:k]) if first else None
 
     results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
     mean, se = _chunk_estimate([r[0] for r in results])
@@ -671,7 +628,8 @@ def verify_canonical_triviality(
             log_mean = top + math.log(np.exp(log_tr - top).mean())
             w_beta = -beta * w  # the eigenvalues of -beta H
             mean = embed_parity_blocks(wick_mean_blocks(w_beta, v, log_tr))
-            fock_dev = _chunk_fock_check(-beta * mats[:FOCK_CHECK_DRAWS], w_beta, v, log_tr) if first else None
+            k = FOCK_CHECK_DRAWS
+            fock_dev = _fock_check(-beta * mats[:k], w_beta[:k], v[:k], log_tr[:k]) if first else None
             out.append((mean, log_mean, fock_dev))
         return out
 
@@ -708,6 +666,17 @@ def verify_canonical_triviality(
 # ---------------------------------------------------------------------------
 # Number-conserving dichotomy
 # ---------------------------------------------------------------------------
+
+
+def _ncons_eigenvectors(unitaries: np.ndarray) -> np.ndarray:
+    """blockdiag(U, conj U), for one U or a stack: the eigenvectors of the
+    embedding (h, 0) of h = U diag(lam) U^dag, whose eigenvalues are
+    [lam, -lam]."""
+    m = unitaries.shape[-1]
+    v = np.zeros(unitaries.shape[:-2] + (2 * m, 2 * m), dtype=complex)
+    v[..., :m, :m] = unitaries
+    v[..., m:, m:] = unitaries.conj()
+    return v
 
 
 def _closest_identity_multiple(mat: np.ndarray) -> tuple[float, float]:
@@ -756,8 +725,9 @@ def verify_nc_failure(modes: int = 2, p: float = 1.0, quad_order: int = 60) -> E
     """Quadrature of the number-conserving family against the even weight: the
     residual distance from all identity multiples must *exceed* the oracle
     floor, FAILURE_FLOOR_FRACTION of nc_failure_residual(p), and must live
-    entirely in the rotated number-operator sector; its Wick mean is held to
-    the Fock construction as in verify_resolution_quadrature."""
+    entirely in the rotated number-operator sector; the last FOCK_CHECK_DRAWS
+    kept nodes of its quad_order rule are held to the Fock construction as
+    in verify_resolution_quadrature."""
     if modes != 2:
         raise ContractError("the even-weight failure demonstration is pinned at two modes")
     oracle = nc_failure_residual(p)
@@ -834,8 +804,9 @@ def verify_nc_modified(
         w, v = np.concatenate([pts, -pts], axis=1), _ncons_eigenvectors(us)
         fock_dev = None
         if first:
-            h = from_eigenpairs(pts[:FOCK_CHECK_DRAWS], us[:FOCK_CHECK_DRAWS])
-            fock_dev = _chunk_fock_check(assemble_blocks(h, np.zeros_like(h)), w, v)
+            k = FOCK_CHECK_DRAWS
+            h = from_eigenpairs(pts[:k], us[:k])
+            fock_dev = _fock_check(assemble_blocks(h, np.zeros_like(h)), w[:k], v[:k])
         return embed_parity_blocks(wick_mean_blocks(w, v)), pts, fock_dev
 
     results, samples = _run_chunks(worker, n_samples, spec, modes, workers)

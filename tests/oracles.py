@@ -1,0 +1,53 @@
+"""Dense test oracles: the Fock-space constructions the package no longer
+runs, kept so the tests can hold its paths to an independent one."""
+
+from functools import lru_cache
+
+import numpy as np
+
+from fermigauss.ensembles import assemble_blocks
+from fermigauss.fock import _annihilators, from_eigenpairs, quadratic_hamiltonian_batch
+from fermigauss.gaussian import exp_normalized_fock_batch
+
+
+@lru_cache(maxsize=None)
+def gamma_ops(modes: int) -> np.ndarray:
+    """Stacked matrices of (a_1..a_M, a_1^dag..a_M^dag), shape (2M, dim, dim)."""
+    ann = _annihilators(modes)
+    stack = np.stack(list(ann) + [m.conj().T for m in ann])
+    stack.setflags(write=False)
+    return stack
+
+
+@lru_cache(maxsize=None)
+def quadratic_tensor(modes: int) -> np.ndarray:
+    """T[k, l] = gamma_k^dag @ gamma_l, shape (2M, 2M, dim, dim)."""
+    gam = gamma_ops(modes)
+    out = np.einsum("kba,lbc->klac", gam.conj(), gam)
+    out.setflags(write=False)
+    return out
+
+
+def rotated_gaussian_blocks(points: np.ndarray, rotation: np.ndarray) -> np.ndarray:
+    """Normalized Gaussian operators for coefficient matrices U^-1 diag(lam,-lam) U,
+    one Fock matrix per node.
+
+    ``points`` is (N, M); ``rotation`` the 2M x 2M transformation U. Same
+    algorithm as gaussian_normalized, vectorized; returns the parity blocks,
+    shape (N, 2, 2^(M-1), 2^(M-1)). The drivers take the Wick path
+    (verify._quadrature_mean).
+    """
+    mats = from_eigenpairs(np.concatenate([points, -points], axis=1), rotation.conj().T)
+    return exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats))
+
+
+def rotated_ncons_blocks(points: np.ndarray, unitaries: np.ndarray) -> np.ndarray:
+    """Normalized number-conserving operators at h = U diag(lam) U^dag, one
+    Fock matrix per node.
+
+    ``unitaries`` is either one M x M matrix shared by all points or a stack
+    matching the points. Same algorithm as gaussian_number_conserving,
+    vectorized: h is embedded as (h, delta = 0). Returns the parity blocks.
+    """
+    h = from_eigenpairs(points, unitaries)
+    return exp_normalized_fock_batch(quadratic_hamiltonian_batch(assemble_blocks(h, np.zeros_like(h))))

@@ -166,11 +166,30 @@ class TestExitCodes:
             (["ensembles", "--samples", "10", "--burn-in", "-5"], "burn_in = -5"),
             (["ensembles", "--samples", "10", "--modes", "0"], "modes = 0"),
             (["ensembles", "--samples", "10", "--modes", "-1"], "modes = -1"),
+            (["identities", "--seed", "-1"], "seed = -1"),
+            (["resolution", "--mode", "mc", "--samples", "16", "--seed", "-1"], "seed = -1"),
+            (["resolution", "--mode", "quad", "--stream", "-1"], "stream = -1"),
+            (["canonical", "--samples", "16", "--stream", "-1"], "stream = -1"),
+            (["number-conserving", "--variant", "modified", "--samples", "16", "--seed", "-1"], "seed = -1"),
+            (["number-conserving", "--variant", "failure", "--stream", "-1"], "stream = -1"),
+            (["selberg", "--consistency", "--seed", "-1"], "seed = -1"),
+            (["ensembles", "--samples", "10", "--stream", "-1"], "stream = -1"),
         ],
     )
     def test_out_of_range_count_is_usage_error(self, argv, message, capsys):
         assert run(argv) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, suite", [("identities", "operator_identity_suite"), ("selberg", "selberg_consistency_suite")]
+    )
+    def test_bad_stream_fails_before_the_suite_runs(self, command, suite, monkeypatch):
+        # neither suite draws from --stream; only the report records it
+        def ran(*args):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(cli, suite, ran)
+        assert run([command, "--stream", "-1"]) == 2
 
 
 class TestReports:

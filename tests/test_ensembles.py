@@ -54,6 +54,12 @@ class TestRngSpec:
         b = RngSpec(123, 1).generator().normal(size=16)
         assert not np.allclose(a, b)
 
+    @pytest.mark.parametrize("seed, stream, named", [(1.5, 0, "seed = 1.5"), (0, "2", "stream = '2'")])
+    def test_non_integer_is_contract_error(self, seed, stream, named):
+        # negative values come in through the CLI (tests/test_cli.py)
+        with pytest.raises(ContractError, match=named):
+            RngSpec(seed, stream)
+
 
 class TestClassDSampler:
     def test_pairing_block_antisymmetric_exactly(self):

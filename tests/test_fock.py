@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from conftest import hermitian_matrix, max_abs
+from oracles import quadratic_tensor
 
 from fermigauss import (
     CapacityError,
@@ -21,7 +22,6 @@ from fermigauss import (
 )
 from fermigauss.fock import (
     _parity_sectors,
-    _quadratic_tensor,
     _wick_plan,
     embed_parity_blocks,
     quadratic_hamiltonian_batch,
@@ -138,7 +138,7 @@ class TestAssemblyPlan:
         composed = compose_general(b1, b2)
         assert composed.hermitian == (modes == 1)
         mats = np.concatenate([mats, composed.assembled()[None]])
-        dense = 0.5 * np.einsum("skl,klab->sab", mats, _quadratic_tensor(modes))
+        dense = 0.5 * np.einsum("skl,klab->sab", mats, quadratic_tensor(modes))
         blocks = quadratic_hamiltonian_batch(mats)
         half = 1 << (modes - 1)
         assert blocks.shape == (6, 2, half, half)
@@ -153,7 +153,7 @@ class TestAssemblyPlan:
         parity = np.array([int(n).bit_count() & 1 for n in states])
         across = parity[:, None] != parity[None, :]
         assert (full[:, across] == 0).all()
-        dense = 0.5 * np.einsum("skl,klab->sab", mats, _quadratic_tensor(modes))
+        dense = 0.5 * np.einsum("skl,klab->sab", mats, quadratic_tensor(modes))
         assert max_abs(full, dense) <= 1e-15
 
 
@@ -241,7 +241,7 @@ class TestNormalOrderedExp:
     def test_matches_spectral_exponential(self, modes):
         # fifty random generators spread over the mode counts
         gen = RngSpec(14).generator()
-        tensor = _quadratic_tensor(modes)[:modes, :modes]
+        tensor = quadratic_tensor(modes)[:modes, :modes]
         for _ in range(17):
             h = hermitian_matrix(gen, modes)
             ham = FockOperator(modes, np.einsum("kl,klab->ab", h, tensor), hermitian=True)

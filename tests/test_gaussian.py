@@ -8,6 +8,7 @@ import scipy.linalg
 from conftest import hermitian_matrix, max_abs, skew_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import gamma_ops, quadratic_tensor
 
 from fermigauss import (
     BdgMatrix,
@@ -34,7 +35,7 @@ from fermigauss import (
 )
 from fermigauss import gaussian
 from fermigauss.cli import run
-from fermigauss.fock import _annihilators, _gamma_ops, _wick_plan, embed_parity_blocks, quadratic_hamiltonian_batch
+from fermigauss.fock import _annihilators, _wick_plan, embed_parity_blocks, quadratic_hamiltonian_batch
 from fermigauss.gaussian import exp_normalized_fock_batch, wick_coordinates, wick_mean_blocks
 
 
@@ -88,7 +89,7 @@ class TestMakeBdgFromR:
         r = 0.7
         rmat = np.array([[0.0, r], [-r, 0.0]], dtype=complex)
         bdg = make_bdg_from_r(rmat)
-        gam = _gamma_ops(1)
+        gam = gamma_ops(1)
         direct = 0.5 * sum(
             rmat[i, j] * (gam[i] @ gam[j]) for i in range(2) for j in range(2)
         )
@@ -146,7 +147,7 @@ class TestGaussianNormalized:
         bdg = sample_class_d(modes, 1.0, RngSpec(27, stream=modes))
         bdg = make_bdg(scale * bdg.h, scale * bdg.delta)
         polar = polar_decompose(bdg)
-        bops = np.einsum("jk,kab->jab", polar.bogoliubov[:modes], _gamma_ops(modes))
+        bops = np.einsum("jk,kab->jab", polar.bogoliubov[:modes], gamma_ops(modes))
         eye = np.eye(1 << modes)
         want = eye
         for t, b in zip(np.tanh(polar.lambdas / 2.0), bops):
@@ -422,7 +423,7 @@ class TestPolarDecompose:
         gen = RngSpec(29).generator()
         bdg = sample_class_d(2, 1.0, gen)
         u = polar_decompose(bdg).bogoliubov
-        gam = np.stack(_gamma_ops(2))
+        gam = np.stack(gamma_ops(2))
         b = np.einsum("jk,kab->jab", u, gam)
         eye = np.eye(4)
         for i in range(2):
@@ -488,7 +489,7 @@ class TestNumberConserving:
     def test_normalizer_is_block_determinant(self):
         gen = RngSpec(31).generator()
         h = hermitian_matrix(gen, 3)
-        gam = _gamma_ops(3)
+        gam = gamma_ops(3)
         ham = sum(h[i, j] * gam[3 + i] @ gam[j] for i in range(3) for j in range(3))
         ham -= 0.5 * np.trace(h) * np.eye(8)
         exact = scipy.linalg.expm(ham).trace().real
@@ -609,10 +610,8 @@ class TestComposeNumberConserving:
         assert max_abs(compose_number_conserving(h1, h2), h1 + h2) < 1e-12
 
     def test_fock_level_group_law(self):
-        from fermigauss.fock import _quadratic_tensor
-
         gen = RngSpec(38).generator()
-        tensor = _quadratic_tensor(2)[:2, :2]
+        tensor = quadratic_tensor(2)[:2, :2]
         eye = np.eye(4)
 
         def unnormalized(h):

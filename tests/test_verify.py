@@ -8,6 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import quadratic_tensor, rotated_gaussian_blocks, rotated_ncons_blocks
 from scipy.special import gammaln
 
 from fermigauss import (
@@ -34,7 +35,6 @@ from fermigauss import gaussian, sample_class_d_batch
 from fermigauss.cli import run
 from fermigauss.ensembles import assemble_blocks, sample_haar_unitary_batch
 from fermigauss.fock import (
-    _quadratic_tensor,
     _wick_plan,
     embed_parity_blocks,
     from_eigenpairs,
@@ -53,8 +53,6 @@ from fermigauss.verify import (
     _fock_check,
     _ncons_eigenvectors,
     _radial_density,
-    _rotated_gaussian_blocks,
-    _rotated_ncons_blocks,
     _run_chunks,
     _tensor,
     _weight_rule,
@@ -106,6 +104,11 @@ class TestResolutionQuadrature:
     def test_mode_cap(self):
         with pytest.raises(ContractError):
             verify_resolution_quadrature(3, CLASS_D, WeightSpec.gaussian(1.0))
+
+    def test_rotation_of_another_mode_count_is_contract_error(self):
+        rotation = random_polar_rotation(1, RngSpec(1))
+        with pytest.raises(ContractError, match="rotation acts on 1 modes, but the run has modes = 2"):
+            verify_resolution_quadrature(2, CLASS_D, WeightSpec.gaussian(1.0), rotation)
 
     @pytest.mark.parametrize("modes, sym", [(2, CLASS_D), (1, CLASS_C)])
     @pytest.mark.parametrize("offset, named", [(math.nan, "nan"), (math.inf, "inf"), (1e300, "1e+300")])
@@ -255,7 +258,7 @@ class TestResolutionMc:
         spec = RngSpec(8)
         rep = verify_resolution_mc(6, 1.0, 64, spec)
         assert rep.details["chunks"] == 16
-        tensor = _quadratic_tensor(6)
+        tensor = quadratic_tensor(6)
         chunk_means = []
         for i in range(16):
             mats = sample_class_d_batch(6, 1.0, spec.with_stream(spec.stream + i).generator(), 4)
@@ -323,13 +326,14 @@ class TestRunChunks:
                 _run_chunks(worker, 64, RngSpec(0), 1, workers=workers)
 
 
-def _break_parity_phase(monkeypatch, modes: int) -> None:
-    """Make the Wick kernel at ``modes`` modes multiply one entry of the
-    parity coordinate's scatter column (the full Majorana set's) by i."""
+def _break_phase(monkeypatch, modes: int, column: int = -1) -> None:
+    """Make the Wick kernel at ``modes`` modes multiply one entry of a Wick
+    coordinate's scatter column by i; by default the parity coordinate's
+    (the full Majorana set's), the last column."""
     plan = _wick_plan(modes)
     scatter = plan.scatter
     data = scatter.data.copy()
-    data[np.flatnonzero(scatter.indices == scatter.shape[1] - 1)[0]] *= 1j
+    data[np.flatnonzero(scatter.indices == column % scatter.shape[1])[0]] *= 1j
     bad = dataclasses.replace(plan, scatter=type(scatter)((data, scatter.indices, scatter.indptr), shape=scatter.shape))
     monkeypatch.setattr(gaussian, "_wick_plan", lambda m: bad if m == modes else _wick_plan(m))
 
@@ -354,8 +358,7 @@ class TestFockCrossCheck:
         rep = verify_resolution_mc(modes, 1.0, n, spec, workers=workers)
         mats = sample_class_d_batch(modes, 1.0, spec.generator(), _chunk_layout(n)[1])
         w, v = np.linalg.eigh(mats)
-        wick = embed_parity_blocks(gaussian.wick_mean_blocks(w[:k], v[:k]))
-        assert rep.details["fock_check_deviation"] == _fock_check(mats[:k], wick)
+        assert rep.details["fock_check_deviation"] == _fock_check(mats[:k], w[:k], v[:k])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_canonical_checks_chunk_zero(self, workers):
@@ -365,8 +368,7 @@ class TestFockCrossCheck:
         w, v = np.linalg.eigh(mats)
         for beta, rep in zip(betas, reps):
             log_tr = gaussian.log_trace_of_pairs(beta * w[:, modes:])[:k]
-            wick = embed_parity_blocks(gaussian.wick_mean_blocks(-beta * w[:k], v[:k], log_tr))
-            assert rep.details["fock_check_deviation"] == _fock_check(-beta * mats[:k], wick, log_tr)
+            assert rep.details["fock_check_deviation"] == _fock_check(-beta * mats[:k], -beta * w[:k], v[:k], log_tr)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_nc_modified_checks_chunk_zero(self, workers):
@@ -377,9 +379,9 @@ class TestFockCrossCheck:
         pts = pts * gen.choice((-1.0, 1.0), size=(per, modes))
         us = sample_haar_unitary_batch(modes, gen, per)
         w = np.concatenate([pts, -pts], axis=1)
-        wick = embed_parity_blocks(gaussian.wick_mean_blocks(w[:k], _ncons_eigenvectors(us[:k])))
         h = from_eigenpairs(pts[:k], us[:k])
-        assert rep.details["fock_check_deviation"] == _fock_check(assemble_blocks(h, np.zeros_like(h)), wick)
+        mats = assemble_blocks(h, np.zeros_like(h))
+        assert rep.details["fock_check_deviation"] == _fock_check(mats, w[:k], _ncons_eigenvectors(us[:k]))
 
     # power: i times one entry of the parity coordinate's scatter column moves
     # no entry far enough for the 5 SE gate, but the check of 4 draws sees it
@@ -387,14 +389,14 @@ class TestFockCrossCheck:
     @pytest.mark.parametrize("modes", [1, 2, 3, 6])
     def test_resolution_mc_fails_on_a_wrong_phase(self, modes, monkeypatch):
         assert verify_resolution_mc(modes, 1.0, 64, RngSpec(17)).details["fock_check_deviation"] <= FOCK_CHECK_TOL
-        _break_parity_phase(monkeypatch, modes)
+        _break_phase(monkeypatch, modes)
         rep = verify_resolution_mc(modes, 1.0, 64, RngSpec(17))
         assert rep.details["fock_check_deviation"] > 1e-6 and not rep.passed
 
     @pytest.mark.parametrize("modes", [1, 2, 3])
     def test_nc_modified_fails_on_a_wrong_phase(self, modes, monkeypatch):
         assert verify_nc_modified(modes, 1.0, 64, RngSpec(17)).details["fock_check_deviation"] <= FOCK_CHECK_TOL
-        _break_parity_phase(monkeypatch, modes)
+        _break_phase(monkeypatch, modes)
         rep = verify_nc_modified(modes, 1.0, 64, RngSpec(17))
         assert rep.details["fock_check_deviation"] > 1e-6 and not rep.passed
 
@@ -403,7 +405,7 @@ class TestFockCrossCheck:
         betas = [0.7, -1000.0]
         for rep in verify_canonical_triviality(modes, 1.0, betas, 400, RngSpec(17)):
             assert rep.details["fock_check_deviation"] <= FOCK_CHECK_TOL
-        _break_parity_phase(monkeypatch, modes)
+        _break_phase(monkeypatch, modes)
         for rep in verify_canonical_triviality(modes, 1.0, betas, 400, RngSpec(17)):
             assert rep.details["fock_check_deviation"] > 1e-6 and not rep.passed
 
@@ -414,8 +416,64 @@ class TestFockCrossCheck:
             reps.append(verify_nc_failure(2, 1.0, quad_order=30))
         for rep in reps:
             assert 0.0 <= rep.details["fock_check_deviation"] <= FOCK_CHECK_TOL
-            assert f"order-30 rule's Wick mean within {FOCK_CHECK_TOL:g} of the same nodes" in rep.criterion
+            rule = f"order-30 rule's last {FOCK_CHECK_DRAWS} kept nodes within {FOCK_CHECK_TOL:g} of the same nodes"
+            assert rule in rep.criterion
         assert list(reps[0].details)[-2:] == ["fock_check_deviation", "tolerance"]
+
+    # each quadrature driver checks the last FOCK_CHECK_DRAWS kept nodes of its
+    # quad_order rule, the outermost of the all-positive orthant, with the one
+    # shared v; the tests rebuild them from radial_quadrature_nodes, and pin
+    # the gap with a broken parity phase too, where it depends on every node
+
+    @staticmethod
+    def _last_nodes_gap(sym, weight, modes, order, v):
+        pts, wts = radial_quadrature_nodes(sym, weight, modes, order)
+        keep = wts > 0.0
+        w = np.concatenate([pts[keep], -pts[keep]], axis=1)[-FOCK_CHECK_DRAWS:]
+        assert (w[:, :modes] > 0.0).all()
+        return _fock_check(from_eigenpairs(w, v), w, v, np.log(wts[keep])[-FOCK_CHECK_DRAWS:])
+
+    @pytest.mark.parametrize("broken", [False, True], ids=["clean", "broken"])
+    @pytest.mark.parametrize("weight", [WeightSpec.gaussian(1.0), WeightSpec.determinant(4.0)], ids=lambda w: w.kind)
+    @pytest.mark.parametrize("sym", [CLASS_D, CLASS_DIII], ids=lambda s: s.label)
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_resolution_quadrature_checks_the_last_nodes(self, modes, sym, weight, broken, monkeypatch):
+        if broken:
+            _break_phase(monkeypatch, modes)
+        rotation = random_polar_rotation(modes, RngSpec(5))
+        rep = verify_resolution_quadrature(modes, sym, weight, rotation, quad_order=30)
+        want = self._last_nodes_gap(sym, weight, modes, 30, rotation.bogoliubov.conj().T)
+        assert rep.details["fock_check_deviation"] == want
+
+    @pytest.mark.parametrize("broken", [False, True], ids=["clean", "broken"])
+    def test_nc_failure_checks_the_last_nodes(self, broken, monkeypatch):
+        if broken:
+            _break_phase(monkeypatch, 2)
+        rep = verify_nc_failure(2, 1.0, quad_order=30)
+        v = _ncons_eigenvectors(nc_even_weight_quadrature(2, 1.0, 30)[1])
+        assert rep.details["fock_check_deviation"] == self._last_nodes_gap(CLASS_D, WeightSpec.nc_even(1.0), 2, 30, v)
+
+    # power per Wick column: the whole rule's mean has every non-empty Wick
+    # coordinate at 0 (the resolution of unity), so i times one entry of any
+    # such column left a whole-rule check blind; the last nodes see each one
+
+    @pytest.mark.parametrize("weight", [WeightSpec.gaussian(1.0), WeightSpec.determinant(4.0)], ids=lambda w: w.kind)
+    @pytest.mark.parametrize("sym", [CLASS_D, CLASS_C, CLASS_DIII, CLASS_CI], ids=lambda s: s.label)
+    @pytest.mark.parametrize("modes", [1, 2])
+    def test_resolution_quadrature_fails_on_a_wrong_phase_in_every_column(self, modes, sym, weight, monkeypatch):
+        rotation = random_polar_rotation(modes, RngSpec(5))
+        for column in range(1, 1 << (2 * modes - 1)):
+            with monkeypatch.context() as patch:
+                _break_phase(patch, modes, column)
+                rep = verify_resolution_quadrature(modes, sym, weight, rotation, quad_order=30)
+            assert rep.details["fock_check_deviation"] > 1e-9 and not rep.passed, column
+
+    def test_nc_failure_fails_on_a_wrong_phase_in_every_column(self, monkeypatch):
+        for column in range(1, 8):
+            with monkeypatch.context() as patch:
+                _break_phase(patch, 2, column)
+                rep = verify_nc_failure(2, 1.0, 30)
+            assert rep.details["fock_check_deviation"] > 1e-9 and not rep.passed, column
 
 
 def _fock_quadrature_mean(points, wts, op_batch_fn) -> np.ndarray:
@@ -434,7 +492,7 @@ class TestWickQuadrature:
         rotation = random_polar_rotation(modes, RngSpec(5))
         rep = verify_resolution_quadrature(modes, sym, weight, rotation)
         pts, wts = radial_quadrature_nodes(sym, weight, modes, 120)
-        want = _fock_quadrature_mean(pts, wts, lambda p: _rotated_gaussian_blocks(p, rotation.bogoliubov))
+        want = _fock_quadrature_mean(pts, wts, lambda p: rotated_gaussian_blocks(p, rotation.bogoliubov))
         assert np.abs(rep.mean.matrix - want).max() <= 1e-13
 
     @pytest.mark.parametrize("offset", [0.1, 0.5])
@@ -443,7 +501,7 @@ class TestWickQuadrature:
         lam, w = _weight_rule(WeightSpec.gaussian(1.0), 60, False)
         pts, wts = _tensor(lam + offset, w, modes)
         wts = wts * _radial_density(pts, CLASS_D, False)
-        want = _fock_quadrature_mean(pts, wts, lambda p: _rotated_gaussian_blocks(p, np.eye(2 * modes)))
+        want = _fock_quadrature_mean(pts, wts, lambda p: rotated_gaussian_blocks(p, np.eye(2 * modes)))
         want_dev = np.abs(want - np.eye(1 << modes) / (1 << modes)).max()
         assert abs(shifted_weight_quadrature_deviation(modes, CLASS_D, 1.0, offset) - want_dev) <= 1e-13
 
@@ -452,7 +510,7 @@ class TestWickQuadrature:
     def test_nc_even_weight_matches_the_per_node_fock_path(self, modes, p):
         q, u = nc_even_weight_quadrature(modes, p)
         pts, wts = radial_quadrature_nodes(CLASS_D, WeightSpec.nc_even(p), modes, 120)
-        assert np.abs(q - _fock_quadrature_mean(pts, wts, lambda x: _rotated_ncons_blocks(x, u))).max() <= 1e-13
+        assert np.abs(q - _fock_quadrature_mean(pts, wts, lambda x: rotated_ncons_blocks(x, u))).max() <= 1e-13
 
     def test_shifted_rule_with_every_node_on_a_density_zero_names_quad_order(self):
         # one node per mode at lam = offset: the two-mode node sits on lam_1 = lam_2
@@ -485,16 +543,10 @@ class TestWickQuadrature:
         ids=["resolution", "failure"],
     )
     def test_perturbed_phase_fails_the_report_through_the_cross_check(self, argv, monkeypatch, tmp_path):
-        # i times one entry of the empty set's column: the resolution mean
-        # carries no other coordinate, so that is where a broken phase shows
+        # i times one entry of the empty set's column, which every node carries
         argv = argv + ["--quad-order", "30"]
         assert run(argv + ["--out", str(tmp_path / "good.json")]) == 0
-        plan = _wick_plan(2)
-        scatter = plan.scatter
-        data = scatter.data.copy()
-        data[np.flatnonzero(scatter.indices == 0)[0]] *= 1j
-        bad = dataclasses.replace(plan, scatter=type(scatter)((data, scatter.indices, scatter.indptr), shape=scatter.shape))
-        monkeypatch.setattr(gaussian, "_wick_plan", lambda modes: bad)
+        _break_phase(monkeypatch, 2, 0)
         assert run(argv + ["--out", str(tmp_path / "bad.json")]) == 1
         good, bad = (json.loads((tmp_path / f"{n}.json").read_text())["criteria"][0] for n in ("good", "bad"))
         assert good["details"]["fock_check_deviation"] <= FOCK_CHECK_TOL
@@ -702,25 +754,23 @@ class TestNcModifiedSampler:
 class TestBatchedPaths:
     def test_ncons_batch_matches_public_op(self):
         from fermigauss import gaussian_number_conserving, sample_haar_unitary
-        from fermigauss.verify import _rotated_ncons_blocks
 
         gen = RngSpec(99).generator()
         for modes in (1, 2, 3):
             lam = gen.normal(size=(1, modes))
             u = sample_haar_unitary(modes, gen)
-            batch = embed_parity_blocks(_rotated_ncons_blocks(lam, u))[0]
+            batch = embed_parity_blocks(rotated_ncons_blocks(lam, u))[0]
             h = u @ np.diag(lam[0]) @ u.conj().T
             assert np.abs(batch - gaussian_number_conserving(h).matrix).max() < 1e-13
 
     def test_gaussian_batch_matches_public_op_with_rotation(self):
         from fermigauss import gaussian_normalized, make_bdg
-        from fermigauss.verify import _rotated_gaussian_blocks
 
         gen = RngSpec(98).generator()
         for modes in (1, 2):
             lam = np.abs(gen.normal(size=(1, modes))) + 0.3
             rot = random_polar_rotation(modes, gen)
-            batch = embed_parity_blocks(_rotated_gaussian_blocks(lam, rot.bogoliubov))[0]
+            batch = embed_parity_blocks(rotated_gaussian_blocks(lam, rot.bogoliubov))[0]
             u = rot.bogoliubov
             mat = u.conj().T @ np.diag(np.concatenate([lam[0], -lam[0]])) @ u
             bdg = make_bdg(mat[:modes, :modes], mat[:modes, modes:])
