@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Parent-versus-change timings in alternating fresh processes.
 
-For each workload, runs ``benchmark/run.py`` of the parent tree and of the
-change tree in pairs, each run in a fresh interpreter, with one seed per
-pair and the side that runs first alternating from pair to pair, and
-records every end-to-end metric of every run. For each metric it writes
-both trees' values, the per-pair ratios change/parent, the number of pairs
-the change won, both medians and the parent's interquartile range.
+In each pair it runs ``benchmark/run.py`` of the parent tree and of the
+change tree on every workload, with one seed per pair, and
+``scripts/bench_layers.py --src <tree>/src`` of this checkout on both, each
+run in a fresh interpreter, the side that runs first alternating from pair
+to pair. For each end-to-end metric, and for each layer of each
+bench_layers row (its median seconds), it writes both trees' values, the
+per-pair ratios change/parent, the number of pairs the change won, both
+medians and the parent's interquartile range.
 
 With ``--aa COPY``, a second copy of the parent joins every pair as a third
 run, and the order of the three rotates from pair to pair. Each metric
@@ -14,7 +16,9 @@ then also carries the A/A control: the copy's values, the per-pair ratios
 copy/parent, their median and interquartile range, and their spread, the
 largest distance of an A/A ratio from 1. A change's median ratio that
 stands further from 1 than that spread is more than the noise between two
-copies of one tree in the same session.
+copies of one tree in the same session. An end-to-end metric whose A/A
+spread exceeds its ``bound`` in BENCHMARK.json is marked ``unresolved``:
+the session cannot tell a change of that size from noise.
 
 It then times ``resolution --mode mc --modes 6 --samples 16000`` at
 ``--workers 1`` and ``--workers 2`` in fresh processes, in pairs that
@@ -25,10 +29,11 @@ Run from the repository root of the change, with the parent checked out
 elsewhere:
 
     python3 scripts/bench_pairs.py --parent ../parent --out BENCH_14.json
-    python3 scripts/bench_pairs.py --parent ../parent --aa ../parent-copy --out BENCH_16.json
+    python3 scripts/bench_pairs.py --parent ../parent --aa ../parent-copy --out BENCH_18.json
 
-``--out`` adds the result under ``pairs`` and ``workers`` to the JSON file,
-keeping what is already in it.
+``--out`` adds the result under ``pairs`` (the layer rows under
+``pairs.layers``) and ``workers`` to the JSON file, keeping what is already
+in it.
 """
 
 import argparse
@@ -40,8 +45,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("checks", "mc_m6", "nc_modified")
-#: Metrics where a smaller value is better; the rest are rates.
-LOWER_IS_BETTER = {"wall_s", "cpu_s", "peak_rss_mb", "setup_s"}
+LAYERS = "layers"  # the bench_layers.py rows, run in every pair beside the workloads
+#: The end-to-end metrics of BENCHMARK.json, by name: which way is better, and the bound.
+END_TO_END = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 WORKERS_ARGV = ["resolution", "--mode", "mc", "--modes", "6", "--samples", "16000", "--seed", "1"]
 TIME_CALL = """
 import json, sys, time
@@ -67,6 +73,17 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"failed": result["failed"]} | {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def layer_run(tree: Path) -> dict:
+    """The median seconds of every layer of every bench_layers.py row, as
+    "row: layer", for the package under ``tree``/src."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_layers.py"), "--src", str((tree / "src").resolve())],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    )
+    rows = json.loads(proc.stdout)["rows"]
+    return {f"{row}: {layer}": t["median_s"] for row, layers in rows.items() for layer, t in layers.items()}
+
+
 def timed_call(tree: Path, argv: list[str]) -> dict:
     proc = subprocess.run(
         [sys.executable, "-c", TIME_CALL, json.dumps(argv + ["--out", "/dev/null"])],
@@ -75,7 +92,8 @@ def timed_call(tree: Path, argv: list[str]) -> dict:
     return _last_json(proc.stdout)
 
 
-def summary(parent: list[float], change: list[float], lower_is_better: bool, aa: list[float] | None = None) -> dict:
+def summary(parent: list[float], change: list[float], lower_is_better: bool, aa: list[float] | None = None,
+            bound: float | None = None) -> dict:
     ratios = [c / p for p, c in zip(parent, change)]
     q1, _, q3 = statistics.quantiles(parent, n=4)
     med = statistics.median(parent)
@@ -93,35 +111,39 @@ def summary(parent: list[float], change: list[float], lower_is_better: bool, aa:
         aq1, _, aq3 = statistics.quantiles(aa_ratios, n=4)
         out["aa"] = {
             "copy": aa,
+            "copy_median": statistics.median(aa),
             "ratios": aa_ratios,
             "median_ratio": statistics.median(aa_ratios),
             "ratio_iqr": aq3 - aq1,
             "spread": max(abs(r - 1.0) for r in aa_ratios),
         }
+        if bound is not None:
+            out["unresolved"] = out["aa"]["spread"] > bound
     return out
 
 
 def pairs(parent: Path, change: Path, count: int, seconds: float, aa: Path | None = None) -> dict:
     trees = [("parent", parent), ("change", change)] + ([("aa", aa)] if aa else [])
-    out = {}
-    for workload in WORKLOADS:
-        runs = {label: [] for label, _ in trees}
-        for seed in range(1, count + 1):
-            k = (seed - 1) % len(trees)  # which tree runs first rotates from pair to pair
+    runs = {workload: {label: [] for label, _ in trees} for workload in WORKLOADS + (LAYERS,)}
+    for seed in range(1, count + 1):
+        k = (seed - 1) % len(trees)  # which tree runs first rotates from pair to pair
+        for workload, by_tree in runs.items():
             for label, tree in trees[k:] + trees[:k]:
-                runs[label].append(bench_run(tree, workload, seed, seconds))
-            print(f"{workload} pair {seed}: " + ", ".join(
-                f"{name} " + " / ".join(f"{rs[-1][name]:.3f}" for rs in runs.values()) for name in ("cpu_s", "wall_s")
-            ), file=sys.stderr)
-        out[workload] = {
-            "failed": {label: [r["failed"] for r in rs] for label, rs in runs.items()},
-            "metrics": {
-                name: summary([r[name] for r in runs["parent"]], [r[name] for r in runs["change"]],
-                              name in LOWER_IS_BETTER, [r[name] for r in runs["aa"]] if aa else None)
-                for name in runs["parent"][0]
-                if name != "failed"
-            },
-        }
+                by_tree[label].append(layer_run(tree) if workload == LAYERS else bench_run(tree, workload, seed, seconds))
+            # wall_s of a workload run; the sum of the layer medians of a layer run
+            shown = (rs[-1].get("wall_s", sum(rs[-1].values())) for rs in by_tree.values())
+            print(f"{workload} pair {seed}: " + " / ".join(f"{x:.4f}" for x in shown), file=sys.stderr)
+    out = {}
+    for workload, by_tree in runs.items():
+        values = {name: {label: [r[name] for r in rs] for label, rs in by_tree.items()}
+                  for name in by_tree["parent"][0] if name != "failed"}
+        out[workload] = {"metrics": {}}
+        for name, v in values.items():
+            metric = END_TO_END.get(name, {"better": "lower", "bound": None})  # a layer: seconds, no bound
+            out[workload]["metrics"][name] = summary(v["parent"], v["change"], metric["better"] == "lower",
+                                                     v.get("aa"), metric["bound"])
+        if workload != LAYERS:
+            out[workload]["failed"] = {label: [r["failed"] for r in rs] for label, rs in by_tree.items()}
     return out
 
 

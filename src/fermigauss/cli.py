@@ -81,7 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_number_conserving)
 
     p = subs.add_parser("selberg", help="closed-form consistency sweep")
-    p.add_argument("--consistency", action="store_true", help="run the consistency suite")
+    p.add_argument(
+        "--consistency",
+        action="store_true",
+        help="no effect: the suite always runs; kept so existing command lines parse",
+    )
     p.add_argument("--max-modes", type=int, default=6)
     _add_common(p)
     p.set_defaults(func=_cmd_selberg)
@@ -154,7 +158,7 @@ def _finish(args, command: str, criteria: list[dict], warnings=None, csv_payload
 
 
 def _cmd_identities(args) -> int:
-    results = operator_identity_suite(args.modes, args.seed, args.trials)
+    results = operator_identity_suite(args.modes, RngSpec(args.seed, args.stream), args.trials)
     criteria = [reports.result_to_criterion(r) for r in results]
     return _finish(args, "identities", criteria)
 

@@ -17,6 +17,9 @@ from .gaussian import BdgMatrix, PolarForm, make_bdg, polar_decompose
 #: Proposals landing this close to a density zero are rejected outright.
 COINCIDENCE_FLOOR = 1e-300
 
+#: Independent walkers of sample_radial_mcmc (fewer when fewer samples are asked for).
+MCMC_CHAINS = 25
+
 
 @dataclass(frozen=True)
 class SymmetryClass:
@@ -284,17 +287,16 @@ def sample_radial_mcmc(
     rng,
     burn_in: int = 10_000,
     thin: int = 10,
-    chains: int = 25,
-    initial_step: float | None = None,
 ) -> McmcSamples:
     """Random-walk Metropolis samples of the radial eigenvalue density.
 
     The density is Delta(lam^2)^beta * prod |lam_j|^alpha * weight for the
     symmetry classes, or the hermitian-matrix Jacobian Delta(lam)^2 * weight
     for the number-conserving kinds. ``steps`` counts retained samples, drawn
-    from ``chains`` independent walkers after per-chain burn-in with the step
-    size tuned toward 40% acceptance, then thinned. Log-density arithmetic
-    throughout; proposals on a coincidence zero are rejected outright.
+    from MCMC_CHAINS independent walkers after per-chain burn-in with the step
+    size tuned from 0.6 / sqrt(2p) toward 40% acceptance, then thinned.
+    Log-density arithmetic throughout; proposals on a coincidence zero are
+    rejected outright.
     """
     if modes < 1:
         raise ContractError(f"need at least one mode, got modes = {modes}")
@@ -304,7 +306,7 @@ def sample_radial_mcmc(
         raise ContractError(f"need thin >= 1 and burn_in >= 0, got thin = {thin}, burn_in = {burn_in}")
     weight.validate_for(modes, None if weight.uses_hermitian_jacobian else sym_class)
     gen = _as_generator(rng)
-    chains = min(chains, steps)
+    chains = min(MCMC_CHAINS, steps)
     per_chain = -(-steps // chains)  # ceil; total retained = chains * per_chain
 
     scale = 1.0 / math.sqrt(2.0 * weight.p)
@@ -316,7 +318,7 @@ def sample_radial_mcmc(
         state[bad] += 0.1 * scale * gen.standard_normal((int(bad.sum()), modes))
         logp = _log_density(sym_class, weight, state)
 
-    step = initial_step if initial_step is not None else 0.6 * scale
+    step = 0.6 * scale
     window = 200
     accepted = 0
     for k in range(burn_in):

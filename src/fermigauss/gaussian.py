@@ -26,7 +26,7 @@ from .fock import (  # noqa: F401  op_exp stays importable here: benchmark/traci
     quadratic_hamiltonian,
 )
 
-#: Default tolerance for matching +-lambda eigenvalue pairs.
+#: Tolerance for matching +-lambda eigenvalue pairs.
 PAIR_TOL = 1e-8
 
 
@@ -108,7 +108,6 @@ class PolarForm:
 
     lambdas: np.ndarray
     bogoliubov: np.ndarray
-    pair_tolerance: float = PAIR_TOL
 
     def __post_init__(self):
         lam = np.asarray(self.lambdas, dtype=float)
@@ -199,7 +198,7 @@ def make_bdg_from_r(r) -> BdgMatrix:
     return make_bdg(assembled[:modes, :modes], assembled[:modes, modes:])
 
 
-def _paired_eigh(bdg: BdgMatrix, pair_tolerance: float, context: str) -> tuple[np.ndarray, np.ndarray]:
+def _paired_eigh(bdg: BdgMatrix, context: str) -> tuple[np.ndarray, np.ndarray]:
     """Pair representatives (as paired_eigenvalues) and the eigenvectors of the
     assembled matrix, ascending."""
     if not bdg.hermitian:
@@ -207,48 +206,48 @@ def _paired_eigh(bdg: BdgMatrix, pair_tolerance: float, context: str) -> tuple[n
     w, v = np.linalg.eigh(bdg.assembled())
     m = bdg.modes
     mirror = np.abs(w + w[::-1]).max()
-    if mirror > pair_tolerance:
+    if mirror > PAIR_TOL:
         raise StructureError(
             f"spectrum is not symmetric under sign reversal: max pairing violation {mirror:.3e}"
         )
     return (w[m:] - w[m - 1 :: -1]) / 2.0, v
 
 
-def paired_eigenvalues(bdg: BdgMatrix, pair_tolerance: float = PAIR_TOL) -> np.ndarray:
+def paired_eigenvalues(bdg: BdgMatrix) -> np.ndarray:
     """Ascending nonnegative representatives of the +-lambda eigenvalue pairs.
 
     Only mirror symmetry of the spectrum is required, so degenerate spectra
     (including the zero matrix) are fine here.
     """
-    return _paired_eigh(bdg, pair_tolerance, "eigenvalue pairing")[0]
+    return _paired_eigh(bdg, "eigenvalue pairing")[0]
 
 
-def polar_decompose(bdg: BdgMatrix, pair_tolerance: float = PAIR_TOL) -> PolarForm:
+def polar_decompose(bdg: BdgMatrix) -> PolarForm:
     """Split a hermitian coefficient matrix into eigenvalue pairs and a
     canonical diagonalizing transformation.
 
     The partner of the eigenvector w for +lambda is sigma_x conj(w) for
     -lambda, which makes the stacked transformation both unitary and
     compatible with the mode-operator anticommutators. Spectra where distinct
-    pairs (or a pair and its mirror) come closer than ``pair_tolerance`` are
+    pairs (or a pair and its mirror) come closer than PAIR_TOL are
     rejected: the pairing is then ambiguous and callers should perturb the
     input. Samplers treat this as a probability-zero event and redraw.
     """
-    lam, v = _paired_eigh(bdg, pair_tolerance, "polar decomposition")
+    lam, v = _paired_eigh(bdg, "polar decomposition")
     m = bdg.modes
     gaps = np.diff(lam)
-    if (m > 1 and gaps.min() < pair_tolerance) or lam[0] < pair_tolerance / 2:
+    if (m > 1 and gaps.min() < PAIR_TOL) or lam[0] < PAIR_TOL / 2:
         raise DegenerateSpectrumError(
             "eigenvalue pairs are closer than the pair tolerance "
-            f"({pair_tolerance:.1e}); perturb the input and retry"
+            f"({PAIR_TOL:.1e}); perturb the input and retry"
         )
     plus = v[:, m:]
     partner = _sigma_x(m) @ plus.conj()
     big = np.hstack([plus, partner])
-    return PolarForm(lambdas=lam, bogoliubov=big.conj().T, pair_tolerance=pair_tolerance)
+    return PolarForm(lambdas=lam, bogoliubov=big.conj().T)
 
 
-def trace_formula(bdg: BdgMatrix, pair_tolerance: float = PAIR_TOL) -> float:
+def trace_formula(bdg: BdgMatrix) -> float:
     """prod_j 2 cosh(lambda_j / 2) over the M eigenvalue-pair representatives.
 
     Equals the exact Fock trace of the exponentiated quadratic operator, and
@@ -256,7 +255,7 @@ def trace_formula(bdg: BdgMatrix, pair_tolerance: float = PAIR_TOL) -> float:
     2M x 2M matrix (each factor appears there twice, once per pair member).
     Raises DomainError when the trace exceeds the float range.
     """
-    lam = paired_eigenvalues(bdg, pair_tolerance)
+    lam = paired_eigenvalues(bdg)
     log_trace = float(log_trace_of_pairs(lam))
     if not log_trace < LOG_FLOAT_MAX:
         raise DomainError(f"trace overflows a float: its log is {log_trace:.6g}")

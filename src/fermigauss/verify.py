@@ -185,6 +185,12 @@ def _chunk_estimate(chunks, log_weights=None) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.sqrt(var / len(x))
 
 
+def _log_sum_exp(logs) -> float:
+    """log sum exp(logs), taken relative to the largest so nothing overflows."""
+    top = np.max(logs)
+    return float(top + math.log(np.exp(np.subtract(logs, top)).sum()))
+
+
 def _max_sigma(dev: np.ndarray, se: np.ndarray) -> float:
     """Largest deviation in standard errors over the entries the gate judges,
     those above ABS_FLOOR; 0 when there are none or no SE at all."""
@@ -603,7 +609,9 @@ def verify_canonical_triviality(
     prod_j 2 cosh(beta lambda_j / 2) times L(-beta H), so each chunk is the
     Wick mean of L(-beta H) with those traces as log weights, and the chunks
     weigh the log of their mean trace. Each report carries the pairwise
-    agreement with the other betas in its details. Raises DomainError when
+    agreement with the other betas in its details, and the Kish effective
+    sample size (sum w)^2 / sum w^2 of the draws' traces w, from per-chunk
+    log sums of w and w^2 combined in chunk order. Raises DomainError when
     beta times an energy of the draws overflows a float, or when the gate
     would judge no entry at some beta != 0.
     """
@@ -619,7 +627,8 @@ def verify_canonical_triviality(
     def worker(gen: np.random.Generator, per: int, first: bool):
         mats = sample_class_d_batch(modes, p, gen, per)
         w, v = np.linalg.eigh(mats)
-        out = []  # per beta: the chunk's Wick mean, the log of its mean trace, chunk 0's Fock gap
+        out = []  # per beta: the chunk's Wick mean, the log of its mean trace, chunk 0's Fock gap,
+        # and the logs of the sums of the traces and of their squares
         for beta in betas:
             if not abs(beta) * float(np.abs(w).max()) < math.inf:
                 raise DomainError(f"beta = {beta} times an energy of the draws at p = {p} overflows a float")
@@ -630,14 +639,15 @@ def verify_canonical_triviality(
             mean = embed_parity_blocks(wick_mean_blocks(w_beta, v, log_tr))
             k = FOCK_CHECK_DRAWS
             fock_dev = _fock_check(-beta * mats[:k], w_beta[:k], v[:k], log_tr[:k]) if first else None
-            out.append((mean, log_mean, fock_dev))
+            out.append((mean, log_mean, fock_dev, _log_sum_exp(log_tr), _log_sum_exp(2.0 * log_tr)))
         return out
 
     results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
     reports = []
     for bi, beta in enumerate(betas):
         grand, se = _chunk_estimate([r[bi][0] for r in results], [r[bi][1] for r in results])
-        details = {"beta": beta, "p": p}
+        log_w, log_w2 = (_log_sum_exp([r[bi][j] for r in results]) for j in (3, 4))
+        details = {"beta": beta, "p": p, "effective_sample_size": math.exp(2.0 * log_w - log_w2)}
         if beta == 0.0:
             exact_dev = float(np.abs(grand - np.eye(dim) / dim).max())
             details = {"beta_zero_exact_deviation": exact_dev, **details}
@@ -828,15 +838,18 @@ def _hermitian_matrix(gen: np.random.Generator, m: int) -> np.ndarray:
     return (z + z.conj().T) / 2.0
 
 
-def operator_identity_suite(max_modes: int = 3, seed: int = 42, trials: int = 50) -> list[CriterionResult]:
-    """Run the operator-level identity checks and return one result per check."""
+def operator_identity_suite(
+    max_modes: int = 3, seed: RngSpec | int = 42, trials: int = 50
+) -> list[CriterionResult]:
+    """Run the operator-level identity checks and return one result per check.
+    ``seed`` is an RngSpec, or an integer seed on stream 0."""
     if max_modes < 1:
         raise CapacityError(f"mode count must be a positive integer, got {max_modes}")
     if trials < 1:
         raise ContractError(f"the identity suite needs trials >= 1, got {trials}")
     import scipy.linalg  # only here and in gaussian._principal_log: keeps it off the import path
 
-    gen = RngSpec(seed).generator()
+    gen = _as_rngspec(seed).generator()
     out = []
 
     # canonical anticommutators, vacuum annihilation, nilpotency
@@ -997,7 +1010,11 @@ def operator_identity_suite(max_modes: int = 3, seed: int = 42, trials: int = 50
     return out
 
 
-def selberg_consistency_suite(max_modes: int = 6, ps=(0.5, 1.0, 3.0)) -> list[CriterionResult]:
+#: Stiffnesses at which selberg_consistency_suite checks angular + radial = Cartesian.
+CONSISTENCY_PS = (0.5, 1.0, 3.0)
+
+
+def selberg_consistency_suite(max_modes: int = 6) -> list[CriterionResult]:
     """Closed-form consistency checks: angular + radial = Cartesian in log
     space, p-independence of the angular volume, and unit normalization of the
     two weight constants."""
@@ -1006,7 +1023,7 @@ def selberg_consistency_suite(max_modes: int = 6, ps=(0.5, 1.0, 3.0)) -> list[Cr
     out = []
     worst = 0.0
     for m in range(1, max_modes + 1):
-        for p in ps:
+        for p in CONSISTENCY_PS:
             gap = abs(
                 selberg.angular_volume_log(m)
                 + selberg.radial_gaussian_integral_log(m, p)
@@ -1015,7 +1032,7 @@ def selberg_consistency_suite(max_modes: int = 6, ps=(0.5, 1.0, 3.0)) -> list[Cr
             worst = max(worst, gap)
     out.append(
         CriterionResult(
-            f"angular + radial = Cartesian in log space (M <= {max_modes}, p in {tuple(ps)})",
+            f"angular + radial = Cartesian in log space (M <= {max_modes}, p in {CONSISTENCY_PS})",
             worst,
             1e-10,
             worst <= 1e-10,

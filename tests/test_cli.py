@@ -12,6 +12,7 @@ import pytest
 
 from fermigauss import blas, cli
 from fermigauss.cli import run
+from fermigauss.verify import operator_identity_suite
 
 
 def read_report(path):
@@ -184,7 +185,7 @@ class TestExitCodes:
         "command, suite", [("identities", "operator_identity_suite"), ("selberg", "selberg_consistency_suite")]
     )
     def test_bad_stream_fails_before_the_suite_runs(self, command, suite, monkeypatch):
-        # neither suite draws from --stream; only the report records it
+        # a bad stream fails at parse time, before either suite runs
         def ran(*args):
             raise AssertionError("the suite ran")
 
@@ -248,6 +249,22 @@ class TestReports:
         assert run(argv + ["--seed", "1", "--out", str(out)]) in (0, 1)
         text = out.read_text()
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    def test_identities_draw_from_the_stream(self, tmp_path):
+        base = ["identities", "--modes", "3", "--trials", "4", "--seed", "14"]
+        docs = []
+        for stream in ("0", "7"):
+            out = tmp_path / f"stream{stream}.json"
+            assert run(base + ["--stream", stream, "--out", str(out)]) == 0
+            docs.append({c["name"]: c["measured"] for c in read_report(out)["criteria"]})
+        name = "normal-ordered exponential identity"  # random hermitian generators
+        assert docs[0][name] != docs[1][name]
+
+    def test_identities_stream_zero_is_the_seed_alone(self, tmp_path):
+        out = tmp_path / "stream0.json"
+        assert run(["identities", "--modes", "3", "--trials", "4", "--seed", "14", "--out", str(out)]) == 0
+        measured = [c["measured"] for c in read_report(out)["criteria"]]
+        assert measured == [r.measured for r in operator_identity_suite(3, 14, 4)]
 
     def test_report_dir_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FERMIGAUSS_REPORT_DIR", str(tmp_path))

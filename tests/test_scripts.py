@@ -1,0 +1,74 @@
+"""Smoke tests of the timing scripts: a rename in src/ breaks these, not the
+next timing session."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from fermigauss import fock, verify
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchLayers:
+    def test_every_row_runs_against_src(self, monkeypatch):
+        layers = load("bench_layers")
+        monkeypatch.setattr(layers, "CHUNK", 8)
+        monkeypatch.setattr(layers, "REPEATS", 1)
+        monkeypatch.setattr(layers, "SMALL_REPEATS", 1)
+        assembled = []  # the sizes of every stack built through the Fock construction
+        for module in (fock, verify):
+            build = module.quadratic_hamiltonian_batch
+            monkeypatch.setattr(module, "quadratic_hamiltonian_batch",
+                                lambda mats, build=build: assembled.append(len(mats)) or build(mats))
+        rows = layers.tables()
+        resolution = ["sample_class_d_batch", "eigh", "wick_coordinates", "scatter", "_fock_check"]
+        assert {name: list(row) for name, row in rows.items()} == {
+            **{f"verify_resolution_mc M={m} chunk=8": resolution for m in range(1, 7)},
+            "verify_resolution_mc M=6 chunk=25": resolution,
+            "verify_nc_modified M=2 chunk=1563": ["class_d_eigvalsh", "sample_haar_unitary_batch", "wick_mean"],
+            "_cmd_resolution report M=6 samples=400": ["estimator_to_criterion", "build_report", "write_report"],
+            "verify_resolution_quadrature M=2": ["verify_resolution_quadrature"],
+        }
+        for row in rows.values():
+            for t in row.values():
+                assert 0.0 < t["min_s"] <= t["median_s"]
+        assert assembled and max(assembled) == verify.FOCK_CHECK_DRAWS
+
+
+class TestBenchPairsSummary:
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        return load("bench_pairs")
+
+    def test_ratios_wins_and_aa_spread(self, pairs):
+        out = pairs.summary([1.0, 2.0, 4.0, 1.0], [0.5, 2.2, 2.0, 0.9], True, [1.1, 1.8, 4.0, 1.05])
+        assert out["ratios"] == pytest.approx([0.5, 1.1, 0.5, 0.9])
+        assert out["change_won"] == 3
+        assert out["parent_median"] == 1.5 and out["change_median"] == pytest.approx(1.45)
+        assert out["aa"]["ratios"] == pytest.approx([1.1, 0.9, 1.0, 1.05])
+        assert out["aa"]["copy_median"] == pytest.approx(1.45)
+        assert out["aa"]["spread"] == pytest.approx(0.1)
+        assert "unresolved" not in out  # no bound given
+
+    def test_higher_is_better_counts_rises_as_wins(self, pairs):
+        assert pairs.summary([1.0, 1.0], [1.2, 0.9], False)["change_won"] == 1
+
+    @pytest.mark.parametrize("copy, unresolved", [([1.0, 1.3, 1.0, 1.0], True), ([1.0, 1.2, 1.0, 1.0], False)])
+    def test_unresolved_when_the_aa_spread_exceeds_the_bound(self, pairs, copy, unresolved):
+        bound = pairs.END_TO_END["setup_s"]["bound"]
+        assert bound == 0.25
+        out = pairs.summary([1.0] * 4, [1.0] * 4, True, copy, bound)
+        assert out["unresolved"] is unresolved
+
+    def test_reads_every_end_to_end_metric_of_the_benchmark(self, pairs):
+        assert set(pairs.END_TO_END) == {"wall_s", "samples_per_s", "cpu_s", "peak_rss_mb", "setup_s"}
+        assert pairs.END_TO_END["samples_per_s"]["better"] == "higher"

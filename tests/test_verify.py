@@ -634,6 +634,29 @@ class TestCanonicalTriviality:
         with pytest.raises(DomainError, match=r"beta = 1e\+308"):
             verify_canonical_triviality(2, 0.01, [0.0, 1e308], 64, RngSpec(0))
 
+    def test_effective_sample_size_is_the_sample_count_at_beta_zero(self):
+        rep = verify_canonical_triviality(3, 1.0, [0.0], 6_000, RngSpec(21))[0]
+        assert rep.details["effective_sample_size"] == pytest.approx(rep.samples, rel=1e-9)
+
+    def test_effective_sample_size_does_not_depend_on_workers(self):
+        one, two = (verify_canonical_triviality(2, 1.0, [0.0, 0.7, 5.0], 9_000, RngSpec(22), workers=n) for n in (1, 2))
+        assert [r.details["effective_sample_size"] for r in one] == [r.details["effective_sample_size"] for r in two]
+
+    def test_effective_sample_size_is_about_one_at_beta_1000(self):
+        rep = verify_canonical_triviality(2, 1.0, [1000.0], 4000, RngSpec(3))[0]
+        assert rep.details["effective_sample_size"] == pytest.approx(1.0, abs=1e-3)
+
+    def test_effective_sample_size_is_kish_over_the_draws(self):
+        # (sum w)^2 / sum w^2 over all draws, with w = prod_j 2 cosh(beta lambda_j / 2)
+        spec, beta = RngSpec(23), 1.5
+        rep = verify_canonical_triviality(2, 1.0, [beta], 2_000, spec)[0]
+        w = np.concatenate([
+            np.prod(2.0 * np.cosh(beta * np.linalg.eigvalsh(
+                sample_class_d_batch(2, 1.0, spec.with_stream(i).generator(), 125))[:, 2:] / 2.0), axis=1)
+            for i in range(16)
+        ])
+        assert rep.details["effective_sample_size"] == pytest.approx(w.sum() ** 2 / (w**2).sum(), rel=1e-12)
+
 
 class TestNcFailure:
     def test_residual_exceeds_golden_floor(self):
