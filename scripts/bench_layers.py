@@ -7,14 +7,18 @@ steps of that call, run one after another on the same draws, p = 1:
 - ``verify_resolution_mc M=m chunk=n``: one chunk of the resolution worker,
   at M = 1..6 with n = 4000 (a full chunk) and at M = 6 with n = 25 (the
   chunk of the ``mc_m6`` benchmark workload, 400 samples in 16 chunks).
-  Layers: sample_class_d_batch, the complex 2M x 2M eigh,
-  wick_coordinates, scatter (the WickPlan scatter and embed_parity_blocks)
-  and _fock_check on the chunk's first verify.FOCK_CHECK_DRAWS draws.
+  Layers: sample_class_d_batch, covariance (real_form, with its one real
+  eigh, and covariance_of_real_form), wick_coordinates, scatter (the one
+  wick_blocks product over all of a run's chunk columns, verify.MIN_CHUNKS
+  copies of this chunk's coordinates, and embed_parity_blocks of their
+  first block) and _fock_check on the chunk's first verify.FOCK_CHECK_DRAWS
+  draws.
 - ``verify_nc_modified M=2 chunk=1563``: one chunk of the number-conserving
   worker (the ``nc_modified`` workload, 25000 samples in 16 chunks).
   Layers: class_d_eigvalsh (the class-D draws at p/2, eigvalsh and the
   random signs), sample_haar_unitary_batch and wick_mean (the eigenvectors,
-  wick_mean_blocks and embed_parity_blocks).
+  covariance_from_eigenpairs and wick_coordinates: the chunk's mean Wick
+  coordinates).
 - ``_cmd_resolution report M=6 samples=400``: the report steps of the CLI's
   ``resolution --mode mc`` on an ``mc_m6``-sized result:
   estimator_to_criterion, build_report (with its ``git describe``) and
@@ -35,8 +39,10 @@ root:
     python3 scripts/bench_layers.py --src ../other-checkout/src
 
 ``--src`` names the directory holding the ``fermigauss`` package to time
-(default: this checkout's ``src``). scripts/bench_pairs.py runs it on the
-parent, the change and an A/A copy in alternating fresh processes.
+(default: this checkout's ``src``); the rows call the package's current
+functions, so an older tree is timed by its own copy of this script, as
+scripts/bench_pairs.py does for the parent, the change and an A/A copy in
+alternating fresh processes.
 """
 
 import argparse
@@ -77,22 +83,25 @@ def resolution_row(modes: int, per: int, repeats: int) -> dict:
     from fermigauss import fock, gaussian, verify
     from fermigauss.ensembles import RngSpec, sample_class_d_batch
 
-    gen, k, half = RngSpec(modes).generator(), verify.FOCK_CHECK_DRAWS, 1 << (modes - 1)
+    gen, k = RngSpec(modes).generator(), verify.FOCK_CHECK_DRAWS
+
+    def covariance(mats):
+        return gaussian.covariance_of_real_form(*gaussian.real_form(mats))
 
     def scatter(coords):
-        return fock.embed_parity_blocks((fock._wick_plan(modes).scatter @ coords).reshape(2, half, half))
+        return fock.embed_parity_blocks(gaussian.wick_blocks(np.stack([coords] * verify.MIN_CHUNKS))[0])
 
     def one_round(timed):
         mats = timed("sample_class_d_batch", sample_class_d_batch, modes, 1.0, gen, per)
-        w, v = timed("eigh", np.linalg.eigh, mats)
-        timed("scatter", scatter, timed("wick_coordinates", gaussian.wick_coordinates, w, v))
-        timed("_fock_check", verify._fock_check, mats[:k], w[:k], v[:k])
+        gamma = timed("covariance", covariance, mats)
+        timed("scatter", scatter, timed("wick_coordinates", gaussian.wick_coordinates, gamma))
+        timed("_fock_check", verify._fock_check, mats[:k], gamma[:k])
 
     return _row(one_round, repeats)
 
 
 def nc_modified_row(modes: int, per: int, repeats: int) -> dict:
-    from fermigauss import fock, gaussian, verify
+    from fermigauss import gaussian, verify
     from fermigauss.ensembles import RngSpec, sample_class_d_batch, sample_haar_unitary_batch
 
     gen = RngSpec(modes).generator()
@@ -103,7 +112,7 @@ def nc_modified_row(modes: int, per: int, repeats: int) -> dict:
 
     def wick_mean(pts, us):
         w, v = np.concatenate([pts, -pts], axis=1), verify._ncons_eigenvectors(us)
-        return fock.embed_parity_blocks(gaussian.wick_mean_blocks(w, v))
+        return gaussian.wick_coordinates(gaussian.covariance_from_eigenpairs(w, v))
 
     def one_round(timed):
         pts = timed("class_d_eigvalsh", class_d_eigvalsh)

@@ -2,13 +2,15 @@
 """Parent-versus-change timings in alternating fresh processes.
 
 In each pair it runs ``benchmark/run.py`` of the parent tree and of the
-change tree on every workload, with one seed per pair, and
-``scripts/bench_layers.py --src <tree>/src`` of this checkout on both, each
-run in a fresh interpreter, the side that runs first alternating from pair
-to pair. For each end-to-end metric, and for each layer of each
-bench_layers row (its median seconds), it writes both trees' values, the
-per-pair ratios change/parent, the number of pairs the change won, both
-medians and the parent's interquartile range.
+change tree on every workload, with one seed per pair, and each tree's own
+``scripts/bench_layers.py`` (the calls that tree's drivers make), each run
+in a fresh interpreter, the side that runs first alternating from pair to
+pair. For each end-to-end metric, and for each layer of each bench_layers
+row (its median seconds) that every tree times, it writes both trees'
+values, the per-pair ratios change/parent, the number of pairs the change
+won, both medians and the parent's interquartile range. A layer that only
+some trees time (a step a change adds, removes or renames) is listed under
+``unmatched`` with each tree's median.
 
 With ``--aa COPY``, a second copy of the parent joins every pair as a third
 run, and the order of the three rotates from pair to pair. Each metric
@@ -74,11 +76,10 @@ def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def layer_run(tree: Path) -> dict:
-    """The median seconds of every layer of every bench_layers.py row, as
-    "row: layer", for the package under ``tree``/src."""
+    """The median seconds of every layer of every row of ``tree``'s own
+    scripts/bench_layers.py, as "row: layer"."""
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench_layers.py"), "--src", str((tree / "src").resolve())],
-        cwd=ROOT, capture_output=True, text=True, check=True,
+        [sys.executable, "scripts/bench_layers.py"], cwd=tree, capture_output=True, text=True, check=True,
     )
     rows = json.loads(proc.stdout)["rows"]
     return {f"{row}: {layer}": t["median_s"] for row, layers in rows.items() for layer, t in layers.items()}
@@ -135,9 +136,14 @@ def pairs(parent: Path, change: Path, count: int, seconds: float, aa: Path | Non
             print(f"{workload} pair {seed}: " + " / ".join(f"{x:.4f}" for x in shown), file=sys.stderr)
     out = {}
     for workload, by_tree in runs.items():
+        shared = [name for name in by_tree["parent"][0] if all(name in rs[0] for rs in by_tree.values())]
         values = {name: {label: [r[name] for r in rs] for label, rs in by_tree.items()}
-                  for name in by_tree["parent"][0] if name != "failed"}
+                  for name in shared if name != "failed"}
         out[workload] = {"metrics": {}}
+        if workload == LAYERS:
+            out[workload]["unmatched"] = {label: {name: statistics.median(r[name] for r in rs)
+                                                  for name in rs[0] if name not in shared}
+                                          for label, rs in by_tree.items()}
         for name, v in values.items():
             metric = END_TO_END.get(name, {"better": "lower", "bound": None})  # a layer: seconds, no bound
             out[workload]["metrics"][name] = summary(v["parent"], v["change"], metric["better"] == "lower",

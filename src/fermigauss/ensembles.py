@@ -8,6 +8,7 @@ Every sampler is a pure function of its parameters and an RngSpec; identical
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -159,6 +160,14 @@ class WeightSpec:
         return out
 
 
+@cache
+def _upper_pairs(modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(modes, 1), computed once per mode count, read-only."""
+    iu, ju = np.triu_indices(modes, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 def _class_d_blocks(modes: int, p: float, gen: np.random.Generator, count: int):
     """Draw (h, delta) block stacks for `count` class-D matrices with density
     proportional to exp(-p Tr[H^2]): diagonal entries have variance 1/(4p), each
@@ -166,19 +175,15 @@ def _class_d_blocks(modes: int, p: float, gen: np.random.Generator, count: int):
     sd = math.sqrt(1.0 / (4.0 * p))
     so = math.sqrt(1.0 / (8.0 * p))
     diag = gen.normal(0.0, sd, size=(count, modes))
-    iu, ju = np.triu_indices(modes, 1)
-    npair = iu.size
-    comps = gen.normal(0.0, so, size=(count, 4, npair)) if npair else np.zeros((count, 4, 0))
+    iu, ju = _upper_pairs(modes)
+    comps = gen.normal(0.0, so, size=(count, 4, iu.size))  # one mode draws none
     h = np.zeros((count, modes, modes), dtype=complex)
     delta = np.zeros((count, modes, modes), dtype=complex)
     h[:, np.arange(modes), np.arange(modes)] = diag
-    if npair:
-        hval = comps[:, 0] + 1j * comps[:, 1]
-        dval = comps[:, 2] + 1j * comps[:, 3]
-        h[:, iu, ju] = hval
-        h[:, ju, iu] = hval.conj()
-        delta[:, iu, ju] = dval
-        delta[:, ju, iu] = -dval
+    hval = comps[:, 0] + 1j * comps[:, 1]
+    dval = comps[:, 2] + 1j * comps[:, 3]
+    h[:, iu, ju], h[:, ju, iu] = hval, hval.conj()
+    delta[:, iu, ju], delta[:, ju, iu] = dval, -dval
     return h, delta
 
 

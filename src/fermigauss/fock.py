@@ -188,7 +188,8 @@ class WickPlan:
     coordinates Tr(L c_S) = Pf(K_S), K_ab = Tr(L c_a c_b), over the
     ascending even subsets S of the 2M Majorana indices, and
     L = 2^-M sum_S (-1)^(k(k-1)/2) Pf(K_S) c_S with k = |S|. Off its unit
-    diagonal K = i Gamma, Gamma real antisymmetric, so Pf(K_S) = i^(k/2) Pf(Gamma_S).
+    diagonal K = i Gamma, Gamma real antisymmetric, so Pf(K_S) = i^(k/2) Pf(Gamma_S);
+    gaussian.covariance_of_real_form and gaussian.covariance_from_eigenpairs build Gamma.
 
     The subsets are numbered by size, then by bit mask (bit a for c_a): the
     empty set, the ``pair_rows[i] < pair_cols[i]`` pairs, then one level per
@@ -344,10 +345,10 @@ def quadratic_hamiltonian_batch(mats: np.ndarray) -> np.ndarray:
 def from_eigenpairs(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The matrix v diag(w) v^dag from eigenvalues ``w`` and eigenvector columns ``v``.
 
-    The package's one rebuild from eigenpairs (gaussian.wick_coordinates forms
-    only the imaginary part of one, in real arithmetic). It covers one matrix,
-    a stack (``w`` of shape (n, d), ``v`` of shape (n, d, d)), or one ``v``
-    shared by a stack of ``w``.
+    The package's one rebuild from eigenpairs (gaussian.covariance_from_eigenpairs
+    forms only the imaginary part of one, in real arithmetic). It covers one
+    matrix, a stack (``w`` of shape (n, d), ``v`` of shape (n, d, d)), or one
+    ``v`` shared by a stack of ``w``.
     """
     return (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 

@@ -314,28 +314,61 @@ def _draw_weights(count: int, log_weights=None) -> np.ndarray:
     return w / w.sum()
 
 
-def wick_coordinates(w: np.ndarray, v: np.ndarray, log_weights=None) -> np.ndarray:
-    """Mean Wick coordinates Pf(Gamma_S) of the normalized Gaussian operators of
-    a stack of coefficient matrices, given by their eigenpairs, in the subset
-    order of fock.WickPlan.
+def _tanh_ratio(s: np.ndarray) -> np.ndarray:
+    """g(s) = -tanh(s/2) / (2s), with g(0) = -1/4."""
+    return -0.25 * np.divide(np.tanh(0.5 * s), 0.5 * s, out=np.ones_like(s), where=s > 0)
 
-    Draw s has the 2M x 2M coefficient matrix v[s] diag(w[s]) v[s]^dag, or
-    v diag(w[s]) v^dag when one ``v`` is shared by every draw (the nodes of a
-    quadrature rule); with ``log_weights`` draw s weighs e^log_weights[s]. The filling
-    G = (1 + e^H)^-1 enters as G - I/2 = v diag(t) v^dag with t = -tanh(w/2)/2,
-    so K - I = u diag(t) u^dag = i Gamma with u = majorana v, and w = 0 gives
-    Gamma = 0 exactly. Gamma, the imaginary part of that rebuild, is
-    X - X^T with X = (Im u) diag(t) (Re u)^T, in real arithmetic and exactly
-    antisymmetric. The empty set's coordinate is 1. The draws run along the
-    last axis of the recursion, and each level is averaged before the next.
-    """
-    modes = w.shape[-1] // 2
+
+def real_form(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A V, V, s) of class-D coefficient matrices H for every L(t H): A =
+    Im(Omega H Omega^dag) / 2 (Omega = WickPlan.majorana) from the blocks of H,
+    one real eigh A^T A = V diag(mu) V^T of A over its largest entry (no square
+    overflows), and s = |A v_k|: sqrt(mu) with the rounding of A, not of A^T A,
+    so each pair eigenvalue of H twice, ascending (s[:, 1::2] once)."""
+    m = mats.shape[-1] // 2
+    h, d = mats[..., :m, :m], mats[..., :m, m:]
+    a = np.empty(mats.shape)
+    a[..., ::2, ::2], a[..., ::2, 1::2] = h.imag + d.imag, h.real - d.real
+    a[..., 1::2, ::2], a[..., 1::2, 1::2] = -(h.real + d.real), h.imag - d.imag
+    top = np.abs(a).max(axis=(-2, -1), keepdims=True)
+    scaled = a / np.where(top > 0.0, top, 1.0)
+    vecs = np.linalg.eigh(np.swapaxes(scaled, -1, -2) @ scaled)[1]
+    sv = scaled @ vecs
+    return top * sv, vecs, top[..., 0] * np.linalg.norm(sv, axis=-2)
+
+
+def covariance_of_real_form(av: np.ndarray, vecs: np.ndarray, s: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """Majorana covariances Gamma = P - P^T, P = t A V diag(g(|t| s)) V^T, of
+    the normalized Gaussian operators L(t H) of the draws of real_form: the
+    filling -tanh(H/2)/2 is odd and Omega H Omega^dag / 2 = i A, Omega / sqrt(2)
+    unitary, so i Gamma = 2 i t A g(|t| sqrt(A^T A)) = 2 i P, and P - P^T is
+    exactly antisymmetric, and 0 for H = 0 or t = 0."""
+    p = (av * (t * _tanh_ratio(abs(t) * s))[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    return p - np.swapaxes(p, -1, -2)
+
+
+def covariance_from_eigenpairs(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Majorana covariances of the normalized Gaussian operators of v[s]
+    diag(w[s]) v[s]^dag, or of v diag(w[s]) v^dag for one ``v`` shared by the
+    nodes of a quadrature rule (one flat product): Gamma = X - X^T with
+    X = (Im u) diag(t) (Re u)^T, u = majorana v and t = -tanh(w/2)/2."""
+    u = _wick_plan(w.shape[-1] // 2).majorana @ v
+    x = u.imag * -0.5 * np.tanh(0.5 * w)[:, None, :]  # rebound below, so one (n, 2M, 2M) stack less is held
+    x = (x.reshape(-1, x.shape[-1]) @ u.real.T).reshape(x.shape) if v.ndim == 2 else x @ np.swapaxes(u.real, -1, -2)
+    return x - np.swapaxes(x, -1, -2)
+
+
+def wick_coordinates(gamma: np.ndarray, log_weights=None) -> np.ndarray:
+    """Mean Wick coordinates Pf(Gamma_S) of the normalized Gaussian operators
+    with the (n, 2M, 2M) Majorana covariances ``gamma``, in the subset order
+    of fock.WickPlan; with ``log_weights`` draw s weighs e^log_weights[s]. The
+    empty set's coordinate is 1. The draws run along the last axis of the
+    recursion, and each level is averaged before the next."""
+    modes = gamma.shape[-1] // 2
     _check_modes(modes)
     plan = _wick_plan(modes)
-    u = plan.majorana @ v
-    x = (u.imag * -0.5 * np.tanh(0.5 * w)[:, None, :]) @ np.swapaxes(u.real, -1, -2)
-    pairs = np.ascontiguousarray((x - np.swapaxes(x, -1, -2))[:, plan.pair_rows, plan.pair_cols].T)
-    weights = _draw_weights(len(w), log_weights)
+    pairs = np.ascontiguousarray(gamma[:, plan.pair_rows, plan.pair_cols].T)
+    weights = _draw_weights(len(gamma), log_weights)
     coords, prev = [np.ones(1), pairs @ weights], pairs
     for pair, sub in plan.levels:
         cur = pairs[pair[:, 0]] * prev[sub[:, 0]]
@@ -350,19 +383,13 @@ def wick_coordinates(w: np.ndarray, v: np.ndarray, log_weights=None) -> np.ndarr
     return np.concatenate(coords)
 
 
-def wick_mean_blocks(w: np.ndarray, v: np.ndarray, log_weights=None) -> np.ndarray:
-    """Mean of the normalized Gaussian operators of a stack of coefficient
-    matrices, given by their eigenpairs, as parity blocks; no Fock matrix is formed.
-
-    The kernel of the Monte Carlo and quadrature drivers. It equals
-    exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats)) averaged over
-    the draws (weighted as in wick_coordinates), shape (2, 2^(M-1), 2^(M-1)):
-    the scatter of fock.WickPlan applied once to the mean coordinates.
-    """
-    modes = w.shape[-1] // 2
-    coords = wick_coordinates(w, v, log_weights)
+def wick_blocks(coords: np.ndarray) -> np.ndarray:
+    """Parity blocks, (k, 2, 2^(M-1), 2^(M-1)), of the operators whose Wick
+    coordinates are the k rows of ``coords`` (or its one row): one product with
+    the scatter of fock.WickPlan, so a Monte Carlo run maps all its chunks at once."""
+    modes = coords.shape[-1].bit_length() // 2
     half = 1 << (modes - 1)
-    return (_wick_plan(modes).scatter @ coords).reshape(2, half, half)
+    return np.ascontiguousarray((_wick_plan(modes).scatter @ coords.T).T).reshape(-1, 2, half, half)
 
 
 @np.errstate(over="ignore")

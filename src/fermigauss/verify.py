@@ -43,6 +43,8 @@ from .gaussian import (
     _draw_weights,
     compose_general,
     compose_number_conserving,
+    covariance_from_eigenpairs,
+    covariance_of_real_form,
     exp_normalized_fock_batch,
     gaussian_normalized,
     gaussian_number_conserving,
@@ -50,7 +52,9 @@ from .gaussian import (
     log_trace_of_pairs,
     make_bdg,
     paired_eigenvalues,
-    wick_mean_blocks,
+    real_form,
+    wick_blocks,
+    wick_coordinates,
 )
 
 #: Samples per Monte Carlo chunk; the chunk index doubles as the RNG substream,
@@ -234,28 +238,27 @@ MC_RULE = (
 )
 
 
-def _fock_check(mats: np.ndarray, w: np.ndarray, v: np.ndarray, log_weights=None) -> float:
+def _fock_check(mats: np.ndarray, gamma: np.ndarray, log_weights=None) -> float:
     """Max-entry gap between the Wick mean of exactly the draws or nodes it is
-    handed, from their eigenpairs ``w`` and ``v`` (stacked, or one ``v``
-    shared by every node), and the mean of the normalized Gaussian operators
-    of the same coefficient matrices ``mats`` built through
-    quadratic_hamiltonian_batch and exp_normalized_fock_batch, both weighted
-    by ``log_weights`` when given. The one Fock cross-check of every driver:
-    the Monte Carlo workers hand it chunk 0's first FOCK_CHECK_DRAWS draws
-    with their raw ``mats`` (so an eigenvector-convention error shows), and
+    handed, from the Majorana covariances ``gamma`` their driver built, and
+    the mean of the normalized Gaussian operators of their coefficient
+    matrices ``mats`` through quadratic_hamiltonian_batch and
+    exp_normalized_fock_batch, both weighted by ``log_weights`` when given.
+    The one Fock cross-check of every driver: the Monte Carlo workers hand it
+    chunk 0's first FOCK_CHECK_DRAWS draws with their raw ``mats``, and
     _converged_mean the last FOCK_CHECK_DRAWS kept nodes of its rule."""
-    wick = embed_parity_blocks(wick_mean_blocks(w, v, log_weights))
+    wick = wick_blocks(wick_coordinates(gamma, log_weights))[0]  # parity blocks, as the Fock mean's
     ops = exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats))
-    fock_mean = embed_parity_blocks(np.einsum("s,spab->pab", _draw_weights(len(mats), log_weights), ops))
-    return float(np.abs(fock_mean - wick).max())
+    return float(np.abs(np.einsum("s,spab->pab", _draw_weights(len(mats), log_weights), ops) - wick).max())
 
 
 def _mc_report(
     modes: int, mean: np.ndarray, se: np.ndarray, samples: int, spec: RngSpec, details: dict, fock_dev: float
 ) -> EstimatorReport:
     """Gate a Monte Carlo mean against 2^-M I and its chunk-0 Fock gap
-    ``fock_dev`` against FOCK_CHECK_TOL; ``details`` follow the gate's own entries."""
-    dim = 1 << modes
+    ``fock_dev`` against FOCK_CHECK_TOL; ``mean`` and ``se`` are parity
+    blocks, embedded here, and ``details`` follow the gate's own entries."""
+    dim, mean, se = 1 << modes, embed_parity_blocks(mean), embed_parity_blocks(se)
     target = FockOperator(modes, np.eye(dim) / dim, hermitian=True)
     passed, info = _entry_gate(mean, target.matrix, se)
     return EstimatorReport(
@@ -433,12 +436,12 @@ def _quadrature_mean(points: np.ndarray, wts: np.ndarray, v: np.ndarray):
     operators with eigenvalues [lam, -lam] at the nodes lam and the shared
     eigenvectors ``v``; no Fock matrix is formed. Nodes of zero weight sit on
     a zero of the radial density and are dropped, since their log weight
-    would be -inf. Returns the mean, the nodes' eigenvalues and their log
-    weights."""
+    would be -inf. Returns the mean, the nodes' eigenvalues, covariances and
+    log weights."""
     keep = wts > 0.0
     w = np.concatenate([points[keep], -points[keep]], axis=1)
-    log_w = np.log(wts[keep])
-    return embed_parity_blocks(wick_mean_blocks(w, v, log_w)), w, log_w
+    gamma, log_w = covariance_from_eigenpairs(w, v), np.log(wts[keep])
+    return embed_parity_blocks(wick_blocks(wick_coordinates(gamma, log_w))[0]), w, gamma, log_w
 
 
 def _converged_mean(sym_class: SymmetryClass, weight: WeightSpec, modes: int, order: int, v: np.ndarray):
@@ -449,9 +452,9 @@ def _converged_mean(sym_class: SymmetryClass, weight: WeightSpec, modes: int, or
     Wick coordinate of their mean is of order one (those of the whole rule's
     mean vanish by the resolution of unity). Returns the `2 * order` mean,
     the change, the `2 * order` rule and the Fock gap."""
-    q_lo, w_lo, log_lo = _quadrature_mean(*radial_quadrature_nodes(sym_class, weight, modes, order), v)
+    q_lo, w_lo, gamma_lo, log_lo = _quadrature_mean(*radial_quadrature_nodes(sym_class, weight, modes, order), v)
     last = slice(-FOCK_CHECK_DRAWS, None)  # v is shared by every node: never index it by node
-    fock_dev = _fock_check(from_eigenpairs(w_lo[last], v), w_lo[last], v, log_lo[last])
+    fock_dev = _fock_check(from_eigenpairs(w_lo[last], v), gamma_lo[last], log_lo[last])
     rule_hi = radial_quadrature_nodes(sym_class, weight, modes, 2 * order)
     q_hi = _quadrature_mean(*rule_hi, v)[0]
     delta = float(np.abs(q_hi - q_lo).max())
@@ -583,12 +586,12 @@ def verify_resolution_mc(
 
     def worker(gen: np.random.Generator, per: int, first: bool):
         mats = sample_class_d_batch(modes, p, gen, per)
-        w, v = np.linalg.eigh(mats)
+        gamma = covariance_of_real_form(*real_form(mats))
         k = FOCK_CHECK_DRAWS
-        return embed_parity_blocks(wick_mean_blocks(w, v)), _fock_check(mats[:k], w[:k], v[:k]) if first else None
+        return wick_coordinates(gamma), _fock_check(mats[:k], gamma[:k]) if first else None
 
     results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
-    mean, se = _chunk_estimate([r[0] for r in results])
+    mean, se = _chunk_estimate(wick_blocks(np.stack([r[0] for r in results])))
     _require_judged(se, p, samples)
     details = {"p": p, "chunks": len(results), "workers": workers}
     return _mc_report(modes, mean, se, samples, spec, details, results[0][1])
@@ -626,30 +629,31 @@ def verify_canonical_triviality(
 
     def worker(gen: np.random.Generator, per: int, first: bool):
         mats = sample_class_d_batch(modes, p, gen, per)
-        w, v = np.linalg.eigh(mats)
-        out = []  # per beta: the chunk's Wick mean, the log of its mean trace, chunk 0's Fock gap,
+        form = real_form(mats)  # one eigh for every beta
+        lam = form[2][:, 1::2]  # the pair eigenvalues of H
+        out = []  # per beta: the chunk's Wick coordinates, the log of its mean trace, chunk 0's Fock gap,
         # and the logs of the sums of the traces and of their squares
         for beta in betas:
-            if not abs(beta) * float(np.abs(w).max()) < math.inf:
+            if not abs(beta) * float(lam.max()) < math.inf:
                 raise DomainError(f"beta = {beta} times an energy of the draws at p = {p} overflows a float")
-            log_tr = log_trace_of_pairs(beta * w[:, modes:])  # log Tr exp(-beta H_op) per draw
+            log_tr = log_trace_of_pairs(beta * lam)  # log Tr exp(-beta H_op) per draw
             top = log_tr.max()
             log_mean = top + math.log(np.exp(log_tr - top).mean())
-            w_beta = -beta * w  # the eigenvalues of -beta H
-            mean = embed_parity_blocks(wick_mean_blocks(w_beta, v, log_tr))
+            gamma = covariance_of_real_form(*form, -beta)  # the covariances of L(-beta H)
             k = FOCK_CHECK_DRAWS
-            fock_dev = _fock_check(-beta * mats[:k], w_beta[:k], v[:k], log_tr[:k]) if first else None
-            out.append((mean, log_mean, fock_dev, _log_sum_exp(log_tr), _log_sum_exp(2.0 * log_tr)))
+            fock_dev = _fock_check(-beta * mats[:k], gamma[:k], log_tr[:k]) if first else None
+            out.append((wick_coordinates(gamma, log_tr), log_mean, fock_dev, _log_sum_exp(log_tr), _log_sum_exp(2.0 * log_tr)))
         return out
 
     results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
+    blocks = wick_blocks(np.stack([r[bi][0] for bi in range(len(betas)) for r in results]))  # one scatter per run
     reports = []
-    for bi, beta in enumerate(betas):
-        grand, se = _chunk_estimate([r[bi][0] for r in results], [r[bi][1] for r in results])
+    for bi, (beta, chunks) in enumerate(zip(betas, np.split(blocks, len(betas)))):
+        grand, se = _chunk_estimate(chunks, [r[bi][1] for r in results])
         log_w, log_w2 = (_log_sum_exp([r[bi][j] for r in results]) for j in (3, 4))
         details = {"beta": beta, "p": p, "effective_sample_size": math.exp(2.0 * log_w - log_w2)}
         if beta == 0.0:
-            exact_dev = float(np.abs(grand - np.eye(dim) / dim).max())
+            exact_dev = float(np.abs(grand - np.eye(dim // 2) / dim).max())  # over both parity blocks
             details = {"beta_zero_exact_deviation": exact_dev, **details}
         else:
             _require_judged(se, p, samples)
@@ -811,16 +815,16 @@ def verify_nc_modified(
         us = sample_haar_unitary_batch(modes, gen, per)
         # the embedding (h, 0) of h = U diag(pts) U^dag has the eigenpairs
         # [pts, -pts] and blockdiag(U, conj U): no eigh is needed
-        w, v = np.concatenate([pts, -pts], axis=1), _ncons_eigenvectors(us)
+        gamma = covariance_from_eigenpairs(np.concatenate([pts, -pts], axis=1), _ncons_eigenvectors(us))
         fock_dev = None
         if first:
             k = FOCK_CHECK_DRAWS
             h = from_eigenpairs(pts[:k], us[:k])
-            fock_dev = _fock_check(assemble_blocks(h, np.zeros_like(h)), w[:k], v[:k])
-        return embed_parity_blocks(wick_mean_blocks(w, v)), pts, fock_dev
+            fock_dev = _fock_check(assemble_blocks(h, np.zeros_like(h)), gamma[:k])
+        return wick_coordinates(gamma), pts, fock_dev
 
     results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
-    mean, se = _chunk_estimate([r[0] for r in results])
+    mean, se = _chunk_estimate(wick_blocks(np.stack([r[0] for r in results])))
     _require_judged(se, p, samples)
     details = {"p": p, "chunks": len(results)}
     if keep_samples:

@@ -7,7 +7,7 @@ import numpy as np
 
 from fermigauss.ensembles import assemble_blocks
 from fermigauss.fock import _annihilators, from_eigenpairs, quadratic_hamiltonian_batch
-from fermigauss.gaussian import exp_normalized_fock_batch
+from fermigauss.gaussian import covariance_from_eigenpairs, exp_normalized_fock_batch
 
 
 @lru_cache(maxsize=None)
@@ -51,3 +51,10 @@ def rotated_ncons_blocks(points: np.ndarray, unitaries: np.ndarray) -> np.ndarra
     """
     h = from_eigenpairs(points, unitaries)
     return exp_normalized_fock_batch(quadratic_hamiltonian_batch(assemble_blocks(h, np.zeros_like(h))))
+
+
+def eigh_covariance(mats: np.ndarray) -> np.ndarray:
+    """Majorana covariances of a stack of coefficient matrices through the
+    complex 2M x 2M eigh and their eigenpairs, the route the Monte Carlo
+    drivers took before the real form (gaussian.real_form)."""
+    return covariance_from_eigenpairs(*np.linalg.eigh(mats))

@@ -20,6 +20,7 @@ from fermigauss import (
     sample_radial_mcmc,
     symmetry_class,
 )
+from fermigauss.ensembles import _upper_pairs
 
 
 def chain_moment_se(run, f):
@@ -71,6 +72,26 @@ class TestClassDSampler:
         a = sample_class_d(3, 2.0, RngSpec(5, 7))
         b = sample_class_d(3, 2.0, RngSpec(5, 7))
         assert np.array_equal(a.assembled(), b.assembled())
+
+    @pytest.mark.parametrize("modes", [1, 2, 6])
+    def test_draws_follow_the_stream_layout(self, modes):
+        # the diagonal of h, then the four real components (Re h, Im h, Re D,
+        # Im D) of each upper pair in np.triu_indices order; one mode draws
+        # no pair components
+        p, count, gen = 0.7, 5, RngSpec(3).generator()
+        diag = gen.normal(0.0, math.sqrt(1.0 / (4.0 * p)), size=(count, modes))
+        comps = gen.normal(0.0, math.sqrt(1.0 / (8.0 * p)), size=(count, 4, modes * (modes - 1) // 2))
+        mats = sample_class_d_batch(modes, p, RngSpec(3), count)
+        iu, ju = np.triu_indices(modes, 1)
+        assert np.array_equal(mats[:, range(modes), range(modes)], diag)
+        assert np.array_equal(mats[:, iu, ju], comps[:, 0] + 1j * comps[:, 1])
+        assert np.array_equal(mats[:, iu, ju + modes], comps[:, 2] + 1j * comps[:, 3])
+
+    def test_pair_indices_are_cached_read_only(self):
+        pairs = _upper_pairs(4)
+        assert pairs is _upper_pairs(4)
+        assert all(np.array_equal(a, b) for a, b in zip(pairs, np.triu_indices(4, 1), strict=True))
+        assert not any(a.flags.writeable for a in pairs)
 
     def test_batch_matches_single(self):
         single = sample_class_d(2, 1.0, RngSpec(9)).assembled()

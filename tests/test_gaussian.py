@@ -8,7 +8,7 @@ import scipy.linalg
 from conftest import hermitian_matrix, max_abs, skew_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import gamma_ops, quadratic_tensor
+from oracles import eigh_covariance, gamma_ops, quadratic_tensor
 
 from fermigauss import (
     BdgMatrix,
@@ -36,7 +36,14 @@ from fermigauss import (
 from fermigauss import gaussian
 from fermigauss.cli import run
 from fermigauss.fock import _annihilators, _wick_plan, embed_parity_blocks, quadratic_hamiltonian_batch
-from fermigauss.gaussian import exp_normalized_fock_batch, wick_coordinates, wick_mean_blocks
+from fermigauss.gaussian import (
+    covariance_from_eigenpairs,
+    covariance_of_real_form,
+    exp_normalized_fock_batch,
+    real_form,
+    wick_blocks,
+    wick_coordinates,
+)
 
 
 class TestMakeBdg:
@@ -289,17 +296,25 @@ def _wick_draws(draw):
     return scale * sample_class_d_batch(modes, 1.0, RngSpec(draw(st.integers(0, 2**16))), 3)
 
 
+def _real_covariance(mats, t=1.0):
+    return covariance_of_real_form(*real_form(mats), t)
+
+
+def _wick_mean(gamma, log_weights=None):
+    return wick_blocks(wick_coordinates(gamma, log_weights))[0]
+
+
 class TestWickKernel:
     # the Fock kernel and the dense Majorana matrices are the oracles: the
-    # Wick kernel builds neither
+    # Wick kernel builds neither; its input is the real form's covariance
 
     @staticmethod
     def _check_per_operator(mats):
         fock = exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats))
-        w, v = np.linalg.eigh(mats)
+        gamma = _real_covariance(mats)
         for s in range(len(mats)):
-            assert max_abs(wick_mean_blocks(w[s : s + 1], v[s : s + 1]), fock[s]) <= 1e-12
-        assert max_abs(wick_mean_blocks(w, v), fock.mean(axis=0)) <= 1e-12
+            assert max_abs(_wick_mean(gamma[s : s + 1]), fock[s]) <= 1e-12
+        assert max_abs(_wick_mean(gamma), fock.mean(axis=0)) <= 1e-12
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(_wick_draws())
@@ -316,7 +331,7 @@ class TestWickKernel:
         # Tr(L c_S) = Pf(K_S) = i^(k/2) Pf(Gamma_S) with c_S the ascending product
         modes = mats.shape[-1] // 2
         ops = embed_parity_blocks(exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats[:1])))[0]
-        coords = wick_coordinates(*np.linalg.eigh(mats[:1]))
+        coords = wick_coordinates(_real_covariance(mats[:1]))
         majoranas = _majoranas(modes)
         for subset, coord in zip(_even_subsets(modes), coords, strict=True):
             c_s = np.eye(1 << modes)
@@ -331,13 +346,20 @@ class TestWickKernel:
         fock = exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats))
         rel = np.exp(log_w - log_w.max())
         want = np.einsum("s,spab->pab", rel / rel.sum(), fock)
-        assert max_abs(wick_mean_blocks(*np.linalg.eigh(mats), log_w), want) <= 1e-12
+        assert max_abs(_wick_mean(_real_covariance(mats), log_w), want) <= 1e-12
 
     @pytest.mark.parametrize("modes", [1, 3, 6])
     def test_zero_energies_give_exactly_the_maximally_mixed_state(self, modes):
-        v = np.linalg.eigh(sample_class_d_batch(modes, 1.0, RngSpec(31), 4))[1]
-        out = embed_parity_blocks(wick_mean_blocks(np.zeros((4, 2 * modes)), v))
-        assert np.array_equal(out, np.eye(1 << modes) / (1 << modes))
+        mats = sample_class_d_batch(modes, 1.0, RngSpec(31), 4)
+        v = np.linalg.eigh(mats)[1]
+        for gamma in (
+            _real_covariance(np.zeros_like(mats)),  # H = 0
+            _real_covariance(mats, 0.0),  # L(0 H)
+            covariance_from_eigenpairs(np.zeros((4, 2 * modes)), v),
+        ):
+            assert not gamma.any()
+            out = embed_parity_blocks(_wick_mean(gamma))
+            assert np.array_equal(out, np.eye(1 << modes) / (1 << modes))
 
     def test_perturbed_phase_fails_the_report_through_the_cross_check(self, monkeypatch, tmp_path):
         # i times one entry of the parity coordinate's column: the entrywise
@@ -355,6 +377,59 @@ class TestWickKernel:
         assert good["details"]["fock_check_deviation"] <= 1e-15
         assert bad["details"]["fock_check_deviation"] > 1e-4
         assert bad["details"]["max_sigma"] < 3.0 and bad["details"]["band_entries"] == 0
+
+
+class TestRealForm:
+    # the oracle is the complex 2M x 2M eigh of the draws and their eigenpairs
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
+    def test_matches_the_complex_eigh_route(self, modes, scale):
+        mats = scale * sample_class_d_batch(modes, 1.0, RngSpec(40 + modes), 200)
+        gap = np.abs(_real_covariance(mats) - eigh_covariance(mats)).max(axis=(1, 2))
+        lam = np.linalg.eigvalsh(mats)[:, modes:]
+        # near saturation Gamma tends to the sign of H, and either route's
+        # rounding grows with the condition number lam_max / lam_min (both
+        # differ from a 40-digit reference by up to about 4e-13 at scale 1e3)
+        tol = 1e-14 * (np.maximum(1.0, lam[:, -1] / lam[:, 0]) if scale > 1.0 else 1.0)
+        assert (gap <= tol).all(), gap.max()
+
+    @pytest.mark.parametrize("pairs", [(1.3, 1.3), (0.0, 0.0), (0.0, 2.0, 2.0), (0.7, 0.7, 0.7)], ids=str)
+    def test_degenerate_pairs(self, pairs):
+        # H = U^-1 diag(lam, -lam) U with equal or zero pairs, at three scales
+        modes = len(pairs)
+        lam = np.array(pairs)
+        v = random_polar_rotation(modes, RngSpec(8)).bogoliubov.conj().T
+        for scale in (1e-3, 1.0, 1e3):
+            w = scale * np.concatenate([lam, -lam])[None]
+            mats = (v * w[0]) @ v.conj().T
+            gap = max_abs(_real_covariance(mats[None]), eigh_covariance(mats[None]))
+            # rounding H to floats moves a zero pair by about eps |H|, and its
+            # share of Gamma (slope 1/4 at 0) by as much, on either route
+            assert gap <= 1e-14 * (scale if 0.0 in pairs and scale > 1.0 else 1.0), (scale, gap)
+
+    def test_singular_values_are_the_pair_eigenvalues(self):
+        mats = sample_class_d_batch(4, 1.0, RngSpec(9), 50)
+        s = real_form(mats)[2]
+        assert max_abs(s[:, ::2], s[:, 1::2]) <= 1e-14
+        assert max_abs(s[:, 1::2], np.linalg.eigvalsh(mats)[:, 4:]) <= 1e-14
+
+    def test_majorana_form_is_im_omega_h_omega_dagger(self):
+        # real_form writes A out in the blocks of H; Gamma = 2 A g(A^T A)
+        # needs it to be Im(Omega H Omega^dag) / 2 with the plan's Omega
+        mats = sample_class_d_batch(3, 1.0, RngSpec(10), 5)
+        omega = _wick_plan(3).majorana
+        a = (omega @ mats @ omega.conj().T).imag / 2.0
+        av, vecs, _ = real_form(mats)
+        assert max_abs(av, a @ vecs) <= 1e-14
+
+    def test_no_square_overflows_at_tiny_stiffness(self):
+        # draws near 1e153: an unscaled A^T A is inf
+        mats = sample_class_d_batch(2, 1e-308, RngSpec(1), 8)
+        av, vecs, s = real_form(mats)
+        assert np.isfinite(s).all() and (s > 1e150).all()
+        gamma = covariance_of_real_form(av, vecs, s)
+        assert max_abs(gamma, eigh_covariance(mats)) <= 1e-14
 
 
 class TestTraceFormula:

@@ -30,7 +30,7 @@ class TestBenchLayers:
             monkeypatch.setattr(module, "quadratic_hamiltonian_batch",
                                 lambda mats, build=build: assembled.append(len(mats)) or build(mats))
         rows = layers.tables()
-        resolution = ["sample_class_d_batch", "eigh", "wick_coordinates", "scatter", "_fock_check"]
+        resolution = ["sample_class_d_batch", "covariance", "wick_coordinates", "scatter", "_fock_check"]
         assert {name: list(row) for name, row in rows.items()} == {
             **{f"verify_resolution_mc M={m} chunk=8": resolution for m in range(1, 7)},
             "verify_resolution_mc M=6 chunk=25": resolution,

@@ -267,6 +267,14 @@ class TestResolutionMc:
             chunk_means.append((ops / np.einsum("saa->s", ops).real[:, None, None]).mean(axis=0))
         assert np.abs(rep.mean.matrix - np.mean(chunk_means, axis=0)).max() <= 1e-13
 
+    def test_tiny_stiffness_gives_finite_means_and_passes(self):
+        # draws near 1e153, where an unscaled A^T A of the real form is inf
+        rep = verify_resolution_mc(2, 1e-308, 64, RngSpec(1))
+        assert np.isfinite(rep.mean.matrix).all() and np.isfinite(rep.per_entry_se).all()
+        assert rep.passed and rep.details["fock_check_deviation"] <= 1e-15
+        assert rep.max_abs_deviation == pytest.approx(0.0569710163893102, rel=1e-12)
+        assert rep.details["max_sigma"] == pytest.approx(1.48442721684614, rel=1e-12)
+
     def test_agrees_with_quadrature_target(self):
         # joint check of the Cartesian measure and the radial-plus-angular one
         mc = verify_resolution_mc(2, 1.0, 40_000, RngSpec(9))
@@ -357,18 +365,19 @@ class TestFockCrossCheck:
         spec, modes, n, k = RngSpec(16), 2, 400, FOCK_CHECK_DRAWS
         rep = verify_resolution_mc(modes, 1.0, n, spec, workers=workers)
         mats = sample_class_d_batch(modes, 1.0, spec.generator(), _chunk_layout(n)[1])
-        w, v = np.linalg.eigh(mats)
-        assert rep.details["fock_check_deviation"] == _fock_check(mats[:k], w[:k], v[:k])
+        gamma = gaussian.covariance_of_real_form(*gaussian.real_form(mats))
+        assert rep.details["fock_check_deviation"] == _fock_check(mats[:k], gamma[:k])
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_canonical_checks_chunk_zero(self, workers):
         spec, modes, n, betas, k = RngSpec(16), 2, 400, [0.0, 0.7, -3.0], FOCK_CHECK_DRAWS
         reps = verify_canonical_triviality(modes, 1.0, betas, n, spec, workers=workers)
         mats = sample_class_d_batch(modes, 1.0, spec.generator(), _chunk_layout(n)[1])
-        w, v = np.linalg.eigh(mats)
+        form = gaussian.real_form(mats)
         for beta, rep in zip(betas, reps):
-            log_tr = gaussian.log_trace_of_pairs(beta * w[:, modes:])[:k]
-            assert rep.details["fock_check_deviation"] == _fock_check(-beta * mats[:k], -beta * w[:k], v[:k], log_tr)
+            log_tr = gaussian.log_trace_of_pairs(beta * form[2][:, 1::2])[:k]
+            gamma = gaussian.covariance_of_real_form(*form, -beta)[:k]
+            assert rep.details["fock_check_deviation"] == _fock_check(-beta * mats[:k], gamma, log_tr)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_nc_modified_checks_chunk_zero(self, workers):
@@ -378,10 +387,10 @@ class TestFockCrossCheck:
         pts = np.linalg.eigvalsh(sample_class_d_batch(modes, 0.5 * p, gen, per))[:, modes:]
         pts = pts * gen.choice((-1.0, 1.0), size=(per, modes))
         us = sample_haar_unitary_batch(modes, gen, per)
-        w = np.concatenate([pts, -pts], axis=1)
+        gamma = gaussian.covariance_from_eigenpairs(np.concatenate([pts, -pts], axis=1), _ncons_eigenvectors(us))
         h = from_eigenpairs(pts[:k], us[:k])
         mats = assemble_blocks(h, np.zeros_like(h))
-        assert rep.details["fock_check_deviation"] == _fock_check(mats, w[:k], _ncons_eigenvectors(us[:k]))
+        assert rep.details["fock_check_deviation"] == _fock_check(mats, gamma[:k])
 
     # power: i times one entry of the parity coordinate's scatter column moves
     # no entry far enough for the 5 SE gate, but the check of 4 draws sees it
@@ -409,6 +418,26 @@ class TestFockCrossCheck:
         for rep in verify_canonical_triviality(modes, 1.0, betas, 400, RngSpec(17)):
             assert rep.details["fock_check_deviation"] > 1e-6 and not rep.passed
 
+    # power for the real form: g(s) without its factor 1/2, which doubles
+    # every covariance, fails the Fock check of both drivers that use it
+
+    @staticmethod
+    def _break_real_form(monkeypatch):
+        g = gaussian._tanh_ratio
+        monkeypatch.setattr(gaussian, "_tanh_ratio", lambda s: 2.0 * g(s))
+
+    @pytest.mark.parametrize("modes", [1, 2, 3, 6])
+    def test_resolution_mc_fails_on_a_broken_real_form(self, modes, monkeypatch):
+        self._break_real_form(monkeypatch)
+        rep = verify_resolution_mc(modes, 1.0, 64, RngSpec(17))
+        assert rep.details["fock_check_deviation"] > 1e-6 and not rep.passed
+
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    def test_canonical_fails_on_a_broken_real_form(self, modes, monkeypatch):
+        self._break_real_form(monkeypatch)
+        for rep in verify_canonical_triviality(modes, 1.0, [0.7, -1000.0], 400, RngSpec(17)):
+            assert rep.details["fock_check_deviation"] > 1e-6 and not rep.passed
+
     @pytest.mark.parametrize("modes", [1, 2])
     def test_every_quadrature_report_carries_it(self, modes):
         reps = [verify_resolution_quadrature(modes, CLASS_D, WeightSpec.gaussian(1.0), quad_order=30)]
@@ -429,9 +458,11 @@ class TestFockCrossCheck:
     def _last_nodes_gap(sym, weight, modes, order, v):
         pts, wts = radial_quadrature_nodes(sym, weight, modes, order)
         keep = wts > 0.0
-        w = np.concatenate([pts[keep], -pts[keep]], axis=1)[-FOCK_CHECK_DRAWS:]
+        w = np.concatenate([pts[keep], -pts[keep]], axis=1)
+        gamma = gaussian.covariance_from_eigenpairs(w, v)[-FOCK_CHECK_DRAWS:]
+        w = w[-FOCK_CHECK_DRAWS:]
         assert (w[:, :modes] > 0.0).all()
-        return _fock_check(from_eigenpairs(w, v), w, v, np.log(wts[keep])[-FOCK_CHECK_DRAWS:])
+        return _fock_check(from_eigenpairs(w, v), gamma, np.log(wts[keep])[-FOCK_CHECK_DRAWS:])
 
     @pytest.mark.parametrize("broken", [False, True], ids=["clean", "broken"])
     @pytest.mark.parametrize("weight", [WeightSpec.gaussian(1.0), WeightSpec.determinant(4.0)], ids=lambda w: w.kind)
@@ -629,6 +660,23 @@ class TestCanonicalTriviality:
         for rep in reps:
             assert np.isfinite(rep.mean.matrix).all() and np.isfinite(rep.per_entry_se).all()
         assert reps[1].mean.trace().real == pytest.approx(1.0, abs=1e-12)
+
+    def test_tiny_stiffness_gives_finite_means(self):
+        # draws near 1e153: beta = 0.7 is carried by one draw (effective
+        # sample size 1), so its report fails the band rule, as it did with
+        # the complex eigh of the draws
+        reps = verify_canonical_triviality(2, 1e-308, [0.0, 0.7], 400, RngSpec(1))
+        for rep in reps:
+            assert np.isfinite(rep.mean.matrix).all() and np.isfinite(rep.per_entry_se).all()
+            assert rep.details["fock_check_deviation"] <= 1e-15
+        assert [rep.passed for rep in reps] == [True, False]
+        assert reps[0].details["beta_zero_exact_deviation"] == 0.0
+        assert reps[0].details["effective_sample_size"] == pytest.approx(400.0, rel=1e-12)
+        assert reps[1].details["effective_sample_size"] == pytest.approx(1.0, rel=1e-12)
+        assert reps[1].details["band_entries"] == 3
+        assert reps[1].max_abs_deviation == pytest.approx(0.499306266364742, rel=1e-12)
+        for rep in reps:
+            assert rep.details["pairwise_max_sigma"] == pytest.approx(4.26004464582369, rel=1e-12)
 
     def test_beta_times_energy_past_float_range_is_domain_error(self):
         with pytest.raises(DomainError, match=r"beta = 1e\+308"):
