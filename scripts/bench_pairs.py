@@ -183,6 +183,10 @@ def main() -> int:
     parser.add_argument("--worker-pairs", type=int, default=5, help="--workers 1/2 pairs per tree")
     parser.add_argument("--out", type=Path, help="JSON file to add the result to")
     args = parser.parse_args()
+    if args.pairs < 2:  # summary() takes the parent's quartiles over the pairs
+        parser.error(f"--pairs needs at least 2 pairs, got {args.pairs}")
+    if args.worker_pairs < 1:  # workers() takes the median over the pairs
+        parser.error(f"--worker-pairs needs at least 1 pair, got {args.worker_pairs}")
     result = {
         "settings": {"pairs": args.pairs, "seconds": args.seconds, "worker_pairs": args.worker_pairs,
                      "workers_argv": WORKERS_ARGV, "aa": args.aa is not None},

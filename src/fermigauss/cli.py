@@ -9,8 +9,6 @@ import functools
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import reports
 from .blas import blas_threads
 from .ensembles import CLASS_D, RngSpec, WeightSpec, sample_radial_mcmc, symmetry_class
@@ -29,9 +27,12 @@ from .verify import (
 )
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, dumps: bool = True) -> None:
+    """The flags every subcommand takes; ``--csv`` only where there are
+    eigenvalue samples or quadrature nodes to dump."""
     sub.add_argument("--out", help="write the structured JSON report to this path")
-    sub.add_argument("--csv", help="write a flat eigenvalue/sample dump to this path")
+    if dumps:
+        sub.add_argument("--csv", help="write a flat eigenvalue/sample dump to this path")
     sub.add_argument("--config", help="key = value file supplying defaults for any flag")
     sub.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
     sub.add_argument("--stream", type=int, default=0, help="base substream index (default 0)")
@@ -46,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("identities", help="operator-level identity suite")
     p.add_argument("--modes", type=int, default=3, help="largest mode count exercised")
     p.add_argument("--trials", type=int, default=50)
-    _add_common(p)
+    _add_common(p, dumps=False)
     p.set_defaults(func=_cmd_identities)
 
     p = subs.add_parser("resolution", help="resolution-of-unity verification")
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="no effect: the suite always runs; kept so existing command lines parse",
     )
     p.add_argument("--max-modes", type=int, default=6)
-    _add_common(p)
+    _add_common(p, dumps=False)
     p.set_defaults(func=_cmd_selberg)
 
     p = subs.add_parser("ensembles", help="radial eigenvalue sampler / dumps")
@@ -150,9 +151,8 @@ def _finish(args, command: str, criteria: list[dict], warnings=None, csv_payload
     if args.out:
         path = reports.write_report(doc, args.out)
         print(f"report written to {path}")
-    if args.csv:
-        samples, modes = csv_payload if csv_payload is not None else (np.empty((0, 0)), 0)
-        path = reports.write_lambda_csv(args.csv, samples, modes or 1)
+    if csv_payload is not None:  # set exactly when --csv is
+        path = reports.write_lambda_csv(args.csv, *csv_payload)
         print(f"csv written to {path}")
     return 0 if doc["passed"] else 1
 

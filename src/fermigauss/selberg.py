@@ -73,21 +73,19 @@ def laguerre_selberg_log(atilde: float, g: float, n: int) -> float:
     return float((atilde * n + g * n * (n - 1)) * LOG2 + terms.sum())
 
 
-def radial_gaussian_integral_log(modes: int, p: float, alternate_exponent: bool = False) -> float:
+def radial_gaussian_integral_log(modes: int, p: float) -> float:
     """Log of int over R^M of Delta(lam^2)^2 exp(-2p sum lam_j^2) d lam.
 
     The scale exponent is -M(M - 1/2); a variant with exponent -M(M - 1)
-    circulates for the same integral but is off by a factor (2p)^(M/2). It
-    fails the quadrature cross-check and is kept behind ``alternate_exponent``
-    purely for diagnostic comparison.
+    circulates for the same integral but is off by a factor (2p)^(M/2) and
+    fails the quadrature cross-check.
     """
     if modes < 1:
         raise DomainError(f"need modes >= 1, got {modes}")
     if not (math.isfinite(p) and p > 0):
         raise DomainError(f"domain violation: finite p > 0 required, got p = {p}")
-    exponent = modes * (modes - 1.0) if alternate_exponent else modes * (modes - 0.5)
     j = np.arange(1, modes + 1)
-    return float(-exponent * math.log(2 * p) + (_lgamma(1 + j) + _lgamma(j - 0.5)).sum())
+    return float(-modes * (modes - 0.5) * math.log(2 * p) + (_lgamma(1 + j) + _lgamma(j - 0.5)).sum())
 
 
 def cartesian_gaussian_integral_log(modes: int, p: float) -> float:

@@ -253,12 +253,23 @@ def _fock_check(mats: np.ndarray, gamma: np.ndarray, log_weights=None) -> float:
 
 
 def _mc_report(
-    modes: int, mean: np.ndarray, se: np.ndarray, samples: int, spec: RngSpec, details: dict, fock_dev: float
+    modes: int, chunks: list, samples: int, spec: RngSpec, details: dict, log_weights=None, _exact: bool = False
 ) -> EstimatorReport:
-    """Gate a Monte Carlo mean against 2^-M I and its chunk-0 Fock gap
-    ``fock_dev`` against FOCK_CHECK_TOL; ``mean`` and ``se`` are parity
-    blocks, embedded here, and ``details`` follow the gate's own entries."""
-    dim, mean, se = 1 << modes, embed_parity_blocks(mean), embed_parity_blocks(se)
+    """The one Monte Carlo verdict path: map the ``chunks``' Wick coordinates
+    (the first field of each chunk result) to parity blocks with one scatter,
+    take their chunked estimate weighted by ``log_weights``, and gate the
+    embedded mean against 2^-M I and chunk 0's Fock gap (the second field)
+    against FOCK_CHECK_TOL. ``details`` follow the gate's own entries and
+    carry the run's p. With ``_exact`` (canonical beta = 0) the mean must also
+    be 2^-M I to 1e-14, and the gate may judge no entry; otherwise a gate that
+    would judge none raises DomainError."""
+    mean, se = _chunk_estimate(wick_blocks(np.stack([c[0] for c in chunks])), log_weights)
+    dim = 1 << modes
+    if _exact:  # over both parity blocks
+        details = {"beta_zero_exact_deviation": float(np.abs(mean - np.eye(dim // 2) / dim).max()), **details}
+    else:
+        _require_judged(se, details["p"], samples)
+    mean, se, fock_dev = embed_parity_blocks(mean), embed_parity_blocks(se), chunks[0][1]
     target = FockOperator(modes, np.eye(dim) / dim, hermitian=True)
     passed, info = _entry_gate(mean, target.matrix, se)
     return EstimatorReport(
@@ -268,8 +279,8 @@ def _mc_report(
         per_entry_se=se,
         samples=samples,
         seed=spec,
-        passed=passed and fock_dev <= FOCK_CHECK_TOL,
-        criterion=MC_RULE,
+        passed=passed and fock_dev <= FOCK_CHECK_TOL and details.get("beta_zero_exact_deviation", 0.0) <= 1e-14,
+        criterion=MC_RULE + ("; beta = 0 must be exact" if _exact else ""),
         details={**info, **details, "fock_check_deviation": fock_dev},
     )
 
@@ -591,10 +602,7 @@ def verify_resolution_mc(
         return wick_coordinates(gamma), _fock_check(mats[:k], gamma[:k]) if first else None
 
     results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
-    mean, se = _chunk_estimate(wick_blocks(np.stack([r[0] for r in results])))
-    _require_judged(se, p, samples)
-    details = {"p": p, "chunks": len(results), "workers": workers}
-    return _mc_report(modes, mean, se, samples, spec, details, results[0][1])
+    return _mc_report(modes, results, samples, spec, {"p": p, "chunks": len(results), "workers": workers})
 
 
 # ---------------------------------------------------------------------------
@@ -610,11 +618,12 @@ def verify_canonical_triviality(
     For every beta the normalized mixture equals 2^-M times the identity; the
     beta = 0 case is exact by construction. exp(-beta H_op) is its trace
     prod_j 2 cosh(beta lambda_j / 2) times L(-beta H), so each chunk is the
-    Wick mean of L(-beta H) with those traces as log weights, and the chunks
-    weigh the log of their mean trace. Each report carries the pairwise
-    agreement with the other betas in its details, and the Kish effective
-    sample size (sum w)^2 / sum w^2 of the draws' traces w, from per-chunk
-    log sums of w and w^2 combined in chunk order. Raises DomainError when
+    Wick mean of L(-beta H) with those traces as log weights, and the chunks,
+    all of one size, weigh the log sum of their traces. Each report carries
+    the pairwise agreement with the other betas in its details, and fails
+    beyond 5 combined SE, and the Kish effective sample size
+    (sum w)^2 / sum w^2 of the draws' traces w, from per-chunk log sums of
+    w and w^2 combined in chunk order. Raises DomainError when
     beta times an energy of the draws overflows a float, or when the gate
     would judge no entry at some beta != 0.
     """
@@ -625,55 +634,37 @@ def verify_canonical_triviality(
     for beta in betas:
         if not math.isfinite(beta):
             raise DomainError(f"domain violation: finite beta required, got beta = {beta}")
-    dim = 1 << modes
 
     def worker(gen: np.random.Generator, per: int, first: bool):
         mats = sample_class_d_batch(modes, p, gen, per)
         form = real_form(mats)  # one eigh for every beta
         lam = form[2][:, 1::2]  # the pair eigenvalues of H
-        out = []  # per beta: the chunk's Wick coordinates, the log of its mean trace, chunk 0's Fock gap,
+        out = []  # per beta: the chunk's Wick coordinates, chunk 0's Fock gap,
         # and the logs of the sums of the traces and of their squares
         for beta in betas:
             if not abs(beta) * float(lam.max()) < math.inf:
                 raise DomainError(f"beta = {beta} times an energy of the draws at p = {p} overflows a float")
             log_tr = log_trace_of_pairs(beta * lam)  # log Tr exp(-beta H_op) per draw
-            top = log_tr.max()
-            log_mean = top + math.log(np.exp(log_tr - top).mean())
             gamma = covariance_of_real_form(*form, -beta)  # the covariances of L(-beta H)
             k = FOCK_CHECK_DRAWS
             fock_dev = _fock_check(-beta * mats[:k], gamma[:k], log_tr[:k]) if first else None
-            out.append((wick_coordinates(gamma, log_tr), log_mean, fock_dev, _log_sum_exp(log_tr), _log_sum_exp(2.0 * log_tr)))
+            out.append((wick_coordinates(gamma, log_tr), fock_dev, _log_sum_exp(log_tr), _log_sum_exp(2.0 * log_tr)))
         return out
 
     results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
-    blocks = wick_blocks(np.stack([r[bi][0] for bi in range(len(betas)) for r in results]))  # one scatter per run
     reports = []
-    for bi, (beta, chunks) in enumerate(zip(betas, np.split(blocks, len(betas)))):
-        grand, se = _chunk_estimate(chunks, [r[bi][1] for r in results])
-        log_w, log_w2 = (_log_sum_exp([r[bi][j] for r in results]) for j in (3, 4))
+    for beta, chunks in zip(betas, zip(*results)):
+        log_w, log_w2 = (_log_sum_exp([c[j] for c in chunks]) for j in (2, 3))
         details = {"beta": beta, "p": p, "effective_sample_size": math.exp(2.0 * log_w - log_w2)}
-        if beta == 0.0:
-            exact_dev = float(np.abs(grand - np.eye(dim // 2) / dim).max())  # over both parity blocks
-            details = {"beta_zero_exact_deviation": exact_dev, **details}
-        else:
-            _require_judged(se, p, samples)
-        rep = _mc_report(modes, grand, se, samples, spec, details, results[0][bi][2])
-        if beta == 0.0:
-            rep.passed = rep.passed and exact_dev <= 1e-14
-            rep.criterion += "; beta = 0 must be exact"
-        reports.append(rep)
-    for i, rep in enumerate(reports):
+        reports.append(_mc_report(modes, chunks, samples, spec, details, [c[2] for c in chunks], beta == 0.0))
+    for rep in reports:
         worst = 0.0
-        for j, other in enumerate(reports):
-            if j == i:
-                continue
-            dev = np.abs(rep.mean.matrix - other.mean.matrix)
-            comb = np.sqrt(rep.per_entry_se**2 + other.per_entry_se**2)
-            ok = (dev <= 5.0 * comb) | (dev <= ABS_FLOOR)
-            worst = max(worst, _max_sigma(dev, comb))
-            if not ok.all():
-                rep.passed = False
+        for other in reports:
+            if other is not rep:
+                dev = np.abs(rep.mean.matrix - other.mean.matrix)
+                worst = max(worst, _max_sigma(dev, np.sqrt(rep.per_entry_se**2 + other.per_entry_se**2)))
         rep.details["pairwise_max_sigma"] = worst
+        rep.passed = rep.passed and worst <= 5.0
     return reports
 
 
@@ -821,15 +812,13 @@ def verify_nc_modified(
             k = FOCK_CHECK_DRAWS
             h = from_eigenpairs(pts[:k], us[:k])
             fock_dev = _fock_check(assemble_blocks(h, np.zeros_like(h)), gamma[:k])
-        return wick_coordinates(gamma), pts, fock_dev
+        return wick_coordinates(gamma), fock_dev, pts
 
     results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
-    mean, se = _chunk_estimate(wick_blocks(np.stack([r[0] for r in results])))
-    _require_judged(se, p, samples)
     details = {"p": p, "chunks": len(results)}
     if keep_samples:
-        details["lambda_samples"] = np.concatenate([r[1] for r in results])
-    return _mc_report(modes, mean, se, samples, spec, details, results[0][2])
+        details["lambda_samples"] = np.concatenate([r[2] for r in results])
+    return _mc_report(modes, results, samples, spec, details)
 
 
 # ---------------------------------------------------------------------------

@@ -234,6 +234,22 @@ class TestReports:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["canonical", "--modes", "3", "--samples", "2000"],
+            ["number-conserving", "--variant", "modified", "--modes", "3", "--samples", "2000"],
+        ],
+    )
+    def test_worker_flag_leaves_every_criterion_of_the_report(self, argv, tmp_path):
+        docs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.json"
+            assert run(argv + ["--seed", "5", "--workers", workers, "--out", str(out)]) in (0, 1)
+            docs.append(read_report(out))
+        assert docs[0]["criteria"] == docs[1]["criteria"]
+        assert [d["parameters"]["workers"] for d in docs] == [1, 2]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["identities", "--modes", "2", "--trials", "2"],
             ["resolution", "--mode", "quad", "--modes", "2", "-p", "2", "--weight", "determinant"],
             ["resolution", "--mode", "mc", "--modes", "6", "--samples", "16"],
@@ -273,6 +289,13 @@ class TestReports:
 
 
 class TestCsvDumps:
+    @pytest.mark.parametrize("argv", [["identities", "--trials", "1"], ["selberg", "--max-modes", "1"]])
+    def test_csv_is_a_usage_error_where_nothing_is_dumped(self, argv, tmp_path, capsys):
+        csv = tmp_path / "none.csv"
+        assert run(argv + ["--csv", str(csv)]) == 2
+        assert "--csv" in capsys.readouterr().err
+        assert not csv.exists()
+
     def test_ensembles_dump_format(self, tmp_path):
         csv = tmp_path / "eig.csv"
         code = run(

@@ -72,3 +72,20 @@ class TestBenchPairsSummary:
     def test_reads_every_end_to_end_metric_of_the_benchmark(self, pairs):
         assert set(pairs.END_TO_END) == {"wall_s", "samples_per_s", "cpu_s", "peak_rss_mb", "setup_s"}
         assert pairs.END_TO_END["samples_per_s"]["better"] == "higher"
+
+
+class TestBenchPairsArguments:
+    @pytest.mark.parametrize("flags", [["--pairs", "1"], ["--pairs", "0"], ["--worker-pairs", "0"]])
+    def test_too_few_pairs_is_a_usage_error_before_any_run(self, flags, monkeypatch, tmp_path):
+        pairs = load("bench_pairs")
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a subprocess started before the arguments were checked")
+
+        monkeypatch.setattr(pairs.subprocess, "run", no_run)
+        out = tmp_path / "bench.json"
+        monkeypatch.setattr(pairs.sys, "argv", ["bench_pairs.py", "--parent", str(tmp_path), "--out", str(out), *flags])
+        with pytest.raises(SystemExit) as exc:
+            pairs.main()
+        assert exc.value.code == 2
+        assert not out.exists()

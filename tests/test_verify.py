@@ -634,6 +634,28 @@ class TestCanonicalTriviality:
         assert rep.details["beta_zero_exact_deviation"] <= 1e-14
         assert rep.details["max_sigma"] == 0.0
 
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    def test_beta_zero_exactness_alone_catches_a_rounding_level_bias(self, modes, monkeypatch):
+        # the same 1e-13 in every draw's Gamma at t = 0: below the gate's floor
+        # and the Fock check's tolerance, and without any spread for an SE
+        import fermigauss.verify as verify
+
+        exact = verify.covariance_of_real_form
+
+        def biased(av, vecs, s, t=1.0):
+            gamma = exact(av, vecs, s, t)
+            if t == 0:
+                gamma[:, 0, 1] += 1e-13
+                gamma[:, 1, 0] -= 1e-13
+            return gamma
+
+        monkeypatch.setattr(verify, "covariance_of_real_form", biased)
+        rep = verify_canonical_triviality(modes, 1.0, [0.0], 400, RngSpec(16))[0]
+        assert not rep.passed and rep.criterion.endswith("beta = 0 must be exact")
+        assert rep.details["beta_zero_exact_deviation"] > 1e-14
+        assert rep.details["max_sigma"] == 0.0 and rep.details["band_entries"] == 0
+        assert rep.details["fock_check_deviation"] <= FOCK_CHECK_TOL
+
     def test_empty_betas_rejected(self):
         with pytest.raises(ContractError):
             verify_canonical_triviality(2, 1.0, [], 1000, RngSpec(0))
