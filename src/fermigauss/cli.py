@@ -106,11 +106,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Splice config-file entries in front of the explicit flags (which then win)."""
+    """Splice config-file entries in front of the explicit flags (which then
+    win). The path comes once, as ``--config PATH`` or ``--config=PATH``."""
+    argv = [part for tok in argv for part in (tok.split("=", 1) if tok.startswith("--config=") else [tok])]
+    if argv.count("--config") > 1:
+        raise FermigaussError("--config given more than once; pass one config file")
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
-    if idx + 1 >= len(argv):
+    if idx + 1 >= len(argv) or not argv[idx + 1]:
         raise FermigaussError("--config requires a path")
     path = Path(argv[idx + 1])
     if not path.exists():

@@ -150,14 +150,7 @@ class WeightSpec:
         if self.kind == "nc_even":
             return -self.p * (lam**2).sum(axis=-1)
         # nc_modified
-        out = -self.p * (lam**2).sum(axis=-1)
-        m = lam.shape[-1]
-        for i in range(m - 1):
-            sums = np.abs(lam[..., i, None] + lam[..., i + 1 :])
-            small = sums < COINCIDENCE_FLOOR
-            with np.errstate(divide="ignore"):
-                out = out + 2.0 * np.where(small, -np.inf, np.log(np.maximum(sums, 1e-320))).sum(axis=-1)
-        return out
+        return -self.p * (lam**2).sum(axis=-1) + _log_pairs(lam, np.add, 2.0)
 
 
 @cache
@@ -168,10 +161,46 @@ def _upper_pairs(modes: int) -> tuple[np.ndarray, np.ndarray]:
     return iu, ju
 
 
+def _log_abs_sum(x: np.ndarray) -> np.ndarray:
+    """Sum of log|x| over the last axis, -inf where any |x| is within
+    COINCIDENCE_FLOOR of zero."""
+    mag = np.abs(x)
+    with np.errstate(divide="ignore"):
+        return np.where(mag < COINCIDENCE_FLOOR, -np.inf, np.log(mag)).sum(axis=-1)
+
+
+def _log_pairs(lam: np.ndarray, pair, power: float) -> np.ndarray:
+    """power * sum over i < j of log|pair(lam_i, lam_j)| for rows of (..., M),
+    -inf where any pair factor is within COINCIDENCE_FLOOR of zero."""
+    iu, ju = _upper_pairs(lam.shape[-1])
+    return power * _log_abs_sum(pair(lam[..., iu], lam[..., ju]))
+
+
+def _log_jacobian(sym_class: SymmetryClass, hermitian: bool, lam: np.ndarray) -> np.ndarray:
+    """Log of the radial Jacobian for rows of (..., M): the class Jacobian
+    |Delta(lam^2)|^beta prod |lam_j|^alpha or, with ``hermitian``, the
+    hermitian-matrix Delta(lam)^2; -inf within COINCIDENCE_FLOOR of a zero."""
+    if hermitian:
+        return _log_pairs(lam, np.subtract, 2.0)
+    out = _log_pairs(lam, lambda a, b: a**2 - b**2, sym_class.beta)
+    return out + sym_class.alpha * _log_abs_sum(lam) if sym_class.alpha else out
+
+
+def _check_batch(modes: int, count) -> None:
+    """A batch sampler's sizes: at least one mode and a non-negative integer count."""
+    if modes < 1:
+        raise DomainError(f"need modes >= 1, got {modes}")
+    if not isinstance(count, (int, np.integer)) or count < 0:
+        raise ContractError(f"need a non-negative integer count, got count = {count!r}")
+
+
 def _class_d_blocks(modes: int, p: float, gen: np.random.Generator, count: int):
     """Draw (h, delta) block stacks for `count` class-D matrices with density
     proportional to exp(-p Tr[H^2]): diagonal entries have variance 1/(4p), each
     independent off-diagonal real component 1/(8p)."""
+    if not (math.isfinite(p) and p > 0):
+        raise DomainError(f"domain violation: finite p > 0 required, got p = {p}")
+    _check_batch(modes, count)
     sd = math.sqrt(1.0 / (4.0 * p))
     so = math.sqrt(1.0 / (8.0 * p))
     diag = gen.normal(0.0, sd, size=(count, modes))
@@ -200,8 +229,6 @@ def assemble_blocks(h: np.ndarray, delta: np.ndarray) -> np.ndarray:
 
 def sample_class_d(modes: int, p: float, rng) -> BdgMatrix:
     """One class-D coefficient matrix with density proportional to exp(-p Tr[H^2])."""
-    if not (math.isfinite(p) and p > 0):
-        raise DomainError(f"domain violation: finite p > 0 required, got p = {p}")
     gen = _as_generator(rng)
     h, delta = _class_d_blocks(modes, p, gen, 1)
     return make_bdg(h[0], delta[0])
@@ -209,8 +236,6 @@ def sample_class_d(modes: int, p: float, rng) -> BdgMatrix:
 
 def sample_class_d_batch(modes: int, p: float, rng, count: int) -> np.ndarray:
     """Assembled stack of `count` class-D draws, shape (count, 2M, 2M)."""
-    if not (math.isfinite(p) and p > 0):
-        raise DomainError(f"domain violation: finite p > 0 required, got p = {p}")
     gen = _as_generator(rng)
     h, delta = _class_d_blocks(modes, p, gen, count)
     return assemble_blocks(h, delta)
@@ -222,8 +247,7 @@ def sample_haar_unitary(modes: int, rng) -> np.ndarray:
 
 
 def sample_haar_unitary_batch(modes: int, rng, count: int) -> np.ndarray:
-    if modes < 1:
-        raise DomainError(f"need modes >= 1, got {modes}")
+    _check_batch(modes, count)
     gen = _as_generator(rng)
     z = gen.normal(size=(count, modes, modes)) + 1j * gen.normal(size=(count, modes, modes))
     q, r = np.linalg.qr(z / math.sqrt(2.0))
@@ -260,28 +284,8 @@ class McmcSamples:
 
 
 def _log_density(sym_class: SymmetryClass, weight: WeightSpec, lam: np.ndarray) -> np.ndarray:
-    """Log of Jacobian times weight, -inf on (or within 1e-300 of) coincidence
-    sets; vectorized over rows of (..., M)."""
-    lam = np.asarray(lam, dtype=float)
-    m = lam.shape[-1]
-    out = weight.log_weight(lam)
-    if weight.uses_hermitian_jacobian:
-        factor, power = lambda i: lam[..., i, None] - lam[..., i + 1 :], 2.0
-    else:
-        factor, power = lambda i: lam[..., i, None] ** 2 - lam[..., i + 1 :] ** 2, float(sym_class.beta)
-        if sym_class.alpha:
-            mag = np.abs(lam)
-            bad = (mag < COINCIDENCE_FLOOR).any(axis=-1)
-            with np.errstate(divide="ignore"):
-                out = out + sym_class.alpha * np.log(np.maximum(mag, 1e-320)).sum(axis=-1)
-            out = np.where(bad, -np.inf, out)
-    for i in range(m - 1):
-        diffs = np.abs(factor(i))
-        bad = (diffs < COINCIDENCE_FLOOR).any(axis=-1)
-        with np.errstate(divide="ignore"):
-            out = out + power * np.log(np.maximum(diffs, 1e-320)).sum(axis=-1)
-        out = np.where(bad, -np.inf, out)
-    return out
+    """Log of the weight times the radial Jacobian, rows of (..., M)."""
+    return weight.log_weight(lam) + _log_jacobian(sym_class, weight.uses_hermitian_jacobian, lam)
 
 
 def sample_radial_mcmc(

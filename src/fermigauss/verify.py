@@ -17,6 +17,7 @@ from .ensembles import (  # noqa: F401  sample_radial_mcmc stays importable here
     RngSpec,
     SymmetryClass,
     WeightSpec,
+    _log_jacobian,
     assemble_blocks,
     random_polar_rotation,
     sample_class_d,
@@ -141,7 +142,8 @@ def _as_rngspec(rng) -> RngSpec:
 
 def _chunk_layout(n_samples: int) -> tuple[int, int]:
     """(number of chunks, samples per chunk); chunks are equal-sized, so the
-    total may exceed the request by less than one chunk."""
+    total may exceed the request by fewer than one sample per chunk (17 runs
+    16 chunks of 2, 4001 runs 4016)."""
     if n_samples < 1:
         raise ContractError(f"need a positive sample count, got {n_samples}")
     chunks = max(-(-n_samples // CHUNK), min(n_samples, MIN_CHUNKS))
@@ -322,12 +324,6 @@ def _gauss_scale(weight: WeightSpec) -> float:
     return 2.0 * weight.p if weight.kind == "gaussian" else weight.p
 
 
-def _weight_factor(weight: WeightSpec, lam: np.ndarray) -> np.ndarray:
-    if weight.kind == "determinant":
-        return (1.0 + lam**2) ** (-2.0 * weight.p)
-    return np.exp(-_gauss_scale(weight) * lam**2)
-
-
 def _weight_rule(weight: WeightSpec, order: int, half: bool) -> tuple[np.ndarray, np.ndarray]:
     """One-mode nodes and weights absorbing the weight factor, on the full
     line or, with ``half``, on (0, inf). The determinant weight maps Gauss-
@@ -367,19 +363,6 @@ def _fold_signs(points: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.concatenate([points * s for s in signs]), np.tile(wts, 1 << modes)
 
 
-def _radial_density(points: np.ndarray, sym_class: SymmetryClass, hermitian: bool) -> np.ndarray:
-    """The radial density without the weight factor at one- or two-mode points
-    (N, M): the class Jacobian |Delta(lam^2)|^beta prod |lam_j|^alpha or, with
-    ``hermitian``, the hermitian-matrix Jacobian Delta(lam)^2."""
-    n, m = points.shape
-    if hermitian:
-        return np.ones(n) if m == 1 else (points[:, 0] - points[:, 1]) ** 2
-    dens = np.ones(n) if m == 1 else np.abs(points[:, 0] ** 2 - points[:, 1] ** 2) ** sym_class.beta
-    if sym_class.alpha:
-        dens = dens * np.abs(points).prod(axis=1) ** sym_class.alpha
-    return dens
-
-
 def radial_quadrature_nodes(
     sym_class: SymmetryClass, weight: WeightSpec, modes: int, order: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -397,27 +380,27 @@ def radial_quadrature_nodes(
     density (an order too low for it).
     """
     hermitian = weight.uses_hermitian_jacobian
-    alpha, beta = (0, 2) if hermitian else (sym_class.alpha, sym_class.beta)
+    odd_alpha, odd_beta = (False, False) if hermitian else (sym_class.alpha % 2, sym_class.beta % 2)
     with np.errstate(all="ignore"):
-        if modes == 2 and beta % 2:
+        if modes == 2 and odd_beta:
             r, w_r = _leggauss(order)
             t, w_t = _weight_rule(weight, order, True)
             inner = np.outer(0.5 * (r + 1.0), t).ravel()
             t = np.tile(t, order)
-            base = np.outer(0.5 * w_r, w_t).ravel() * t * _weight_factor(weight, inner)
+            base = np.outer(0.5 * w_r, w_t).ravel() * t * np.exp(weight.log_weight(inner[:, None]))
             sector = np.concatenate([np.column_stack([inner, t]), np.column_stack([t, inner])])
             points, wts = _fold_signs(sector, np.concatenate([base, base]))
-        elif alpha % 2:
+        elif odd_alpha:
             points, wts = _fold_signs(*_tensor(*_weight_rule(weight, order, True), modes))
         else:
             points, wts = _tensor(*_weight_rule(weight, order, False), modes)
-        wts = wts * _radial_density(points, sym_class, hermitian)
+        wts = wts * np.exp(_log_jacobian(sym_class, hermitian, points))
         total = wts.sum()
     finite = np.isfinite(points).all() and np.isfinite(wts).all()
     if finite and total == 0.0:
         # scaling the nodes moves the density's underflow, not its zeros
         unit = points / (np.abs(points).max() or 1.0)
-        if not _radial_density(unit, sym_class, hermitian).any():
+        if not np.isfinite(_log_jacobian(sym_class, hermitian, unit)).any():
             raise ContractError(
                 f"every node of the order-{order} radial rule sits on a zero of the radial density "
                 f"(total weight 0); raise quad_order"
@@ -558,14 +541,22 @@ def shifted_weight_quadrature_deviation(
 ) -> float:
     """Max-entry deviation from 2^-M I when the Gaussian weight is displaced by
     ``offset`` (hence not even). Demonstrates that the evenness hypothesis is
-    doing real work; no pass rule attached. Raises DomainError when the
-    shifted rule leaves float64 or its nodes round together at a huge offset,
-    and ContractError when every node sits on a zero of the density (an
-    order too low for it)."""
+    doing real work; no pass rule attached. The displaced rule is a plain
+    tensor rule, so it needs a density without kinks: a class with an odd
+    alpha (a kink at lam_j = 0) or an odd beta (at |lam_1| = |lam_2|) raises
+    ContractError, as does a rule with every node on a zero of the density
+    (an order too low for it). Raises DomainError when the shifted rule
+    leaves float64 or its nodes round together at a huge offset."""
+    kinks = [at for at, odd in (("lam_j = 0", sym_class.alpha % 2), ("|lam_1| = |lam_2|", sym_class.beta % 2)) if odd]
+    if kinks:
+        raise ContractError(
+            f"class {sym_class.label} puts a kink at {' and '.join(kinks)} in the radial density, which "
+            f"the shifted tensor rule cannot integrate; use a class with even alpha and beta (D or C)"
+        )
     lam, w = _weight_rule(WeightSpec.gaussian(p), quad_order, False)
     with np.errstate(all="ignore"):
         points, wts = _tensor(lam + offset, w, modes)
-        wts = wts * _radial_density(points, sym_class, False)
+        wts = wts * np.exp(_log_jacobian(sym_class, False, points))
     if not (np.isfinite(points).all() and np.isfinite(wts).all()):
         raise DomainError(f"offset = {offset} puts the shifted rule outside float64; choose a finite, moderate offset")
     if not wts.any():
@@ -573,7 +564,7 @@ def shifted_weight_quadrature_deviation(
         # only at offset 0, so a true zero stays at an offset scaled to unit
         # size, while nodes lam + offset that round together part again
         unit, _ = _tensor(lam + offset / max(1.0, abs(offset)), w, modes)
-        if _radial_density(unit, sym_class, False).any():
+        if np.isfinite(_log_jacobian(sym_class, False, unit)).any():
             raise DomainError(
                 f"offset = {offset} exceeds the float resolution of the shifted rule: its nodes "
                 f"lam + offset round together onto a zero of the radial density; choose a moderate offset"

@@ -364,6 +364,29 @@ class TestConfigFile:
         assert run(["resolution", "--config", str(cfg), "--modes", "2", "--out", str(out2)]) == 0
         assert read_report(out2)["parameters"]["modes"] == 2
 
+    def test_equals_spelling_reads_the_file(self, tmp_path):
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("modes = 1\nsamples = 4000\n")
+        out = tmp_path / "eq.json"
+        assert run(["resolution", f"--config={cfg}", "--out", str(out)]) == 0
+        doc = read_report(out)
+        assert (doc["parameters"]["modes"], doc["parameters"]["samples"]) == (1, 4000)
+
+    @pytest.mark.parametrize("second", ["--config", "--config="])
+    def test_second_config_is_usage_error(self, tmp_path, second, capsys):
+        a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        a.write_text("modes = 1\nsamples = 4000\n")
+        b.write_text("modes = 3\n")
+        out = tmp_path / "two.json"
+        twice = [second + str(b)] if second.endswith("=") else [second, str(b)]
+        assert run(["resolution", "--config", str(a), *twice, "--out", str(out)]) == 2
+        assert "--config given more than once" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--config"], ["--config="]])
+    def test_config_without_a_path_is_usage_error(self, argv):
+        assert run(["resolution", *argv]) == 2
+
     def test_missing_config_is_usage_error(self):
         assert run(["resolution", "--config", "/nonexistent/x.cfg"]) == 2
 
@@ -371,6 +394,15 @@ class TestConfigFile:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("modes 2\n")
         assert run(["resolution", "--config", str(cfg)]) == 2
+
+
+def test_importing_the_cli_leaves_scipy_linalg_unloaded():
+    # every run's start-up cost includes this import path; gaussian._principal_log
+    # and operator_identity_suite import scipy.linalg only when called
+    script = 'import sys, fermigauss.cli; print("scipy.linalg" in sys.modules)'
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env)
+    assert proc.stdout.split() == ["False"]
 
 
 @pytest.fixture

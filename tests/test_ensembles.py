@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from fermigauss import (
     sample_radial_mcmc,
     symmetry_class,
 )
-from fermigauss.ensembles import _upper_pairs
+from fermigauss.ensembles import _log_jacobian, _upper_pairs
 
 
 def chain_moment_se(run, f):
@@ -119,6 +121,27 @@ class TestClassDSampler:
             sample_class_d(2, p, RngSpec(0))
         with pytest.raises(DomainError, match=f"got p = {p}"):
             sample_class_d_batch(2, p, RngSpec(0), 4)
+
+
+class TestBatchSizes:
+    @pytest.mark.parametrize("count", [-1, 2.5, "3"])
+    @pytest.mark.parametrize("sampler", ["class_d", "haar"])
+    def test_negative_or_non_integer_count_is_contract_error(self, sampler, count):
+        draw = {
+            "class_d": lambda: sample_class_d_batch(2, 1.0, RngSpec(0), count),
+            "haar": lambda: sample_haar_unitary_batch(2, RngSpec(0), count),
+        }[sampler]
+        with pytest.raises(ContractError, match=re.escape(f"count = {count!r}")):
+            draw()
+
+    def test_class_d_batch_needs_a_mode(self):
+        with pytest.raises(DomainError, match="need modes >= 1, got 0"):
+            sample_class_d_batch(0, 1.0, RngSpec(0), 3)
+
+    @pytest.mark.parametrize("count", [0, np.int64(2)])
+    def test_zero_and_numpy_integer_counts_are_accepted(self, count):
+        assert sample_class_d_batch(2, 1.0, RngSpec(0), count).shape == (count, 4, 4)
+        assert sample_haar_unitary_batch(2, RngSpec(0), count).shape == (count, 2, 2)
 
 
 class TestHaarSampler:
@@ -243,6 +266,45 @@ class TestWeightSpec:
             )
             total_f = base_f + w.log_weight(flipped)
             assert abs(total - total_f) < 1e-10
+
+
+class TestRadialLaw:
+    """ensembles._log_jacobian, the one radial law of the walk and the
+    quadrature rule, against the products it stands for, pair by pair."""
+
+    @pytest.mark.parametrize("modes", [1, 2, 3, 6])
+    @pytest.mark.parametrize(
+        "sym", [CLASS_D, CLASS_C, CLASS_DIII, CLASS_CI, None], ids=lambda s: s.label if s else "hermitian"
+    )
+    def test_matches_the_pairwise_product(self, sym, modes):
+        lam = RngSpec(30).generator().normal(size=(50, modes))
+        want = []
+        for row in lam:
+            pairs = [(row[i], row[j]) for i in range(modes) for j in range(i + 1, modes)]
+            if sym is None:
+                want.append(math.prod((a - b) ** 2 for a, b in pairs))
+            else:
+                repulsion = math.prod(abs(a * a - b * b) ** sym.beta for a, b in pairs)
+                want.append(repulsion * math.prod(abs(row)) ** sym.alpha)
+        got = np.exp(_log_jacobian(sym or CLASS_D, sym is None, lam))
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+
+    def test_zeros_are_minus_infinity_without_warnings(self):
+        rows = np.array([[0.3, 0.3, 1.0], [0.3, -0.3, 1.0], [0.0, 0.5, 1.0], [1e-301, 0.5, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            finite = {
+                "D": np.isfinite(_log_jacobian(CLASS_D, False, rows)),
+                "C": np.isfinite(_log_jacobian(CLASS_C, False, rows)),
+                "hermitian": np.isfinite(_log_jacobian(CLASS_D, True, rows)),
+                "nc_modified": np.isfinite(WeightSpec.nc_modified(1.0).log_weight(rows)),
+            }
+        assert {k: v.tolist() for k, v in finite.items()} == {
+            "D": [False, False, True, True],
+            "C": [False, False, False, False],
+            "hermitian": [False, True, True, True],
+            "nc_modified": [True, False, True, True],
+        }
 
 
 class TestCartesianVersusRadial:

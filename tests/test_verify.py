@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from oracles import quadratic_tensor, rotated_gaussian_blocks, rotated_ncons_blocks
 from scipy.special import gammaln
+from test_ensembles import chain_moment_se
 
 from fermigauss import (
     CLASS_C,
@@ -31,9 +32,9 @@ from fermigauss import (
     verify_resolution_mc,
     verify_resolution_quadrature,
 )
-from fermigauss import gaussian, sample_class_d_batch
+from fermigauss import ensembles, gaussian, sample_class_d_batch, sample_radial_mcmc
 from fermigauss.cli import run
-from fermigauss.ensembles import assemble_blocks, sample_haar_unitary_batch
+from fermigauss.ensembles import _log_jacobian, assemble_blocks, sample_haar_unitary_batch
 from fermigauss.fock import (
     _wick_plan,
     embed_parity_blocks,
@@ -52,7 +53,6 @@ from fermigauss.verify import (
     _entry_gate,
     _fock_check,
     _ncons_eigenvectors,
-    _radial_density,
     _run_chunks,
     _tensor,
     _weight_rule,
@@ -126,6 +126,17 @@ class TestResolutionQuadrature:
         assert dev2 > 10.0 * 1e-8
         # restoring evenness restores the resolution
         assert shifted_weight_quadrature_deviation(1, CLASS_D, 1.0, 0.0) < 1e-10
+
+    @pytest.mark.parametrize(
+        "modes, sym, kinks",
+        [(1, CLASS_DIII, "lam_j = 0"), (2, CLASS_CI, "lam_j = 0 and |lam_1| = |lam_2|")],
+        ids=["DIII-1", "CI-2"],
+    )
+    def test_shifted_weight_with_a_kink_is_contract_error(self, modes, sym, kinks):
+        # a plain tensor rule across the kink does not converge: DIII at one
+        # mode read 0.17957, 0.18067, 0.18029, 0.17967 at orders 30 to 240
+        with pytest.raises(ContractError, match=re.escape(f"class {sym.label} puts a kink at {kinks}")):
+            shifted_weight_quadrature_deviation(modes, sym, 1.0, 0.5)
 
 
 def _radial_total_log(sym, weight, modes):
@@ -215,6 +226,29 @@ class TestRadialQuadratureNodes:
     def test_rule_outside_float64_is_domain_error(self, weight):
         with pytest.raises(DomainError, match=re.escape(f"{weight.kind} weight at p = {weight.p}")):
             radial_quadrature_nodes(CLASS_D, weight, 2, 60)
+
+
+class TestOneRadialLaw:
+    """The quadrature rule and the Metropolis walk read one radial law
+    (ensembles._log_jacobian), so one defect in its pair factor reaches both."""
+
+    @pytest.mark.parametrize("halved", [False, True], ids=["law", "halved_pair_power"])
+    def test_a_defect_in_the_pair_factor_reaches_rule_and_walk(self, halved, monkeypatch):
+        if halved:
+            real = ensembles._log_pairs
+            monkeypatch.setattr(ensembles, "_log_pairs", lambda lam, pair, power: real(lam, pair, power / 2))
+        gauss = WeightSpec.gaussian(1.0)
+        _, wts = radial_quadrature_nodes(CLASS_D, gauss, 2, 60)
+        rule_miss = abs(math.log(wts.sum()) - _radial_total_log(CLASS_D, gauss, 2))
+        run = sample_radial_mcmc(CLASS_D, gauss, 2, 40_000, RngSpec(23))
+        mean, se = chain_moment_se(run, lambda row: row[0] ** 2 + row[1] ** 2)
+        # the class-D two-mode law at p = 1 has E[lam_1^2 + lam_2^2] = 3/2
+        if halved:
+            assert rule_miss > 0.1
+            assert abs(mean - 1.5) > 5 * se
+        else:
+            assert rule_miss < 1e-12
+            assert abs(mean - 1.5) < 5 * se
 
 
 class TestResolutionMc:
@@ -531,7 +565,7 @@ class TestWickQuadrature:
     def test_shifted_weight_matches_the_per_node_fock_path(self, modes, offset):
         lam, w = _weight_rule(WeightSpec.gaussian(1.0), 60, False)
         pts, wts = _tensor(lam + offset, w, modes)
-        wts = wts * _radial_density(pts, CLASS_D, False)
+        wts = wts * np.exp(_log_jacobian(CLASS_D, False, pts))
         want = _fock_quadrature_mean(pts, wts, lambda p: rotated_gaussian_blocks(p, np.eye(2 * modes)))
         want_dev = np.abs(want - np.eye(1 << modes) / (1 << modes)).max()
         assert abs(shifted_weight_quadrature_deviation(modes, CLASS_D, 1.0, offset) - want_dev) <= 1e-13
