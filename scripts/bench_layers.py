@@ -25,10 +25,14 @@ steps of that call, run one after another on the same draws, p = 1:
   write_report.
 - ``verify_resolution_quadrature M=2``: one whole default call (class D,
   Gaussian weight, quad_order 60).
+- ``operator_identity_suite M=3 trials=50``: one whole call of the identity
+  suite as the ``checks`` benchmark workload runs it (``identities --modes 3``,
+  seed 0).
 
 Every row first runs once untimed, to warm the per-M caches. Rows of full
-chunks then run REPEATS times, the small ones SMALL_REPEATS times; each
-layer gives the minimum and the median in seconds. Everything runs with
+chunks and the identity suite then run REPEATS times, the small ones
+SMALL_REPEATS times; each layer gives the minimum and the median in
+seconds. Everything runs with
 both bundled OpenBLAS builds on one thread, as inside a CLI call, through
 this checkout's ``fermigauss/blas.py`` (so any ``--src`` tree is timed the
 same way); the JSON on stdout records those thread counts and the
@@ -149,6 +153,12 @@ def quadrature_row(repeats: int) -> dict:
                 repeats)
 
 
+def identity_row(repeats: int) -> dict:
+    from fermigauss.verify import operator_identity_suite
+
+    return _row(lambda timed: timed("operator_identity_suite", operator_identity_suite, 3, 0, 50), repeats)
+
+
 def tables() -> dict:
     """Every row, in the order the docstring lists them."""
     from fermigauss.verify import _chunk_layout
@@ -160,6 +170,7 @@ def tables() -> dict:
     rows[f"verify_nc_modified M=2 chunk={nc}"] = lambda: nc_modified_row(2, nc, SMALL_REPEATS)
     rows[f"_cmd_resolution report M=6 samples={MC_M6_SAMPLES}"] = lambda: report_row(SMALL_REPEATS)
     rows["verify_resolution_quadrature M=2"] = lambda: quadrature_row(SMALL_REPEATS)
+    rows["operator_identity_suite M=3 trials=50"] = lambda: identity_row(REPEATS)
     out = {}
     for name, row in rows.items():
         out[name] = row()

@@ -41,16 +41,18 @@ def _add_common(sub: argparse.ArgumentParser, dumps: bool = True) -> None:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process; parsing leaves it unchanged."""
-    parser = argparse.ArgumentParser(prog="fermigauss", description=__doc__)
+    parser = argparse.ArgumentParser(prog="fermigauss", description=__doc__, allow_abbrev=False)
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("identities", help="operator-level identity suite")
-    p.add_argument("--modes", type=int, default=3, help="largest mode count exercised")
+    p = subs.add_parser("identities", help="operator-level identity suite", allow_abbrev=False)
+    p.add_argument(
+        "--modes", type=int, default=3, help="largest mode count exercised, capped at 3 (4 for the mode algebra)"
+    )
     p.add_argument("--trials", type=int, default=50)
     _add_common(p, dumps=False)
     p.set_defaults(func=_cmd_identities)
 
-    p = subs.add_parser("resolution", help="resolution-of-unity verification")
+    p = subs.add_parser("resolution", help="resolution-of-unity verification", allow_abbrev=False)
     p.add_argument("--mode", choices=("quad", "mc"), default="mc")
     p.add_argument("--modes", type=int, default=2)
     p.add_argument("-p", "--stiffness", type=float, default=1.0, dest="p")
@@ -62,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_resolution)
 
-    p = subs.add_parser("canonical", help="canonical-mixture triviality sweep")
+    p = subs.add_parser("canonical", help="canonical-mixture triviality sweep", allow_abbrev=False)
     p.add_argument("--modes", type=int, default=2)
     p.add_argument("-p", "--stiffness", type=float, default=1.0, dest="p")
     p.add_argument("--betas", default="0,0.3,0.7,1.5", help="comma-separated inverse temperatures")
@@ -71,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_canonical)
 
-    p = subs.add_parser("number-conserving", help="even-weight failure / modified-weight success")
+    p = subs.add_parser("number-conserving", help="even-weight failure / modified-weight success", allow_abbrev=False)
     p.add_argument("--variant", choices=("failure", "modified"), required=True)
     p.add_argument("--modes", type=int, default=2)
     p.add_argument("-p", "--stiffness", type=float, default=1.0, dest="p")
@@ -81,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=_cmd_number_conserving)
 
-    p = subs.add_parser("selberg", help="closed-form consistency sweep")
+    p = subs.add_parser("selberg", help="closed-form consistency sweep", allow_abbrev=False)
     p.add_argument(
         "--consistency",
         action="store_true",
@@ -91,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, dumps=False)
     p.set_defaults(func=_cmd_selberg)
 
-    p = subs.add_parser("ensembles", help="radial eigenvalue sampler / dumps")
+    p = subs.add_parser("ensembles", help="radial eigenvalue sampler / dumps", allow_abbrev=False)
     p.add_argument("--symmetry-class", default="D", dest="sym_class")
     p.add_argument("--weight", choices=WeightSpec.KINDS, default="gaussian")
     p.add_argument("-p", "--stiffness", type=float, default=1.0, dest="p")

@@ -108,7 +108,7 @@ def result_to_criterion(res: CriterionResult) -> dict:
         "measured": res.measured,
         "tolerance_or_se": res.tolerance,
         "passed": res.passed,
-        "details": res.detail,
+        "details": "",
     }
 
 

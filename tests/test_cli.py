@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -395,6 +396,23 @@ class TestConfigFile:
         cfg.write_text("modes 2\n")
         assert run(["resolution", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["resolution", "--conf", "CFG"],
+            ["resolution", "--mode", "mc", "--samp", "16"],
+            ["identities", "--mod", "2", "--trials", "1"],
+            ["selberg", "--max", "1"],
+        ],
+    )
+    def test_abbreviated_long_flag_is_usage_error(self, tmp_path, argv, capsys, monkeypatch):
+        # an abbreviation would bypass the config splice and run on the defaults
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text("modes = 1\nsamples = 4000\n")
+        monkeypatch.setattr(cli, "_finish", lambda *args, **kwargs: pytest.fail("the command ran"))
+        assert run([str(cfg) if a == "CFG" else a for a in argv]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 def test_importing_the_cli_leaves_scipy_linalg_unloaded():
     # every run's start-up cost includes this import path; gaussian._principal_log
@@ -419,7 +437,7 @@ def spy_on_selberg(monkeypatch, seen, passed=True):
 
     def spy(max_modes):
         seen.append(blas.thread_counts())
-        return [dataclasses.replace(r, passed=r.passed and passed) for r in real(max_modes)]
+        return [dataclasses.replace(r, measured=r.measured if passed else math.inf) for r in real(max_modes)]
 
     monkeypatch.setattr(cli, "selberg_consistency_suite", spy)
 

@@ -37,6 +37,7 @@ class TestBenchLayers:
             "verify_nc_modified M=2 chunk=1563": ["class_d_eigvalsh", "sample_haar_unitary_batch", "wick_mean"],
             "_cmd_resolution report M=6 samples=400": ["estimator_to_criterion", "build_report", "write_report"],
             "verify_resolution_quadrature M=2": ["verify_resolution_quadrature"],
+            "operator_identity_suite M=3 trials=50": ["operator_identity_suite"],
         }
         for row in rows.values():
             for t in row.values():

@@ -44,6 +44,7 @@ from fermigauss.fock import (
 from fermigauss.selberg import laguerre_selberg_log, selberg_integral_log
 from fermigauss.verify import (
     FAILURE_FLOOR_FRACTION,
+    CriterionResult,
     FOCK_CHECK_DRAWS,
     FOCK_CHECK_TOL,
     QUAD_TOL,
@@ -935,3 +936,49 @@ class TestSuites:
     def test_selberg_consistency_suite_is_green(self):
         for res in selberg_consistency_suite(max_modes=6):
             assert res.passed, res.name
+
+    def test_criterion_is_three_fields_and_passes_at_most_its_tolerance(self):
+        assert [f.name for f in dataclasses.fields(CriterionResult)] == ["name", "measured", "tolerance"]
+        assert CriterionResult("c", 1e-9, 1e-9).passed is True
+        assert CriterionResult("c", 2e-9, 1e-9).passed is False
+        assert CriterionResult("c", float("nan"), 1e-9).passed is False
+
+    def test_positivity_measures_minus_the_smallest_eigenvalue(self, monkeypatch):
+        import fermigauss.verify as verify
+
+        trials, seen = 6, []
+        real = verify.gaussian_normalized
+
+        def spy(bdg):
+            lam = real(bdg)
+            seen.append(np.linalg.eigvalsh(lam.matrix).min())
+            return lam
+
+        monkeypatch.setattr(verify, "gaussian_normalized", spy)
+        results = {r.name: r for r in operator_identity_suite(max_modes=3, seed=42, trials=trials)}
+        res = results["normalized operators positive definite"]
+        # the positivity block makes the first 2 * trials calls
+        assert res.passed and res.measured < 0.0
+        assert res.measured == -min(seen[: 2 * trials])
+
+    def test_nan_trace_fails(self, monkeypatch):
+        import fermigauss.verify as verify
+
+        monkeypatch.setattr(verify, "paired_eigenvalues", lambda bdg: np.full(bdg.h.shape[0], np.nan))
+        results = {r.name: r for r in operator_identity_suite(max_modes=3, seed=42, trials=4)}
+        res = results["trace = product of 2cosh(lam/2) = sqrt(det 2cosh(H/2))"]
+        assert math.isnan(res.measured) and not res.passed
+        assert all(r.passed for name, r in results.items() if r is not res)
+
+    def test_nan_radial_integral_fails_the_criteria_that_read_it(self, monkeypatch):
+        from fermigauss import selberg
+
+        monkeypatch.setattr(selberg, "radial_gaussian_integral_log", lambda modes, p: math.nan)
+        verdicts = {r.name.split(" (")[0]: r.passed for r in selberg_consistency_suite(max_modes=6)}
+        assert verdicts == {
+            "angular + radial = Cartesian in log space": False,
+            "angular volume is independent of p": False,
+            "angular volume is 1 for a single mode": True,
+            "Gaussian weight constant normalizes to one": False,
+            "determinant weight constant normalizes to one": True,
+        }
