@@ -27,6 +27,27 @@ from .verify import (
 )
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it rejects the arguments it does not recognize
+    itself, so the error shows the subcommand's usage, not the top level's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
+class _Count(argparse.Action):
+    """Stores an integer count such as --samples, rejecting one below 1 as a
+    usage error, also in a mode that ignores it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values < 1:
+            raise argparse.ArgumentError(self, f"need {self.dest} >= 1, got {values}")
+        setattr(namespace, self.dest, values)
+
+
 def _add_common(sub: argparse.ArgumentParser, dumps: bool = True) -> None:
     """The flags every subcommand takes; ``--csv`` only where there are
     eigenvalue samples or quadrature nodes to dump."""
@@ -42,7 +63,7 @@ def _add_common(sub: argparse.ArgumentParser, dumps: bool = True) -> None:
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="fermigauss", description=__doc__, allow_abbrev=False)
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p = subs.add_parser("identities", help="operator-level identity suite", allow_abbrev=False)
     p.add_argument(
@@ -58,9 +79,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-p", "--stiffness", type=float, default=1.0, dest="p")
     p.add_argument("--weight", choices=("gaussian", "determinant"), default="gaussian")
     p.add_argument("--symmetry-class", default="D", dest="sym_class")
-    p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--quad-order", type=int, default=60)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--samples", type=int, default=200_000, action=_Count)
+    p.add_argument("--quad-order", type=int, default=60, action=_Count)
+    p.add_argument("--workers", type=int, default=1, action=_Count)
     _add_common(p)
     p.set_defaults(func=_cmd_resolution)
 
@@ -68,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=int, default=2)
     p.add_argument("-p", "--stiffness", type=float, default=1.0, dest="p")
     p.add_argument("--betas", default="0,0.3,0.7,1.5", help="comma-separated inverse temperatures")
-    p.add_argument("--samples", type=int, default=200_000)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--samples", type=int, default=200_000, action=_Count)
+    p.add_argument("--workers", type=int, default=1, action=_Count)
     _add_common(p)
     p.set_defaults(func=_cmd_canonical)
 
@@ -77,9 +98,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("failure", "modified"), required=True)
     p.add_argument("--modes", type=int, default=2)
     p.add_argument("-p", "--stiffness", type=float, default=1.0, dest="p")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--quad-order", type=int, default=60)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--samples", type=int, default=100_000, action=_Count)
+    p.add_argument("--quad-order", type=int, default=60, action=_Count)
+    p.add_argument("--workers", type=int, default=1, action=_Count)
     _add_common(p)
     p.set_defaults(func=_cmd_number_conserving)
 
@@ -98,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", choices=WeightSpec.KINDS, default="gaussian")
     p.add_argument("-p", "--stiffness", type=float, default=1.0, dest="p")
     p.add_argument("--modes", type=int, default=2)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--samples", type=int, default=10_000, action=_Count)
     p.add_argument("--burn-in", type=int, default=10_000)
     p.add_argument("--thin", type=int, default=10)
     _add_common(p)

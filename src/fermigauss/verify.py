@@ -91,32 +91,6 @@ FOCK_CHECK_TOL = 1e-12
 
 
 @dataclass
-class EstimatorReport:
-    """Outcome of one verification run.
-
-    ``passed`` reflects the stated rule: for quadrature runs the max-entry
-    deviation against the target at the deterministic tolerance (plus
-    rotation independence, and the Wick mean of the quad_order rule's last
-    FOCK_CHECK_DRAWS kept nodes within FOCK_CHECK_TOL of the same nodes
-    through the Fock construction); for Monte Carlo runs the
-    entrywise gate |mean - target| <= 5 SE with at most max(1, 1% of
-    entries) in the 3-to-5 SE band, entries below a 1e-12 absolute floor
-    always passing, and the Wick mean of chunk 0's first FOCK_CHECK_DRAWS
-    draws within FOCK_CHECK_TOL of the same draws through the Fock construction.
-    """
-
-    target: FockOperator
-    mean: FockOperator
-    max_abs_deviation: float
-    per_entry_se: np.ndarray | None
-    samples: int
-    seed: RngSpec | None
-    passed: bool
-    criterion: str
-    details: dict = field(default_factory=dict)
-
-
-@dataclass
 class CriterionResult:
     """One named check with its measured extreme violation and tolerance.
     It passes when ``measured <= tolerance``, so a NaN fails."""
@@ -128,6 +102,34 @@ class CriterionResult:
     @property
     def passed(self) -> bool:
         return bool(self.measured <= self.tolerance)
+
+
+@dataclass
+class EstimatorReport:
+    """Outcome of one verification run: its mean against the target and the
+    ``bounds`` that are its verdict, each named after the report entries it
+    reads. It passes exactly when every bound holds, and its stated rule,
+    ``criterion``, is written from the same list, so the two cannot drift."""
+
+    target: FockOperator
+    mean: FockOperator
+    per_entry_se: np.ndarray | None
+    samples: int
+    seed: RngSpec | None
+    bounds: list[CriterionResult]
+    details: dict = field(default_factory=dict)
+
+    @property
+    def passed(self) -> bool:
+        return all(b.passed for b in self.bounds)
+
+    @property
+    def criterion(self) -> str:
+        return "; ".join(f"{b.name} <= {b.tolerance:g}" for b in self.bounds)
+
+    @property
+    def max_abs_deviation(self) -> float:
+        return float(np.abs(self.mean.matrix - self.target.matrix).max())
 
 
 def _as_rngspec(rng) -> RngSpec:
@@ -202,10 +204,10 @@ def _log_sum_exp(logs) -> float:
 
 def _max_sigma(dev: np.ndarray, se: np.ndarray) -> float:
     """Largest deviation in standard errors over the entries the gate judges,
-    those above ABS_FLOOR; 0 when there are none or no SE at all."""
-    if not se.any():
-        return 0.0
-    judged = dev > ABS_FLOOR
+    those not at or below ABS_FLOOR; 0 when there are none. So ``<= 5`` holds
+    when every entry is within 5 SE or at or below the floor: a NaN
+    deviation or SE stays NaN, and a judged entry with zero SE reads huge."""
+    judged = ~(dev <= ABS_FLOOR)
     return float((dev[judged] / np.maximum(se[judged], 1e-300)).max(initial=0.0))
 
 
@@ -220,27 +222,23 @@ def _require_judged(se: np.ndarray, p: float, samples: int) -> None:
         )
 
 
-def _entry_gate(mean: np.ndarray, target: np.ndarray, se: np.ndarray) -> tuple[bool, dict]:
+def _entry_gate(mean: np.ndarray, target: np.ndarray, se: np.ndarray) -> tuple[list[CriterionResult], dict]:
+    """The entrywise Monte Carlo gate: its bounds on ``max_sigma`` and on the
+    entries in the 3-5 SE band, and the measurements they read."""
     dev = np.abs(mean - target)
     ok = (dev <= 5.0 * se) | (dev <= ABS_FLOOR)
     band = ok & (dev > 3.0 * se) & (dev > ABS_FLOOR)
-    allowed = max(1, int(0.01 * dev.size))
-    passed = bool(ok.all() and band.sum() <= allowed)
     info = {
         "max_sigma": _max_sigma(dev, se),
         "band_entries": int(band.sum()),
-        "band_allowed": allowed,
+        "band_allowed": max(1, int(0.01 * dev.size)),
         "frobenius_deviation": float(np.linalg.norm(mean - target)),
     }
-    return passed, info
-
-
-MC_RULE = (
-    "every entry within 5 standard errors of the target "
-    "(absolute floor 1e-12), at most max(1, 1% of entries) between 3 and 5 SE; "
-    f"the Wick mean of chunk 0's first {FOCK_CHECK_DRAWS} draws within {FOCK_CHECK_TOL:g} "
-    f"of the same draws through the Fock construction"
-)
+    bounds = [
+        CriterionResult("max_sigma", info["max_sigma"], 5.0),
+        CriterionResult("band_entries", info["band_entries"], info["band_allowed"]),
+    ]
+    return bounds, info
 
 
 def _fock_check(mats: np.ndarray, gamma: np.ndarray, log_weights=None) -> float:
@@ -276,16 +274,17 @@ def _mc_report(
         _require_judged(se, details["p"], samples)
     mean, se, fock_dev = embed_parity_blocks(mean), embed_parity_blocks(se), chunks[0][1]
     target = FockOperator(modes, np.eye(dim) / dim, hermitian=True)
-    passed, info = _entry_gate(mean, target.matrix, se)
+    bounds, info = _entry_gate(mean, target.matrix, se)
+    bounds.append(CriterionResult("fock_check_deviation", fock_dev, FOCK_CHECK_TOL))
+    if _exact:
+        bounds.append(CriterionResult("beta_zero_exact_deviation", details["beta_zero_exact_deviation"], 1e-14))
     return EstimatorReport(
         target=target,
         mean=FockOperator(modes, mean),
-        max_abs_deviation=float(np.abs(mean - target.matrix).max()),
         per_entry_se=se,
         samples=samples,
         seed=spec,
-        passed=passed and fock_dev <= FOCK_CHECK_TOL and details.get("beta_zero_exact_deviation", 0.0) <= 1e-14,
-        criterion=MC_RULE + ("; beta = 0 must be exact" if _exact else ""),
+        bounds=bounds,
         details={**info, **details, "fock_check_deviation": fock_dev},
     )
 
@@ -463,13 +462,6 @@ def _converged_mean(sym_class: SymmetryClass, weight: WeightSpec, modes: int, or
     return q_hi, delta, rule_hi, fock_dev
 
 
-def _fock_rule(quad_order: int) -> str:
-    return (
-        f"the Wick mean of the order-{quad_order} rule's last {FOCK_CHECK_DRAWS} kept nodes within "
-        f"{FOCK_CHECK_TOL:g} of the same nodes through the Fock construction"
-    )
-
-
 # ---------------------------------------------------------------------------
 # Resolution of unity
 # ---------------------------------------------------------------------------
@@ -509,19 +501,17 @@ def verify_resolution_quadrature(
     dev = float(np.abs(q_main - target.matrix).max())
     rot_delta = float(np.abs(q_main - q_alt).max())
     odd_coeffs = np.einsum("s,sj->j", wts_hi, np.tanh(pts_hi / 2.0)) / wts_hi.sum()
-    passed = dev <= QUAD_TOL and rot_delta <= QUAD_TOL and fock_dev <= FOCK_CHECK_TOL
     return EstimatorReport(
         target=target,
         mean=FockOperator(modes, q_main),
         samples=pts_hi.shape[0],
         per_entry_se=None,
         seed=RngSpec(ROTATION_SEED, stream=1),
-        max_abs_deviation=dev,
-        passed=passed,
-        criterion=(
-            f"max-entry deviation from 2^-{modes} I <= {QUAD_TOL} and "
-            f"rotation-independence delta <= {QUAD_TOL}; {_fock_rule(quad_order)}"
-        ),
+        bounds=[
+            CriterionResult("max_abs_deviation", dev, QUAD_TOL),
+            CriterionResult("rotation_delta", rot_delta, QUAD_TOL),
+            CriterionResult("fock_check_deviation", fock_dev, FOCK_CHECK_TOL),
+        ],
         details={
             "symmetry_class": sym_class.label,
             "weight": weight.kind,
@@ -652,13 +642,14 @@ def verify_canonical_triviality(
         details = {"beta": beta, "p": p, "effective_sample_size": math.exp(2.0 * log_w - log_w2)}
         reports.append(_mc_report(modes, chunks, samples, spec, details, [c[2] for c in chunks], beta == 0.0))
     for rep in reports:
-        worst = 0.0
-        for other in reports:
-            if other is not rep:
-                dev = np.abs(rep.mean.matrix - other.mean.matrix)
-                worst = max(worst, _max_sigma(dev, np.sqrt(rep.per_entry_se**2 + other.per_entry_se**2)))
+        sigmas = [
+            _max_sigma(np.abs(rep.mean.matrix - other.mean.matrix), np.sqrt(rep.per_entry_se**2 + other.per_entry_se**2))
+            for other in reports
+            if other is not rep
+        ]
+        worst = float(np.max(sigmas, initial=0.0))  # a NaN stays NaN, and fails
         rep.details["pairwise_max_sigma"] = worst
-        rep.passed = rep.passed and worst <= 5.0
+        rep.bounds.append(CriterionResult("pairwise_max_sigma", worst, 5.0))
     return reports
 
 
@@ -744,21 +735,17 @@ def verify_nc_failure(modes: int = 2, p: float = 1.0, quad_order: int = 60) -> E
     sector_residual = float(np.abs(q.ravel() - stack @ coeffs).max())
 
     dim = 1 << modes
-    target = FockOperator(modes, c * np.eye(dim), hermitian=True)
-    passed = residual >= floor and sector_residual < 1e-9 and fock_dev <= FOCK_CHECK_TOL
     return EstimatorReport(
-        target=target,
+        target=FockOperator(modes, c * np.eye(dim), hermitian=True),
         mean=FockOperator(modes, q),
-        max_abs_deviation=residual,
         per_entry_se=None,
         samples=(2 * quad_order) ** modes,
         seed=RngSpec(ROTATION_SEED, stream=2),
-        passed=passed,
-        criterion=(
-            f"min over c of the max-entry norm of (mean - c I) must exceed the oracle "
-            f"floor {floor:.6g} and project onto the rotated "
-            f"number-operator sector to within 1e-9; {_fock_rule(quad_order)}"
-        ),
+        bounds=[
+            CriterionResult("failure_floor - residual", floor - residual, 0.0),  # residual >= floor
+            CriterionResult("sector_residual", sector_residual, 1e-9),
+            CriterionResult("fock_check_deviation", fock_dev, FOCK_CHECK_TOL),
+        ],
         details={
             "p": p,
             "closest_multiple": c,

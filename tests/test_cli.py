@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -176,6 +177,15 @@ class TestExitCodes:
             (["number-conserving", "--variant", "failure", "--stream", "-1"], "stream = -1"),
             (["selberg", "--consistency", "--seed", "-1"], "seed = -1"),
             (["ensembles", "--samples", "10", "--stream", "-1"], "stream = -1"),
+            # counts that the chosen mode ignores are checked all the same
+            (["resolution", "--mode", "quad", "--workers", "0", "--samples", "-3"], "workers >= 1, got 0"),
+            (["resolution", "--mode", "quad", "--samples", "-3"], "argument --samples: need samples >= 1, got -3"),
+            (["number-conserving", "--variant", "failure", "--workers", "-1", "--samples", "0"], "workers >= 1, got -1"),
+            (["number-conserving", "--variant", "failure", "--samples", "0"], "samples >= 1, got 0"),
+            (["canonical", "--samples", "0"], "samples >= 1, got 0"),
+            (["ensembles", "--samples", "0"], "samples >= 1, got 0"),
+            (["resolution", "--mode", "mc", "--samples", "16", "--quad-order", "0"], "quad_order >= 1"),
+            (["number-conserving", "--variant", "modified", "--samples", "16", "--quad-order", "0"], "quad_order >= 1"),
         ],
     )
     def test_out_of_range_count_is_usage_error(self, argv, message, capsys):
@@ -411,7 +421,39 @@ class TestConfigFile:
         cfg.write_text("modes = 1\nsamples = 4000\n")
         monkeypatch.setattr(cli, "_finish", lambda *args, **kwargs: pytest.fail("the command ran"))
         assert run([str(cfg) if a == "CFG" else a for a in argv]) == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert f"usage: fermigauss {argv[0]} " in err  # the subcommand's own usage
+
+
+def _load_benchmark_workloads():
+    """benchmark/workloads.py, read from its file and left unchanged."""
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCHMARK = _load_benchmark_workloads()
+
+
+class TestBenchmarkWorkloads:
+    """Every command the benchmark runs still parses and its set-up calls still
+    run, so a CLI change breaks these tests, not a benchmark run."""
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK.WORKLOADS))
+    def test_every_command_parses(self, name):
+        workload = BENCHMARK.WORKLOADS[name]
+        for argv in workload.commands + workload.setup:
+            cli.build_parser().parse_args([*argv, "--seed", "0", "--out", "report.json"])
+
+    @pytest.mark.parametrize("name", sorted(BENCHMARK.WORKLOADS))
+    def test_setup_commands_run(self, name, tmp_path):
+        for k, argv in enumerate(BENCHMARK.WORKLOADS[name].setup):
+            out = tmp_path / f"setup-{k}.json"
+            assert run([*argv, "--seed", str(BENCHMARK.SETUP_SEED), "--out", str(out)]) in (0, 1), argv
+            assert out.exists()
 
 
 def test_importing_the_cli_leaves_scipy_linalg_unloaded():

@@ -45,6 +45,7 @@ from fermigauss.selberg import laguerre_selberg_log, selberg_integral_log
 from fermigauss.verify import (
     FAILURE_FLOOR_FRACTION,
     CriterionResult,
+    EstimatorReport,
     FOCK_CHECK_DRAWS,
     FOCK_CHECK_TOL,
     QUAD_TOL,
@@ -326,10 +327,69 @@ class TestEntryGate:
         target = np.zeros((2, 2))
         mean = np.array([[1e-15, 0.0], [0.0, 0.02]])
         se = np.array([[1e-16, 0.0], [0.0, 0.01]])
-        passed, info = _entry_gate(mean, target, se)
-        assert passed
+        bounds, info = _entry_gate(mean, target, se)
+        assert all(b.passed for b in bounds)
         assert info["max_sigma"] == 2.0
         assert _entry_gate(np.full((2, 2), 1e-15), target, se)[1]["max_sigma"] == 0.0
+
+    @pytest.mark.parametrize("where", ["mean", "se"])
+    def test_nan_entry_fails_the_gate(self, where):
+        # every other entry sits 2 SE out, so only the NaN can fail the gate
+        mean, se = np.full((2, 2), 0.02), np.full((2, 2), 0.01)
+        {"mean": mean, "se": se}[where][0, 0] = np.nan
+        bounds, info = _entry_gate(mean, np.zeros((2, 2)), se)
+        assert math.isnan(info["max_sigma"]) and not bounds[0].passed
+
+    def test_judged_entry_with_zero_se_fails_the_gate(self):
+        bounds, info = _entry_gate(np.full((2, 2), 1e-9), np.zeros((2, 2)), np.zeros((2, 2)))
+        assert info["max_sigma"] > 5.0 and not bounds[0].passed
+
+
+MC_BOUNDS = ["max_sigma", "band_entries", "fock_check_deviation"]
+
+
+class TestEstimatorVerdict:
+    def test_report_stores_bounds_and_derives_verdict_rule_and_deviation(self):
+        names = [f.name for f in dataclasses.fields(EstimatorReport)]
+        assert names == ["target", "mean", "per_entry_se", "samples", "seed", "bounds", "details"]
+        rep = verify_resolution_mc(2, 1.0, 400, RngSpec(15))
+        for attr in ("passed", "criterion", "max_abs_deviation"):
+            with pytest.raises(AttributeError):
+                setattr(rep, attr, getattr(rep, attr))
+
+    @pytest.mark.parametrize(
+        "driver, bounds",
+        [
+            (lambda: [verify_resolution_mc(2, 1.0, 400, RngSpec(15))], [MC_BOUNDS]),
+            (lambda: [verify_nc_modified(2, 1.0, 400, RngSpec(15))], [MC_BOUNDS]),
+            (
+                lambda: verify_canonical_triviality(2, 1.0, [0.0, 5.0], 400, RngSpec(8)),
+                [MC_BOUNDS + ["beta_zero_exact_deviation", "pairwise_max_sigma"], MC_BOUNDS + ["pairwise_max_sigma"]],
+            ),
+            (
+                lambda: [verify_resolution_quadrature(2, CLASS_D, WeightSpec.gaussian(1.0), quad_order=30)],
+                [["max_abs_deviation", "rotation_delta", "fock_check_deviation"]],
+            ),
+            (
+                lambda: [verify_nc_failure(2, 1.0, quad_order=30)],
+                [["failure_floor - residual", "sector_residual", "fock_check_deviation"]],
+            ),
+        ],
+        ids=["resolution_mc", "nc_modified", "canonical", "resolution_quadrature", "nc_failure"],
+    )
+    def test_verdict_and_rule_are_the_listed_bounds(self, driver, bounds):
+        reps = driver()
+        assert [[b.name for b in rep.bounds] for rep in reps] == bounds
+        for rep in reps:
+            assert rep.passed == all(b.passed for b in rep.bounds)
+            assert rep.criterion == "; ".join(f"{b.name} <= {b.tolerance:g}" for b in rep.bounds)
+            assert rep.max_abs_deviation == np.abs(rep.mean.matrix - rep.target.matrix).max()
+
+    def test_a_nan_bound_fails_its_report(self):
+        rep = verify_resolution_mc(2, 1.0, 400, RngSpec(15))
+        assert rep.passed
+        rep.bounds.append(CriterionResult("nan_check", math.nan, 1.0))
+        assert not rep.passed and "nan_check <= 1" in rep.criterion
 
 
 class TestRunChunks:
@@ -390,7 +450,7 @@ class TestFockCrossCheck:
         ]
         for rep in reps:
             assert 0.0 <= rep.details["fock_check_deviation"] <= FOCK_CHECK_TOL
-            assert f"within {FOCK_CHECK_TOL:g} of the same draws through the Fock construction" in rep.criterion
+            assert f"fock_check_deviation <= {FOCK_CHECK_TOL:g}" in rep.criterion
 
     # each driver's chunk 0 checks its own first FOCK_CHECK_DRAWS draws; the
     # tests redraw chunk 0 from spec.generator(), the stream _run_chunks gives it
@@ -480,8 +540,7 @@ class TestFockCrossCheck:
             reps.append(verify_nc_failure(2, 1.0, quad_order=30))
         for rep in reps:
             assert 0.0 <= rep.details["fock_check_deviation"] <= FOCK_CHECK_TOL
-            rule = f"order-30 rule's last {FOCK_CHECK_DRAWS} kept nodes within {FOCK_CHECK_TOL:g} of the same nodes"
-            assert rule in rep.criterion
+            assert f"fock_check_deviation <= {FOCK_CHECK_TOL:g}" in rep.criterion
         assert list(reps[0].details)[-2:] == ["fock_check_deviation", "tolerance"]
 
     # each quadrature driver checks the last FOCK_CHECK_DRAWS kept nodes of its
@@ -686,10 +745,18 @@ class TestCanonicalTriviality:
 
         monkeypatch.setattr(verify, "covariance_of_real_form", biased)
         rep = verify_canonical_triviality(modes, 1.0, [0.0], 400, RngSpec(16))[0]
-        assert not rep.passed and rep.criterion.endswith("beta = 0 must be exact")
+        assert not rep.passed and "beta_zero_exact_deviation <= 1e-14" in rep.criterion
         assert rep.details["beta_zero_exact_deviation"] > 1e-14
         assert rep.details["max_sigma"] == 0.0 and rep.details["band_entries"] == 0
         assert rep.details["fock_check_deviation"] <= FOCK_CHECK_TOL
+
+    def test_pairwise_bound_alone_fails_a_report(self):
+        # the beta = 0.3 report passes its own three bounds but sits 6.3 sigma from beta = 5
+        cold = verify_canonical_triviality(2, 1.0, [0.3, 5.0], 400, RngSpec(8))[0]
+        assert [b.name for b in cold.bounds][-1] == "pairwise_max_sigma"
+        assert [b.passed for b in cold.bounds] == [True, True, True, False]
+        assert cold.details["pairwise_max_sigma"] > 5.0
+        assert not cold.passed and "pairwise_max_sigma <= 5" in cold.criterion
 
     def test_empty_betas_rejected(self):
         with pytest.raises(ContractError):
