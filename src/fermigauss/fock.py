@@ -30,6 +30,31 @@ STRUCTURE_TOL = 1e-10
 LOG_FLOAT_MAX = log(np.finfo(float).max)
 
 
+def _finite(arr, what: str, dtype=complex) -> np.ndarray:
+    """``arr`` as an array of ``dtype``, or StructureError on a NaN or inf
+    entry, so none reaches the arithmetic of a check."""
+    out = np.asarray(arr, dtype=dtype)
+    if not np.isfinite(out).all():
+        raise StructureError(f"{what} has non-finite entries")
+    return out
+
+
+def _require_close(a, b, tol: float, what: str, error: type[Exception] = StructureError) -> None:
+    """The one rule of every structure check: raise ``error`` unless
+    max|a - b| <= tol, so a NaN or inf violation fails."""
+    gap = np.abs(np.subtract(a, b)).max()
+    if not gap <= tol:
+        raise error(f"{what}: max violation {gap:.3e}")
+
+
+def _sigma_x(modes: int) -> np.ndarray:
+    """The 2M x 2M off-diagonal identity block matrix."""
+    sig = np.zeros((2 * modes, 2 * modes))
+    sig[:modes, modes:] = np.eye(modes)
+    sig[modes:, :modes] = np.eye(modes)
+    return sig
+
+
 def _check_modes(modes: int) -> None:
     if not isinstance(modes, (int, np.integer)) or modes < 1:
         raise CapacityError(f"mode count must be a positive integer, got {modes!r}")
@@ -58,19 +83,13 @@ class FockOperator:
 
     def __post_init__(self):
         dim = 1 << self.modes
-        mat = np.asarray(self.matrix, dtype=complex)
+        mat = _finite(self.matrix, "operator")
         if mat.shape != (dim, dim):
             raise StructureError(
                 f"operator on {self.modes} modes must be {dim} x {dim}, got {mat.shape}"
             )
-        if not np.isfinite(mat).all():
-            raise StructureError("operator has non-finite entries")
         if self.hermitian:
-            dev = np.abs(mat - mat.conj().T).max()
-            if not dev <= HERMITICITY_TOL:
-                raise StructureError(
-                    f"operator flagged hermitian deviates from its adjoint by {dev:.3e}"
-                )
+            _require_close(mat, mat.conj().T, HERMITICITY_TOL, "operator flagged hermitian deviates from its adjoint")
         object.__setattr__(self, "matrix", _frozen(mat))
 
     @property
@@ -282,7 +301,7 @@ def embed_parity_blocks(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_coefficient_structure(mat: np.ndarray, tol: float = STRUCTURE_TOL) -> int:
+def _check_coefficient_structure(mat: np.ndarray) -> int:
     """Validate the particle-hole block structure of a 2M x 2M coefficient matrix.
 
     Requires sigma_x-antisymmetry (both off-diagonal blocks antisymmetric and the
@@ -293,15 +312,8 @@ def _check_coefficient_structure(mat: np.ndarray, tol: float = STRUCTURE_TOL) ->
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
         raise StructureError(f"coefficient matrix must be square of even dimension, got {mat.shape}")
     m = mat.shape[0] // 2
-    sig = np.zeros_like(mat)
-    sig[:m, m:] = np.eye(m)
-    sig[m:, :m] = np.eye(m)
-    sr = sig @ mat
-    dev = np.abs(sr + sr.T).max()
-    if dev > tol:
-        raise StructureError(
-            f"coefficient matrix violates the particle-hole block structure by {dev:.3e}"
-        )
+    sr = _sigma_x(m) @ mat
+    _require_close(sr, -sr.T, STRUCTURE_TOL, "coefficient matrix violates the particle-hole block structure")
     return m
 
 
@@ -314,7 +326,7 @@ def quadratic_hamiltonian(coeff) -> FockOperator:
     for every valid coefficient matrix. The result is flagged hermitian exactly
     when the input matrix is.
     """
-    mat = coeff.assembled() if hasattr(coeff, "assembled") else np.asarray(coeff, dtype=complex)
+    mat = coeff.assembled() if hasattr(coeff, "assembled") else _finite(coeff, "coefficient matrix")
     modes = _check_coefficient_structure(mat)
     out = embed_parity_blocks(quadratic_hamiltonian_batch(mat[None])[0])
     herm = np.abs(mat - mat.conj().T).max() <= STRUCTURE_TOL
@@ -360,9 +372,7 @@ def op_exp(op: FockOperator, scale: float = 1.0) -> FockOperator:
     largest entry. Raises DomainError when an entry would exceed the float
     range.
     """
-    dev = np.abs(op.matrix - op.matrix.conj().T).max()
-    if dev > STRUCTURE_TOL:
-        raise ContractError(f"op_exp requires a hermitian operator; deviation {dev:.3e}")
+    _require_close(op.matrix, op.matrix.conj().T, STRUCTURE_TOL, "op_exp requires a hermitian operator", ContractError)
     w, v = np.linalg.eigh(op.matrix)
     w = scale * w
     if not w.max() < LOG_FLOAT_MAX:
@@ -380,7 +390,7 @@ def normal_ordered_exp(coeff) -> FockOperator:
     is O(M^(2M)) matrix products, so this is an exact-construction tool for
     small M, deliberately free of any exponential-identity shortcut.
     """
-    bmat = np.asarray(coeff, dtype=complex)
+    bmat = _finite(coeff, "coefficient")
     if bmat.ndim != 2 or bmat.shape[0] != bmat.shape[1]:
         raise StructureError(f"coefficient must be a square matrix, got {bmat.shape}")
     modes = bmat.shape[0]

@@ -15,11 +15,15 @@ import numpy as np
 
 from .errors import BranchCutError, ContractError, DegenerateSpectrumError, DomainError, StructureError
 from .fock import (  # noqa: F401  op_exp stays importable here: benchmark/tracing.py wraps it
+    HERMITICITY_TOL,
     LOG_FLOAT_MAX,
     STRUCTURE_TOL,
     FockOperator,
     _check_modes,
+    _finite,
     _frozen,
+    _require_close,
+    _sigma_x,
     _wick_plan,
     from_eigenpairs,
     op_exp,
@@ -28,13 +32,6 @@ from .fock import (  # noqa: F401  op_exp stays importable here: benchmark/traci
 
 #: Tolerance for matching +-lambda eigenvalue pairs.
 PAIR_TOL = 1e-8
-
-
-def _sigma_x(modes: int) -> np.ndarray:
-    sig = np.zeros((2 * modes, 2 * modes))
-    sig[:modes, modes:] = np.eye(modes)
-    sig[modes:, :modes] = np.eye(modes)
-    return sig
 
 
 @dataclass(frozen=True)
@@ -57,31 +54,19 @@ class BdgMatrix:
 
     def __post_init__(self):
         m = self.modes
-        h = np.asarray(self.h, dtype=complex)
-        d = np.asarray(self.delta, dtype=complex)
-        dl = -d.conj() if self.delta_lower is None else np.asarray(self.delta_lower, dtype=complex)
+        h = _finite(self.h, "single-particle block")
+        d = _finite(self.delta, "pairing block")
+        dl = -d.conj() if self.delta_lower is None else _finite(self.delta_lower, "lower pairing block")
         if h.shape != (m, m) or d.shape != (m, m) or dl.shape != (m, m):
             raise StructureError(
                 f"blocks of a {m}-mode coefficient matrix must be {m} x {m}; "
                 f"got h {h.shape}, delta {d.shape}, lower {dl.shape}"
             )
-        if not (np.isfinite(h).all() and np.isfinite(d).all() and np.isfinite(dl).all()):
-            raise StructureError("coefficient blocks have non-finite entries")
-        skew = np.abs(d + d.T).max()
-        if not skew <= STRUCTURE_TOL:
-            raise StructureError(f"pairing block is not skew-symmetric: max violation {skew:.3e}")
-        skew_l = np.abs(dl + dl.T).max()
-        if not skew_l <= STRUCTURE_TOL:
-            raise StructureError(f"lower pairing block is not skew-symmetric: max violation {skew_l:.3e}")
+        _require_close(d, -d.T, STRUCTURE_TOL, "pairing block is not skew-symmetric")
+        _require_close(dl, -dl.T, STRUCTURE_TOL, "lower pairing block is not skew-symmetric")
         if self.hermitian:
-            herm = np.abs(h - h.conj().T).max()
-            if not herm <= STRUCTURE_TOL:
-                raise StructureError(f"single-particle block is not hermitian: max violation {herm:.3e}")
-            cross = np.abs(dl + d.conj()).max()
-            if not cross <= STRUCTURE_TOL:
-                raise StructureError(
-                    f"lower pairing block inconsistent with hermiticity: max violation {cross:.3e}"
-                )
+            _require_close(h, h.conj().T, STRUCTURE_TOL, "single-particle block is not hermitian")
+            _require_close(dl, -d.conj(), STRUCTURE_TOL, "lower pairing block inconsistent with hermiticity")
         object.__setattr__(self, "h", _frozen(h))
         object.__setattr__(self, "delta", _frozen(d))
         object.__setattr__(self, "delta_lower", _frozen(dl))
@@ -110,14 +95,12 @@ class PolarForm:
     bogoliubov: np.ndarray
 
     def __post_init__(self):
-        lam = np.asarray(self.lambdas, dtype=float)
-        u = np.asarray(self.bogoliubov, dtype=complex)
+        lam = _finite(self.lambdas, "lambdas", float)
+        u = _finite(self.bogoliubov, "transformation")
         m = lam.size
         if u.shape != (2 * m, 2 * m):
             raise StructureError(f"transformation must be {2*m} x {2*m}, got {u.shape}")
-        unit = np.abs(u @ u.conj().T - np.eye(2 * m)).max()
-        if unit > 1e-10:
-            raise StructureError(f"diagonalizing transformation is not unitary: residual {unit:.3e}")
+        _require_close(u @ u.conj().T, np.eye(2 * m), STRUCTURE_TOL, "diagonalizing transformation is not unitary")
         object.__setattr__(self, "lambdas", _frozen(lam).real)
         object.__setattr__(self, "bogoliubov", _frozen(u))
 
@@ -139,15 +122,13 @@ class GreensPair:
     n_tilde: np.ndarray
 
     def __post_init__(self):
-        n = np.asarray(self.n, dtype=complex)
-        nt = np.asarray(self.n_tilde, dtype=complex)
-        if np.abs(n + nt - np.eye(n.shape[0])).max() > 1e-12:
-            raise StructureError("particle and hole matrices must sum to the identity")
+        n = _finite(self.n, "n")
+        nt = _finite(self.n_tilde, "n_tilde")
+        _require_close(n + nt, np.eye(n.shape[0]), HERMITICITY_TOL, "particle and hole matrices must sum to the identity")
         for name, mat in (("n", n), ("n_tilde", nt)):
-            if np.abs(mat - mat.conj().T).max() > STRUCTURE_TOL:
-                raise StructureError(f"{name} must be hermitian")
+            _require_close(mat, mat.conj().T, STRUCTURE_TOL, f"{name} must be hermitian")
             w = np.linalg.eigvalsh(mat)
-            if w.min() <= 0 or w.max() >= 1:
+            if not (0 < w.min() and w.max() < 1):
                 raise StructureError(f"{name} eigenvalues must lie strictly inside (0, 1)")
         object.__setattr__(self, "n", _frozen(n))
         object.__setattr__(self, "n_tilde", _frozen(nt))
@@ -180,21 +161,16 @@ def make_bdg_from_r(r) -> BdgMatrix:
     R = sigma @ assembled() is exact. Hermiticity of the result is checked,
     not assumed.
     """
-    r = np.asarray(r, dtype=complex)
+    r = _finite(r, "quadratic-form matrix")
     if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] % 2:
         raise StructureError(f"quadratic-form matrix must be square of even dimension, got {r.shape}")
     modes = r.shape[0] // 2
     _check_modes(modes)
-    anti = np.abs(r + r.T).max()
-    if anti > STRUCTURE_TOL:
-        raise StructureError(f"quadratic-form matrix is not antisymmetric: max violation {anti:.3e}")
+    _require_close(r, -r.T, STRUCTURE_TOL, "quadratic-form matrix is not antisymmetric")
     assembled = _sigma_x(modes) @ r
-    herm = np.abs(assembled - assembled.conj().T).max()
-    if herm > STRUCTURE_TOL:
-        raise StructureError(
-            f"sigma @ R is not hermitian (max violation {herm:.3e}); "
-            f"only hermitian elements are accepted here"
-        )
+    _require_close(
+        assembled, assembled.conj().T, STRUCTURE_TOL, "sigma @ R is not hermitian, and only hermitian elements are accepted here"
+    )
     return make_bdg(assembled[:modes, :modes], assembled[:modes, modes:])
 
 
@@ -205,11 +181,7 @@ def _paired_eigh(bdg: BdgMatrix, context: str) -> tuple[np.ndarray, np.ndarray]:
         raise ContractError(f"{context} requires a hermitian coefficient matrix")
     w, v = np.linalg.eigh(bdg.assembled())
     m = bdg.modes
-    mirror = np.abs(w + w[::-1]).max()
-    if mirror > PAIR_TOL:
-        raise StructureError(
-            f"spectrum is not symmetric under sign reversal: max pairing violation {mirror:.3e}"
-        )
+    _require_close(w, -w[::-1], PAIR_TOL, "spectrum is not symmetric under sign reversal")
     return (w[m:] - w[m - 1 :: -1]) / 2.0, v
 
 
@@ -414,10 +386,8 @@ def greens_parameterization(h) -> GreensPair:
     n_tilde = (I + exp(h^T))^-1 and n = I - n_tilde. Always well defined: the
     eigenvalues of I + exp(h^T) are 1 + exp(lambda) >= 1.
     """
-    h = np.asarray(h, dtype=complex)
-    dev = np.abs(h - h.conj().T).max()
-    if dev > STRUCTURE_TOL:
-        raise StructureError(f"matrix is not hermitian: max violation {dev:.3e}")
+    h = _finite(h, "matrix")
+    _require_close(h, h.conj().T, STRUCTURE_TOL, "matrix is not hermitian")
     w, v = np.linalg.eigh(h.T)
     n_tilde = from_eigenpairs(_stable_filling(w), v)
     return GreensPair(n=np.eye(h.shape[0]) - n_tilde, n_tilde=n_tilde)
@@ -435,7 +405,7 @@ def _principal_log(a: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
     wa, va = np.linalg.eigh(a)
     wb, vb = np.linalg.eigh(b)
     total = float(np.abs(wa).max() + np.abs(wb).max())
-    if total >= math.pi:
+    if not total < math.pi:
         raise ContractError(
             f"combined spectral norm {total:.3f} >= pi; large-norm composition is out of scope"
         )
@@ -477,12 +447,10 @@ def compose_number_conserving(h1, h2) -> np.ndarray:
     Same small-norm gate and logarithm as compose_general; the result is
     returned as a plain matrix since it is generally not hermitian.
     """
-    h1 = np.asarray(h1, dtype=complex)
-    h2 = np.asarray(h2, dtype=complex)
+    h1 = _finite(h1, "first argument")
+    h2 = _finite(h2, "second argument")
     if h1.shape != h2.shape or h1.ndim != 2 or h1.shape[0] != h1.shape[1]:
         raise ContractError(f"expected equal square matrices, got {h1.shape} and {h2.shape}")
     for name, h in (("first", h1), ("second", h2)):
-        dev = np.abs(h - h.conj().T).max()
-        if dev > STRUCTURE_TOL:
-            raise ContractError(f"{name} argument is not hermitian: max violation {dev:.3e}")
+        _require_close(h, h.conj().T, STRUCTURE_TOL, f"{name} argument is not hermitian", ContractError)
     return _principal_log(h1, h2, "compose_number_conserving")

@@ -454,7 +454,7 @@ def _converged_mean(sym_class: SymmetryClass, weight: WeightSpec, modes: int, or
     rule_hi = radial_quadrature_nodes(sym_class, weight, modes, 2 * order)
     q_hi = _quadrature_mean(*rule_hi, v)[0]
     delta = float(np.abs(q_hi - q_lo).max())
-    if delta > QUAD_CONVERGENCE_TOL:
+    if not delta <= QUAD_CONVERGENCE_TOL:
         raise NonConvergenceError(
             f"quadrature order doubling changed the mean by {delta:.3e} "
             f"(> {QUAD_CONVERGENCE_TOL}); increase quad_order"
@@ -604,8 +604,9 @@ def verify_canonical_triviality(
     prod_j 2 cosh(beta lambda_j / 2) times L(-beta H), so each chunk is the
     Wick mean of L(-beta H) with those traces as log weights, and the chunks,
     all of one size, weigh the log sum of their traces. Each report carries
-    the pairwise agreement with the other betas in its details, and fails
-    beyond 5 combined SE, and the Kish effective sample size
+    the pairwise agreement with the other nonzero betas in its details (0 at
+    beta = 0, whose exact mean is compared with none), and fails beyond 5
+    combined SE, and the Kish effective sample size
     (sum w)^2 / sum w^2 of the draws' traces w, from per-chunk log sums of
     w and w^2 combined in chunk order. Raises DomainError when
     beta times an energy of the draws overflows a float, or when the gate
@@ -641,11 +642,11 @@ def verify_canonical_triviality(
         log_w, log_w2 = (_log_sum_exp([c[j] for c in chunks]) for j in (2, 3))
         details = {"beta": beta, "p": p, "effective_sample_size": math.exp(2.0 * log_w - log_w2)}
         reports.append(_mc_report(modes, chunks, samples, spec, details, [c[2] for c in chunks], beta == 0.0))
-    for rep in reports:
-        sigmas = [
+    for beta, rep in zip(betas, reports):
+        sigmas = [  # the exact beta = 0 mean takes part in no comparison, on either side
             _max_sigma(np.abs(rep.mean.matrix - other.mean.matrix), np.sqrt(rep.per_entry_se**2 + other.per_entry_se**2))
-            for other in reports
-            if other is not rep
+            for other_beta, other in zip(betas, reports)
+            if other is not rep and 0.0 not in (beta, other_beta)
         ]
         worst = float(np.max(sigmas, initial=0.0))  # a NaN stays NaN, and fails
         rep.details["pairwise_max_sigma"] = worst

@@ -15,6 +15,9 @@ from fermigauss import (
     ContractError,
     DegenerateSpectrumError,
     DomainError,
+    FermigaussError,
+    GreensPair,
+    PolarForm,
     RngSpec,
     StructureError,
     build_mode_operators,
@@ -25,6 +28,7 @@ from fermigauss import (
     greens_parameterization,
     make_bdg,
     make_bdg_from_r,
+    normal_ordered_exp,
     paired_eigenvalues,
     polar_decompose,
     quadratic_hamiltonian,
@@ -726,3 +730,29 @@ class TestComposeNumberConserving:
         h1, h2 = (total / norm) * h1, (total / norm) * h2
         want = scipy.linalg.logm(scipy.linalg.expm(h1) @ scipy.linalg.expm(h2))
         assert max_abs(compose_number_conserving(h1, h2), want) < 1e-10
+
+
+_ZERO = np.zeros((2, 2))
+
+#: Each public entry point, fed a 2 x 2 block of one non-finite value in one argument.
+_NON_FINITE_ENTRIES = {
+    "greens_parameterization": greens_parameterization,
+    "GreensPair": lambda bad: GreensPair(bad, np.eye(2) - bad),
+    "PolarForm": lambda bad: PolarForm(bad[0].real, np.eye(4)),
+    "compose_number_conserving": lambda bad: compose_number_conserving(bad, 0.1 * np.eye(2)),
+    "compose_general": lambda bad: compose_general(make_bdg(bad, _ZERO), make_bdg(0.1 * np.eye(2), _ZERO)),
+    "make_bdg_from_r": lambda bad: make_bdg_from_r(np.block([[_ZERO, -bad.T], [bad, _ZERO]])),
+    "make_bdg": lambda bad: make_bdg(np.eye(2), np.array([[0.0, bad[0, 0]], [-bad[0, 0], 0.0]])),
+    "quadratic_hamiltonian": lambda bad: quadratic_hamiltonian(np.block([[bad, _ZERO], [_ZERO, -bad.T]])),
+    "gaussian_number_conserving": gaussian_number_conserving,
+    "normal_ordered_exp": normal_ordered_exp,
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", sorted(_NON_FINITE_ENTRIES))
+def test_non_finite_input_raises_a_named_error(entry, value):
+    # a NaN or inf entry never comes back inside a returned object
+    with pytest.raises(FermigaussError) as err:
+        _NON_FINITE_ENTRIES[entry](np.full((2, 2), value, dtype=complex))
+    assert type(err.value) is not FermigaussError

@@ -758,6 +758,16 @@ class TestCanonicalTriviality:
         assert cold.details["pairwise_max_sigma"] > 5.0
         assert not cold.passed and "pairwise_max_sigma <= 5" in cold.criterion
 
+    def test_beta_zero_takes_part_in_no_pairwise_comparison(self):
+        # beta = 5 sits beyond 5 SE on its own bounds; the exact beta = 0
+        # report must not fail on that, nor count in beta = 5's pairwise sigma
+        zero, hot = verify_canonical_triviality(2, 1.0, [0.0, 5.0], 400, RngSpec(8))
+        assert zero.passed and zero.details["pairwise_max_sigma"] == 0.0
+        assert not hot.passed and hot.details["max_sigma"] > 5.0
+        assert hot.details["pairwise_max_sigma"] == 0.0
+        cold = verify_canonical_triviality(2, 1.0, [0.0, 0.3, 5.0], 400, RngSpec(8))[1]
+        assert cold.details["pairwise_max_sigma"] > 5.0
+
     def test_empty_betas_rejected(self):
         with pytest.raises(ContractError):
             verify_canonical_triviality(2, 1.0, [], 1000, RngSpec(0))
@@ -799,8 +809,8 @@ class TestCanonicalTriviality:
         assert reps[1].details["effective_sample_size"] == pytest.approx(1.0, rel=1e-12)
         assert reps[1].details["band_entries"] == 3
         assert reps[1].max_abs_deviation == pytest.approx(0.499306266364742, rel=1e-12)
-        for rep in reps:
-            assert rep.details["pairwise_max_sigma"] == pytest.approx(4.26004464582369, rel=1e-12)
+        for rep in reps:  # the exact beta = 0 report is compared with none
+            assert rep.details["pairwise_max_sigma"] == 0.0
 
     def test_beta_times_energy_past_float_range_is_domain_error(self):
         with pytest.raises(DomainError, match=r"beta = 1e\+308"):
