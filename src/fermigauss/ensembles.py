@@ -12,7 +12,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import ContractError, DegenerateSpectrumError, DomainError
+from .errors import ContractError, DegenerateSpectrumError, DomainError, _above, _count
 from .gaussian import BdgMatrix, PolarForm, make_bdg, polar_decompose
 
 #: Proposals landing this close to a density zero are rejected outright.
@@ -30,6 +30,10 @@ class SymmetryClass:
     label: str
     beta: int
     alpha: int
+
+    def __post_init__(self):
+        for name in ("beta", "alpha"):
+            _count(getattr(self, name), name, DomainError, low=0)
 
 
 CLASS_D = SymmetryClass("D", beta=2, alpha=0)
@@ -57,9 +61,8 @@ class RngSpec:
     stream: int = 0
 
     def __post_init__(self):
-        for name, value in (("seed", self.seed), ("stream", self.stream)):
-            if not isinstance(value, (int, np.integer)) or value < 0:
-                raise ContractError(f"{name} must be a non-negative integer, got {name} = {value!r}")
+        for name in ("seed", "stream"):
+            _count(getattr(self, name), name, ContractError, low=0)
 
     def generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
@@ -96,8 +99,7 @@ class WeightSpec:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise DomainError(f"unknown weight kind {self.kind!r}; choose one of {self.KINDS}")
-        if not (math.isfinite(self.p) and self.p > 0):
-            raise DomainError(f"domain violation: finite p > 0 required, got p = {self.p}")
+        _above(self.p, 0, "p")
 
     @classmethod
     def determinant(cls, p: float) -> "WeightSpec":
@@ -127,18 +129,9 @@ class WeightSpec:
     def validate_for(self, modes: int, sym_class: SymmetryClass | None = None) -> None:
         """Check integrability of this weight against the relevant Jacobian."""
         if self.kind == "determinant":
-            if self.p <= modes - 0.75:
-                raise DomainError(
-                    f"determinant weight needs p > M - 3/4 (M = {modes}), got p = {self.p}"
-                )
-            if sym_class is not None:
-                # tail exponent of one eigenvalue fiber must stay integrable
-                needed = (2 * sym_class.beta * (modes - 1) + sym_class.alpha + 1) / 4.0
-                if self.p <= needed:
-                    raise DomainError(
-                        f"determinant weight with class {sym_class.label} at M = {modes} "
-                        f"needs p > {needed}, got p = {self.p}"
-                    )
+            _above(self.p, modes - 0.75, "p")
+            if sym_class is not None:  # the tail of one eigenvalue fiber must stay integrable
+                _above(self.p, (2 * sym_class.beta * (modes - 1) + sym_class.alpha + 1) / 4.0, "p")
 
     def log_weight(self, lams: np.ndarray) -> np.ndarray:
         """Log of the weight, vectorized over leading axes of (..., M) input."""
@@ -186,21 +179,13 @@ def _log_jacobian(sym_class: SymmetryClass, hermitian: bool, lam: np.ndarray) ->
     return out + sym_class.alpha * _log_abs_sum(lam) if sym_class.alpha else out
 
 
-def _check_batch(modes: int, count) -> None:
-    """A batch sampler's sizes: at least one mode and a non-negative integer count."""
-    if modes < 1:
-        raise DomainError(f"need modes >= 1, got {modes}")
-    if not isinstance(count, (int, np.integer)) or count < 0:
-        raise ContractError(f"need a non-negative integer count, got count = {count!r}")
-
-
 def _class_d_blocks(modes: int, p: float, gen: np.random.Generator, count: int):
     """Draw (h, delta) block stacks for `count` class-D matrices with density
     proportional to exp(-p Tr[H^2]): diagonal entries have variance 1/(4p), each
     independent off-diagonal real component 1/(8p)."""
-    if not (math.isfinite(p) and p > 0):
-        raise DomainError(f"domain violation: finite p > 0 required, got p = {p}")
-    _check_batch(modes, count)
+    _above(p, 0, "p")
+    _count(modes, "modes", DomainError)
+    _count(count, "count", ContractError, low=0)
     sd = math.sqrt(1.0 / (4.0 * p))
     so = math.sqrt(1.0 / (8.0 * p))
     diag = gen.normal(0.0, sd, size=(count, modes))
@@ -247,7 +232,8 @@ def sample_haar_unitary(modes: int, rng) -> np.ndarray:
 
 
 def sample_haar_unitary_batch(modes: int, rng, count: int) -> np.ndarray:
-    _check_batch(modes, count)
+    _count(modes, "modes", DomainError)
+    _count(count, "count", ContractError, low=0)
     gen = _as_generator(rng)
     z = gen.normal(size=(count, modes, modes)) + 1j * gen.normal(size=(count, modes, modes))
     q, r = np.linalg.qr(z / math.sqrt(2.0))
@@ -307,12 +293,8 @@ def sample_radial_mcmc(
     Log-density arithmetic throughout; proposals on a coincidence zero are
     rejected outright.
     """
-    if modes < 1:
-        raise ContractError(f"need at least one mode, got modes = {modes}")
-    if steps < 1:
-        raise ContractError(f"need at least one retained sample, got steps = {steps}")
-    if thin < 1 or burn_in < 0:
-        raise ContractError(f"need thin >= 1 and burn_in >= 0, got thin = {thin}, burn_in = {burn_in}")
+    for name, value, low in (("modes", modes, 1), ("steps", steps, 1), ("thin", thin, 1), ("burn_in", burn_in, 0)):
+        _count(value, name, ContractError, low)
     weight.validate_for(modes, None if weight.uses_hermitian_jacobian else sym_class)
     gen = _as_generator(rng)
     chains = min(MCMC_CHAINS, steps)

@@ -9,12 +9,12 @@ bit-twiddling exercise.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import factorial, log
+from math import factorial, inf, log
 
 import numpy as np
 import scipy.sparse
 
-from .errors import CapacityError, ContractError, DomainError, StructureError
+from .errors import CapacityError, ContractError, DomainError, StructureError, _above, _count
 
 #: Largest mode count of every Fock-space construction (64 x 64 matrices).
 DEFAULT_MODE_CAP = 6
@@ -30,12 +30,16 @@ STRUCTURE_TOL = 1e-10
 LOG_FLOAT_MAX = log(np.finfo(float).max)
 
 
-def _finite(arr, what: str, dtype=complex) -> np.ndarray:
-    """``arr`` as an array of ``dtype``, or StructureError on a NaN or inf
-    entry, so none reaches the arithmetic of a check."""
-    out = np.asarray(arr, dtype=dtype)
+def _square(arr, what: str, dim: int | None = None, error: type[Exception] = StructureError) -> np.ndarray:
+    """The one rule of every matrix argument: ``arr`` as a complex array, with StructureError
+    on a NaN or inf entry (so none reaches the arithmetic of a check), and ``error``
+    unless it is a non-empty square matrix, of size ``dim`` when given."""
+    out = np.asarray(arr, dtype=complex)
     if not np.isfinite(out).all():
         raise StructureError(f"{what} has non-finite entries")
+    if out.ndim != 2 or out.shape[0] != out.shape[1] or not out.size or dim not in (None, out.shape[0]):
+        size = "" if dim is None else f" of size {dim}"
+        raise error(f"{what} must be a non-empty square matrix{size}, got shape {out.shape}")
     return out
 
 
@@ -56,8 +60,7 @@ def _sigma_x(modes: int) -> np.ndarray:
 
 
 def _check_modes(modes: int) -> None:
-    if not isinstance(modes, (int, np.integer)) or modes < 1:
-        raise CapacityError(f"mode count must be a positive integer, got {modes!r}")
+    _count(modes, "modes", CapacityError)
     if modes > DEFAULT_MODE_CAP:
         raise CapacityError(f"mode count {modes} exceeds the Fock-space cap of {DEFAULT_MODE_CAP} modes")
 
@@ -82,12 +85,8 @@ class FockOperator:
     hermitian: bool = False
 
     def __post_init__(self):
-        dim = 1 << self.modes
-        mat = _finite(self.matrix, "operator")
-        if mat.shape != (dim, dim):
-            raise StructureError(
-                f"operator on {self.modes} modes must be {dim} x {dim}, got {mat.shape}"
-            )
+        _check_modes(self.modes)
+        mat = _square(self.matrix, f"operator on {self.modes} modes", 1 << self.modes)
         if self.hermitian:
             _require_close(mat, mat.conj().T, HERMITICITY_TOL, "operator flagged hermitian deviates from its adjoint")
         object.__setattr__(self, "matrix", _frozen(mat))
@@ -301,20 +300,20 @@ def embed_parity_blocks(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_coefficient_structure(mat: np.ndarray) -> int:
-    """Validate the particle-hole block structure of a 2M x 2M coefficient matrix.
+def _check_coefficient_structure(coeff) -> np.ndarray:
+    """``coeff`` as a validated 2M x 2M coefficient matrix with the particle-hole block structure.
 
     Requires sigma_x-antisymmetry (both off-diagonal blocks antisymmetric and the
     lower-right block equal to minus the transpose of the upper-left one), which
     is exactly closure of the quadratic-form algebra. Hermiticity is *not*
     required here; composed elements may be non-hermitian.
     """
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
-        raise StructureError(f"coefficient matrix must be square of even dimension, got {mat.shape}")
-    m = mat.shape[0] // 2
-    sr = _sigma_x(m) @ mat
+    mat = _square(coeff, "coefficient matrix")
+    if mat.shape[0] % 2:
+        raise StructureError(f"coefficient matrix must be of even size, got shape {mat.shape}")
+    sr = _sigma_x(mat.shape[0] // 2) @ mat
     _require_close(sr, -sr.T, STRUCTURE_TOL, "coefficient matrix violates the particle-hole block structure")
-    return m
+    return mat
 
 
 def quadratic_hamiltonian(coeff) -> FockOperator:
@@ -326,11 +325,10 @@ def quadratic_hamiltonian(coeff) -> FockOperator:
     for every valid coefficient matrix. The result is flagged hermitian exactly
     when the input matrix is.
     """
-    mat = coeff.assembled() if hasattr(coeff, "assembled") else _finite(coeff, "coefficient matrix")
-    modes = _check_coefficient_structure(mat)
+    mat = _check_coefficient_structure(coeff.assembled() if hasattr(coeff, "assembled") else coeff)
     out = embed_parity_blocks(quadratic_hamiltonian_batch(mat[None])[0])
     herm = np.abs(mat - mat.conj().T).max() <= STRUCTURE_TOL
-    return FockOperator(modes, out, hermitian=herm)
+    return FockOperator(mat.shape[0] // 2, out, hermitian=herm)
 
 
 def quadratic_hamiltonian_batch(mats: np.ndarray) -> np.ndarray:
@@ -369,9 +367,10 @@ def op_exp(op: FockOperator, scale: float = 1.0) -> FockOperator:
     """exp(scale * A) of a hermitian Fock operator, via spectral decomposition.
 
     The rebuild is symmetrized, since its rounding error grows with the
-    largest entry. Raises DomainError when an entry would exceed the float
-    range.
+    largest entry. Raises DomainError when ``scale`` is not a finite real or
+    an entry would exceed the float range.
     """
+    _above(scale, -inf, "scale")
     _require_close(op.matrix, op.matrix.conj().T, STRUCTURE_TOL, "op_exp requires a hermitian operator", ContractError)
     w, v = np.linalg.eigh(op.matrix)
     w = scale * w
@@ -390,9 +389,7 @@ def normal_ordered_exp(coeff) -> FockOperator:
     is O(M^(2M)) matrix products, so this is an exact-construction tool for
     small M, deliberately free of any exponential-identity shortcut.
     """
-    bmat = _finite(coeff, "coefficient")
-    if bmat.ndim != 2 or bmat.shape[0] != bmat.shape[1]:
-        raise StructureError(f"coefficient must be a square matrix, got {bmat.shape}")
+    bmat = _square(coeff, "coefficient")
     modes = bmat.shape[0]
     _check_modes(modes)
     dim = 1 << modes

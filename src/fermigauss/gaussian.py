@@ -20,10 +20,10 @@ from .fock import (  # noqa: F401  op_exp stays importable here: benchmark/traci
     STRUCTURE_TOL,
     FockOperator,
     _check_modes,
-    _finite,
     _frozen,
     _require_close,
     _sigma_x,
+    _square,
     _wick_plan,
     from_eigenpairs,
     op_exp,
@@ -54,14 +54,9 @@ class BdgMatrix:
 
     def __post_init__(self):
         m = self.modes
-        h = _finite(self.h, "single-particle block")
-        d = _finite(self.delta, "pairing block")
-        dl = -d.conj() if self.delta_lower is None else _finite(self.delta_lower, "lower pairing block")
-        if h.shape != (m, m) or d.shape != (m, m) or dl.shape != (m, m):
-            raise StructureError(
-                f"blocks of a {m}-mode coefficient matrix must be {m} x {m}; "
-                f"got h {h.shape}, delta {d.shape}, lower {dl.shape}"
-            )
+        h = _square(self.h, "single-particle block", m)
+        d = _square(self.delta, "pairing block", m)
+        dl = -d.conj() if self.delta_lower is None else _square(self.delta_lower, "lower pairing block", m)
         _require_close(d, -d.T, STRUCTURE_TOL, "pairing block is not skew-symmetric")
         _require_close(dl, -dl.T, STRUCTURE_TOL, "lower pairing block is not skew-symmetric")
         if self.hermitian:
@@ -95,12 +90,11 @@ class PolarForm:
     bogoliubov: np.ndarray
 
     def __post_init__(self):
-        lam = _finite(self.lambdas, "lambdas", float)
-        u = _finite(self.bogoliubov, "transformation")
-        m = lam.size
-        if u.shape != (2 * m, 2 * m):
-            raise StructureError(f"transformation must be {2*m} x {2*m}, got {u.shape}")
-        _require_close(u @ u.conj().T, np.eye(2 * m), STRUCTURE_TOL, "diagonalizing transformation is not unitary")
+        lam = np.asarray(self.lambdas, dtype=float)
+        if lam.ndim != 1 or not lam.size or not np.isfinite(lam).all():
+            raise StructureError(f"lambdas must be a finite non-empty vector, got shape {lam.shape}")
+        u = _square(self.bogoliubov, "transformation", 2 * lam.size)
+        _require_close(u @ u.conj().T, np.eye(2 * lam.size), STRUCTURE_TOL, "diagonalizing transformation is not unitary")
         object.__setattr__(self, "lambdas", _frozen(lam).real)
         object.__setattr__(self, "bogoliubov", _frozen(u))
 
@@ -122,8 +116,8 @@ class GreensPair:
     n_tilde: np.ndarray
 
     def __post_init__(self):
-        n = _finite(self.n, "n")
-        nt = _finite(self.n_tilde, "n_tilde")
+        n = _square(self.n, "n")
+        nt = _square(self.n_tilde, "n_tilde", n.shape[0])
         _require_close(n + nt, np.eye(n.shape[0]), HERMITICITY_TOL, "particle and hole matrices must sum to the identity")
         for name, mat in (("n", n), ("n_tilde", nt)):
             _require_close(mat, mat.conj().T, STRUCTURE_TOL, f"{name} must be hermitian")
@@ -143,15 +137,9 @@ def make_bdg(h, delta) -> BdgMatrix:
     offending block and the size of the violation. A single mode forces
     delta = 0.
     """
-    h = np.asarray(h, dtype=complex)
-    delta = np.asarray(delta, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape != delta.shape:
-        raise StructureError(
-            f"blocks must be square matrices of equal dimension, got {h.shape} and {delta.shape}"
-        )
-    modes = h.shape[0]
-    _check_modes(modes)
-    return BdgMatrix(modes, h, delta)
+    h = _square(h, "single-particle block")
+    _check_modes(h.shape[0])
+    return BdgMatrix(h.shape[0], h, delta)
 
 
 def make_bdg_from_r(r) -> BdgMatrix:
@@ -161,11 +149,10 @@ def make_bdg_from_r(r) -> BdgMatrix:
     R = sigma @ assembled() is exact. Hermiticity of the result is checked,
     not assumed.
     """
-    r = _finite(r, "quadratic-form matrix")
-    if r.ndim != 2 or r.shape[0] != r.shape[1] or r.shape[0] % 2:
-        raise StructureError(f"quadratic-form matrix must be square of even dimension, got {r.shape}")
-    modes = r.shape[0] // 2
-    _check_modes(modes)
+    r = _square(r, "quadratic-form matrix")
+    if r.shape[0] % 2:
+        raise StructureError(f"quadratic-form matrix must be of even size, got shape {r.shape}")
+    modes = r.shape[0] // 2  # make_bdg checks it against the Fock-space cap
     _require_close(r, -r.T, STRUCTURE_TOL, "quadratic-form matrix is not antisymmetric")
     assembled = _sigma_x(modes) @ r
     _require_close(
@@ -177,8 +164,8 @@ def make_bdg_from_r(r) -> BdgMatrix:
 def _paired_eigh(bdg: BdgMatrix, context: str) -> tuple[np.ndarray, np.ndarray]:
     """Pair representatives (as paired_eigenvalues) and the eigenvectors of the
     assembled matrix, ascending."""
-    if not bdg.hermitian:
-        raise ContractError(f"{context} requires a hermitian coefficient matrix")
+    if not (isinstance(bdg, BdgMatrix) and bdg.hermitian):
+        raise ContractError(f"{context} requires a hermitian BdgMatrix coefficient matrix")
     w, v = np.linalg.eigh(bdg.assembled())
     m = bdg.modes
     _require_close(w, -w[::-1], PAIR_TOL, "spectrum is not symmetric under sign reversal")
@@ -254,7 +241,7 @@ def gaussian_normalized(bdg: BdgMatrix) -> FockOperator:
     ham = quadratic_hamiltonian(bdg)
     if not ham.hermitian:
         raise ContractError("normalized Gaussian operators require a hermitian coefficient matrix")
-    return FockOperator(bdg.modes, exp_normalized_fock_batch(ham.matrix[None])[0], hermitian=True)
+    return FockOperator(ham.modes, exp_normalized_fock_batch(ham.matrix[None])[0], hermitian=True)
 
 
 def exp_normalized_fock_batch(hams: np.ndarray) -> np.ndarray:
@@ -386,7 +373,7 @@ def greens_parameterization(h) -> GreensPair:
     n_tilde = (I + exp(h^T))^-1 and n = I - n_tilde. Always well defined: the
     eigenvalues of I + exp(h^T) are 1 + exp(lambda) >= 1.
     """
-    h = _finite(h, "matrix")
+    h = _square(h, "matrix")
     _require_close(h, h.conj().T, STRUCTURE_TOL, "matrix is not hermitian")
     w, v = np.linalg.eigh(h.T)
     n_tilde = from_eigenpairs(_stable_filling(w), v)
@@ -431,8 +418,8 @@ def compose_general(bdg1: BdgMatrix, bdg2: BdgMatrix) -> BdgMatrix:
     is returned faithfully with its ``hermitian`` flag cleared rather than
     rejected.
     """
-    if not (bdg1.hermitian and bdg2.hermitian):
-        raise ContractError("composition requires hermitian inputs")
+    if not all(isinstance(b, BdgMatrix) and b.hermitian for b in (bdg1, bdg2)):
+        raise ContractError("composition requires hermitian BdgMatrix inputs")
     if bdg1.modes != bdg2.modes:
         raise ContractError("mode counts differ")
     log = _principal_log(bdg1.assembled(), bdg2.assembled(), "compose_general")
@@ -447,10 +434,8 @@ def compose_number_conserving(h1, h2) -> np.ndarray:
     Same small-norm gate and logarithm as compose_general; the result is
     returned as a plain matrix since it is generally not hermitian.
     """
-    h1 = _finite(h1, "first argument")
-    h2 = _finite(h2, "second argument")
-    if h1.shape != h2.shape or h1.ndim != 2 or h1.shape[0] != h1.shape[1]:
-        raise ContractError(f"expected equal square matrices, got {h1.shape} and {h2.shape}")
+    h1 = _square(h1, "first argument", error=ContractError)
+    h2 = _square(h2, "second argument", h1.shape[0], ContractError)
     for name, h in (("first", h1), ("second", h2)):
         _require_close(h, h.conj().T, STRUCTURE_TOL, f"{name} argument is not hermitian", ContractError)
     return _principal_log(h1, h2, "compose_number_conserving")

@@ -25,7 +25,7 @@ from .ensembles import (  # noqa: F401  sample_radial_mcmc stays importable here
     sample_haar_unitary_batch,
     sample_radial_mcmc,
 )
-from .errors import CapacityError, ContractError, DomainError, NonConvergenceError
+from .errors import CapacityError, ContractError, DomainError, NonConvergenceError, _above, _count
 from .fock import (
     FockOperator,
     _annihilators,
@@ -135,7 +135,7 @@ class EstimatorReport:
 def _as_rngspec(rng) -> RngSpec:
     if isinstance(rng, RngSpec):
         return rng
-    if isinstance(rng, (int, np.integer)):
+    if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool):
         return RngSpec(int(rng))
     raise ContractError(f"expected an RngSpec (or integer seed), got {type(rng).__name__}")
 
@@ -149,8 +149,7 @@ def _chunk_layout(n_samples: int) -> tuple[int, int]:
     """(number of chunks, samples per chunk); chunks are equal-sized, so the
     total may exceed the request by fewer than one sample per chunk (17 runs
     16 chunks of 2, 4001 runs 4016)."""
-    if n_samples < 1:
-        raise ContractError(f"need a positive sample count, got {n_samples}")
+    _count(n_samples, "n_samples", ContractError)
     chunks = max(-(-n_samples // CHUNK), min(n_samples, MIN_CHUNKS))
     per = -(-n_samples // chunks)
     return chunks, per
@@ -163,8 +162,7 @@ def _run_chunks(worker, n_samples: int, spec: RngSpec, modes: int, workers: int 
     alone, whose worker hands its own first FOCK_CHECK_DRAWS draws to the
     Fock cross-check (_fock_check). Returns the chunk results in chunk order
     and the total sample count."""
-    if workers < 1:
-        raise ContractError(f"need workers >= 1, got {workers}")
+    _count(workers, "workers", ContractError)
     _check_modes(modes)
     chunks, per = _chunk_layout(n_samples)
     _wick_plan(modes)  # warm the cache before any thread fan-out
@@ -297,8 +295,7 @@ def _mc_report(
 def _gauss_rule(build, name: str, order: int) -> tuple[np.ndarray, np.ndarray]:
     """An ``order``-node Gauss rule, or a ContractError when it has no nodes
     or does not fit in float64 (numpy gives NaN Hermite weights from 372 nodes)."""
-    if order < 1:
-        raise ContractError(f"a quadrature rule needs quad_order >= 1, got {order}")
+    _count(order, "quad_order", ContractError)
     with np.errstate(all="ignore"):
         x, w = build(order)
     if not (np.isfinite(x).all() and np.isfinite(w).all()):
@@ -309,12 +306,12 @@ def _gauss_rule(build, name: str, order: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True is no quad_order, but hashes as 1
 def _hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _gauss_rule(np.polynomial.hermite.hermgauss, "Hermite", order)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _gauss_rule(np.polynomial.legendre.leggauss, "Legendre", order)
 
@@ -617,8 +614,7 @@ def verify_canonical_triviality(
     if not betas:
         raise ContractError("need at least one beta")
     for beta in betas:
-        if not math.isfinite(beta):
-            raise DomainError(f"domain violation: finite beta required, got beta = {beta}")
+        _above(beta, -math.inf, "beta")
 
     def worker(gen: np.random.Generator, per: int, first: bool):
         mats = sample_class_d_batch(modes, p, gen, per)
@@ -818,10 +814,8 @@ def operator_identity_suite(
 ) -> list[CriterionResult]:
     """Run the operator-level identity checks and return one result per check.
     ``seed`` is an RngSpec, or an integer seed on stream 0."""
-    if max_modes < 1:
-        raise CapacityError(f"mode count must be a positive integer, got {max_modes}")
-    if trials < 1:
-        raise ContractError(f"the identity suite needs trials >= 1, got {trials}")
+    _count(max_modes, "max_modes", CapacityError)
+    _count(trials, "trials", ContractError)
     import scipy.linalg  # only here and in gaussian._principal_log: keeps it off the import path
 
     gen = _as_rngspec(seed).generator()
@@ -983,8 +977,7 @@ def selberg_consistency_suite(max_modes: int = 6) -> list[CriterionResult]:
     """Closed-form consistency checks: angular + radial = Cartesian in log
     space, p-independence of the angular volume, and unit normalization of the
     two weight constants."""
-    if max_modes < 1:
-        raise ContractError(f"the consistency suite needs max_modes >= 1, got {max_modes}")
+    _count(max_modes, "max_modes", ContractError)
     out = []
     gaps = [
         abs(

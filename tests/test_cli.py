@@ -97,7 +97,7 @@ class TestExitCodes:
 
     def test_zero_modes_is_capacity_error_before_any_work(self, capsys):
         assert run(["resolution", "--mode", "mc", "--modes", "0", "--samples", "16"]) == 2
-        assert "mode count must be a positive integer, got 0" in capsys.readouterr().err
+        assert "need modes >= 1, got modes = 0" in capsys.readouterr().err
 
     def test_radial_sampler_has_no_fock_cap(self):
         assert run(["ensembles", "--modes", "7", "--samples", "50", "--burn-in", "200"]) in (0, 1)
@@ -160,11 +160,11 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["identities", "--modes", "0"], "positive integer, got 0"),
-            (["identities", "--trials", "0"], "trials >= 1, got 0"),
+            (["identities", "--modes", "0"], "need max_modes >= 1, got max_modes = 0"),
+            (["identities", "--trials", "0"], "trials >= 1, got trials = 0"),
             (["resolution", "--mode", "mc", "--samples", "16", "--workers", "0"], "workers >= 1, got 0"),
             (["resolution", "--mode", "mc", "--samples", "16", "--workers", "-1"], "workers >= 1, got -1"),
-            (["selberg", "--consistency", "--max-modes", "0"], "max_modes >= 1, got 0"),
+            (["selberg", "--consistency", "--max-modes", "0"], "max_modes >= 1, got max_modes = 0"),
             (["ensembles", "--samples", "10", "--thin", "0"], "thin = 0"),
             (["ensembles", "--samples", "10", "--burn-in", "-5"], "burn_in = -5"),
             (["ensembles", "--samples", "10", "--modes", "0"], "modes = 0"),

@@ -135,7 +135,7 @@ class TestBatchSizes:
             draw()
 
     def test_class_d_batch_needs_a_mode(self):
-        with pytest.raises(DomainError, match="need modes >= 1, got 0"):
+        with pytest.raises(DomainError, match="need modes >= 1, got modes = 0"):
             sample_class_d_batch(0, 1.0, RngSpec(0), 3)
 
     @pytest.mark.parametrize("count", [0, np.int64(2)])
@@ -227,7 +227,7 @@ class TestRadialMcmc:
         assert np.array_equal(a.samples, b.samples)
 
     def test_determinant_weight_domain(self):
-        with pytest.raises(DomainError, match="p > M - 3/4"):
+        with pytest.raises(DomainError, match="p > 1.25 required"):
             sample_radial_mcmc(CLASS_D, WeightSpec.determinant(1.0), 2, 100, RngSpec(0))
         run = sample_radial_mcmc(CLASS_D, WeightSpec.determinant(2.0), 2, 2_000, RngSpec(25))
         assert np.isfinite(run.samples).all()
