@@ -14,7 +14,6 @@ from .ensembles import (
     random_polar_rotation,
     sample_class_d,
     sample_class_d_batch,
-    sample_haar_unitary,
     sample_haar_unitary_batch,
     sample_radial_mcmc,
     symmetry_class,

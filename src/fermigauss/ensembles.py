@@ -226,12 +226,8 @@ def sample_class_d_batch(modes: int, p: float, rng, count: int) -> np.ndarray:
     return assemble_blocks(h, delta)
 
 
-def sample_haar_unitary(modes: int, rng) -> np.ndarray:
-    """Haar-distributed M x M unitary via QR with the R-diagonal phase fix."""
-    return sample_haar_unitary_batch(modes, rng, 1)[0]
-
-
 def sample_haar_unitary_batch(modes: int, rng, count: int) -> np.ndarray:
+    """``count`` Haar-distributed M x M unitaries, by QR with the R-diagonal phase fix."""
     _count(modes, "modes", DomainError)
     _count(count, "count", ContractError, low=0)
     gen = _as_generator(rng)

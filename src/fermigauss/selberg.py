@@ -9,6 +9,7 @@ or raises DomainError, never NaN or inf.
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -16,6 +17,13 @@ from .errors import DomainError, _above, _count
 
 LOG2 = math.log(2.0)
 LOG_PI = math.log(math.pi)
+
+
+def _log(value: float, *logs: float) -> float:
+    """math.log(value) where value, a product or quotient, is a finite normal
+    float, so ordinary values keep their bits; elsewhere the sum of ``logs``,
+    the logs of its factors, which stays finite (2p overflows from p = 9e307)."""
+    return math.log(value) if sys.float_info.min <= value <= sys.float_info.max else sum(logs)
 
 
 #: log|Gamma(x)| entrywise, through ``math.lgamma``. The arrays here hold one
@@ -104,7 +112,7 @@ def radial_gaussian_integral_log(modes: int, p: float) -> float:
     _count(modes, "modes", DomainError)
     _above(p, 0, "p")
     j = np.arange(1, modes + 1)
-    return float(-modes * (modes - 0.5) * math.log(2 * p) + (_lgamma(1 + j) + _lgamma(j - 0.5)).sum())
+    return float(-modes * (modes - 0.5) * _log(2 * p, LOG2, math.log(p)) + (_lgamma(1 + j) + _lgamma(j - 0.5)).sum())
 
 
 @_finite_exit
@@ -113,9 +121,8 @@ def cartesian_gaussian_integral_log(modes: int, p: float) -> float:
     components of a particle-hole coefficient matrix."""
     _count(modes, "modes", DomainError)
     _above(p, 0, "p")
-    return float(
-        modes * (2 * modes - 1) / 2.0 * math.log(math.pi / (2 * p)) - modes * (modes - 1) * LOG2
-    )
+    log_scale = _log(math.pi / (2 * p), LOG_PI, -LOG2, -math.log(p))
+    return float(modes * (2 * modes - 1) / 2.0 * log_scale - modes * (modes - 1) * LOG2)
 
 
 @_finite_exit
@@ -151,4 +158,4 @@ def norm_const_gauss_log(modes: int, p: float) -> float:
     exp(-p Tr[H^2]) against the class-D measure."""
     _count(modes, "modes", DomainError)
     _above(p, 0, "p")
-    return float(modes**2 * LOG2 + modes * (modes - 0.5) * math.log(2 * p / math.pi))
+    return float(modes**2 * LOG2 + modes * (modes - 0.5) * _log(2 * p / math.pi, LOG2, math.log(p), -LOG_PI))

@@ -809,163 +809,152 @@ def _hermitian_matrix(gen: np.random.Generator, m: int) -> np.ndarray:
     return (z + z.conj().T) / 2.0
 
 
-def operator_identity_suite(
-    max_modes: int = 3, seed: RngSpec | int = 42, trials: int = 50
-) -> list[CriterionResult]:
-    """Run the operator-level identity checks and return one result per check.
-    ``seed`` is an RngSpec, or an integer seed on stream 0."""
+def _mode_algebra(gen: np.random.Generator, m: int) -> list[tuple]:
+    ops = [a.matrix for a in build_mode_operators(m)]
+    pairs = [(i == j, ai, aj) for i, ai in enumerate(ops) for j, aj in enumerate(ops)]
+    cars = [np.abs(ai @ aj.conj().T + aj.conj().T @ ai - same * np.eye(1 << m)).max() for same, ai, aj in pairs]
+    return [
+        ("anticommutators {a_i, a_j^dag} = delta_ij", 1e-13, np.max(cars)),
+        ("anticommutators {a_i, a_j} = 0", 1e-13, np.max([np.abs(ai @ aj + aj @ ai).max() for _, ai, aj in pairs])),
+        ("vacuum annihilated by every mode", 0.0, np.max([np.abs(a[:, 0]).max() for a in ops])),
+    ]
+
+
+def _normal_ordering(gen: np.random.Generator, m: int) -> list[tuple]:
+    import scipy.linalg  # only in the trials and gaussian._principal_log: keeps it off the import path
+
+    h = _hermitian_matrix(gen, m)
+    # the embedding (h, 0) gives a^dag h a - (1/2) tr h; undo the shift
+    direct = op_exp(quadratic_hamiltonian(assemble_blocks(h, np.zeros_like(h))))
+    direct = math.exp(0.5 * np.trace(h).real) * direct.matrix
+    ordered = normal_ordered_exp(scipy.linalg.expm(h) - np.eye(m))
+    return [("normal-ordered exponential identity", 1e-9, np.abs(direct - ordered.matrix).max())]
+
+
+def _trace_formula(gen: np.random.Generator, m: int) -> list[tuple]:
+    bdg = sample_class_d(m, 1.0, gen)
+    closed = np.prod(2.0 * np.cosh(paired_eigenvalues(bdg) / 2.0))
+    exact = op_exp(quadratic_hamiltonian(bdg)).trace().real
+    w, v = np.linalg.eigh(bdg.assembled())
+    root_det = math.sqrt(abs(np.linalg.det(from_eigenpairs(2.0 * np.cosh(w / 2.0), v))))
+    gap = np.max([abs(exact - closed) / closed, abs(root_det - closed) / closed])
+    return [("trace = product of 2cosh(lam/2) = sqrt(det 2cosh(H/2))", 1e-9, gap)]
+
+
+def _normalization(gen: np.random.Generator, m: int) -> list[tuple]:
+    lam = gaussian_normalized(sample_class_d(m, 1.0, gen))
+    return [  # positivity is judged on minus the smallest eigenvalue
+        ("normalized operators positive definite", 1e-12, -np.linalg.eigvalsh(lam.matrix).min()),
+        ("normalized operators have unit trace", 1e-12, abs(lam.trace().real - 1.0)),
+    ]
+
+
+def _composition(gen: np.random.Generator, m: int) -> list[tuple]:
+    import scipy.linalg
+
+    def expm_fock(coefficients):
+        return scipy.linalg.expm(quadratic_hamiltonian(coefficients).matrix)
+
+    b1, b2 = sample_class_d(m, 1.0, gen), sample_class_d(m, 1.0, gen)
+    scale = 1.2 / sum(np.abs(np.linalg.eigvalsh(b.assembled())).max() for b in (b1, b2))
+    b1, b2 = (make_bdg(scale * b.h, scale * b.delta) for b in (b1, b2))
+    general = np.abs(expm_fock(compose_general(b1, b2)) - expm_fock(b1) @ expm_fock(b2)).max()
+    h1, h2 = _hermitian_matrix(gen, m), _hermitian_matrix(gen, m)
+    scale = 1.2 / sum(np.abs(np.linalg.eigvalsh(h)).max() for h in (h1, h2))
+    h1, h2 = scale * h1, scale * h2
+    hc, h1, h2 = (assemble_blocks(h, np.zeros_like(h)) for h in (compose_number_conserving(h1, h2), h1, h2))
+    conserving = np.abs(expm_fock(hc) - expm_fock(h1) @ expm_fock(h2)).max()
+    return [
+        ("general composition law at operator level", 1e-9, general),
+        ("number-conserving composition law at operator level", 1e-9, conserving),
+    ]
+
+
+def _nc_embedding(gen: np.random.Generator, m: int) -> list[tuple]:
+    """Against exp(a^dag h a) built from the mode operators."""
+    h = _hermitian_matrix(gen, m)
+    ann = [a.matrix for a in build_mode_operators(m)]
+    ham = sum(h[k, l] * ann[k].conj().T @ ann[l] for k in range(m) for l in range(m))
+    direct = op_exp(FockOperator(m, ham, hermitian=True))
+    gap = np.abs(gaussian_number_conserving(h).matrix - direct.matrix / direct.trace().real).max()
+    return [("number-conserving embedding (delta = 0)", 1e-12, gap)]
+
+
+def _diagonal_form(gen: np.random.Generator, m: int) -> list[tuple]:
+    """The normalized operator in the transformed mode basis."""
+    polar = random_polar_rotation(m, gen)
+    bdg_mat = polar.bogoliubov.conj().T @ polar.diagonal_coefficient() @ polar.bogoliubov
+    lam_op = gaussian_normalized(make_bdg(bdg_mat[:m, :m], bdg_mat[:m, m:]))
+    gam = np.concatenate([np.stack(_annihilators(m)), np.stack([a.conj().T for a in _annihilators(m)])])
+    bops = np.einsum("jk,kab->jab", polar.bogoliubov[:m], gam)
+    dim, tanh = 1 << m, np.tanh(polar.lambdas / 2.0)
+    prod, combo = np.eye(dim, dtype=complex), np.zeros((dim, dim), dtype=complex)
+    for j in range(m):
+        nj = bops[j].conj().T @ bops[j]
+        prod = prod @ (0.5 * (1.0 - tanh[j]) * np.eye(dim) + tanh[j] * nj)
+        combo += 3.0**j * nj
+    _, vv = np.linalg.eigh(combo)
+    rotated = vv.conj().T @ lam_op.matrix @ vv
+    return [
+        ("normalized operator is the per-mode product in the rotated basis", 1e-9, np.abs(lam_op.matrix - prod).max()),
+        ("rotated normalized operator is diagonal", 1e-9, np.abs(rotated - np.diag(np.diagonal(rotated))).max()),
+    ]
+
+
+def _greens_rebuild(gen: np.random.Generator, m: int) -> list[tuple]:
+    h = _hermitian_matrix(gen, m)
+    n_tilde = greens_parameterization(h).n_tilde
+    rebuilt = np.linalg.det(n_tilde).real * normal_ordered_exp((np.linalg.inv(n_tilde) - 2.0 * np.eye(m)).T).matrix
+    gap = np.abs(rebuilt - gaussian_number_conserving(h).matrix).max()
+    return [("particle/hole parameterization rebuilds the operator", 1e-9, gap)]
+
+
+def _spectral_exp(gen: np.random.Generator, m: int) -> list[tuple]:
+    hmat = _hermitian_matrix(gen, 1 << m)
+    a = FockOperator(m, hmat, hermitian=True)
+    e_plus, e_minus = op_exp(a), op_exp(a, -1.0)
+    inverse = np.abs(e_plus.matrix @ e_minus.matrix - np.eye(1 << m)).max()
+    spectrum = np.abs(np.sort(np.linalg.eigvalsh(e_plus.matrix)) - np.exp(np.sort(np.linalg.eigvalsh(hmat)))).max()
+    return [("spectral exponential inverse pair and eigenvalue map", 1e-10, np.max([inverse, spectrum]))]
+
+
+def _cycle(runs: int, max_modes: int, cap: int = 3) -> list[int]:
+    """The mode counts 1, 2, .., min(max_modes, cap), 1, 2, .. of ``runs`` runs."""
+    return [1 + t % min(max_modes, cap) for t in range(runs)]
+
+
+#: The one list of identity criteria, in draw order. Each row is a trial,
+#: ``trial(gen, m)``, which draws on m modes and returns its criteria as
+#: (name, tolerance, gap), and the mode counts of its runs.
+_IDENTITY_TRIALS = (
+    (_mode_algebra, lambda trials, max_modes: _cycle(min(max_modes, 4), max_modes, cap=4)),
+    (_normal_ordering, lambda trials, max_modes: _cycle(trials, max_modes)),
+    (_trace_formula, lambda trials, max_modes: _cycle(2 * trials, max_modes)),
+    (_normalization, lambda trials, max_modes: _cycle(2 * trials, max_modes)),
+    (_composition, lambda trials, max_modes: [2] * trials),
+    (_nc_embedding, lambda trials, max_modes: _cycle(max(1, trials // 2), max_modes)),
+    (_diagonal_form, lambda trials, max_modes: _cycle(max(1, trials // 2), max_modes)),
+    (_greens_rebuild, lambda trials, max_modes: [2] * 10),
+    (_spectral_exp, lambda trials, max_modes: [2] * 10),
+)
+
+
+def operator_identity_suite(max_modes: int = 3, seed: RngSpec | int = 42, trials: int = 50) -> list[CriterionResult]:
+    """Run the operator-level identity checks and return one result per
+    criterion of ``_IDENTITY_TRIALS``, the one list of them, in its order:
+    each criterion's largest gap over its row's runs, against its tolerance.
+    ``seed`` is an RngSpec, or an integer seed on stream 0. All rows draw
+    from one generator in turn, so a row inserted before the end moves the
+    draws, and so the measured values, of every row after it."""
     _count(max_modes, "max_modes", CapacityError)
     _count(trials, "trials", ContractError)
-    import scipy.linalg  # only here and in gaussian._principal_log: keeps it off the import path
-
     gen = _as_rngspec(seed).generator()
     out = []
-
-    # canonical anticommutators, vacuum annihilation, nilpotency
-    cars, nils, vacs = [], [], []
-    for m in range(1, min(max_modes, 4) + 1):
-        ops = build_mode_operators(m)
-        eye = np.eye(1 << m)
-        for i, ai in enumerate(ops):
-            vacs.append(np.abs(ai.matrix[:, 0]).max())
-            for j, aj in enumerate(ops):
-                car = ai.matrix @ aj.matrix.conj().T + aj.matrix.conj().T @ ai.matrix
-                cars.append(np.abs(car - (i == j) * eye).max())
-                nils.append(np.abs(ai.matrix @ aj.matrix + aj.matrix @ ai.matrix).max())
-    out.append(CriterionResult("anticommutators {a_i, a_j^dag} = delta_ij", float(np.max(cars)), 1e-13))
-    out.append(CriterionResult("anticommutators {a_i, a_j} = 0", float(np.max(nils)), 1e-13))
-    out.append(CriterionResult("vacuum annihilated by every mode", float(np.max(vacs)), 0.0))
-
-    # normal-ordering identity on random hermitian generators
-    gaps = []
-    for t in range(trials):
-        m = 1 + t % min(max_modes, 3)
-        h = _hermitian_matrix(gen, m)
-        # the embedding (h, 0) gives a^dag h a - (1/2) tr h; undo the shift
-        direct = op_exp(quadratic_hamiltonian(assemble_blocks(h, np.zeros_like(h))))
-        direct = math.exp(0.5 * np.trace(h).real) * direct.matrix
-        ordered = normal_ordered_exp(scipy.linalg.expm(h) - np.eye(m))
-        gaps.append(np.abs(direct - ordered.matrix).max())
-    out.append(CriterionResult("normal-ordered exponential identity", float(np.max(gaps)), 1e-9))
-
-    # trace formula three ways
-    gaps = []
-    for t in range(2 * trials):
-        m = 1 + t % min(max_modes, 3)
-        bdg = sample_class_d(m, 1.0, gen)
-        closed = np.prod(2.0 * np.cosh(paired_eigenvalues(bdg) / 2.0))
-        exact = op_exp(quadratic_hamiltonian(bdg)).trace().real
-        w, v = np.linalg.eigh(bdg.assembled())
-        root_det = math.sqrt(abs(np.linalg.det(from_eigenpairs(2.0 * np.cosh(w / 2.0), v))))
-        gaps += [abs(exact - closed) / closed, abs(root_det - closed) / closed]
-    out.append(CriterionResult("trace = product of 2cosh(lam/2) = sqrt(det 2cosh(H/2))", float(np.max(gaps)), 1e-9))
-
-    # positivity (minus the smallest eigenvalue) and unit trace of normalized operators
-    negs, traces = [], []
-    for t in range(2 * trials):
-        m = 1 + t % min(max_modes, 3)
-        lam = gaussian_normalized(sample_class_d(m, 1.0, gen))
-        negs.append(-np.linalg.eigvalsh(lam.matrix).min())
-        traces.append(abs(lam.trace().real - 1.0))
-    out.append(CriterionResult("normalized operators positive definite", float(np.max(negs)), 1e-12))
-    out.append(CriterionResult("normalized operators have unit trace", float(np.max(traces)), 1e-12))
-
-    # composition laws at the Fock level
-    gaps_g, gaps_n = [], []
-    for _ in range(trials):
-        m = 2
-        b1 = sample_class_d(m, 1.0, gen)
-        b2 = sample_class_d(m, 1.0, gen)
-        scale = 1.2 / (
-            np.abs(np.linalg.eigvalsh(b1.assembled())).max()
-            + np.abs(np.linalg.eigvalsh(b2.assembled())).max()
-        )
-        b1 = make_bdg(scale * b1.h, scale * b1.delta)
-        b2 = make_bdg(scale * b2.h, scale * b2.delta)
-        comp = compose_general(b1, b2)
-        lhs = scipy.linalg.expm(quadratic_hamiltonian(comp).matrix)
-        rhs = scipy.linalg.expm(quadratic_hamiltonian(b1).matrix) @ scipy.linalg.expm(
-            quadratic_hamiltonian(b2).matrix
-        )
-        gaps_g.append(np.abs(lhs - rhs).max())
-
-        h1 = _hermitian_matrix(gen, m)
-        h2 = _hermitian_matrix(gen, m)
-        scale = 1.2 / (np.abs(np.linalg.eigvalsh(h1)).max() + np.abs(np.linalg.eigvalsh(h2)).max())
-        h1, h2 = scale * h1, scale * h2
-        hc = compose_number_conserving(h1, h2)
-
-        def gn(hmat):
-            return scipy.linalg.expm(quadratic_hamiltonian(assemble_blocks(hmat, np.zeros_like(hmat))).matrix)
-
-        gaps_n.append(np.abs(gn(hc) - gn(h1) @ gn(h2)).max())
-    out.append(CriterionResult("general composition law at operator level", float(np.max(gaps_g)), 1e-9))
-    out.append(CriterionResult("number-conserving composition law at operator level", float(np.max(gaps_n)), 1e-9))
-
-    # number-conserving embedding against exp(a^dag h a) built from mode operators
-    gaps = []
-    for t in range(max(1, trials // 2)):
-        m = 1 + t % min(max_modes, 3)
-        h = _hermitian_matrix(gen, m)
-        ann = [a.matrix for a in build_mode_operators(m)]
-        ham = sum(h[k, l] * ann[k].conj().T @ ann[l] for k in range(m) for l in range(m))
-        direct = op_exp(FockOperator(m, ham, hermitian=True))
-        emb = gaussian_number_conserving(h)
-        gaps.append(np.abs(emb.matrix - direct.matrix / direct.trace().real).max())
-    out.append(CriterionResult("number-conserving embedding (delta = 0)", float(np.max(gaps)), 1e-12))
-
-    # diagonal form in the transformed mode basis
-    gaps_prod, gaps_diag = [], []
-    for t in range(max(1, trials // 2)):
-        m = 1 + t % min(max_modes, 3)
-        polar = random_polar_rotation(m, gen)
-        bdg_mat = polar.bogoliubov.conj().T @ polar.diagonal_coefficient() @ polar.bogoliubov
-        bdg = make_bdg(bdg_mat[:m, :m], bdg_mat[:m, m:])
-        lam_op = gaussian_normalized(bdg)
-        gam = np.concatenate([np.stack(_annihilators(m)), np.stack([a.conj().T for a in _annihilators(m)])])
-        bops = np.einsum("jk,kab->jab", polar.bogoliubov[:m], gam)
-        dim = 1 << m
-        prod = np.eye(dim, dtype=complex)
-        tanh = np.tanh(polar.lambdas / 2.0)
-        combo = np.zeros((dim, dim), dtype=complex)
-        for j in range(m):
-            nj = bops[j].conj().T @ bops[j]
-            prod = prod @ (0.5 * (1.0 - tanh[j]) * np.eye(dim) + tanh[j] * nj)
-            combo += 3.0**j * nj
-        gaps_prod.append(np.abs(lam_op.matrix - prod).max())
-        _, vv = np.linalg.eigh(combo)
-        rotated = vv.conj().T @ lam_op.matrix @ vv
-        gaps_diag.append(np.abs(rotated - np.diag(np.diagonal(rotated))).max())
-    out.append(
-        CriterionResult("normalized operator is the per-mode product in the rotated basis", float(np.max(gaps_prod)), 1e-9)
-    )
-    out.append(CriterionResult("rotated normalized operator is diagonal", float(np.max(gaps_diag)), 1e-9))
-
-    # particle/hole parameterization rebuild
-    gaps = []
-    for _ in range(10):
-        m = 2
-        h = _hermitian_matrix(gen, m)
-        pair = greens_parameterization(h)
-        rebuilt = np.linalg.det(pair.n_tilde).real * normal_ordered_exp(
-            (np.linalg.inv(pair.n_tilde) - 2.0 * np.eye(m)).T
-        ).matrix
-        gaps.append(np.abs(rebuilt - gaussian_number_conserving(h).matrix).max())
-    out.append(CriterionResult("particle/hole parameterization rebuilds the operator", float(np.max(gaps)), 1e-9))
-
-    # spectral exponential sanity
-    gaps = []
-    for _ in range(10):
-        m = 2
-        hmat = _hermitian_matrix(gen, 1 << m)
-        a = FockOperator(m, hmat, hermitian=True)
-        e_plus = op_exp(a)
-        e_minus = op_exp(a, -1.0)
-        gaps.append(np.abs(e_plus.matrix @ e_minus.matrix - np.eye(1 << m)).max())
-        spec_map = np.sort(np.linalg.eigvalsh(e_plus.matrix)) - np.exp(np.sort(np.linalg.eigvalsh(hmat)))
-        gaps.append(np.abs(spec_map).max())
-    out.append(CriterionResult("spectral exponential inverse pair and eigenvalue map", float(np.max(gaps)), 1e-10))
-
+    for trial, schedule in _IDENTITY_TRIALS:
+        runs = [trial(gen, m) for m in schedule(trials, max_modes)]
+        for criterion in zip(*runs):  # one criterion's (name, tolerance, gap) from every run
+            name, tolerance, _ = criterion[0]
+            out.append(CriterionResult(name, float(np.max([gap for _, _, gap in criterion])), tolerance))
     return out
 
 

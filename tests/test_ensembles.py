@@ -17,7 +17,6 @@ from fermigauss import (
     polar_decompose,
     sample_class_d,
     sample_class_d_batch,
-    sample_haar_unitary,
     sample_haar_unitary_batch,
     sample_radial_mcmc,
     symmetry_class,
@@ -165,7 +164,7 @@ class TestHaarSampler:
 
     def test_determinism(self):
         assert np.array_equal(
-            sample_haar_unitary(3, RngSpec(2, 3)), sample_haar_unitary(3, RngSpec(2, 3))
+            sample_haar_unitary_batch(3, RngSpec(2, 3), 1), sample_haar_unitary_batch(3, RngSpec(2, 3), 1)
         )
 
 

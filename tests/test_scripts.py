@@ -2,6 +2,7 @@
 next timing session."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -90,3 +91,26 @@ class TestBenchPairsArguments:
             pairs.main()
         assert exc.value.code == 2
         assert not out.exists()
+
+
+class TestReportDiff:
+    @pytest.fixture(scope="class")
+    def diff(self):
+        return load("report_diff")
+
+    def test_the_checkout_against_itself_is_identical(self, diff, monkeypatch, capsys):
+        monkeypatch.setattr(diff, "COMMANDS", [["selberg", "--max-modes", "2"]])
+        assert diff.main(["--parent", str(SCRIPTS.parent)]) == 0
+        assert capsys.readouterr().out == "selberg --max-modes 2: identical\n"
+
+    def test_numbers_verdicts_and_names(self, diff):
+        def text(name="c", measured=1.0, passed=True):
+            return json.dumps({"criteria": [{"name": name, "measured": measured, "passed": passed}]}, indent=2)
+
+        assert diff.compare(text(), text()) == {"result": "identical"}
+        assert diff.compare(text(), text(measured=1.5)) == {
+            "result": "numeric", "max_change": 0.5, "where": ".criteria['c'].measured"
+        }
+        assert diff.compare(text(), text(passed=False))["verdicts"] == [".criteria['c'].passed: True -> False"]
+        assert diff.compare(text(), text(name="d"))["names"] == [".criteria['c'].name: 'c' -> 'd'"]
+        assert diff.compare(text(), None)["result"] == "changed"

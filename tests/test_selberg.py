@@ -287,3 +287,31 @@ class TestLgammaAgainstScipy:
         reference = closed_form(*args)
         # relative, with the scale floored at 1 for values near zero
         assert abs(value - reference) <= 1e-13 * max(abs(reference), 1.0)
+
+
+class TestStiffnessAtTheFloatRange:
+    """The forms that take log(2p), log(2p / pi) or log(pi / (2p)) split the log
+    only where that product or quotient is not a finite normal float."""
+
+    FORMS = (radial_gaussian_integral_log, cartesian_gaussian_integral_log, norm_const_gauss_log)
+    #: their values at M = 2 before the split, which an ordinary p keeps bit for bit
+    ORDINARY = {
+        "radial_gaussian_integral_log": ("0x1.250d048e7a1bcp+0", "-0x1.de9286b1f6a54p-1", "-0x1.0ec14e965af93p+2"),
+        "cartesian_gaussian_integral_log": ("0x1.06216edde55a4p+1", "-0x1.026d4575573e0p-5", "-0x1.a9e7b0960da60p+1"),
+        "norm_const_gauss_log": ("-0x1.52bd5b984e2b4p-1", "0x1.6af79a1b4e58ep+0", "0x1.2dace446efbabp+2"),
+    }
+
+    @pytest.mark.parametrize("modes", [1, 6])
+    @pytest.mark.parametrize("p", [5e-324, 1e-320, 5e-309, 9e307, 1e308, np.finfo(float).max])
+    @pytest.mark.parametrize("form", FORMS, ids=lambda f: f.__name__)
+    def test_every_finite_p_gives_a_finite_float(self, form, p, modes):
+        assert math.isfinite(form(modes, p))
+
+    @pytest.mark.parametrize("form", FORMS, ids=lambda f: f.__name__)
+    def test_an_ordinary_p_keeps_its_bits(self, form):
+        assert tuple(form(2, p).hex() for p in (0.5, 1.0, 3.0)) == self.ORDINARY[form.__name__]
+
+    def test_the_split_agrees_with_the_product_at_its_edge(self):
+        # 2p just inside and just outside the float range: the two routes meet
+        p = np.finfo(float).max / 2
+        assert radial_gaussian_integral_log(1, p) == pytest.approx(radial_gaussian_integral_log(1, p * 1.0000001))

@@ -33,6 +33,7 @@ from fermigauss import (
     verify_resolution_quadrature,
 )
 from fermigauss import ensembles, gaussian, sample_class_d_batch, sample_radial_mcmc
+from fermigauss import verify as verify_module
 from fermigauss.cli import run
 from fermigauss.ensembles import _log_jacobian, assemble_blocks, sample_haar_unitary_batch
 from fermigauss.fock import (
@@ -958,12 +959,12 @@ class TestNcModifiedSampler:
 
 class TestBatchedPaths:
     def test_ncons_batch_matches_public_op(self):
-        from fermigauss import gaussian_number_conserving, sample_haar_unitary
+        from fermigauss import gaussian_number_conserving, sample_haar_unitary_batch
 
         gen = RngSpec(99).generator()
         for modes in (1, 2, 3):
             lam = gen.normal(size=(1, modes))
-            u = sample_haar_unitary(modes, gen)
+            u = sample_haar_unitary_batch(modes, gen, 1)[0]
             batch = embed_parity_blocks(rotated_ncons_blocks(lam, u))[0]
             h = u @ np.diag(lam[0]) @ u.conj().T
             assert np.abs(batch - gaussian_number_conserving(h).matrix).max() < 1e-13
@@ -1046,6 +1047,29 @@ class TestSuites:
         res = results["trace = product of 2cosh(lam/2) = sqrt(det 2cosh(H/2))"]
         assert math.isnan(res.measured) and not res.passed
         assert all(r.passed for name, r in results.items() if r is not res)
+
+    @pytest.mark.parametrize("row", range(len(verify_module._IDENTITY_TRIALS)),
+                             ids=[trial.__name__ for trial, _ in verify_module._IDENTITY_TRIALS])
+    def test_each_identity_criterion_reads_only_its_own_trials(self, monkeypatch, row):
+        parent = operator_identity_suite(max_modes=3, seed=42, trials=4)
+        trial, schedule = verify_module._IDENTITY_TRIALS[row]
+        own = set()
+
+        def nan_gaps(gen, m):  # the row's usual draws, with every gap NaN
+            criteria = trial(gen, m)
+            own.update(name for name, _, _ in criteria)
+            return [(name, tolerance, math.nan) for name, tolerance, _ in criteria]
+
+        rows = list(verify_module._IDENTITY_TRIALS)
+        rows[row] = (nan_gaps, schedule)
+        monkeypatch.setattr(verify_module, "_IDENTITY_TRIALS", tuple(rows))
+        results = operator_identity_suite(max_modes=3, seed=42, trials=4)
+        assert own and [r.name for r in results] == [r.name for r in parent]
+        for res, before in zip(results, parent):
+            if res.name in own:
+                assert math.isnan(res.measured) and not res.passed, res.name
+            else:
+                assert res.measured.hex() == before.measured.hex() and res.passed, res.name
 
     def test_nan_radial_integral_fails_the_criteria_that_read_it(self, monkeypatch):
         from fermigauss import selberg
