@@ -67,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("identities", help="operator-level identity suite", allow_abbrev=False)
     p.add_argument(
-        "--modes", type=int, default=3, help="largest mode count exercised, capped at 3 (4 for the mode algebra)"
+        "--modes", type=int, default=3, help="largest mode count of every trial, capped at 3 (4 for the mode algebra)"
     )
     p.add_argument("--trials", type=int, default=50)
     _add_common(p, dumps=False)
@@ -110,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="no effect: the suite always runs; kept so existing command lines parse",
     )
-    p.add_argument("--max-modes", type=int, default=6)
+    p.add_argument("--max-modes", type=int, default=6, help="largest mode count of every closed-form check")
     _add_common(p, dumps=False)
     p.set_defaults(func=_cmd_selberg)
 

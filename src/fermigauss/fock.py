@@ -12,7 +12,6 @@ from itertools import product
 from math import factorial, inf, log
 
 import numpy as np
-import scipy.sparse
 
 from .errors import CapacityError, ContractError, DomainError, StructureError, _above, _count
 
@@ -158,38 +157,35 @@ def _parity_sectors(modes: int) -> np.ndarray:
     return out
 
 
+def _block_entry(dst: np.ndarray, src: np.ndarray, modes: int) -> np.ndarray:
+    """Flat index of entry (dst, src), both of one parity, in the (2, dim/2, dim/2)
+    parity blocks. States 2r and 2r + 1 differ in parity, so the r-th state of
+    either parity, ascending, is one of them: a state's rank is n >> 1."""
+    half = 1 << (modes - 1)
+    return (_parities(modes)[src] * half + (dst >> 1)) * half + (src >> 1)
+
+
 @lru_cache(maxsize=None)
-def _assembly_plan(modes: int) -> scipy.sparse.csr_array:
+def _assembly_plan(modes: int) -> np.ndarray:
     """The linear map from a 2M x 2M coefficient matrix to the parity blocks
-    of (1/2) gamma^dag H gamma, as one sparse matrix.
+    of (1/2) gamma^dag H gamma, as one dense real (4M^2, 2^(2M-1)) matrix.
 
     gamma_k^dag gamma_l maps each basis state to at most one basis state of
-    the same parity, with a sign. Each such (k, l, state) term is an entry
-    +-1/2 in column k * 2M + l (the flat coefficient index) and in the row of
-    the flat (2, dim/2, dim/2) block entry it reaches.
+    the same parity, with a sign. Each such (k, l, state) term is the entry
+    +-1/2 in row k * 2M + l (the flat coefficient index) and in the column of
+    the flat (2, dim/2, dim/2) block entry it reaches; no two terms share one.
     """
-    half = 1 << (modes - 1)
     parity = _parities(modes)
-    rank = np.empty(1 << modes, dtype=np.intp)
-    rank[_parity_sectors(modes)] = np.arange(half)
     states = np.arange(1 << modes)
-    coeff, factor, target = [], [], []
+    plan = np.zeros((4 * modes * modes, 1 << (2 * modes - 1)))
     for k in range(2 * modes):
         for l in range(2 * modes):
             # gamma_l, then gamma_k^dag
             mid, s1, alive1 = _ladder(states, l % modes, l >= modes, parity)
             out, s2, alive2 = _ladder(mid, k % modes, k < modes, parity)
             alive = alive1 & alive2
-            src, dst = states[alive], out[alive]
-            coeff.append(np.full(src.size, k * 2 * modes + l))
-            factor.append(0.5 * (s1 * s2)[alive])
-            target.append((parity[src] * half + rank[dst]) * half + rank[src])
-    plan = scipy.sparse.csr_array(
-        (np.concatenate(factor), (np.concatenate(target), np.concatenate(coeff))),
-        shape=(2 * half * half, 4 * modes * modes),
-    )
-    for arr in (plan.data, plan.indices, plan.indptr):
-        arr.setflags(write=False)
+            plan[k * 2 * modes + l, _block_entry(out[alive], states[alive], modes)] = 0.5 * (s1 * s2)[alive]
+    plan.setflags(write=False)
     return plan
 
 
@@ -216,15 +212,18 @@ class WickPlan:
     ``levels`` holds, per level, the (pair, smaller subset) numbers of those
     k - 1 terms, each an (n_k, k - 1) array within its own level. ``scatter``
     maps the 2^(2M-1) coordinates Pf(Gamma_S) to the flat parity blocks of L,
-    (2, 2^(M-1), 2^(M-1)) as quadratic_hamiltonian_batch lays them out; every
-    entry is 2^-M times a power of i.
+    (2, 2^(M-1), 2^(M-1)) as quadratic_hamiltonian_batch lays them out. Every
+    block entry of flip pattern dst ^ src (2^(M-1) even masks) gathers the same
+    2^M coordinates: ``scatter`` is their (pattern, 2^M) columns, the (2, pattern,
+    src, 2^M) real and imaginary parts of the weights 2^-M i^phase, and the
+    (pattern, src) flat block entries, which number every block entry once.
     """
 
     majorana: np.ndarray
     pair_rows: np.ndarray
     pair_cols: np.ndarray
     levels: tuple[tuple[np.ndarray, np.ndarray], ...]
-    scatter: scipy.sparse.csr_array
+    scatter: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @lru_cache(maxsize=None)
@@ -233,12 +232,12 @@ def _wick_plan(modes: int) -> WickPlan:
 
     Block entry (dst, src) gathers the 2^M subsets S whose c_S maps src to
     dst. Mode j contributes 1, c_2j, c_2j+1 or c_2j c_2j+1 to c_S, as bit j
-    of dst ^ src (``flips``) and of a free index select, so c_S is a product over
-    ascending modes. The higher modes act first and flip only their own bits,
-    so mode j acts on src's bits: its sign string is src's parity below j, and
-    c_2j+1 adds a phase -i or i as bit j of src is set or not. With the
-    convention's (-1)^(k(k-1)/2) i^(k/2) = i^(3k/2) every phase is an integer
-    power of i.
+    of the flip pattern dst ^ src and of a free index select, so c_S is a
+    product over ascending modes and its subset depends on the pattern alone.
+    The higher modes act first and flip only their own bits, so mode j acts on
+    src's bits: its sign string is src's parity below j, and c_2j+1 adds a
+    phase -i or i as bit j of src is set or not. With the convention's
+    (-1)^(k(k-1)/2) i^(k/2) = i^(3k/2) every phase is an integer power of i.
     """
     majorana = np.zeros((2 * modes, 2 * modes), dtype=complex)
     for j in range(modes):
@@ -262,27 +261,21 @@ def _wick_plan(modes: int) -> WickPlan:
         else:
             levels.append((number[pairs] - starts[1], number[masks[:, None] ^ pairs] - starts[k // 2 - 1]))
 
-    # scatter: small integers keep the (2^(2M-1), 2^M) bit arrays cheap to build
+    # scatter, by (flip pattern, src, free index): small integers keep the bit arrays cheap to build
     dtype = np.min_scalar_type(1 << (2 * modes))
-    half = 1 << (modes - 1)
-    sectors = _parity_sectors(modes).astype(dtype)
-    dst = np.repeat(sectors, half, axis=1).reshape(-1, 1)
-    src = np.tile(sectors, (1, half)).reshape(-1, 1)
-    flips, free = dst ^ src, np.arange(1 << modes, dtype=dtype)[None, :]
-    subset = np.zeros((flips.size, free.size), dtype=dtype)
-    phase = np.zeros_like(subset)
+    flips = _parity_sectors(modes)[0].astype(dtype)[:, None, None]  # the even states are the even masks
+    src, free = np.arange(1 << modes, dtype=dtype)[:, None], np.arange(1 << modes, dtype=dtype)
+    subset = np.zeros((flips.size, 1, free.size), dtype=dtype)
+    phase = np.zeros((flips.size, src.size, free.size), dtype=dtype)
     for j in range(modes):
         xj, yj = (flips >> j) & 1, (free >> j) & 1
         subset |= np.where(xj == 1, 1 << (2 * j + yj), (3 * yj) << (2 * j))
         below = np.bitwise_count(src & ((1 << j) - 1)) & 1
         phase += 2 * xj * below + yj * (1 + 2 * ((src >> j) & 1))
     phase += 3 * (np.bitwise_count(subset) // 2)
-    scatter = scipy.sparse.csr_array(
-        (_I_POWERS[phase.ravel() & 3] / (1 << modes), number[subset.ravel()], np.arange(0, subset.size + 1, free.size)),
-        shape=(flips.size, order.size),
-    )
-    frozen = [majorana, pair_rows, pair_cols, scatter.data, scatter.indices, scatter.indptr]
-    for arr in frozen + [a for level in levels for a in level]:
+    weights = _I_POWERS[phase & 3] / (1 << modes)
+    scatter = (number[subset[:, 0]], np.stack([weights.real, weights.imag]), _block_entry(src ^ flips, src, modes)[..., 0])
+    for arr in [majorana, pair_rows, pair_cols, *scatter] + [a for level in levels for a in level]:
         arr.setflags(write=False)
     return WickPlan(majorana, pair_rows, pair_cols, tuple(levels), scatter)
 
@@ -339,17 +332,19 @@ def quadratic_hamiltonian_batch(mats: np.ndarray) -> np.ndarray:
     is this call with n = 1, embedded. ``mats`` has shape (n, 2M, 2M) and the
     result (n, 2, 2^(M-1), 2^(M-1)): the even-parity block, then the odd one,
     each over its basis states in ascending order (embed_parity_blocks turns
-    them into full matrices). It is one product with the cached
-    _assembly_plan. No per-element structure validation is done, so callers
-    are expected to feed matrices built by validated constructors (or
-    validated one at a time, as quadratic_hamiltonian does).
+    them into full matrices). It is one product of the real and one of the
+    imaginary parts of ``mats`` with the cached _assembly_plan. No per-element
+    structure validation is done, so callers are expected to feed matrices
+    built by validated constructors (or validated one at a time, as
+    quadratic_hamiltonian does).
     """
     mats = np.asarray(mats, dtype=complex)
     modes = mats.shape[-1] // 2
     _check_modes(modes)
     half = 1 << (modes - 1)
     flat = mats.reshape(len(mats), -1)
-    return (_assembly_plan(modes) @ flat.T).T.reshape(len(mats), 2, half, half)
+    plan = _assembly_plan(modes)
+    return (flat.real @ plan + 1j * (flat.imag @ plan)).reshape(len(mats), 2, half, half)
 
 
 def from_eigenpairs(w: np.ndarray, v: np.ndarray) -> np.ndarray:

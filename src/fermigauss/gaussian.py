@@ -344,11 +344,15 @@ def wick_coordinates(gamma: np.ndarray, log_weights=None) -> np.ndarray:
 
 def wick_blocks(coords: np.ndarray) -> np.ndarray:
     """Parity blocks, (k, 2, 2^(M-1), 2^(M-1)), of the operators whose Wick
-    coordinates are the k rows of ``coords`` (or its one row): one product with
-    the scatter of fock.WickPlan, so a Monte Carlo run maps all its chunks at once."""
-    modes = coords.shape[-1].bit_length() // 2
-    half = 1 << (modes - 1)
-    return np.ascontiguousarray((_wick_plan(modes).scatter @ coords.T).T).reshape(-1, 2, half, half)
+    coordinates are the k rows of ``coords`` (or its one row): with the scatter
+    of fock.WickPlan, one gather of every flip pattern's coordinates and one
+    batched product with its weights, so a Monte Carlo run maps all its chunks at once."""
+    coords = np.atleast_2d(coords)
+    columns, weights, entries = _wick_plan(coords.shape[-1].bit_length() // 2).scatter
+    parts = weights @ coords.T[columns]  # (2, pattern, src, k): the real and imaginary parts
+    out = np.empty((len(coords), entries.size), dtype=complex)
+    out[:, entries] = np.moveaxis(parts[0] + 1j * parts[1], -1, 0)
+    return out.reshape(-1, 2, len(columns), len(columns))  # as many flip patterns as states of one parity
 
 
 @np.errstate(over="ignore")

@@ -474,16 +474,19 @@ def verify_resolution_quadrature(
     """Tensor-quadrature mean of the rotated normalized Gaussian operators
     against the normalized radial density; target is 2^-M times the identity.
 
-    Requires an even, integrable weight (the hypothesis doing the work).
+    Requires an even, integrable weight of a class measure, not an nc_ one
+    (the hypothesis doing the work), and a PolarForm rotation or None.
     Convergence is checked by order doubling, and independence from the
     rotation by comparing against a second, deterministically seeded rotation.
     """
-    if not weight.is_even:
+    if not weight.is_even or weight.uses_hermitian_jacobian:
         raise ContractError(
-            f"weight kind {weight.kind!r} is not even in each eigenvalue; "
-            f"the resolution hypothesis requires an even integrable weight"
+            f"weight kind {weight.kind!r} is not a symmetry-class weight even in each eigenvalue (nc_ kinds weigh "
+            f"the hermitian measure); the resolution hypothesis requires an even integrable weight"
         )
     weight.validate_for(modes, sym_class)
+    if not isinstance(rotation, (PolarForm, type(None))):
+        raise ContractError(f"rotation must be a PolarForm or None, got {type(rotation).__name__}")
     if rotation is not None and rotation.modes != modes:
         raise ContractError(f"the rotation acts on {rotation.modes} modes, but the run has modes = {modes}")
 
@@ -610,6 +613,8 @@ def verify_canonical_triviality(
     would judge no entry at some beta != 0.
     """
     spec = _as_rngspec(rng)
+    if isinstance(betas, str) or not np.iterable(betas):
+        raise ContractError(f"betas must be a sequence of reals, got {type(betas).__name__}")
     betas = [float(b) for b in betas]
     if not betas:
         raise ContractError("need at least one beta")
@@ -925,17 +930,17 @@ def _cycle(runs: int, max_modes: int, cap: int = 3) -> list[int]:
 
 #: The one list of identity criteria, in draw order. Each row is a trial,
 #: ``trial(gen, m)``, which draws on m modes and returns its criteria as
-#: (name, tolerance, gap), and the mode counts of its runs.
+#: (name, tolerance, gap), and the mode counts of its runs, none above max_modes.
 _IDENTITY_TRIALS = (
     (_mode_algebra, lambda trials, max_modes: _cycle(min(max_modes, 4), max_modes, cap=4)),
     (_normal_ordering, lambda trials, max_modes: _cycle(trials, max_modes)),
     (_trace_formula, lambda trials, max_modes: _cycle(2 * trials, max_modes)),
     (_normalization, lambda trials, max_modes: _cycle(2 * trials, max_modes)),
-    (_composition, lambda trials, max_modes: [2] * trials),
+    (_composition, lambda trials, max_modes: [min(2, max_modes)] * trials),
     (_nc_embedding, lambda trials, max_modes: _cycle(max(1, trials // 2), max_modes)),
     (_diagonal_form, lambda trials, max_modes: _cycle(max(1, trials // 2), max_modes)),
-    (_greens_rebuild, lambda trials, max_modes: [2] * 10),
-    (_spectral_exp, lambda trials, max_modes: [2] * 10),
+    (_greens_rebuild, lambda trials, max_modes: [min(2, max_modes)] * 10),
+    (_spectral_exp, lambda trials, max_modes: [min(2, max_modes)] * 10),
 )
 
 
@@ -965,10 +970,10 @@ CONSISTENCY_PS = (0.5, 1.0, 3.0)
 def selberg_consistency_suite(max_modes: int = 6) -> list[CriterionResult]:
     """Closed-form consistency checks: angular + radial = Cartesian in log
     space, p-independence of the angular volume, and unit normalization of the
-    two weight constants."""
+    two weight constants, the first two at M = 1..max_modes and the last two at
+    most at M <= 4 and M <= 3."""
     _count(max_modes, "max_modes", ContractError)
-    out = []
-    gaps = [
+    sums = [
         abs(
             selberg.angular_volume_log(m)
             + selberg.radial_gaussian_integral_log(m, p)
@@ -977,44 +982,39 @@ def selberg_consistency_suite(max_modes: int = 6) -> list[CriterionResult]:
         for m in range(1, max_modes + 1)
         for p in CONSISTENCY_PS
     ]
-    out.append(
-        CriterionResult(
-            f"angular + radial = Cartesian in log space (M <= {max_modes}, p in {CONSISTENCY_PS})",
-            float(np.max(gaps)),
-            1e-10,
-        )
-    )
-
-    gaps = []
+    ratios = []
     for m in range(1, max_modes + 1):
         ratio1 = selberg.cartesian_gaussian_integral_log(m, 1.0) - selberg.radial_gaussian_integral_log(m, 1.0)
         ratio3 = selberg.cartesian_gaussian_integral_log(m, 3.0) - selberg.radial_gaussian_integral_log(m, 3.0)
-        gaps.append(abs(ratio1 - ratio3))
-    out.append(CriterionResult("angular volume is independent of p", float(np.max(gaps)), 1e-10))
-
-    out.append(CriterionResult("angular volume is 1 for a single mode", abs(selberg.angular_volume_log(1)), 1e-12))
-
-    gaps = [
+        ratios.append(abs(ratio1 - ratio3))
+    gauss = [
         abs(
             -m * math.log(2.0)
             + selberg.angular_volume_log(m)
             + selberg.norm_const_gauss_log(m, p)
             + selberg.radial_gaussian_integral_log(m, p)
         )
-        for m in range(1, 5)
+        for m in range(1, min(max_modes, 4) + 1)
         for p in (0.5, 1.0, 2.0)
     ]
-    out.append(CriterionResult("Gaussian weight constant normalizes to one", float(np.max(gaps)), 1e-10))
-
-    gaps = [
+    det = [
         abs(
             -m * math.log(2.0)
             + selberg.angular_volume_log(m)
             + selberg.norm_const_det_log(m, p)
             + selberg.selberg_integral_log(0.5, 2 * p - 2 * m + 1.5, 1.0, m)
         )
-        for m in range(1, 4)
+        for m in range(1, min(max_modes, 3) + 1)
         for p in (m + 0.5, m + 1.0)
     ]
-    out.append(CriterionResult("determinant weight constant normalizes to one", float(np.max(gaps)), 1e-8))
-    return out
+    return [
+        CriterionResult(
+            f"angular + radial = Cartesian in log space (M <= {max_modes}, p in {CONSISTENCY_PS})",
+            float(np.max(sums)),
+            1e-10,
+        ),
+        CriterionResult("angular volume is independent of p", float(np.max(ratios)), 1e-10),
+        CriterionResult("angular volume is 1 for a single mode", abs(selberg.angular_volume_log(1)), 1e-12),
+        CriterionResult("Gaussian weight constant normalizes to one", float(np.max(gauss)), 1e-10),
+        CriterionResult("determinant weight constant normalizes to one", float(np.max(det)), 1e-8),
+    ]

@@ -1,12 +1,15 @@
 """Dense test oracles: the Fock-space constructions the package no longer
-runs, kept so the tests can hold its paths to an independent one."""
+runs, kept so the tests can hold its paths to an independent one; and
+break_phase, the fault of the Wick scatter that the Fock cross-check catches."""
 
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
 
+from fermigauss import gaussian
 from fermigauss.ensembles import assemble_blocks
-from fermigauss.fock import _annihilators, from_eigenpairs, quadratic_hamiltonian_batch
+from fermigauss.fock import _annihilators, _wick_plan, from_eigenpairs, quadratic_hamiltonian_batch
 from fermigauss.gaussian import covariance_from_eigenpairs, exp_normalized_fock_batch
 
 
@@ -58,3 +61,17 @@ def eigh_covariance(mats: np.ndarray) -> np.ndarray:
     complex 2M x 2M eigh and their eigenpairs, the route the Monte Carlo
     drivers took before the real form (gaussian.real_form)."""
     return covariance_from_eigenpairs(*np.linalg.eigh(mats))
+
+
+def break_phase(monkeypatch, modes: int, column: int = -1) -> None:
+    """Make the Wick kernel at ``modes`` modes multiply one entry of a Wick
+    coordinate's scatter column by i, the column's first in block-entry order;
+    by default the parity coordinate's (the full Majorana set's), the last column."""
+    plan = _wick_plan(modes)
+    columns, weights, entries = plan.scatter
+    pattern, free = np.argwhere(columns == column % columns.size)[0]
+    src = np.argmin(entries[pattern])
+    bad = weights.copy()
+    bad[:, pattern, src, free] = -weights[1, pattern, src, free], weights[0, pattern, src, free]
+    bad = dataclasses.replace(plan, scatter=(columns, bad, entries))
+    monkeypatch.setattr(gaussian, "_wick_plan", lambda m: bad if m == modes else _wick_plan(m))

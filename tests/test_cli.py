@@ -456,13 +456,30 @@ class TestBenchmarkWorkloads:
             assert out.exists()
 
 
-def test_importing_the_cli_leaves_scipy_linalg_unloaded():
-    # every run's start-up cost includes this import path; gaussian._principal_log
-    # and operator_identity_suite import scipy.linalg only when called
-    script = 'import sys, fermigauss.cli; print("scipy.linalg" in sys.modules)'
+#: The smallest call of every subcommand but identities, whose trials alone import scipy.linalg, for expm.
+SMALLEST_CALLS = [
+    ["resolution", "--mode", "mc", "--modes", "1", "--samples", "64"],
+    ["resolution", "--mode", "quad", "--modes", "1", "--quad-order", "4"],
+    ["canonical", "--modes", "1", "--samples", "64"],
+    ["number-conserving", "--variant", "failure", "--quad-order", "30"],
+    ["number-conserving", "--variant", "modified", "--modes", "1", "--samples", "64"],
+    ["selberg", "--max-modes", "1"],
+    ["ensembles", "--modes", "1", "--samples", "10", "--burn-in", "10", "--thin", "1"],
+]
+
+
+def test_no_subcommand_but_identities_loads_scipy():
+    # every run's start-up cost includes its imports, and the engine is numpy alone
+    script = f"""
+import sys
+from fermigauss import cli
+for argv in {SMALLEST_CALLS!r}:
+    assert cli.run(argv) == 0, argv
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env)
-    assert proc.stdout.split() == ["False"]
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.fixture

@@ -162,14 +162,19 @@ class TestWickPlan:
     def test_scatter_columns_are_orthogonal_monomials(self, modes):
         # Tr(c_S^dag c_T) = 2^M delta_ST, and each c_S is 2^M entries of modulus
         # 1, scaled by 2^-M: the scatter has orthogonal columns of norm^2 2^-M
-        # and every block entry gathers 2^M coordinates
-        scatter = _wick_plan(modes).scatter
-        dim = 1 << modes
-        assert scatter.shape == (dim * dim // 2, 1 << (2 * modes - 1))
-        assert (np.diff(scatter.indptr) == dim).all()
-        assert (np.abs(scatter.data) == 1.0 / dim).all()
-        gram = (scatter.conj().T @ scatter).toarray()
-        assert np.array_equal(gram, np.eye(scatter.shape[1]) / dim)
+        # and every block entry gathers 2^M coordinates, those of its flip pattern
+        columns, weights, entries = _wick_plan(modes).scatter
+        dim, size = 1 << modes, 1 << (2 * modes - 1)
+        assert columns.shape == entries.shape == (dim // 2, dim) and weights.shape == (2, dim // 2, dim, dim)
+        # each coordinate is the column of one pattern, and each block entry one
+        # (pattern, src): columns of two patterns share no block entry
+        for arr in (columns, entries):
+            assert np.array_equal(np.sort(arr, axis=None), np.arange(size))
+        values = weights[0] + 1j * weights[1]  # (pattern, src, free index)
+        assert (np.abs(values) == 1.0 / dim).all()
+        gram = np.zeros((size, size), dtype=complex)
+        gram[columns[:, :, None], columns[:, None, :]] = np.swapaxes(values.conj(), -1, -2) @ values
+        assert np.array_equal(gram, np.eye(size) / dim)
 
     @pytest.mark.parametrize("modes", [2, 4])
     def test_recursion_expands_along_the_lowest_index(self, modes):
@@ -180,7 +185,7 @@ class TestWickPlan:
     def test_cached_and_read_only(self):
         plan = _wick_plan(3)
         assert _wick_plan(3) is plan
-        for arr in (plan.majorana, plan.pair_rows, plan.scatter.data, plan.levels[0][0]):
+        for arr in (plan.majorana, plan.pair_rows, *plan.scatter, plan.levels[0][0]):
             with pytest.raises(ValueError):
                 arr[0] = 0
 

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -8,7 +7,7 @@ import scipy.linalg
 from conftest import hermitian_matrix, max_abs, skew_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import eigh_covariance, gamma_ops, quadratic_tensor
+from oracles import break_phase, eigh_covariance, gamma_ops, quadratic_tensor
 
 from fermigauss import (
     BdgMatrix,
@@ -37,7 +36,6 @@ from fermigauss import (
     sample_class_d_batch,
     trace_formula,
 )
-from fermigauss import gaussian
 from fermigauss.cli import run
 from fermigauss.fock import _annihilators, _wick_plan, embed_parity_blocks, quadratic_hamiltonian_batch
 from fermigauss.gaussian import (
@@ -370,12 +368,7 @@ class TestWickKernel:
         # gate cannot see it, the Fock cross-check of chunk 0 does
         argv = ["resolution", "--mode", "mc", "--modes", "3", "--samples", "400", "--seed", "1"]
         assert run(argv + ["--out", str(tmp_path / "good.json")]) == 0
-        plan = _wick_plan(3)
-        scatter = plan.scatter
-        data = scatter.data.copy()
-        data[np.flatnonzero(scatter.indices == scatter.shape[1] - 1)[0]] *= 1j
-        bad = dataclasses.replace(plan, scatter=type(scatter)((data, scatter.indices, scatter.indptr), shape=scatter.shape))
-        monkeypatch.setattr(gaussian, "_wick_plan", lambda modes: bad)
+        break_phase(monkeypatch, 3)
         assert run(argv + ["--out", str(tmp_path / "bad.json")]) == 1
         good, bad = (json.loads((tmp_path / f"{n}.json").read_text())["criteria"][0] for n in ("good", "bad"))
         assert good["details"]["fock_check_deviation"] <= 1e-15

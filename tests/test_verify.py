@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import quadratic_tensor, rotated_gaussian_blocks, rotated_ncons_blocks
+from oracles import break_phase, quadratic_tensor, rotated_gaussian_blocks, rotated_ncons_blocks
 from scipy.special import gammaln
 from test_ensembles import chain_moment_se
 
@@ -37,7 +37,6 @@ from fermigauss import verify as verify_module
 from fermigauss.cli import run
 from fermigauss.ensembles import _log_jacobian, assemble_blocks, sample_haar_unitary_batch
 from fermigauss.fock import (
-    _wick_plan,
     embed_parity_blocks,
     from_eigenpairs,
     quadratic_hamiltonian_batch,
@@ -430,18 +429,6 @@ class TestRunChunks:
                 _run_chunks(worker, 64, RngSpec(0), 1, workers=workers)
 
 
-def _break_phase(monkeypatch, modes: int, column: int = -1) -> None:
-    """Make the Wick kernel at ``modes`` modes multiply one entry of a Wick
-    coordinate's scatter column by i; by default the parity coordinate's
-    (the full Majorana set's), the last column."""
-    plan = _wick_plan(modes)
-    scatter = plan.scatter
-    data = scatter.data.copy()
-    data[np.flatnonzero(scatter.indices == column % scatter.shape[1])[0]] *= 1j
-    bad = dataclasses.replace(plan, scatter=type(scatter)((data, scatter.indices, scatter.indptr), shape=scatter.shape))
-    monkeypatch.setattr(gaussian, "_wick_plan", lambda m: bad if m == modes else _wick_plan(m))
-
-
 class TestFockCrossCheck:
     def test_every_monte_carlo_report_carries_it(self):
         reps = [
@@ -494,14 +481,14 @@ class TestFockCrossCheck:
     @pytest.mark.parametrize("modes", [1, 2, 3, 6])
     def test_resolution_mc_fails_on_a_wrong_phase(self, modes, monkeypatch):
         assert verify_resolution_mc(modes, 1.0, 64, RngSpec(17)).details["fock_check_deviation"] <= FOCK_CHECK_TOL
-        _break_phase(monkeypatch, modes)
+        break_phase(monkeypatch, modes)
         rep = verify_resolution_mc(modes, 1.0, 64, RngSpec(17))
         assert rep.details["fock_check_deviation"] > 1e-6 and not rep.passed
 
     @pytest.mark.parametrize("modes", [1, 2, 3])
     def test_nc_modified_fails_on_a_wrong_phase(self, modes, monkeypatch):
         assert verify_nc_modified(modes, 1.0, 64, RngSpec(17)).details["fock_check_deviation"] <= FOCK_CHECK_TOL
-        _break_phase(monkeypatch, modes)
+        break_phase(monkeypatch, modes)
         rep = verify_nc_modified(modes, 1.0, 64, RngSpec(17))
         assert rep.details["fock_check_deviation"] > 1e-6 and not rep.passed
 
@@ -510,7 +497,7 @@ class TestFockCrossCheck:
         betas = [0.7, -1000.0]
         for rep in verify_canonical_triviality(modes, 1.0, betas, 400, RngSpec(17)):
             assert rep.details["fock_check_deviation"] <= FOCK_CHECK_TOL
-        _break_phase(monkeypatch, modes)
+        break_phase(monkeypatch, modes)
         for rep in verify_canonical_triviality(modes, 1.0, betas, 400, RngSpec(17)):
             assert rep.details["fock_check_deviation"] > 1e-6 and not rep.passed
 
@@ -565,7 +552,7 @@ class TestFockCrossCheck:
     @pytest.mark.parametrize("modes", [1, 2])
     def test_resolution_quadrature_checks_the_last_nodes(self, modes, sym, weight, broken, monkeypatch):
         if broken:
-            _break_phase(monkeypatch, modes)
+            break_phase(monkeypatch, modes)
         rotation = random_polar_rotation(modes, RngSpec(5))
         rep = verify_resolution_quadrature(modes, sym, weight, rotation, quad_order=30)
         want = self._last_nodes_gap(sym, weight, modes, 30, rotation.bogoliubov.conj().T)
@@ -574,7 +561,7 @@ class TestFockCrossCheck:
     @pytest.mark.parametrize("broken", [False, True], ids=["clean", "broken"])
     def test_nc_failure_checks_the_last_nodes(self, broken, monkeypatch):
         if broken:
-            _break_phase(monkeypatch, 2)
+            break_phase(monkeypatch, 2)
         rep = verify_nc_failure(2, 1.0, quad_order=30)
         v = _ncons_eigenvectors(nc_even_weight_quadrature(2, 1.0, 30)[1])
         assert rep.details["fock_check_deviation"] == self._last_nodes_gap(CLASS_D, WeightSpec.nc_even(1.0), 2, 30, v)
@@ -590,14 +577,14 @@ class TestFockCrossCheck:
         rotation = random_polar_rotation(modes, RngSpec(5))
         for column in range(1, 1 << (2 * modes - 1)):
             with monkeypatch.context() as patch:
-                _break_phase(patch, modes, column)
+                break_phase(patch, modes, column)
                 rep = verify_resolution_quadrature(modes, sym, weight, rotation, quad_order=30)
             assert rep.details["fock_check_deviation"] > 1e-9 and not rep.passed, column
 
     def test_nc_failure_fails_on_a_wrong_phase_in_every_column(self, monkeypatch):
         for column in range(1, 8):
             with monkeypatch.context() as patch:
-                _break_phase(patch, 2, column)
+                break_phase(patch, 2, column)
                 rep = verify_nc_failure(2, 1.0, 30)
             assert rep.details["fock_check_deviation"] > 1e-9 and not rep.passed, column
 
@@ -672,7 +659,7 @@ class TestWickQuadrature:
         # i times one entry of the empty set's column, which every node carries
         argv = argv + ["--quad-order", "30"]
         assert run(argv + ["--out", str(tmp_path / "good.json")]) == 0
-        _break_phase(monkeypatch, 2, 0)
+        break_phase(monkeypatch, 2, 0)
         assert run(argv + ["--out", str(tmp_path / "bad.json")]) == 1
         good, bad = (json.loads((tmp_path / f"{n}.json").read_text())["criteria"][0] for n in ("good", "bad"))
         assert good["details"]["fock_check_deviation"] <= FOCK_CHECK_TOL
@@ -1014,6 +1001,47 @@ class TestSuites:
     def test_selberg_consistency_suite_is_green(self):
         for res in selberg_consistency_suite(max_modes=6):
             assert res.passed, res.name
+
+    def test_identity_suite_draws_on_no_more_modes_than_its_flag(self, monkeypatch):
+        # spies on every trial's mode count and on every mode count that
+        # reaches a Fock or coefficient-matrix construction
+        from fermigauss import fock
+
+        trials, counts, seen = verify_module._IDENTITY_TRIALS, set(), {}
+
+        def spied(trial):
+            def spy(gen, m):
+                seen.setdefault(trial.__name__, set()).add(m)
+                return trial(gen, m)
+
+            return spy
+
+        def check_modes(modes, _real=fock._check_modes):
+            counts.add(modes)
+            _real(modes)
+
+        monkeypatch.setattr(verify_module, "_IDENTITY_TRIALS", tuple((spied(t), schedule) for t, schedule in trials))
+        for module in (fock, gaussian):
+            monkeypatch.setattr(module, "_check_modes", check_modes)
+        results = operator_identity_suite(max_modes=1, seed=42, trials=4)
+        assert seen == {trial.__name__: {1} for trial, _ in trials} and counts == {1}
+        assert len(results) == 14 and all(r.passed for r in results)
+
+    def test_selberg_suite_evaluates_no_closed_form_above_its_flag(self, monkeypatch):
+        from fermigauss import selberg
+
+        seen = {}
+        for name in ("angular_volume_log", "radial_gaussian_integral_log", "cartesian_gaussian_integral_log",
+                     "norm_const_gauss_log", "norm_const_det_log", "selberg_integral_log"):
+            def spy(*args, _name=name, _real=getattr(selberg, name)):
+                modes = args[-1] if _name == "selberg_integral_log" else args[0]  # its n, the others' modes
+                seen.setdefault(_name, set()).add(modes)
+                return _real(*args)
+
+            monkeypatch.setattr(selberg, name, spy)
+        results = selberg_consistency_suite(max_modes=1)
+        assert len(seen) == 6 and all(modes == {1} for modes in seen.values()), seen
+        assert len(results) == 5 and all(r.passed for r in results)
 
     def test_criterion_is_three_fields_and_passes_at_most_its_tolerance(self):
         assert [f.name for f in dataclasses.fields(CriterionResult)] == ["name", "measured", "tolerance"]
