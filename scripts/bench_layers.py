@@ -15,9 +15,9 @@ steps of that call, run one after another on the same draws, p = 1:
   draws.
 - ``verify_nc_modified M=2 chunk=1563``: one chunk of the number-conserving
   worker (the ``nc_modified`` workload, 25000 samples in 16 chunks).
-  Layers: class_d_eigvalsh (the class-D draws at p/2, eigvalsh and the
-  random signs), sample_haar_unitary_batch and wick_mean (the eigenvectors,
-  covariance_from_eigenpairs and wick_coordinates: the chunk's mean Wick
+  Layers: class_d_pairs (the class-D draws at p/2, pair_values and the
+  random signs), sample_haar_unitary_batch and wick_mean
+  (covariance_number_conserving and wick_coordinates: the chunk's mean Wick
   coordinates).
 - ``_cmd_resolution report M=6 samples=400``: the report steps of the CLI's
   ``resolution --mode mc`` on an ``mc_m6``-sized result:
@@ -105,21 +105,20 @@ def resolution_row(modes: int, per: int, repeats: int) -> dict:
 
 
 def nc_modified_row(modes: int, per: int, repeats: int) -> dict:
-    from fermigauss import gaussian, verify
+    from fermigauss import gaussian
     from fermigauss.ensembles import RngSpec, sample_class_d_batch, sample_haar_unitary_batch
 
     gen = RngSpec(modes).generator()
 
-    def class_d_eigvalsh():
-        pts = np.linalg.eigvalsh(sample_class_d_batch(modes, 0.5, gen, per))[:, modes:]
+    def class_d_pairs():
+        pts = gaussian.pair_values(sample_class_d_batch(modes, 0.5, gen, per))
         return pts * gen.choice((-1.0, 1.0), size=(per, modes))
 
     def wick_mean(pts, us):
-        w, v = np.concatenate([pts, -pts], axis=1), verify._ncons_eigenvectors(us)
-        return gaussian.wick_coordinates(gaussian.covariance_from_eigenpairs(w, v))
+        return gaussian.wick_coordinates(gaussian.covariance_number_conserving(pts, us))
 
     def one_round(timed):
-        pts = timed("class_d_eigvalsh", class_d_eigvalsh)
+        pts = timed("class_d_pairs", class_d_pairs)
         timed("wick_mean", wick_mean, pts, timed("sample_haar_unitary_batch", sample_haar_unitary_batch, modes, gen, per))
 
     return _row(one_round, repeats)

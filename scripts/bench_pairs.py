@@ -27,6 +27,11 @@ It then times ``resolution --mode mc --modes 6 --samples 16000`` at
 alternate which count runs first, in both trees: wall and CPU seconds of
 the ``cli.run`` call alone, unscaled.
 
+Last, it runs this checkout's ``scripts/report_diff.py`` once, parent
+against change, and keeps its exit code and per-command results, so a
+speed claim and its accuracy claim sit in one file. It exits with
+report_diff.py's code, after writing everything.
+
 Run from the repository root of the change, with the parent checked out
 elsewhere:
 
@@ -34,8 +39,8 @@ elsewhere:
     python3 scripts/bench_pairs.py --parent ../parent --aa ../parent-copy --out BENCH_18.json
 
 ``--out`` adds the result under ``pairs`` (the layer rows under
-``pairs.layers``) and ``workers`` to the JSON file, keeping what is already
-in it.
+``pairs.layers``), ``workers`` and ``report_diff`` to the JSON file, keeping
+what is already in it.
 """
 
 import argparse
@@ -43,6 +48,7 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -173,6 +179,22 @@ def workers(parent: Path, change: Path, count: int) -> dict:
     return out
 
 
+def report_diff(parent: Path, change: Path) -> dict:
+    """scripts/report_diff.py of this checkout, parent against change: its
+    exit code and per-command results (its --out file)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report_diff.json"
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "report_diff.py"), "--parent", str(parent),
+             "--change", str(change), "--out", str(out)],
+            capture_output=True, text=True,
+        )
+        if not out.is_file():  # it stopped before comparing
+            raise RuntimeError(f"report_diff.py wrote no results (exit {proc.returncode}):\n{proc.stderr}")
+        print(proc.stdout, end="", file=sys.stderr)
+        return {"exit_code": proc.returncode, "commands": json.loads(out.read_text())}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="root of the parent checkout")
@@ -192,13 +214,14 @@ def main() -> int:
                      "workers_argv": WORKERS_ARGV, "aa": args.aa is not None},
         "pairs": pairs(args.parent, args.change, args.pairs, args.seconds, args.aa),
         "workers": workers(args.parent, args.change, args.worker_pairs),
+        "report_diff": report_diff(args.parent, args.change),
     }
     if args.out is None:
         print(json.dumps(result, indent=2))
-        return 0
-    data = json.loads(args.out.read_text()) if args.out.is_file() else {}
-    args.out.write_text(json.dumps(data | result, indent=2) + "\n")
-    return 0
+    else:
+        data = json.loads(args.out.read_text()) if args.out.is_file() else {}
+        args.out.write_text(json.dumps(data | result, indent=2) + "\n")
+    return result["report_diff"]["exit_code"]
 
 
 if __name__ == "__main__":

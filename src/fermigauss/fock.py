@@ -203,7 +203,8 @@ class WickPlan:
     ascending even subsets S of the 2M Majorana indices, and
     L = 2^-M sum_S (-1)^(k(k-1)/2) Pf(K_S) c_S with k = |S|. Off its unit
     diagonal K = i Gamma, Gamma real antisymmetric, so Pf(K_S) = i^(k/2) Pf(Gamma_S);
-    gaussian.covariance_of_real_form and gaussian.covariance_from_eigenpairs build Gamma.
+    gaussian.covariance_of_real_form, covariance_from_eigenpairs and
+    covariance_number_conserving build Gamma.
 
     The subsets are numbered by size, then by bit mask (bit a for c_a): the
     empty set, the ``pair_rows[i] < pair_cols[i]`` pairs, then one level per

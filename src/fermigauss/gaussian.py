@@ -278,22 +278,46 @@ def _tanh_ratio(s: np.ndarray) -> np.ndarray:
     return -0.25 * np.divide(np.tanh(0.5 * s), 0.5 * s, out=np.ones_like(s), where=s > 0)
 
 
-def real_form(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(A V, V, s) of class-D coefficient matrices H for every L(t H): A =
-    Im(Omega H Omega^dag) / 2 (Omega = WickPlan.majorana) from the blocks of H,
-    one real eigh A^T A = V diag(mu) V^T of A over its largest entry (no square
-    overflows), and s = |A v_k|: sqrt(mu) with the rounding of A, not of A^T A,
-    so each pair eigenvalue of H twice, ascending (s[:, 1::2] once)."""
+def _scaled_real_form(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A / top, top) of class-D coefficient matrices H: A = Im(Omega H
+    Omega^dag) / 2 (Omega = WickPlan.majorana) written from the blocks of H,
+    and top its largest entry, (..., 1, 1), so no square of A / top overflows."""
     m = mats.shape[-1] // 2
     h, d = mats[..., :m, :m], mats[..., :m, m:]
     a = np.empty(mats.shape)
     a[..., ::2, ::2], a[..., ::2, 1::2] = h.imag + d.imag, h.real - d.real
     a[..., 1::2, ::2], a[..., 1::2, 1::2] = -(h.real + d.real), h.imag - d.imag
     top = np.abs(a).max(axis=(-2, -1), keepdims=True)
-    scaled = a / np.where(top > 0.0, top, 1.0)
+    return a / np.where(top > 0.0, top, 1.0), top
+
+
+def real_form(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A V, V, s) of class-D coefficient matrices H for every L(t H): the real
+    form A of _scaled_real_form, one real eigh A^T A = V diag(mu) V^T of A over
+    its largest entry (no square overflows), and s = |A v_k|: sqrt(mu) with the
+    rounding of A, not of A^T A, so each pair eigenvalue of H twice, ascending
+    (s[:, 1::2] once)."""
+    scaled, top = _scaled_real_form(mats)
     vecs = np.linalg.eigh(np.swapaxes(scaled, -1, -2) @ scaled)[1]
     sv = scaled @ vecs
     return top * sv, vecs, top[..., 0] * np.linalg.norm(sv, axis=-2)
+
+
+def pair_values(mats: np.ndarray) -> np.ndarray:
+    """Ascending pair eigenvalues, (n, M), of a stack of class-D coefficient
+    matrices: eigvalsh(mats)[:, M:]. At M = 2 in closed form, from the 4 x 4
+    real form A over its largest entry: its self-dual and anti-self-dual
+    parts, the 3-vectors u = x + y and v = x - y of the entries x = (A_01,
+    A_02, A_03) and their Hodge duals y = (A_23, A_31, A_12), commute and
+    square to -|u|^2 I / 4 and -|v|^2 I / 4, so the singular values of A, the
+    pair eigenvalues, are (|u| + |v|) / 2 and ||u| - |v|| / 2."""
+    m = mats.shape[-1] // 2
+    if m != 2:
+        return np.linalg.eigvalsh(mats)[:, m:]
+    a, top = _scaled_real_form(mats)
+    x, y = a[:, [0, 0, 0], [1, 2, 3]], a[:, [2, 3, 1], [3, 1, 2]]
+    u, v = np.linalg.norm(x + y, axis=-1), np.linalg.norm(x - y, axis=-1)
+    return 0.5 * top[:, 0] * np.stack([np.abs(u - v), u + v], axis=-1)
 
 
 def covariance_of_real_form(av: np.ndarray, vecs: np.ndarray, s: np.ndarray, t: float = 1.0) -> np.ndarray:
@@ -310,10 +334,27 @@ def covariance_from_eigenpairs(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Majorana covariances of the normalized Gaussian operators of v[s]
     diag(w[s]) v[s]^dag, or of v diag(w[s]) v^dag for one ``v`` shared by the
     nodes of a quadrature rule (one flat product): Gamma = X - X^T with
-    X = (Im u) diag(t) (Re u)^T, u = majorana v and t = -tanh(w/2)/2."""
+    X = (Im u) diag(t) (Re u)^T, u = majorana v and t = -tanh(w/2)/2. The
+    quadrature rules use it; number-conserving draws take
+    covariance_number_conserving."""
     u = _wick_plan(w.shape[-1] // 2).majorana @ v
     x = u.imag * -0.5 * np.tanh(0.5 * w)[:, None, :]  # rebound below, so one (n, 2M, 2M) stack less is held
     x = (x.reshape(-1, x.shape[-1]) @ u.real.T).reshape(x.shape) if v.ndim == 2 else x @ np.swapaxes(u.real, -1, -2)
+    return x - np.swapaxes(x, -1, -2)
+
+
+def covariance_number_conserving(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Majorana covariances of the normalized number-conserving Gaussian
+    operators of h[s] = u[s] diag(lam[s]) u[s]^dag: covariance_from_eigenpairs
+    on the eigenpairs [lam, -lam] and blockdiag(u, conj u) of the embedding
+    (h, 0), from M x M products only. With F = u diag(-tanh(lam/2)/2) u^dag,
+    Gamma = X - X^T, where X holds Im F at (2j, 2l) and (2j+1, 2l+1), Re F at
+    (2j, 2l+1) and -Re F at (2j+1, 2l): exactly antisymmetric, and 0 at lam = 0."""
+    f = from_eigenpairs(-0.5 * np.tanh(0.5 * lam), u)
+    m = f.shape[-1]
+    x = np.empty(f.shape[:-2] + (2 * m, 2 * m))
+    x[..., ::2, ::2] = x[..., 1::2, 1::2] = f.imag
+    x[..., ::2, 1::2], x[..., 1::2, ::2] = f.real, -f.real
     return x - np.swapaxes(x, -1, -2)
 
 

@@ -45,6 +45,7 @@ from .gaussian import (
     compose_general,
     compose_number_conserving,
     covariance_from_eigenpairs,
+    covariance_number_conserving,
     covariance_of_real_form,
     exp_normalized_fock_batch,
     gaussian_normalized,
@@ -52,6 +53,7 @@ from .gaussian import (
     greens_parameterization,
     log_trace_of_pairs,
     make_bdg,
+    pair_values,
     paired_eigenvalues,
     real_form,
     wick_blocks,
@@ -784,12 +786,10 @@ def verify_nc_modified(
     WeightSpec.nc_modified(p)  # rejects p <= 0 with the caller's value
 
     def worker(gen: np.random.Generator, per: int, first: bool):
-        pts = np.linalg.eigvalsh(sample_class_d_batch(modes, 0.5 * p, gen, per))[:, modes:]
+        pts = pair_values(sample_class_d_batch(modes, 0.5 * p, gen, per))
         pts = pts * gen.choice((-1.0, 1.0), size=(per, modes))
         us = sample_haar_unitary_batch(modes, gen, per)
-        # the embedding (h, 0) of h = U diag(pts) U^dag has the eigenpairs
-        # [pts, -pts] and blockdiag(U, conj U): no eigh is needed
-        gamma = covariance_from_eigenpairs(np.concatenate([pts, -pts], axis=1), _ncons_eigenvectors(us))
+        gamma = covariance_number_conserving(pts, us)  # h = U diag(pts) U^dag is known: no eigh is needed
         fock_dev = None
         if first:
             k = FOCK_CHECK_DRAWS

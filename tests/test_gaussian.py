@@ -34,18 +34,24 @@ from fermigauss import (
     random_polar_rotation,
     sample_class_d,
     sample_class_d_batch,
+    sample_haar_unitary_batch,
     trace_formula,
+    verify_nc_modified,
 )
 from fermigauss.cli import run
+from fermigauss.ensembles import assemble_blocks
 from fermigauss.fock import _annihilators, _wick_plan, embed_parity_blocks, quadratic_hamiltonian_batch
 from fermigauss.gaussian import (
     covariance_from_eigenpairs,
+    covariance_number_conserving,
     covariance_of_real_form,
     exp_normalized_fock_batch,
+    pair_values,
     real_form,
     wick_blocks,
     wick_coordinates,
 )
+from fermigauss.verify import _ncons_eigenvectors
 
 
 class TestMakeBdg:
@@ -427,6 +433,53 @@ class TestRealForm:
         assert np.isfinite(s).all() and (s > 1e150).all()
         gamma = covariance_of_real_form(av, vecs, s)
         assert max_abs(gamma, eigh_covariance(mats)) <= 1e-14
+
+
+class TestNumberConservingDraws:
+    # the two steps of the nc_modified worker, against the complex eigvalsh
+    # of the draws and covariance_from_eigenpairs of the embedding (h, 0)
+
+    @pytest.mark.parametrize("p", [1e-308, 1.0, 1e300])
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4])
+    def test_pair_values_match_eigvalsh(self, modes, p):
+        draws = sample_class_d_batch(modes, p, RngSpec(50 + modes), 200)
+        a = 0.7 / math.sqrt(p)  # the draws' scale
+        zero = np.zeros((modes, modes))
+        degenerate = assemble_blocks(a * np.eye(modes), zero)  # every pair value is a
+        mats = np.concatenate([draws, np.zeros_like(draws[:1]), degenerate[None]])
+        want = np.linalg.eigvalsh(mats)[:, modes:]
+        got = pair_values(mats)
+        assert got.shape == want.shape
+        assert (np.abs(got - want) <= 1e-14 * want[:, -1:]).all()
+        assert not got[-2].any()
+        assert np.abs(got[-1] - a).max() <= 1e-15 * a
+
+    def test_two_modes_take_no_eigvalsh(self, monkeypatch):
+        mats = sample_class_d_batch(2, 1.0, RngSpec(54), 20)
+        want = np.linalg.eigvalsh(mats)[:, 2:]
+
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("pair_values called eigvalsh at M = 2")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        assert max_abs(pair_values(mats), want) <= 1e-14 * want.max()
+
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
+    def test_covariance_matches_the_embedding_eigenpairs(self, modes):
+        gen = RngSpec(60 + modes).generator()
+        lam = 3.0 * gen.normal(size=(100, modes))
+        us = sample_haar_unitary_batch(modes, gen, 100)
+        gamma = covariance_number_conserving(lam, us)
+        want = covariance_from_eigenpairs(np.concatenate([lam, -lam], axis=1), _ncons_eigenvectors(us))
+        assert max_abs(gamma, want) <= 1e-15
+        assert np.array_equal(gamma, -np.swapaxes(gamma, -1, -2))
+        assert not covariance_number_conserving(np.zeros_like(lam), us).any()
+
+    @pytest.mark.filterwarnings("error")
+    def test_nc_modified_at_tiny_stiffness_warns_of_nothing(self):
+        # draws near 1e153: an unscaled closed form squares them to inf
+        rep = verify_nc_modified(2, 1e-308, 400, RngSpec(3))
+        assert rep.passed
 
 
 class TestTraceFormula:

@@ -3,6 +3,7 @@ next timing session."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -35,7 +36,7 @@ class TestBenchLayers:
         assert {name: list(row) for name, row in rows.items()} == {
             **{f"verify_resolution_mc M={m} chunk=8": resolution for m in range(1, 7)},
             "verify_resolution_mc M=6 chunk=25": resolution,
-            "verify_nc_modified M=2 chunk=1563": ["class_d_eigvalsh", "sample_haar_unitary_batch", "wick_mean"],
+            "verify_nc_modified M=2 chunk=1563": ["class_d_pairs", "sample_haar_unitary_batch", "wick_mean"],
             "_cmd_resolution report M=6 samples=400": ["estimator_to_criterion", "build_report", "write_report"],
             "verify_resolution_quadrature M=2": ["verify_resolution_quadrature"],
             "operator_identity_suite M=3 trials=50": ["operator_identity_suite"],
@@ -91,6 +92,44 @@ class TestBenchPairsArguments:
             pairs.main()
         assert exc.value.code == 2
         assert not out.exists()
+
+
+class TestBenchPairsMain:
+    def test_report_diff_is_stored_beside_the_timings(self, monkeypatch, tmp_path):
+        # every run stubbed: one value per metric, one layer, one timed call
+        pairs = load("bench_pairs")
+        values = {"failed": 0} | {name: 1.0 for name in pairs.END_TO_END}
+        monkeypatch.setattr(pairs, "bench_run", lambda tree, workload, seed, seconds: values)
+        monkeypatch.setattr(pairs, "layer_run", lambda tree: {"row: layer": 0.5})
+        monkeypatch.setattr(pairs, "timed_call", lambda tree, argv: {"code": 0, "wall_s": 1.0, "cpu_s": 1.0})
+        results = [{"command": "ensembles --seed 5", "result": "changed", "names": ["x"]}]
+        diff_calls = []
+
+        def report_diff(argv, **kwargs):
+            diff_calls.append(argv)
+            Path(argv[argv.index("--out") + 1]).write_text(json.dumps(results))
+            return subprocess.CompletedProcess(argv, 1, "ensembles --seed 5: changed\n", "")
+
+        monkeypatch.setattr(pairs.subprocess, "run", report_diff)
+        parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "bench.json"
+        out.write_text(json.dumps({"kept": True}))
+        monkeypatch.setattr(pairs.sys, "argv", ["bench_pairs.py", "--parent", str(parent), "--change", str(change),
+                                                "--pairs", "2", "--worker-pairs", "1", "--out", str(out)])
+        assert pairs.main() == 1  # report_diff.py's exit code
+        doc = json.loads(out.read_text())
+        assert list(doc) == ["kept", "settings", "pairs", "workers", "report_diff"]
+        assert doc["report_diff"] == {"exit_code": 1, "commands": results}
+        assert doc["pairs"]["nc_modified"]["metrics"]["wall_s"]["change_won"] == 0
+        [argv] = diff_calls
+        assert Path(argv[1]) == SCRIPTS / "report_diff.py"
+        assert argv[2:6] == ["--parent", str(parent), "--change", str(change)]
+
+    def test_a_report_diff_that_writes_no_results_stops_the_session(self, monkeypatch, tmp_path):
+        pairs = load("bench_pairs")
+        monkeypatch.setattr(pairs.subprocess, "run",
+                            lambda argv, **kwargs: subprocess.CompletedProcess(argv, 1, "", "Traceback"))
+        with pytest.raises(RuntimeError, match=r"wrote no results \(exit 1\):\nTraceback"):
+            pairs.report_diff(tmp_path, tmp_path)
 
 
 class TestReportDiff:

@@ -467,10 +467,10 @@ class TestFockCrossCheck:
         spec, modes, n, p, k = RngSpec(16), 2, 400, 1.0, FOCK_CHECK_DRAWS
         rep = verify_nc_modified(modes, p, n, spec, workers=workers)
         gen, per = spec.generator(), _chunk_layout(n)[1]
-        pts = np.linalg.eigvalsh(sample_class_d_batch(modes, 0.5 * p, gen, per))[:, modes:]
+        pts = gaussian.pair_values(sample_class_d_batch(modes, 0.5 * p, gen, per))
         pts = pts * gen.choice((-1.0, 1.0), size=(per, modes))
         us = sample_haar_unitary_batch(modes, gen, per)
-        gamma = gaussian.covariance_from_eigenpairs(np.concatenate([pts, -pts], axis=1), _ncons_eigenvectors(us))
+        gamma = gaussian.covariance_number_conserving(pts, us)
         h = from_eigenpairs(pts[:k], us[:k])
         mats = assemble_blocks(h, np.zeros_like(h))
         assert rep.details["fock_check_deviation"] == _fock_check(mats, gamma[:k])
