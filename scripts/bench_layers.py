@@ -33,9 +33,9 @@ Every row first runs once untimed, to warm the per-M caches. Rows of full
 chunks and the identity suite then run REPEATS times, the small ones
 SMALL_REPEATS times; each layer gives the minimum and the median in
 seconds. Everything runs with
-both bundled OpenBLAS builds on one thread, as inside a CLI call, through
-this checkout's ``fermigauss/blas.py`` (so any ``--src`` tree is timed the
-same way); the JSON on stdout records those thread counts and the
+numpy's OpenBLAS on one thread, as inside a CLI call, through this
+checkout's ``fermigauss/blas.py`` (so any ``--src`` tree is timed the same
+way); the JSON on stdout records that thread count and the
 numerical environment (benchmark/environment.py). Run from the repository
 root:
 
@@ -199,7 +199,7 @@ def main() -> int:
     blas = blas_helper()
     with blas.blas_threads():
         doc = {"repeats": [REPEATS, SMALL_REPEATS], "environment": environment(workers=1),
-               "blas_threads": blas.thread_counts(), "rows": tables()}
+               "blas_threads": blas.thread_count(), "rows": tables()}
     print(json.dumps(doc, indent=2))
     return 0
 

@@ -137,17 +137,6 @@ def _parities(modes: int) -> np.ndarray:
     return out
 
 
-def _ladder(states: np.ndarray, mode: int, create: bool, parity: np.ndarray):
-    """a_mode (or its adjoint) on basis states: (image states, signs, nonzero mask).
-
-    The sign string counts the occupied modes below ``mode``; ``parity`` is
-    _parities of the mode count.
-    """
-    bit = 1 << mode
-    alive = (states & bit) == 0 if create else (states & bit) != 0
-    return states ^ bit, 1.0 - 2.0 * parity[states & (bit - 1)], alive
-
-
 @lru_cache(maxsize=None)
 def _parity_sectors(modes: int) -> np.ndarray:
     """Basis states of even and odd occupation parity, ascending, shape (2, dim/2)."""
@@ -170,21 +159,16 @@ def _assembly_plan(modes: int) -> np.ndarray:
     """The linear map from a 2M x 2M coefficient matrix to the parity blocks
     of (1/2) gamma^dag H gamma, as one dense real (4M^2, 2^(2M-1)) matrix.
 
-    gamma_k^dag gamma_l maps each basis state to at most one basis state of
-    the same parity, with a sign. Each such (k, l, state) term is the entry
-    +-1/2 in row k * 2M + l (the flat coefficient index) and in the column of
-    the flat (2, dim/2, dim/2) block entry it reaches; no two terms share one.
+    Row k * 2M + l (the flat coefficient index) holds the parity blocks of
+    gamma_k^dag gamma_l / 2, which keeps parity: one batched product of the
+    rows of gamma_k^dag = (a^dag, a)_k at the states of each parity with the
+    matching columns of gamma_l, its transpose. The mode operators of
+    _annihilators are real with entries 0 or +-1, so the plan is exact.
     """
-    parity = _parities(modes)
-    states = np.arange(1 << modes)
-    plan = np.zeros((4 * modes * modes, 1 << (2 * modes - 1)))
-    for k in range(2 * modes):
-        for l in range(2 * modes):
-            # gamma_l, then gamma_k^dag
-            mid, s1, alive1 = _ladder(states, l % modes, l >= modes, parity)
-            out, s2, alive2 = _ladder(mid, k % modes, k < modes, parity)
-            alive = alive1 & alive2
-            plan[k * 2 * modes + l, _block_entry(out[alive], states[alive], modes)] = 0.5 * (s1 * s2)[alive]
+    ann = np.stack(_annihilators(modes)).real
+    rows = np.concatenate([np.swapaxes(ann, -1, -2), ann])[:, _parity_sectors(modes)]
+    blocks = rows[:, None] @ np.swapaxes(rows, -1, -2)[None, :]
+    plan = np.ascontiguousarray(0.5 * blocks.reshape(4 * modes * modes, -1))
     plan.setflags(write=False)
     return plan
 

@@ -425,6 +425,20 @@ def greens_parameterization(h) -> GreensPair:
     return GreensPair(n=np.eye(h.shape[0]) - n_tilde, n_tilde=n_tilde)
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) as v diag(exp(w)) v^-1 from one eigendecomposition a = v diag(w) v^-1.
+
+    Exact to rounding when ``a`` is similar to a hermitian matrix, a = x h x^-1:
+    then ``a`` is diagonalizable with real eigenvalues, however degenerate, and
+    v is as well conditioned as x. Every input the package gives it is such a
+    matrix: a hermitian one, the logarithm x L x^-1 of _principal_log, or the
+    Fock matrix of a composed coefficient matrix, which the similarity x
+    lifts to one in Fock space.
+    """
+    w, v = np.linalg.eig(a)
+    return (v * np.exp(w)[..., None, :]) @ np.linalg.inv(v)
+
+
 def _principal_log(a: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
     """Principal logarithm of exp(a) exp(b) for hermitian a, b of combined
     spectral norm below pi.
@@ -432,7 +446,7 @@ def _principal_log(a: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
     The product is similar, through x = exp(a/2), to the positive definite
     x exp(b) x, and a primary matrix function commutes with similarity, so
     log = x log(x exp(b) x) x^-1 needs only hermitian eigendecompositions and
-    never meets the branch cut. The round trip through expm is still checked.
+    never meets the branch cut. The round trip through _expm is still checked.
     """
     wa, va = np.linalg.eigh(a)
     wb, vb = np.linalg.eigh(b)
@@ -441,14 +455,12 @@ def _principal_log(a: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
         raise ContractError(
             f"combined spectral norm {total:.3f} >= pi; large-norm composition is out of scope"
         )
-    import scipy.linalg  # only here and in the identity suite: keeps it off the import path
-
     x = from_eigenpairs(np.exp(wa / 2.0), va)
     exp_b = from_eigenpairs(np.exp(wb), vb)
     ws, vs = np.linalg.eigh(x @ exp_b @ x)
     log = x @ from_eigenpairs(np.log(ws), vs) @ from_eigenpairs(np.exp(-wa / 2.0), va)
     prod = x @ x @ exp_b
-    resid = np.abs(scipy.linalg.expm(log) - prod).max()
+    resid = np.abs(_expm(log) - prod).max()
     if not resid <= 1e-10 * max(1.0, np.abs(prod).max()):
         raise BranchCutError(f"{context}: matrix logarithm round trip failed ({resid:.3e})")
     return log

@@ -42,6 +42,7 @@ from .fock import (
 from .gaussian import (
     PolarForm,
     _draw_weights,
+    _expm,
     compose_general,
     compose_number_conserving,
     covariance_from_eigenpairs,
@@ -420,7 +421,7 @@ def class_d_lambda_samples(modes: int, p: float, rng, n_samples: int) -> np.ndar
     matrices)."""
 
     def worker(gen: np.random.Generator, per: int, first: bool) -> np.ndarray:
-        return np.linalg.eigvalsh(sample_class_d_batch(modes, p, gen, per))[:, modes:]
+        return pair_values(sample_class_d_batch(modes, p, gen, per))
 
     chunk_points, _ = _run_chunks(worker, n_samples, _as_rngspec(rng), modes)
     return np.concatenate(chunk_points)
@@ -826,13 +827,11 @@ def _mode_algebra(gen: np.random.Generator, m: int) -> list[tuple]:
 
 
 def _normal_ordering(gen: np.random.Generator, m: int) -> list[tuple]:
-    import scipy.linalg  # only in the trials and gaussian._principal_log: keeps it off the import path
-
     h = _hermitian_matrix(gen, m)
     # the embedding (h, 0) gives a^dag h a - (1/2) tr h; undo the shift
     direct = op_exp(quadratic_hamiltonian(assemble_blocks(h, np.zeros_like(h))))
     direct = math.exp(0.5 * np.trace(h).real) * direct.matrix
-    ordered = normal_ordered_exp(scipy.linalg.expm(h) - np.eye(m))
+    ordered = normal_ordered_exp(_expm(h) - np.eye(m))
     return [("normal-ordered exponential identity", 1e-9, np.abs(direct - ordered.matrix).max())]
 
 
@@ -855,10 +854,8 @@ def _normalization(gen: np.random.Generator, m: int) -> list[tuple]:
 
 
 def _composition(gen: np.random.Generator, m: int) -> list[tuple]:
-    import scipy.linalg
-
     def expm_fock(coefficients):
-        return scipy.linalg.expm(quadratic_hamiltonian(coefficients).matrix)
+        return _expm(quadratic_hamiltonian(coefficients).matrix)
 
     b1, b2 = sample_class_d(m, 1.0, gen), sample_class_d(m, 1.0, gen)
     scale = 1.2 / sum(np.abs(np.linalg.eigvalsh(b.assembled())).max() for b in (b1, b2))

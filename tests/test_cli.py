@@ -456,7 +456,7 @@ class TestBenchmarkWorkloads:
             assert out.exists()
 
 
-#: The smallest call of every subcommand but identities, whose trials alone import scipy.linalg, for expm.
+#: The smallest call of every subcommand.
 SMALLEST_CALLS = [
     ["resolution", "--mode", "mc", "--modes", "1", "--samples", "64"],
     ["resolution", "--mode", "quad", "--modes", "1", "--quad-order", "4"],
@@ -465,37 +465,54 @@ SMALLEST_CALLS = [
     ["number-conserving", "--variant", "modified", "--modes", "1", "--samples", "64"],
     ["selberg", "--max-modes", "1"],
     ["ensembles", "--modes", "1", "--samples", "10", "--burn-in", "10", "--thin", "1"],
+    ["identities", "--modes", "1", "--trials", "1"],
 ]
 
 
-def test_no_subcommand_but_identities_loads_scipy():
-    # every run's start-up cost includes its imports, and the engine is numpy alone
+@pytest.fixture(scope="module")
+def after_every_call():
+    """The scipy modules and the shared libraries of a fresh interpreter that
+    has made every smallest call."""
     script = f"""
-import sys
+import json, sys
 from fermigauss import cli
 for argv in {SMALLEST_CALLS!r}:
     assert cli.run(argv) == 0, argv
-print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+with open("/proc/self/maps") as fh:
+    mapped = sorted({{line.split()[-1].rsplit("/", 1)[-1] for line in fh if "/" in line}})
+print(json.dumps({{"scipy": sorted(name for name in sys.modules if name.split(".")[0] == "scipy"), "mapped": mapped}}))
 """
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env)
-    assert proc.stdout.splitlines()[-1] == "[]"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_no_subcommand_loads_scipy(after_every_call):
+    # every run's start-up cost includes its imports, and the package is numpy alone
+    assert after_every_call["scipy"] == []
+
+
+def test_no_cli_call_maps_scipy_openblas(after_every_call):
+    # numpy's own build is libscipy_openblas64_-*.so; scipy's is libscipy_openblas-*.so
+    mapped = after_every_call["mapped"]
+    assert any(name.startswith("libscipy_openblas64_") for name in mapped)
+    assert not [name for name in mapped if name.startswith("libscipy_openblas-")]
 
 
 @pytest.fixture
-def builds_at_two():
-    """Both bundled OpenBLAS builds on 2 threads for the test, their own counts after it."""
-    assert set(blas.thread_counts()) == {"numpy", "scipy"}
+def build_at_two():
+    """numpy's OpenBLAS on 2 threads for the test, its own count after it."""
+    assert blas.thread_count() is not None
     with blas.blas_threads(2):
         yield
 
 
 def spy_on_selberg(monkeypatch, seen, passed=True):
-    """Record the BLAS thread counts inside `selberg`; optionally fail every check."""
+    """Record the BLAS thread count inside `selberg`; optionally fail every check."""
     real = cli.selberg_consistency_suite
 
     def spy(max_modes):
-        seen.append(blas.thread_counts())
+        seen.append(blas.thread_count())
         return [dataclasses.replace(r, measured=r.measured if passed else math.inf) for r in real(max_modes)]
 
     monkeypatch.setattr(cli, "selberg_consistency_suite", spy)
@@ -505,89 +522,55 @@ class TestBlasThreads:
     SELBERG = ["selberg", "--consistency", "--max-modes", "2"]
 
     @pytest.mark.parametrize("passed, code", [(True, 0), (False, 1)])
-    def test_pinned_inside_and_restored_after_a_verdict(self, passed, code, builds_at_two, monkeypatch):
+    def test_pinned_inside_and_restored_after_a_verdict(self, passed, code, build_at_two, monkeypatch):
         seen = []
         spy_on_selberg(monkeypatch, seen, passed)
         assert run(self.SELBERG) == code
-        assert seen == [{"numpy": 1, "scipy": 1}]
-        assert blas.thread_counts() == {"numpy": 2, "scipy": 2}
+        assert seen == [1]
+        assert blas.thread_count() == 2
 
-    def test_restored_after_a_usage_error_inside_the_call(self, builds_at_two, monkeypatch, capsys):
+    def test_restored_after_a_usage_error_inside_the_call(self, build_at_two, monkeypatch, capsys):
         def usage_error(max_modes):
-            assert blas.thread_counts() == {"numpy": 1, "scipy": 1}
+            assert blas.thread_count() == 1
             raise cli.FermigaussError("bad input")
 
         monkeypatch.setattr(cli, "selberg_consistency_suite", usage_error)
         assert run(self.SELBERG) == 2
         assert "bad input" in capsys.readouterr().err
-        assert blas.thread_counts() == {"numpy": 2, "scipy": 2}
+        assert blas.thread_count() == 2
 
-    def test_restored_after_an_exception_from_a_subcommand(self, builds_at_two, monkeypatch):
+    def test_restored_after_an_exception_from_a_subcommand(self, build_at_two, monkeypatch):
         def crash(max_modes):
             raise RuntimeError("crash")
 
         monkeypatch.setattr(cli, "selberg_consistency_suite", crash)
         with pytest.raises(RuntimeError, match="crash"):
             run(self.SELBERG)
-        assert blas.thread_counts() == {"numpy": 2, "scipy": 2}
+        assert blas.thread_count() == 2
 
-    def test_parse_error_touches_no_count(self, builds_at_two):
+    def test_parse_error_touches_no_count(self, build_at_two):
         assert run(["selberg", "--nope"]) == 2
-        assert blas.thread_counts() == {"numpy": 2, "scipy": 2}
+        assert blas.thread_count() == 2
 
-    def test_scipy_build_pinned_after_the_lazy_scipy_linalg_import(self):
-        # a fresh interpreter, so that `identities` is what imports scipy.linalg
-        script = """
-import json, sys
-from fermigauss import blas, cli
-assert "scipy.linalg" not in sys.modules and "scipy.special" not in sys.modules
-real, seen = cli.operator_identity_suite, {"before": blas.thread_counts()}
-def spy(*args):
-    out = real(*args)
-    with open("/proc/self/maps") as fh:
-        seen["mapped"] = sorted({l.split()[-1] for l in fh if "libscipy_openblas-" in l})
-    seen["counts"] = blas.thread_counts()
-    seen["linalg"] = "scipy.linalg" in sys.modules
-    return out
-cli.operator_identity_suite = spy
-code = cli.run(["identities", "--modes", "2", "--trials", "2"])
-print(json.dumps({"code": code, "after": blas.thread_counts(), **seen}))
-"""
-        src = str(Path(blas.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env)
-        seen = json.loads(proc.stdout.splitlines()[-1])
-        assert seen["code"] == 0 and seen["linalg"]
-        assert seen["counts"] == {"numpy": 1, "scipy": 1}
-        assert seen["after"] == seen["before"]
-        # scipy.linalg runs on the one copy of scipy's OpenBLAS, the copy the helper set
-        assert len(seen["mapped"]) == 1
-
-    @pytest.mark.parametrize("broken", [("numpy",), ("scipy",), ("numpy", "scipy")])
-    @pytest.mark.parametrize("part", ["library", "symbol"])
-    def test_missing_library_or_symbol_leaves_that_build_alone(self, part, broken, builds_at_two, monkeypatch):
-        real = blas._controls()
-        builds = [
-            (pkg, "libmissing-*.so" if part == "library" and pkg in broken else pattern,
-             "missing_symbol" if part == "symbol" and pkg in broken else get, put)
-            for pkg, pattern, get, put in blas.BUILDS
-        ]
-        monkeypatch.setattr(blas, "BUILDS", tuple(builds))
-        blas._controls.cache_clear()
+    @pytest.mark.parametrize("name", ["LIBRARY", "GET", "SET"])
+    def test_missing_library_or_symbol_leaves_the_count_alone(self, name, build_at_two, monkeypatch):
+        get = blas._control()[0]
+        monkeypatch.setattr(blas, name, "missing")
+        blas._control.cache_clear()
         try:
             seen = []
             real_suite = cli.selberg_consistency_suite
 
             def spy(max_modes):
-                seen.append({pkg: get() for pkg, (get, _) in real.items()})
+                seen.append((blas.thread_count(), get()))
                 return real_suite(max_modes)
 
             monkeypatch.setattr(cli, "selberg_consistency_suite", spy)
             assert run(self.SELBERG) == 0
         finally:
-            blas._controls.cache_clear()
-        assert seen == [{pkg: 2 if pkg in broken else 1 for pkg in real}]
-        assert {pkg: get() for pkg, (get, _) in real.items()} == {"numpy": 2, "scipy": 2}
+            blas._control.cache_clear()
+        assert seen == [(None, 2)]
+        assert get() == 2
 
     @pytest.mark.parametrize(
         "argv",
@@ -604,7 +587,7 @@ print(json.dumps({"code": code, "after": blas.thread_counts(), **seen}))
             @contextlib.contextmanager
             def pin():
                 with blas.blas_threads(count):
-                    seen.append(blas.thread_counts())
+                    seen.append(blas.thread_count())
                     yield
 
             return pin
@@ -615,5 +598,5 @@ print(json.dumps({"code": code, "after": blas.thread_counts(), **seen}))
             out = tmp_path / f"threads-{count}.json"
             assert run(argv + ["--seed", "5", "--out", str(out)]) in (0, 1)
             texts.append(strip_timestamp(out.read_text()))
-        assert seen == [{"numpy": 1, "scipy": 1}, {"numpy": 2, "scipy": 2}]
+        assert seen == [1, 2]
         assert texts[0] == texts[1]

@@ -11,6 +11,7 @@ from oracles import break_phase, eigh_covariance, gamma_ops, quadratic_tensor
 
 from fermigauss import (
     BdgMatrix,
+    BranchCutError,
     ContractError,
     DegenerateSpectrumError,
     DomainError,
@@ -42,6 +43,7 @@ from fermigauss.cli import run
 from fermigauss.ensembles import assemble_blocks
 from fermigauss.fock import _annihilators, _wick_plan, embed_parity_blocks, quadratic_hamiltonian_batch
 from fermigauss.gaussian import (
+    _expm,
     covariance_from_eigenpairs,
     covariance_number_conserving,
     covariance_of_real_form,
@@ -777,6 +779,59 @@ class TestComposeNumberConserving:
         want = scipy.linalg.logm(scipy.linalg.expm(h1) @ scipy.linalg.expm(h2))
         assert max_abs(compose_number_conserving(h1, h2), want) < 1e-10
 
+
+def _expm_inputs():
+    """(label, matrix) for every kind of input the package gives _expm: the
+    zero matrix, multiples of I, hermitian matrices (the normal-ordering
+    trial), the logarithms x L x^-1 of _principal_log, and the Fock matrices
+    of composed coefficient matrices, commuting and degenerate ones included."""
+    gen = RngSpec(70).generator()
+    out = [(f"zero {n}", np.zeros((n, n), dtype=complex)) for n in (1, 4, 64)]
+    out += [(f"{c} I {n}", c * np.eye(n, dtype=complex)) for c in (0.7, -2.5) for n in (2, 8)]
+    for modes in (1, 2, 3):
+        h = hermitian_matrix(gen, modes)
+        b1, b2 = _small_norm_pair(gen, modes)
+        h1, h2 = 0.5 * hermitian_matrix(gen, modes), 0.5 * hermitian_matrix(gen, modes)
+        comp = compose_general(b1, b2)
+        out += [
+            (f"hermitian M={modes}", h),
+            (f"general log M={modes}", comp.assembled()),
+            (f"number-conserving log M={modes}", compose_number_conserving(h1, h2)),
+            (f"composed Fock M={modes}", quadratic_hamiltonian(comp).matrix),
+            (f"composed nc Fock M={modes}", quadratic_hamiltonian(_embedded(compose_number_conserving(h1, h2))).matrix),
+        ]
+        # commuting compositions, of a degenerate element with itself and of b1 with its multiple
+        flat = make_bdg(0.3 * np.eye(modes), np.zeros((modes, modes)))
+        half = make_bdg(0.5 * b1.h, 0.5 * b1.delta)
+        out += [
+            (f"flat with itself M={modes}", quadratic_hamiltonian(compose_general(flat, flat)).matrix),
+            (f"b with b/2 M={modes}", quadratic_hamiltonian(compose_general(b1, half)).matrix),
+        ]
+    for n in (4, 8):  # degenerate and non-normal: y diag(w) y^-1 with repeated real w
+        y = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
+        out.append((f"degenerate similarity {n}", y @ np.diag(np.repeat([0.4, -1.1], n // 2)) @ np.linalg.inv(y)))
+    return out
+
+
+class TestExpm:
+    """gaussian._expm, one eigendecomposition, against scipy.linalg.expm as the oracle."""
+
+    @pytest.mark.parametrize("mat", [pytest.param(mat, id=label) for label, mat in _expm_inputs()])
+    def test_matches_scipy_expm(self, mat):
+        want = scipy.linalg.expm(mat)
+        assert max_abs(_expm(mat), want) <= 1e-13 * max(1.0, np.abs(want).max())
+
+    @pytest.mark.parametrize("compose", [compose_general, compose_number_conserving])
+    def test_perturbed_round_trip_raises_branch_cut_error(self, compose, monkeypatch):
+        gen = RngSpec(71).generator()
+        if compose is compose_general:
+            pair = _small_norm_pair(gen, 2)
+        else:
+            pair = 0.5 * hermitian_matrix(gen, 2), 0.5 * hermitian_matrix(gen, 2)
+        compose(*pair)  # the true exponential passes the round trip
+        monkeypatch.setattr("fermigauss.gaussian._expm", lambda a: _expm(a) + 1e-8)
+        with pytest.raises(BranchCutError, match="round trip failed"):
+            compose(*pair)
 
 _ZERO = np.zeros((2, 2))
 

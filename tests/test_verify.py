@@ -21,6 +21,7 @@ from fermigauss import (
     DomainError,
     RngSpec,
     WeightSpec,
+    make_bdg,
     nc_even_weight_quadrature,
     operator_identity_suite,
     random_polar_rotation,
@@ -945,6 +946,19 @@ class TestNcModifiedSampler:
 
 
 class TestBatchedPaths:
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    def test_lambda_samples_are_the_eigvalsh_pairs_of_the_mc_draws(self, modes):
+        # the dump takes pair_values; eigvalsh of the same chunks is the oracle
+        def worker(gen, per, first):
+            return np.linalg.eigvalsh(sample_class_d_batch(modes, 1.0, gen, per))[:, modes:]
+
+        want = np.concatenate(_run_chunks(worker, 5000, RngSpec(8), modes)[0])
+        got = verify_module.class_d_lambda_samples(modes, 1.0, RngSpec(8), 5000)
+        if modes == 2:  # closed form: equal to rounding of each row's largest value
+            assert (np.abs(got - want) <= 1e-14 * want.max(axis=1, keepdims=True)).all()
+        else:
+            assert np.array_equal(got, want)
+
     def test_ncons_batch_matches_public_op(self):
         from fermigauss import gaussian_number_conserving, sample_haar_unitary_batch
 
@@ -1075,6 +1089,19 @@ class TestSuites:
         res = results["trace = product of 2cosh(lam/2) = sqrt(det 2cosh(H/2))"]
         assert math.isnan(res.measured) and not res.passed
         assert all(r.passed for name, r in results.items() if r is not res)
+
+    @pytest.mark.parametrize("compose, plain_sum, name", [
+        ("compose_general", lambda b1, b2: make_bdg(b1.h + b2.h, b1.delta + b2.delta),
+         "general composition law at operator level"),
+        ("compose_number_conserving", lambda h1, h2: h1 + h2,
+         "number-conserving composition law at operator level"),
+    ])
+    def test_each_composition_law_fails_on_the_plain_sum(self, monkeypatch, compose, plain_sum, name):
+        # exp(H1 + H2) is not exp(H1) exp(H2) for non-commuting draws
+        monkeypatch.setattr(verify_module, compose, plain_sum)
+        results = {r.name: r for r in operator_identity_suite(max_modes=3, seed=42, trials=4)}
+        assert not results[name].passed and results[name].measured > 1e-3
+        assert all(r.passed for r in results.values() if r.name != name)
 
     @pytest.mark.parametrize("row", range(len(verify_module._IDENTITY_TRIALS)),
                              ids=[trial.__name__ for trial, _ in verify_module._IDENTITY_TRIALS])
