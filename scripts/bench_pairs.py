@@ -25,7 +25,9 @@ the session cannot tell a change of that size from noise.
 It then times ``resolution --mode mc --modes 6 --samples 16000`` at
 ``--workers 1`` and ``--workers 2`` in fresh processes, in pairs that
 alternate which count runs first, in both trees: wall and CPU seconds of
-the ``cli.run`` call alone, unscaled.
+the ``cli.run`` call alone, unscaled, and per worker count the number of
+runs that exited non-zero (``failed``), since a failing verification is
+timed all the same.
 
 Last, it runs this checkout's ``scripts/report_diff.py`` once, parent
 against change, and keeps its exit code and per-command results, so a
@@ -167,14 +169,17 @@ def workers(parent: Path, change: Path, count: int) -> dict:
             for n in (1, 2) if k % 2 == 0 else (2, 1):
                 runs[n].append(timed_call(tree, WORKERS_ARGV + ["--workers", str(n)]))
         one, two = ([r["wall_s"] for r in runs[n]] for n in (1, 2))
+        failed = {str(n): sum(r["code"] != 0 for r in runs[n]) for n in (1, 2)}
         out[label] = {
             "workers_1": runs[1],
             "workers_2": runs[2],
             "two_won": sum(b < a for a, b in zip(one, two)),
             "wall_median": {"1": statistics.median(one), "2": statistics.median(two)},
+            "failed": failed,  # runs whose verification did not pass (a non-zero exit code)
         }
         print(f"{label} workers: 1 -> {out[label]['wall_median']['1']:.3f} s, "
-              f"2 -> {out[label]['wall_median']['2']:.3f} s, 2 won {out[label]['two_won']} of {count}",
+              f"2 -> {out[label]['wall_median']['2']:.3f} s, 2 won {out[label]['two_won']} of {count}, "
+              f"failed {failed['1']} and {failed['2']} of {count}",
               file=sys.stderr)
     return out
 

@@ -46,10 +46,8 @@ from .gaussian import (
     gaussian_number_conserving,
     greens_parameterization,
     make_bdg,
-    make_bdg_from_r,
     paired_eigenvalues,
     polar_decompose,
-    trace_formula,
 )
 from .selberg import (
     angular_volume_log,
@@ -64,7 +62,6 @@ from .selberg import (
 from .verify import (
     CriterionResult,
     EstimatorReport,
-    nc_even_weight_quadrature,
     operator_identity_suite,
     selberg_consistency_suite,
     shifted_weight_quadrature_deviation,

@@ -13,7 +13,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ContractError, DegenerateSpectrumError, DomainError, _above, _count
-from .gaussian import BdgMatrix, PolarForm, make_bdg, polar_decompose
+from .gaussian import BdgMatrix, PolarForm, assemble_blocks, make_bdg, polar_decompose
 
 #: Proposals landing this close to a density zero are rejected outright.
 COINCIDENCE_FLOOR = 1e-300
@@ -199,17 +199,6 @@ def _class_d_blocks(modes: int, p: float, gen: np.random.Generator, count: int):
     h[:, iu, ju], h[:, ju, iu] = hval, hval.conj()
     delta[:, iu, ju], delta[:, ju, iu] = dval, -dval
     return h, delta
-
-
-def assemble_blocks(h: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Stack (..., M, M) blocks into assembled (..., 2M, 2M) matrices."""
-    m = h.shape[-1]
-    out = np.zeros(h.shape[:-2] + (2 * m, 2 * m), dtype=complex)
-    out[..., :m, :m] = h
-    out[..., :m, m:] = delta
-    out[..., m:, :m] = -delta.conj()
-    out[..., m:, m:] = -np.swapaxes(h, -1, -2)
-    return out
 
 
 def sample_class_d(modes: int, p: float, rng) -> BdgMatrix:

@@ -94,10 +94,6 @@ class FockOperator:
     def dim(self) -> int:
         return 1 << self.modes
 
-    @classmethod
-    def identity(cls, modes: int) -> "FockOperator":
-        return cls(modes, np.eye(1 << modes, dtype=complex), hermitian=True)
-
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
 
@@ -278,32 +274,23 @@ def embed_parity_blocks(blocks: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_coefficient_structure(coeff) -> np.ndarray:
-    """``coeff`` as a validated 2M x 2M coefficient matrix with the particle-hole block structure.
+def quadratic_hamiltonian(coeff) -> FockOperator:
+    """Fock-space operator (1/2) gamma^dag H gamma for a 2M x 2M coefficient matrix.
 
-    Requires sigma_x-antisymmetry (both off-diagonal blocks antisymmetric and the
-    lower-right block equal to minus the transpose of the upper-left one), which
-    is exactly closure of the quadratic-form algebra. Hermiticity is *not*
-    required here; composed elements may be non-hermitian.
+    Accepts a BdgMatrix or a plain 2M x 2M array with the particle-hole block
+    structure: sigma_x H antisymmetric (both off-diagonal blocks antisymmetric
+    and the lower-right block minus the transpose of the upper-left one),
+    which is exactly closure of the quadratic-form algebra. Hermiticity is
+    *not* required; composed elements may be non-hermitian. Expanded in mode
+    operators this is (1/2) (a^dag h a - a h^T a^dag + a^dag D a^dag + a D' a),
+    and it is traceless for every valid coefficient matrix. The result is
+    flagged hermitian exactly when the input matrix is.
     """
-    mat = _square(coeff, "coefficient matrix")
+    mat = _square(coeff.assembled() if hasattr(coeff, "assembled") else coeff, "coefficient matrix")
     if mat.shape[0] % 2:
         raise StructureError(f"coefficient matrix must be of even size, got shape {mat.shape}")
     sr = _sigma_x(mat.shape[0] // 2) @ mat
     _require_close(sr, -sr.T, STRUCTURE_TOL, "coefficient matrix violates the particle-hole block structure")
-    return mat
-
-
-def quadratic_hamiltonian(coeff) -> FockOperator:
-    """Fock-space operator (1/2) gamma^dag H gamma for a 2M x 2M coefficient matrix.
-
-    Accepts a BdgMatrix or a plain 2M x 2M array with valid block structure.
-    Expanded in mode operators this is
-    (1/2) (a^dag h a - a h^T a^dag + a^dag D a^dag + a D' a), and it is traceless
-    for every valid coefficient matrix. The result is flagged hermitian exactly
-    when the input matrix is.
-    """
-    mat = _check_coefficient_structure(coeff.assembled() if hasattr(coeff, "assembled") else coeff)
     out = embed_parity_blocks(quadratic_hamiltonian_batch(mat[None])[0])
     herm = np.abs(mat - mat.conj().T).max() <= STRUCTURE_TOL
     return FockOperator(mat.shape[0] // 2, out, hermitian=herm)

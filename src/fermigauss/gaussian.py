@@ -13,10 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BranchCutError, ContractError, DegenerateSpectrumError, DomainError, StructureError
+from .errors import BranchCutError, ContractError, DegenerateSpectrumError, StructureError
 from .fock import (  # noqa: F401  op_exp stays importable here: benchmark/tracing.py wraps it
     HERMITICITY_TOL,
-    LOG_FLOAT_MAX,
     STRUCTURE_TOL,
     FockOperator,
     _check_modes,
@@ -34,46 +33,45 @@ from .fock import (  # noqa: F401  op_exp stays importable here: benchmark/traci
 PAIR_TOL = 1e-8
 
 
+def assemble_blocks(h: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """The one writer of the block layout: (..., M, M) blocks h and D stacked
+    into coefficient matrices [[h, D], [-D*, -h^T]], (..., 2M, 2M)."""
+    m = h.shape[-1]
+    out = np.zeros(h.shape[:-2] + (2 * m, 2 * m), dtype=complex)
+    out[..., :m, :m] = h
+    out[..., :m, m:] = delta
+    out[..., m:, :m] = -delta.conj()
+    out[..., m:, m:] = -np.swapaxes(h, -1, -2)
+    return out
+
+
 @dataclass(frozen=True)
 class BdgMatrix:
-    """Coefficient matrix of a quadratic fermion form, stored by blocks.
+    """Hermitian coefficient matrix of a quadratic fermion form, stored by blocks.
 
-    ``h`` is the single-particle block and ``delta`` the pairing block; the
-    assembled matrix is [[h, delta], [delta_lower, -h^T]]. For hermitian
-    elements (the validated output of :func:`make_bdg`) ``delta_lower`` is
-    -conj(delta). Composition of non-commuting hermitian elements leaves the
-    hermitian slice, so ``delta_lower`` is stored explicitly and ``hermitian``
-    records whether the assembled matrix equals its adjoint.
+    ``h`` is the single-particle block and ``delta`` the pairing block of the
+    same size; the assembled matrix is assemble_blocks(h, delta). Construction
+    checks that ``h`` is hermitian and ``delta`` skew-symmetric to within
+    STRUCTURE_TOL, so every instance is a valid hermitian element.
     """
 
-    modes: int
     h: np.ndarray
     delta: np.ndarray
-    delta_lower: np.ndarray | None = None
-    hermitian: bool = True
 
     def __post_init__(self):
-        m = self.modes
-        h = _square(self.h, "single-particle block", m)
-        d = _square(self.delta, "pairing block", m)
-        dl = -d.conj() if self.delta_lower is None else _square(self.delta_lower, "lower pairing block", m)
+        h = _square(self.h, "single-particle block")
+        d = _square(self.delta, "pairing block", h.shape[0])
         _require_close(d, -d.T, STRUCTURE_TOL, "pairing block is not skew-symmetric")
-        _require_close(dl, -dl.T, STRUCTURE_TOL, "lower pairing block is not skew-symmetric")
-        if self.hermitian:
-            _require_close(h, h.conj().T, STRUCTURE_TOL, "single-particle block is not hermitian")
-            _require_close(dl, -d.conj(), STRUCTURE_TOL, "lower pairing block inconsistent with hermiticity")
+        _require_close(h, h.conj().T, STRUCTURE_TOL, "single-particle block is not hermitian")
         object.__setattr__(self, "h", _frozen(h))
         object.__setattr__(self, "delta", _frozen(d))
-        object.__setattr__(self, "delta_lower", _frozen(dl))
+
+    @property
+    def modes(self) -> int:
+        return self.h.shape[0]
 
     def assembled(self) -> np.ndarray:
-        m = self.modes
-        out = np.empty((2 * m, 2 * m), dtype=complex)
-        out[:m, :m] = self.h
-        out[:m, m:] = self.delta
-        out[m:, :m] = self.delta_lower
-        out[m:, m:] = -self.h.T
-        return out
+        return assemble_blocks(self.h, self.delta)
 
 
 @dataclass(frozen=True)
@@ -139,33 +137,14 @@ def make_bdg(h, delta) -> BdgMatrix:
     """
     h = _square(h, "single-particle block")
     _check_modes(h.shape[0])
-    return BdgMatrix(h.shape[0], h, delta)
-
-
-def make_bdg_from_r(r) -> BdgMatrix:
-    """Coefficient matrix sigma @ R for an antisymmetric quadratic-form matrix R.
-
-    sigma is the off-diagonal identity block matrix, so the round trip
-    R = sigma @ assembled() is exact. Hermiticity of the result is checked,
-    not assumed.
-    """
-    r = _square(r, "quadratic-form matrix")
-    if r.shape[0] % 2:
-        raise StructureError(f"quadratic-form matrix must be of even size, got shape {r.shape}")
-    modes = r.shape[0] // 2  # make_bdg checks it against the Fock-space cap
-    _require_close(r, -r.T, STRUCTURE_TOL, "quadratic-form matrix is not antisymmetric")
-    assembled = _sigma_x(modes) @ r
-    _require_close(
-        assembled, assembled.conj().T, STRUCTURE_TOL, "sigma @ R is not hermitian, and only hermitian elements are accepted here"
-    )
-    return make_bdg(assembled[:modes, :modes], assembled[:modes, modes:])
+    return BdgMatrix(h, delta)
 
 
 def _paired_eigh(bdg: BdgMatrix, context: str) -> tuple[np.ndarray, np.ndarray]:
     """Pair representatives (as paired_eigenvalues) and the eigenvectors of the
     assembled matrix, ascending."""
-    if not (isinstance(bdg, BdgMatrix) and bdg.hermitian):
-        raise ContractError(f"{context} requires a hermitian BdgMatrix coefficient matrix")
+    if not isinstance(bdg, BdgMatrix):
+        raise ContractError(f"{context} requires a BdgMatrix coefficient matrix")
     w, v = np.linalg.eigh(bdg.assembled())
     m = bdg.modes
     _require_close(w, -w[::-1], PAIR_TOL, "spectrum is not symmetric under sign reversal")
@@ -204,21 +183,6 @@ def polar_decompose(bdg: BdgMatrix) -> PolarForm:
     partner = _sigma_x(m) @ plus.conj()
     big = np.hstack([plus, partner])
     return PolarForm(lambdas=lam, bogoliubov=big.conj().T)
-
-
-def trace_formula(bdg: BdgMatrix) -> float:
-    """prod_j 2 cosh(lambda_j / 2) over the M eigenvalue-pair representatives.
-
-    Equals the exact Fock trace of the exponentiated quadratic operator, and
-    the *square root* of the determinant of 2 cosh(H/2) taken over the doubled
-    2M x 2M matrix (each factor appears there twice, once per pair member).
-    Raises DomainError when the trace exceeds the float range.
-    """
-    lam = paired_eigenvalues(bdg)
-    log_trace = float(log_trace_of_pairs(lam))
-    if not log_trace < LOG_FLOAT_MAX:
-        raise DomainError(f"trace overflows a float: its log is {log_trace:.6g}")
-    return float(np.prod(2.0 * np.cosh(lam / 2.0)))
 
 
 def log_trace_of_pairs(lam: np.ndarray) -> np.ndarray:
@@ -466,23 +430,21 @@ def _principal_log(a: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
     return log
 
 
-def compose_general(bdg1: BdgMatrix, bdg2: BdgMatrix) -> BdgMatrix:
-    """Coefficient matrix whose exponential is exp(H1) exp(H2).
+def compose_general(bdg1: BdgMatrix, bdg2: BdgMatrix) -> np.ndarray:
+    """2M x 2M coefficient matrix X with exp(X) = exp(H1) exp(H2).
 
-    Both inputs must be hermitian and jointly small in spectral norm (sum
+    Both inputs must be BdgMatrix elements jointly small in spectral norm (sum
     below pi); larger norms are out of scope. The product of exponentials of
-    non-commuting hermitian elements is generally *not* hermitian; the result
-    is returned faithfully with its ``hermitian`` flag cleared rather than
-    rejected.
+    non-commuting hermitian elements is generally *not* hermitian, so X is
+    returned as a plain matrix, as compose_number_conserving returns its
+    M x M one; quadratic_hamiltonian checks its particle-hole structure and
+    flags whether it is hermitian.
     """
-    if not all(isinstance(b, BdgMatrix) and b.hermitian for b in (bdg1, bdg2)):
-        raise ContractError("composition requires hermitian BdgMatrix inputs")
+    if not all(isinstance(b, BdgMatrix) for b in (bdg1, bdg2)):
+        raise ContractError("composition requires BdgMatrix inputs")
     if bdg1.modes != bdg2.modes:
         raise ContractError("mode counts differ")
-    log = _principal_log(bdg1.assembled(), bdg2.assembled(), "compose_general")
-    m = bdg1.modes
-    herm = np.abs(log - log.conj().T).max() <= STRUCTURE_TOL
-    return BdgMatrix(m, log[:m, :m], log[:m, m:], delta_lower=log[m:, :m], hermitian=herm)
+    return _principal_log(bdg1.assembled(), bdg2.assembled(), "compose_general")
 
 
 def compose_number_conserving(h1, h2) -> np.ndarray:

@@ -18,7 +18,6 @@ from .ensembles import (  # noqa: F401  sample_radial_mcmc stays importable here
     SymmetryClass,
     WeightSpec,
     _log_jacobian,
-    assemble_blocks,
     random_polar_rotation,
     sample_class_d,
     sample_class_d_batch,
@@ -43,6 +42,7 @@ from .gaussian import (
     PolarForm,
     _draw_weights,
     _expm,
+    assemble_blocks,
     compose_general,
     compose_number_conserving,
     covariance_from_eigenpairs,
@@ -85,6 +85,11 @@ QUAD_CONVERGENCE_TOL = 1e-9
 
 #: The even-weight residual must exceed this fraction of nc_failure_residual.
 FAILURE_FLOOR_FRACTION = 0.95
+
+#: Smallest failure floor verify_nc_failure judges: float64's eps. The rounding
+#: of the mean's 1/4 entries moves the residual by 7e-18 to 1e-17 (p = 1e14 to
+#: 1e15), 3% of the oracle at this floor, inside the 5% the floor fraction leaves.
+FAILURE_ROUNDING_LEVEL = float(np.finfo(float).eps)
 
 #: Largest max-entry gap allowed between the Wick mean of FOCK_CHECK_DRAWS
 #: draws or nodes and their mean built through the Fock construction. Single
@@ -481,6 +486,8 @@ def verify_resolution_quadrature(
     (the hypothesis doing the work), and a PolarForm rotation or None.
     Convergence is checked by order doubling, and independence from the
     rotation by comparing against a second, deterministically seeded rotation.
+    Raises DomainError when no kept node has |tanh(lam_j / 2)| above QUAD_TOL,
+    at a stiffness so large that the deviation bound could not fail.
     """
     if not weight.is_even or weight.uses_hermitian_jacobian:
         raise ContractError(
@@ -497,13 +504,18 @@ def verify_resolution_quadrature(
     v_main = np.eye(2 * modes) if rotation is None else rotation.bogoliubov.conj().T
     alt = random_polar_rotation(modes, RngSpec(ROTATION_SEED, stream=1))
     q_main, delta, (pts_hi, wts_hi), fock_dev = _converged_mean(sym_class, weight, modes, quad_order, v_main)
+    tanh_hi = np.tanh(pts_hi / 2.0)
+    if not (np.abs(tanh_hi[wts_hi > 0.0]) > QUAD_TOL).any():  # every node within ((1+T)^M - 1) / 2^M < T of 2^-M I
+        raise DomainError(
+            f"no kept node has |tanh(lam_j / 2)| above {QUAD_TOL:g} at p = {weight.p}, so the bound could not fail"
+        )
     q_alt = _quadrature_mean(pts_hi, wts_hi, alt.bogoliubov.conj().T)[0]
 
     dim = 1 << modes
     target = FockOperator(modes, np.eye(dim) / dim, hermitian=True)
     dev = float(np.abs(q_main - target.matrix).max())
     rot_delta = float(np.abs(q_main - q_alt).max())
-    odd_coeffs = np.einsum("s,sj->j", wts_hi, np.tanh(pts_hi / 2.0)) / wts_hi.sum()
+    odd_coeffs = np.einsum("s,sj->j", wts_hi, tanh_hi) / wts_hi.sum()
     return EstimatorReport(
         target=target,
         mean=FockOperator(modes, q_main),
@@ -682,19 +694,12 @@ def _closest_identity_multiple(mat: np.ndarray) -> tuple[float, float]:
     return float(c), float(max(off, 0.5 * (diag.max() - diag.min())))
 
 
-def nc_even_weight_quadrature(modes: int, p: float, quad_order: int = 60) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature mean of rotated number-conserving operators under the
-    hermitian-matrix measure with the even weight exp(-p sum lam^2).
-
-    Returns (mean operator, fixed Haar rotation). With one mode the mean is
-    proportional to the identity; with two the eigenvalue-repulsion factor is
-    not even in each eigenvalue separately and a nonzero residual survives.
-    """
-    return _nc_even_mean(modes, p, quad_order)[:2]
-
-
 def _nc_even_mean(modes: int, p: float, quad_order: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """nc_even_weight_quadrature's mean and rotation, and its Fock gap."""
+    """Quadrature mean of rotated number-conserving operators under the
+    hermitian-matrix measure with the even weight exp(-p sum lam^2), the
+    fixed Haar rotation and the mean's Fock gap. With one mode the mean is
+    proportional to the identity; with two the eigenvalue-repulsion factor is
+    not even in each eigenvalue separately and a nonzero residual survives."""
     u = sample_haar_unitary_batch(modes, RngSpec(ROTATION_SEED, stream=2), 1)[0]
     q, _, _, fock_dev = _converged_mean(CLASS_D, WeightSpec.nc_even(p), modes, quad_order, _ncons_eigenvectors(u))
     return q, u, fock_dev
@@ -722,11 +727,16 @@ def verify_nc_failure(modes: int = 2, p: float = 1.0, quad_order: int = 60) -> E
     floor, FAILURE_FLOOR_FRACTION of nc_failure_residual(p), and must live
     entirely in the rotated number-operator sector; the last FOCK_CHECK_DRAWS
     kept nodes of its quad_order rule are held to the Fock construction as
-    in verify_resolution_quadrature."""
+    in verify_resolution_quadrature. Raises DomainError when the floor is not
+    above FAILURE_ROUNDING_LEVEL."""
     if modes != 2:
         raise ContractError("the even-weight failure demonstration is pinned at two modes")
     oracle = nc_failure_residual(p)
     floor = FAILURE_FLOOR_FRACTION * oracle
+    if not floor > FAILURE_ROUNDING_LEVEL:
+        raise DomainError(
+            f"the failure floor {floor:.3g} at p = {p} is not above the rounding level {FAILURE_ROUNDING_LEVEL:.3g}"
+        )
     q, u, fock_dev = _nc_even_mean(modes, p, quad_order)
     c, residual = _closest_identity_multiple(q)
 

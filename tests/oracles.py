@@ -8,9 +8,8 @@ from functools import lru_cache
 import numpy as np
 
 from fermigauss import gaussian
-from fermigauss.ensembles import assemble_blocks
 from fermigauss.fock import _annihilators, _wick_plan, from_eigenpairs, quadratic_hamiltonian_batch
-from fermigauss.gaussian import covariance_from_eigenpairs, exp_normalized_fock_batch
+from fermigauss.gaussian import assemble_blocks, covariance_from_eigenpairs, exp_normalized_fock_batch
 
 
 @lru_cache(maxsize=None)

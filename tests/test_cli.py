@@ -141,6 +141,33 @@ class TestExitCodes:
         # beta = 0 is exact by construction, so its report means something at any p
         assert run(["canonical", "--betas", "0", "-p", "1e300", "--samples", "16"]) == 0
 
+    @pytest.mark.parametrize("modes, p", [("1", "1e300"), ("2", "1e30")])
+    def test_quadrature_that_cannot_fail_is_domain_error(self, modes, p, capsys):
+        # every node has |tanh(lam / 2)| <= 5.2e-15, so every operator, and
+        # their mean, is within that of 2^-M I
+        assert run(["resolution", "--mode", "quad", "--modes", modes, "-p", p]) == 2
+        err = capsys.readouterr().err
+        assert f"p = {float(p)}" in err and "could not fail" in err
+
+    @pytest.mark.parametrize("p", ["1e15", "1e16", "1e30", "1e60", "1e100"])
+    def test_nc_failure_floor_below_rounding_is_domain_error(self, p, capsys):
+        # the residual is below the rounding of the 1/4 entries: it failed the
+        # floor at 1e16 and 1e30 and passed it on rounding at 1e60 and 1e100
+        assert run(["number-conserving", "--variant", "failure", "-p", p]) == 2
+        err = capsys.readouterr().err
+        assert f"p = {float(p)}" in err and "rounding level" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["resolution", "--mode", "quad", "--modes", "2", "-p", "1e12"],
+            ["number-conserving", "--variant", "failure", "-p", "1e10"],
+            ["number-conserving", "--variant", "failure", "-p", "1e12"],
+        ],
+    )
+    def test_quadrature_runs_at_large_testable_stiffness(self, argv):
+        assert run(argv) == 0
+
     @pytest.mark.parametrize("label", ["C", "DIII", "CI"])
     def test_mc_with_other_symmetry_class_rejected(self, label, capsys):
         assert run(["resolution", "--mode", "mc", "--symmetry-class", label, "--samples", "16"]) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -14,7 +15,6 @@ from fermigauss import (
     BranchCutError,
     ContractError,
     DegenerateSpectrumError,
-    DomainError,
     FermigaussError,
     GreensPair,
     PolarForm,
@@ -27,7 +27,6 @@ from fermigauss import (
     gaussian_number_conserving,
     greens_parameterization,
     make_bdg,
-    make_bdg_from_r,
     normal_ordered_exp,
     paired_eigenvalues,
     polar_decompose,
@@ -36,18 +35,18 @@ from fermigauss import (
     sample_class_d,
     sample_class_d_batch,
     sample_haar_unitary_batch,
-    trace_formula,
     verify_nc_modified,
 )
 from fermigauss.cli import run
-from fermigauss.ensembles import assemble_blocks
-from fermigauss.fock import _annihilators, _wick_plan, embed_parity_blocks, quadratic_hamiltonian_batch
+from fermigauss.fock import _annihilators, _sigma_x, _wick_plan, embed_parity_blocks, quadratic_hamiltonian_batch
 from fermigauss.gaussian import (
     _expm,
+    assemble_blocks,
     covariance_from_eigenpairs,
     covariance_number_conserving,
     covariance_of_real_form,
     exp_normalized_fock_batch,
+    log_trace_of_pairs,
     pair_values,
     real_form,
     wick_blocks,
@@ -59,20 +58,27 @@ from fermigauss.verify import _ncons_eigenvectors
 class TestMakeBdg:
     def test_valid_identity_block(self):
         bdg = make_bdg(np.eye(2), np.zeros((2, 2)))
-        assert bdg.hermitian
+        assert bdg.modes == 2
+        assert max_abs(bdg.assembled(), np.diag([1.0, 1.0, -1.0, -1.0])) == 0.0
+
+    def test_fields_are_the_two_blocks(self):
+        assert [f.name for f in dataclasses.fields(BdgMatrix)] == ["h", "delta"]
+
+    def test_blocks_of_different_sizes_rejected(self):
+        with pytest.raises(StructureError, match="pairing block"):
+            BdgMatrix(np.eye(2), np.zeros((3, 3)))
 
     def test_symmetric_pairing_rejected(self):
         delta = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(StructureError, match="skew-symmetric"):
             make_bdg(np.eye(2), delta)
 
-    @pytest.mark.parametrize("hermitian", [False, True])
-    def test_non_finite_entries_rejected(self, hermitian):
-        h = np.eye(2)
-        h[0, 0] = np.nan
-        zero = np.zeros((2, 2))
-        with pytest.raises(StructureError):
-            BdgMatrix(2, h, zero, delta_lower=zero, hermitian=hermitian)
+    @pytest.mark.parametrize("block", ["h", "delta"])
+    def test_non_finite_entries_rejected(self, block):
+        blocks = {"h": np.eye(2), "delta": np.zeros((2, 2))}
+        blocks[block][0, 0] = np.nan
+        with pytest.raises(StructureError, match="non-finite"):
+            BdgMatrix(**blocks)
 
     def test_non_hermitian_h_rejected(self):
         h = np.array([[0.0, 1.0], [0.0, 0.0]])
@@ -96,44 +102,19 @@ class TestMakeBdg:
         assert max_abs(x, -sig @ x.T @ sig) < 1e-12
 
 
-class TestMakeBdgFromR:
-    def test_zero(self):
-        bdg = make_bdg_from_r(np.zeros((4, 4)))
-        assert max_abs(bdg.assembled()) == 0.0
-
+class TestQuadraticForm:
     def test_single_mode_matches_quadratic_form(self):
-        # oracle: (1/2) gamma^T R gamma must equal the quadratic operator of sigma R
+        # oracle: (1/2) gamma^T R gamma must equal the quadratic operator of
+        # the coefficient matrix sigma R, here [[-r, 0], [0, r]]
         r = 0.7
         rmat = np.array([[0.0, r], [-r, 0.0]], dtype=complex)
-        bdg = make_bdg_from_r(rmat)
+        bdg = make_bdg(np.array([[-r]]), np.zeros((1, 1)))
+        assert max_abs(_sigma_x(1) @ rmat, bdg.assembled()) == 0.0
         gam = gamma_ops(1)
         direct = 0.5 * sum(
             rmat[i, j] * (gam[i] @ gam[j]) for i in range(2) for j in range(2)
         )
         assert max_abs(quadratic_hamiltonian(bdg).matrix, direct) < 1e-14
-        assert np.allclose(bdg.h, [[-r]])
-        assert max_abs(bdg.delta) == 0.0
-
-    def test_round_trip(self):
-        gen = RngSpec(22).generator()
-        h = hermitian_matrix(gen, 2)
-        d = skew_matrix(gen, 2)
-        sig = np.zeros((4, 4))
-        sig[:2, 2:] = np.eye(2)
-        sig[2:, :2] = np.eye(2)
-        rmat = sig @ make_bdg(h, d).assembled()
-        assert max_abs(rmat, -rmat.T) < 1e-12
-        back = make_bdg_from_r(rmat)
-        assert max_abs(sig @ back.assembled(), rmat) < 1e-12
-
-    def test_rejects_non_antisymmetric(self):
-        with pytest.raises(StructureError, match="antisymmetric"):
-            make_bdg_from_r(np.eye(4))
-
-    def test_rejects_non_hermitian_result(self):
-        rmat = np.array([[0.0, 1j], [-1j, 0.0]])  # sigma R = diag(-i, i), anti-hermitian
-        with pytest.raises(StructureError, match="hermitian"):
-            make_bdg_from_r(rmat)
 
 
 class TestGaussianNormalized:
@@ -224,6 +205,10 @@ def _with_norm(mat, norm):
     return (norm / np.abs(np.linalg.eigvalsh(mat)).max()) * mat
 
 
+def _closed_trace(bdg):
+    return float(np.exp(log_trace_of_pairs(paired_eigenvalues(bdg))))
+
+
 def _bdg(mat):
     m = mat.shape[0] // 2
     return make_bdg(mat[:m, :m], mat[:m, m:])
@@ -275,12 +260,12 @@ class TestBlockKernel:
     @given(_pair_spectra())
     def test_block_trace_matches_trace_formula(self, spectrum):
         lam, seed = spectrum
-        if lam.sum() > 1000.0:  # the trace leaves the float range; trace_formula raises
+        if lam.sum() > 1000.0:  # keep the trace inside the float range
             lam = lam * (1000.0 / lam.sum())
         bdg = _rotated_bdg(lam, seed)
         w = np.linalg.eigvalsh(quadratic_hamiltonian_batch(bdg.assembled()[None]))
         assert w.shape == (1, 2, 1 << (len(lam) - 1))
-        exact = trace_formula(bdg)
+        exact = _closed_trace(bdg)
         assert abs(np.exp(w).sum() - exact) <= 1e-9 * exact
 
 
@@ -485,27 +470,32 @@ class TestNumberConservingDraws:
 
 
 class TestTraceFormula:
+    """The closed form prod_j 2 cosh(lambda_j / 2) of the Fock trace, as
+    exp(log_trace_of_pairs(paired_eigenvalues(bdg)))."""
+
     def test_zero_matrix(self):
-        assert trace_formula(make_bdg(np.zeros((3, 3)), np.zeros((3, 3)))) == 2.0**3
+        # exp(3 log 2): exact up to the rounding of the log and exp
+        assert abs(_closed_trace(make_bdg(np.zeros((3, 3)), np.zeros((3, 3)))) - 2.0**3) <= 4e-15
 
     def test_single_mode_value(self):
         bdg = make_bdg(np.array([[2.0]]), np.zeros((1, 1)))
-        assert abs(trace_formula(bdg) - 3.0861612696304874) < 1e-12  # 2 cosh(1)
+        assert abs(_closed_trace(bdg) - 3.0861612696304874) < 1e-12  # 2 cosh(1)
 
     def test_matches_exact_fock_trace(self):
         gen = RngSpec(25).generator()
         for _ in range(20):
             bdg = sample_class_d(2, 1.0, gen)
             exact = scipy.linalg.expm(quadratic_hamiltonian(bdg).matrix).trace().real
-            assert abs(trace_formula(bdg) - exact) / exact < 1e-9
+            assert abs(_closed_trace(bdg) - exact) / exact < 1e-9
 
-    def test_large_scale_is_finite_or_raises(self):
+    def test_large_scale_matches_the_log_of_the_fock_trace(self):
+        # at 1000 x the trace leaves the float range, and its log does not
         bdg = sample_class_d(3, 1.0, RngSpec(5))
-        big = make_bdg(100.0 * bdg.h, 100.0 * bdg.delta)
-        exact = scipy.linalg.expm(quadratic_hamiltonian(big).matrix).trace().real
-        assert abs(trace_formula(big) - exact) / exact < 1e-9
-        with pytest.raises(DomainError, match="log"):
-            trace_formula(make_bdg(1000.0 * bdg.h, 1000.0 * bdg.delta))
+        for scale in (100.0, 1000.0):
+            big = make_bdg(scale * bdg.h, scale * bdg.delta)
+            w = np.linalg.eigvalsh(quadratic_hamiltonian(big).matrix)
+            exact_log = w.max() + math.log(np.exp(w - w.max()).sum())
+            assert abs(log_trace_of_pairs(paired_eigenvalues(big)) - exact_log) <= 1e-12 * exact_log
 
     def test_determinant_power_is_one_half(self):
         # the doubled-matrix determinant counts every pair factor twice, so the
@@ -671,14 +661,14 @@ class TestComposeGeneral:
         b1 = sample_class_d(2, 2.0, gen)
         zero = make_bdg(np.zeros((2, 2)), np.zeros((2, 2)))
         comp = compose_general(b1, zero)
-        assert max_abs(comp.assembled(), b1.assembled()) < 1e-10
+        assert max_abs(comp, b1.assembled()) < 1e-10
 
     def test_commuting_diagonals_add(self):
         b1 = make_bdg(np.diag([0.3, -0.2]), np.zeros((2, 2)))
         b2 = make_bdg(np.diag([0.1, 0.4]), np.zeros((2, 2)))
         comp = compose_general(b1, b2)
-        assert max_abs(comp.assembled(), b1.assembled() + b2.assembled()) < 1e-12
-        assert comp.hermitian
+        assert max_abs(comp, b1.assembled() + b2.assembled()) < 1e-12
+        assert quadratic_hamiltonian(comp).hermitian
 
     def test_fock_level_group_law(self):
         gen = RngSpec(35).generator()
@@ -695,9 +685,18 @@ class TestComposeGeneral:
         gen = RngSpec(36).generator()
         b1, b2 = _small_norm_pair(gen, 2)
         comp = compose_general(b1, b2)
-        assert not comp.hermitian
-        assembled = comp.assembled()
-        assert max_abs(assembled[2:, :2], -comp.delta.conj()) > 1e-12
+        assert not quadratic_hamiltonian(comp).hermitian
+        assert max_abs(comp[2:, :2], -comp[:2, 2:].conj()) > 1e-12
+
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    def test_output_has_the_particle_hole_structure(self, modes):
+        # sigma_x X is antisymmetric: the lower blocks are the upper ones' partners
+        b1, b2 = _small_norm_pair(RngSpec(39, stream=modes).generator(), modes)
+        comp = compose_general(b1, b2)
+        assert comp.shape == (2 * modes, 2 * modes)
+        sx = _sigma_x(modes) @ comp
+        assert max_abs(sx, -sx.T) <= 1e-13
+        assert quadratic_hamiltonian(comp).hermitian == (modes == 1)
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(_small_norm_pairs())
@@ -707,7 +706,7 @@ class TestComposeGeneral:
         b1, b2 = (_bdg(_with_norm(sample_class_d(modes, 1.0, gen).assembled(), n)) for n in (n1, n2))
         comp = compose_general(b1, b2)
         want = scipy.linalg.expm(b1.assembled()) @ scipy.linalg.expm(b2.assembled())
-        assert max_abs(scipy.linalg.expm(comp.assembled()), want) <= 1e-10
+        assert max_abs(scipy.linalg.expm(comp), want) <= 1e-10
         fock = [scipy.linalg.expm(quadratic_hamiltonian(b).matrix) for b in (b1, b2)]
         assert max_abs(scipy.linalg.expm(quadratic_hamiltonian(comp).matrix), fock[0] @ fock[1]) <= 1e-9
 
@@ -722,7 +721,7 @@ class TestComposeGeneral:
         gen = RngSpec(40 + modes).generator()
         b1, b2 = _small_norm_pair(gen, modes, total)
         want = scipy.linalg.logm(scipy.linalg.expm(b1.assembled()) @ scipy.linalg.expm(b2.assembled()))
-        assert max_abs(compose_general(b1, b2).assembled(), want) < 1e-10
+        assert max_abs(compose_general(b1, b2), want) < 1e-10
 
 
 class TestComposeNumberConserving:
@@ -795,7 +794,7 @@ def _expm_inputs():
         comp = compose_general(b1, b2)
         out += [
             (f"hermitian M={modes}", h),
-            (f"general log M={modes}", comp.assembled()),
+            (f"general log M={modes}", comp),
             (f"number-conserving log M={modes}", compose_number_conserving(h1, h2)),
             (f"composed Fock M={modes}", quadratic_hamiltonian(comp).matrix),
             (f"composed nc Fock M={modes}", quadratic_hamiltonian(_embedded(compose_number_conserving(h1, h2))).matrix),
@@ -842,7 +841,7 @@ _NON_FINITE_ENTRIES = {
     "PolarForm": lambda bad: PolarForm(bad[0].real, np.eye(4)),
     "compose_number_conserving": lambda bad: compose_number_conserving(bad, 0.1 * np.eye(2)),
     "compose_general": lambda bad: compose_general(make_bdg(bad, _ZERO), make_bdg(0.1 * np.eye(2), _ZERO)),
-    "make_bdg_from_r": lambda bad: make_bdg_from_r(np.block([[_ZERO, -bad.T], [bad, _ZERO]])),
+    "BdgMatrix": lambda bad: BdgMatrix(_ZERO, bad),
     "make_bdg": lambda bad: make_bdg(np.eye(2), np.array([[0.0, bad[0, 0]], [-bad[0, 0], 0.0]])),
     "quadratic_hamiltonian": lambda bad: quadratic_hamiltonian(np.block([[bad, _ZERO], [_ZERO, -bad.T]])),
     "gaussian_number_conserving": gaussian_number_conserving,

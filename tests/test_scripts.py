@@ -132,6 +132,27 @@ class TestBenchPairsMain:
             pairs.report_diff(tmp_path, tmp_path)
 
 
+class TestBenchPairsWorkers:
+    def test_failed_counts_the_non_zero_exit_codes_per_worker_count(self, monkeypatch, capsys):
+        pairs = load("bench_pairs")
+        calls = []
+
+        def timed_call(tree, argv):
+            calls.append(argv)
+            n = argv[argv.index("--workers") + 1]
+            # the parent fails every run, the change only its second one at one worker
+            code = 1 if tree == "parent" or (n == "1" and len(calls) == 8) else 0
+            return {"code": code, "wall_s": 1.0, "cpu_s": 1.0}
+
+        monkeypatch.setattr(pairs, "timed_call", timed_call)
+        out = pairs.workers("parent", "change", 2)
+        assert out["parent"]["failed"] == {"1": 2, "2": 2}
+        assert out["change"]["failed"] == {"1": 1, "2": 0}
+        assert all(argv[:-2] == pairs.WORKERS_ARGV for argv in calls)
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].endswith("failed 2 and 2 of 2") and err[1].endswith("failed 1 and 0 of 2")
+
+
 class TestReportDiff:
     @pytest.fixture(scope="class")
     def diff(self):

@@ -22,7 +22,6 @@ from fermigauss import (
     RngSpec,
     WeightSpec,
     make_bdg,
-    nc_even_weight_quadrature,
     operator_identity_suite,
     random_polar_rotation,
     selberg_consistency_suite,
@@ -36,12 +35,13 @@ from fermigauss import (
 from fermigauss import ensembles, gaussian, sample_class_d_batch, sample_radial_mcmc
 from fermigauss import verify as verify_module
 from fermigauss.cli import run
-from fermigauss.ensembles import _log_jacobian, assemble_blocks, sample_haar_unitary_batch
+from fermigauss.ensembles import _log_jacobian, sample_haar_unitary_batch
 from fermigauss.fock import (
     embed_parity_blocks,
     from_eigenpairs,
     quadratic_hamiltonian_batch,
 )
+from fermigauss.gaussian import assemble_blocks
 from fermigauss.selberg import laguerre_selberg_log, selberg_integral_log
 from fermigauss.verify import (
     FAILURE_FLOOR_FRACTION,
@@ -55,6 +55,7 @@ from fermigauss.verify import (
     _closest_identity_multiple,
     _entry_gate,
     _fock_check,
+    _nc_even_mean,
     _ncons_eigenvectors,
     _run_chunks,
     _tensor,
@@ -564,7 +565,7 @@ class TestFockCrossCheck:
         if broken:
             break_phase(monkeypatch, 2)
         rep = verify_nc_failure(2, 1.0, quad_order=30)
-        v = _ncons_eigenvectors(nc_even_weight_quadrature(2, 1.0, 30)[1])
+        v = _ncons_eigenvectors(_nc_even_mean(2, 1.0, 30)[1])
         assert rep.details["fock_check_deviation"] == self._last_nodes_gap(CLASS_D, WeightSpec.nc_even(1.0), 2, 30, v)
 
     # power per Wick column: the whole rule's mean has every non-empty Wick
@@ -622,7 +623,7 @@ class TestWickQuadrature:
     @pytest.mark.parametrize("p", [1.0, 2.5])
     @pytest.mark.parametrize("modes", [1, 2])
     def test_nc_even_weight_matches_the_per_node_fock_path(self, modes, p):
-        q, u = nc_even_weight_quadrature(modes, p)
+        q, u, _ = _nc_even_mean(modes, p, 60)
         pts, wts = radial_quadrature_nodes(CLASS_D, WeightSpec.nc_even(p), modes, 120)
         assert np.abs(q - _fock_quadrature_mean(pts, wts, lambda x: rotated_ncons_blocks(x, u))).max() <= 1e-13
 
@@ -843,7 +844,7 @@ class TestNcFailure:
         assert rep.details["sector_residual"] < 1e-9
 
     def test_single_mode_stays_proportional_to_identity(self):
-        q, _ = nc_even_weight_quadrature(1, 1.0)
+        q = _nc_even_mean(1, 1.0, 60)[0]
         _, residual = _closest_identity_multiple(q)
         assert residual < 1e-10
 
