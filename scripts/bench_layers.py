@@ -16,8 +16,9 @@ steps of that call, run one after another on the same draws, p = 1:
 - ``verify_nc_modified M=2 chunk=1563``: one chunk of the number-conserving
   worker (the ``nc_modified`` workload, 25000 samples in 16 chunks).
   Layers: class_d_pairs (the class-D draws at p/2, pair_values and the
-  random signs), sample_haar_unitary_batch and wick_mean
-  (covariance_number_conserving and wick_coordinates: the chunk's mean Wick
+  random signs), rank_one_filling (the Haar unitaries' first columns and
+  the filling F built from them, with no QR) and wick_mean
+  (_filling_covariance and wick_coordinates: the chunk's mean Wick
   coordinates).
 - ``_cmd_resolution report M=6 samples=400``: the report steps of the CLI's
   ``resolution --mode mc`` on an ``mc_m6``-sized result:
@@ -104,22 +105,25 @@ def resolution_row(modes: int, per: int, repeats: int) -> dict:
     return _row(one_round, repeats)
 
 
-def nc_modified_row(modes: int, per: int, repeats: int) -> dict:
+def nc_modified_row(per: int, repeats: int) -> dict:
     from fermigauss import gaussian
-    from fermigauss.ensembles import RngSpec, sample_class_d_batch, sample_haar_unitary_batch
+    from fermigauss.ensembles import RngSpec, _haar_first_columns, sample_class_d_batch
 
-    gen = RngSpec(modes).generator()
+    gen = RngSpec(2).generator()
 
     def class_d_pairs():
-        pts = gaussian.pair_values(sample_class_d_batch(modes, 0.5, gen, per))
-        return pts * gen.choice((-1.0, 1.0), size=(per, modes))
+        pts = gaussian.pair_values(sample_class_d_batch(2, 0.5, gen, per))
+        return pts * gen.choice((-1.0, 1.0), size=(per, 2))
 
-    def wick_mean(pts, us):
-        return gaussian.wick_coordinates(gaussian.covariance_number_conserving(pts, us))
+    def rank_one_filling(pts):
+        return gaussian._rank_one_filling(-0.5 * np.tanh(0.5 * pts), _haar_first_columns(gen, per))
+
+    def wick_mean(f):
+        return gaussian.wick_coordinates(gaussian._filling_covariance(f))
 
     def one_round(timed):
         pts = timed("class_d_pairs", class_d_pairs)
-        timed("wick_mean", wick_mean, pts, timed("sample_haar_unitary_batch", sample_haar_unitary_batch, modes, gen, per))
+        timed("wick_mean", wick_mean, timed("rank_one_filling", rank_one_filling, pts))
 
     return _row(one_round, repeats)
 
@@ -166,7 +170,7 @@ def tables() -> dict:
             for m in range(1, 7)}
     small, nc = _chunk_layout(MC_M6_SAMPLES)[1], _chunk_layout(NC_SAMPLES)[1]
     rows[f"verify_resolution_mc M=6 chunk={small}"] = lambda: resolution_row(6, small, SMALL_REPEATS)
-    rows[f"verify_nc_modified M=2 chunk={nc}"] = lambda: nc_modified_row(2, nc, SMALL_REPEATS)
+    rows[f"verify_nc_modified M=2 chunk={nc}"] = lambda: nc_modified_row(nc, SMALL_REPEATS)
     rows[f"_cmd_resolution report M=6 samples={MC_M6_SAMPLES}"] = lambda: report_row(SMALL_REPEATS)
     rows["verify_resolution_quadrature M=2"] = lambda: quadrature_row(SMALL_REPEATS)
     rows["operator_identity_suite M=3 trials=50"] = lambda: identity_row(REPEATS)

@@ -215,15 +215,28 @@ def sample_class_d_batch(modes: int, p: float, rng, count: int) -> np.ndarray:
     return assemble_blocks(h, delta)
 
 
+def _complex_normals(gen: np.random.Generator, count: int, modes: int) -> np.ndarray:
+    """The (count, M, M) complex normals behind ``count`` Haar unitaries, real parts drawn first."""
+    return gen.normal(size=(count, modes, modes)) + 1j * gen.normal(size=(count, modes, modes))
+
+
 def sample_haar_unitary_batch(modes: int, rng, count: int) -> np.ndarray:
     """``count`` Haar-distributed M x M unitaries, by QR with the R-diagonal phase fix."""
     _count(modes, "modes", DomainError)
     _count(count, "count", ContractError, low=0)
     gen = _as_generator(rng)
-    z = gen.normal(size=(count, modes, modes)) + 1j * gen.normal(size=(count, modes, modes))
-    q, r = np.linalg.qr(z / math.sqrt(2.0))
+    q, r = np.linalg.qr(_complex_normals(gen, count, modes) / math.sqrt(2.0))
     d = np.einsum("sii->si", r)
     return q * (d / np.abs(d))[:, None, :]
+
+
+def _haar_first_columns(gen: np.random.Generator, count: int) -> np.ndarray:
+    """The (count, 2) first columns of the 2 x 2 unitaries that
+    sample_haar_unitary_batch(2, gen, count) draws, from the same normals and
+    with no QR: z_0 = Q_0 R_00 and the phase fix multiplies Q_0 by
+    R_00 / |R_00|, so U_0 = z_0 / |z_0|."""
+    z = _complex_normals(gen, count, 2)[:, :, 0]
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
 def random_polar_rotation(modes: int, rng) -> PolarForm:

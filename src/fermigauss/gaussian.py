@@ -311,10 +311,25 @@ def covariance_number_conserving(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Majorana covariances of the normalized number-conserving Gaussian
     operators of h[s] = u[s] diag(lam[s]) u[s]^dag: covariance_from_eigenpairs
     on the eigenpairs [lam, -lam] and blockdiag(u, conj u) of the embedding
-    (h, 0), from M x M products only. With F = u diag(-tanh(lam/2)/2) u^dag,
-    Gamma = X - X^T, where X holds Im F at (2j, 2l) and (2j+1, 2l+1), Re F at
-    (2j, 2l+1) and -Re F at (2j+1, 2l): exactly antisymmetric, and 0 at lam = 0."""
-    f = from_eigenpairs(-0.5 * np.tanh(0.5 * lam), u)
+    (h, 0), from M x M products only: _filling_covariance of the filling
+    F = u diag(-tanh(lam/2)/2) u^dag."""
+    return _filling_covariance(from_eigenpairs(-0.5 * np.tanh(0.5 * lam), u))
+
+
+def _rank_one_filling(w: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """u diag(w) u^dag for (n, 2) ``w`` and 2 x 2 unitaries u given by their
+    (n, 2) first columns ``q``: since u u^dag = I, it is
+    w_2 I + (w_1 - w_2) q q^dag, which the second column's phase leaves alone."""
+    f = (w[:, 0] - w[:, 1])[:, None, None] * (q[:, :, None] * q[:, None, :].conj())
+    f[:, [0, 1], [0, 1]] += w[:, 1:]
+    return f
+
+
+def _filling_covariance(f: np.ndarray) -> np.ndarray:
+    """Majorana covariances of the normalized number-conserving Gaussian
+    operators with the M x M fillings ``f``: Gamma = X - X^T, where X holds
+    Im F at (2j, 2l) and (2j+1, 2l+1), Re F at (2j, 2l+1) and -Re F at
+    (2j+1, 2l): exactly antisymmetric, and 0 at F = 0."""
     m = f.shape[-1]
     x = np.empty(f.shape[:-2] + (2 * m, 2 * m))
     x[..., ::2, ::2] = x[..., 1::2, 1::2] = f.imag

@@ -17,6 +17,7 @@ from .ensembles import (  # noqa: F401  sample_radial_mcmc stays importable here
     RngSpec,
     SymmetryClass,
     WeightSpec,
+    _haar_first_columns,
     _log_jacobian,
     random_polar_rotation,
     sample_class_d,
@@ -42,6 +43,8 @@ from .gaussian import (
     PolarForm,
     _draw_weights,
     _expm,
+    _filling_covariance,
+    _rank_one_filling,
     assemble_blocks,
     compose_general,
     compose_number_conserving,
@@ -791,7 +794,9 @@ def verify_nc_modified(
     = Delta(lam^2)^2 exp(-p sum lam^2),
     even in every eigenvalue. Each chunk therefore samples it exactly: the
     pair representatives of class-D draws at p/2, with independent random
-    signs. Raises DomainError when the gate would judge no entry.
+    signs. The Haar rotations come by QR, except at M = 2, where the filling
+    and h need only each unitary's first column, drawn from the same normals.
+    Raises DomainError when the gate would judge no entry.
     """
     spec = _as_rngspec(rng)
     WeightSpec.nc_modified(p)  # rejects p <= 0 with the caller's value
@@ -799,13 +804,17 @@ def verify_nc_modified(
     def worker(gen: np.random.Generator, per: int, first: bool):
         pts = pair_values(sample_class_d_batch(modes, 0.5 * p, gen, per))
         pts = pts * gen.choice((-1.0, 1.0), size=(per, modes))
-        us = sample_haar_unitary_batch(modes, gen, per)
-        gamma = covariance_number_conserving(pts, us)  # h = U diag(pts) U^dag is known: no eigh is needed
-        fock_dev = None
-        if first:
-            k = FOCK_CHECK_DRAWS
-            h = from_eigenpairs(pts[:k], us[:k])
-            fock_dev = _fock_check(assemble_blocks(h, np.zeros_like(h)), gamma[:k])
+        k = FOCK_CHECK_DRAWS
+        # h = U diag(pts) U^dag is known: no eigh is needed, and at M = 2 no QR
+        if modes == 2:
+            q = _haar_first_columns(gen, per)
+            gamma = _filling_covariance(_rank_one_filling(-0.5 * np.tanh(0.5 * pts), q))
+            h = _rank_one_filling(pts[:k], q[:k]) if first else None
+        else:
+            us = sample_haar_unitary_batch(modes, gen, per)
+            gamma = covariance_number_conserving(pts, us)
+            h = from_eigenpairs(pts[:k], us[:k]) if first else None
+        fock_dev = _fock_check(assemble_blocks(h, np.zeros_like(h)), gamma[:k]) if first else None
         return wick_coordinates(gamma), fock_dev, pts
 
     results, samples = _run_chunks(worker, n_samples, spec, modes, workers)

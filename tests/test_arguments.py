@@ -154,7 +154,18 @@ PROBES = [
 ]
 
 
-@pytest.mark.parametrize("name, probe, error", PROBES, ids=[f"{row[0]}-{i}" for i, row in enumerate(PROBES)])
+def _probe_ids(rows) -> list[str]:
+    """``name-k`` for the k-th row of each name, so deleting a row renames
+    only the later rows of its own name."""
+    seen = {}
+    ids = []
+    for name, *_ in rows:
+        seen[name] = seen.get(name, -1) + 1
+        ids.append(f"{name}-{seen[name]}")
+    return ids
+
+
+@pytest.mark.parametrize("name, probe, error", PROBES, ids=_probe_ids(PROBES))
 def test_probe_raises_its_named_error(name, probe, error):
     with pytest.raises(FermigaussError) as caught:
         probe()

@@ -38,9 +38,19 @@ from fermigauss import (
     verify_nc_modified,
 )
 from fermigauss.cli import run
-from fermigauss.fock import _annihilators, _sigma_x, _wick_plan, embed_parity_blocks, quadratic_hamiltonian_batch
+from fermigauss.ensembles import _complex_normals, _haar_first_columns
+from fermigauss.fock import (
+    _annihilators,
+    _sigma_x,
+    _wick_plan,
+    embed_parity_blocks,
+    from_eigenpairs,
+    quadratic_hamiltonian_batch,
+)
 from fermigauss.gaussian import (
     _expm,
+    _filling_covariance,
+    _rank_one_filling,
     assemble_blocks,
     covariance_from_eigenpairs,
     covariance_number_conserving,
@@ -461,6 +471,31 @@ class TestNumberConservingDraws:
         assert max_abs(gamma, want) <= 1e-15
         assert np.array_equal(gamma, -np.swapaxes(gamma, -1, -2))
         assert not covariance_number_conserving(np.zeros_like(lam), us).any()
+
+    @pytest.mark.parametrize("p", [1e-308, 1.0, 1e300, "zero"])
+    def test_rank_one_filling_matches_the_qr_unitaries(self, p):
+        # the worker's M = 2 route: the same normals, and no QR
+        n, spec = 500, RngSpec(70)
+        if p == "zero":
+            lam = np.zeros((n, 2))
+        else:
+            lam = pair_values(sample_class_d_batch(2, p, spec.with_stream(1), n)) * [1.0, -1.0]
+        gen_q, gen_u = spec.generator(), spec.generator()
+        q, us = _haar_first_columns(gen_q, n), sample_haar_unitary_batch(2, gen_u, n)
+        assert gen_q.bit_generator.state == gen_u.bit_generator.state
+        z = _complex_normals(spec.generator(), n, 2)[:, :, 0].astype(np.clongdouble)
+        exact_q = z / np.sqrt((z * z.conj()).real.sum(axis=-1, keepdims=True))
+        for w in (-0.5 * np.tanh(0.5 * lam), lam):  # the filling F and the Fock check's h
+            # to 1e-15 of the largest w_1 - w_2, the scale of the rank-one
+            # term: against the same closed form in extended precision, and
+            # against the QR unitaries, whose own rounding is the larger
+            got, scale = _rank_one_filling(w, q), np.abs(w[:, 0] - w[:, 1]).max()
+            assert np.abs(got - _rank_one_filling(w.astype(np.longdouble), exact_q)).max() <= 1e-15 * scale
+            assert max_abs(got, from_eigenpairs(w, us)) <= 1e-15 * scale
+        gamma = _filling_covariance(_rank_one_filling(-0.5 * np.tanh(0.5 * lam), q))
+        assert np.array_equal(gamma, -np.swapaxes(gamma, -1, -2))
+        if p == "zero":
+            assert not gamma.any()
 
     @pytest.mark.filterwarnings("error")
     def test_nc_modified_at_tiny_stiffness_warns_of_nothing(self):

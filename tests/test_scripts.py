@@ -36,7 +36,7 @@ class TestBenchLayers:
         assert {name: list(row) for name, row in rows.items()} == {
             **{f"verify_resolution_mc M={m} chunk=8": resolution for m in range(1, 7)},
             "verify_resolution_mc M=6 chunk=25": resolution,
-            "verify_nc_modified M=2 chunk=1563": ["class_d_pairs", "sample_haar_unitary_batch", "wick_mean"],
+            "verify_nc_modified M=2 chunk=1563": ["class_d_pairs", "rank_one_filling", "wick_mean"],
             "_cmd_resolution report M=6 samples=400": ["estimator_to_criterion", "build_report", "write_report"],
             "verify_resolution_quadrature M=2": ["verify_resolution_quadrature"],
             "operator_identity_suite M=3 trials=50": ["operator_identity_suite"],

@@ -35,7 +35,7 @@ from fermigauss import (
 from fermigauss import ensembles, gaussian, sample_class_d_batch, sample_radial_mcmc
 from fermigauss import verify as verify_module
 from fermigauss.cli import run
-from fermigauss.ensembles import _log_jacobian, sample_haar_unitary_batch
+from fermigauss.ensembles import _haar_first_columns, _log_jacobian, sample_haar_unitary_batch
 from fermigauss.fock import (
     embed_parity_blocks,
     from_eigenpairs,
@@ -465,15 +465,21 @@ class TestFockCrossCheck:
             assert rep.details["fock_check_deviation"] == _fock_check(-beta * mats[:k], gamma, log_tr)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_nc_modified_checks_chunk_zero(self, workers):
-        spec, modes, n, p, k = RngSpec(16), 2, 400, 1.0, FOCK_CHECK_DRAWS
+    @pytest.mark.parametrize("modes", [2, 3])  # the rank-one route and the QR route
+    def test_nc_modified_checks_chunk_zero(self, modes, workers):
+        spec, n, p, k = RngSpec(16), 400, 1.0, FOCK_CHECK_DRAWS
         rep = verify_nc_modified(modes, p, n, spec, workers=workers)
         gen, per = spec.generator(), _chunk_layout(n)[1]
         pts = gaussian.pair_values(sample_class_d_batch(modes, 0.5 * p, gen, per))
         pts = pts * gen.choice((-1.0, 1.0), size=(per, modes))
-        us = sample_haar_unitary_batch(modes, gen, per)
-        gamma = gaussian.covariance_number_conserving(pts, us)
-        h = from_eigenpairs(pts[:k], us[:k])
+        if modes == 2:
+            q = _haar_first_columns(gen, per)
+            gamma = gaussian._filling_covariance(gaussian._rank_one_filling(-0.5 * np.tanh(0.5 * pts), q))
+            h = gaussian._rank_one_filling(pts[:k], q[:k])
+        else:
+            us = sample_haar_unitary_batch(modes, gen, per)
+            gamma = gaussian.covariance_number_conserving(pts, us)
+            h = from_eigenpairs(pts[:k], us[:k])
         mats = assemble_blocks(h, np.zeros_like(h))
         assert rep.details["fock_check_deviation"] == _fock_check(mats, gamma[:k])
 
@@ -906,6 +912,16 @@ class TestNcModified:
         a = verify_nc_modified(2, 1.0, 12_000, RngSpec(70), workers=1)
         b = verify_nc_modified(2, 1.0, 12_000, RngSpec(70), workers=4)
         assert np.array_equal(a.mean.matrix, b.mean.matrix)
+
+    def test_two_modes_take_no_qr_and_no_eigenpair_rebuild(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the QR route ran")
+
+        monkeypatch.setattr(np.linalg, "qr", refuse)
+        monkeypatch.setattr(verify_module, "from_eigenpairs", refuse)
+        assert verify_nc_modified(2, 1.0, 400, RngSpec(3)).passed
+        with pytest.raises(AssertionError, match="the QR route ran"):
+            verify_nc_modified(3, 1.0, 400, RngSpec(3))
 
 
 def _modified_weight_moments(lam: np.ndarray) -> np.ndarray:
