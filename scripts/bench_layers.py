@@ -28,7 +28,9 @@ steps of that call, run one after another on the same draws, p = 1:
   Gaussian weight, quad_order 60).
 - ``operator_identity_suite M=3 trials=50``: one whole call of the identity
   suite as the ``checks`` benchmark workload runs it (``identities --modes 3``,
-  seed 0).
+  seed 0). Beside the whole call, one layer per trial of
+  verify._IDENTITY_TRIALS (named after its function) sums that trial's runs
+  within the same call, so these layers nest inside the whole call.
 
 Every row first runs once untimed, to warm the per-M caches. Rows of full
 chunks and the identity suite then run REPEATS times, the small ones
@@ -70,14 +72,15 @@ MC_M6_SAMPLES, NC_SAMPLES = 400, 25000  # the benchmark workloads' --samples
 def _row(one_round, repeats: int) -> dict:
     """Min and median seconds of each layer that ``one_round(timed)`` times
     through ``timed(layer, fn, *args)``, over ``repeats`` rounds after one
-    untimed round."""
+    untimed round; a layer timed more than once in a round counts its sum."""
     times = {}
     for i in range(repeats + 1):
         def timed(layer, fn, *args):
+            total = times.setdefault(layer, [0.0] * repeats)  # a layer is listed when its first call starts
             start = time.perf_counter()
             out = fn(*args)
             if i:
-                times.setdefault(layer, []).append(time.perf_counter() - start)
+                total[i - 1] += time.perf_counter() - start
             return out
 
         one_round(timed)
@@ -157,9 +160,21 @@ def quadrature_row(repeats: int) -> dict:
 
 
 def identity_row(repeats: int) -> dict:
-    from fermigauss.verify import operator_identity_suite
+    from fermigauss import verify
 
-    return _row(lambda timed: timed("operator_identity_suite", operator_identity_suite, 3, 0, 50), repeats)
+    table = verify._IDENTITY_TRIALS
+
+    def one_round(timed):
+        # each trial of the table is timed inside one real suite call, summed over its runs
+        verify._IDENTITY_TRIALS = tuple(
+            (lambda gen, m, trial=trial: timed(trial.__name__, trial, gen, m), schedule) for trial, schedule in table
+        )
+        try:
+            timed("operator_identity_suite", verify.operator_identity_suite, 3, 0, 50)
+        finally:
+            verify._IDENTITY_TRIALS = table
+
+    return _row(one_round, repeats)
 
 
 def tables() -> dict:

@@ -30,6 +30,7 @@ from .fock import (
     FockOperator,
     _annihilators,
     _check_modes,
+    _string_sum,
     _wick_plan,
     build_mode_operators,
     embed_parity_blocks,
@@ -744,8 +745,7 @@ def verify_nc_failure(modes: int = 2, p: float = 1.0, quad_order: int = 60) -> E
     c, residual = _closest_identity_multiple(q)
 
     # residual decomposition over {I, N_1, N_2, N_1 N_2} built from b = U^dag a
-    ann = np.stack(_annihilators(modes))
-    b = np.einsum("kj,kab->jab", u.conj(), ann)
+    b = np.einsum("kj,kab->jab", u.conj(), _annihilators(modes))
     nops = [bj.conj().T @ bj for bj in b]
     basis = [np.eye(1 << modes, dtype=complex), nops[0], nops[1], nops[0] @ nops[1]]
     stack = np.stack([m.ravel() for m in basis]).T
@@ -892,10 +892,9 @@ def _composition(gen: np.random.Generator, m: int) -> list[tuple]:
 
 
 def _nc_embedding(gen: np.random.Generator, m: int) -> list[tuple]:
-    """Against exp(a^dag h a) built from the mode operators."""
+    """Against exp(a^dag h a) = exp(sum h_kl a_k^dag a_l), one contraction over the mode operators."""
     h = _hermitian_matrix(gen, m)
-    ann = [a.matrix for a in build_mode_operators(m)]
-    ham = sum(h[k, l] * ann[k].conj().T @ ann[l] for k in range(m) for l in range(m))
+    ham = _string_sum(_annihilators(m), h)
     direct = op_exp(FockOperator(m, ham, hermitian=True))
     gap = np.abs(gaussian_number_conserving(h).matrix - direct.matrix / direct.trace().real).max()
     return [("number-conserving embedding (delta = 0)", 1e-12, gap)]
@@ -906,8 +905,8 @@ def _diagonal_form(gen: np.random.Generator, m: int) -> list[tuple]:
     polar = random_polar_rotation(m, gen)
     bdg_mat = polar.bogoliubov.conj().T @ polar.diagonal_coefficient() @ polar.bogoliubov
     lam_op = gaussian_normalized(make_bdg(bdg_mat[:m, :m], bdg_mat[:m, m:]))
-    gam = np.concatenate([np.stack(_annihilators(m)), np.stack([a.conj().T for a in _annihilators(m)])])
-    bops = np.einsum("jk,kab->jab", polar.bogoliubov[:m], gam)
+    ann = _annihilators(m)
+    bops = np.einsum("jk,kab->jab", polar.bogoliubov[:m], np.concatenate([ann, np.swapaxes(ann, -1, -2)]))
     dim, tanh = 1 << m, np.tanh(polar.lambdas / 2.0)
     prod, combo = np.eye(dim, dtype=complex), np.zeros((dim, dim), dtype=complex)
     for j in range(m):

@@ -3,7 +3,9 @@ runs, kept so the tests can hold its paths to an independent one; and
 break_phase, the fault of the Wick scatter that the Fock cross-check catches."""
 
 import dataclasses
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import product
+from math import factorial
 
 import numpy as np
 
@@ -16,7 +18,7 @@ from fermigauss.gaussian import assemble_blocks, covariance_from_eigenpairs, exp
 def gamma_ops(modes: int) -> np.ndarray:
     """Stacked matrices of (a_1..a_M, a_1^dag..a_M^dag), shape (2M, dim, dim)."""
     ann = _annihilators(modes)
-    stack = np.stack(list(ann) + [m.conj().T for m in ann])
+    stack = np.concatenate([ann, np.swapaxes(ann, -1, -2)])
     stack.setflags(write=False)
     return stack
 
@@ -60,6 +62,21 @@ def eigh_covariance(mats: np.ndarray) -> np.ndarray:
     complex 2M x 2M eigh and their eigenpairs, the route the Monte Carlo
     drivers took before the real form (gaussian.real_form)."""
     return covariance_from_eigenpairs(*np.linalg.eigh(mats))
+
+
+def tuple_normal_ordered_exp(bmat: np.ndarray) -> np.ndarray:
+    """:exp(a^dag B a): by its terminating expansion over index tuples, the
+    construction fock.normal_ordered_exp regroups by minors:
+    sum_(k=0..M) (1/k!) sum over tuples of B[i1,j1] .. B[ik,jk] a_i1^dag .. a_ik^dag a_jk .. a_j1.
+    O(M^(2M)) string products, for M <= 3."""
+    modes = len(bmat)
+    ann, eye = _annihilators(modes), np.eye(1 << modes)
+    total = np.zeros((1 << modes, 1 << modes), dtype=complex)
+    for k in range(modes + 1):
+        strings = {t: reduce(lambda s, j: ann[j] @ s, t, eye) for t in product(range(modes), repeat=k)}  # a_tk .. a_t1
+        for (i, left), (j, right) in product(strings.items(), repeat=2):
+            total += np.prod(bmat[list(i), list(j)]) / factorial(k) * (left.T @ right)
+    return total
 
 
 def break_phase(monkeypatch, modes: int, column: int = -1) -> None:

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 from conftest import hermitian_matrix, max_abs
-from oracles import quadratic_tensor
+from oracles import quadratic_tensor, tuple_normal_ordered_exp
 
 from fermigauss import (
     CapacityError,
@@ -21,6 +23,8 @@ from fermigauss import (
     RngSpec,
 )
 from fermigauss.fock import (
+    _annihilators,
+    _assembly_plan,
     _parity_sectors,
     _wick_plan,
     embed_parity_blocks,
@@ -146,6 +150,12 @@ class TestAssemblyPlan:
             assert max_abs(blocks[:, parity], dense[:, states[:, None], states]) <= 1e-15
 
     @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
+    def test_plan_is_half_the_dense_quadratic_tensor_exactly(self, modes):
+        sectors = _parity_sectors(modes)
+        dense = 0.5 * quadratic_tensor(modes)[:, :, sectors[:, :, None], sectors[:, None, :]]
+        assert np.array_equal(_assembly_plan(modes), dense.real.reshape(4 * modes * modes, -1))
+
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
     def test_embedding_is_zero_across_parities(self, modes):
         mats = sample_class_d_batch(modes, 1.0, RngSpec(62, stream=modes), 3)
         full = embed_parity_blocks(quadratic_hamiltonian_batch(mats))
@@ -242,17 +252,58 @@ class TestNormalOrderedExp:
         assert max_abs(out.matrix, np.eye(2) + (np.exp(lam) - 1.0) * nhat) < 1e-15
         assert abs(out.trace().real - (1.0 + np.exp(lam))) < 1e-12
 
-    @pytest.mark.parametrize("modes", [1, 2, 3])
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
     def test_matches_spectral_exponential(self, modes):
-        # fifty random generators spread over the mode counts
         gen = RngSpec(14).generator()
-        tensor = quadratic_tensor(modes)[:modes, :modes]
+        ann = _annihilators(modes)
         for _ in range(17):
             h = hermitian_matrix(gen, modes)
-            ham = FockOperator(modes, np.einsum("kl,klab->ab", h, tensor), hermitian=True)
+            ham = FockOperator(modes, np.einsum("kba,kl,lbc->ac", ann, h, ann, optimize=True), hermitian=True)
             direct = op_exp(ham)
             ordered = normal_ordered_exp(scipy.linalg.expm(h) - np.eye(modes))
             assert max_abs(direct.matrix, ordered.matrix) < 1e-9
+
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    def test_matches_the_index_tuple_expansion(self, modes):
+        gen = RngSpec(32).generator()
+        for _ in range(50):
+            bmat = gen.normal(size=(modes, modes)) + 1j * gen.normal(size=(modes, modes))
+            want = tuple_normal_ordered_exp(bmat)
+            assert max_abs(normal_ordered_exp(bmat).matrix, want) <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
+    def test_minus_identity_is_the_vacuum_projector(self, modes):
+        # :exp(-N): = |0><0|; every off-diagonal minor of -I is singular
+        vacuum = np.zeros((1 << modes, 1 << modes))
+        vacuum[0, 0] = 1.0
+        assert max_abs(normal_ordered_exp(-np.eye(modes)).matrix, vacuum) == 0.0
+
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
+    def test_diagonal_is_the_product_over_modes(self, modes):
+        # :exp(sum_j x_j n_j): = prod_j (1 + x_j n_j)
+        x = RngSpec(modes).generator().normal(size=modes)
+        want = np.eye(1 << modes)
+        for j, a in enumerate(_annihilators(modes)):
+            want = want @ (np.eye(1 << modes) + x[j] * a.T @ a)
+        assert max_abs(normal_ordered_exp(np.diag(x)).matrix, want) < 1e-13
+
+    @pytest.mark.parametrize("action", ["error", "always"])
+    def test_overflow_is_a_domain_error(self, action):
+        # the 2 x 2 minor, 1e320, exceeds the float range; no RuntimeWarning escapes
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action)
+            with pytest.raises(DomainError, match="normal_ordered_exp overflows"):
+                normal_ordered_exp(np.diag([1e160, 1e160]))
+        assert not caught
+
+    def test_large_rank_one_keeps_only_the_linear_term(self):
+        # every minor above size 1 of a rank-one matrix is exactly 0, so no product of entries overflows
+        bmat = 1e200 * np.ones((3, 3))
+        ann = _annihilators(3)
+        want = np.eye(8) + np.einsum("kba,kl,lbc->ac", ann, bmat, ann)
+        out = normal_ordered_exp(bmat).matrix
+        assert np.isfinite(out).all()
+        assert max_abs(out, want) <= 1e-13 * np.abs(want).max()
 
     def test_non_square_rejected(self):
         with pytest.raises(StructureError):

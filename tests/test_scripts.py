@@ -31,7 +31,9 @@ class TestBenchLayers:
             build = module.quadratic_hamiltonian_batch
             monkeypatch.setattr(module, "quadratic_hamiltonian_batch",
                                 lambda mats, build=build: assembled.append(len(mats)) or build(mats))
+        trials = verify._IDENTITY_TRIALS
         rows = layers.tables()
+        assert verify._IDENTITY_TRIALS is trials  # the identity row puts the table back
         resolution = ["sample_class_d_batch", "covariance", "wick_coordinates", "scatter", "_fock_check"]
         assert {name: list(row) for name, row in rows.items()} == {
             **{f"verify_resolution_mc M={m} chunk=8": resolution for m in range(1, 7)},
@@ -39,7 +41,8 @@ class TestBenchLayers:
             "verify_nc_modified M=2 chunk=1563": ["class_d_pairs", "rank_one_filling", "wick_mean"],
             "_cmd_resolution report M=6 samples=400": ["estimator_to_criterion", "build_report", "write_report"],
             "verify_resolution_quadrature M=2": ["verify_resolution_quadrature"],
-            "operator_identity_suite M=3 trials=50": ["operator_identity_suite"],
+            "operator_identity_suite M=3 trials=50": ["operator_identity_suite"]
+            + [trial.__name__ for trial, _ in verify._IDENTITY_TRIALS],
         }
         for row in rows.values():
             for t in row.values():
