@@ -29,8 +29,9 @@ steps of that call, run one after another on the same draws, p = 1:
 - ``operator_identity_suite M=3 trials=50``: one whole call of the identity
   suite as the ``checks`` benchmark workload runs it (``identities --modes 3``,
   seed 0). Beside the whole call, one layer per trial of
-  verify._IDENTITY_TRIALS (named after its function) sums that trial's runs
-  within the same call, so these layers nest inside the whole call.
+  verify._IDENTITY_TRIALS (named after its function) sums that trial's
+  calls, one per mode count, within the same call, so these layers nest
+  inside the whole call.
 
 Every row first runs once untimed, to warm the per-M caches. Rows of full
 chunks and the identity suite then run REPEATS times, the small ones
@@ -165,9 +166,10 @@ def identity_row(repeats: int) -> dict:
     table = verify._IDENTITY_TRIALS
 
     def one_round(timed):
-        # each trial of the table is timed inside one real suite call, summed over its runs
+        # each trial of the table is timed inside one real suite call, summed over its mode counts
         verify._IDENTITY_TRIALS = tuple(
-            (lambda gen, m, trial=trial: timed(trial.__name__, trial, gen, m), schedule) for trial, schedule in table
+            (lambda gen, m, count, trial=trial: timed(trial.__name__, trial, gen, m, count), schedule)
+            for trial, schedule in table
         )
         try:
             timed("operator_identity_suite", verify.operator_identity_suite, 3, 0, 50)

@@ -13,7 +13,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ContractError, DegenerateSpectrumError, DomainError, _above, _count
-from .gaussian import BdgMatrix, PolarForm, assemble_blocks, make_bdg, polar_decompose
+from .gaussian import BdgMatrix, PolarForm, _polar_parts, assemble_blocks, make_bdg
 
 #: Proposals landing this close to a density zero are rejected outright.
 COINCIDENCE_FLOOR = 1e-300
@@ -239,17 +239,25 @@ def _haar_first_columns(gen: np.random.Generator, count: int) -> np.ndarray:
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
-def random_polar_rotation(modes: int, rng) -> PolarForm:
-    """Polar form of a random class-D draw at p = 1; redraws on
-    (probability-zero) degenerate spectra, up to 64 times. Used to produce
-    reproducible rotations for the verification drivers."""
-    gen = _as_generator(rng)
+def _polar_rotations(modes: int, gen: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair values (count, M) and canonical transformations (count, 2M, 2M) of
+    the polar forms of ``count`` class-D draws at p = 1; each draw with a
+    (probability-zero) degenerate spectrum is redrawn, up to 64 draws in all."""
+    mats = sample_class_d_batch(modes, 1.0, gen, count)
     for _ in range(64):
-        try:
-            return polar_decompose(sample_class_d(modes, 1.0, gen))
-        except DegenerateSpectrumError:
-            continue
+        lam, u, degenerate = _polar_parts(mats)
+        if not degenerate.any():
+            return lam, u
+        mats[degenerate] = sample_class_d_batch(modes, 1.0, gen, int(degenerate.sum()))
     raise DegenerateSpectrumError("failed to draw a non-degenerate spectrum in 64 tries")
+
+
+def random_polar_rotation(modes: int, rng) -> PolarForm:
+    """Polar form of a random class-D draw at p = 1, _polar_rotations of one
+    draw; redraws on (probability-zero) degenerate spectra, up to 64 times.
+    Used to produce reproducible rotations for the verification drivers."""
+    lam, u = _polar_rotations(modes, _as_generator(rng), 1)
+    return PolarForm(lambdas=lam[0], bogoliubov=u[0])
 
 
 @dataclass(frozen=True)

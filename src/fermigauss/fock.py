@@ -127,9 +127,11 @@ def _mode_strings(modes: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
 
 
 def _string_sum(strings: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """sum_(I,J) coeff[I, J] S_I^T S_J over an (n, dim, dim) stack of real strings S, as two matrix products."""
+    """sum_(I,J) coeff[..., I, J] S_I^T S_J over a (C, dim, dim) stack of real strings S, as two
+    matrix products, for one (C, C) ``coeff`` or a stack of them."""
     dim = strings.shape[-1]
-    return (coeff.T @ strings.reshape(len(strings), -1)).reshape(-1, dim).T @ strings.reshape(-1, dim)
+    rows = np.swapaxes(coeff, -1, -2) @ strings.reshape(len(strings), -1)
+    return np.swapaxes(rows.reshape(rows.shape[:-2] + (-1, dim)), -1, -2) @ strings.reshape(-1, dim)
 
 
 def build_mode_operators(modes: int) -> list[FockOperator]:
@@ -306,11 +308,17 @@ def quadratic_hamiltonian(coeff) -> FockOperator:
     mat = _square(coeff.assembled() if hasattr(coeff, "assembled") else coeff, "coefficient matrix")
     if mat.shape[0] % 2:
         raise StructureError(f"coefficient matrix must be of even size, got shape {mat.shape}")
-    sr = _sigma_x(mat.shape[0] // 2) @ mat
-    _require_close(sr, -sr.T, STRUCTURE_TOL, "coefficient matrix violates the particle-hole block structure")
+    _require_particle_hole(mat)
     out = embed_parity_blocks(quadratic_hamiltonian_batch(mat[None])[0])
     herm = np.abs(mat - mat.conj().T).max() <= STRUCTURE_TOL
     return FockOperator(mat.shape[0] // 2, out, hermitian=herm)
+
+
+def _require_particle_hole(mats: np.ndarray) -> None:
+    """StructureError unless every coefficient matrix of ``mats``, one or a stack,
+    has the particle-hole block structure: sigma_x H antisymmetric."""
+    sr = _sigma_x(mats.shape[-1] // 2) @ mats
+    _require_close(sr, -np.swapaxes(sr, -1, -2), STRUCTURE_TOL, "coefficient matrix violates the particle-hole block structure")
 
 
 def quadratic_hamiltonian_batch(mats: np.ndarray) -> np.ndarray:
@@ -347,21 +355,43 @@ def from_eigenpairs(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 
 
-def op_exp(op: FockOperator, scale: float = 1.0) -> FockOperator:
-    """exp(scale * A) of a hermitian Fock operator, via spectral decomposition.
-
-    The rebuild is symmetrized, since its rounding error grows with the
-    largest entry. Raises DomainError when ``scale`` is not a finite real or
-    an entry would exceed the float range.
-    """
-    _above(scale, -inf, "scale")
-    _require_close(op.matrix, op.matrix.conj().T, STRUCTURE_TOL, "op_exp requires a hermitian operator", ContractError)
-    w, v = np.linalg.eigh(op.matrix)
+def _exp_hermitian(mats: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """exp(scale * A) of one hermitian matrix or a stack, by eigh; op_exp is its
+    call on one Fock matrix. The rebuild is symmetrized, since its rounding
+    error grows with the largest entry. Raises ContractError unless every
+    matrix is hermitian, and DomainError when an entry of any would exceed the
+    float range."""
+    _require_close(mats, np.swapaxes(mats.conj(), -1, -2), STRUCTURE_TOL, "op_exp requires a hermitian operator", ContractError)
+    w, v = np.linalg.eigh(mats)
     w = scale * w
     if not w.max() < LOG_FLOAT_MAX:
         raise DomainError(f"exponential overflows a float: the log of its largest eigenvalue is {w.max():.6g}")
     mat = from_eigenpairs(np.exp(w), v)
-    return FockOperator(op.modes, 0.5 * mat + 0.5 * mat.conj().T, hermitian=True)
+    return 0.5 * mat + 0.5 * np.swapaxes(mat.conj(), -1, -2)
+
+
+def op_exp(op: FockOperator, scale: float = 1.0) -> FockOperator:
+    """exp(scale * A) of a hermitian Fock operator, via spectral decomposition
+    (_exp_hermitian). Raises DomainError when ``scale`` is not a finite real or
+    an entry would exceed the float range."""
+    _above(scale, -inf, "scale")
+    return FockOperator(op.modes, _exp_hermitian(op.matrix, scale), hermitian=True)
+
+
+def _normal_ordered_stack(bmats: np.ndarray) -> np.ndarray:
+    """:exp(a^dag B a): of one (M, M) coefficient or a stack, (..., dim, dim), as
+    normal_ordered_exp states it. The k = 0 term is the identity and the k = 1
+    minors are the entries of B themselves: np.linalg.det goes through a
+    log-determinant, which would move even a 1 x 1 minor by rounding. DomainError
+    when an entry overflows a float."""
+    (_, identity), (_, singles), *higher = _mode_strings(bmats.shape[-1])
+    with np.errstate(all="ignore"):
+        total = identity[0] + _string_sum(singles, bmats)
+        for subsets, strings in higher:
+            total = total + _string_sum(strings, np.linalg.det(bmats[..., subsets[:, None, :, None], subsets[None, :, None, :]]))
+    if not np.isfinite(total).all():
+        raise DomainError("normal_ordered_exp overflows a float: a minor of the coefficient or a sum of them")
+    return total
 
 
 def normal_ordered_exp(coeff) -> FockOperator:
@@ -373,17 +403,10 @@ def normal_ordered_exp(coeff) -> FockOperator:
     sgn(sigma) sgn(tau), so the k! orderings of a pair of sets sum to k! det B[I, J]:
     :exp(a^dag B a): = sum_k sum_(|I|=|J|=k) det(B[I, J]) S_I^T S_J, with the
     strings S_J of _mode_strings. The cost is sum_k C(M,k)^2 string products, per
-    k one batched det of the minors and two matrix products. An exact construction,
-    free of any exponential identity; DomainError when an entry overflows a float.
+    k one batched det of the minors and two matrix products (_normal_ordered_stack,
+    of which this is the call on one B). An exact construction, free of any
+    exponential identity; DomainError when an entry overflows a float.
     """
     bmat = _square(coeff, "coefficient")
-    modes = bmat.shape[0]
-    _check_modes(modes)
-    with np.errstate(all="ignore"):
-        total = sum(
-            _string_sum(strings, np.linalg.det(bmat[subsets[:, None, :, None], subsets[None, :, None, :]]))
-            for subsets, strings in _mode_strings(modes)
-        )
-    if not np.isfinite(total).all():
-        raise DomainError("normal_ordered_exp overflows a float: a minor of the coefficient or a sum of them")
-    return FockOperator(modes, total)
+    _check_modes(bmat.shape[0])
+    return FockOperator(bmat.shape[0], _normal_ordered_stack(bmat))

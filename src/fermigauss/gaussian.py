@@ -140,15 +140,20 @@ def make_bdg(h, delta) -> BdgMatrix:
     return BdgMatrix(h, delta)
 
 
-def _paired_eigh(bdg: BdgMatrix, context: str) -> tuple[np.ndarray, np.ndarray]:
-    """Pair representatives (as paired_eigenvalues) and the eigenvectors of the
-    assembled matrix, ascending."""
+def _assembled(bdg: BdgMatrix, context: str) -> np.ndarray:
     if not isinstance(bdg, BdgMatrix):
         raise ContractError(f"{context} requires a BdgMatrix coefficient matrix")
-    w, v = np.linalg.eigh(bdg.assembled())
-    m = bdg.modes
-    _require_close(w, -w[::-1], PAIR_TOL, "spectrum is not symmetric under sign reversal")
-    return (w[m:] - w[m - 1 :: -1]) / 2.0, v
+    return bdg.assembled()
+
+
+def _paired_eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair representatives (as paired_eigenvalues) and the eigenvectors of one
+    assembled coefficient matrix or a stack, ascending; StructureError unless
+    every spectrum is symmetric under sign reversal."""
+    w, v = np.linalg.eigh(mats)
+    m = mats.shape[-1] // 2
+    _require_close(w, -w[..., ::-1], PAIR_TOL, "spectrum is not symmetric under sign reversal")
+    return (w[..., m:] - w[..., m - 1 :: -1]) / 2.0, v
 
 
 def paired_eigenvalues(bdg: BdgMatrix) -> np.ndarray:
@@ -157,7 +162,19 @@ def paired_eigenvalues(bdg: BdgMatrix) -> np.ndarray:
     Only mirror symmetry of the spectrum is required, so degenerate spectra
     (including the zero matrix) are fine here.
     """
-    return _paired_eigh(bdg, "eigenvalue pairing")[0]
+    return _paired_eigh(_assembled(bdg, "eigenvalue pairing"))[0]
+
+
+def _polar_parts(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pair representatives and canonical transformations of
+    polar_decompose for one assembled coefficient matrix or a stack, and
+    whether each spectrum is degenerate (pairs closer than PAIR_TOL)."""
+    lam, v = _paired_eigh(mats)
+    m = mats.shape[-1] // 2
+    degenerate = (np.diff(lam).min(axis=-1, initial=math.inf) < PAIR_TOL) | (lam[..., 0] < PAIR_TOL / 2)
+    plus = v[..., m:]
+    big = np.concatenate([plus, _sigma_x(m) @ plus.conj()], axis=-1)
+    return lam, np.swapaxes(big.conj(), -1, -2), degenerate
 
 
 def polar_decompose(bdg: BdgMatrix) -> PolarForm:
@@ -171,18 +188,13 @@ def polar_decompose(bdg: BdgMatrix) -> PolarForm:
     rejected: the pairing is then ambiguous and callers should perturb the
     input. Samplers treat this as a probability-zero event and redraw.
     """
-    lam, v = _paired_eigh(bdg, "polar decomposition")
-    m = bdg.modes
-    gaps = np.diff(lam)
-    if (m > 1 and gaps.min() < PAIR_TOL) or lam[0] < PAIR_TOL / 2:
+    lam, u, degenerate = _polar_parts(_assembled(bdg, "polar decomposition"))
+    if degenerate:
         raise DegenerateSpectrumError(
             "eigenvalue pairs are closer than the pair tolerance "
             f"({PAIR_TOL:.1e}); perturb the input and retry"
         )
-    plus = v[:, m:]
-    partner = _sigma_x(m) @ plus.conj()
-    big = np.hstack([plus, partner])
-    return PolarForm(lambdas=lam, bogoliubov=big.conj().T)
+    return PolarForm(lambdas=lam, bogoliubov=u)
 
 
 def log_trace_of_pairs(lam: np.ndarray) -> np.ndarray:
@@ -420,28 +432,30 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 def _principal_log(a: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:
     """Principal logarithm of exp(a) exp(b) for hermitian a, b of combined
-    spectral norm below pi.
+    spectral norm below pi, for one pair or for stacks of pairs, taken pair by
+    pair: compose_general and compose_number_conserving are its calls on one.
 
     The product is similar, through x = exp(a/2), to the positive definite
     x exp(b) x, and a primary matrix function commutes with similarity, so
     log = x log(x exp(b) x) x^-1 needs only hermitian eigendecompositions and
     never meets the branch cut. The round trip through _expm is still checked.
+    The norm gate and the round trip hold each pair of a stack to its own bound.
     """
     wa, va = np.linalg.eigh(a)
     wb, vb = np.linalg.eigh(b)
-    total = float(np.abs(wa).max() + np.abs(wb).max())
-    if not total < math.pi:
+    total = np.abs(wa).max(axis=-1) + np.abs(wb).max(axis=-1)
+    if not np.all(total < math.pi):
         raise ContractError(
-            f"combined spectral norm {total:.3f} >= pi; large-norm composition is out of scope"
+            f"combined spectral norm {np.max(total):.3f} >= pi; large-norm composition is out of scope"
         )
     x = from_eigenpairs(np.exp(wa / 2.0), va)
     exp_b = from_eigenpairs(np.exp(wb), vb)
     ws, vs = np.linalg.eigh(x @ exp_b @ x)
     log = x @ from_eigenpairs(np.log(ws), vs) @ from_eigenpairs(np.exp(-wa / 2.0), va)
     prod = x @ x @ exp_b
-    resid = np.abs(_expm(log) - prod).max()
-    if not resid <= 1e-10 * max(1.0, np.abs(prod).max()):
-        raise BranchCutError(f"{context}: matrix logarithm round trip failed ({resid:.3e})")
+    resid = np.abs(_expm(log) - prod).max(axis=(-2, -1))
+    if not np.all(resid <= 1e-10 * np.maximum(1.0, np.abs(prod).max(axis=(-2, -1)))):
+        raise BranchCutError(f"{context}: matrix logarithm round trip failed ({np.max(resid):.3e})")
     return log
 
 

@@ -12,13 +12,14 @@ from functools import lru_cache
 import numpy as np
 
 from . import selberg
-from .ensembles import (  # noqa: F401  sample_radial_mcmc stays importable here: benchmark/tracing.py wraps it
+from .ensembles import (  # noqa: F401  sample_class_d and sample_radial_mcmc stay importable here: benchmark/tracing.py wraps them
     CLASS_D,
     RngSpec,
     SymmetryClass,
     WeightSpec,
     _haar_first_columns,
     _log_jacobian,
+    _polar_rotations,
     random_polar_rotation,
     sample_class_d,
     sample_class_d_batch,
@@ -26,10 +27,13 @@ from .ensembles import (  # noqa: F401  sample_radial_mcmc stays importable here
     sample_radial_mcmc,
 )
 from .errors import CapacityError, ContractError, DomainError, NonConvergenceError, _above, _count
-from .fock import (
+from .fock import (  # noqa: F401  quadratic_hamiltonian and op_exp stay importable here: benchmark/tracing.py wraps them
     FockOperator,
     _annihilators,
     _check_modes,
+    _exp_hermitian,
+    _normal_ordered_stack,
+    _require_particle_hole,
     _string_sum,
     _wick_plan,
     build_mode_operators,
@@ -40,11 +44,14 @@ from .fock import (
     quadratic_hamiltonian,
     quadratic_hamiltonian_batch,
 )
-from .gaussian import (
+from .gaussian import (  # noqa: F401  gaussian_normalized, compose_general, compose_number_conserving,
+    # paired_eigenvalues and make_bdg stay importable here: benchmark/tracing.py wraps them
     PolarForm,
     _draw_weights,
     _expm,
     _filling_covariance,
+    _paired_eigh,
+    _principal_log,
     _rank_one_filling,
     assemble_blocks,
     compose_general,
@@ -829,133 +836,185 @@ def verify_nc_modified(
 # ---------------------------------------------------------------------------
 
 
-def _hermitian_matrix(gen: np.random.Generator, m: int) -> np.ndarray:
-    z = gen.normal(size=(m, m)) + 1j * gen.normal(size=(m, m))
-    return (z + z.conj().T) / 2.0
+def _hermitian_matrices(gen: np.random.Generator, m: int, count: int) -> np.ndarray:
+    """``count`` random m x m hermitian matrices, (count, m, m), from one draw of normals."""
+    z = gen.normal(size=(count, m, m)) + 1j * gen.normal(size=(count, m, m))
+    return (z + np.swapaxes(z.conj(), -1, -2)) / 2.0
 
 
-def _mode_algebra(gen: np.random.Generator, m: int) -> list[tuple]:
+def _fock_matrices(mats: np.ndarray) -> np.ndarray:
+    """Full Fock matrices of a stack of coefficient matrices: quadratic_hamiltonian
+    on each, without its per-matrix checks."""
+    return embed_parity_blocks(quadratic_hamiltonian_batch(mats))
+
+
+def _max_gaps(a: np.ndarray, b) -> np.ndarray:
+    """Max-entry gap between each matrix of ``a`` and ``b``, one per draw."""
+    return np.abs(a - b).max(axis=(-2, -1))
+
+
+def _mode_algebra(gen: np.random.Generator, m: int, count: int) -> list[tuple]:
+    """The sign-string mode matrices of build_mode_operators, their anticommutators
+    against delta_ij I and 0, and their vacuum column against 0; no draws."""
     ops = [a.matrix for a in build_mode_operators(m)]
     pairs = [(i == j, ai, aj) for i, ai in enumerate(ops) for j, aj in enumerate(ops)]
     cars = [np.abs(ai @ aj.conj().T + aj.conj().T @ ai - same * np.eye(1 << m)).max() for same, ai, aj in pairs]
     return [
-        ("anticommutators {a_i, a_j^dag} = delta_ij", 1e-13, np.max(cars)),
-        ("anticommutators {a_i, a_j} = 0", 1e-13, np.max([np.abs(ai @ aj + aj @ ai).max() for _, ai, aj in pairs])),
-        ("vacuum annihilated by every mode", 0.0, np.max([np.abs(a[:, 0]).max() for a in ops])),
+        ("anticommutators {a_i, a_j^dag} = delta_ij", 1e-13, np.array([np.max(cars)])),
+        ("anticommutators {a_i, a_j} = 0", 1e-13, np.array([np.max([np.abs(ai @ aj + aj @ ai).max() for _, ai, aj in pairs])])),
+        ("vacuum annihilated by every mode", 0.0, np.array([np.max([np.abs(a[:, 0]).max() for a in ops])])),
     ]
 
 
-def _normal_ordering(gen: np.random.Generator, m: int) -> list[tuple]:
-    h = _hermitian_matrix(gen, m)
-    # the embedding (h, 0) gives a^dag h a - (1/2) tr h; undo the shift
-    direct = op_exp(quadratic_hamiltonian(assemble_blocks(h, np.zeros_like(h))))
-    direct = math.exp(0.5 * np.trace(h).real) * direct.matrix
-    ordered = normal_ordered_exp(_expm(h) - np.eye(m))
-    return [("normal-ordered exponential identity", 1e-9, np.abs(direct - ordered.matrix).max())]
+def _normal_ordering(gen: np.random.Generator, m: int, count: int) -> list[tuple]:
+    """Per hermitian draw h: the exponential, by eigh (op_exp's kernel), of the
+    Fock matrix of the embedding (h, 0), which is a^dag h a - (1/2) tr h, its
+    shift undone, against the sum over minors of :exp(a^dag B a): with
+    B = _expm(h) - I (normal_ordered_exp's kernel)."""
+    h = _hermitian_matrices(gen, m, count)
+    direct = _exp_hermitian(_fock_matrices(assemble_blocks(h, np.zeros_like(h))))
+    direct = np.exp(0.5 * np.trace(h, axis1=-2, axis2=-1).real)[:, None, None] * direct
+    ordered = _normal_ordered_stack(_expm(h) - np.eye(m))
+    return [("normal-ordered exponential identity", 1e-9, _max_gaps(direct, ordered))]
 
 
-def _trace_formula(gen: np.random.Generator, m: int) -> list[tuple]:
-    bdg = sample_class_d(m, 1.0, gen)
-    closed = np.prod(2.0 * np.cosh(paired_eigenvalues(bdg) / 2.0))
-    exact = op_exp(quadratic_hamiltonian(bdg)).trace().real
-    w, v = np.linalg.eigh(bdg.assembled())
-    root_det = math.sqrt(abs(np.linalg.det(from_eigenpairs(2.0 * np.cosh(w / 2.0), v))))
-    gap = np.max([abs(exact - closed) / closed, abs(root_det - closed) / closed])
-    return [("trace = product of 2cosh(lam/2) = sqrt(det 2cosh(H/2))", 1e-9, gap)]
+def _trace_formula(gen: np.random.Generator, m: int, count: int) -> list[tuple]:
+    """Per class-D draw H, relative to the closed form prod 2cosh(lam/2) over
+    its pair values (paired_eigenvalues' kernel): the Fock trace of the
+    exponential of its Fock matrix, by eigh (op_exp's kernel), and
+    sqrt|det 2cosh(H/2)| of the doubled matrix, rebuilt from its own eigh."""
+    mats = sample_class_d_batch(m, 1.0, gen, count)
+    closed = np.prod(2.0 * np.cosh(_paired_eigh(mats)[0] / 2.0), axis=-1)
+    exact = np.trace(_exp_hermitian(_fock_matrices(mats)), axis1=-2, axis2=-1).real
+    w, v = np.linalg.eigh(mats)
+    root_det = np.sqrt(np.abs(np.linalg.det(from_eigenpairs(2.0 * np.cosh(w / 2.0), v))))
+    gaps = np.maximum(np.abs(exact - closed) / closed, np.abs(root_det - closed) / closed)
+    return [("trace = product of 2cosh(lam/2) = sqrt(det 2cosh(H/2))", 1e-9, gaps)]
 
 
-def _normalization(gen: np.random.Generator, m: int) -> list[tuple]:
-    lam = gaussian_normalized(sample_class_d(m, 1.0, gen))
+def _normalization(gen: np.random.Generator, m: int, count: int) -> list[tuple]:
+    """Per class-D draw, its normalized operator as gaussian_normalized builds
+    it (exp_normalized_fock_batch of its Fock matrix): minus its smallest
+    eigenvalue (eigvalsh), against 0, and its trace, against 1."""
+    lam = exp_normalized_fock_batch(_fock_matrices(sample_class_d_batch(m, 1.0, gen, count)))
     return [  # positivity is judged on minus the smallest eigenvalue
-        ("normalized operators positive definite", 1e-12, -np.linalg.eigvalsh(lam.matrix).min()),
-        ("normalized operators have unit trace", 1e-12, abs(lam.trace().real - 1.0)),
+        ("normalized operators positive definite", 1e-12, -np.linalg.eigvalsh(lam).min(axis=-1)),
+        ("normalized operators have unit trace", 1e-12, np.abs(np.trace(lam, axis1=-2, axis2=-1).real - 1.0)),
     ]
 
 
-def _composition(gen: np.random.Generator, m: int) -> list[tuple]:
-    def expm_fock(coefficients):
-        return _expm(quadratic_hamiltonian(coefficients).matrix)
+def _composition(gen: np.random.Generator, m: int, count: int) -> list[tuple]:
+    """Per pair of draws scaled to combined spectral norm 1.2, class-D (H1, H2)
+    and hermitian (h1, h2) in turn: _expm of the Fock matrix of the composed
+    X = log(e^H1 e^H2), by gaussian._principal_log on the stack as
+    compose_general and compose_number_conserving take one pair, against the
+    product of the two factors' Fock-matrix _expm. Each composed general X
+    must keep the particle-hole structure that quadratic_hamiltonian checks;
+    assemble_blocks writes it into the number-conserving (h, 0)."""
 
-    b1, b2 = sample_class_d(m, 1.0, gen), sample_class_d(m, 1.0, gen)
-    scale = 1.2 / sum(np.abs(np.linalg.eigvalsh(b.assembled())).max() for b in (b1, b2))
-    b1, b2 = (make_bdg(scale * b.h, scale * b.delta) for b in (b1, b2))
-    general = np.abs(expm_fock(compose_general(b1, b2)) - expm_fock(b1) @ expm_fock(b2)).max()
-    h1, h2 = _hermitian_matrix(gen, m), _hermitian_matrix(gen, m)
-    scale = 1.2 / sum(np.abs(np.linalg.eigvalsh(h)).max() for h in (h1, h2))
-    h1, h2 = scale * h1, scale * h2
-    hc, h1, h2 = (assemble_blocks(h, np.zeros_like(h)) for h in (compose_number_conserving(h1, h2), h1, h2))
-    conserving = np.abs(expm_fock(hc) - expm_fock(h1) @ expm_fock(h2)).max()
+    def expm_fock(coefficients):
+        return _expm(_fock_matrices(coefficients))
+
+    def scaled(mats):
+        norms = np.abs(np.linalg.eigvalsh(mats)).max(axis=-1)
+        scale = 1.2 / (norms[:count] + norms[count:])
+        return scale[:, None, None] * mats[:count], scale[:, None, None] * mats[count:]
+
+    b1, b2 = scaled(sample_class_d_batch(m, 1.0, gen, 2 * count))
+    x = _principal_log(b1, b2, "compose_general")
+    _require_particle_hole(x)
+    general = _max_gaps(expm_fock(x), expm_fock(b1) @ expm_fock(b2))
+    h1, h2 = scaled(_hermitian_matrices(gen, m, 2 * count))
+    hc, h1, h2 = (assemble_blocks(h, np.zeros_like(h)) for h in (_principal_log(h1, h2, "compose_number_conserving"), h1, h2))
+    conserving = _max_gaps(expm_fock(hc), expm_fock(h1) @ expm_fock(h2))
     return [
         ("general composition law at operator level", 1e-9, general),
         ("number-conserving composition law at operator level", 1e-9, conserving),
     ]
 
 
-def _nc_embedding(gen: np.random.Generator, m: int) -> list[tuple]:
-    """Against exp(a^dag h a) = exp(sum h_kl a_k^dag a_l), one contraction over the mode operators."""
-    h = _hermitian_matrix(gen, m)
-    ham = _string_sum(_annihilators(m), h)
-    direct = op_exp(FockOperator(m, ham, hermitian=True))
-    gap = np.abs(gaussian_number_conserving(h).matrix - direct.matrix / direct.trace().real).max()
-    return [("number-conserving embedding (delta = 0)", 1e-12, gap)]
+def _nc_embedding(gen: np.random.Generator, m: int, count: int) -> list[tuple]:
+    """Per hermitian draw h: its normalized operator as gaussian_number_conserving
+    builds it (exp_normalized_fock_batch of the Fock matrix of (h, 0)), against
+    exp(a^dag h a) = exp(sum h_kl a_k^dag a_l), one contraction over the mode
+    operators, exponentiated by eigh (op_exp's kernel) and divided by its trace."""
+    h = _hermitian_matrices(gen, m, count)
+    direct = _exp_hermitian(_string_sum(_annihilators(m), h))
+    direct = direct / np.trace(direct, axis1=-2, axis2=-1).real[:, None, None]
+    embedded = exp_normalized_fock_batch(_fock_matrices(assemble_blocks(h, np.zeros_like(h))))
+    return [("number-conserving embedding (delta = 0)", 1e-12, _max_gaps(embedded, direct))]
 
 
-def _diagonal_form(gen: np.random.Generator, m: int) -> list[tuple]:
-    """The normalized operator in the transformed mode basis."""
-    polar = random_polar_rotation(m, gen)
-    bdg_mat = polar.bogoliubov.conj().T @ polar.diagonal_coefficient() @ polar.bogoliubov
-    lam_op = gaussian_normalized(make_bdg(bdg_mat[:m, :m], bdg_mat[:m, m:]))
+def _diagonal_form(gen: np.random.Generator, m: int, count: int) -> list[tuple]:
+    """Per polar form (lam, U) of a class-D draw: the normalized operator of
+    U^dag diag(lam, -lam) U, as gaussian_normalized builds it, against the
+    product of per-mode factors (1 - tanh(lam_j/2))/2 + tanh(lam_j/2) n_j in
+    the number operators n_j of the Bogoliubov-rotated modes; and its
+    off-diagonal part in their common eigenbasis (eigh of sum 3^j n_j)."""
+    lam, u = _polar_rotations(m, gen, count)
+    coeff = (np.swapaxes(u.conj(), -1, -2) * np.concatenate([lam, -lam], axis=-1)[:, None, :]) @ u
+    lam_op = exp_normalized_fock_batch(_fock_matrices(assemble_blocks(coeff[:, :m, :m], coeff[:, :m, m:])))
     ann = _annihilators(m)
-    bops = np.einsum("jk,kab->jab", polar.bogoliubov[:m], np.concatenate([ann, np.swapaxes(ann, -1, -2)]))
-    dim, tanh = 1 << m, np.tanh(polar.lambdas / 2.0)
-    prod, combo = np.eye(dim, dtype=complex), np.zeros((dim, dim), dtype=complex)
+    dim, tanh = 1 << m, np.tanh(lam / 2.0)[..., None, None]
+    modes = np.concatenate([ann, np.swapaxes(ann, -1, -2)]).reshape(2 * m, -1)
+    bops = (u[:, :m] @ modes).reshape(count, m, dim, dim)
+    nums = np.swapaxes(bops.conj(), -1, -2) @ bops
+    prod, combo = np.eye(dim, dtype=complex), np.zeros((count, dim, dim), dtype=complex)
     for j in range(m):
-        nj = bops[j].conj().T @ bops[j]
-        prod = prod @ (0.5 * (1.0 - tanh[j]) * np.eye(dim) + tanh[j] * nj)
-        combo += 3.0**j * nj
-    _, vv = np.linalg.eigh(combo)
-    rotated = vv.conj().T @ lam_op.matrix @ vv
+        prod = prod @ (0.5 * (1.0 - tanh[:, j]) * np.eye(dim) + tanh[:, j] * nums[:, j])
+        combo += 3.0**j * nums[:, j]
+    vv = np.linalg.eigh(combo)[1]
+    rotated = np.swapaxes(vv.conj(), -1, -2) @ lam_op @ vv
     return [
-        ("normalized operator is the per-mode product in the rotated basis", 1e-9, np.abs(lam_op.matrix - prod).max()),
-        ("rotated normalized operator is diagonal", 1e-9, np.abs(rotated - np.diag(np.diagonal(rotated))).max()),
+        ("normalized operator is the per-mode product in the rotated basis", 1e-9, _max_gaps(lam_op, prod)),
+        ("rotated normalized operator is diagonal", 1e-9, _max_gaps(rotated * (1.0 - np.eye(dim)), 0.0)),
     ]
 
 
-def _greens_rebuild(gen: np.random.Generator, m: int) -> list[tuple]:
-    h = _hermitian_matrix(gen, m)
-    n_tilde = greens_parameterization(h).n_tilde
-    rebuilt = np.linalg.det(n_tilde).real * normal_ordered_exp((np.linalg.inv(n_tilde) - 2.0 * np.eye(m)).T).matrix
-    gap = np.abs(rebuilt - gaussian_number_conserving(h).matrix).max()
-    return [("particle/hole parameterization rebuilds the operator", 1e-9, gap)]
+def _greens_rebuild(gen: np.random.Generator, m: int, count: int) -> list[tuple]:
+    """Per hermitian draw h, one at a time through the public constructors:
+    det(n_tilde) normal_ordered_exp((n_tilde^-1 - 2I)^T) from
+    greens_parameterization(h), against gaussian_number_conserving(h)."""
+    gaps = []
+    for h in _hermitian_matrices(gen, m, count):
+        n_tilde = greens_parameterization(h).n_tilde
+        rebuilt = np.linalg.det(n_tilde).real * normal_ordered_exp((np.linalg.inv(n_tilde) - 2.0 * np.eye(m)).T).matrix
+        gaps.append(np.abs(rebuilt - gaussian_number_conserving(h).matrix).max())
+    return [("particle/hole parameterization rebuilds the operator", 1e-9, np.array(gaps))]
 
 
-def _spectral_exp(gen: np.random.Generator, m: int) -> list[tuple]:
-    hmat = _hermitian_matrix(gen, 1 << m)
-    a = FockOperator(m, hmat, hermitian=True)
-    e_plus, e_minus = op_exp(a), op_exp(a, -1.0)
-    inverse = np.abs(e_plus.matrix @ e_minus.matrix - np.eye(1 << m)).max()
-    spectrum = np.abs(np.sort(np.linalg.eigvalsh(e_plus.matrix)) - np.exp(np.sort(np.linalg.eigvalsh(hmat)))).max()
-    return [("spectral exponential inverse pair and eigenvalue map", 1e-10, np.max([inverse, spectrum]))]
+def _spectral_exp(gen: np.random.Generator, m: int, count: int) -> list[tuple]:
+    """Per hermitian Fock matrix A: exp(A) exp(-A), each by eigh (op_exp's
+    kernel), against I, and the eigenvalues of exp(A) (eigvalsh) against exp
+    of those of A."""
+    hmat = _hermitian_matrices(gen, 1 << m, count)
+    e_plus = _exp_hermitian(hmat)
+    inverse = _max_gaps(e_plus @ _exp_hermitian(hmat, -1.0), np.eye(1 << m))
+    spectrum = np.abs(np.linalg.eigvalsh(e_plus) - np.exp(np.linalg.eigvalsh(hmat))).max(axis=-1)
+    return [("spectral exponential inverse pair and eigenvalue map", 1e-10, np.maximum(inverse, spectrum))]
 
 
-def _cycle(runs: int, max_modes: int, cap: int = 3) -> list[int]:
-    """The mode counts 1, 2, .., min(max_modes, cap), 1, 2, .. of ``runs`` runs."""
-    return [1 + t % min(max_modes, cap) for t in range(runs)]
+def _cycle(runs: int, max_modes: int, cap: int = 3) -> dict[int, int]:
+    """Draws per mode count of ``runs`` runs that cycle through the mode counts
+    1, 2, .., min(max_modes, cap), 1, 2, ..: ascending, each with at least one."""
+    top = min(max_modes, cap)
+    return {m: len(range(m - 1, runs, top)) for m in range(1, min(top, runs) + 1)}
 
 
 #: The one list of identity criteria, in draw order. Each row is a trial,
-#: ``trial(gen, m)``, which draws on m modes and returns its criteria as
-#: (name, tolerance, gap), and the mode counts of its runs, none above max_modes.
+#: ``trial(gen, m, count)``, which draws a stack of ``count`` draws on m modes
+#: and returns its criteria as (name, tolerance, per-draw gaps), and its
+#: schedule: the draws per mode count, in run order, no mode count above max_modes.
 _IDENTITY_TRIALS = (
     (_mode_algebra, lambda trials, max_modes: _cycle(min(max_modes, 4), max_modes, cap=4)),
     (_normal_ordering, lambda trials, max_modes: _cycle(trials, max_modes)),
     (_trace_formula, lambda trials, max_modes: _cycle(2 * trials, max_modes)),
     (_normalization, lambda trials, max_modes: _cycle(2 * trials, max_modes)),
-    (_composition, lambda trials, max_modes: [min(2, max_modes)] * trials),
+    (_composition, lambda trials, max_modes: {min(2, max_modes): trials}),
     (_nc_embedding, lambda trials, max_modes: _cycle(max(1, trials // 2), max_modes)),
     (_diagonal_form, lambda trials, max_modes: _cycle(max(1, trials // 2), max_modes)),
-    (_greens_rebuild, lambda trials, max_modes: [min(2, max_modes)] * 10),
-    (_spectral_exp, lambda trials, max_modes: [min(2, max_modes)] * 10),
+    (_greens_rebuild, lambda trials, max_modes: {min(2, max_modes): 10}),
+    (_spectral_exp, lambda trials, max_modes: {min(2, max_modes): 10}),
 )
 
 
@@ -971,10 +1030,10 @@ def operator_identity_suite(max_modes: int = 3, seed: RngSpec | int = 42, trials
     gen = _as_rngspec(seed).generator()
     out = []
     for trial, schedule in _IDENTITY_TRIALS:
-        runs = [trial(gen, m) for m in schedule(trials, max_modes)]
-        for criterion in zip(*runs):  # one criterion's (name, tolerance, gap) from every run
+        runs = [trial(gen, m, count) for m, count in schedule(trials, max_modes).items()]
+        for criterion in zip(*runs):  # one criterion's (name, tolerance, gaps) from every mode count
             name, tolerance, _ = criterion[0]
-            out.append(CriterionResult(name, float(np.max([gap for _, _, gap in criterion])), tolerance))
+            out.append(CriterionResult(name, float(np.max(np.concatenate([gaps for _, _, gaps in criterion]))), tolerance))
     return out
 
 

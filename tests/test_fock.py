@@ -25,6 +25,7 @@ from fermigauss import (
 from fermigauss.fock import (
     _annihilators,
     _assembly_plan,
+    _normal_ordered_stack,
     _parity_sectors,
     _wick_plan,
     embed_parity_blocks,
@@ -297,13 +298,26 @@ class TestNormalOrderedExp:
         assert not caught
 
     def test_large_rank_one_keeps_only_the_linear_term(self):
-        # every minor above size 1 of a rank-one matrix is exactly 0, so no product of entries overflows
+        # every minor above size 1 of a rank-one matrix is exactly 0, so no product of entries
+        # overflows, and the linear term is B's own entries, so the sum is exact
         bmat = 1e200 * np.ones((3, 3))
         ann = _annihilators(3)
         want = np.eye(8) + np.einsum("kba,kl,lbc->ac", ann, bmat, ann)
         out = normal_ordered_exp(bmat).matrix
         assert np.isfinite(out).all()
-        assert max_abs(out, want) <= 1e-13 * np.abs(want).max()
+        assert max_abs(out, want) == 0.0
+
+    @pytest.mark.parametrize("x", [1e200, 3.7])
+    def test_one_mode_is_exact(self, x):
+        # the k = 0 and k = 1 terms take no determinant: det([[1e200]]) is 1.000000000000022e200
+        a = _annihilators(1)[0]
+        assert np.array_equal(normal_ordered_exp([[x]]).matrix, np.eye(2) + x * (a.T @ a))
+
+    def test_a_stack_is_its_matrices_one_at_a_time(self):
+        gen = RngSpec(33).generator()
+        bmats = gen.normal(size=(20, 3, 3)) + 1j * gen.normal(size=(20, 3, 3))
+        stack = _normal_ordered_stack(bmats)
+        assert all(np.array_equal(stack[k], normal_ordered_exp(bmats[k]).matrix) for k in range(20))
 
     def test_non_square_rejected(self):
         with pytest.raises(StructureError):

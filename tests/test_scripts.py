@@ -26,11 +26,20 @@ class TestBenchLayers:
         monkeypatch.setattr(layers, "CHUNK", 8)
         monkeypatch.setattr(layers, "REPEATS", 1)
         monkeypatch.setattr(layers, "SMALL_REPEATS", 1)
-        assembled = []  # the sizes of every stack built through the Fock construction
+        assembled, row = {}, ["driver rows"]  # the sizes of every stack built through the Fock construction
         for module in (fock, verify):
             build = module.quadratic_hamiltonian_batch
             monkeypatch.setattr(module, "quadratic_hamiltonian_batch",
-                                lambda mats, build=build: assembled.append(len(mats)) or build(mats))
+                                lambda mats, build=build: assembled.setdefault(row[0], []).append(len(mats)) or build(mats))
+
+        def identity_row(repeats, _real=layers.identity_row):
+            row[0] = "identity row"
+            try:
+                return _real(repeats)
+            finally:
+                row[0] = "driver rows"
+
+        monkeypatch.setattr(layers, "identity_row", identity_row)
         trials = verify._IDENTITY_TRIALS
         rows = layers.tables()
         assert verify._IDENTITY_TRIALS is trials  # the identity row puts the table back
@@ -47,7 +56,8 @@ class TestBenchLayers:
         for row in rows.values():
             for t in row.values():
                 assert 0.0 < t["min_s"] <= t["median_s"]
-        assert assembled and max(assembled) == verify.FOCK_CHECK_DRAWS
+        assert max(assembled["driver rows"]) == verify.FOCK_CHECK_DRAWS
+        assert max(assembled["identity row"]) == 50  # the suite's largest stack: its 50 composition pairs
 
 
 class TestBenchPairsSummary:
@@ -74,6 +84,13 @@ class TestBenchPairsSummary:
         assert bound == 0.25
         out = pairs.summary([1.0] * 4, [1.0] * 4, True, copy, bound)
         assert out["unresolved"] is unresolved
+
+    def test_progress_sums_only_top_level_layers(self, pairs):
+        # a row's layer named after its call times the whole call; the row's other layers nest inside it
+        run = {"verify_resolution_mc M=1 chunk=8: covariance": 1.0, "verify_resolution_mc M=1 chunk=8: scatter": 2.0,
+               "operator_identity_suite M=3 trials=50: operator_identity_suite": 4.0,
+               "operator_identity_suite M=3 trials=50: _composition": 3.0}
+        assert pairs.top_level_sum(run) == 7.0
 
     def test_reads_every_end_to_end_metric_of_the_benchmark(self, pairs):
         assert set(pairs.END_TO_END) == {"wall_s", "samples_per_s", "cpu_s", "peak_rss_mb", "setup_s"}

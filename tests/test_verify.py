@@ -1016,18 +1016,22 @@ class TestSuites:
     def test_single_trial_runs_every_loop(self, monkeypatch):
         import fermigauss.verify as verify
 
-        calls = {"gaussian_number_conserving": 0, "random_polar_rotation": 0}
+        calls = {"exp_normalized_fock_batch": [], "_polar_rotations": [], "gaussian_number_conserving": []}
+        sizes = {"exp_normalized_fock_batch": lambda hams: len(hams), "_polar_rotations": lambda m, gen, count: count,
+                 "gaussian_number_conserving": lambda h: 1}
         for name in calls:
             original = getattr(verify, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+            def counted(*args, _name=name, _original=original):
+                calls[_name].append(sizes[_name](*args))
+                return _original(*args)
 
             monkeypatch.setattr(verify, name, counted)
         operator_identity_suite(max_modes=3, seed=42, trials=1)
-        # one embedding trial plus the ten parameterization rebuilds; one rotation
-        assert calls == {"gaussian_number_conserving": 11, "random_polar_rotation": 1}
+        # normalized stacks of one draw: the positivity block's two mode counts, one
+        # embedding and one diagonal form; one rotation; ten parameterization rebuilds
+        assert calls == {"exp_normalized_fock_batch": [1, 1, 1, 1], "_polar_rotations": [1],
+                         "gaussian_number_conserving": [1] * 10}
 
     def test_selberg_consistency_suite_is_green(self):
         for res in selberg_consistency_suite(max_modes=6):
@@ -1041,9 +1045,9 @@ class TestSuites:
         trials, counts, seen = verify_module._IDENTITY_TRIALS, set(), {}
 
         def spied(trial):
-            def spy(gen, m):
+            def spy(gen, m, count):
                 seen.setdefault(trial.__name__, set()).add(m)
-                return trial(gen, m)
+                return trial(gen, m, count)
 
             return spy
 
@@ -1084,38 +1088,38 @@ class TestSuites:
         import fermigauss.verify as verify
 
         trials, seen = 6, []
-        real = verify.gaussian_normalized
+        real = verify.exp_normalized_fock_batch
 
-        def spy(bdg):
-            lam = real(bdg)
-            seen.append(np.linalg.eigvalsh(lam.matrix).min())
+        def spy(hams):
+            lam = real(hams)
+            seen.extend(np.linalg.eigvalsh(lam).min(axis=-1))
             return lam
 
-        monkeypatch.setattr(verify, "gaussian_normalized", spy)
+        monkeypatch.setattr(verify, "exp_normalized_fock_batch", spy)
         results = {r.name: r for r in operator_identity_suite(max_modes=3, seed=42, trials=trials)}
         res = results["normalized operators positive definite"]
-        # the positivity block makes the first 2 * trials calls
+        # the positivity block's stacks hold the first 2 * trials normalized draws
         assert res.passed and res.measured < 0.0
         assert res.measured == -min(seen[: 2 * trials])
 
     def test_nan_trace_fails(self, monkeypatch):
         import fermigauss.verify as verify
 
-        monkeypatch.setattr(verify, "paired_eigenvalues", lambda bdg: np.full(bdg.h.shape[0], np.nan))
+        # every pair value NaN
+        monkeypatch.setattr(verify, "_paired_eigh", lambda mats: (np.full(mats.shape[:-2] + (mats.shape[-1] // 2,), np.nan), None))
         results = {r.name: r for r in operator_identity_suite(max_modes=3, seed=42, trials=4)}
         res = results["trace = product of 2cosh(lam/2) = sqrt(det 2cosh(H/2))"]
         assert math.isnan(res.measured) and not res.passed
         assert all(r.passed for name, r in results.items() if r is not res)
 
-    @pytest.mark.parametrize("compose, plain_sum, name", [
-        ("compose_general", lambda b1, b2: make_bdg(b1.h + b2.h, b1.delta + b2.delta),
-         "general composition law at operator level"),
-        ("compose_number_conserving", lambda h1, h2: h1 + h2,
-         "number-conserving composition law at operator level"),
+    @pytest.mark.parametrize("context, name", [
+        ("compose_general", "general composition law at operator level"),
+        ("compose_number_conserving", "number-conserving composition law at operator level"),
     ])
-    def test_each_composition_law_fails_on_the_plain_sum(self, monkeypatch, compose, plain_sum, name):
+    def test_each_composition_law_fails_on_the_plain_sum(self, monkeypatch, context, name):
         # exp(H1 + H2) is not exp(H1) exp(H2) for non-commuting draws
-        monkeypatch.setattr(verify_module, compose, plain_sum)
+        real = verify_module._principal_log
+        monkeypatch.setattr(verify_module, "_principal_log", lambda a, b, ctx: a + b if ctx == context else real(a, b, ctx))
         results = {r.name: r for r in operator_identity_suite(max_modes=3, seed=42, trials=4)}
         assert not results[name].passed and results[name].measured > 1e-3
         assert all(r.passed for r in results.values() if r.name != name)
@@ -1127,10 +1131,10 @@ class TestSuites:
         trial, schedule = verify_module._IDENTITY_TRIALS[row]
         own = set()
 
-        def nan_gaps(gen, m):  # the row's usual draws, with every gap NaN
-            criteria = trial(gen, m)
+        def nan_gaps(gen, m, count):  # the row's usual draws, with every gap NaN
+            criteria = trial(gen, m, count)
             own.update(name for name, _, _ in criteria)
-            return [(name, tolerance, math.nan) for name, tolerance, _ in criteria]
+            return [(name, tolerance, np.full_like(gaps, math.nan)) for name, tolerance, gaps in criteria]
 
         rows = list(verify_module._IDENTITY_TRIALS)
         rows[row] = (nan_gaps, schedule)
@@ -1155,3 +1159,208 @@ class TestSuites:
             "Gaussian weight constant normalizes to one": False,
             "determinant weight constant normalizes to one": True,
         }
+
+
+def _scalar_bdg(mat: np.ndarray):
+    m = mat.shape[-1] // 2
+    return make_bdg(mat[:m, :m], mat[:m, m:])
+
+
+def _scalar_expm_fock(coefficients) -> np.ndarray:
+    from fermigauss import quadratic_hamiltonian
+
+    return verify_module._expm(quadratic_hamiltonian(coefficients).matrix)
+
+
+def _scalar_normal_ordering(gen, m, count):
+    from fermigauss import normal_ordered_exp, op_exp, quadratic_hamiltonian
+
+    gaps = []
+    for h in verify_module._hermitian_matrices(gen, m, count):
+        direct = op_exp(quadratic_hamiltonian(make_bdg(h, np.zeros_like(h)))).matrix
+        direct = np.exp(0.5 * np.trace(h).real) * direct
+        gaps.append(np.abs(direct - normal_ordered_exp(verify_module._expm(h) - np.eye(m)).matrix).max())
+    return [gaps]
+
+
+def _scalar_trace_formula(gen, m, count):
+    from fermigauss import op_exp, paired_eigenvalues, quadratic_hamiltonian
+
+    gaps = []
+    for mat in sample_class_d_batch(m, 1.0, gen, count):
+        bdg = _scalar_bdg(mat)
+        closed = np.prod(2.0 * np.cosh(paired_eigenvalues(bdg) / 2.0))
+        exact = op_exp(quadratic_hamiltonian(bdg)).trace().real
+        w, v = np.linalg.eigh(bdg.assembled())
+        root_det = math.sqrt(abs(np.linalg.det(from_eigenpairs(2.0 * np.cosh(w / 2.0), v))))
+        gaps.append(max(abs(exact - closed) / closed, abs(root_det - closed) / closed))
+    return [gaps]
+
+
+def _scalar_normalization(gen, m, count):
+    from fermigauss import gaussian_normalized
+
+    ops = [gaussian_normalized(_scalar_bdg(mat)) for mat in sample_class_d_batch(m, 1.0, gen, count)]
+    return [[-np.linalg.eigvalsh(op.matrix).min() for op in ops], [abs(op.trace().real - 1.0) for op in ops]]
+
+
+def _scalar_composition(gen, m, count):
+    from fermigauss import compose_general, compose_number_conserving
+
+    b = [_scalar_bdg(mat) for mat in sample_class_d_batch(m, 1.0, gen, 2 * count)]
+    h = verify_module._hermitian_matrices(gen, m, 2 * count)
+    general, conserving = [], []
+    for b1, b2 in zip(b[:count], b[count:]):
+        scale = 1.2 / sum(np.abs(np.linalg.eigvalsh(x.assembled())).max() for x in (b1, b2))
+        b1, b2 = (make_bdg(scale * x.h, scale * x.delta) for x in (b1, b2))
+        x = compose_general(b1, b2)
+        general.append(np.abs(_scalar_expm_fock(x) - _scalar_expm_fock(b1) @ _scalar_expm_fock(b2)).max())
+    for h1, h2 in zip(h[:count], h[count:]):
+        scale = 1.2 / sum(np.abs(np.linalg.eigvalsh(x)).max() for x in (h1, h2))
+        h1, h2 = scale * h1, scale * h2
+        hc, h1, h2 = (assemble_blocks(x, np.zeros_like(x)) for x in (compose_number_conserving(h1, h2), h1, h2))
+        conserving.append(np.abs(_scalar_expm_fock(hc) - _scalar_expm_fock(h1) @ _scalar_expm_fock(h2)).max())
+    return [general, conserving]
+
+
+def _scalar_nc_embedding(gen, m, count):
+    from fermigauss import FockOperator, gaussian_number_conserving, op_exp
+    from fermigauss.fock import _annihilators, _string_sum
+
+    gaps = []
+    for h in verify_module._hermitian_matrices(gen, m, count):
+        direct = op_exp(FockOperator(m, _string_sum(_annihilators(m), h), hermitian=True))
+        gaps.append(np.abs(gaussian_number_conserving(h).matrix - direct.matrix / direct.trace().real).max())
+    return [gaps]
+
+
+def _scalar_diagonal_form(gen, m, count):
+    from fermigauss import gaussian_normalized, polar_decompose
+    from fermigauss.fock import _annihilators
+
+    product, diagonal = [], []
+    dim, ann = 1 << m, _annihilators(m)
+    modes = np.concatenate([ann, np.swapaxes(ann, -1, -2)]).reshape(2 * m, -1)
+    for mat in sample_class_d_batch(m, 1.0, gen, count):  # no draw of these seeds is degenerate
+        polar = polar_decompose(_scalar_bdg(mat))
+        bdg_mat = polar.bogoliubov.conj().T @ polar.diagonal_coefficient() @ polar.bogoliubov
+        lam_op = gaussian_normalized(make_bdg(bdg_mat[:m, :m], bdg_mat[:m, m:])).matrix
+        bops = (polar.bogoliubov[:m] @ modes).reshape(m, dim, dim)
+        tanh = np.tanh(polar.lambdas / 2.0)
+        prod, combo = np.eye(dim, dtype=complex), np.zeros((dim, dim), dtype=complex)
+        for j in range(m):
+            nj = bops[j].conj().T @ bops[j]
+            prod = prod @ (0.5 * (1.0 - tanh[j]) * np.eye(dim) + tanh[j] * nj)
+            combo += 3.0**j * nj
+        vv = np.linalg.eigh(combo)[1]
+        rotated = vv.conj().T @ lam_op @ vv
+        product.append(np.abs(lam_op - prod).max())
+        diagonal.append(np.abs(rotated - np.diag(np.diagonal(rotated))).max())
+    return [product, diagonal]
+
+
+def _scalar_spectral_exp(gen, m, count):
+    from fermigauss import FockOperator, op_exp
+
+    gaps = []
+    for hmat in verify_module._hermitian_matrices(gen, 1 << m, count):
+        a = FockOperator(m, hmat, hermitian=True)
+        e_plus, e_minus = op_exp(a), op_exp(a, -1.0)
+        inverse = np.abs(e_plus.matrix @ e_minus.matrix - np.eye(1 << m)).max()
+        spectrum = np.abs(np.linalg.eigvalsh(e_plus.matrix) - np.exp(np.linalg.eigvalsh(hmat))).max()
+        gaps.append(max(inverse, spectrum))
+    return [gaps]
+
+
+class TestStackedTrials:
+    """Each stacked trial checks the same identities as the scalar public
+    constructors, one draw at a time, on the same draws."""
+
+    @pytest.mark.parametrize("trial, scalar", [
+        (verify_module._normal_ordering, _scalar_normal_ordering),
+        (verify_module._trace_formula, _scalar_trace_formula),
+        (verify_module._normalization, _scalar_normalization),
+        (verify_module._composition, _scalar_composition),
+        (verify_module._nc_embedding, _scalar_nc_embedding),
+        (verify_module._diagonal_form, _scalar_diagonal_form),
+        (verify_module._spectral_exp, _scalar_spectral_exp),
+    ], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_per_draw_gaps_match_the_scalar_constructors(self, trial, scalar, m):
+        count = 12
+        stacked = trial(RngSpec(71, stream=m).generator(), m, count)
+        want = scalar(RngSpec(71, stream=m).generator(), m, count)
+        assert len(stacked) == len(want)
+        for (name, _, gaps), expected in zip(stacked, want):
+            assert gaps.shape == (count,), name
+            np.testing.assert_allclose(gaps, expected, rtol=1e-12, atol=0.0, err_msg=name)
+
+
+class TestStackPower:
+    """A defect in one draw of a 50-draw stack is caught as it would be alone."""
+
+    @staticmethod
+    def _one_draw(stack: np.ndarray, k: int = 17) -> np.ndarray:
+        assert len(stack) == 50
+        return stack[k]
+
+    def test_particle_hole_violation_in_one_composed_matrix_raises(self, monkeypatch):
+        from fermigauss import StructureError
+
+        real = verify_module._principal_log
+
+        def broken(a, b, context):
+            x = real(a, b, context)
+            if context == "compose_general":
+                self._one_draw(x)[0, 1] += 1e-6  # the h block alone: -h^T no longer matches
+            return x
+
+        monkeypatch.setattr(verify_module, "_principal_log", broken)
+        with pytest.raises(StructureError, match="particle-hole"):
+            operator_identity_suite(max_modes=3, seed=42, trials=50)
+
+    @pytest.mark.parametrize("context", ["compose_general", "compose_number_conserving"])
+    def test_one_pair_at_the_norm_gate_raises(self, monkeypatch, context):
+        real = verify_module._principal_log
+
+        def scaled(a, b, ctx):
+            if ctx == context:
+                a, b = a.copy(), b.copy()
+                self._one_draw(a)[...] *= 3.0  # the pair's combined norm, 1.2, becomes 3.6 > pi
+                self._one_draw(b)[...] *= 3.0
+            return real(a, b, ctx)
+
+        monkeypatch.setattr(verify_module, "_principal_log", scaled)
+        with pytest.raises(ContractError, match=">= pi"):
+            operator_identity_suite(max_modes=3, seed=42, trials=50)
+
+    def test_one_failed_round_trip_raises(self, monkeypatch):
+        from fermigauss import BranchCutError
+
+        real = gaussian._expm
+
+        def perturbed(a):
+            out = real(a)
+            if len(out) == 50:
+                self._one_draw(out)[0, 0] += 1e-6
+            return out
+
+        monkeypatch.setattr(gaussian, "_expm", perturbed)  # the round trip of _principal_log alone
+        with pytest.raises(BranchCutError, match="round trip"):
+            operator_identity_suite(max_modes=3, seed=42, trials=50)
+
+    def test_one_nan_gap_fails_its_criterion(self, monkeypatch):
+        real, calls = verify_module._expm, []
+
+        def nan_draw(a):
+            out = real(a)
+            if len(out) == 50 and not calls:  # the first 50-draw stack: the composed general X
+                calls.append(a)
+                self._one_draw(out)[...] = np.nan
+            return out
+
+        monkeypatch.setattr(verify_module, "_expm", nan_draw)
+        results = {r.name: r for r in operator_identity_suite(max_modes=3, seed=42, trials=50)}
+        res = results["general composition law at operator level"]
+        assert calls and math.isnan(res.measured) and not res.passed
+        assert all(r.passed for r in results.values() if r is not res)
