@@ -12,7 +12,7 @@ steps of that call, run one after another on the same draws, p = 1:
   wick_blocks product over all of a run's chunk columns, verify.MIN_CHUNKS
   copies of this chunk's coordinates, and embed_parity_blocks of their
   first block) and _fock_check on the chunk's first verify.FOCK_CHECK_DRAWS
-  draws.
+  draws, with the wick_coordinates of those draws that the worker hands it.
 - ``verify_nc_modified M=2 chunk=1563``: one chunk of the number-conserving
   worker (the ``nc_modified`` workload, 25000 samples in 16 chunks).
   Layers: class_d_pairs (the class-D draws at p/2, pair_values and the
@@ -25,7 +25,12 @@ steps of that call, run one after another on the same draws, p = 1:
   estimator_to_criterion, build_report (with its ``git describe``) and
   write_report.
 - ``verify_resolution_quadrature M=2``: one whole default call (class D,
-  Gaussian weight, quad_order 60).
+  Gaussian weight, quad_order 60). Beside the whole call, its steps, each
+  summed over its calls within that call: radial_quadrature_nodes (the
+  order-60 and order-120 rules), filling_moments (the moments of each rule
+  and of the last verify.FOCK_CHECK_DRAWS kept nodes), moment_wick_coordinates
+  (the moment map: the two rules and the Fock-checked nodes under the main
+  rotation, and the order-120 rule under the second) and _fock_check.
 - ``operator_identity_suite M=3 trials=50``: one whole call of the identity
   suite as the ``checks`` benchmark workload runs it (``identities --modes 3``,
   seed 0). Beside the whole call, one layer per trial of
@@ -100,11 +105,14 @@ def resolution_row(modes: int, per: int, repeats: int) -> dict:
     def scatter(coords):
         return fock.embed_parity_blocks(gaussian.wick_blocks(np.stack([coords] * verify.MIN_CHUNKS))[0])
 
+    def fock_check(mats, gamma):  # as the worker calls it, with the checked draws' own coordinates
+        return verify._fock_check(mats, gaussian.wick_coordinates(gamma))
+
     def one_round(timed):
         mats = timed("sample_class_d_batch", sample_class_d_batch, modes, 1.0, gen, per)
         gamma = timed("covariance", covariance, mats)
         timed("scatter", scatter, timed("wick_coordinates", gaussian.wick_coordinates, gamma))
-        timed("_fock_check", verify._fock_check, mats[:k], gamma[:k])
+        timed("_fock_check", fock_check, mats[:k], gamma[:k])
 
     return _row(one_round, repeats)
 
@@ -152,12 +160,24 @@ def report_row(repeats: int) -> dict:
 
 
 def quadrature_row(repeats: int) -> dict:
+    from fermigauss import verify
     from fermigauss.ensembles import CLASS_D, WeightSpec
-    from fermigauss.verify import verify_resolution_quadrature
 
     weight = WeightSpec.gaussian(1.0)
-    return _row(lambda timed: timed("verify_resolution_quadrature", verify_resolution_quadrature, 2, CLASS_D, weight),
-                repeats)
+    steps = ("radial_quadrature_nodes", "filling_moments", "moment_wick_coordinates", "_fock_check")
+
+    def one_round(timed):
+        # each step is timed inside one real call, at the name the driver looks it up by
+        real = {name: getattr(verify, name) for name in steps}
+        for name, fn in real.items():
+            setattr(verify, name, lambda *args, name=name, fn=fn: timed(name, fn, *args))
+        try:
+            timed("verify_resolution_quadrature", verify.verify_resolution_quadrature, 2, CLASS_D, weight)
+        finally:
+            for name, fn in real.items():
+                setattr(verify, name, fn)
+
+    return _row(one_round, repeats)
 
 
 def identity_row(repeats: int) -> dict:

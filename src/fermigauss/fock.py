@@ -202,8 +202,8 @@ class WickPlan:
     ascending even subsets S of the 2M Majorana indices, and
     L = 2^-M sum_S (-1)^(k(k-1)/2) Pf(K_S) c_S with k = |S|. Off its unit
     diagonal K = i Gamma, Gamma real antisymmetric, so Pf(K_S) = i^(k/2) Pf(Gamma_S);
-    gaussian.covariance_of_real_form, covariance_from_eigenpairs and
-    covariance_number_conserving build Gamma.
+    gaussian.covariance_of_real_form and covariance_number_conserving build
+    Gamma, and gaussian.moment_wick_coordinates the quadrature means.
 
     The subsets are numbered by size, then by bit mask (bit a for c_a): the
     empty set, the ``pair_rows[i] < pair_cols[i]`` pairs, then one level per
@@ -347,10 +347,9 @@ def quadratic_hamiltonian_batch(mats: np.ndarray) -> np.ndarray:
 def from_eigenpairs(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The matrix v diag(w) v^dag from eigenvalues ``w`` and eigenvector columns ``v``.
 
-    The package's one rebuild from eigenpairs (gaussian.covariance_from_eigenpairs
-    forms only the imaginary part of one, in real arithmetic). It covers one
-    matrix, a stack (``w`` of shape (n, d), ``v`` of shape (n, d, d)), or one
-    ``v`` shared by a stack of ``w``.
+    The package's one rebuild from eigenpairs. It covers one matrix, a stack
+    (``w`` of shape (n, d), ``v`` of shape (n, d, d)), or one ``v`` shared by
+    a stack of ``w``.
     """
     return (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
 

@@ -264,7 +264,8 @@ def _scaled_real_form(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a[..., ::2, ::2], a[..., ::2, 1::2] = h.imag + d.imag, h.real - d.real
     a[..., 1::2, ::2], a[..., 1::2, 1::2] = -(h.real + d.real), h.imag - d.imag
     top = np.abs(a).max(axis=(-2, -1), keepdims=True)
-    return a / np.where(top > 0.0, top, 1.0), top
+    a /= np.where(top > 0.0, top, 1.0)  # in place: a second (n, 2M, 2M) stack costs more than the division
+    return a, top
 
 
 def real_form(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -306,25 +307,10 @@ def covariance_of_real_form(av: np.ndarray, vecs: np.ndarray, s: np.ndarray, t: 
     return p - np.swapaxes(p, -1, -2)
 
 
-def covariance_from_eigenpairs(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Majorana covariances of the normalized Gaussian operators of v[s]
-    diag(w[s]) v[s]^dag, or of v diag(w[s]) v^dag for one ``v`` shared by the
-    nodes of a quadrature rule (one flat product): Gamma = X - X^T with
-    X = (Im u) diag(t) (Re u)^T, u = majorana v and t = -tanh(w/2)/2. The
-    quadrature rules use it; number-conserving draws take
-    covariance_number_conserving."""
-    u = _wick_plan(w.shape[-1] // 2).majorana @ v
-    x = u.imag * -0.5 * np.tanh(0.5 * w)[:, None, :]  # rebound below, so one (n, 2M, 2M) stack less is held
-    x = (x.reshape(-1, x.shape[-1]) @ u.real.T).reshape(x.shape) if v.ndim == 2 else x @ np.swapaxes(u.real, -1, -2)
-    return x - np.swapaxes(x, -1, -2)
-
-
 def covariance_number_conserving(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Majorana covariances of the normalized number-conserving Gaussian
-    operators of h[s] = u[s] diag(lam[s]) u[s]^dag: covariance_from_eigenpairs
-    on the eigenpairs [lam, -lam] and blockdiag(u, conj u) of the embedding
-    (h, 0), from M x M products only: _filling_covariance of the filling
-    F = u diag(-tanh(lam/2)/2) u^dag."""
+    operators of h[s] = u[s] diag(lam[s]) u[s]^dag, from M x M products only:
+    _filling_covariance of the filling F = u diag(-tanh(lam/2)/2) u^dag."""
     return _filling_covariance(from_eigenpairs(-0.5 * np.tanh(0.5 * lam), u))
 
 
@@ -349,19 +335,18 @@ def _filling_covariance(f: np.ndarray) -> np.ndarray:
     return x - np.swapaxes(x, -1, -2)
 
 
-def wick_coordinates(gamma: np.ndarray, log_weights=None) -> np.ndarray:
-    """Mean Wick coordinates Pf(Gamma_S) of the normalized Gaussian operators
-    with the (n, 2M, 2M) Majorana covariances ``gamma``, in the subset order
-    of fock.WickPlan; with ``log_weights`` draw s weighs e^log_weights[s]. The
-    empty set's coordinate is 1. The draws run along the last axis of the
-    recursion, and each level is averaged before the next."""
+def _wick_sums(gamma: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted sums of the Pfaffians Pf(Gamma_S) of the (n, 2M, 2M) Majorana
+    covariances ``gamma``, in the subset order of fock.WickPlan: row k - 1 of
+    the (M, n) ``weights`` weighs the n Pfaffians of each subset of size 2k,
+    and the empty set's coordinate is 1. The draws run along the last axis of
+    the recursion, and each level is summed before the next."""
     modes = gamma.shape[-1] // 2
     _check_modes(modes)
     plan = _wick_plan(modes)
     pairs = np.ascontiguousarray(gamma[:, plan.pair_rows, plan.pair_cols].T)
-    weights = _draw_weights(len(gamma), log_weights)
-    coords, prev = [np.ones(1), pairs @ weights], pairs
-    for pair, sub in plan.levels:
+    coords, prev = [np.ones(1), pairs @ weights[0]], pairs
+    for (pair, sub), level_weights in zip(plan.levels, weights[1:]):
         cur = pairs[pair[:, 0]] * prev[sub[:, 0]]
         for t in range(1, pair.shape[1]):
             term = pairs[pair[:, t]] * prev[sub[:, t]]
@@ -369,9 +354,54 @@ def wick_coordinates(gamma: np.ndarray, log_weights=None) -> np.ndarray:
                 cur -= term
             else:
                 cur += term
-        coords.append(cur @ weights)
+        coords.append(cur @ level_weights)
         prev = cur
     return np.concatenate(coords)
+
+
+def wick_coordinates(gamma: np.ndarray, log_weights=None) -> np.ndarray:
+    """Mean Wick coordinates Pf(Gamma_S) of the normalized Gaussian operators
+    with the (n, 2M, 2M) Majorana covariances ``gamma``, in the subset order
+    of fock.WickPlan; with ``log_weights`` draw s weighs e^log_weights[s]."""
+    weights = _draw_weights(len(gamma), log_weights)
+    return _wick_sums(gamma, np.broadcast_to(weights, (gamma.shape[-1] // 2, len(gamma))))
+
+
+def filling_moments(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The 2^M moments m_J, the means of prod_(j in J) t_j with
+    t_j = -tanh(lam_j / 2) / 2 over the (n, M) nodes ``points`` under the
+    nonnegative node ``weights`` (a node of weight 0 adds nothing), for every
+    subset J of the M modes by bit mask; m_0 = 1. One pass over the nodes:
+    the products of the subsets with highest mode j are those without j
+    times t_j."""
+    t = -0.5 * np.tanh(0.5 * points)
+    prods = np.ones((len(points), 1 << points.shape[-1]))
+    for j in range(points.shape[-1]):
+        prods[:, 1 << j : 2 << j] = prods[:, : 1 << j] * t[:, j : j + 1]
+    return (weights / weights.sum()) @ prods
+
+
+def moment_wick_coordinates(moments: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Mean Wick coordinates of the normalized Gaussian operators of
+    v diag(lam, -lam) v^dag over the nodes lam whose filling_moments are
+    ``moments``, for one v with the particle-hole pairing of the polar
+    forms, u_(j+M) = conj(u_j) for the columns of u = majorana v.
+
+    A node's covariance is Gamma(t) = sum_j t_j K_j, where K_j, the layout
+    X - X^T, X = (Im u) diag(f) (Re u)^T, at the filling f of 1 at j and -1 at
+    j + M, has rank 2 by the pairing. So Pf(Gamma_S) is multilinear of degree
+    |S|/2 in t, and its mean is sum_(|J| = |S|/2) m_J Pf((K_J)_S), with K_J
+    = sum_(j in J) K_j the covariance at the filling of J: one Pfaffian
+    recursion over the 2^M matrices K_J. StructureError unless v is paired."""
+    modes = v.shape[-1] // 2
+    _check_modes(modes)
+    u = _wick_plan(modes).majorana @ v
+    _require_close(u[:, modes:], u[:, :modes].conj(), STRUCTURE_TOL, "eigenvectors lack the particle-hole pairing")
+    masks = np.arange(1 << modes)
+    member = ((masks[:, None] >> np.arange(modes)) & 1).astype(float)  # (2^M, M): 1 where j is in J
+    x = (u.imag * np.concatenate([member, -member], axis=1)[:, None, :]) @ u.real.T
+    levels = np.bitwise_count(masks) == np.arange(1, modes + 1)[:, None]  # (M, 2^M): |J| = k
+    return _wick_sums(x - np.swapaxes(x, -1, -2), np.where(levels, moments, 0.0))
 
 
 def wick_blocks(coords: np.ndarray) -> np.ndarray:

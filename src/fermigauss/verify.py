@@ -56,15 +56,16 @@ from .gaussian import (  # noqa: F401  gaussian_normalized, compose_general, com
     assemble_blocks,
     compose_general,
     compose_number_conserving,
-    covariance_from_eigenpairs,
     covariance_number_conserving,
     covariance_of_real_form,
     exp_normalized_fock_batch,
+    filling_moments,
     gaussian_normalized,
     gaussian_number_conserving,
     greens_parameterization,
     log_trace_of_pairs,
     make_bdg,
+    moment_wick_coordinates,
     pair_values,
     paired_eigenvalues,
     real_form,
@@ -258,16 +259,17 @@ def _entry_gate(mean: np.ndarray, target: np.ndarray, se: np.ndarray) -> tuple[l
     return bounds, info
 
 
-def _fock_check(mats: np.ndarray, gamma: np.ndarray, log_weights=None) -> float:
-    """Max-entry gap between the Wick mean of exactly the draws or nodes it is
-    handed, from the Majorana covariances ``gamma`` their driver built, and
-    the mean of the normalized Gaussian operators of their coefficient
-    matrices ``mats`` through quadratic_hamiltonian_batch and
-    exp_normalized_fock_batch, both weighted by ``log_weights`` when given.
-    The one Fock cross-check of every driver: the Monte Carlo workers hand it
-    chunk 0's first FOCK_CHECK_DRAWS draws with their raw ``mats``, and
-    _converged_mean the last FOCK_CHECK_DRAWS kept nodes of its rule."""
-    wick = wick_blocks(wick_coordinates(gamma, log_weights))[0]  # parity blocks, as the Fock mean's
+def _fock_check(mats: np.ndarray, coords: np.ndarray, log_weights=None) -> float:
+    """Max-entry gap between the mean Wick coordinates ``coords`` that a
+    driver took of exactly the draws or nodes it hands over, mapped by
+    wick_blocks, and the mean of the normalized Gaussian operators of their
+    coefficient matrices ``mats`` through quadratic_hamiltonian_batch and
+    exp_normalized_fock_batch, weighted by ``log_weights`` when given, as the
+    coordinates were. The one Fock cross-check of every driver: the Monte
+    Carlo workers hand it wick_coordinates of chunk 0's first
+    FOCK_CHECK_DRAWS draws with their raw ``mats``, and _converged_mean the
+    moment map of the last FOCK_CHECK_DRAWS kept nodes of its rule."""
+    wick = wick_blocks(coords)[0]  # parity blocks, as the Fock mean's
     ops = exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats))
     return float(np.abs(np.einsum("s,spab->pab", _draw_weights(len(mats), log_weights), ops) - wick).max())
 
@@ -443,39 +445,40 @@ def class_d_lambda_samples(modes: int, p: float, rng, n_samples: int) -> np.ndar
     return np.concatenate(chunk_points)
 
 
-def _quadrature_mean(points: np.ndarray, wts: np.ndarray, v: np.ndarray):
+def _moment_mean(moments: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Weighted Wick mean, as a full matrix, of the normalized Gaussian
-    operators with eigenvalues [lam, -lam] at the nodes lam and the shared
-    eigenvectors ``v``; no Fock matrix is formed. Nodes of zero weight sit on
-    a zero of the radial density and are dropped, since their log weight
-    would be -inf. Returns the mean, the nodes' eigenvalues, covariances and
-    log weights."""
-    keep = wts > 0.0
-    w = np.concatenate([points[keep], -points[keep]], axis=1)
-    gamma, log_w = covariance_from_eigenpairs(w, v), np.log(wts[keep])
-    return embed_parity_blocks(wick_blocks(wick_coordinates(gamma, log_w))[0]), w, gamma, log_w
+    operators with eigenvalues [lam, -lam] at the nodes whose filling_moments
+    are ``moments`` and the shared eigenvectors ``v``, through the moment map
+    moment_wick_coordinates; no Fock matrix and no node covariance is formed."""
+    return embed_parity_blocks(wick_blocks(moment_wick_coordinates(moments, v))[0])
 
 
 def _converged_mean(sym_class: SymmetryClass, weight: WeightSpec, modes: int, order: int, v: np.ndarray):
     """Wick mean of the operators with eigenvectors ``v`` over the `order` and
     `2 * order` rules, which must agree. The `order` rule's last
     FOCK_CHECK_DRAWS kept nodes, its outermost in the all-positive orthant,
-    go through _fock_check: there every tanh(lam_j / 2) is near 1, so every
-    Wick coordinate of their mean is of order one (those of the whole rule's
-    mean vanish by the resolution of unity). Returns the `2 * order` mean,
-    the change, the `2 * order` rule and the Fock gap."""
-    q_lo, w_lo, gamma_lo, log_lo = _quadrature_mean(*radial_quadrature_nodes(sym_class, weight, modes, order), v)
-    last = slice(-FOCK_CHECK_DRAWS, None)  # v is shared by every node: never index it by node
-    fock_dev = _fock_check(from_eigenpairs(w_lo[last], v), gamma_lo[last], log_lo[last])
+    go through _fock_check with the moment map of their own moments: there
+    every tanh(lam_j / 2) is near 1, so every Wick coordinate of their mean
+    is of order one (those of the whole rule's mean vanish by the resolution
+    of unity). Kept nodes are those of nonzero weight: the others sit on a
+    zero of the radial density. Returns the `2 * order` mean, the change,
+    the `2 * order` rule, its moments and the Fock gap."""
+    pts_lo, wts_lo = radial_quadrature_nodes(sym_class, weight, modes, order)
+    q_lo = _moment_mean(filling_moments(pts_lo, wts_lo), v)
+    keep = wts_lo > 0.0
+    pts, w = pts_lo[keep][-FOCK_CHECK_DRAWS:], wts_lo[keep][-FOCK_CHECK_DRAWS:]  # v is shared: never index it by node
+    coords = moment_wick_coordinates(filling_moments(pts, w), v)
+    fock_dev = _fock_check(from_eigenpairs(np.concatenate([pts, -pts], axis=1), v), coords, np.log(w))
     rule_hi = radial_quadrature_nodes(sym_class, weight, modes, 2 * order)
-    q_hi = _quadrature_mean(*rule_hi, v)[0]
+    moments_hi = filling_moments(*rule_hi)
+    q_hi = _moment_mean(moments_hi, v)
     delta = float(np.abs(q_hi - q_lo).max())
     if not delta <= QUAD_CONVERGENCE_TOL:
         raise NonConvergenceError(
             f"quadrature order doubling changed the mean by {delta:.3e} "
             f"(> {QUAD_CONVERGENCE_TOL}); increase quad_order"
         )
-    return q_hi, delta, rule_hi, fock_dev
+    return q_hi, delta, rule_hi, moments_hi, fock_dev
 
 
 # ---------------------------------------------------------------------------
@@ -514,19 +517,19 @@ def verify_resolution_quadrature(
     # the coefficient matrix U^-1 diag(lam, -lam) U has the eigenvectors U^dag
     v_main = np.eye(2 * modes) if rotation is None else rotation.bogoliubov.conj().T
     alt = random_polar_rotation(modes, RngSpec(ROTATION_SEED, stream=1))
-    q_main, delta, (pts_hi, wts_hi), fock_dev = _converged_mean(sym_class, weight, modes, quad_order, v_main)
-    tanh_hi = np.tanh(pts_hi / 2.0)
-    if not (np.abs(tanh_hi[wts_hi > 0.0]) > QUAD_TOL).any():  # every node within ((1+T)^M - 1) / 2^M < T of 2^-M I
+    q_main, delta, rule_hi, moments_hi, fock_dev = _converged_mean(sym_class, weight, modes, quad_order, v_main)
+    pts_hi, wts_hi = rule_hi
+    if not (np.abs(np.tanh(pts_hi[wts_hi > 0.0] / 2.0)) > QUAD_TOL).any():  # each node within ((1+T)^M - 1) / 2^M < T of 2^-M I
         raise DomainError(
             f"no kept node has |tanh(lam_j / 2)| above {QUAD_TOL:g} at p = {weight.p}, so the bound could not fail"
         )
-    q_alt = _quadrature_mean(pts_hi, wts_hi, alt.bogoliubov.conj().T)[0]
+    q_alt = _moment_mean(moments_hi, alt.bogoliubov.conj().T)  # the same rule: its moments serve both rotations
 
     dim = 1 << modes
     target = FockOperator(modes, np.eye(dim) / dim, hermitian=True)
     dev = float(np.abs(q_main - target.matrix).max())
     rot_delta = float(np.abs(q_main - q_alt).max())
-    odd_coeffs = np.einsum("s,sj->j", wts_hi, tanh_hi) / wts_hi.sum()
+    odd_coeffs = [float(abs(2.0 * moments_hi[1 << j])) for j in range(modes)]  # |E tanh(lam_j / 2)| = |2 m_j|
     return EstimatorReport(
         target=target,
         mean=FockOperator(modes, q_main),
@@ -544,7 +547,7 @@ def verify_resolution_quadrature(
             "p": weight.p,
             "convergence_delta": delta,
             "rotation_delta": rot_delta,
-            "odd_mode_coefficients": [float(abs(c)) for c in odd_coeffs],
+            "odd_mode_coefficients": odd_coeffs,
             "fock_check_deviation": fock_dev,
             "tolerance": QUAD_TOL,
         },
@@ -592,7 +595,7 @@ def shifted_weight_quadrature_deviation(
             f"every node of the order-{quad_order} shifted rule sits on a zero of the radial density; "
             f"raise quad_order"
         )
-    q = _quadrature_mean(points, wts, np.eye(2 * modes))[0]
+    q = _moment_mean(filling_moments(points, wts), np.eye(2 * modes))
     dim = 1 << modes
     return float(np.abs(q - np.eye(dim) / dim).max())
 
@@ -609,7 +612,7 @@ def verify_resolution_mc(
         mats = sample_class_d_batch(modes, p, gen, per)
         gamma = covariance_of_real_form(*real_form(mats))
         k = FOCK_CHECK_DRAWS
-        return wick_coordinates(gamma), _fock_check(mats[:k], gamma[:k]) if first else None
+        return wick_coordinates(gamma), _fock_check(mats[:k], wick_coordinates(gamma[:k])) if first else None
 
     results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
     return _mc_report(modes, results, samples, spec, {"p": p, "chunks": len(results), "workers": workers})
@@ -658,8 +661,9 @@ def verify_canonical_triviality(
                 raise DomainError(f"beta = {beta} times an energy of the draws at p = {p} overflows a float")
             log_tr = log_trace_of_pairs(beta * lam)  # log Tr exp(-beta H_op) per draw
             gamma = covariance_of_real_form(*form, -beta)  # the covariances of L(-beta H)
-            k = FOCK_CHECK_DRAWS
-            fock_dev = _fock_check(-beta * mats[:k], gamma[:k], log_tr[:k]) if first else None
+            k, fock_dev = FOCK_CHECK_DRAWS, None
+            if first:
+                fock_dev = _fock_check(-beta * mats[:k], wick_coordinates(gamma[:k], log_tr[:k]), log_tr[:k])
             out.append((wick_coordinates(gamma, log_tr), fock_dev, _log_sum_exp(log_tr), _log_sum_exp(2.0 * log_tr)))
         return out
 
@@ -712,7 +716,7 @@ def _nc_even_mean(modes: int, p: float, quad_order: int) -> tuple[np.ndarray, np
     proportional to the identity; with two the eigenvalue-repulsion factor is
     not even in each eigenvalue separately and a nonzero residual survives."""
     u = sample_haar_unitary_batch(modes, RngSpec(ROTATION_SEED, stream=2), 1)[0]
-    q, _, _, fock_dev = _converged_mean(CLASS_D, WeightSpec.nc_even(p), modes, quad_order, _ncons_eigenvectors(u))
+    q, _, _, _, fock_dev = _converged_mean(CLASS_D, WeightSpec.nc_even(p), modes, quad_order, _ncons_eigenvectors(u))
     return q, u, fock_dev
 
 
@@ -821,7 +825,7 @@ def verify_nc_modified(
             us = sample_haar_unitary_batch(modes, gen, per)
             gamma = covariance_number_conserving(pts, us)
             h = from_eigenpairs(pts[:k], us[:k]) if first else None
-        fock_dev = _fock_check(assemble_blocks(h, np.zeros_like(h)), gamma[:k]) if first else None
+        fock_dev = _fock_check(assemble_blocks(h, np.zeros_like(h)), wick_coordinates(gamma[:k])) if first else None
         return wick_coordinates(gamma), fock_dev, pts
 
     results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
@@ -908,12 +912,13 @@ def _composition(gen: np.random.Generator, m: int, count: int) -> list[tuple]:
     and hermitian (h1, h2) in turn: _expm of the Fock matrix of the composed
     X = log(e^H1 e^H2), by gaussian._principal_log on the stack as
     compose_general and compose_number_conserving take one pair, against the
-    product of the two factors' Fock-matrix _expm. Each composed general X
-    must keep the particle-hole structure that quadratic_hamiltonian checks;
+    product of the exponentials of the two factors' hermitian Fock matrices,
+    by eigh (op_exp's kernel). Each composed general X must keep the
+    particle-hole structure that quadratic_hamiltonian checks;
     assemble_blocks writes it into the number-conserving (h, 0)."""
 
-    def expm_fock(coefficients):
-        return _expm(_fock_matrices(coefficients))
+    def product_of_factors(first, second):
+        return _exp_hermitian(_fock_matrices(first)) @ _exp_hermitian(_fock_matrices(second))
 
     def scaled(mats):
         norms = np.abs(np.linalg.eigvalsh(mats)).max(axis=-1)
@@ -923,10 +928,10 @@ def _composition(gen: np.random.Generator, m: int, count: int) -> list[tuple]:
     b1, b2 = scaled(sample_class_d_batch(m, 1.0, gen, 2 * count))
     x = _principal_log(b1, b2, "compose_general")
     _require_particle_hole(x)
-    general = _max_gaps(expm_fock(x), expm_fock(b1) @ expm_fock(b2))
+    general = _max_gaps(_expm(_fock_matrices(x)), product_of_factors(b1, b2))
     h1, h2 = scaled(_hermitian_matrices(gen, m, 2 * count))
     hc, h1, h2 = (assemble_blocks(h, np.zeros_like(h)) for h in (_principal_log(h1, h2, "compose_number_conserving"), h1, h2))
-    conserving = _max_gaps(expm_fock(hc), expm_fock(h1) @ expm_fock(h2))
+    conserving = _max_gaps(_expm(_fock_matrices(hc)), product_of_factors(h1, h2))
     return [
         ("general composition law at operator level", 1e-9, general),
         ("number-conserving composition law at operator level", 1e-9, conserving),

@@ -11,7 +11,7 @@ import numpy as np
 
 from fermigauss import gaussian
 from fermigauss.fock import _annihilators, _wick_plan, from_eigenpairs, quadratic_hamiltonian_batch
-from fermigauss.gaussian import assemble_blocks, covariance_from_eigenpairs, exp_normalized_fock_batch
+from fermigauss.gaussian import assemble_blocks, exp_normalized_fock_batch
 
 
 @lru_cache(maxsize=None)
@@ -39,7 +39,7 @@ def rotated_gaussian_blocks(points: np.ndarray, rotation: np.ndarray) -> np.ndar
     ``points`` is (N, M); ``rotation`` the 2M x 2M transformation U. Same
     algorithm as gaussian_normalized, vectorized; returns the parity blocks,
     shape (N, 2, 2^(M-1), 2^(M-1)). The drivers take the Wick path
-    (verify._quadrature_mean).
+    (verify._moment_mean).
     """
     mats = from_eigenpairs(np.concatenate([points, -points], axis=1), rotation.conj().T)
     return exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats))
@@ -55,6 +55,18 @@ def rotated_ncons_blocks(points: np.ndarray, unitaries: np.ndarray) -> np.ndarra
     """
     h = from_eigenpairs(points, unitaries)
     return exp_normalized_fock_batch(quadratic_hamiltonian_batch(assemble_blocks(h, np.zeros_like(h))))
+
+
+def covariance_from_eigenpairs(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Majorana covariances of the normalized Gaussian operators of v[s]
+    diag(w[s]) v[s]^dag, or of v diag(w[s]) v^dag for one ``v`` shared by a
+    stack of ``w``, one per node: Gamma = X - X^T with
+    X = (Im u) diag(t) (Re u)^T, u = majorana v and t = -tanh(w/2)/2. The
+    per-node path the quadrature drivers took before the moment map
+    (gaussian.moment_wick_coordinates)."""
+    u = _wick_plan(w.shape[-1] // 2).majorana @ v
+    x = (u.imag * -0.5 * np.tanh(0.5 * w)[:, None, :]) @ np.swapaxes(u.real, -1, -2)
+    return x - np.swapaxes(x, -1, -2)
 
 
 def eigh_covariance(mats: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ import scipy.linalg
 from conftest import hermitian_matrix, max_abs, skew_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import break_phase, eigh_covariance, gamma_ops, quadratic_tensor
+from oracles import break_phase, covariance_from_eigenpairs, eigh_covariance, gamma_ops, quadratic_tensor
 
 from fermigauss import (
     BdgMatrix,
@@ -52,11 +52,12 @@ from fermigauss.gaussian import (
     _filling_covariance,
     _rank_one_filling,
     assemble_blocks,
-    covariance_from_eigenpairs,
     covariance_number_conserving,
     covariance_of_real_form,
     exp_normalized_fock_batch,
+    filling_moments,
     log_trace_of_pairs,
+    moment_wick_coordinates,
     pair_values,
     real_form,
     wick_blocks,
@@ -356,15 +357,19 @@ class TestWickKernel:
     @pytest.mark.parametrize("modes", [1, 3, 6])
     def test_zero_energies_give_exactly_the_maximally_mixed_state(self, modes):
         mats = sample_class_d_batch(modes, 1.0, RngSpec(31), 4)
-        v = np.linalg.eigh(mats)[1]
         for gamma in (
             _real_covariance(np.zeros_like(mats)),  # H = 0
             _real_covariance(mats, 0.0),  # L(0 H)
-            covariance_from_eigenpairs(np.zeros((4, 2 * modes)), v),
         ):
             assert not gamma.any()
             out = embed_parity_blocks(_wick_mean(gamma))
             assert np.array_equal(out, np.eye(1 << modes) / (1 << modes))
+        # zero nodes of a quadrature rule: every moment but m_0 is 0
+        v = random_polar_rotation(modes, RngSpec(31)).bogoliubov.conj().T
+        moments = filling_moments(np.zeros((4, modes)), np.ones(4))
+        assert np.array_equal(moments, np.eye(1, 1 << modes)[0])
+        out = embed_parity_blocks(wick_blocks(moment_wick_coordinates(moments, v))[0])
+        assert np.array_equal(out, np.eye(1 << modes) / (1 << modes))
 
     def test_perturbed_phase_fails_the_report_through_the_cross_check(self, monkeypatch, tmp_path):
         # i times one entry of the parity coordinate's column: the entrywise
@@ -502,6 +507,47 @@ class TestNumberConservingDraws:
         # draws near 1e153: an unscaled closed form squares them to inf
         rep = verify_nc_modified(2, 1e-308, 400, RngSpec(3))
         assert rep.passed
+
+
+class TestMomentMap:
+    # the quadrature means' path against the per-node one: each node's
+    # covariance from its eigenpairs (tests/oracles.py), then wick_coordinates
+
+    @staticmethod
+    def _nodes(gen, modes, n=300):
+        pts = 3.0 * gen.normal(size=(n, modes))
+        pts[:3] = [[0.0], [50.0], [-1e-9]]  # a zero node, a saturated one and one near zero
+        w = gen.uniform(size=n)
+        w[::7] = 0.0  # zero weights, as on the zeros of a radial density
+        return pts, w
+
+    @pytest.mark.parametrize("source", ["polar", "ncons"])
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4])
+    def test_matches_the_per_node_pfaffian_path(self, modes, source):
+        gen = RngSpec(80 + modes).generator()
+        if source == "polar":
+            v = random_polar_rotation(modes, RngSpec(90 + modes)).bogoliubov.conj().T
+        else:
+            v = _ncons_eigenvectors(sample_haar_unitary_batch(modes, gen, 1)[0])
+        pts, w = self._nodes(gen, modes)
+        got = moment_wick_coordinates(filling_moments(pts, w), v)
+        with np.errstate(divide="ignore"):  # a zero weight is a log weight of -inf
+            log_w = np.log(w)
+        want = wick_coordinates(covariance_from_eigenpairs(np.concatenate([pts, -pts], axis=1), v), log_w)
+        assert got.shape == want.shape and got[0] == 1.0
+        assert max_abs(got, want) <= 1e-14
+
+    def test_moments_are_the_weighted_means_of_the_products(self):
+        gen = RngSpec(85).generator()
+        pts, w = self._nodes(gen, 3, 40)
+        t = -0.5 * np.tanh(0.5 * pts)
+        want = [w @ np.prod(t[:, [j for j in range(3) if mask >> j & 1]], axis=1) / w.sum() for mask in range(8)]
+        assert max_abs(filling_moments(pts, w), np.array(want)) <= 1e-15
+
+    def test_eigenvectors_without_the_particle_hole_pairing_are_rejected(self):
+        v = sample_haar_unitary_batch(4, RngSpec(86).generator(), 1)[0]  # a unitary, unpaired
+        with pytest.raises(StructureError, match="particle-hole pairing"):
+            moment_wick_coordinates(filling_moments(np.ones((2, 2)), np.ones(2)), v)
 
 
 class TestTraceFormula:

@@ -41,15 +41,19 @@ class TestBenchLayers:
 
         monkeypatch.setattr(layers, "identity_row", identity_row)
         trials = verify._IDENTITY_TRIALS
+        steps = {name: getattr(verify, name) for name in ("radial_quadrature_nodes", "filling_moments",
+                                                           "moment_wick_coordinates", "_fock_check")}
         rows = layers.tables()
         assert verify._IDENTITY_TRIALS is trials  # the identity row puts the table back
+        assert all(getattr(verify, name) is fn for name, fn in steps.items())  # and the quadrature row its steps
         resolution = ["sample_class_d_batch", "covariance", "wick_coordinates", "scatter", "_fock_check"]
         assert {name: list(row) for name, row in rows.items()} == {
             **{f"verify_resolution_mc M={m} chunk=8": resolution for m in range(1, 7)},
             "verify_resolution_mc M=6 chunk=25": resolution,
             "verify_nc_modified M=2 chunk=1563": ["class_d_pairs", "rank_one_filling", "wick_mean"],
             "_cmd_resolution report M=6 samples=400": ["estimator_to_criterion", "build_report", "write_report"],
-            "verify_resolution_quadrature M=2": ["verify_resolution_quadrature"],
+            "verify_resolution_quadrature M=2": ["verify_resolution_quadrature", "radial_quadrature_nodes",
+                                                 "filling_moments", "moment_wick_coordinates", "_fock_check"],
             "operator_identity_suite M=3 trials=50": ["operator_identity_suite"]
             + [trial.__name__ for trial, _ in verify._IDENTITY_TRIALS],
         }

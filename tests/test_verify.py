@@ -19,7 +19,9 @@ from fermigauss import (
     CLASS_DIII,
     ContractError,
     DomainError,
+    PolarForm,
     RngSpec,
+    StructureError,
     WeightSpec,
     make_bdg,
     operator_identity_suite,
@@ -451,7 +453,7 @@ class TestFockCrossCheck:
         rep = verify_resolution_mc(modes, 1.0, n, spec, workers=workers)
         mats = sample_class_d_batch(modes, 1.0, spec.generator(), _chunk_layout(n)[1])
         gamma = gaussian.covariance_of_real_form(*gaussian.real_form(mats))
-        assert rep.details["fock_check_deviation"] == _fock_check(mats[:k], gamma[:k])
+        assert rep.details["fock_check_deviation"] == _fock_check(mats[:k], gaussian.wick_coordinates(gamma[:k]))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_canonical_checks_chunk_zero(self, workers):
@@ -462,7 +464,8 @@ class TestFockCrossCheck:
         for beta, rep in zip(betas, reps):
             log_tr = gaussian.log_trace_of_pairs(beta * form[2][:, 1::2])[:k]
             gamma = gaussian.covariance_of_real_form(*form, -beta)[:k]
-            assert rep.details["fock_check_deviation"] == _fock_check(-beta * mats[:k], gamma, log_tr)
+            coords = gaussian.wick_coordinates(gamma, log_tr)
+            assert rep.details["fock_check_deviation"] == _fock_check(-beta * mats[:k], coords, log_tr)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("modes", [2, 3])  # the rank-one route and the QR route
@@ -481,7 +484,7 @@ class TestFockCrossCheck:
             gamma = gaussian.covariance_number_conserving(pts, us)
             h = from_eigenpairs(pts[:k], us[:k])
         mats = assemble_blocks(h, np.zeros_like(h))
-        assert rep.details["fock_check_deviation"] == _fock_check(mats, gamma[:k])
+        assert rep.details["fock_check_deviation"] == _fock_check(mats, gaussian.wick_coordinates(gamma[:k]))
 
     # power: i times one entry of the parity coordinate's scatter column moves
     # no entry far enough for the 5 SE gate, but the check of 4 draws sees it
@@ -541,18 +544,18 @@ class TestFockCrossCheck:
 
     # each quadrature driver checks the last FOCK_CHECK_DRAWS kept nodes of its
     # quad_order rule, the outermost of the all-positive orthant, with the one
-    # shared v; the tests rebuild them from radial_quadrature_nodes, and pin
-    # the gap with a broken parity phase too, where it depends on every node
+    # shared v, through the moment map of those nodes alone; the tests rebuild
+    # them from radial_quadrature_nodes, and pin the gap with a broken parity
+    # phase too, where it depends on every node
 
     @staticmethod
     def _last_nodes_gap(sym, weight, modes, order, v):
         pts, wts = radial_quadrature_nodes(sym, weight, modes, order)
         keep = wts > 0.0
-        w = np.concatenate([pts[keep], -pts[keep]], axis=1)
-        gamma = gaussian.covariance_from_eigenpairs(w, v)[-FOCK_CHECK_DRAWS:]
-        w = w[-FOCK_CHECK_DRAWS:]
-        assert (w[:, :modes] > 0.0).all()
-        return _fock_check(from_eigenpairs(w, v), gamma, np.log(wts[keep])[-FOCK_CHECK_DRAWS:])
+        pts, w = pts[keep][-FOCK_CHECK_DRAWS:], wts[keep][-FOCK_CHECK_DRAWS:]
+        assert (pts > 0.0).all()
+        coords = gaussian.moment_wick_coordinates(gaussian.filling_moments(pts, w), v)
+        return _fock_check(from_eigenpairs(np.concatenate([pts, -pts], axis=1), v), coords, np.log(w))
 
     @pytest.mark.parametrize("broken", [False, True], ids=["clean", "broken"])
     @pytest.mark.parametrize("weight", [WeightSpec.gaussian(1.0), WeightSpec.determinant(4.0)], ids=lambda w: w.kind)
@@ -632,6 +635,13 @@ class TestWickQuadrature:
         q, u, _ = _nc_even_mean(modes, p, 60)
         pts, wts = radial_quadrature_nodes(CLASS_D, WeightSpec.nc_even(p), modes, 120)
         assert np.abs(q - _fock_quadrature_mean(pts, wts, lambda x: rotated_ncons_blocks(x, u))).max() <= 1e-13
+
+    def test_a_rotation_without_the_particle_hole_pairing_is_rejected(self):
+        # PolarForm checks unitarity alone; the moment map needs the pairing of a
+        # polar form's transformation, which a Haar unitary of size 2M lacks
+        u = sample_haar_unitary_batch(4, RngSpec(1).generator(), 1)[0]
+        with pytest.raises(StructureError, match="particle-hole pairing"):
+            verify_resolution_quadrature(2, CLASS_D, WeightSpec.gaussian(1.0), PolarForm(np.array([0.5, 1.0]), u), 20)
 
     def test_shifted_rule_with_every_node_on_a_density_zero_names_quad_order(self):
         # one node per mode at lam = offset: the two-mode node sits on lam_1 = lam_2
@@ -1205,7 +1215,10 @@ def _scalar_normalization(gen, m, count):
 
 
 def _scalar_composition(gen, m, count):
-    from fermigauss import compose_general, compose_number_conserving
+    from fermigauss import compose_general, compose_number_conserving, op_exp, quadratic_hamiltonian
+
+    def factor(coefficients):  # a hermitian factor's exponential, by op_exp
+        return op_exp(quadratic_hamiltonian(coefficients)).matrix
 
     b = [_scalar_bdg(mat) for mat in sample_class_d_batch(m, 1.0, gen, 2 * count)]
     h = verify_module._hermitian_matrices(gen, m, 2 * count)
@@ -1214,12 +1227,12 @@ def _scalar_composition(gen, m, count):
         scale = 1.2 / sum(np.abs(np.linalg.eigvalsh(x.assembled())).max() for x in (b1, b2))
         b1, b2 = (make_bdg(scale * x.h, scale * x.delta) for x in (b1, b2))
         x = compose_general(b1, b2)
-        general.append(np.abs(_scalar_expm_fock(x) - _scalar_expm_fock(b1) @ _scalar_expm_fock(b2)).max())
+        general.append(np.abs(_scalar_expm_fock(x) - factor(b1) @ factor(b2)).max())
     for h1, h2 in zip(h[:count], h[count:]):
         scale = 1.2 / sum(np.abs(np.linalg.eigvalsh(x)).max() for x in (h1, h2))
         h1, h2 = scale * h1, scale * h2
         hc, h1, h2 = (assemble_blocks(x, np.zeros_like(x)) for x in (compose_number_conserving(h1, h2), h1, h2))
-        conserving.append(np.abs(_scalar_expm_fock(hc) - _scalar_expm_fock(h1) @ _scalar_expm_fock(h2)).max())
+        conserving.append(np.abs(_scalar_expm_fock(hc) - factor(h1) @ factor(h2)).max())
     return [general, conserving]
 
 
