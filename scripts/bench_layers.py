@@ -15,11 +15,11 @@ steps of that call, run one after another on the same draws, p = 1:
   draws, with the wick_coordinates of those draws that the worker hands it.
 - ``verify_nc_modified M=2 chunk=1563``: one chunk of the number-conserving
   worker (the ``nc_modified`` workload, 25000 samples in 16 chunks).
-  Layers: class_d_pairs (the class-D draws at p/2, pair_values and the
-  random signs), rank_one_filling (the Haar unitaries' first columns and
-  the filling F built from them, with no QR) and wick_mean
-  (_filling_covariance and wick_coordinates: the chunk's mean Wick
-  coordinates).
+  Layers: class_d_pairs (class_d_pair_values at p/2, in closed form from
+  the class-D normals, and the random signs), rank_one_filling (the Haar
+  unitaries' first columns and the filling F built from them, with no QR)
+  and wick_mean (_filling_covariance and wick_coordinates: the chunk's
+  mean Wick coordinates).
 - ``_cmd_resolution report M=6 samples=400``: the report steps of the CLI's
   ``resolution --mode mc`` on an ``mc_m6``-sized result:
   estimator_to_criterion, build_report (with its ``git describe``) and
@@ -119,12 +119,12 @@ def resolution_row(modes: int, per: int, repeats: int) -> dict:
 
 def nc_modified_row(per: int, repeats: int) -> dict:
     from fermigauss import gaussian
-    from fermigauss.ensembles import RngSpec, _haar_first_columns, sample_class_d_batch
+    from fermigauss.ensembles import RngSpec, _haar_first_columns, class_d_pair_values
 
     gen = RngSpec(2).generator()
 
     def class_d_pairs():
-        pts = gaussian.pair_values(sample_class_d_batch(2, 0.5, gen, per))
+        pts = class_d_pair_values(2, 0.5, gen, per)
         return pts * gen.choice((-1.0, 1.0), size=(per, 2))
 
     def rank_one_filling(pts):

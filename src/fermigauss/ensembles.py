@@ -179,18 +179,24 @@ def _log_jacobian(sym_class: SymmetryClass, hermitian: bool, lam: np.ndarray) ->
     return out + sym_class.alpha * _log_abs_sum(lam) if sym_class.alpha else out
 
 
-def _class_d_blocks(modes: int, p: float, gen: np.random.Generator, count: int):
-    """Draw (h, delta) block stacks for `count` class-D matrices with density
-    proportional to exp(-p Tr[H^2]): diagonal entries have variance 1/(4p), each
-    independent off-diagonal real component 1/(8p)."""
+def _class_d_normals(modes: int, p: float, gen: np.random.Generator, count: int):
+    """The normals behind ``count`` class-D matrices with density proportional
+    to exp(-p Tr[H^2]): the (count, M) diagonal entries of h, variance 1/(4p),
+    drawn first, then the (count, 4, M(M-1)/2) real components (Re h, Im h,
+    Re D, Im D) of each pair i < j, variance 1/(8p)."""
     _above(p, 0, "p")
     _count(modes, "modes", DomainError)
     _count(count, "count", ContractError, low=0)
-    sd = math.sqrt(1.0 / (4.0 * p))
-    so = math.sqrt(1.0 / (8.0 * p))
-    diag = gen.normal(0.0, sd, size=(count, modes))
+    pairs = _upper_pairs(modes)[0].size  # one mode draws none
+    diag = gen.normal(0.0, math.sqrt(1.0 / (4.0 * p)), size=(count, modes))
+    comps = gen.normal(0.0, math.sqrt(1.0 / (8.0 * p)), size=(count, 4, pairs))
+    return diag, comps
+
+
+def _class_d_blocks(diag: np.ndarray, comps: np.ndarray):
+    """The (h, delta) block stacks of the class-D draws with the normals of _class_d_normals."""
+    count, modes = diag.shape
     iu, ju = _upper_pairs(modes)
-    comps = gen.normal(0.0, so, size=(count, 4, iu.size))  # one mode draws none
     h = np.zeros((count, modes, modes), dtype=complex)
     delta = np.zeros((count, modes, modes), dtype=complex)
     h[:, np.arange(modes), np.arange(modes)] = diag
@@ -203,16 +209,39 @@ def _class_d_blocks(modes: int, p: float, gen: np.random.Generator, count: int):
 
 def sample_class_d(modes: int, p: float, rng) -> BdgMatrix:
     """One class-D coefficient matrix with density proportional to exp(-p Tr[H^2])."""
-    gen = _as_generator(rng)
-    h, delta = _class_d_blocks(modes, p, gen, 1)
+    h, delta = _class_d_blocks(*_class_d_normals(modes, p, _as_generator(rng), 1))
     return make_bdg(h[0], delta[0])
 
 
 def sample_class_d_batch(modes: int, p: float, rng, count: int) -> np.ndarray:
     """Assembled stack of `count` class-D draws, shape (count, 2M, 2M)."""
-    gen = _as_generator(rng)
-    h, delta = _class_d_blocks(modes, p, gen, count)
-    return assemble_blocks(h, delta)
+    return assemble_blocks(*_class_d_blocks(*_class_d_normals(modes, p, _as_generator(rng), count)))
+
+
+def class_d_pair_values(modes: int, p: float, rng, count: int) -> np.ndarray:
+    """Ascending pair eigenvalues, (count, M), of the draws that
+    sample_class_d_batch(modes, p, rng, count) makes, from the same normals.
+
+    At M = 2 no matrix is built. The real Majorana form A of a draw
+    (gaussian._scaled_real_form) has A_01 = d0, A_23 = d1, A_02 = c1 + c3,
+    A_03 = c0 - c2, A_12 = -(c0 + c2) and A_13 = c1 - c3 in the normals
+    diag = (d0, d1) and comps = (c0, c1, c2, c3). Its self-dual and
+    anti-self-dual parts, the 3-vectors u = x + y = (d0 + d1, 2 c3, -2 c2)
+    and v = x - y = (d0 - d1, 2 c1, 2 c0) of x = (A_01, A_02, A_03) and its
+    Hodge dual y = (A_23, A_31, A_12), commute and square to -|u|^2 I / 4
+    and -|v|^2 I / 4, so the singular values of A, the pair eigenvalues, are
+    ||u| - |v|| / 2 and (|u| + |v|) / 2. Each draw is taken over its largest
+    |normal| first, so no square overflows. Every other M takes
+    eigvalsh(H)[:, M:] of the assembled draws H."""
+    diag, comps = _class_d_normals(modes, p, _as_generator(rng), count)
+    if modes != 2:
+        return np.linalg.eigvalsh(assemble_blocks(*_class_d_blocks(diag, comps)))[:, modes:]
+    normals = np.concatenate([diag, comps[:, :, 0]], axis=1)
+    top = np.abs(normals).max(axis=1, keepdims=True)
+    d0, d1, c0, c1, c2, c3 = (normals / np.where(top > 0.0, top, 1.0)).T
+    u = np.sqrt((d0 + d1) ** 2 + 4.0 * (c2 * c2 + c3 * c3))
+    v = np.sqrt((d0 - d1) ** 2 + 4.0 * (c0 * c0 + c1 * c1))
+    return 0.5 * top * np.stack([np.abs(u - v), u + v], axis=-1)
 
 
 def _complex_normals(gen: np.random.Generator, count: int, modes: int) -> np.ndarray:
@@ -234,8 +263,10 @@ def _haar_first_columns(gen: np.random.Generator, count: int) -> np.ndarray:
     """The (count, 2) first columns of the 2 x 2 unitaries that
     sample_haar_unitary_batch(2, gen, count) draws, from the same normals and
     with no QR: z_0 = Q_0 R_00 and the phase fix multiplies Q_0 by
-    R_00 / |R_00|, so U_0 = z_0 / |z_0|."""
-    z = _complex_normals(gen, count, 2)[:, :, 0]
+    R_00 / |R_00|, so U_0 = z_0 / |z_0|. Only column 0 of each of the two
+    normal draws (real parts, then imaginary) is kept."""
+    real = gen.normal(size=(count, 2, 2))[:, :, 0]
+    z = real + 1j * gen.normal(size=(count, 2, 2))[:, :, 0]
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 

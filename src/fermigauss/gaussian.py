@@ -81,7 +81,9 @@ class PolarForm:
     ``lambdas`` holds the M nonnegative eigenvalue-pair representatives in
     ascending order; ``bogoliubov`` is the 2M x 2M unitary U such that the
     assembled matrix equals U^-1 diag(lambdas, -lambdas) U and (b, b^dag)^T =
-    U (a, a^dag)^T defines canonical transformed mode operators.
+    U (a, a^dag)^T defines canonical transformed mode operators. Construction
+    checks that U is unitary and has the particle-hole pairing
+    U = [[A, B], [B*, A*]] to within STRUCTURE_TOL.
     """
 
     lambdas: np.ndarray
@@ -93,6 +95,8 @@ class PolarForm:
             raise StructureError(f"lambdas must be a finite non-empty vector, got shape {lam.shape}")
         u = _square(self.bogoliubov, "transformation", 2 * lam.size)
         _require_close(u @ u.conj().T, np.eye(2 * lam.size), STRUCTURE_TOL, "diagonalizing transformation is not unitary")
+        a, b = u[: lam.size, : lam.size], u[: lam.size, lam.size :]
+        _require_close(u[lam.size :], np.concatenate([b, a], axis=1).conj(), STRUCTURE_TOL, "diagonalizing transformation lacks the particle-hole pairing")
         object.__setattr__(self, "lambdas", _frozen(lam).real)
         object.__setattr__(self, "bogoliubov", _frozen(u))
 
@@ -278,23 +282,6 @@ def real_form(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     vecs = np.linalg.eigh(np.swapaxes(scaled, -1, -2) @ scaled)[1]
     sv = scaled @ vecs
     return top * sv, vecs, top[..., 0] * np.linalg.norm(sv, axis=-2)
-
-
-def pair_values(mats: np.ndarray) -> np.ndarray:
-    """Ascending pair eigenvalues, (n, M), of a stack of class-D coefficient
-    matrices: eigvalsh(mats)[:, M:]. At M = 2 in closed form, from the 4 x 4
-    real form A over its largest entry: its self-dual and anti-self-dual
-    parts, the 3-vectors u = x + y and v = x - y of the entries x = (A_01,
-    A_02, A_03) and their Hodge duals y = (A_23, A_31, A_12), commute and
-    square to -|u|^2 I / 4 and -|v|^2 I / 4, so the singular values of A, the
-    pair eigenvalues, are (|u| + |v|) / 2 and ||u| - |v|| / 2."""
-    m = mats.shape[-1] // 2
-    if m != 2:
-        return np.linalg.eigvalsh(mats)[:, m:]
-    a, top = _scaled_real_form(mats)
-    x, y = a[:, [0, 0, 0], [1, 2, 3]], a[:, [2, 3, 1], [3, 1, 2]]
-    u, v = np.linalg.norm(x + y, axis=-1), np.linalg.norm(x - y, axis=-1)
-    return 0.5 * top[:, 0] * np.stack([np.abs(u - v), u + v], axis=-1)
 
 
 def covariance_of_real_form(av: np.ndarray, vecs: np.ndarray, s: np.ndarray, t: float = 1.0) -> np.ndarray:

@@ -20,6 +20,7 @@ from .ensembles import (  # noqa: F401  sample_class_d and sample_radial_mcmc st
     _haar_first_columns,
     _log_jacobian,
     _polar_rotations,
+    class_d_pair_values,
     random_polar_rotation,
     sample_class_d,
     sample_class_d_batch,
@@ -66,7 +67,6 @@ from .gaussian import (  # noqa: F401  gaussian_normalized, compose_general, com
     log_trace_of_pairs,
     make_bdg,
     moment_wick_coordinates,
-    pair_values,
     paired_eigenvalues,
     real_form,
     wick_blocks,
@@ -439,7 +439,7 @@ def class_d_lambda_samples(modes: int, p: float, rng, n_samples: int) -> np.ndar
     matrices)."""
 
     def worker(gen: np.random.Generator, per: int, first: bool) -> np.ndarray:
-        return pair_values(sample_class_d_batch(modes, p, gen, per))
+        return class_d_pair_values(modes, p, gen, per)
 
     chunk_points, _ = _run_chunks(worker, n_samples, _as_rngspec(rng), modes)
     return np.concatenate(chunk_points)
@@ -804,7 +804,8 @@ def verify_nc_modified(
     Delta(lam)^2 * prod_{i<j} (lam_i + lam_j)^2 exp(-p sum lam^2)
     = Delta(lam^2)^2 exp(-p sum lam^2),
     even in every eigenvalue. Each chunk therefore samples it exactly: the
-    pair representatives of class-D draws at p/2, with independent random
+    pair representatives of class-D draws at p/2 (class_d_pair_values, at
+    M = 2 from the draws' normals with no matrix), with independent random
     signs. The Haar rotations come by QR, except at M = 2, where the filling
     and h need only each unitary's first column, drawn from the same normals.
     Raises DomainError when the gate would judge no entry.
@@ -813,7 +814,7 @@ def verify_nc_modified(
     WeightSpec.nc_modified(p)  # rejects p <= 0 with the caller's value
 
     def worker(gen: np.random.Generator, per: int, first: bool):
-        pts = pair_values(sample_class_d_batch(modes, 0.5 * p, gen, per))
+        pts = class_d_pair_values(modes, 0.5 * p, gen, per)
         pts = pts * gen.choice((-1.0, 1.0), size=(per, modes))
         k = FOCK_CHECK_DRAWS
         # h = U diag(pts) U^dag is known: no eigh is needed, and at M = 2 no QR

@@ -38,7 +38,8 @@ from fermigauss import (
     verify_nc_modified,
 )
 from fermigauss.cli import run
-from fermigauss.ensembles import _complex_normals, _haar_first_columns
+from fermigauss import ensembles
+from fermigauss.ensembles import _complex_normals, _haar_first_columns, class_d_pair_values
 from fermigauss.fock import (
     _annihilators,
     _sigma_x,
@@ -58,7 +59,6 @@ from fermigauss.gaussian import (
     filling_moments,
     log_trace_of_pairs,
     moment_wick_coordinates,
-    pair_values,
     real_form,
     wick_blocks,
     wick_coordinates,
@@ -443,28 +443,42 @@ class TestNumberConservingDraws:
 
     @pytest.mark.parametrize("p", [1e-308, 1.0, 1e300])
     @pytest.mark.parametrize("modes", [1, 2, 3, 4])
-    def test_pair_values_match_eigvalsh(self, modes, p):
-        draws = sample_class_d_batch(modes, p, RngSpec(50 + modes), 200)
-        a = 0.7 / math.sqrt(p)  # the draws' scale
-        zero = np.zeros((modes, modes))
-        degenerate = assemble_blocks(a * np.eye(modes), zero)  # every pair value is a
-        mats = np.concatenate([draws, np.zeros_like(draws[:1]), degenerate[None]])
+    def test_sampler_matches_eigvalsh_of_the_same_draws(self, modes, p):
+        spec = RngSpec(50 + modes)
+        gen, gen_mats = spec.generator(), spec.generator()
+        got = class_d_pair_values(modes, p, gen, 200)
+        mats = sample_class_d_batch(modes, p, gen_mats, 200)
+        assert gen.bit_generator.state == gen_mats.bit_generator.state
         want = np.linalg.eigvalsh(mats)[:, modes:]
-        got = pair_values(mats)
         assert got.shape == want.shape
         assert (np.abs(got - want) <= 1e-14 * want[:, -1:]).all()
-        assert not got[-2].any()
-        assert np.abs(got[-1] - a).max() <= 1e-15 * a
+
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4])
+    def test_sampler_on_the_zero_and_a_scalar_draw(self, modes, monkeypatch):
+        # normals of H = 0 and of h = a I, D = 0, whose every pair value is a
+        a, pairs = 0.7, modes * (modes - 1) // 2
+        normals = (np.array([np.zeros(modes), np.full(modes, a)]), np.zeros((2, 4, pairs)))
+        monkeypatch.setattr(ensembles, "_class_d_normals", lambda *args: normals)
+        got = class_d_pair_values(modes, 1.0, RngSpec(0), 2)
+        assert not got[0].any()
+        assert np.abs(got[1] - a).max() <= 1e-15 * a
 
     def test_two_modes_take_no_eigvalsh(self, monkeypatch):
-        mats = sample_class_d_batch(2, 1.0, RngSpec(54), 20)
-        want = np.linalg.eigvalsh(mats)[:, 2:]
+        want = np.linalg.eigvalsh(sample_class_d_batch(2, 1.0, RngSpec(54), 20))[:, 2:]
 
-        def no_eigvalsh(*args, **kwargs):
-            raise AssertionError("pair_values called eigvalsh at M = 2")
+        def no_matrix(*args, **kwargs):
+            raise AssertionError("class_d_pair_values built or diagonalized a matrix at M = 2")
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
-        assert max_abs(pair_values(mats), want) <= 1e-14 * want.max()
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_matrix)
+        monkeypatch.setattr(ensembles, "assemble_blocks", no_matrix)
+        monkeypatch.setattr(ensembles, "_class_d_blocks", no_matrix)
+        assert max_abs(class_d_pair_values(2, 1.0, RngSpec(54), 20), want) <= 1e-14 * want.max()
+
+    def test_haar_first_columns_keep_the_normals_and_the_stream(self):
+        gen, gen_z = RngSpec(55).generator(), RngSpec(55).generator()
+        z = _complex_normals(gen_z, 300, 2)[:, :, 0]
+        assert np.array_equal(_haar_first_columns(gen, 300), z / np.linalg.norm(z, axis=-1, keepdims=True))
+        assert gen.bit_generator.state == gen_z.bit_generator.state
 
     @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
     def test_covariance_matches_the_embedding_eigenpairs(self, modes):
@@ -484,7 +498,7 @@ class TestNumberConservingDraws:
         if p == "zero":
             lam = np.zeros((n, 2))
         else:
-            lam = pair_values(sample_class_d_batch(2, p, spec.with_stream(1), n)) * [1.0, -1.0]
+            lam = class_d_pair_values(2, p, spec.with_stream(1), n) * [1.0, -1.0]
         gen_q, gen_u = spec.generator(), spec.generator()
         q, us = _haar_first_columns(gen_q, n), sample_haar_unitary_batch(2, gen_u, n)
         assert gen_q.bit_generator.state == gen_u.bit_generator.state
@@ -645,6 +659,13 @@ class TestPolarDecompose:
         assert max_abs(polar_decompose(_bdg(rebuilt)).lambdas, lam) <= tol
         # canonical: the creation rows are the conjugated annihilation rows, blocks swapped
         assert max_abs(u[m:], u[:m].conj()[:, np.r_[m : 2 * m, 0:m]]) <= 1e-12
+
+    def test_a_unitary_without_the_particle_hole_pairing_is_rejected(self):
+        u = sample_haar_unitary_batch(4, RngSpec(30).generator(), 1)[0]
+        with pytest.raises(StructureError, match="particle-hole pairing"):
+            PolarForm(np.array([0.5, 1.0]), u)
+        paired = polar_decompose(sample_class_d(2, 1.0, RngSpec(30))).bogoliubov
+        assert PolarForm(np.array([0.5, 1.0]), paired).modes == 2
 
     def test_degenerate_spectrum_rejected(self):
         with pytest.raises(DegenerateSpectrumError, match="perturb"):

@@ -37,7 +37,7 @@ from fermigauss import (
 from fermigauss import ensembles, gaussian, sample_class_d_batch, sample_radial_mcmc
 from fermigauss import verify as verify_module
 from fermigauss.cli import run
-from fermigauss.ensembles import _haar_first_columns, _log_jacobian, sample_haar_unitary_batch
+from fermigauss.ensembles import _haar_first_columns, _log_jacobian, class_d_pair_values, sample_haar_unitary_batch
 from fermigauss.fock import (
     embed_parity_blocks,
     from_eigenpairs,
@@ -473,7 +473,7 @@ class TestFockCrossCheck:
         spec, n, p, k = RngSpec(16), 400, 1.0, FOCK_CHECK_DRAWS
         rep = verify_nc_modified(modes, p, n, spec, workers=workers)
         gen, per = spec.generator(), _chunk_layout(n)[1]
-        pts = gaussian.pair_values(sample_class_d_batch(modes, 0.5 * p, gen, per))
+        pts = class_d_pair_values(modes, 0.5 * p, gen, per)
         pts = pts * gen.choice((-1.0, 1.0), size=(per, modes))
         if modes == 2:
             q = _haar_first_columns(gen, per)
@@ -637,8 +637,8 @@ class TestWickQuadrature:
         assert np.abs(q - _fock_quadrature_mean(pts, wts, lambda x: rotated_ncons_blocks(x, u))).max() <= 1e-13
 
     def test_a_rotation_without_the_particle_hole_pairing_is_rejected(self):
-        # PolarForm checks unitarity alone; the moment map needs the pairing of a
-        # polar form's transformation, which a Haar unitary of size 2M lacks
+        # the moment map needs the pairing of a polar form's transformation,
+        # which a Haar unitary of size 2M lacks; PolarForm itself rejects it
         u = sample_haar_unitary_batch(4, RngSpec(1).generator(), 1)[0]
         with pytest.raises(StructureError, match="particle-hole pairing"):
             verify_resolution_quadrature(2, CLASS_D, WeightSpec.gaussian(1.0), PolarForm(np.array([0.5, 1.0]), u), 20)
@@ -975,7 +975,7 @@ class TestNcModifiedSampler:
 class TestBatchedPaths:
     @pytest.mark.parametrize("modes", [1, 2, 3])
     def test_lambda_samples_are_the_eigvalsh_pairs_of_the_mc_draws(self, modes):
-        # the dump takes pair_values; eigvalsh of the same chunks is the oracle
+        # the dump takes class_d_pair_values; eigvalsh of the same chunks is the oracle
         def worker(gen, per, first):
             return np.linalg.eigvalsh(sample_class_d_batch(modes, 1.0, gen, per))[:, modes:]
 
