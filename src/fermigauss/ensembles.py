@@ -195,6 +195,7 @@ def _class_d_normals(modes: int, p: float, gen: np.random.Generator, count: int)
 
 def _class_d_blocks(diag: np.ndarray, comps: np.ndarray):
     """The (h, delta) block stacks of the class-D draws with the normals of _class_d_normals."""
+    # class_d_pair_values' M = 2 closed form reads this component order and layout
     count, modes = diag.shape
     iu, ju = _upper_pairs(modes)
     h = np.zeros((count, modes, modes), dtype=complex)
@@ -244,9 +245,10 @@ def class_d_pair_values(modes: int, p: float, rng, count: int) -> np.ndarray:
     return 0.5 * top * np.stack([np.abs(u - v), u + v], axis=-1)
 
 
-def _complex_normals(gen: np.random.Generator, count: int, modes: int) -> np.ndarray:
-    """The (count, M, M) complex normals behind ``count`` Haar unitaries, real parts drawn first."""
-    return gen.normal(size=(count, modes, modes)) + 1j * gen.normal(size=(count, modes, modes))
+def _complex_normals(gen: np.random.Generator, count: int, modes: int, column=slice(None)) -> np.ndarray:
+    """The (count, M, M) complex normals behind ``count`` Haar unitaries, real
+    parts drawn first; ``column`` keeps only that column (or slice) of each."""
+    return gen.normal(size=(count, modes, modes))[..., column] + 1j * gen.normal(size=(count, modes, modes))[..., column]
 
 
 def sample_haar_unitary_batch(modes: int, rng, count: int) -> np.ndarray:
@@ -263,10 +265,9 @@ def _haar_first_columns(gen: np.random.Generator, count: int) -> np.ndarray:
     """The (count, 2) first columns of the 2 x 2 unitaries that
     sample_haar_unitary_batch(2, gen, count) draws, from the same normals and
     with no QR: z_0 = Q_0 R_00 and the phase fix multiplies Q_0 by
-    R_00 / |R_00|, so U_0 = z_0 / |z_0|. Only column 0 of each of the two
-    normal draws (real parts, then imaginary) is kept."""
-    real = gen.normal(size=(count, 2, 2))[:, :, 0]
-    z = real + 1j * gen.normal(size=(count, 2, 2))[:, :, 0]
+    R_00 / |R_00|, so U_0 = z_0 / |z_0|. Only column 0 of the normals is
+    made complex; no (count, 2, 2) complex stack is built."""
+    z = _complex_normals(gen, count, 2, 0)
     return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 

@@ -453,13 +453,15 @@ class TestNumberConservingDraws:
         assert got.shape == want.shape
         assert (np.abs(got - want) <= 1e-14 * want[:, -1:]).all()
 
+    @pytest.mark.parametrize("p", [1e-308, 1.0, 1e300])
     @pytest.mark.parametrize("modes", [1, 2, 3, 4])
-    def test_sampler_on_the_zero_and_a_scalar_draw(self, modes, monkeypatch):
-        # normals of H = 0 and of h = a I, D = 0, whose every pair value is a
-        a, pairs = 0.7, modes * (modes - 1) // 2
+    def test_sampler_on_the_zero_and_a_scalar_draw(self, modes, p, monkeypatch):
+        # normals of H = 0 and of h = a I, D = 0, whose every pair value is a,
+        # at the draws' scale (near 1e153 and 1e-151 at the extreme p)
+        a, pairs = 0.7 / math.sqrt(p), modes * (modes - 1) // 2
         normals = (np.array([np.zeros(modes), np.full(modes, a)]), np.zeros((2, 4, pairs)))
         monkeypatch.setattr(ensembles, "_class_d_normals", lambda *args: normals)
-        got = class_d_pair_values(modes, 1.0, RngSpec(0), 2)
+        got = class_d_pair_values(modes, p, RngSpec(0), 2)
         assert not got[0].any()
         assert np.abs(got[1] - a).max() <= 1e-15 * a
 
