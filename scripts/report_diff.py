@@ -2,16 +2,19 @@
 """Do two trees write the same reports? A parent-versus-change report diff.
 
 It runs every command of COMMANDS once per tree, all of a tree's commands in
-one fresh interpreter with ``PYTHONPATH=<tree>/src``, and writes each report
-to a temporary directory. It drops the two fields that name the run rather
-than its result, ``timestamp`` and ``git_describe``, and then states one of
-three results per command:
+one fresh interpreter with ``PYTHONPATH=<tree>/src``, and writes each report,
+and the CSV dump of each command that ends in ``--csv``, to a temporary
+directory. It drops the two report fields that name the run rather than its
+result, ``timestamp`` and ``git_describe``, and then states one of three
+results per command, for its report and its dump together:
 
 - ``identical``: the same bytes;
-- ``numeric``: the same keys, key order, strings and verdicts, with the
-  largest absolute change of a number and the path to it;
+- ``numeric``: the same keys, key order, strings and verdicts (for a dump,
+  the same header and row count), with the largest absolute change of a
+  number and the path to it (under ``.csv`` for a dump);
 - ``changed``: the verdicts, keys or names (strings) that differ, or a
-  command that wrote no report in one tree.
+  command that wrote no report in one tree (no dump in one tree shows as a
+  ``csv`` key on one side only).
 
 It exits 1 when any command is ``changed`` or changes a number by more than
 ``--tol`` (default 1e-13), and 0 otherwise. Run from any directory:
@@ -35,42 +38,57 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SEED = ["--seed", "5"]
-#: The CLI commands whose reports are compared, each as its argv.
+#: The CLI commands whose reports are compared, each as its argv; one that
+#: ends in --csv also has its dump compared, written to a path the run appends.
 COMMANDS = [
     ["identities", "--modes", "3", *SEED],
     ["identities", "--modes", "3", "--seed", "42"],
-    ["resolution", "--mode", "quad", "--weight", "determinant", "-p", "2", *SEED],
-    ["resolution", "--mode", "quad", *SEED],
-    ["resolution", "--mode", "quad", "--symmetry-class", "CI", *SEED],
-    ["number-conserving", "--variant", "failure", *SEED],
+    ["resolution", "--mode", "quad", "--weight", "determinant", "-p", "2", *SEED, "--csv"],
+    ["resolution", "--mode", "quad", *SEED, "--csv"],
+    ["resolution", "--mode", "quad", "--symmetry-class", "CI", *SEED, "--csv"],
+    ["number-conserving", "--variant", "failure", *SEED, "--csv"],
     ["selberg", "--consistency", *SEED],
-    ["resolution", "--mode", "mc", "--modes", "6", "--samples", "400", *SEED],
-    ["number-conserving", "--variant", "modified", "--samples", "25000", *SEED],
-    ["canonical", "--modes", "2", "--samples", "4000", *SEED],
-    ["ensembles", *SEED],
+    ["resolution", "--mode", "mc", "--modes", "6", "--samples", "400", *SEED, "--csv"],
+    ["number-conserving", "--variant", "modified", "--samples", "25000", *SEED, "--csv"],
+    ["canonical", "--modes", "2", "--samples", "4000", *SEED, "--csv"],
+    ["ensembles", *SEED, "--csv"],
 ]
-#: Runs each command of argv[1] (a JSON list of argvs) with --out argv[2]/<k>.json.
+#: Runs each command of argv[1] (a JSON list of argvs) with --out argv[2]/<k>.json,
+#: and a command that ends in --csv with the dump path argv[2]/<k>.csv.
 RUN_ALL = """
 import json, sys
 from fermigauss.cli import run
 for k, argv in enumerate(json.loads(sys.argv[1])):
-    run([*argv, "--out", f"{sys.argv[2]}/{k}.json"])
+    dump = [f"{sys.argv[2]}/{k}.csv"] if argv[-1] == "--csv" else []
+    run([*argv, *dump, "--out", f"{sys.argv[2]}/{k}.json"])
 """
 RUN_FIELDS = ("timestamp", "git_describe")
 RUN_LINES = re.compile(rf'^  "({"|".join(RUN_FIELDS)})": .*\n', re.MULTILINE)  # their lines in a report file
 
 
 def reports(tree: Path, commands: list, out_dir: Path) -> list:
-    """Each command's report text from ``tree``, or None where the command
-    wrote no report."""
+    """Each command's report text and CSV dump text from ``tree``, each None
+    where the command wrote no such file."""
     env = {k: v for k, v in os.environ.items() if k != "FERMIGAUSS_REPORT_DIR"}
     env["PYTHONPATH"] = str(tree.resolve() / "src")
     subprocess.run(
         [sys.executable, "-c", RUN_ALL, json.dumps(commands), str(out_dir)],
         env=env, cwd=out_dir, capture_output=True, check=True,
     )
-    paths = [out_dir / f"{k}.json" for k in range(len(commands))]
-    return [p.read_text() if p.exists() else None for p in paths]
+    paths = [(out_dir / f"{k}.json", out_dir / f"{k}.csv") for k in range(len(commands))]
+    return [tuple(p.read_text() if p.exists() else None for p in pair) for pair in paths]
+
+
+def document(report: str, dump: str | None) -> dict:
+    """A report without its run fields, with its dump, if any, under ``csv``:
+    the header's column names and the rows of numbers."""
+    doc = json.loads(report)
+    for key in RUN_FIELDS:
+        doc.pop(key, None)
+    if dump is not None:
+        header, *rows = dump.splitlines()
+        doc["csv"] = {"columns": header.split(","), "rows": [[float(x) for x in row.split(",")] for row in rows]}
+    return doc
 
 
 def _walk(a, b, path: str, found: dict) -> None:
@@ -99,18 +117,15 @@ def _walk(a, b, path: str, found: dict) -> None:
         found["names"].append(f"{path}: {a!r} -> {b!r}")
 
 
-def compare(parent: str | None, change: str | None) -> dict:
-    """The result for one command from its two report texts."""
+def compare(parent: str | None, change: str | None, dumps=(None, None)) -> dict:
+    """The result for one command from its two report texts and its two dump
+    texts, ``dumps``; a text is None where the command wrote no such file."""
     if parent is None or change is None:
         return {"result": "changed", "names": [f"report written: {parent is not None} -> {change is not None}"]}
-    if RUN_LINES.sub("", parent) == RUN_LINES.sub("", change):
+    if RUN_LINES.sub("", parent) == RUN_LINES.sub("", change) and dumps[0] == dumps[1]:
         return {"result": "identical"}
-    docs = [json.loads(text) for text in (parent, change)]
-    for doc in docs:
-        for key in RUN_FIELDS:
-            doc.pop(key, None)
     found = {"verdicts": [], "keys": [], "names": [], "max_change": 0.0, "where": None}
-    _walk(*docs, "", found)
+    _walk(document(parent, dumps[0]), document(change, dumps[1]), "", found)
     if found["verdicts"] or found["keys"] or found["names"]:
         return {"result": "changed", **found}
     return {"result": "numeric", "max_change": found["max_change"], "where": found["where"]}
@@ -129,8 +144,8 @@ def main(argv=None) -> int:
             (Path(tmp) / name).mkdir()
             sides.append(reports(tree, COMMANDS, Path(tmp) / name))
     results, failed = [], False
-    for argv_k, parent, change in zip(COMMANDS, *sides):
-        res = {"command": " ".join(argv_k), **compare(parent, change)}
+    for argv_k, (parent, parent_csv), (change, change_csv) in zip(COMMANDS, *sides):
+        res = {"command": " ".join(argv_k), **compare(parent, change, (parent_csv, change_csv))}
         failed |= res["result"] == "changed" or (res["result"] == "numeric" and not res["max_change"] <= args.tol)
         results.append(res)
         line = f"{res['command']}: {res['result']}"

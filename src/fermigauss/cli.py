@@ -13,7 +13,7 @@ from . import reports
 from .blas import blas_threads
 from .ensembles import CLASS_D, RngSpec, WeightSpec, sample_radial_mcmc, symmetry_class
 from .errors import FermigaussError
-from .verify import (
+from .verify import (  # noqa: F401  benchmark/tracing.py wraps class_d_lambda_samples and radial_quadrature_nodes here
     class_d_lambda_samples,
     operator_identity_suite,
     radial_quadrature_nodes,
@@ -167,7 +167,8 @@ def _print_criteria(criteria: list[dict]) -> None:
         print(f"[{status}] {c['name']}: measured={measured:.6g}")
 
 
-def _finish(args, command: str, criteria: list[dict], warnings=None, csv_payload=None) -> int:
+def _finish(args, command: str, criteria: list[dict], warnings=None, points=None) -> int:
+    """Print and write the report; with --csv, dump ``points``, (n, M) chunks."""
     params = {
         k: v
         for k, v in vars(args).items()
@@ -178,8 +179,8 @@ def _finish(args, command: str, criteria: list[dict], warnings=None, csv_payload
     if args.out:
         path = reports.write_report(doc, args.out)
         print(f"report written to {path}")
-    if csv_payload is not None:  # set exactly when --csv is
-        path = reports.write_lambda_csv(args.csv, *csv_payload)
+    if vars(args).get("csv"):  # only the commands with points to dump take --csv
+        path = reports.write_lambda_csv(args.csv, points, args.modes)
         print(f"csv written to {path}")
     return 0 if doc["passed"] else 1
 
@@ -198,23 +199,16 @@ def _cmd_resolution(args) -> int:
         rotation = random_polar_rotation(args.modes, spec)
         rep = verify_resolution_quadrature(args.modes, sym, weight, rotation, args.quad_order)
         criteria = [reports.estimator_to_criterion("resolution of unity (quadrature)", rep)]
-        payload = None
-        if args.csv:
-            pts, _ = radial_quadrature_nodes(sym, weight, args.modes, 2 * args.quad_order)
-            payload = (pts, args.modes)
-        return _finish(args, "resolution", criteria, csv_payload=payload)
+        return _finish(args, "resolution", criteria, points=rep.point_chunks)
     if args.weight != "gaussian":
         raise FermigaussError("the Monte Carlo resolution run samples the Gaussian weight only")
     if sym is not CLASS_D:
         raise FermigaussError(
             f"the Monte Carlo resolution run samples class D only, got --symmetry-class {sym.label}"
         )
-    rep = verify_resolution_mc(args.modes, args.p, args.samples, spec, workers=args.workers)
+    rep = verify_resolution_mc(args.modes, args.p, args.samples, spec, workers=args.workers, keep_points=bool(args.csv))
     criteria = [reports.estimator_to_criterion("resolution of unity (Monte Carlo)", rep)]
-    payload = None
-    if args.csv:
-        payload = (class_d_lambda_samples(args.modes, args.p, spec, args.samples), args.modes)
-    return _finish(args, "resolution", criteria, csv_payload=payload)
+    return _finish(args, "resolution", criteria, points=rep.point_chunks)
 
 
 def _cmd_canonical(args) -> int:
@@ -225,15 +219,14 @@ def _cmd_canonical(args) -> int:
             betas.append(float(token))
         except ValueError:
             raise FermigaussError(f"--betas takes comma-separated numbers, got {token!r}") from None
-    reps = verify_canonical_triviality(args.modes, args.p, betas, args.samples, spec, workers=args.workers)
+    reps = verify_canonical_triviality(
+        args.modes, args.p, betas, args.samples, spec, workers=args.workers, keep_points=bool(args.csv)
+    )
     criteria = [
         reports.estimator_to_criterion(f"canonical mixture at beta={beta:g}", rep)
         for beta, rep in zip(betas, reps)
     ]
-    payload = None
-    if args.csv:
-        payload = (class_d_lambda_samples(args.modes, args.p, spec, args.samples), args.modes)
-    return _finish(args, "canonical", criteria, csv_payload=payload)
+    return _finish(args, "canonical", criteria, points=reps[0].point_chunks)  # every beta's, the same draws
 
 
 def _cmd_number_conserving(args) -> int:
@@ -241,20 +234,10 @@ def _cmd_number_conserving(args) -> int:
     if args.variant == "failure":
         rep = verify_nc_failure(args.modes, args.p, args.quad_order)
         criteria = [reports.estimator_to_criterion("even-weight residual exceeds the oracle floor", rep)]
-        payload = None
-        if args.csv:
-            pts, _ = radial_quadrature_nodes(
-                symmetry_class("D"), WeightSpec.nc_even(args.p), args.modes, 2 * args.quad_order
-            )
-            payload = (pts, args.modes)
-        return _finish(args, "number-conserving", criteria, csv_payload=payload)
-    rep = verify_nc_modified(
-        args.modes, args.p, args.samples, spec, workers=args.workers, keep_samples=bool(args.csv)
-    )
-    lams = rep.details.pop("lambda_samples", None)
+        return _finish(args, "number-conserving", criteria, points=rep.point_chunks)
+    rep = verify_nc_modified(args.modes, args.p, args.samples, spec, workers=args.workers, keep_points=bool(args.csv))
     criteria = [reports.estimator_to_criterion("modified-weight mean reaches the identity", rep)]
-    payload = (lams, args.modes) if args.csv else None
-    return _finish(args, "number-conserving", criteria, csv_payload=payload)
+    return _finish(args, "number-conserving", criteria, points=rep.point_chunks)
 
 
 def _cmd_selberg(args) -> int:
@@ -281,8 +264,7 @@ def _cmd_ensembles(args) -> int:
         }
     ]
     warnings = [run.warning] if run.warning else []
-    payload = (run.samples, args.modes) if args.csv else None
-    return _finish(args, "ensembles", criteria, warnings, csv_payload=payload)
+    return _finish(args, "ensembles", criteria, warnings, points=(run.samples,))
 
 
 def run(argv=None) -> int:

@@ -159,13 +159,11 @@ def write_report(doc: dict, path: str) -> Path:
     return out
 
 
-def write_lambda_csv(path: str, samples, modes: int) -> Path:
-    """One row per sample, columns lambda_1..lambda_M, 17 significant digits."""
+def write_lambda_csv(path: str, chunks, modes: int) -> Path:
+    """Under a lambda_1..lambda_M header, one row per point of the (n, M) ``chunks``, to 17 digits."""
     out = resolve_out_path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    arr = np.asarray(samples, dtype=float).reshape(-1, modes) if np.size(samples) else np.empty((0, modes))
+    header = ",".join(f"lambda_{j + 1}" for j in range(modes))
     with out.open("w") as fh:
-        fh.write(",".join(f"lambda_{j + 1}" for j in range(modes)) + "\n")
-        for row in arr:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        np.savetxt(fh, np.concatenate(chunks), fmt="%.17g", delimiter=",", header=header, comments="")
     return out

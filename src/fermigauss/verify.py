@@ -126,10 +126,11 @@ class CriterionResult:
 
 @dataclass
 class EstimatorReport:
-    """Outcome of one verification run: its mean against the target and the
-    ``bounds`` that are its verdict, each named after the report entries it
-    reads. It passes exactly when every bound holds, and its stated rule,
-    ``criterion``, is written from the same list, so the two cannot drift."""
+    """Outcome of one verification run: its mean against the target over
+    ``samples`` points (kept as (n, M) ``point_chunks`` by quadrature runs, and
+    by Monte Carlo runs with ``keep_points``), and the ``bounds`` that are its
+    verdict, each named after the report entries it reads. It passes exactly
+    when every bound holds, and states its rule, ``criterion``, from that list."""
 
     target: FockOperator
     mean: FockOperator
@@ -138,6 +139,12 @@ class EstimatorReport:
     seed: RngSpec | None
     bounds: list[CriterionResult]
     details: dict = field(default_factory=dict)
+    point_chunks: tuple[np.ndarray, ...] = ()
+
+    @property
+    def points(self) -> np.ndarray:
+        """The kept (samples, M) points in chunk order, concatenated on each call."""
+        return np.concatenate(self.point_chunks)
 
     @property
     def passed(self) -> bool:
@@ -175,13 +182,26 @@ def _chunk_layout(n_samples: int) -> tuple[int, int]:
     return chunks, per
 
 
-def _run_chunks(worker, n_samples: int, spec: RngSpec, modes: int, workers: int = 1) -> tuple[list, int]:
+@dataclass(frozen=True)
+class _Chunk:
+    """One Monte Carlo chunk's record: its draws' mean Wick coordinates, their
+    number, chunk 0's Fock gap (None elsewhere), their pair values if the run
+    keeps them, and for canonical chunks the log sums of traces and squares."""
+
+    coords: np.ndarray
+    draws: int
+    fock_dev: float | None
+    points: np.ndarray | None = None
+    log_w: float | None = None
+    log_w2: float | None = None
+
+
+def _run_chunks(worker, n_samples: int, spec: RngSpec, modes: int, workers: int = 1) -> list:
     """Chunked Monte Carlo sampling: ``worker(generator, per, first)`` once
     per chunk, chunk i drawing from the i-th substream past ``spec``, so
     results do not depend on the worker count. ``first`` is set for chunk 0
     alone, whose worker hands its own first FOCK_CHECK_DRAWS draws to the
-    Fock cross-check (_fock_check). Returns the chunk results in chunk order
-    and the total sample count."""
+    Fock cross-check (_fock_check). Returns the chunk results in chunk order."""
     _count(workers, "workers", ContractError)
     _check_modes(modes)
     chunks, per = _chunk_layout(n_samples)
@@ -198,8 +218,8 @@ def _run_chunks(worker, n_samples: int, spec: RngSpec, modes: int, workers: int 
                 fut.cancel()
             # chunks queue in order, so every chunk before a failed one has
             # started, and the first error in chunk order is the one raised
-            return [fut.result() for fut in futures], chunks * per
-    return [task(i) for i in range(chunks)], chunks * per
+            return [fut.result() for fut in futures]
+    return [task(i) for i in range(chunks)]
 
 
 def _chunk_estimate(chunks, log_weights=None) -> tuple[np.ndarray, np.ndarray]:
@@ -274,24 +294,27 @@ def _fock_check(mats: np.ndarray, coords: np.ndarray, log_weights=None) -> float
     return float(np.abs(np.einsum("s,spab->pab", _draw_weights(len(mats), log_weights), ops) - wick).max())
 
 
-def _mc_report(
-    modes: int, chunks: list, samples: int, spec: RngSpec, details: dict, log_weights=None, _exact: bool = False
-) -> EstimatorReport:
-    """The one Monte Carlo verdict path: map the ``chunks``' Wick coordinates
-    (the first field of each chunk result) to parity blocks with one scatter,
-    take their chunked estimate weighted by ``log_weights``, and gate the
-    embedded mean against 2^-M I and chunk 0's Fock gap (the second field)
-    against FOCK_CHECK_TOL. ``details`` follow the gate's own entries and
-    carry the run's p. With ``_exact`` (canonical beta = 0) the mean must also
-    be 2^-M I to 1e-14, and the gate may judge no entry; otherwise a gate that
-    would judge none raises DomainError."""
-    mean, se = _chunk_estimate(wick_blocks(np.stack([c[0] for c in chunks])), log_weights)
+def _mc_report(modes: int, chunks: list[_Chunk], spec: RngSpec, details: dict, _exact: bool = False) -> EstimatorReport:
+    """The one Monte Carlo verdict path, and the one place that combines chunk
+    records, in chunk order: one scatter of their Wick coordinates to parity
+    blocks, their chunked estimate (weighing chunks by their sums of traces w
+    if they have them, with the Kish size (sum w)^2 / sum w^2 in ``details``),
+    and the gate of the mean against 2^-M I and of chunk 0's Fock gap against
+    FOCK_CHECK_TOL; ``details``, which carry p, follow the gate's entries. With
+    ``_exact`` (canonical beta = 0) the mean must also be 2^-M I to 1e-14, and
+    the gate may judge no entry; otherwise one that judges none raises DomainError."""
+    log_w = None if chunks[0].log_w is None else [c.log_w for c in chunks]
+    mean, se = _chunk_estimate(wick_blocks(np.stack([c.coords for c in chunks])), log_w)
+    if log_w is not None:
+        ess = math.exp(2.0 * _log_sum_exp(log_w) - _log_sum_exp([c.log_w2 for c in chunks]))
+        details = {**details, "effective_sample_size": ess}
+    samples = sum(c.draws for c in chunks)
     dim = 1 << modes
     if _exact:  # over both parity blocks
         details = {"beta_zero_exact_deviation": float(np.abs(mean - np.eye(dim // 2) / dim).max()), **details}
     else:
         _require_judged(se, details["p"], samples)
-    mean, se, fock_dev = embed_parity_blocks(mean), embed_parity_blocks(se), chunks[0][1]
+    mean, se, fock_dev = embed_parity_blocks(mean), embed_parity_blocks(se), chunks[0].fock_dev
     target = FockOperator(modes, np.eye(dim) / dim, hermitian=True)
     bounds, info = _entry_gate(mean, target.matrix, se)
     bounds.append(CriterionResult("fock_check_deviation", fock_dev, FOCK_CHECK_TOL))
@@ -305,6 +328,7 @@ def _mc_report(
         seed=spec,
         bounds=bounds,
         details={**info, **details, "fock_check_deviation": fock_dev},
+        point_chunks=() if chunks[0].points is None else tuple(c.points for c in chunks),
     )
 
 
@@ -436,13 +460,13 @@ def radial_quadrature_nodes(
 def class_d_lambda_samples(modes: int, p: float, rng, n_samples: int) -> np.ndarray:
     """Eigenvalue-pair representatives of the class-D draws that the Monte
     Carlo drivers consume, chunk for chunk (identical streams, identical
-    matrices)."""
+    matrices). A standalone sampler that the CLI no longer calls: its dumps
+    take the pair values that the Monte Carlo reports keep."""
 
     def worker(gen: np.random.Generator, per: int, first: bool) -> np.ndarray:
         return class_d_pair_values(modes, p, gen, per)
 
-    chunk_points, _ = _run_chunks(worker, n_samples, _as_rngspec(rng), modes)
-    return np.concatenate(chunk_points)
+    return np.concatenate(_run_chunks(worker, n_samples, _as_rngspec(rng), modes))
 
 
 def _moment_mean(moments: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -533,7 +557,7 @@ def verify_resolution_quadrature(
     return EstimatorReport(
         target=target,
         mean=FockOperator(modes, q_main),
-        samples=pts_hi.shape[0],
+        samples=len(pts_hi),
         per_entry_se=None,
         seed=RngSpec(ROTATION_SEED, stream=1),
         bounds=[
@@ -551,6 +575,7 @@ def verify_resolution_quadrature(
             "fock_check_deviation": fock_dev,
             "tolerance": QUAD_TOL,
         },
+        point_chunks=(pts_hi,),
     )
 
 
@@ -601,21 +626,24 @@ def shifted_weight_quadrature_deviation(
 
 
 def verify_resolution_mc(
-    modes: int, p: float, n_samples: int, rng, workers: int = 1
+    modes: int, p: float, n_samples: int, rng, workers: int = 1, keep_points: bool = False
 ) -> EstimatorReport:
     """Monte Carlo mean of normalized Gaussian operators over Gaussian-weight
     class-D draws; target is 2^-M times the identity, gated entrywise at 5 SE.
-    Raises DomainError when the gate would judge no entry."""
+    With ``keep_points`` the report keeps the draws' pair values. Raises
+    DomainError when the gate would judge no entry."""
     spec = _as_rngspec(rng)
 
-    def worker(gen: np.random.Generator, per: int, first: bool):
+    def worker(gen: np.random.Generator, per: int, first: bool) -> _Chunk:
         mats = sample_class_d_batch(modes, p, gen, per)
-        gamma = covariance_of_real_form(*real_form(mats))
-        k = FOCK_CHECK_DRAWS
-        return wick_coordinates(gamma), _fock_check(mats[:k], wick_coordinates(gamma[:k])) if first else None
+        form = real_form(mats)
+        gamma, pts = covariance_of_real_form(*form), (form[2][:, 1::2].copy() if keep_points else None)
+        del form  # A V, V and s go before the Wick kernel; s[:, 1::2] are the pair values
+        fock_dev = _fock_check(mats[:FOCK_CHECK_DRAWS], wick_coordinates(gamma[:FOCK_CHECK_DRAWS])) if first else None
+        return _Chunk(wick_coordinates(gamma), per, fock_dev, pts)
 
-    results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
-    return _mc_report(modes, results, samples, spec, {"p": p, "chunks": len(results), "workers": workers})
+    chunks = _run_chunks(worker, n_samples, spec, modes, workers)
+    return _mc_report(modes, chunks, spec, {"p": p, "chunks": len(chunks), "workers": workers})
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +652,7 @@ def verify_resolution_mc(
 
 
 def verify_canonical_triviality(
-    modes: int, p: float, betas, n_samples: int, rng, workers: int = 1
+    modes: int, p: float, betas, n_samples: int, rng, workers: int = 1, keep_points: bool = False
 ) -> list[EstimatorReport]:
     """Normalized means of exp(-beta H_op) over Gaussian-weight class-D draws.
 
@@ -635,11 +663,10 @@ def verify_canonical_triviality(
     all of one size, weigh the log sum of their traces. Each report carries
     the pairwise agreement with the other nonzero betas in its details (0 at
     beta = 0, whose exact mean is compared with none), and fails beyond 5
-    combined SE, and the Kish effective sample size
-    (sum w)^2 / sum w^2 of the draws' traces w, from per-chunk log sums of
-    w and w^2 combined in chunk order. Raises DomainError when
-    beta times an energy of the draws overflows a float, or when the gate
-    would judge no entry at some beta != 0.
+    combined SE, and the Kish effective sample size of the traces. With
+    ``keep_points`` every report keeps the draws' pair values, the same
+    arrays. Raises DomainError when beta times an energy of the draws
+    overflows a float, or when the gate would judge no entry at some beta != 0.
     """
     spec = _as_rngspec(rng)
     if isinstance(betas, str) or not np.iterable(betas):
@@ -650,12 +677,12 @@ def verify_canonical_triviality(
     for beta in betas:
         _above(beta, -math.inf, "beta")
 
-    def worker(gen: np.random.Generator, per: int, first: bool):
+    def worker(gen: np.random.Generator, per: int, first: bool) -> list[_Chunk]:
         mats = sample_class_d_batch(modes, p, gen, per)
         form = real_form(mats)  # one eigh for every beta
         lam = form[2][:, 1::2]  # the pair eigenvalues of H
-        out = []  # per beta: the chunk's Wick coordinates, chunk 0's Fock gap,
-        # and the logs of the sums of the traces and of their squares
+        pts = lam.copy() if keep_points else None
+        out = []  # one record per beta
         for beta in betas:
             if not abs(beta) * float(lam.max()) < math.inf:
                 raise DomainError(f"beta = {beta} times an energy of the draws at p = {p} overflows a float")
@@ -664,15 +691,12 @@ def verify_canonical_triviality(
             k, fock_dev = FOCK_CHECK_DRAWS, None
             if first:
                 fock_dev = _fock_check(-beta * mats[:k], wick_coordinates(gamma[:k], log_tr[:k]), log_tr[:k])
-            out.append((wick_coordinates(gamma, log_tr), fock_dev, _log_sum_exp(log_tr), _log_sum_exp(2.0 * log_tr)))
+            coords = wick_coordinates(gamma, log_tr)
+            out.append(_Chunk(coords, per, fock_dev, pts, _log_sum_exp(log_tr), _log_sum_exp(2.0 * log_tr)))
         return out
 
-    results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
-    reports = []
-    for beta, chunks in zip(betas, zip(*results)):
-        log_w, log_w2 = (_log_sum_exp([c[j] for c in chunks]) for j in (2, 3))
-        details = {"beta": beta, "p": p, "effective_sample_size": math.exp(2.0 * log_w - log_w2)}
-        reports.append(_mc_report(modes, chunks, samples, spec, details, [c[2] for c in chunks], beta == 0.0))
+    per_beta = zip(betas, zip(*_run_chunks(worker, n_samples, spec, modes, workers)))
+    reports = [_mc_report(modes, list(chunks), spec, {"beta": b, "p": p}, b == 0.0) for b, chunks in per_beta]
     for beta, rep in zip(betas, reports):
         sigmas = [  # the exact beta = 0 mean takes part in no comparison, on either side
             _max_sigma(np.abs(rep.mean.matrix - other.mean.matrix), np.sqrt(rep.per_entry_se**2 + other.per_entry_se**2))
@@ -709,15 +733,16 @@ def _closest_identity_multiple(mat: np.ndarray) -> tuple[float, float]:
     return float(c), float(max(off, 0.5 * (diag.max() - diag.min())))
 
 
-def _nc_even_mean(modes: int, p: float, quad_order: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _nc_even_mean(modes: int, p: float, quad_order: int) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """Quadrature mean of rotated number-conserving operators under the
     hermitian-matrix measure with the even weight exp(-p sum lam^2), the
-    fixed Haar rotation and the mean's Fock gap. With one mode the mean is
+    fixed Haar rotation, the mean's Fock gap and the nodes of the
+    `2 * quad_order` rule it was taken over. With one mode the mean is
     proportional to the identity; with two the eigenvalue-repulsion factor is
     not even in each eigenvalue separately and a nonzero residual survives."""
     u = sample_haar_unitary_batch(modes, RngSpec(ROTATION_SEED, stream=2), 1)[0]
-    q, _, _, _, fock_dev = _converged_mean(CLASS_D, WeightSpec.nc_even(p), modes, quad_order, _ncons_eigenvectors(u))
-    return q, u, fock_dev
+    q, _, rule, _, fock_dev = _converged_mean(CLASS_D, WeightSpec.nc_even(p), modes, quad_order, _ncons_eigenvectors(u))
+    return q, u, fock_dev, rule[0]
 
 
 def nc_failure_residual(p: float) -> float:
@@ -752,7 +777,7 @@ def verify_nc_failure(modes: int = 2, p: float = 1.0, quad_order: int = 60) -> E
         raise DomainError(
             f"the failure floor {floor:.3g} at p = {p} is not above the rounding level {FAILURE_ROUNDING_LEVEL:.3g}"
         )
-    q, u, fock_dev = _nc_even_mean(modes, p, quad_order)
+    q, u, fock_dev, pts = _nc_even_mean(modes, p, quad_order)
     c, residual = _closest_identity_multiple(q)
 
     # residual decomposition over {I, N_1, N_2, N_1 N_2} built from b = U^dag a
@@ -768,7 +793,7 @@ def verify_nc_failure(modes: int = 2, p: float = 1.0, quad_order: int = 60) -> E
         target=FockOperator(modes, c * np.eye(dim), hermitian=True),
         mean=FockOperator(modes, q),
         per_entry_se=None,
-        samples=(2 * quad_order) ** modes,
+        samples=len(pts),
         seed=RngSpec(ROTATION_SEED, stream=2),
         bounds=[
             CriterionResult("failure_floor - residual", floor - residual, 0.0),  # residual >= floor
@@ -784,16 +809,12 @@ def verify_nc_failure(modes: int = 2, p: float = 1.0, quad_order: int = 60) -> E
             "sector_residual": sector_residual,
             "fock_check_deviation": fock_dev,
         },
+        point_chunks=(pts,),
     )
 
 
 def verify_nc_modified(
-    modes: int,
-    p: float,
-    n_samples: int,
-    rng,
-    workers: int = 1,
-    keep_samples: bool = False,
+    modes: int, p: float, n_samples: int, rng, workers: int = 1, keep_points: bool = False
 ) -> EstimatorReport:
     """Monte Carlo mean of number-conserving operators with eigenvalues drawn
     from the parity-restoring modified weight and independent Haar rotations;
@@ -808,12 +829,13 @@ def verify_nc_modified(
     M = 2 from the draws' normals with no matrix), with independent random
     signs. The Haar rotations come by QR, except at M = 2, where the filling
     and h need only each unitary's first column, drawn from the same normals.
-    Raises DomainError when the gate would judge no entry.
+    With ``keep_points`` the report keeps the signed pair values. Raises
+    DomainError when the gate would judge no entry.
     """
     spec = _as_rngspec(rng)
     WeightSpec.nc_modified(p)  # rejects p <= 0 with the caller's value
 
-    def worker(gen: np.random.Generator, per: int, first: bool):
+    def worker(gen: np.random.Generator, per: int, first: bool) -> _Chunk:
         pts = class_d_pair_values(modes, 0.5 * p, gen, per)
         pts = pts * gen.choice((-1.0, 1.0), size=(per, modes))
         k = FOCK_CHECK_DRAWS
@@ -827,13 +849,10 @@ def verify_nc_modified(
             gamma = covariance_number_conserving(pts, us)
             h = from_eigenpairs(pts[:k], us[:k]) if first else None
         fock_dev = _fock_check(assemble_blocks(h, np.zeros_like(h)), wick_coordinates(gamma[:k])) if first else None
-        return wick_coordinates(gamma), fock_dev, pts
+        return _Chunk(wick_coordinates(gamma), per, fock_dev, pts if keep_points else None)
 
-    results, samples = _run_chunks(worker, n_samples, spec, modes, workers)
-    details = {"p": p, "chunks": len(results)}
-    if keep_samples:
-        details["lambda_samples"] = np.concatenate([r[2] for r in results])
-    return _mc_report(modes, results, samples, spec, details)
+    chunks = _run_chunks(worker, n_samples, spec, modes, workers)
+    return _mc_report(modes, chunks, spec, {"p": p, "chunks": len(chunks)})
 
 
 # ---------------------------------------------------------------------------

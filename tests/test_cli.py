@@ -12,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fermigauss import blas, cli
+from fermigauss import blas, cli, ensembles, reports, verify
 from fermigauss.cli import run
-from fermigauss.verify import operator_identity_suite
+from fermigauss.ensembles import CLASS_D, CLASS_DIII, WeightSpec
+from fermigauss.verify import operator_identity_suite, radial_quadrature_nodes
 
 
 def read_report(path):
@@ -353,6 +354,9 @@ class TestCsvDumps:
         assert any(len(cell.replace("-", "").replace(".", "").lstrip("0")) >= 16 for cell in row)
         parsed = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
         assert np.isfinite(parsed).all()
+        edge = tmp_path / "edge.csv"
+        reports.write_lambda_csv(str(edge), [np.array([[-0.0, 1e-300]]), np.array([[0.1, 2.0]])], 2)
+        assert edge.read_text() == "lambda_1,lambda_2\n-0,1e-300\n0.10000000000000001,2\n"
 
     def test_mc_dump_matches_sampler(self, tmp_path):
         csv = tmp_path / "lams.csv"
@@ -379,6 +383,57 @@ class TestCsvDumps:
         rows = csv.read_text().splitlines()
         assert rows[0] == "lambda_1,lambda_2"
         assert len(rows) >= 8001
+
+    @pytest.mark.parametrize(
+        "argv", [["resolution", "--mode", "mc", "--modes", "3"], ["canonical", "--modes", "2", "--betas", "0,0.5"]]
+    )
+    def test_dump_draws_each_sample_once(self, argv, tmp_path, monkeypatch):
+        calls, draw = [], ensembles._class_d_normals
+        monkeypatch.setattr(ensembles, "_class_d_normals", lambda *a: calls.append(a[-1]) or draw(*a))
+        argv = argv + ["--samples", "800", "--seed", "4"]
+        assert run(argv) == 0
+        without = list(calls)
+        assert run(argv + ["--csv", str(tmp_path / "d.csv")]) == 0
+        assert calls[len(without):] == without and sum(without) == 800
+
+    def test_mc_dump_is_the_eigvalsh_pairs_of_the_runs_own_draws(self, tmp_path, monkeypatch):
+        draws, sample = [], verify.sample_class_d_batch
+        monkeypatch.setattr(verify, "sample_class_d_batch", lambda *a: draws.append(sample(*a)) or draws[-1])
+        csv = tmp_path / "mc.csv"
+        argv = ["resolution", "--mode", "mc", "--modes", "3", "--samples", "2000", "--seed", "8", "--csv", str(csv)]
+        assert run(argv) == 0
+        got = np.loadtxt(csv, delimiter=",", skiprows=1)
+        want = np.linalg.eigvalsh(np.concatenate(draws))[:, 3:]
+        assert got.shape == want.shape == (2000, 3)
+        assert (np.abs(got - want) <= 1e-14 * want.max(axis=1, keepdims=True)).all()
+
+    @pytest.mark.parametrize(
+        "argv, sym, weight",
+        [
+            (
+                ["resolution", "--mode", "quad", "--symmetry-class", "DIII", "-p", "1.5"],
+                CLASS_DIII,
+                WeightSpec.gaussian(1.5),
+            ),
+            (["number-conserving", "--variant", "failure", "-p", "2"], CLASS_D, WeightSpec.nc_even(2.0)),
+        ],
+    )
+    def test_quadrature_dump_is_the_doubled_rule(self, argv, sym, weight, tmp_path):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        assert run(argv + ["--quad-order", "20", "--csv", str(got)]) == 0
+        reports.write_lambda_csv(str(want), [radial_quadrature_nodes(sym, weight, 2, 40)[0]], 2)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv", [["resolution", "--mode", "mc", "--modes", "2"], ["number-conserving", "--variant", "modified"]]
+    )
+    def test_dump_is_the_same_for_every_worker_count(self, argv, tmp_path):
+        dumps = []
+        for workers in ("1", "2"):
+            csv = tmp_path / f"w{workers}.csv"
+            assert run(argv + ["--samples", "2000", "--seed", "6", "--workers", workers, "--csv", str(csv)]) == 0
+            dumps.append(csv.read_bytes())
+        assert dumps[0] == dumps[1]
 
 
 class TestConfigFile:

@@ -198,3 +198,21 @@ class TestReportDiff:
         assert diff.compare(text(), text(passed=False))["verdicts"] == [".criteria['c'].passed: True -> False"]
         assert diff.compare(text(), text(name="d"))["names"] == [".criteria['c'].name: 'c' -> 'd'"]
         assert diff.compare(text(), None)["result"] == "changed"
+
+    def test_a_dump_one_ulp_off_is_numeric(self, diff):
+        dump = "lambda_1,lambda_2\n0.5,1\n"
+        assert diff.compare("{}", "{}", (dump, dump)) == {"result": "identical"}
+        ulp = dump.replace("0.5", "0.50000000000000011")
+        assert diff.compare("{}", "{}", (dump, ulp)) == {
+            "result": "numeric", "max_change": 2.0**-53, "where": ".csv.rows[0][0]"
+        }
+
+    def test_a_missing_dump_is_changed(self, diff):
+        res = diff.compare("{}", "{}", ("lambda_1\n0.5\n", None))
+        assert (res["result"], res["keys"]) == ("changed", [": ['csv'] -> []"])
+
+    def test_a_dumping_command_compares_its_csv(self, diff, monkeypatch, capsys):
+        argv = ["ensembles", "--samples", "20", "--burn-in", "20", "--csv"]
+        monkeypatch.setattr(diff, "COMMANDS", [argv])
+        assert diff.main(["--parent", str(SCRIPTS.parent)]) == 0
+        assert capsys.readouterr().out == " ".join(argv) + ": identical\n"

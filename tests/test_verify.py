@@ -355,11 +355,28 @@ MC_BOUNDS = ["max_sigma", "band_entries", "fock_check_deviation"]
 class TestEstimatorVerdict:
     def test_report_stores_bounds_and_derives_verdict_rule_and_deviation(self):
         names = [f.name for f in dataclasses.fields(EstimatorReport)]
-        assert names == ["target", "mean", "per_entry_se", "samples", "seed", "bounds", "details"]
-        rep = verify_resolution_mc(2, 1.0, 400, RngSpec(15))
-        for attr in ("passed", "criterion", "max_abs_deviation"):
+        assert names == ["target", "mean", "per_entry_se", "samples", "seed", "bounds", "details", "point_chunks"]
+        rep = verify_resolution_mc(2, 1.0, 400, RngSpec(15), keep_points=True)
+        for attr in ("points", "passed", "criterion", "max_abs_deviation"):
             with pytest.raises(AttributeError):
                 setattr(rep, attr, getattr(rep, attr))
+
+    @pytest.mark.parametrize(
+        "driver",
+        [
+            lambda **kw: [verify_resolution_mc(3, 1.0, 500, RngSpec(15), **kw)],
+            lambda **kw: [verify_nc_modified(3, 1.0, 500, RngSpec(15), **kw)],
+            lambda **kw: verify_canonical_triviality(3, 1.0, [0.0, 0.5], 500, RngSpec(8), **kw),
+        ],
+    )
+    def test_monte_carlo_points_are_kept_on_request_only(self, driver):
+        # kept always, the pair values would grow with the sample count in every run
+        plain, kept = driver(), driver(keep_points=True)
+        for a, b in zip(plain, kept):
+            assert a.point_chunks == () and a.samples == b.samples == 512
+            assert b.points.shape == (512, 3) and len(b.point_chunks) == 16
+            assert np.array_equal(a.mean.matrix, b.mean.matrix) and a.details == b.details
+        assert all(c is d for c, d in zip(kept[0].point_chunks, kept[-1].point_chunks))
 
     @pytest.mark.parametrize(
         "driver, bounds",
@@ -402,7 +419,7 @@ class TestRunChunks:
         def worker(gen, per, first):
             return gen.bit_generator.seed_seq.spawn_key, first
 
-        results, _ = _run_chunks(worker, 64, RngSpec(0), 1, workers=workers)
+        results = _run_chunks(worker, 64, RngSpec(0), 1, workers=workers)
         assert results == [((i,), i == 0) for i in range(16)]
 
     def test_error_in_chunk_zero_stops_the_fan_out(self):
@@ -632,7 +649,7 @@ class TestWickQuadrature:
     @pytest.mark.parametrize("p", [1.0, 2.5])
     @pytest.mark.parametrize("modes", [1, 2])
     def test_nc_even_weight_matches_the_per_node_fock_path(self, modes, p):
-        q, u, _ = _nc_even_mean(modes, p, 60)
+        q, u, _, _ = _nc_even_mean(modes, p, 60)
         pts, wts = radial_quadrature_nodes(CLASS_D, WeightSpec.nc_even(p), modes, 120)
         assert np.abs(q - _fock_quadrature_mean(pts, wts, lambda x: rotated_ncons_blocks(x, u))).max() <= 1e-13
 
@@ -962,13 +979,13 @@ class TestNcModifiedSampler:
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
     def test_moments_match_quadrature(self, p):
-        rep = verify_nc_modified(2, p, 40_000, RngSpec(71), keep_samples=True)
-        assert (self._sigmas(rep.details["lambda_samples"], p) <= 5.0).all()
+        rep = verify_nc_modified(2, p, 40_000, RngSpec(71), keep_points=True)
+        assert (self._sigmas(rep.points, p) <= 5.0).all()
 
     def test_unsigned_samples_fail_odd_moments(self):
         # without the random signs the draws sit in the positive quadrant
-        rep = verify_nc_modified(2, 1.0, 40_000, RngSpec(71), keep_samples=True)
-        sig = self._sigmas(np.abs(rep.details["lambda_samples"]), 1.0)
+        rep = verify_nc_modified(2, 1.0, 40_000, RngSpec(71), keep_points=True)
+        sig = self._sigmas(np.abs(rep.points), 1.0)
         assert (sig[3:] > 5.0).all()
 
 
@@ -979,7 +996,7 @@ class TestBatchedPaths:
         def worker(gen, per, first):
             return np.linalg.eigvalsh(sample_class_d_batch(modes, 1.0, gen, per))[:, modes:]
 
-        want = np.concatenate(_run_chunks(worker, 5000, RngSpec(8), modes)[0])
+        want = np.concatenate(_run_chunks(worker, 5000, RngSpec(8), modes))
         got = verify_module.class_d_lambda_samples(modes, 1.0, RngSpec(8), 5000)
         if modes == 2:  # closed form: equal to rounding of each row's largest value
             assert (np.abs(got - want) <= 1e-14 * want.max(axis=1, keepdims=True)).all()
