@@ -10,6 +10,7 @@ group composition laws at matrix level.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -31,6 +32,10 @@ from .fock import (  # noqa: F401  op_exp stays importable here: benchmark/traci
 
 #: Tolerance for matching +-lambda eigenvalue pairs.
 PAIR_TOL = 1e-8
+#: The Wick kernel (_wick_sums) runs its draws in blocks of this many
+#: Pfaffians of its largest level: a cache-sized block, fixed rather than an
+#: option, so the kernel's transient does not grow with the draw count.
+WICK_BLOCK_VALUES = 1 << 16
 
 
 def assemble_blocks(h: np.ndarray, delta: np.ndarray) -> np.ndarray:
@@ -322,28 +327,56 @@ def _filling_covariance(f: np.ndarray) -> np.ndarray:
     return x - np.swapaxes(x, -1, -2)
 
 
+@lru_cache(maxsize=None)
+def _wick_block_draws(modes: int) -> int:
+    """Draws per block of _wick_sums: WICK_BLOCK_VALUES over the largest
+    level's subset count, at least 1 (70 draws at M = 6, 10922 at M = 2)."""
+    plan = _wick_plan(modes)
+    sizes = [len(plan.pair_rows)] + [len(pair) for pair, _ in plan.levels]
+    return max(1, WICK_BLOCK_VALUES // max(sizes))
+
+
 def _wick_sums(gamma: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weighted sums of the Pfaffians Pf(Gamma_S) of the (n, 2M, 2M) Majorana
     covariances ``gamma``, in the subset order of fock.WickPlan: row k - 1 of
     the (M, n) ``weights`` weighs the n Pfaffians of each subset of size 2k,
-    and the empty set's coordinate is 1. The draws run along the last axis of
-    the recursion, and each level is summed before the next."""
+    and the empty set's coordinate is 1.
+
+    The draws run in blocks of _wick_block_draws, along the last axis of the
+    recursion, and the block totals are added in draw order. Per level, one
+    gather of the previous level's Pfaffians and one of the pair values for
+    all k - 1 terms, (k - 1, n_k, block) each, are multiplied in place and
+    added into the first term in term order, odd terms subtracted; the level
+    is summed over the block before the next. Both gathers go to one scratch
+    array per call, sized for the widest level and reused by every level and
+    block: at most 2 WICK_BLOCK_VALUES (k - 1) values, whatever n is, taken
+    from the allocator once per call rather than once per level."""
     modes = gamma.shape[-1] // 2
     _check_modes(modes)
-    plan = _wick_plan(modes)
-    pairs = np.ascontiguousarray(gamma[:, plan.pair_rows, plan.pair_cols].T)
-    coords, prev = [np.ones(1), pairs @ weights[0]], pairs
-    for (pair, sub), level_weights in zip(plan.levels, weights[1:]):
-        cur = pairs[pair[:, 0]] * prev[sub[:, 0]]
-        for t in range(1, pair.shape[1]):
-            term = pairs[pair[:, t]] * prev[sub[:, t]]
-            if t % 2:
-                cur -= term
-            else:
-                cur += term
-        coords.append(cur @ level_weights)
-        prev = cur
-    return np.concatenate(coords)
+    plan, block = _wick_plan(modes), _wick_block_draws(modes)
+    widest = max((pair.size for pair, _ in plan.levels), default=0)
+    scratch = np.empty((2, widest * min(block, len(gamma))))
+    sums = None
+    for start in range(0, len(gamma), block):
+        pairs = np.ascontiguousarray(gamma[start : start + block, plan.pair_rows, plan.pair_cols].T)
+        block_weights = weights[:, start : start + block]
+        coords, prev = [pairs @ block_weights[0]], pairs
+        for (pair, sub), level_weights in zip(plan.levels, block_weights[1:]):
+            shape = (pair.shape[1], pair.shape[0], pairs.shape[1])
+            size = math.prod(shape)
+            # the previous level lives in scratch[0], so its gather goes first
+            subs = np.take(prev, sub.T, axis=0, out=scratch[1, :size].reshape(shape), mode="clip")
+            terms = np.take(pairs, pair.T, axis=0, out=scratch[0, :size].reshape(shape), mode="clip")
+            terms *= subs
+            prev = terms[0]
+            for t in range(1, len(terms)):
+                if t % 2:
+                    prev -= terms[t]
+                else:
+                    prev += terms[t]
+            coords.append(prev @ level_weights)
+        sums = coords if sums is None else [a + b for a, b in zip(sums, coords)]
+    return np.concatenate([np.ones(1), *sums])
 
 
 def wick_coordinates(gamma: np.ndarray, log_weights=None) -> np.ndarray:

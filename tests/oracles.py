@@ -69,6 +69,28 @@ def covariance_from_eigenpairs(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return x - np.swapaxes(x, -1, -2)
 
 
+def wick_sums_per_term(gamma: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """gaussian._wick_sums as it ran before its blocks: all n draws at once,
+    one term of the Pfaffian recursion at a time (a product of two gathers
+    per term, added into the level in term order). The blocked kernel does
+    the same arithmetic per coordinate, so on a stack of one block the two
+    agree exactly."""
+    plan = _wick_plan(gamma.shape[-1] // 2)
+    pairs = np.ascontiguousarray(gamma[:, plan.pair_rows, plan.pair_cols].T)
+    coords, prev = [np.ones(1), pairs @ weights[0]], pairs
+    for (pair, sub), level_weights in zip(plan.levels, weights[1:]):
+        cur = pairs[pair[:, 0]] * prev[sub[:, 0]]
+        for t in range(1, pair.shape[1]):
+            term = pairs[pair[:, t]] * prev[sub[:, t]]
+            if t % 2:
+                cur -= term
+            else:
+                cur += term
+        coords.append(cur @ level_weights)
+        prev = cur
+    return np.concatenate(coords)
+
+
 def eigh_covariance(mats: np.ndarray) -> np.ndarray:
     """Majorana covariances of a stack of coefficient matrices through the
     complex 2M x 2M eigh and their eigenpairs, the route the Monte Carlo

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,14 @@ import scipy.linalg
 from conftest import hermitian_matrix, max_abs, skew_matrix
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import break_phase, covariance_from_eigenpairs, eigh_covariance, gamma_ops, quadratic_tensor
+from oracles import (
+    break_phase,
+    covariance_from_eigenpairs,
+    eigh_covariance,
+    gamma_ops,
+    quadratic_tensor,
+    wick_sums_per_term,
+)
 
 from fermigauss import (
     BdgMatrix,
@@ -38,7 +46,7 @@ from fermigauss import (
     verify_nc_modified,
 )
 from fermigauss.cli import run
-from fermigauss import ensembles
+from fermigauss import ensembles, gaussian
 from fermigauss.ensembles import _complex_normals, _haar_first_columns, class_d_pair_values
 from fermigauss.fock import (
     _annihilators,
@@ -52,6 +60,7 @@ from fermigauss.gaussian import (
     _expm,
     _filling_covariance,
     _rank_one_filling,
+    _wick_block_draws,
     assemble_blocks,
     covariance_number_conserving,
     covariance_of_real_form,
@@ -356,20 +365,69 @@ class TestWickKernel:
 
     @pytest.mark.parametrize("modes", [1, 3, 6])
     def test_zero_energies_give_exactly_the_maximally_mixed_state(self, modes):
-        mats = sample_class_d_batch(modes, 1.0, RngSpec(31), 4)
-        for gamma in (
-            _real_covariance(np.zeros_like(mats)),  # H = 0
-            _real_covariance(mats, 0.0),  # L(0 H)
-        ):
-            assert not gamma.any()
-            out = embed_parity_blocks(_wick_mean(gamma))
-            assert np.array_equal(out, np.eye(1 << modes) / (1 << modes))
+        counts = [4, _wick_block_draws(modes) + 1] if modes == 6 else [4]  # M = 6: also a stack of two blocks
+        for mats in (sample_class_d_batch(modes, 1.0, RngSpec(31), n) for n in counts):
+            for gamma in (
+                _real_covariance(np.zeros_like(mats)),  # H = 0
+                _real_covariance(mats, 0.0),  # L(0 H)
+            ):
+                assert not gamma.any()
+                out = embed_parity_blocks(_wick_mean(gamma))
+                assert np.array_equal(out, np.eye(1 << modes) / (1 << modes))
         # zero nodes of a quadrature rule: every moment but m_0 is 0
         v = random_polar_rotation(modes, RngSpec(31)).bogoliubov.conj().T
         moments = filling_moments(np.zeros((4, modes)), np.ones(4))
         assert np.array_equal(moments, np.eye(1, 1 << modes)[0])
         out = embed_parity_blocks(wick_blocks(moment_wick_coordinates(moments, v))[0])
         assert np.array_equal(out, np.eye(1 << modes) / (1 << modes))
+
+    @pytest.mark.parametrize("modes", [4, 6])
+    def test_block_totals_are_the_weighted_mean_of_single_draws(self, modes):
+        # stacks on either side of one and two blocks, with a third of the
+        # draws near each of -700, 0 and +700 in log weight
+        block = _wick_block_draws(modes)
+        gen = RngSpec(32).generator()
+        gamma = _real_covariance(sample_class_d_batch(modes, 1.0, gen, 2 * block + 3))
+        log_w = 700.0 * gen.integers(-1, 2, len(gamma)) + gen.normal(size=len(gamma))
+        single = np.array([wick_coordinates(g[None]) for g in gamma])
+        for n in (block - 1, block, block + 1, 2 * block + 3):
+            rel = np.exp(log_w[:n] - log_w[:n].max())
+            assert max_abs(wick_coordinates(gamma[:n], log_w[:n]), rel @ single[:n] / rel.sum()) <= 1e-15
+
+    @pytest.mark.parametrize("modes, draws", [(6, 25), (6, 4), (3, 4000), (2, 1563)])
+    def test_one_block_repeats_the_per_term_recursion_exactly(self, monkeypatch, modes, draws):
+        # the mc_m6 chunk and its Fock check, a full M = 3 chunk and an
+        # nc_modified chunk: reports stay byte-identical only if these agree
+        assert draws <= _wick_block_draws(modes)
+        gen = RngSpec(33).generator()
+        gamma = _real_covariance(sample_class_d_batch(modes, 1.0, gen, draws))
+        log_w = gen.normal(size=draws)
+        got = [wick_coordinates(gamma), wick_coordinates(gamma, log_w)]
+        monkeypatch.setattr(gaussian, "_wick_sums", wick_sums_per_term)
+        for coords, want in zip(got, [wick_coordinates(gamma), wick_coordinates(gamma, log_w)], strict=True):
+            assert np.array_equal(coords, want)
+
+    def test_the_moment_map_repeats_the_per_term_recursion_exactly(self, monkeypatch):
+        gen = RngSpec(34).generator()
+        v = random_polar_rotation(2, RngSpec(34)).bogoliubov.conj().T
+        moments = filling_moments(*TestMomentMap._nodes(gen, 2))
+        got = moment_wick_coordinates(moments, v)
+        monkeypatch.setattr(gaussian, "_wick_sums", wick_sums_per_term)
+        assert np.array_equal(got, moment_wick_coordinates(moments, v))
+
+    def test_a_full_six_mode_chunk_stays_within_one_block_of_memory(self):
+        # 4000 antisymmetric 12 x 12 covariances, the CLI's chunk: the
+        # transient is one block's gathers, whatever the chunk's size
+        x = RngSpec(35).generator().normal(size=(4000, 12, 12))
+        gamma = x - np.swapaxes(x, -1, -2)
+        wick_coordinates(gamma[:1])  # the cached plan is built outside the trace
+        tracemalloc.start()
+        try:
+            wick_coordinates(gamma)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
     def test_perturbed_phase_fails_the_report_through_the_cross_check(self, monkeypatch, tmp_path):
         # i times one entry of the parity coordinate's column: the entrywise
