@@ -16,10 +16,10 @@ steps of that call, run one after another on the same draws, p = 1:
 - ``verify_nc_modified M=2 chunk=1563``: one chunk of the number-conserving
   worker (the ``nc_modified`` workload, 25000 samples in 16 chunks).
   Layers: class_d_pairs (class_d_pair_values at p/2, in closed form from
-  the class-D normals, and the random signs), rank_one_filling (the Haar
-  unitaries' first columns and the filling F built from them, with no QR)
-  and wick_mean (_filling_covariance and wick_coordinates: the chunk's
-  mean Wick coordinates).
+  the class-D normals, and the random signs), pair_rows (the column-0
+  normals of the Haar unitaries and the Wick pair rows built from them in
+  real arithmetic, with no QR and no covariance) and wick_pair_coordinates
+  (the kernel on those rows: the chunk's mean Wick coordinates).
 - ``_cmd_resolution report M=6 samples=400``: the report steps of the CLI's
   ``resolution --mode mc`` on an ``mc_m6``-sized result:
   estimator_to_criterion, build_report (with its ``git describe``) and
@@ -119,7 +119,7 @@ def resolution_row(modes: int, per: int, repeats: int) -> dict:
 
 def nc_modified_row(per: int, repeats: int) -> dict:
     from fermigauss import gaussian
-    from fermigauss.ensembles import RngSpec, _haar_first_columns, class_d_pair_values
+    from fermigauss.ensembles import RngSpec, _haar_column_normals, class_d_pair_values
 
     gen = RngSpec(2).generator()
 
@@ -127,15 +127,12 @@ def nc_modified_row(per: int, repeats: int) -> dict:
         pts = class_d_pair_values(2, 0.5, gen, per)
         return pts * gen.choice((-1.0, 1.0), size=(per, 2))
 
-    def rank_one_filling(pts):
-        return gaussian._rank_one_filling(-0.5 * np.tanh(0.5 * pts), _haar_first_columns(gen, per))
-
-    def wick_mean(f):
-        return gaussian.wick_coordinates(gaussian._filling_covariance(f))
+    def pair_rows(pts):
+        return gaussian._rank_one_pair_rows(pts, *_haar_column_normals(gen, per))
 
     def one_round(timed):
         pts = timed("class_d_pairs", class_d_pairs)
-        timed("wick_mean", wick_mean, timed("rank_one_filling", rank_one_filling, pts))
+        timed("wick_pair_coordinates", gaussian.wick_pair_coordinates, timed("pair_rows", pair_rows, pts))
 
     return _row(one_round, repeats)
 

@@ -23,11 +23,12 @@ spread exceeds its ``bound`` in BENCHMARK.json is marked ``unresolved``:
 the session cannot tell a change of that size from noise.
 
 It then times ``resolution --mode mc --modes 6 --samples 16000`` at
-``--workers 1`` and ``--workers 2`` in fresh processes, in pairs that
-alternate which count runs first, in both trees: wall and CPU seconds of
-the ``cli.run`` call alone, unscaled, and per worker count the number of
-runs that exited non-zero (``failed``), since a failing verification is
-timed all the same.
+``--workers 1`` and ``--workers 2`` in fresh processes, in both trees, the
+parent and the change back to back at each count, in pairs that alternate
+which count and which tree run first: wall and CPU seconds of the
+``cli.run`` call alone, unscaled, and per worker count the number of runs
+that exited non-zero (``failed``), since a failing verification is timed
+all the same.
 
 Last, it runs this checkout's ``scripts/report_diff.py`` once, parent
 against change, and keeps its exit code and per-command results, so a
@@ -176,17 +177,23 @@ def pairs(parent: Path, change: Path, count: int, seconds: float, aa: Path | Non
 
 
 def workers(parent: Path, change: Path, count: int) -> dict:
+    """``count`` pairs of WORKERS_ARGV timings at --workers 1 and 2 in both
+    trees. Within a pair the trees alternate at each worker count, so drift
+    of the machine between runs falls on both trees alike; which tree, and
+    which worker count, runs first alternates from pair to pair."""
+    trees = [("parent", parent), ("change", change)]
+    runs = {label: {1: [], 2: []} for label, _ in trees}
+    for k in range(count):
+        for n in (1, 2) if k % 2 == 0 else (2, 1):
+            for label, tree in trees if k % 2 == 0 else trees[::-1]:
+                runs[label][n].append(timed_call(tree, WORKERS_ARGV + ["--workers", str(n)]))
     out = {}
-    for label, tree in (("parent", parent), ("change", change)):
-        runs = {1: [], 2: []}
-        for k in range(count):
-            for n in (1, 2) if k % 2 == 0 else (2, 1):
-                runs[n].append(timed_call(tree, WORKERS_ARGV + ["--workers", str(n)]))
-        one, two = ([r["wall_s"] for r in runs[n]] for n in (1, 2))
-        failed = {str(n): sum(r["code"] != 0 for r in runs[n]) for n in (1, 2)}
+    for label, by_count in runs.items():
+        one, two = ([r["wall_s"] for r in by_count[n]] for n in (1, 2))
+        failed = {str(n): sum(r["code"] != 0 for r in by_count[n]) for n in (1, 2)}
         out[label] = {
-            "workers_1": runs[1],
-            "workers_2": runs[2],
+            "workers_1": by_count[1],
+            "workers_2": by_count[2],
             "two_won": sum(b < a for a, b in zip(one, two)),
             "wall_median": {"1": statistics.median(one), "2": statistics.median(two)},
             "failed": failed,  # runs whose verification did not pass (a non-zero exit code)

@@ -245,10 +245,10 @@ def class_d_pair_values(modes: int, p: float, rng, count: int) -> np.ndarray:
     return 0.5 * top * np.stack([np.abs(u - v), u + v], axis=-1)
 
 
-def _complex_normals(gen: np.random.Generator, count: int, modes: int, column=slice(None)) -> np.ndarray:
-    """The (count, M, M) complex normals behind ``count`` Haar unitaries, real
-    parts drawn first; ``column`` keeps only that column (or slice) of each."""
-    return gen.normal(size=(count, modes, modes))[..., column] + 1j * gen.normal(size=(count, modes, modes))[..., column]
+def _normal_parts(gen: np.random.Generator, count: int, modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts, (count, M, M) each, of the complex
+    normals behind ``count`` Haar unitaries, real parts drawn first."""
+    return gen.normal(size=(count, modes, modes)), gen.normal(size=(count, modes, modes))
 
 
 def sample_haar_unitary_batch(modes: int, rng, count: int) -> np.ndarray:
@@ -256,19 +256,20 @@ def sample_haar_unitary_batch(modes: int, rng, count: int) -> np.ndarray:
     _count(modes, "modes", DomainError)
     _count(count, "count", ContractError, low=0)
     gen = _as_generator(rng)
-    q, r = np.linalg.qr(_complex_normals(gen, count, modes) / math.sqrt(2.0))
+    real, imag = _normal_parts(gen, count, modes)
+    q, r = np.linalg.qr((real + 1j * imag) / math.sqrt(2.0))
     d = np.einsum("sii->si", r)
     return q * (d / np.abs(d))[:, None, :]
 
 
-def _haar_first_columns(gen: np.random.Generator, count: int) -> np.ndarray:
-    """The (count, 2) first columns of the 2 x 2 unitaries that
-    sample_haar_unitary_batch(2, gen, count) draws, from the same normals and
-    with no QR: z_0 = Q_0 R_00 and the phase fix multiplies Q_0 by
-    R_00 / |R_00|, so U_0 = z_0 / |z_0|. Only column 0 of the normals is
-    made complex; no (count, 2, 2) complex stack is built."""
-    z = _complex_normals(gen, count, 2, 0)
-    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+def _haar_column_normals(gen: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts, (2, count) rows each, of column 0 z_0 of
+    the normals behind the 2 x 2 unitaries that sample_haar_unitary_batch(2,
+    gen, count) draws: z_0 = Q_0 R_00 and the phase fix multiplies Q_0 by
+    R_00 / |R_00|, so U_0 = z_0 / |z_0|, with no QR. Both columns are drawn,
+    to keep the stream; the used one is copied out into contiguous rows."""
+    real, imag = _normal_parts(gen, count, 2)
+    return real[:, :, 0].T.copy(), imag[:, :, 0].T.copy()
 
 
 def _polar_rotations(modes: int, gen: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:

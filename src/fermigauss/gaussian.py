@@ -315,6 +315,24 @@ def _rank_one_filling(w: np.ndarray, q: np.ndarray) -> np.ndarray:
     return f
 
 
+def _rank_one_pair_rows(lam: np.ndarray, real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """The (6, n) Wick pair rows, Gamma at (01, 02, 12, 03, 13, 23) as
+    fock.WickPlan(2) orders them, of the normalized number-conserving
+    operators of h = u diag(lam) u^dag for (n, 2) ``lam`` and 2 x 2 unitaries
+    u with first columns z / |z|, z_j = real[j] + i imag[j] for the (2, n)
+    rows ``real`` and ``imag``: in real arithmetic, with no complex stack.
+    The filling is _rank_one_filling's F = w_1 I + c z z^dag,
+    w = -tanh(lam/2)/2 and c = (w_0 - w_1) / |z|^2, and the rows are
+    2 (F_00, Im F_01, -Re F_01, Re F_01, Im F_01, F_11), the entries of
+    _filling_covariance's X - X^T; the factor 2 is folded into w, exactly."""
+    v = -np.tanh(0.5 * lam.T)  # 2 w
+    norms = real * real + imag * imag  # |z_j|^2
+    c = (v[0] - v[1]) / (norms[0] + norms[1])
+    re01 = c * (real[0] * real[1] + imag[0] * imag[1])
+    im01 = c * (imag[0] * real[1] - real[0] * imag[1])
+    return np.stack([v[1] + c * norms[0], im01, -re01, re01, im01, v[1] + c * norms[1]])
+
+
 def _filling_covariance(f: np.ndarray) -> np.ndarray:
     """Majorana covariances of the normalized number-conserving Gaussian
     operators with the M x M fillings ``f``: Gamma = X - X^T, where X holds
@@ -336,11 +354,21 @@ def _wick_block_draws(modes: int) -> int:
     return max(1, WICK_BLOCK_VALUES // max(sizes))
 
 
-def _wick_sums(gamma: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Weighted sums of the Pfaffians Pf(Gamma_S) of the (n, 2M, 2M) Majorana
-    covariances ``gamma``, in the subset order of fock.WickPlan: row k - 1 of
-    the (M, n) ``weights`` weighs the n Pfaffians of each subset of size 2k,
-    and the empty set's coordinate is 1.
+def _pair_rows(gamma: np.ndarray) -> np.ndarray:
+    """The (P, n) Wick pair rows of the (n, 2M, 2M) Majorana covariances
+    ``gamma``: Gamma_ab at the P = M(2M - 1) pairs a < b of fock.WickPlan,
+    one column per draw, in one gather."""
+    modes = gamma.shape[-1] // 2
+    _check_modes(modes)
+    plan = _wick_plan(modes)
+    return gamma[:, plan.pair_rows, plan.pair_cols].T
+
+
+def _wick_sums(pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Weighted sums of the Pfaffians Pf(Gamma_S) of the draws with the (P, n)
+    Wick pair rows ``pairs`` (_pair_rows), in the subset order of
+    fock.WickPlan: row k - 1 of the (M, n) ``weights`` weighs the n Pfaffians
+    of each subset of size 2k, and the empty set's coordinate is 1.
 
     The draws run in blocks of _wick_block_draws, along the last axis of the
     recursion, and the block totals are added in draw order. Per level, one
@@ -351,22 +379,22 @@ def _wick_sums(gamma: np.ndarray, weights: np.ndarray) -> np.ndarray:
     array per call, sized for the widest level and reused by every level and
     block: at most 2 WICK_BLOCK_VALUES (k - 1) values, whatever n is, taken
     from the allocator once per call rather than once per level."""
-    modes = gamma.shape[-1] // 2
+    modes, count = len(weights), pairs.shape[1]
     _check_modes(modes)
     plan, block = _wick_plan(modes), _wick_block_draws(modes)
     widest = max((pair.size for pair, _ in plan.levels), default=0)
-    scratch = np.empty((2, widest * min(block, len(gamma))))
+    scratch = np.empty((2, widest * min(block, count)))
     sums = None
-    for start in range(0, len(gamma), block):
-        pairs = np.ascontiguousarray(gamma[start : start + block, plan.pair_rows, plan.pair_cols].T)
+    for start in range(0, count, block):
+        block_pairs = np.ascontiguousarray(pairs[:, start : start + block])
         block_weights = weights[:, start : start + block]
-        coords, prev = [pairs @ block_weights[0]], pairs
+        coords, prev = [block_pairs @ block_weights[0]], block_pairs
         for (pair, sub), level_weights in zip(plan.levels, block_weights[1:]):
-            shape = (pair.shape[1], pair.shape[0], pairs.shape[1])
+            shape = (pair.shape[1], pair.shape[0], block_pairs.shape[1])
             size = math.prod(shape)
             # the previous level lives in scratch[0], so its gather goes first
             subs = np.take(prev, sub.T, axis=0, out=scratch[1, :size].reshape(shape), mode="clip")
-            terms = np.take(pairs, pair.T, axis=0, out=scratch[0, :size].reshape(shape), mode="clip")
+            terms = np.take(block_pairs, pair.T, axis=0, out=scratch[0, :size].reshape(shape), mode="clip")
             terms *= subs
             prev = terms[0]
             for t in range(1, len(terms)):
@@ -383,8 +411,20 @@ def wick_coordinates(gamma: np.ndarray, log_weights=None) -> np.ndarray:
     """Mean Wick coordinates Pf(Gamma_S) of the normalized Gaussian operators
     with the (n, 2M, 2M) Majorana covariances ``gamma``, in the subset order
     of fock.WickPlan; with ``log_weights`` draw s weighs e^log_weights[s]."""
-    weights = _draw_weights(len(gamma), log_weights)
-    return _wick_sums(gamma, np.broadcast_to(weights, (gamma.shape[-1] // 2, len(gamma))))
+    return wick_pair_coordinates(_pair_rows(gamma), log_weights)
+
+
+def wick_pair_coordinates(pairs: np.ndarray, log_weights=None) -> np.ndarray:
+    """wick_coordinates of the draws whose covariances have the (P, n) Wick
+    pair rows ``pairs``, Gamma_ab at the P = M(2M - 1) pairs a < b in
+    fock.WickPlan order, one column per draw: for callers that build the pair
+    values and no covariance (_rank_one_pair_rows). StructureError unless P
+    is M(2M - 1) for some M."""
+    modes = (1 + math.isqrt(1 + 8 * len(pairs))) // 4
+    if modes * (2 * modes - 1) != len(pairs):
+        raise StructureError(f"{len(pairs)} pair rows are M(2M - 1) for no mode count M")
+    weights = _draw_weights(pairs.shape[1], log_weights)
+    return _wick_sums(pairs, np.broadcast_to(weights, (modes, pairs.shape[1])))
 
 
 def filling_moments(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -421,7 +461,7 @@ def moment_wick_coordinates(moments: np.ndarray, v: np.ndarray) -> np.ndarray:
     member = ((masks[:, None] >> np.arange(modes)) & 1).astype(float)  # (2^M, M): 1 where j is in J
     x = (u.imag * np.concatenate([member, -member], axis=1)[:, None, :]) @ u.real.T
     levels = np.bitwise_count(masks) == np.arange(1, modes + 1)[:, None]  # (M, 2^M): |J| = k
-    return _wick_sums(x - np.swapaxes(x, -1, -2), np.where(levels, moments, 0.0))
+    return _wick_sums(_pair_rows(x - np.swapaxes(x, -1, -2)), np.where(levels, moments, 0.0))
 
 
 def wick_blocks(coords: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ from .ensembles import (  # noqa: F401  sample_class_d and sample_radial_mcmc st
     RngSpec,
     SymmetryClass,
     WeightSpec,
-    _haar_first_columns,
+    _haar_column_normals,
     _log_jacobian,
     _polar_rotations,
     class_d_pair_values,
@@ -50,10 +50,10 @@ from .gaussian import (  # noqa: F401  gaussian_normalized, compose_general, com
     PolarForm,
     _draw_weights,
     _expm,
-    _filling_covariance,
     _paired_eigh,
     _principal_log,
     _rank_one_filling,
+    _rank_one_pair_rows,
     assemble_blocks,
     compose_general,
     compose_number_conserving,
@@ -71,6 +71,7 @@ from .gaussian import (  # noqa: F401  gaussian_normalized, compose_general, com
     real_form,
     wick_blocks,
     wick_coordinates,
+    wick_pair_coordinates,
 )
 
 #: Samples per Monte Carlo chunk; the chunk index doubles as the RNG substream,
@@ -827,8 +828,9 @@ def verify_nc_modified(
     even in every eigenvalue. Each chunk therefore samples it exactly: the
     pair representatives of class-D draws at p/2 (class_d_pair_values, at
     M = 2 from the draws' normals with no matrix), with independent random
-    signs. The Haar rotations come by QR, except at M = 2, where the filling
-    and h need only each unitary's first column, drawn from the same normals.
+    signs. The Haar rotations come by QR, except at M = 2, where the Wick
+    pair rows and h need only each unitary's first column, from the same
+    normals, and the pair rows come in real arithmetic with no covariance.
     With ``keep_points`` the report keeps the signed pair values. Raises
     DomainError when the gate would judge no entry.
     """
@@ -841,15 +843,21 @@ def verify_nc_modified(
         k = FOCK_CHECK_DRAWS
         # h = U diag(pts) U^dag is known: no eigh is needed, and at M = 2 no QR
         if modes == 2:
-            q = _haar_first_columns(gen, per)
-            gamma = _filling_covariance(_rank_one_filling(-0.5 * np.tanh(0.5 * pts), q))
-            h = _rank_one_filling(pts[:k], q[:k]) if first else None
+            real, imag = _haar_column_normals(gen, per)
+            pairs = _rank_one_pair_rows(pts, real, imag)
+            coords = wick_pair_coordinates(pairs)
+            if first:
+                z = (real[:, :k] + 1j * imag[:, :k]).T
+                h = _rank_one_filling(pts[:k], z / np.linalg.norm(z, axis=-1, keepdims=True))
+                checked = wick_pair_coordinates(pairs[:, :k])
         else:
             us = sample_haar_unitary_batch(modes, gen, per)
             gamma = covariance_number_conserving(pts, us)
-            h = from_eigenpairs(pts[:k], us[:k]) if first else None
-        fock_dev = _fock_check(assemble_blocks(h, np.zeros_like(h)), wick_coordinates(gamma[:k])) if first else None
-        return _Chunk(wick_coordinates(gamma), per, fock_dev, pts if keep_points else None)
+            coords = wick_coordinates(gamma)
+            if first:
+                h, checked = from_eigenpairs(pts[:k], us[:k]), wick_coordinates(gamma[:k])
+        fock_dev = _fock_check(assemble_blocks(h, np.zeros_like(h)), checked) if first else None
+        return _Chunk(coords, per, fock_dev, pts if keep_points else None)
 
     chunks = _run_chunks(worker, n_samples, spec, modes, workers)
     return _mc_report(modes, chunks, spec, {"p": p, "chunks": len(chunks)})

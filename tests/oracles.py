@@ -69,14 +69,14 @@ def covariance_from_eigenpairs(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return x - np.swapaxes(x, -1, -2)
 
 
-def wick_sums_per_term(gamma: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """gaussian._wick_sums as it ran before its blocks: all n draws at once,
-    one term of the Pfaffian recursion at a time (a product of two gathers
-    per term, added into the level in term order). The blocked kernel does
-    the same arithmetic per coordinate, so on a stack of one block the two
-    agree exactly."""
-    plan = _wick_plan(gamma.shape[-1] // 2)
-    pairs = np.ascontiguousarray(gamma[:, plan.pair_rows, plan.pair_cols].T)
+def wick_sums_per_term(pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """gaussian._wick_sums as it ran before its blocks: all n draws of the
+    (P, n) pair rows at once, one term of the Pfaffian recursion at a time (a
+    product of two gathers per term, added into the level in term order).
+    The blocked kernel does the same arithmetic per coordinate, so on a stack
+    of one block the two agree exactly."""
+    plan = _wick_plan(len(weights))
+    pairs = np.ascontiguousarray(pairs)
     coords, prev = [np.ones(1), pairs @ weights[0]], pairs
     for (pair, sub), level_weights in zip(plan.levels, weights[1:]):
         cur = pairs[pair[:, 0]] * prev[sub[:, 0]]

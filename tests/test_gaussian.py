@@ -47,7 +47,7 @@ from fermigauss import (
 )
 from fermigauss.cli import run
 from fermigauss import ensembles, gaussian
-from fermigauss.ensembles import _complex_normals, _haar_first_columns, class_d_pair_values
+from fermigauss.ensembles import _haar_column_normals, _normal_parts, class_d_pair_values
 from fermigauss.fock import (
     _annihilators,
     _sigma_x,
@@ -58,8 +58,9 @@ from fermigauss.fock import (
 )
 from fermigauss.gaussian import (
     _expm,
-    _filling_covariance,
+    _pair_rows,
     _rank_one_filling,
+    _rank_one_pair_rows,
     _wick_block_draws,
     assemble_blocks,
     covariance_number_conserving,
@@ -71,6 +72,7 @@ from fermigauss.gaussian import (
     real_form,
     wick_blocks,
     wick_coordinates,
+    wick_pair_coordinates,
 )
 from fermigauss.verify import _ncons_eigenvectors
 
@@ -407,6 +409,29 @@ class TestWickKernel:
         for coords, want in zip(got, [wick_coordinates(gamma), wick_coordinates(gamma, log_w)], strict=True):
             assert np.array_equal(coords, want)
 
+    @pytest.mark.parametrize("modes", [2, 3, 4, 5, 6])
+    def test_pair_rows_entry_repeats_wick_coordinates_exactly(self, modes):
+        # one-block stacks and stacks on either side of one and two blocks,
+        # with the gathered rows as a view of Gamma and as contiguous rows
+        block = _wick_block_draws(modes)
+        counts = [4, block - 1, block, block + 1, 2 * block + 3]
+        gen = RngSpec(36).generator()
+        x = gen.normal(size=(max(counts), 2 * modes, 2 * modes))
+        gamma = x - np.swapaxes(x, -1, -2)
+        log_w = 300.0 * gen.normal(size=len(gamma))
+        plan = _wick_plan(modes)
+        for n in counts:
+            rows = gamma[:n, plan.pair_rows, plan.pair_cols].T
+            for weights in (None, log_w[:n]):
+                want = wick_coordinates(gamma[:n], weights)
+                assert np.array_equal(wick_pair_coordinates(rows, weights), want)
+                assert np.array_equal(wick_pair_coordinates(np.ascontiguousarray(rows), weights), want)
+
+    @pytest.mark.parametrize("rows", [5, 7, 27])
+    def test_pair_rows_of_no_mode_count_are_rejected(self, rows):
+        with pytest.raises(StructureError, match=f"{rows} pair rows"):
+            wick_pair_coordinates(np.zeros((rows, 3)))
+
     def test_the_moment_map_repeats_the_per_term_recursion_exactly(self, monkeypatch):
         gen = RngSpec(34).generator()
         v = random_polar_rotation(2, RngSpec(34)).bogoliubov.conj().T
@@ -534,11 +559,15 @@ class TestNumberConservingDraws:
         monkeypatch.setattr(ensembles, "_class_d_blocks", no_matrix)
         assert max_abs(class_d_pair_values(2, 1.0, RngSpec(54), 20), want) <= 1e-14 * want.max()
 
-    def test_haar_first_columns_keep_the_normals_and_the_stream(self):
-        gen, gen_z = RngSpec(55).generator(), RngSpec(55).generator()
-        z = _complex_normals(gen_z, 300, 2)[:, :, 0]
-        assert np.array_equal(_haar_first_columns(gen, 300), z / np.linalg.norm(z, axis=-1, keepdims=True))
-        assert gen.bit_generator.state == gen_z.bit_generator.state
+    def test_haar_column_normals_keep_the_normals_and_the_stream(self):
+        gen, gen_z, gen_u = (RngSpec(55).generator() for _ in range(3))
+        real, imag = _haar_column_normals(gen, 300)
+        want_real, want_imag = _normal_parts(gen_z, 300, 2)  # the QR route's normals
+        assert np.array_equal(real, want_real[:, :, 0].T) and np.array_equal(imag, want_imag[:, :, 0].T)
+        # copied out: no view holds the (300, 2, 2) draws
+        assert all(rows.flags.c_contiguous and rows.base is None for rows in (real, imag))
+        sample_haar_unitary_batch(2, gen_u, 300)
+        assert gen.bit_generator.state == gen_z.bit_generator.state == gen_u.bit_generator.state
 
     @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
     def test_covariance_matches_the_embedding_eigenpairs(self, modes):
@@ -551,30 +580,53 @@ class TestNumberConservingDraws:
         assert np.array_equal(gamma, -np.swapaxes(gamma, -1, -2))
         assert not covariance_number_conserving(np.zeros_like(lam), us).any()
 
-    @pytest.mark.parametrize("p", [1e-308, 1.0, 1e300, "zero"])
-    def test_rank_one_filling_matches_the_qr_unitaries(self, p):
-        # the worker's M = 2 route: the same normals, and no QR
+    @staticmethod
+    def _two_routes(p):
+        """Signed pair values, the column-0 normals' rows, the first columns
+        z / |z| of the worker's M = 2 route and the QR unitaries of the same
+        normals, and z / |z| in extended precision."""
         n, spec = 500, RngSpec(70)
         if p == "zero":
             lam = np.zeros((n, 2))
         else:
             lam = class_d_pair_values(2, p, spec.with_stream(1), n) * [1.0, -1.0]
         gen_q, gen_u = spec.generator(), spec.generator()
-        q, us = _haar_first_columns(gen_q, n), sample_haar_unitary_batch(2, gen_u, n)
+        (real, imag), us = _haar_column_normals(gen_q, n), sample_haar_unitary_batch(2, gen_u, n)
         assert gen_q.bit_generator.state == gen_u.bit_generator.state
-        z = _complex_normals(spec.generator(), n, 2)[:, :, 0].astype(np.clongdouble)
-        exact_q = z / np.sqrt((z * z.conj()).real.sum(axis=-1, keepdims=True))
-        for w in (-0.5 * np.tanh(0.5 * lam), lam):  # the filling F and the Fock check's h
+        z = (real + 1j * imag).T
+        exact_z = z.astype(np.clongdouble)
+        exact_q = exact_z / np.sqrt((exact_z * exact_z.conj()).real.sum(axis=-1, keepdims=True))
+        return lam, real, imag, z / np.linalg.norm(z, axis=-1, keepdims=True), us, exact_q
+
+    @pytest.mark.parametrize("p", [1e-308, 1.0, 1e300, "zero"])
+    def test_rank_one_filling_matches_the_qr_unitaries(self, p):
+        # the Fock check's h on the worker's M = 2 route: the same normals, and no QR
+        lam, _, _, q, us, exact_q = self._two_routes(p)
+        for w in (-0.5 * np.tanh(0.5 * lam), lam):  # a filling F and the Fock check's h
             # to 1e-15 of the largest w_1 - w_2, the scale of the rank-one
             # term: against the same closed form in extended precision, and
             # against the QR unitaries, whose own rounding is the larger
             got, scale = _rank_one_filling(w, q), np.abs(w[:, 0] - w[:, 1]).max()
             assert np.abs(got - _rank_one_filling(w.astype(np.longdouble), exact_q)).max() <= 1e-15 * scale
             assert max_abs(got, from_eigenpairs(w, us)) <= 1e-15 * scale
-        gamma = _filling_covariance(_rank_one_filling(-0.5 * np.tanh(0.5 * lam), q))
-        assert np.array_equal(gamma, -np.swapaxes(gamma, -1, -2))
+
+    @pytest.mark.parametrize("p", [1e-308, 1.0, 1e300, "zero"])
+    def test_pair_rows_match_the_qr_unitaries(self, p):
+        # the worker's M = 2 pair rows, 2 (F_00, Im F_01, -Re F_01, Re F_01,
+        # Im F_01, F_11), to 1e-15 of the largest 2 |w_1 - w_2|, the scale of
+        # their rank-one term: against the pair rows of the QR route's
+        # covariances, and against 2F of the same tanh values in extended precision
+        lam, real, imag, _, us, exact_q = self._two_routes(p)
+        got = _rank_one_pair_rows(lam, real, imag)
+        v = -np.tanh(0.5 * lam)  # 2 w, as the builder takes it
+        scale = np.abs(v[:, 0] - v[:, 1]).max()
+        assert max_abs(got, _pair_rows(covariance_number_conserving(lam, us))) <= 1e-15 * scale
+        f = _rank_one_filling(v.astype(np.longdouble), exact_q)
+        exact = np.stack([f[:, 0, 0].real, f[:, 0, 1].imag, -f[:, 0, 1].real, f[:, 0, 1].real, f[:, 0, 1].imag,
+                          f[:, 1, 1].real])
+        assert np.abs(got - exact).max() <= 1e-15 * scale
         if p == "zero":
-            assert not gamma.any()
+            assert not got.any()
 
     @pytest.mark.filterwarnings("error")
     def test_nc_modified_at_tiny_stiffness_warns_of_nothing(self):

@@ -50,7 +50,7 @@ class TestBenchLayers:
         assert {name: list(row) for name, row in rows.items()} == {
             **{f"verify_resolution_mc M={m} chunk=8": resolution for m in range(1, 7)},
             "verify_resolution_mc M=6 chunk=25": resolution,
-            "verify_nc_modified M=2 chunk=1563": ["class_d_pairs", "rank_one_filling", "wick_mean"],
+            "verify_nc_modified M=2 chunk=1563": ["class_d_pairs", "pair_rows", "wick_pair_coordinates"],
             "_cmd_resolution report M=6 samples=400": ["estimator_to_criterion", "build_report", "write_report"],
             "verify_resolution_quadrature M=2": ["verify_resolution_quadrature", "radial_quadrature_nodes",
                                                  "filling_moments", "moment_wick_coordinates", "_fock_check"],
@@ -162,20 +162,35 @@ class TestBenchPairsWorkers:
         calls = []
 
         def timed_call(tree, argv):
-            calls.append(argv)
+            calls.append((tree, argv))
             n = argv[argv.index("--workers") + 1]
             # the parent fails every run, the change only its second one at one worker
-            code = 1 if tree == "parent" or (n == "1" and len(calls) == 8) else 0
+            code = 1 if tree == "parent" or (n == "1" and calls.count((tree, argv)) == 2) else 0
             return {"code": code, "wall_s": 1.0, "cpu_s": 1.0}
 
         monkeypatch.setattr(pairs, "timed_call", timed_call)
         out = pairs.workers("parent", "change", 2)
         assert out["parent"]["failed"] == {"1": 2, "2": 2}
         assert out["change"]["failed"] == {"1": 1, "2": 0}
-        assert all(argv[:-2] == pairs.WORKERS_ARGV for argv in calls)
+        assert all(argv[:-2] == pairs.WORKERS_ARGV for _, argv in calls)
         err = capsys.readouterr().err.splitlines()
         assert err[0].endswith("failed 2 and 2 of 2") and err[1].endswith("failed 1 and 0 of 2")
 
+
+    def test_the_trees_alternate_within_each_pair(self, monkeypatch):
+        # each worker count runs in both trees back to back; which tree and
+        # which count go first alternates from pair to pair
+        pairs = load("bench_pairs")
+        order = []
+        monkeypatch.setattr(pairs, "timed_call", lambda tree, argv: order.append((tree, argv[-1]))
+                            or {"code": 0, "wall_s": 1.0, "cpu_s": 1.0})
+        out = pairs.workers("parent", "change", 3)
+        assert order == [
+            ("parent", "1"), ("change", "1"), ("parent", "2"), ("change", "2"),
+            ("change", "2"), ("parent", "2"), ("change", "1"), ("parent", "1"),
+            ("parent", "1"), ("change", "1"), ("parent", "2"), ("change", "2"),
+        ]
+        assert all(len(out[tree][f"workers_{n}"]) == 3 for tree in ("parent", "change") for n in (1, 2))
 
 class TestReportDiff:
     @pytest.fixture(scope="class")

@@ -37,7 +37,7 @@ from fermigauss import (
 from fermigauss import ensembles, gaussian, sample_class_d_batch, sample_radial_mcmc
 from fermigauss import verify as verify_module
 from fermigauss.cli import run
-from fermigauss.ensembles import _haar_first_columns, _log_jacobian, class_d_pair_values, sample_haar_unitary_batch
+from fermigauss.ensembles import _haar_column_normals, _log_jacobian, class_d_pair_values, sample_haar_unitary_batch
 from fermigauss.fock import (
     embed_parity_blocks,
     from_eigenpairs,
@@ -485,7 +485,7 @@ class TestFockCrossCheck:
             assert rep.details["fock_check_deviation"] == _fock_check(-beta * mats[:k], coords, log_tr)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("modes", [2, 3])  # the rank-one route and the QR route
+    @pytest.mark.parametrize("modes", [2, 3])  # the pair-row route and the QR route
     def test_nc_modified_checks_chunk_zero(self, modes, workers):
         spec, n, p, k = RngSpec(16), 400, 1.0, FOCK_CHECK_DRAWS
         rep = verify_nc_modified(modes, p, n, spec, workers=workers)
@@ -493,15 +493,28 @@ class TestFockCrossCheck:
         pts = class_d_pair_values(modes, 0.5 * p, gen, per)
         pts = pts * gen.choice((-1.0, 1.0), size=(per, modes))
         if modes == 2:
-            q = _haar_first_columns(gen, per)
-            gamma = gaussian._filling_covariance(gaussian._rank_one_filling(-0.5 * np.tanh(0.5 * pts), q))
-            h = gaussian._rank_one_filling(pts[:k], q[:k])
+            real, imag = _haar_column_normals(gen, per)
+            z = (real[:, :k] + 1j * imag[:, :k]).T
+            h = gaussian._rank_one_filling(pts[:k], z / np.linalg.norm(z, axis=-1, keepdims=True))
+            coords = gaussian.wick_pair_coordinates(gaussian._rank_one_pair_rows(pts, real, imag)[:, :k])
         else:
             us = sample_haar_unitary_batch(modes, gen, per)
-            gamma = gaussian.covariance_number_conserving(pts, us)
             h = from_eigenpairs(pts[:k], us[:k])
+            coords = gaussian.wick_coordinates(gaussian.covariance_number_conserving(pts, us)[:k])
         mats = assemble_blocks(h, np.zeros_like(h))
-        assert rep.details["fock_check_deviation"] == _fock_check(mats, gaussian.wick_coordinates(gamma[:k]))
+        assert rep.details["fock_check_deviation"] == _fock_check(mats, coords)
+
+    def test_nc_modified_builds_no_covariance_at_two_modes(self, monkeypatch):
+        want = verify_nc_modified(2, 1.0, 400, RngSpec(15))
+
+        def no_covariance(*args, **kwargs):
+            raise AssertionError("the M = 2 worker built a unitary or a covariance")
+
+        for name in ("sample_haar_unitary_batch", "covariance_number_conserving", "wick_coordinates"):
+            monkeypatch.setattr(verify_module, name, no_covariance)
+        monkeypatch.setattr(gaussian, "_filling_covariance", no_covariance)
+        got = verify_nc_modified(2, 1.0, 400, RngSpec(15))
+        assert np.array_equal(got.mean.matrix, want.mean.matrix) and got.passed
 
     # power: i times one entry of the parity coordinate's scatter column moves
     # no entry far enough for the 5 SE gate, but the check of 4 draws sees it
