@@ -8,17 +8,19 @@ steps of that call, run one after another on the same draws, p = 1:
   at M = 1..6 with n = 4000 (a full chunk) and at M = 6 with n = 25 (the
   chunk of the ``mc_m6`` benchmark workload, 400 samples in 16 chunks).
   Layers: sample_class_d_batch, covariance (real_form, with its one real
-  eigh, and covariance_of_real_form), wick_coordinates, scatter (the one
-  wick_blocks product over all of a run's chunk columns, verify.MIN_CHUNKS
-  copies of this chunk's coordinates, and embed_parity_blocks of their
-  first block) and _fock_check on the chunk's first verify.FOCK_CHECK_DRAWS
-  draws, with the wick_coordinates of those draws that the worker hands it.
+  eigh, and real_form_pair_rows, the Wick pair rows of the covariances),
+  wick_coordinates (the Wick kernel's one entry, on those rows), scatter
+  (the one wick_blocks product over all of a run's chunk columns,
+  verify.MIN_CHUNKS copies of this chunk's coordinates, and
+  embed_parity_blocks of their first block) and _fock_check on the chunk's
+  first verify.FOCK_CHECK_DRAWS draws, with the wick_coordinates of their
+  pair rows that the worker hands it.
 - ``verify_nc_modified M=2 chunk=1563``: one chunk of the number-conserving
   worker (the ``nc_modified`` workload, 25000 samples in 16 chunks).
   Layers: class_d_pairs (class_d_pair_values at p/2, in closed form from
   the class-D normals, and the random signs), pair_rows (the column-0
   normals of the Haar unitaries and the Wick pair rows built from them in
-  real arithmetic, with no QR and no covariance) and wick_pair_coordinates
+  real arithmetic, with no QR and no covariance) and wick_coordinates
   (the kernel on those rows: the chunk's mean Wick coordinates).
 - ``_cmd_resolution report M=6 samples=400``: the report steps of the CLI's
   ``resolution --mode mc`` on an ``mc_m6``-sized result:
@@ -37,6 +39,9 @@ steps of that call, run one after another on the same draws, p = 1:
   verify._IDENTITY_TRIALS (named after its function) sums that trial's
   calls, one per mode count, within the same call, so these layers nest
   inside the whole call.
+
+The chunk and report rows of the ``mc_m6`` and ``nc_modified`` workloads
+take those workloads' --samples from benchmark/workloads.py.
 
 Every row first runs once untimed, to warm the per-M caches. Rows of full
 chunks and the identity suite then run REPEATS times, the small ones
@@ -72,7 +77,20 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 CHUNK = 4000
 REPEATS, SMALL_REPEATS = 5, 50
-MC_M6_SAMPLES, NC_SAMPLES = 400, 25000  # the benchmark workloads' --samples
+
+
+def _load(path: Path):
+    """The module at ``path``, loaded by path, under its file name."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _samples(workload: str) -> int:
+    """The --samples of the one command of a benchmark workload."""
+    (command,) = _load(ROOT / "benchmark" / "workloads.py").WORKLOADS[workload].commands
+    return int(command[command.index("--samples") + 1])
 
 
 def _row(one_round, repeats: int) -> dict:
@@ -100,19 +118,19 @@ def resolution_row(modes: int, per: int, repeats: int) -> dict:
     gen, k = RngSpec(modes).generator(), verify.FOCK_CHECK_DRAWS
 
     def covariance(mats):
-        return gaussian.covariance_of_real_form(*gaussian.real_form(mats))
+        return gaussian.real_form_pair_rows(*gaussian.real_form(mats))
 
     def scatter(coords):
         return fock.embed_parity_blocks(gaussian.wick_blocks(np.stack([coords] * verify.MIN_CHUNKS))[0])
 
-    def fock_check(mats, gamma):  # as the worker calls it, with the checked draws' own coordinates
-        return verify._fock_check(mats, gaussian.wick_coordinates(gamma))
+    def fock_check(mats, rows):  # as the worker calls it, with the checked draws' own coordinates
+        return verify._fock_check(mats, gaussian.wick_coordinates(rows))
 
     def one_round(timed):
         mats = timed("sample_class_d_batch", sample_class_d_batch, modes, 1.0, gen, per)
-        gamma = timed("covariance", covariance, mats)
-        timed("scatter", scatter, timed("wick_coordinates", gaussian.wick_coordinates, gamma))
-        timed("_fock_check", fock_check, mats[:k], gamma[:k])
+        rows = timed("covariance", covariance, mats)
+        timed("scatter", scatter, timed("wick_coordinates", gaussian.wick_coordinates, rows))
+        timed("_fock_check", fock_check, mats[:k], rows[:, :k])
 
     return _row(one_round, repeats)
 
@@ -132,21 +150,21 @@ def nc_modified_row(per: int, repeats: int) -> dict:
 
     def one_round(timed):
         pts = timed("class_d_pairs", class_d_pairs)
-        timed("wick_pair_coordinates", gaussian.wick_pair_coordinates, timed("pair_rows", pair_rows, pts))
+        timed("wick_coordinates", gaussian.wick_coordinates, timed("pair_rows", pair_rows, pts))
 
     return _row(one_round, repeats)
 
 
-def report_row(repeats: int) -> dict:
+def report_row(samples: int, repeats: int) -> dict:
     from fermigauss import reports
     from fermigauss.ensembles import RngSpec
     from fermigauss.verify import verify_resolution_mc
 
     spec = RngSpec(0)
-    rep = verify_resolution_mc(6, 1.0, MC_M6_SAMPLES, spec)
+    rep = verify_resolution_mc(6, 1.0, samples, spec)
     # the parameters the CLI records for `resolution --mode mc`
     params = {"mode": "mc", "modes": 6, "p": 1.0, "weight": "gaussian", "sym_class": "D",
-              "samples": MC_M6_SAMPLES, "quad_order": 60, "workers": 1, "seed": 0, "stream": 0}
+              "samples": samples, "quad_order": 60, "workers": 1, "seed": 0, "stream": 0}
     with tempfile.TemporaryDirectory() as tmp:
         def one_round(timed):
             crit = timed("estimator_to_criterion", reports.estimator_to_criterion, "resolution of unity (Monte Carlo)", rep)
@@ -202,10 +220,11 @@ def tables() -> dict:
 
     rows = {f"verify_resolution_mc M={m} chunk={CHUNK}": lambda m=m: resolution_row(m, CHUNK, REPEATS)
             for m in range(1, 7)}
-    small, nc = _chunk_layout(MC_M6_SAMPLES)[1], _chunk_layout(NC_SAMPLES)[1]
+    mc_m6 = _samples("mc_m6")
+    small, nc = _chunk_layout(mc_m6)[1], _chunk_layout(_samples("nc_modified"))[1]
     rows[f"verify_resolution_mc M=6 chunk={small}"] = lambda: resolution_row(6, small, SMALL_REPEATS)
     rows[f"verify_nc_modified M=2 chunk={nc}"] = lambda: nc_modified_row(nc, SMALL_REPEATS)
-    rows[f"_cmd_resolution report M=6 samples={MC_M6_SAMPLES}"] = lambda: report_row(SMALL_REPEATS)
+    rows[f"_cmd_resolution report M=6 samples={mc_m6}"] = lambda: report_row(mc_m6, SMALL_REPEATS)
     rows["verify_resolution_quadrature M=2"] = lambda: quadrature_row(SMALL_REPEATS)
     rows["operator_identity_suite M=3 trials=50"] = lambda: identity_row(REPEATS)
     out = {}
@@ -218,10 +237,7 @@ def tables() -> dict:
 def blas_helper():
     """This checkout's fermigauss/blas.py, loaded by path: it imports nothing
     from the package, so it serves whichever tree ``--src`` names."""
-    spec = importlib.util.spec_from_file_location("fermigauss_blas", ROOT / "src" / "fermigauss" / "blas.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return _load(ROOT / "src" / "fermigauss" / "blas.py")
 
 
 def main() -> int:

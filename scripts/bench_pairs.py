@@ -55,7 +55,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = ("checks", "mc_m6", "nc_modified")
+#: The workloads of BENCHMARK.json, in its order.
+WORKLOADS = tuple(w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"])
 LAYERS = "layers"  # the bench_layers.py rows, run in every pair beside the workloads
 #: The end-to-end metrics of BENCHMARK.json, by name: which way is better, and the bound.
 END_TO_END = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}

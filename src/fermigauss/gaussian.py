@@ -263,15 +263,23 @@ def _tanh_ratio(s: np.ndarray) -> np.ndarray:
     return -0.25 * np.divide(np.tanh(0.5 * s), 0.5 * s, out=np.ones_like(s), where=s > 0)
 
 
-def _scaled_real_form(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A / top, top) of class-D coefficient matrices H: A = Im(Omega H
-    Omega^dag) / 2 (Omega = WickPlan.majorana) written from the blocks of H,
-    and top its largest entry, (..., 1, 1), so no square of A / top overflows."""
-    m = mats.shape[-1] // 2
-    h, d = mats[..., :m, :m], mats[..., :m, m:]
-    a = np.empty(mats.shape)
+def _majorana_form(h, d) -> np.ndarray:
+    """A = Im(Omega H Omega^dag) / 2 (Omega = WickPlan.majorana) of the class-D
+    coefficient matrices H = [[h, D], [-D*, -h^T]], written from their
+    (..., M, M) blocks: the one writer of the Majorana block layout, for the
+    real form and for the number-conserving fillings (F, 0)."""
+    m = h.shape[-1]
+    a = np.empty(h.shape[:-2] + (2 * m, 2 * m))
     a[..., ::2, ::2], a[..., ::2, 1::2] = h.imag + d.imag, h.real - d.real
     a[..., 1::2, ::2], a[..., 1::2, 1::2] = -(h.real + d.real), h.imag - d.imag
+    return a
+
+
+def _scaled_real_form(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A / top, top) of class-D coefficient matrices H: A = _majorana_form of their
+    blocks, and top its largest entry, (..., 1, 1), so no square of A / top overflows."""
+    m = mats.shape[-1] // 2
+    a = _majorana_form(mats[..., :m, :m], mats[..., :m, m:])
     top = np.abs(a).max(axis=(-2, -1), keepdims=True)
     a /= np.where(top > 0.0, top, 1.0)  # in place: a second (n, 2M, 2M) stack costs more than the division
     return a, top
@@ -289,21 +297,22 @@ def real_form(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return top * sv, vecs, top[..., 0] * np.linalg.norm(sv, axis=-2)
 
 
-def covariance_of_real_form(av: np.ndarray, vecs: np.ndarray, s: np.ndarray, t: float = 1.0) -> np.ndarray:
-    """Majorana covariances Gamma = P - P^T, P = t A V diag(g(|t| s)) V^T, of
-    the normalized Gaussian operators L(t H) of the draws of real_form: the
-    filling -tanh(H/2)/2 is odd and Omega H Omega^dag / 2 = i A, Omega / sqrt(2)
-    unitary, so i Gamma = 2 i t A g(|t| sqrt(A^T A)) = 2 i P, and P - P^T is
-    exactly antisymmetric, and 0 for H = 0 or t = 0."""
+def real_form_pair_rows(av: np.ndarray, vecs: np.ndarray, s: np.ndarray, t: float = 1.0) -> np.ndarray:
+    """The Wick pair rows (_pair_rows) of the Majorana covariances Gamma = P -
+    P^T, P = t A V diag(g(|t| s)) V^T, of the normalized Gaussian operators
+    L(t H) of the draws of real_form: the filling -tanh(H/2)/2 is odd and
+    Omega H Omega^dag / 2 = i A, Omega / sqrt(2) unitary, so i Gamma = 2 i t A
+    g(|t| sqrt(A^T A)) = 2 i P; the rows are 0 for H = 0 or t = 0."""
     p = (av * (t * _tanh_ratio(abs(t) * s))[..., None, :]) @ np.swapaxes(vecs, -1, -2)
-    return p - np.swapaxes(p, -1, -2)
+    return _pair_rows(p)
 
 
-def covariance_number_conserving(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Majorana covariances of the normalized number-conserving Gaussian
-    operators of h[s] = u[s] diag(lam[s]) u[s]^dag, from M x M products only:
-    _filling_covariance of the filling F = u diag(-tanh(lam/2)/2) u^dag."""
-    return _filling_covariance(from_eigenpairs(-0.5 * np.tanh(0.5 * lam), u))
+def number_conserving_pair_rows(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The Wick pair rows of the Majorana covariances of the normalized
+    number-conserving Gaussian operators of h[s] = u[s] diag(lam[s]) u[s]^dag,
+    from M x M products only: Gamma = X - X^T, X the _majorana_form of the
+    filling (F, 0), F = u diag(-tanh(lam/2)/2) u^dag; 0 at F = 0."""
+    return _pair_rows(_majorana_form(from_eigenpairs(-0.5 * np.tanh(0.5 * lam), u), 0.0))
 
 
 def _rank_one_filling(w: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -323,26 +332,14 @@ def _rank_one_pair_rows(lam: np.ndarray, real: np.ndarray, imag: np.ndarray) -> 
     rows ``real`` and ``imag``: in real arithmetic, with no complex stack.
     The filling is _rank_one_filling's F = w_1 I + c z z^dag,
     w = -tanh(lam/2)/2 and c = (w_0 - w_1) / |z|^2, and the rows are
-    2 (F_00, Im F_01, -Re F_01, Re F_01, Im F_01, F_11), the entries of
-    _filling_covariance's X - X^T; the factor 2 is folded into w, exactly."""
+    2 (F_00, Im F_01, -Re F_01, Re F_01, Im F_01, F_11), the rows that
+    number_conserving_pair_rows gathers; the factor 2 is folded into w, exactly."""
     v = -np.tanh(0.5 * lam.T)  # 2 w
     norms = real * real + imag * imag  # |z_j|^2
     c = (v[0] - v[1]) / (norms[0] + norms[1])
     re01 = c * (real[0] * real[1] + imag[0] * imag[1])
     im01 = c * (imag[0] * real[1] - real[0] * imag[1])
     return np.stack([v[1] + c * norms[0], im01, -re01, re01, im01, v[1] + c * norms[1]])
-
-
-def _filling_covariance(f: np.ndarray) -> np.ndarray:
-    """Majorana covariances of the normalized number-conserving Gaussian
-    operators with the M x M fillings ``f``: Gamma = X - X^T, where X holds
-    Im F at (2j, 2l) and (2j+1, 2l+1), Re F at (2j, 2l+1) and -Re F at
-    (2j+1, 2l): exactly antisymmetric, and 0 at F = 0."""
-    m = f.shape[-1]
-    x = np.empty(f.shape[:-2] + (2 * m, 2 * m))
-    x[..., ::2, ::2] = x[..., 1::2, 1::2] = f.imag
-    x[..., ::2, 1::2], x[..., 1::2, ::2] = f.real, -f.real
-    return x - np.swapaxes(x, -1, -2)
 
 
 @lru_cache(maxsize=None)
@@ -354,14 +351,12 @@ def _wick_block_draws(modes: int) -> int:
     return max(1, WICK_BLOCK_VALUES // max(sizes))
 
 
-def _pair_rows(gamma: np.ndarray) -> np.ndarray:
-    """The (P, n) Wick pair rows of the (n, 2M, 2M) Majorana covariances
-    ``gamma``: Gamma_ab at the P = M(2M - 1) pairs a < b of fock.WickPlan,
-    one column per draw, in one gather."""
-    modes = gamma.shape[-1] // 2
-    _check_modes(modes)
-    plan = _wick_plan(modes)
-    return gamma[:, plan.pair_rows, plan.pair_cols].T
+def _pair_rows(x: np.ndarray) -> np.ndarray:
+    """The (P, n) Wick pair rows of the (n, 2M, 2M) matrices ``x``: x_ab - x_ba
+    at the P = M(2M - 1) pairs a < b of fock.WickPlan, one column per draw:
+    all that a Pfaffian reads of the covariances Gamma = x - x^T, none built."""
+    plan = _wick_plan(x.shape[-1] // 2)
+    return (x[:, plan.pair_rows, plan.pair_cols] - x[:, plan.pair_cols, plan.pair_rows]).T
 
 
 def _wick_sums(pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -407,24 +402,24 @@ def _wick_sums(pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.concatenate([np.ones(1), *sums])
 
 
-def wick_coordinates(gamma: np.ndarray, log_weights=None) -> np.ndarray:
+def wick_coordinates(pairs: np.ndarray, log_weights=None) -> np.ndarray:
     """Mean Wick coordinates Pf(Gamma_S) of the normalized Gaussian operators
-    with the (n, 2M, 2M) Majorana covariances ``gamma``, in the subset order
-    of fock.WickPlan; with ``log_weights`` draw s weighs e^log_weights[s]."""
-    return wick_pair_coordinates(_pair_rows(gamma), log_weights)
-
-
-def wick_pair_coordinates(pairs: np.ndarray, log_weights=None) -> np.ndarray:
-    """wick_coordinates of the draws whose covariances have the (P, n) Wick
-    pair rows ``pairs``, Gamma_ab at the P = M(2M - 1) pairs a < b in
-    fock.WickPlan order, one column per draw: for callers that build the pair
-    values and no covariance (_rank_one_pair_rows). StructureError unless P
-    is M(2M - 1) for some M."""
-    modes = (1 + math.isqrt(1 + 8 * len(pairs))) // 4
-    if modes * (2 * modes - 1) != len(pairs):
-        raise StructureError(f"{len(pairs)} pair rows are M(2M - 1) for no mode count M")
-    weights = _draw_weights(pairs.shape[1], log_weights)
-    return _wick_sums(pairs, np.broadcast_to(weights, (modes, pairs.shape[1])))
+    whose Majorana covariances have the (P, n) Wick pair rows ``pairs``
+    (_pair_rows: Gamma_ab at the P = M(2M - 1) pairs a < b, one column per
+    draw), in the subset order of fock.WickPlan; with ``log_weights`` draw s
+    weighs e^log_weights[s]. The Wick kernel's one entry: StructureError
+    unless ``pairs`` is a finite (P, n) array, ContractError for no draws or
+    unless ``log_weights`` is one finite value per draw."""
+    pairs = np.asarray(pairs)
+    modes = (1 + math.isqrt(1 + 8 * len(pairs))) // 4 if pairs.ndim == 2 else 0
+    if not modes or modes * (2 * modes - 1) != len(pairs):
+        raise StructureError(f"Wick pair rows must be (P, n) with P = M(2M - 1) for some M, got shape {pairs.shape}")
+    if not np.isfinite(pairs).all():
+        raise StructureError("Wick pair rows must be finite")
+    count = pairs.shape[1]
+    if not count or not (log_weights is None or np.shape(log_weights) == (count,) and np.isfinite(log_weights).all()):
+        raise ContractError(f"need at least one draw and, if given, one finite log weight per draw; got {count} draws")
+    return _wick_sums(pairs, np.broadcast_to(_draw_weights(count, log_weights), (modes, count)))
 
 
 def filling_moments(points: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -452,7 +447,8 @@ def moment_wick_coordinates(moments: np.ndarray, v: np.ndarray) -> np.ndarray:
     j + M, has rank 2 by the pairing. So Pf(Gamma_S) is multilinear of degree
     |S|/2 in t, and its mean is sum_(|J| = |S|/2) m_J Pf((K_J)_S), with K_J
     = sum_(j in J) K_j the covariance at the filling of J: one Pfaffian
-    recursion over the 2^M matrices K_J. StructureError unless v is paired."""
+    recursion over the pair rows of the 2^M matrices K_J, which _pair_rows
+    takes from their X_J. StructureError unless v is paired."""
     modes = v.shape[-1] // 2
     _check_modes(modes)
     u = _wick_plan(modes).majorana @ v
@@ -461,7 +457,7 @@ def moment_wick_coordinates(moments: np.ndarray, v: np.ndarray) -> np.ndarray:
     member = ((masks[:, None] >> np.arange(modes)) & 1).astype(float)  # (2^M, M): 1 where j is in J
     x = (u.imag * np.concatenate([member, -member], axis=1)[:, None, :]) @ u.real.T
     levels = np.bitwise_count(masks) == np.arange(1, modes + 1)[:, None]  # (M, 2^M): |J| = k
-    return _wick_sums(_pair_rows(x - np.swapaxes(x, -1, -2)), np.where(levels, moments, 0.0))
+    return _wick_sums(_pair_rows(x), np.where(levels, moments, 0.0))
 
 
 def wick_blocks(coords: np.ndarray) -> np.ndarray:

@@ -57,8 +57,6 @@ from .gaussian import (  # noqa: F401  gaussian_normalized, compose_general, com
     assemble_blocks,
     compose_general,
     compose_number_conserving,
-    covariance_number_conserving,
-    covariance_of_real_form,
     exp_normalized_fock_batch,
     filling_moments,
     gaussian_normalized,
@@ -67,11 +65,12 @@ from .gaussian import (  # noqa: F401  gaussian_normalized, compose_general, com
     log_trace_of_pairs,
     make_bdg,
     moment_wick_coordinates,
+    number_conserving_pair_rows,
     paired_eigenvalues,
     real_form,
+    real_form_pair_rows,
     wick_blocks,
     wick_coordinates,
-    wick_pair_coordinates,
 )
 
 #: Samples per Monte Carlo chunk; the chunk index doubles as the RNG substream,
@@ -144,7 +143,10 @@ class EstimatorReport:
 
     @property
     def points(self) -> np.ndarray:
-        """The kept (samples, M) points in chunk order, concatenated on each call."""
+        """The kept (samples, M) points in chunk order, concatenated on each
+        call; ContractError if the report kept none."""
+        if not self.point_chunks:
+            raise ContractError("this report kept no points: run its driver with keep_points=True")
         return np.concatenate(self.point_chunks)
 
     @property
@@ -287,9 +289,9 @@ def _fock_check(mats: np.ndarray, coords: np.ndarray, log_weights=None) -> float
     coefficient matrices ``mats`` through quadratic_hamiltonian_batch and
     exp_normalized_fock_batch, weighted by ``log_weights`` when given, as the
     coordinates were. The one Fock cross-check of every driver: the Monte
-    Carlo workers hand it wick_coordinates of chunk 0's first
-    FOCK_CHECK_DRAWS draws with their raw ``mats``, and _converged_mean the
-    moment map of the last FOCK_CHECK_DRAWS kept nodes of its rule."""
+    Carlo workers hand it wick_coordinates(rows[:, :FOCK_CHECK_DRAWS]) of
+    chunk 0's pair rows with those draws' raw ``mats``, and _converged_mean
+    the moment map of the last FOCK_CHECK_DRAWS kept nodes of its rule."""
     wick = wick_blocks(coords)[0]  # parity blocks, as the Fock mean's
     ops = exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats))
     return float(np.abs(np.einsum("s,spab->pab", _draw_weights(len(mats), log_weights), ops) - wick).max())
@@ -638,10 +640,10 @@ def verify_resolution_mc(
     def worker(gen: np.random.Generator, per: int, first: bool) -> _Chunk:
         mats = sample_class_d_batch(modes, p, gen, per)
         form = real_form(mats)
-        gamma, pts = covariance_of_real_form(*form), (form[2][:, 1::2].copy() if keep_points else None)
+        rows, pts = real_form_pair_rows(*form), (form[2][:, 1::2].copy() if keep_points else None)
         del form  # A V, V and s go before the Wick kernel; s[:, 1::2] are the pair values
-        fock_dev = _fock_check(mats[:FOCK_CHECK_DRAWS], wick_coordinates(gamma[:FOCK_CHECK_DRAWS])) if first else None
-        return _Chunk(wick_coordinates(gamma), per, fock_dev, pts)
+        fock_dev = _fock_check(mats[:FOCK_CHECK_DRAWS], wick_coordinates(rows[:, :FOCK_CHECK_DRAWS])) if first else None
+        return _Chunk(wick_coordinates(rows), per, fock_dev, pts)
 
     chunks = _run_chunks(worker, n_samples, spec, modes, workers)
     return _mc_report(modes, chunks, spec, {"p": p, "chunks": len(chunks), "workers": workers})
@@ -688,11 +690,11 @@ def verify_canonical_triviality(
             if not abs(beta) * float(lam.max()) < math.inf:
                 raise DomainError(f"beta = {beta} times an energy of the draws at p = {p} overflows a float")
             log_tr = log_trace_of_pairs(beta * lam)  # log Tr exp(-beta H_op) per draw
-            gamma = covariance_of_real_form(*form, -beta)  # the covariances of L(-beta H)
+            rows = real_form_pair_rows(*form, -beta)  # the pair rows of L(-beta H)
             k, fock_dev = FOCK_CHECK_DRAWS, None
             if first:
-                fock_dev = _fock_check(-beta * mats[:k], wick_coordinates(gamma[:k], log_tr[:k]), log_tr[:k])
-            coords = wick_coordinates(gamma, log_tr)
+                fock_dev = _fock_check(-beta * mats[:k], wick_coordinates(rows[:, :k], log_tr[:k]), log_tr[:k])
+            coords = wick_coordinates(rows, log_tr)
             out.append(_Chunk(coords, per, fock_dev, pts, _log_sum_exp(log_tr), _log_sum_exp(2.0 * log_tr)))
         return out
 
@@ -844,20 +846,17 @@ def verify_nc_modified(
         # h = U diag(pts) U^dag is known: no eigh is needed, and at M = 2 no QR
         if modes == 2:
             real, imag = _haar_column_normals(gen, per)
-            pairs = _rank_one_pair_rows(pts, real, imag)
-            coords = wick_pair_coordinates(pairs)
+            rows = _rank_one_pair_rows(pts, real, imag)
             if first:
                 z = (real[:, :k] + 1j * imag[:, :k]).T
                 h = _rank_one_filling(pts[:k], z / np.linalg.norm(z, axis=-1, keepdims=True))
-                checked = wick_pair_coordinates(pairs[:, :k])
         else:
             us = sample_haar_unitary_batch(modes, gen, per)
-            gamma = covariance_number_conserving(pts, us)
-            coords = wick_coordinates(gamma)
+            rows = number_conserving_pair_rows(pts, us)
             if first:
-                h, checked = from_eigenpairs(pts[:k], us[:k]), wick_coordinates(gamma[:k])
-        fock_dev = _fock_check(assemble_blocks(h, np.zeros_like(h)), checked) if first else None
-        return _Chunk(coords, per, fock_dev, pts if keep_points else None)
+                h = from_eigenpairs(pts[:k], us[:k])
+        fock_dev = _fock_check(assemble_blocks(h, np.zeros_like(h)), wick_coordinates(rows[:, :k])) if first else None
+        return _Chunk(wick_coordinates(rows), per, fock_dev, pts if keep_points else None)
 
     chunks = _run_chunks(worker, n_samples, spec, modes, workers)
     return _mc_report(modes, chunks, spec, {"p": p, "chunks": len(chunks)})

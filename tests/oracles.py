@@ -57,16 +57,16 @@ def rotated_ncons_blocks(points: np.ndarray, unitaries: np.ndarray) -> np.ndarra
     return exp_normalized_fock_batch(quadratic_hamiltonian_batch(assemble_blocks(h, np.zeros_like(h))))
 
 
-def covariance_from_eigenpairs(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Majorana covariances of the normalized Gaussian operators of v[s]
-    diag(w[s]) v[s]^dag, or of v diag(w[s]) v^dag for one ``v`` shared by a
-    stack of ``w``, one per node: Gamma = X - X^T with
-    X = (Im u) diag(t) (Re u)^T, u = majorana v and t = -tanh(w/2)/2. The
-    per-node path the quadrature drivers took before the moment map
+def covariance_x_from_eigenpairs(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The X of the Majorana covariances Gamma = X - X^T of the normalized
+    Gaussian operators of v[s] diag(w[s]) v[s]^dag, or of v diag(w[s]) v^dag
+    for one ``v`` shared by a stack of ``w``, one per node:
+    X = (Im u) diag(t) (Re u)^T, u = majorana v and t = -tanh(w/2)/2, so
+    gaussian._pair_rows(X) are the Wick pair rows of Gamma. The per-node path
+    the quadrature drivers took before the moment map
     (gaussian.moment_wick_coordinates)."""
     u = _wick_plan(w.shape[-1] // 2).majorana @ v
-    x = (u.imag * -0.5 * np.tanh(0.5 * w)[:, None, :]) @ np.swapaxes(u.real, -1, -2)
-    return x - np.swapaxes(x, -1, -2)
+    return (u.imag * -0.5 * np.tanh(0.5 * w)[:, None, :]) @ np.swapaxes(u.real, -1, -2)
 
 
 def wick_sums_per_term(pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -91,11 +91,12 @@ def wick_sums_per_term(pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return np.concatenate(coords)
 
 
-def eigh_covariance(mats: np.ndarray) -> np.ndarray:
-    """Majorana covariances of a stack of coefficient matrices through the
-    complex 2M x 2M eigh and their eigenpairs, the route the Monte Carlo
-    drivers took before the real form (gaussian.real_form)."""
-    return covariance_from_eigenpairs(*np.linalg.eigh(mats))
+def eigh_covariance_x(mats: np.ndarray) -> np.ndarray:
+    """The X of the Majorana covariances of a stack of coefficient matrices
+    (covariance_x_from_eigenpairs) through the complex 2M x 2M eigh and their
+    eigenpairs, the route the Monte Carlo drivers took before the real form
+    (gaussian.real_form)."""
+    return covariance_x_from_eigenpairs(*np.linalg.eigh(mats))
 
 
 def tuple_normal_ordered_exp(bmat: np.ndarray) -> np.ndarray:

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     break_phase,
-    covariance_from_eigenpairs,
-    eigh_covariance,
+    covariance_x_from_eigenpairs,
+    eigh_covariance_x,
     gamma_ops,
     quadratic_tensor,
     wick_sums_per_term,
@@ -63,16 +63,15 @@ from fermigauss.gaussian import (
     _rank_one_pair_rows,
     _wick_block_draws,
     assemble_blocks,
-    covariance_number_conserving,
-    covariance_of_real_form,
     exp_normalized_fock_batch,
     filling_moments,
     log_trace_of_pairs,
     moment_wick_coordinates,
+    number_conserving_pair_rows,
     real_form,
+    real_form_pair_rows,
     wick_blocks,
     wick_coordinates,
-    wick_pair_coordinates,
 )
 from fermigauss.verify import _ncons_eigenvectors
 
@@ -313,25 +312,25 @@ def _wick_draws(draw):
     return scale * sample_class_d_batch(modes, 1.0, RngSpec(draw(st.integers(0, 2**16))), 3)
 
 
-def _real_covariance(mats, t=1.0):
-    return covariance_of_real_form(*real_form(mats), t)
+def _real_rows(mats, t=1.0):
+    return real_form_pair_rows(*real_form(mats), t)
 
 
-def _wick_mean(gamma, log_weights=None):
-    return wick_blocks(wick_coordinates(gamma, log_weights))[0]
+def _wick_mean(rows, log_weights=None):
+    return wick_blocks(wick_coordinates(rows, log_weights))[0]
 
 
 class TestWickKernel:
     # the Fock kernel and the dense Majorana matrices are the oracles: the
-    # Wick kernel builds neither; its input is the real form's covariance
+    # Wick kernel builds neither; its input is the real form's pair rows
 
     @staticmethod
     def _check_per_operator(mats):
         fock = exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats))
-        gamma = _real_covariance(mats)
+        rows = _real_rows(mats)
         for s in range(len(mats)):
-            assert max_abs(_wick_mean(gamma[s : s + 1]), fock[s]) <= 1e-12
-        assert max_abs(_wick_mean(gamma), fock.mean(axis=0)) <= 1e-12
+            assert max_abs(_wick_mean(rows[:, s : s + 1]), fock[s]) <= 1e-12
+        assert max_abs(_wick_mean(rows), fock.mean(axis=0)) <= 1e-12
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(_wick_draws())
@@ -348,7 +347,7 @@ class TestWickKernel:
         # Tr(L c_S) = Pf(K_S) = i^(k/2) Pf(Gamma_S) with c_S the ascending product
         modes = mats.shape[-1] // 2
         ops = embed_parity_blocks(exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats[:1])))[0]
-        coords = wick_coordinates(_real_covariance(mats[:1]))
+        coords = wick_coordinates(_real_rows(mats[:1]))
         majoranas = _majoranas(modes)
         for subset, coord in zip(_even_subsets(modes), coords, strict=True):
             c_s = np.eye(1 << modes)
@@ -363,18 +362,18 @@ class TestWickKernel:
         fock = exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats))
         rel = np.exp(log_w - log_w.max())
         want = np.einsum("s,spab->pab", rel / rel.sum(), fock)
-        assert max_abs(_wick_mean(_real_covariance(mats), log_w), want) <= 1e-12
+        assert max_abs(_wick_mean(_real_rows(mats), log_w), want) <= 1e-12
 
     @pytest.mark.parametrize("modes", [1, 3, 6])
     def test_zero_energies_give_exactly_the_maximally_mixed_state(self, modes):
         counts = [4, _wick_block_draws(modes) + 1] if modes == 6 else [4]  # M = 6: also a stack of two blocks
         for mats in (sample_class_d_batch(modes, 1.0, RngSpec(31), n) for n in counts):
-            for gamma in (
-                _real_covariance(np.zeros_like(mats)),  # H = 0
-                _real_covariance(mats, 0.0),  # L(0 H)
+            for rows in (
+                _real_rows(np.zeros_like(mats)),  # H = 0
+                _real_rows(mats, 0.0),  # L(0 H)
             ):
-                assert not gamma.any()
-                out = embed_parity_blocks(_wick_mean(gamma))
+                assert not rows.any()
+                out = embed_parity_blocks(_wick_mean(rows))
                 assert np.array_equal(out, np.eye(1 << modes) / (1 << modes))
         # zero nodes of a quadrature rule: every moment but m_0 is 0
         v = random_polar_rotation(modes, RngSpec(31)).bogoliubov.conj().T
@@ -389,12 +388,12 @@ class TestWickKernel:
         # draws near each of -700, 0 and +700 in log weight
         block = _wick_block_draws(modes)
         gen = RngSpec(32).generator()
-        gamma = _real_covariance(sample_class_d_batch(modes, 1.0, gen, 2 * block + 3))
-        log_w = 700.0 * gen.integers(-1, 2, len(gamma)) + gen.normal(size=len(gamma))
-        single = np.array([wick_coordinates(g[None]) for g in gamma])
+        rows = _real_rows(sample_class_d_batch(modes, 1.0, gen, 2 * block + 3))
+        log_w = 700.0 * gen.integers(-1, 2, rows.shape[1]) + gen.normal(size=rows.shape[1])
+        single = np.array([wick_coordinates(rows[:, s : s + 1]) for s in range(rows.shape[1])])
         for n in (block - 1, block, block + 1, 2 * block + 3):
             rel = np.exp(log_w[:n] - log_w[:n].max())
-            assert max_abs(wick_coordinates(gamma[:n], log_w[:n]), rel @ single[:n] / rel.sum()) <= 1e-15
+            assert max_abs(wick_coordinates(rows[:, :n], log_w[:n]), rel @ single[:n] / rel.sum()) <= 1e-15
 
     @pytest.mark.parametrize("modes, draws", [(6, 25), (6, 4), (3, 4000), (2, 1563)])
     def test_one_block_repeats_the_per_term_recursion_exactly(self, monkeypatch, modes, draws):
@@ -402,17 +401,18 @@ class TestWickKernel:
         # nc_modified chunk: reports stay byte-identical only if these agree
         assert draws <= _wick_block_draws(modes)
         gen = RngSpec(33).generator()
-        gamma = _real_covariance(sample_class_d_batch(modes, 1.0, gen, draws))
+        rows = _real_rows(sample_class_d_batch(modes, 1.0, gen, draws))
         log_w = gen.normal(size=draws)
-        got = [wick_coordinates(gamma), wick_coordinates(gamma, log_w)]
+        got = [wick_coordinates(rows), wick_coordinates(rows, log_w)]
         monkeypatch.setattr(gaussian, "_wick_sums", wick_sums_per_term)
-        for coords, want in zip(got, [wick_coordinates(gamma), wick_coordinates(gamma, log_w)], strict=True):
+        for coords, want in zip(got, [wick_coordinates(rows), wick_coordinates(rows, log_w)], strict=True):
             assert np.array_equal(coords, want)
 
     @pytest.mark.parametrize("modes", [2, 3, 4, 5, 6])
-    def test_pair_rows_entry_repeats_wick_coordinates_exactly(self, modes):
-        # one-block stacks and stacks on either side of one and two blocks,
-        # with the gathered rows as a view of Gamma and as contiguous rows
+    def test_pair_rows_are_the_covariance_entries_as_a_view_or_a_copy(self, modes):
+        # one-block stacks and stacks on either side of one and two blocks:
+        # _pair_rows of X is bit for bit Gamma = X - X^T above its diagonal,
+        # and the kernel reads the rows alike as that view and as a copy
         block = _wick_block_draws(modes)
         counts = [4, block - 1, block, block + 1, 2 * block + 3]
         gen = RngSpec(36).generator()
@@ -421,16 +421,39 @@ class TestWickKernel:
         log_w = 300.0 * gen.normal(size=len(gamma))
         plan = _wick_plan(modes)
         for n in counts:
-            rows = gamma[:n, plan.pair_rows, plan.pair_cols].T
+            rows = _pair_rows(x[:n])
+            assert np.array_equal(rows, gamma[:n, plan.pair_rows, plan.pair_cols].T)
             for weights in (None, log_w[:n]):
-                want = wick_coordinates(gamma[:n], weights)
-                assert np.array_equal(wick_pair_coordinates(rows, weights), want)
-                assert np.array_equal(wick_pair_coordinates(np.ascontiguousarray(rows), weights), want)
+                want = wick_coordinates(rows, weights)
+                assert np.array_equal(wick_coordinates(np.ascontiguousarray(rows), weights), want)
 
-    @pytest.mark.parametrize("rows", [5, 7, 27])
-    def test_pair_rows_of_no_mode_count_are_rejected(self, rows):
-        with pytest.raises(StructureError, match=f"{rows} pair rows"):
-            wick_pair_coordinates(np.zeros((rows, 3)))
+    @pytest.mark.parametrize(
+        "rows, log_w, error, match",
+        [
+            (np.zeros(6), None, StructureError, r"\(P, n\)"),  # one draw's rows, not a (P, n) array
+            (np.zeros((6, 4, 4)), None, StructureError, r"\(P, n\)"),  # a Gamma stack, not its rows
+            (np.zeros((0, 4, 4)), None, StructureError, r"\(P, n\)"),
+            (np.zeros((2, 5, 5)), None, StructureError, r"\(P, n\)"),
+            (np.zeros((2, 4, 5)), None, StructureError, r"\(P, n\)"),
+            (np.zeros((0, 3)), None, StructureError, "P = M"),
+            (np.zeros((5, 3)), None, StructureError, "P = M"),
+            (np.zeros((7, 3)), None, StructureError, "P = M"),
+            (np.zeros((27, 3)), None, StructureError, "P = M"),
+            (np.full((6, 3), np.nan), None, StructureError, "finite"),
+            (np.where(np.eye(6, 3) > 0.0, np.inf, 0.0), None, StructureError, "finite"),
+            (np.zeros((6, 0)), None, ContractError, "at least one draw"),
+            (np.zeros((6, 0)), np.zeros(0), ContractError, "at least one draw"),
+            (np.zeros((6, 3)), [0.0, np.nan, 1.0], ContractError, "finite log weight"),
+            (np.zeros((6, 3)), [0.0, np.inf, 1.0], ContractError, "finite log weight"),
+            (np.zeros((6, 3)), [0.0, -np.inf, 1.0], ContractError, "finite log weight"),
+            (np.zeros((6, 3)), [0.0, 1.0], ContractError, "finite log weight"),
+            (np.zeros((6, 3)), np.zeros((3, 1)), ContractError, "finite log weight"),
+            (np.zeros((6, 3)), 0.0, ContractError, "finite log weight"),
+        ],
+    )
+    def test_the_one_entry_rejects_what_it_cannot_read(self, rows, log_w, error, match):
+        with pytest.raises(error, match=match):
+            wick_coordinates(rows, log_w)
 
     def test_the_moment_map_repeats_the_per_term_recursion_exactly(self, monkeypatch):
         gen = RngSpec(34).generator()
@@ -441,14 +464,13 @@ class TestWickKernel:
         assert np.array_equal(got, moment_wick_coordinates(moments, v))
 
     def test_a_full_six_mode_chunk_stays_within_one_block_of_memory(self):
-        # 4000 antisymmetric 12 x 12 covariances, the CLI's chunk: the
-        # transient is one block's gathers, whatever the chunk's size
-        x = RngSpec(35).generator().normal(size=(4000, 12, 12))
-        gamma = x - np.swapaxes(x, -1, -2)
-        wick_coordinates(gamma[:1])  # the cached plan is built outside the trace
+        # the pair rows of 4000 antisymmetric 12 x 12 covariances, the CLI's
+        # chunk: the transient is one block's gathers, whatever the chunk's size
+        rows = _pair_rows(RngSpec(35).generator().normal(size=(4000, 12, 12)))
+        wick_coordinates(rows[:, :1])  # the cached plan is built outside the trace
         tracemalloc.start()
         try:
-            wick_coordinates(gamma)
+            wick_coordinates(rows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -474,7 +496,7 @@ class TestRealForm:
     @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
     def test_matches_the_complex_eigh_route(self, modes, scale):
         mats = scale * sample_class_d_batch(modes, 1.0, RngSpec(40 + modes), 200)
-        gap = np.abs(_real_covariance(mats) - eigh_covariance(mats)).max(axis=(1, 2))
+        gap = np.abs(_real_rows(mats) - _pair_rows(eigh_covariance_x(mats))).max(axis=0)
         lam = np.linalg.eigvalsh(mats)[:, modes:]
         # near saturation Gamma tends to the sign of H, and either route's
         # rounding grows with the condition number lam_max / lam_min (both
@@ -491,7 +513,7 @@ class TestRealForm:
         for scale in (1e-3, 1.0, 1e3):
             w = scale * np.concatenate([lam, -lam])[None]
             mats = (v * w[0]) @ v.conj().T
-            gap = max_abs(_real_covariance(mats[None]), eigh_covariance(mats[None]))
+            gap = max_abs(_real_rows(mats[None]), _pair_rows(eigh_covariance_x(mats[None])))
             # rounding H to floats moves a zero pair by about eps |H|, and its
             # share of Gamma (slope 1/4 at 0) by as much, on either route
             assert gap <= 1e-14 * (scale if 0.0 in pairs and scale > 1.0 else 1.0), (scale, gap)
@@ -516,13 +538,33 @@ class TestRealForm:
         mats = sample_class_d_batch(2, 1e-308, RngSpec(1), 8)
         av, vecs, s = real_form(mats)
         assert np.isfinite(s).all() and (s > 1e150).all()
-        gamma = covariance_of_real_form(av, vecs, s)
-        assert max_abs(gamma, eigh_covariance(mats)) <= 1e-14
+        rows = real_form_pair_rows(av, vecs, s)
+        assert max_abs(rows, _pair_rows(eigh_covariance_x(mats))) <= 1e-14
+
+
+class TestPairRowProducers:
+    # each producer of the kernel's one input against _pair_rows of the X of
+    # its oracle covariance (tests/oracles.py) at the canonical t of the same
+    # draws: the real form of L(t H), and the number-conserving pair rows of
+    # the energies t lam
+
+    @pytest.mark.parametrize("t", [1.0, -0.7, -1000.0])
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
+    def test_rows_match_pair_rows_of_the_oracle(self, modes, t):
+        gen = RngSpec(100 + modes).generator()
+        mats = sample_class_d_batch(modes, 1.0, gen, 100)
+        lam = np.linalg.eigvalsh(mats)[:, modes:]
+        # as in TestRealForm: near saturation the rounding of either route grows with lam_max / lam_min
+        tol = 1e-14 * (np.maximum(1.0, lam[:, -1] / lam[:, 0]) if abs(t) > 1.0 else 1.0)
+        assert (np.abs(_real_rows(mats, t) - _pair_rows(eigh_covariance_x(t * mats))).max(axis=0) <= tol).all()
+        energies, us = t * 3.0 * gen.normal(size=(100, modes)), sample_haar_unitary_batch(modes, gen, 100)
+        want = covariance_x_from_eigenpairs(np.concatenate([energies, -energies], axis=1), _ncons_eigenvectors(us))
+        assert max_abs(number_conserving_pair_rows(energies, us), _pair_rows(want)) <= 1e-15
 
 
 class TestNumberConservingDraws:
     # the two steps of the nc_modified worker, against the complex eigvalsh
-    # of the draws and covariance_from_eigenpairs of the embedding (h, 0)
+    # of the draws and covariance_x_from_eigenpairs of the embedding (h, 0)
 
     @pytest.mark.parametrize("p", [1e-308, 1.0, 1e300])
     @pytest.mark.parametrize("modes", [1, 2, 3, 4])
@@ -574,11 +616,10 @@ class TestNumberConservingDraws:
         gen = RngSpec(60 + modes).generator()
         lam = 3.0 * gen.normal(size=(100, modes))
         us = sample_haar_unitary_batch(modes, gen, 100)
-        gamma = covariance_number_conserving(lam, us)
-        want = covariance_from_eigenpairs(np.concatenate([lam, -lam], axis=1), _ncons_eigenvectors(us))
-        assert max_abs(gamma, want) <= 1e-15
-        assert np.array_equal(gamma, -np.swapaxes(gamma, -1, -2))
-        assert not covariance_number_conserving(np.zeros_like(lam), us).any()
+        rows = number_conserving_pair_rows(lam, us)
+        want = covariance_x_from_eigenpairs(np.concatenate([lam, -lam], axis=1), _ncons_eigenvectors(us))
+        assert max_abs(rows, _pair_rows(want)) <= 1e-15
+        assert not number_conserving_pair_rows(np.zeros_like(lam), us).any()
 
     @staticmethod
     def _two_routes(p):
@@ -615,12 +656,12 @@ class TestNumberConservingDraws:
         # the worker's M = 2 pair rows, 2 (F_00, Im F_01, -Re F_01, Re F_01,
         # Im F_01, F_11), to 1e-15 of the largest 2 |w_1 - w_2|, the scale of
         # their rank-one term: against the pair rows of the QR route's
-        # covariances, and against 2F of the same tanh values in extended precision
+        # draws, and against 2F of the same tanh values in extended precision
         lam, real, imag, _, us, exact_q = self._two_routes(p)
         got = _rank_one_pair_rows(lam, real, imag)
         v = -np.tanh(0.5 * lam)  # 2 w, as the builder takes it
         scale = np.abs(v[:, 0] - v[:, 1]).max()
-        assert max_abs(got, _pair_rows(covariance_number_conserving(lam, us))) <= 1e-15 * scale
+        assert max_abs(got, number_conserving_pair_rows(lam, us)) <= 1e-15 * scale
         f = _rank_one_filling(v.astype(np.longdouble), exact_q)
         exact = np.stack([f[:, 0, 0].real, f[:, 0, 1].imag, -f[:, 0, 1].real, f[:, 0, 1].real, f[:, 0, 1].imag,
                           f[:, 1, 1].real])
@@ -638,6 +679,7 @@ class TestNumberConservingDraws:
 class TestMomentMap:
     # the quadrature means' path against the per-node one: each node's
     # covariance from its eigenpairs (tests/oracles.py), then wick_coordinates
+    # of its pair rows
 
     @staticmethod
     def _nodes(gen, modes, n=300):
@@ -657,9 +699,9 @@ class TestMomentMap:
             v = _ncons_eigenvectors(sample_haar_unitary_batch(modes, gen, 1)[0])
         pts, w = self._nodes(gen, modes)
         got = moment_wick_coordinates(filling_moments(pts, w), v)
-        with np.errstate(divide="ignore"):  # a zero weight is a log weight of -inf
-            log_w = np.log(w)
-        want = wick_coordinates(covariance_from_eigenpairs(np.concatenate([pts, -pts], axis=1), v), log_w)
+        keep = w > 0.0  # a node of weight 0 adds nothing, and has no finite log weight
+        x = covariance_x_from_eigenpairs(np.concatenate([pts[keep], -pts[keep]], axis=1), v)
+        want = wick_coordinates(_pair_rows(x), np.log(w[keep]))
         assert got.shape == want.shape and got[0] == 1.0
         assert max_abs(got, want) <= 1e-14
 

@@ -10,14 +10,21 @@ import pytest
 
 from fermigauss import fock, verify
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 
-def load(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def load(name, directory=SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name, directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def workload_command(name):
+    """The one command of a benchmark workload, read from benchmark/workloads.py."""
+    (command,) = load("workloads", ROOT / "benchmark").WORKLOADS[name].commands
+    return command
 
 
 class TestBenchLayers:
@@ -47,11 +54,16 @@ class TestBenchLayers:
         assert verify._IDENTITY_TRIALS is trials  # the identity row puts the table back
         assert all(getattr(verify, name) is fn for name, fn in steps.items())  # and the quadrature row its steps
         resolution = ["sample_class_d_batch", "covariance", "wick_coordinates", "scatter", "_fock_check"]
+        # the rows of the benchmark workloads' chunks, at their --modes and --samples
+        mc_m6, nc = (workload_command(name) for name in ("mc_m6", "nc_modified"))
+        assert mc_m6[mc_m6.index("--modes") + 1] == "6" and nc[nc.index("--modes") + 1] == "2"
+        mc_m6, nc = (int(c[c.index("--samples") + 1]) for c in (mc_m6, nc))
         assert {name: list(row) for name, row in rows.items()} == {
             **{f"verify_resolution_mc M={m} chunk=8": resolution for m in range(1, 7)},
-            "verify_resolution_mc M=6 chunk=25": resolution,
-            "verify_nc_modified M=2 chunk=1563": ["class_d_pairs", "pair_rows", "wick_pair_coordinates"],
-            "_cmd_resolution report M=6 samples=400": ["estimator_to_criterion", "build_report", "write_report"],
+            f"verify_resolution_mc M=6 chunk={verify._chunk_layout(mc_m6)[1]}": resolution,
+            f"verify_nc_modified M=2 chunk={verify._chunk_layout(nc)[1]}": ["class_d_pairs", "pair_rows",
+                                                                            "wick_coordinates"],
+            f"_cmd_resolution report M=6 samples={mc_m6}": ["estimator_to_criterion", "build_report", "write_report"],
             "verify_resolution_quadrature M=2": ["verify_resolution_quadrature", "radial_quadrature_nodes",
                                                  "filling_moments", "moment_wick_coordinates", "_fock_check"],
             "operator_identity_suite M=3 trials=50": ["operator_identity_suite"]
@@ -62,6 +74,17 @@ class TestBenchLayers:
                 assert 0.0 < t["min_s"] <= t["median_s"]
         assert max(assembled["driver rows"]) == verify.FOCK_CHECK_DRAWS
         assert max(assembled["identity row"]) == 50  # the suite's largest stack: its 50 composition pairs
+
+
+class TestBenchmarkFacts:
+    # bench_pairs.py runs the workloads of BENCHMARK.json, read here on their
+    # own (bench_layers.py's sizes are held to benchmark/workloads.py by the
+    # names of its rows, in TestBenchLayers)
+
+    def test_bench_pairs_runs_the_benchmark_workloads(self):
+        names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+        assert list(load("bench_pairs").WORKLOADS) == names
+        assert set(names) <= set(load("workloads", ROOT / "benchmark").WORKLOADS)
 
 
 class TestBenchPairsSummary:

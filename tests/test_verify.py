@@ -374,6 +374,8 @@ class TestEstimatorVerdict:
         plain, kept = driver(), driver(keep_points=True)
         for a, b in zip(plain, kept):
             assert a.point_chunks == () and a.samples == b.samples == 512
+            with pytest.raises(ContractError, match="keep_points"):
+                a.points
             assert b.points.shape == (512, 3) and len(b.point_chunks) == 16
             assert np.array_equal(a.mean.matrix, b.mean.matrix) and a.details == b.details
         assert all(c is d for c, d in zip(kept[0].point_chunks, kept[-1].point_chunks))
@@ -469,8 +471,8 @@ class TestFockCrossCheck:
         spec, modes, n, k = RngSpec(16), 2, 400, FOCK_CHECK_DRAWS
         rep = verify_resolution_mc(modes, 1.0, n, spec, workers=workers)
         mats = sample_class_d_batch(modes, 1.0, spec.generator(), _chunk_layout(n)[1])
-        gamma = gaussian.covariance_of_real_form(*gaussian.real_form(mats))
-        assert rep.details["fock_check_deviation"] == _fock_check(mats[:k], gaussian.wick_coordinates(gamma[:k]))
+        rows = gaussian.real_form_pair_rows(*gaussian.real_form(mats))
+        assert rep.details["fock_check_deviation"] == _fock_check(mats[:k], gaussian.wick_coordinates(rows[:, :k]))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_canonical_checks_chunk_zero(self, workers):
@@ -480,8 +482,8 @@ class TestFockCrossCheck:
         form = gaussian.real_form(mats)
         for beta, rep in zip(betas, reps):
             log_tr = gaussian.log_trace_of_pairs(beta * form[2][:, 1::2])[:k]
-            gamma = gaussian.covariance_of_real_form(*form, -beta)[:k]
-            coords = gaussian.wick_coordinates(gamma, log_tr)
+            rows = gaussian.real_form_pair_rows(*form, -beta)[:, :k]
+            coords = gaussian.wick_coordinates(rows, log_tr)
             assert rep.details["fock_check_deviation"] == _fock_check(-beta * mats[:k], coords, log_tr)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -496,11 +498,12 @@ class TestFockCrossCheck:
             real, imag = _haar_column_normals(gen, per)
             z = (real[:, :k] + 1j * imag[:, :k]).T
             h = gaussian._rank_one_filling(pts[:k], z / np.linalg.norm(z, axis=-1, keepdims=True))
-            coords = gaussian.wick_pair_coordinates(gaussian._rank_one_pair_rows(pts, real, imag)[:, :k])
+            rows = gaussian._rank_one_pair_rows(pts, real, imag)
         else:
             us = sample_haar_unitary_batch(modes, gen, per)
             h = from_eigenpairs(pts[:k], us[:k])
-            coords = gaussian.wick_coordinates(gaussian.covariance_number_conserving(pts, us)[:k])
+            rows = gaussian.number_conserving_pair_rows(pts, us)
+        coords = gaussian.wick_coordinates(rows[:, :k])
         mats = assemble_blocks(h, np.zeros_like(h))
         assert rep.details["fock_check_deviation"] == _fock_check(mats, coords)
 
@@ -510,9 +513,10 @@ class TestFockCrossCheck:
         def no_covariance(*args, **kwargs):
             raise AssertionError("the M = 2 worker built a unitary or a covariance")
 
-        for name in ("sample_haar_unitary_batch", "covariance_number_conserving", "wick_coordinates"):
+        for name in ("sample_haar_unitary_batch", "number_conserving_pair_rows"):
             monkeypatch.setattr(verify_module, name, no_covariance)
-        monkeypatch.setattr(gaussian, "_filling_covariance", no_covariance)
+        for name in ("_majorana_form", "_pair_rows"):
+            monkeypatch.setattr(gaussian, name, no_covariance)
         got = verify_nc_modified(2, 1.0, 400, RngSpec(15))
         assert np.array_equal(got.mean.matrix, want.mean.matrix) and got.passed
 
@@ -766,20 +770,20 @@ class TestCanonicalTriviality:
 
     @pytest.mark.parametrize("modes", [1, 2, 3])
     def test_beta_zero_exactness_alone_catches_a_rounding_level_bias(self, modes, monkeypatch):
-        # the same 1e-13 in every draw's Gamma at t = 0: below the gate's floor
-        # and the Fock check's tolerance, and without any spread for an SE
+        # the same 1e-13 in every draw's Gamma_01, pair row 0, at t = 0: below
+        # the gate's floor and the Fock check's tolerance, and without any
+        # spread for an SE
         import fermigauss.verify as verify
 
-        exact = verify.covariance_of_real_form
+        exact = verify.real_form_pair_rows
 
         def biased(av, vecs, s, t=1.0):
-            gamma = exact(av, vecs, s, t)
+            rows = exact(av, vecs, s, t)
             if t == 0:
-                gamma[:, 0, 1] += 1e-13
-                gamma[:, 1, 0] -= 1e-13
-            return gamma
+                rows[0] += 1e-13
+            return rows
 
-        monkeypatch.setattr(verify, "covariance_of_real_form", biased)
+        monkeypatch.setattr(verify, "real_form_pair_rows", biased)
         rep = verify_canonical_triviality(modes, 1.0, [0.0], 400, RngSpec(16))[0]
         assert not rep.passed and "beta_zero_exact_deviation <= 1e-14" in rep.criterion
         assert rep.details["beta_zero_exact_deviation"] > 1e-14
