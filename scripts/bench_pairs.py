@@ -96,17 +96,10 @@ def layer_run(tree: Path) -> dict:
 
 
 def top_level_sum(layers: dict) -> float:
-    """Sum of a layer run's medians over its top-level layers. A row that
-    times its whole call as a layer named after the call (the row name's
-    first word, as the identity suite's row does) counts that layer alone:
-    its other layers nest inside it."""
-    total = 0.0
-    for name, t in layers.items():
-        row, layer = name.split(": ", 1)
-        whole = row.split()[0]
-        if layer == whole or f"{row}: {whole}" not in layers:
-            total += t
-    return total
+    """Sum of a layer run's medians over its whole-call layers: each row's
+    layer named after its call (the row name's first word), inside which the
+    row's other layers nest."""
+    return sum(t for name, t in layers.items() if name.split(": ", 1)[1] == name.split()[0])
 
 
 def timed_call(tree: Path, argv: list[str]) -> dict:
@@ -155,7 +148,7 @@ def pairs(parent: Path, change: Path, count: int, seconds: float, aa: Path | Non
         for workload, by_tree in runs.items():
             for label, tree in trees[k:] + trees[:k]:
                 by_tree[label].append(layer_run(tree) if workload == LAYERS else bench_run(tree, workload, seed, seconds))
-            # wall_s of a workload run; the sum of the top-level layer medians of a layer run
+            # wall_s of a workload run; the sum of the whole-call layer medians of a layer run
             shown = (rs[-1]["wall_s"] if workload != LAYERS else top_level_sum(rs[-1]) for rs in by_tree.values())
             print(f"{workload} pair {seed}: " + " / ".join(f"{x:.4f}" for x in shown), file=sys.stderr)
     out = {}

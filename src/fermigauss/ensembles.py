@@ -351,30 +351,22 @@ def sample_radial_mcmc(
     step = 0.6 * scale
     window = 200
     accepted = 0
-    for k in range(burn_in):
-        prop = state + step * gen.standard_normal((chains, modes))
-        logq = _log_density(sym_class, weight, prop)
-        accept = np.log(gen.random(chains)) < (logq - logp)
-        state = np.where(accept[:, None], prop, state)
-        logp = np.where(accept, logq, logp)
-        accepted += int(accept.sum())
-        if (k + 1) % window == 0:
-            rate = accepted / (window * chains)
-            step *= math.exp(0.5 * (rate - 0.4))
-            accepted = 0
-
     kept = np.empty((per_chain, chains, modes))
-    accepted = 0
     total = per_chain * thin
-    for k in range(total):
+    for k in range(burn_in + total):
         prop = state + step * gen.standard_normal((chains, modes))
         logq = _log_density(sym_class, weight, prop)
         accept = np.log(gen.random(chains)) < (logq - logp)
         state = np.where(accept[:, None], prop, state)
         logp = np.where(accept, logq, logp)
         accepted += int(accept.sum())
-        if (k + 1) % thin == 0:
-            kept[(k + 1) // thin - 1] = state
+        if k < burn_in and (k + 1) % window == 0:  # tune the step by windows within the burn-in
+            step *= math.exp(0.5 * (accepted / (window * chains) - 0.4))
+            accepted = 0
+        elif k >= burn_in and (k + 1 - burn_in) % thin == 0:
+            kept[(k + 1 - burn_in) // thin - 1] = state
+        if k + 1 == burn_in:  # the acceptance rate counts the sampling steps alone
+            accepted = 0
     rate = accepted / (total * chains)
     warning = None
     if not 0.1 <= rate <= 0.9:
@@ -382,9 +374,8 @@ def sample_radial_mcmc(
             f"acceptance rate {rate:.3f} outside [0.1, 0.9]; "
             f"consider tuning the proposal step (current {step:.3g})"
         )
-    samples = np.swapaxes(kept, 0, 1).reshape(chains * per_chain, modes)
     return McmcSamples(
-        samples=samples[: chains * per_chain],
+        samples=np.swapaxes(kept, 0, 1).reshape(chains * per_chain, modes),
         chains=chains,
         acceptance_rate=rate,
         step=step,

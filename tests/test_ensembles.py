@@ -225,6 +225,20 @@ class TestRadialMcmc:
         b = sample_radial_mcmc(CLASS_D, WeightSpec.gaussian(1.0), 2, 500, RngSpec(3, 1), burn_in=500)
         assert np.array_equal(a.samples, b.samples)
 
+    @pytest.mark.parametrize("burn_in, thin, steps, rows, total, first, last, rate", [
+        (199, 1, 26, 50, 14.87955963438832, [-1.1639673505871933, 0.10884377510182908],
+         [1.7702573094884233, 0.25249328413430827], 0.48),
+        (450, 3, 60, 75, 12.410874029578306, [-0.3583797924957956, 1.2516494379198937],
+         [0.07798781765918411, 0.697568664572694], 0.4711111111111111),
+    ])
+    def test_burn_in_off_the_tuning_window_is_pinned(self, burn_in, thin, steps, rows, total, first, last, rate):
+        # exact values: the burn-in ends mid-window, and the acceptance count restarts where it ends
+        run = sample_radial_mcmc(CLASS_D, WeightSpec.gaussian(1.0), 2, steps, RngSpec(7), burn_in=burn_in, thin=thin)
+        assert run.samples.shape == (rows, 2)  # 25 chains of ceil(steps / 25) draws
+        assert float(run.samples.sum()) == total
+        assert run.samples[0].tolist() == first and run.samples[-1].tolist() == last
+        assert run.acceptance_rate == rate
+
     def test_determinant_weight_domain(self):
         with pytest.raises(DomainError, match="p > 1.25 required"):
             sample_radial_mcmc(CLASS_D, WeightSpec.determinant(1.0), 2, 100, RngSpec(0))

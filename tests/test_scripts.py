@@ -1,6 +1,7 @@
 """Smoke tests of the timing scripts: a rename in src/ breaks these, not the
 next timing session."""
 
+import collections
 import importlib.util
 import json
 import subprocess
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fermigauss import fock, verify
+from fermigauss import fock, reports, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -27,53 +28,91 @@ def workload_command(name):
     return command
 
 
+def spy_rows(monkeypatch, layers, steps):
+    """Wrap each (module, name) of ``steps`` where its callers look it up,
+    before bench_layers.py wraps it in turn, to log its calls: one Counter
+    per row that tables() times (rows go through _row once each, in order),
+    and every call made while another of ``steps`` runs, as (outer, inner)."""
+    per_row, nested, running = [], [], []
+    for module, name in steps:
+        def spy(*args, name=name, fn=getattr(module, name), **kwargs):
+            per_row[-1][name] += 1
+            nested.extend((outer, name) for outer in running[-1:])
+            running.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(module, name, spy)
+
+    def row(*args, _real=layers._row, **kwargs):
+        per_row.append(collections.Counter())
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(layers, "_row", row)
+    return per_row, nested
+
+
+@pytest.fixture
+def small_layers(monkeypatch):
+    """bench_layers.py at the smoke test's sizes: chunks of 8, one round."""
+    layers = load("bench_layers")
+    monkeypatch.setattr(layers, "CHUNK", 8)
+    monkeypatch.setattr(layers, "REPEATS", 1)
+    monkeypatch.setattr(layers, "SMALL_REPEATS", 1)
+    return layers
+
+
 class TestBenchLayers:
-    def test_every_row_runs_against_src(self, monkeypatch):
-        layers = load("bench_layers")
-        monkeypatch.setattr(layers, "CHUNK", 8)
-        monkeypatch.setattr(layers, "REPEATS", 1)
-        monkeypatch.setattr(layers, "SMALL_REPEATS", 1)
-        assembled, row = {}, ["driver rows"]  # the sizes of every stack built through the Fock construction
+    def test_every_row_runs_against_src(self, small_layers, monkeypatch):
+        layers = small_layers
+        steps = [(verify, name) for name in dict.fromkeys(layers.MC_STEPS + layers.QUADRATURE_STEPS)]
+        per_row, nested = spy_rows(monkeypatch, layers, steps + [(reports, name) for name in layers.REPORT_STEPS])
+        assembled = []  # (row index, size) of every stack built through the Fock construction
         for module in (fock, verify):
             build = module.quadratic_hamiltonian_batch
             monkeypatch.setattr(module, "quadratic_hamiltonian_batch",
-                                lambda mats, build=build: assembled.setdefault(row[0], []).append(len(mats)) or build(mats))
-
-        def identity_row(repeats, _real=layers.identity_row):
-            row[0] = "identity row"
-            try:
-                return _real(repeats)
-            finally:
-                row[0] = "driver rows"
-
-        monkeypatch.setattr(layers, "identity_row", identity_row)
-        trials = verify._IDENTITY_TRIALS
-        steps = {name: getattr(verify, name) for name in ("radial_quadrature_nodes", "filling_moments",
-                                                           "moment_wick_coordinates", "_fock_check")}
+                                lambda mats, build=build: assembled.append((len(per_row) - 1, len(mats))) or build(mats))
+        names = {module: dict(vars(module)) for module in (verify, reports)}
         rows = layers.tables()
-        assert verify._IDENTITY_TRIALS is trials  # the identity row puts the table back
-        assert all(getattr(verify, name) is fn for name, fn in steps.items())  # and the quadrature row its steps
-        resolution = ["sample_class_d_batch", "covariance", "wick_coordinates", "scatter", "_fock_check"]
-        # the rows of the benchmark workloads' chunks, at their --modes and --samples
-        mc_m6, nc = (workload_command(name) for name in ("mc_m6", "nc_modified"))
-        assert mc_m6[mc_m6.index("--modes") + 1] == "6" and nc[nc.index("--modes") + 1] == "2"
-        mc_m6, nc = (int(c[c.index("--samples") + 1]) for c in (mc_m6, nc))
+        for module, before in names.items():  # every name a row patches is put back: steps, _run_chunks, the trial table
+            assert vars(module).keys() == before.keys() and all(vars(module)[name] is fn for name, fn in before.items())
+        assert nested == []  # no listed step runs inside another
+        mc_m6, nc = ("cli.run " + " ".join(workload_command(name)) for name in ("mc_m6", "nc_modified"))
+        resolution = ["sample_class_d_batch", "real_form", "real_form_pair_rows", "wick_coordinates", "_fock_check"]
+        report = ["_mc_report", "estimator_to_criterion", "build_report", "write_report"]
         assert {name: list(row) for name, row in rows.items()} == {
-            **{f"verify_resolution_mc M={m} chunk=8": resolution for m in range(1, 7)},
-            f"verify_resolution_mc M=6 chunk={verify._chunk_layout(mc_m6)[1]}": resolution,
-            f"verify_nc_modified M=2 chunk={verify._chunk_layout(nc)[1]}": ["class_d_pairs", "pair_rows",
-                                                                            "wick_coordinates"],
-            f"_cmd_resolution report M=6 samples={mc_m6}": ["estimator_to_criterion", "build_report", "write_report"],
+            **{f"verify_resolution_mc M={m} chunk=8": ["verify_resolution_mc"] + resolution for m in range(1, 7)},
+            mc_m6: ["cli.run"] + resolution + report,
+            nc: ["cli.run", "class_d_pair_values", "_haar_column_normals", "_rank_one_pair_rows", "wick_coordinates",
+                 "_fock_check"] + report,
             "verify_resolution_quadrature M=2": ["verify_resolution_quadrature", "radial_quadrature_nodes",
                                                  "filling_moments", "moment_wick_coordinates", "_fock_check"],
             "operator_identity_suite M=3 trials=50": ["operator_identity_suite"]
             + [trial.__name__ for trial, _ in verify._IDENTITY_TRIALS],
         }
-        for row in rows.values():
+        for name, row in rows.items():
+            # one whole-call layer, named after the row's first word and listed first
+            assert [layer for layer in row if layer == name.split()[0]] == [list(row)[0]]
             for t in row.values():
                 assert 0.0 < t["min_s"] <= t["median_s"]
-        assert max(assembled["driver rows"]) == verify.FOCK_CHECK_DRAWS
-        assert max(assembled["identity row"]) == 50  # the suite's largest stack: its 50 composition pairs
+        # a chunk row's worker draws one chunk: the driver's 16 chunks of 8 never run
+        assert [c["sample_class_d_batch"] for c in per_row[:6]] == [2] * 6
+        suite = list(rows).index("operator_identity_suite M=3 trials=50")
+        assert max(n for i, n in assembled if i != suite) == verify.FOCK_CHECK_DRAWS
+        assert max(n for i, n in assembled if i == suite) == 50  # the suite's largest stack: its 50 composition pairs
+
+    def test_the_rows_time_the_code_that_runs(self, small_layers, monkeypatch):
+        # a step wrapped at the name the workers look it up by is called by
+        # the rows that time them: no row runs a copy of a worker
+        per_row, _ = spy_rows(monkeypatch, small_layers, [(verify, "real_form_pair_rows"),
+                                                          (verify, "_rank_one_pair_rows")])
+        called = dict(zip(small_layers.tables(), per_row))
+        chunks = [c for name, c in called.items() if name.startswith("verify_resolution_mc")]
+        assert [bool(c["real_form_pair_rows"]) for c in chunks] == [True] * 6
+        mc_m6, nc = (called["cli.run " + " ".join(workload_command(name))] for name in ("mc_m6", "nc_modified"))
+        assert mc_m6["real_form_pair_rows"] and nc["_rank_one_pair_rows"]
 
 
 class TestBenchmarkFacts:
@@ -113,10 +152,14 @@ class TestBenchPairsSummary:
         assert out["unresolved"] is unresolved
 
     def test_progress_sums_only_top_level_layers(self, pairs):
-        # a row's layer named after its call times the whole call; the row's other layers nest inside it
-        run = {"verify_resolution_mc M=1 chunk=8: covariance": 1.0, "verify_resolution_mc M=1 chunk=8: scatter": 2.0,
+        # a row's layer named after its call (its first word) times the whole
+        # call, and the row's other layers nest inside it; no other layer counts
+        run = {"verify_resolution_mc M=1 chunk=8: verify_resolution_mc": 1.0,
+               "verify_resolution_mc M=1 chunk=8: real_form": 0.5,
+               "cli.run resolution --mode mc: cli.run": 2.0, "cli.run resolution --mode mc: write_report": 1.0,
                "operator_identity_suite M=3 trials=50: operator_identity_suite": 4.0,
-               "operator_identity_suite M=3 trials=50: _composition": 3.0}
+               "operator_identity_suite M=3 trials=50: _composition": 3.0,
+               "a row with no whole-call layer: real_form": 8.0}
         assert pairs.top_level_sum(run) == 7.0
 
     def test_reads_every_end_to_end_metric_of_the_benchmark(self, pairs):

@@ -99,6 +99,21 @@ class TestResolutionQuadrature:
             assert rep.max_abs_deviation < 1e-8
             assert rep.passed
 
+    def test_rotation_delta_alone_catches_a_skewed_rule(self, monkeypatch):
+        # nodes with lam_1 > 0 weigh 1 + 1e-7 too much; a rotation that swaps
+        # particle and hole moves the mean the other way, so the two rotations
+        # differ by twice the deviation, which alone stays within the bound
+        real = verify_module.radial_quadrature_nodes
+
+        def skewed(*args):
+            pts, wts = real(*args)
+            return pts, wts * np.where(pts[:, 0] > 0.0, 1.0 + 1e-7, 1.0)
+
+        monkeypatch.setattr(verify_module, "radial_quadrature_nodes", skewed)
+        rep = verify_resolution_quadrature(1, CLASS_C, WeightSpec.gaussian(1.0), random_polar_rotation(1, RngSpec(1)))
+        assert [b.name for b in rep.bounds if not b.passed] == ["rotation_delta"]
+        assert rep.details["rotation_delta"] == pytest.approx(2.0 * rep.max_abs_deviation, rel=1e-6)
+
     def test_odd_mode_coefficients_vanish(self):
         rep = verify_resolution_quadrature(2, CLASS_D, WeightSpec.gaussian(1.0))
         assert max(rep.details["odd_mode_coefficients"]) < 1e-10
