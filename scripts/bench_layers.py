@@ -24,6 +24,10 @@ QUADRATURE_STEPS):
   suite as the ``checks`` workload runs it (``identities --modes 3``, seed
   0), with one layer per trial of verify._IDENTITY_TRIALS (named after its
   function), summed over its mode counts.
+- ``selberg_consistency_suite M=6``: one call of the closed-form suite as
+  the ``checks`` workload runs it (``selberg --consistency``), with the
+  closed forms it calls (SELBERG_STEPS) timed at their fermigauss.selberg
+  names.
 
 Every row first runs once untimed, to warm the per-M caches. The chunk
 rows and the identity suite then run REPEATS times, the others
@@ -66,6 +70,9 @@ MC_STEPS = ("sample_class_d_batch", "real_form", "real_form_pair_rows", "class_d
 #: The report steps of a CLI command, timed at their reports names.
 REPORT_STEPS = ("estimator_to_criterion", "build_report", "write_report")
 QUADRATURE_STEPS = ("radial_quadrature_nodes", "filling_moments", "moment_wick_coordinates", "_fock_check")
+#: The closed forms of selberg_consistency_suite, in the order of their first calls.
+SELBERG_STEPS = ("angular_volume_log", "radial_gaussian_integral_log", "cartesian_gaussian_integral_log",
+                 "norm_const_gauss_log", "norm_const_det_log", "selberg_integral_log")
 
 
 def _load(path: Path):
@@ -173,6 +180,13 @@ def identity_row() -> dict:
     return _row("operator_identity_suite", lambda: verify.operator_identity_suite(3, 0, 50), REPEATS, trials)
 
 
+def selberg_row() -> dict:
+    from fermigauss import selberg, verify
+
+    return _row("selberg_consistency_suite", lambda: verify.selberg_consistency_suite(6), SMALL_REPEATS,
+                lambda timed: steps(timed, selberg, SELBERG_STEPS))
+
+
 def tables() -> dict:
     """Every row, in the order the docstring lists them."""
     rows = {f"verify_resolution_mc M={m} chunk={CHUNK}": lambda m=m: chunk_row(m) for m in range(1, 7)}
@@ -181,6 +195,7 @@ def tables() -> dict:
         rows["cli.run " + " ".join(command)] = lambda command=command: command_row(command)
     rows["verify_resolution_quadrature M=2"] = quadrature_row
     rows["operator_identity_suite M=3 trials=50"] = identity_row
+    rows["selberg_consistency_suite M=6"] = selberg_row
     out = {}
     for name, row in rows.items():
         out[name] = row()

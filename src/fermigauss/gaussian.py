@@ -474,8 +474,12 @@ def wick_blocks(coords: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore")
-def _stable_filling(w: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(w))
+def _hole_filling(h: np.ndarray) -> np.ndarray:
+    """n_tilde = (I + exp(h^T))^-1 of one hermitian h or a stack, from one eigh
+    of h^T: greens_parameterization's n_tilde. A filling whose exponential
+    overflows is 0, not NaN."""
+    w, v = np.linalg.eigh(np.swapaxes(h, -1, -2))
+    return from_eigenpairs(1.0 / (1.0 + np.exp(w)), v)
 
 
 def gaussian_number_conserving(h) -> FockOperator:
@@ -497,8 +501,7 @@ def greens_parameterization(h) -> GreensPair:
     """
     h = _square(h, "matrix")
     _require_close(h, h.conj().T, STRUCTURE_TOL, "matrix is not hermitian")
-    w, v = np.linalg.eigh(h.T)
-    n_tilde = from_eigenpairs(_stable_filling(w), v)
+    n_tilde = _hole_filling(h)
     return GreensPair(n=np.eye(h.shape[0]) - n_tilde, n_tilde=n_tilde)
 
 

@@ -26,10 +26,13 @@ def _log(value: float, *logs: float) -> float:
     return math.log(value) if sys.float_info.min <= value <= sys.float_info.max else sum(logs)
 
 
-#: log|Gamma(x)| entrywise, through ``math.lgamma``. The arrays here hold one
-#: term per mode, all with positive arguments in the validated domains, so no
-#: pole is ever met; this keeps ``scipy.special`` off the import path.
-_lgamma = np.vectorize(math.lgamma, otypes=[float])
+def _lgamma(x) -> np.ndarray:
+    """log|Gamma(x)| entrywise, through ``math.lgamma``, as float64 of x's shape.
+    The arrays here hold one term per mode, all with positive arguments in the
+    validated domains, so no pole is met; were one met, math.lgamma's ValueError
+    would reach _finite_exit. This keeps ``scipy.special`` off the import path."""
+    x = np.asarray(x, dtype=float)
+    return np.array(list(map(math.lgamma, x.ravel().tolist())), dtype=float).reshape(x.shape)
 
 
 def _finite_exit(func):

@@ -28,7 +28,7 @@ from .ensembles import (  # noqa: F401  sample_class_d and sample_radial_mcmc st
     sample_radial_mcmc,
 )
 from .errors import CapacityError, ContractError, DomainError, NonConvergenceError, _above, _count
-from .fock import (  # noqa: F401  quadratic_hamiltonian and op_exp stay importable here: benchmark/tracing.py wraps them
+from .fock import (  # noqa: F401  quadratic_hamiltonian, op_exp and normal_ordered_exp stay importable here: benchmark/tracing.py wraps them
     FockOperator,
     _annihilators,
     _check_modes,
@@ -45,11 +45,12 @@ from .fock import (  # noqa: F401  quadratic_hamiltonian and op_exp stay importa
     quadratic_hamiltonian,
     quadratic_hamiltonian_batch,
 )
-from .gaussian import (  # noqa: F401  gaussian_normalized, compose_general, compose_number_conserving,
-    # paired_eigenvalues and make_bdg stay importable here: benchmark/tracing.py wraps them
+from .gaussian import (  # noqa: F401  gaussian_normalized, gaussian_number_conserving, greens_parameterization,
+    # compose_general, compose_number_conserving, paired_eigenvalues and make_bdg stay importable here: benchmark/tracing.py wraps them
     PolarForm,
     _draw_weights,
     _expm,
+    _hole_filling,
     _paired_eigh,
     _principal_log,
     _rank_one_filling,
@@ -886,14 +887,16 @@ def _max_gaps(a: np.ndarray, b) -> np.ndarray:
 
 def _mode_algebra(gen: np.random.Generator, m: int, count: int) -> list[tuple]:
     """The sign-string mode matrices of build_mode_operators, their anticommutators
-    against delta_ij I and 0, and their vacuum column against 0; no draws."""
-    ops = [a.matrix for a in build_mode_operators(m)]
-    pairs = [(i == j, ai, aj) for i, ai in enumerate(ops) for j, aj in enumerate(ops)]
-    cars = [np.abs(ai @ aj.conj().T + aj.conj().T @ ai - same * np.eye(1 << m)).max() for same, ai, aj in pairs]
+    against delta_ij I and 0, every pair (i, j) in one (m, m, d, d) product, and
+    their vacuum column against 0; no draws. The entries are 0 and +-1, so
+    every gap is exact."""
+    a = np.stack([op.matrix for op in build_mode_operators(m)])
+    ai, aj, aj_dag = a[:, None], a[None, :], np.swapaxes(a.conj(), -1, -2)[None, :]
+    delta = np.eye(m)[:, :, None, None] * np.eye(1 << m)
     return [
-        ("anticommutators {a_i, a_j^dag} = delta_ij", 1e-13, np.array([np.max(cars)])),
-        ("anticommutators {a_i, a_j} = 0", 1e-13, np.array([np.max([np.abs(ai @ aj + aj @ ai).max() for _, ai, aj in pairs])])),
-        ("vacuum annihilated by every mode", 0.0, np.array([np.max([np.abs(a[:, 0]).max() for a in ops])])),
+        ("anticommutators {a_i, a_j^dag} = delta_ij", 1e-13, np.array([np.abs(ai @ aj_dag + aj_dag @ ai - delta).max()])),
+        ("anticommutators {a_i, a_j} = 0", 1e-13, np.array([np.abs(ai @ aj + aj @ ai).max()])),
+        ("vacuum annihilated by every mode", 0.0, np.array([np.abs(a[:, :, 0]).max()])),
     ]
 
 
@@ -1004,15 +1007,17 @@ def _diagonal_form(gen: np.random.Generator, m: int, count: int) -> list[tuple]:
 
 
 def _greens_rebuild(gen: np.random.Generator, m: int, count: int) -> list[tuple]:
-    """Per hermitian draw h, one at a time through the public constructors:
-    det(n_tilde) normal_ordered_exp((n_tilde^-1 - 2I)^T) from
-    greens_parameterization(h), against gaussian_number_conserving(h)."""
-    gaps = []
-    for h in _hermitian_matrices(gen, m, count):
-        n_tilde = greens_parameterization(h).n_tilde
-        rebuilt = np.linalg.det(n_tilde).real * normal_ordered_exp((np.linalg.inv(n_tilde) - 2.0 * np.eye(m)).T).matrix
-        gaps.append(np.abs(rebuilt - gaussian_number_conserving(h).matrix).max())
-    return [("particle/hole parameterization rebuilds the operator", 1e-9, np.array(gaps))]
+    """Per hermitian draw h, on the stack: det(n_tilde) times the sum over
+    minors of :exp(a^dag B a): (normal_ordered_exp's kernel), B = (n_tilde^-1
+    - 2I)^T, with greens_parameterization's n_tilde = (I + exp(h^T))^-1,
+    against the normalized operator as gaussian_number_conserving builds it
+    (exp_normalized_fock_batch of the Fock matrix of (h, 0))."""
+    h = _hermitian_matrices(gen, m, count)
+    n_tilde = _hole_filling(h)
+    coeff = np.swapaxes(np.linalg.inv(n_tilde) - 2.0 * np.eye(m), -1, -2)
+    rebuilt = np.linalg.det(n_tilde).real[:, None, None] * _normal_ordered_stack(coeff)
+    direct = exp_normalized_fock_batch(_fock_matrices(assemble_blocks(h, np.zeros_like(h))))
+    return [("particle/hole parameterization rebuilds the operator", 1e-9, _max_gaps(rebuilt, direct))]
 
 
 def _spectral_exp(gen: np.random.Generator, m: int, count: int) -> list[tuple]:

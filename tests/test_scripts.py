@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fermigauss import fock, reports, verify
+from fermigauss import fock, reports, selberg, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -68,13 +68,14 @@ class TestBenchLayers:
     def test_every_row_runs_against_src(self, small_layers, monkeypatch):
         layers = small_layers
         steps = [(verify, name) for name in dict.fromkeys(layers.MC_STEPS + layers.QUADRATURE_STEPS)]
-        per_row, nested = spy_rows(monkeypatch, layers, steps + [(reports, name) for name in layers.REPORT_STEPS])
+        steps += [(reports, name) for name in layers.REPORT_STEPS] + [(selberg, name) for name in layers.SELBERG_STEPS]
+        per_row, nested = spy_rows(monkeypatch, layers, steps)
         assembled = []  # (row index, size) of every stack built through the Fock construction
         for module in (fock, verify):
             build = module.quadratic_hamiltonian_batch
             monkeypatch.setattr(module, "quadratic_hamiltonian_batch",
                                 lambda mats, build=build: assembled.append((len(per_row) - 1, len(mats))) or build(mats))
-        names = {module: dict(vars(module)) for module in (verify, reports)}
+        names = {module: dict(vars(module)) for module in (verify, reports, selberg)}
         rows = layers.tables()
         for module, before in names.items():  # every name a row patches is put back: steps, _run_chunks, the trial table
             assert vars(module).keys() == before.keys() and all(vars(module)[name] is fn for name, fn in before.items())
@@ -91,6 +92,7 @@ class TestBenchLayers:
                                                  "filling_moments", "moment_wick_coordinates", "_fock_check"],
             "operator_identity_suite M=3 trials=50": ["operator_identity_suite"]
             + [trial.__name__ for trial, _ in verify._IDENTITY_TRIALS],
+            "selberg_consistency_suite M=6": ["selberg_consistency_suite", *layers.SELBERG_STEPS],
         }
         for name, row in rows.items():
             # one whole-call layer, named after the row's first word and listed first
@@ -106,13 +108,15 @@ class TestBenchLayers:
     def test_the_rows_time_the_code_that_runs(self, small_layers, monkeypatch):
         # a step wrapped at the name the workers look it up by is called by
         # the rows that time them: no row runs a copy of a worker
-        per_row, _ = spy_rows(monkeypatch, small_layers, [(verify, "real_form_pair_rows"),
-                                                          (verify, "_rank_one_pair_rows")])
+        spied = [(verify, "real_form_pair_rows"), (verify, "_rank_one_pair_rows"), (selberg, "selberg_integral_log")]
+        per_row, _ = spy_rows(monkeypatch, small_layers, spied)
         called = dict(zip(small_layers.tables(), per_row))
         chunks = [c for name, c in called.items() if name.startswith("verify_resolution_mc")]
         assert [bool(c["real_form_pair_rows"]) for c in chunks] == [True] * 6
         mc_m6, nc = (called["cli.run " + " ".join(workload_command(name))] for name in ("mc_m6", "nc_modified"))
         assert mc_m6["real_form_pair_rows"] and nc["_rank_one_pair_rows"]
+        # the closed-form row's suite calls the closed forms at their selberg names
+        assert [name for name, c in called.items() if c["selberg_integral_log"]] == ["selberg_consistency_suite M=6"]
 
 
 class TestBenchmarkFacts:

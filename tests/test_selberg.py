@@ -289,6 +289,23 @@ class TestLgammaAgainstScipy:
         assert abs(value - reference) <= 1e-13 * max(abs(reference), 1.0)
 
 
+class TestLgammaContract:
+    """_lgamma takes arrays of any shape: scipy's gammaln stands in for it above."""
+
+    @pytest.mark.parametrize("x", [2.5, [0.5, 1.0, 7.25], [[1, 2], [3.5, 40]], np.arange(1, 13) * 0.5 - 0.25, []])
+    def test_float64_of_the_input_shape_equal_to_math_lgamma(self, x):
+        out, arr = selberg._lgamma(x), np.asarray(x, dtype=float)
+        assert out.dtype == np.float64 and out.shape == arr.shape
+        assert out.ravel().tolist() == [math.lgamma(v) for v in arr.ravel().tolist()]
+
+    def test_a_pole_raises_value_error_which_the_exit_names(self):
+        with pytest.raises(ValueError):
+            selberg._lgamma(np.array([1.5, -2.0]))
+        pole = selberg._finite_exit(lambda x: float(selberg._lgamma(x).sum()))
+        with pytest.raises(DomainError, match="not a finite float"):
+            pole(np.array([0.0]))
+
+
 class TestStiffnessAtTheFloatRange:
     """The forms that take log(2p), log(2p / pi) or log(pi / (2p)) split the log
     only where that product or quotient is not a finite normal float."""

@@ -1075,9 +1075,8 @@ class TestSuites:
     def test_single_trial_runs_every_loop(self, monkeypatch):
         import fermigauss.verify as verify
 
-        calls = {"exp_normalized_fock_batch": [], "_polar_rotations": [], "gaussian_number_conserving": []}
-        sizes = {"exp_normalized_fock_batch": lambda hams: len(hams), "_polar_rotations": lambda m, gen, count: count,
-                 "gaussian_number_conserving": lambda h: 1}
+        calls = {"exp_normalized_fock_batch": [], "_polar_rotations": []}
+        sizes = {"exp_normalized_fock_batch": lambda hams: len(hams), "_polar_rotations": lambda m, gen, count: count}
         for name in calls:
             original = getattr(verify, name)
 
@@ -1088,9 +1087,43 @@ class TestSuites:
             monkeypatch.setattr(verify, name, counted)
         operator_identity_suite(max_modes=3, seed=42, trials=1)
         # normalized stacks of one draw: the positivity block's two mode counts, one
-        # embedding and one diagonal form; one rotation; ten parameterization rebuilds
-        assert calls == {"exp_normalized_fock_batch": [1, 1, 1, 1], "_polar_rotations": [1],
-                         "gaussian_number_conserving": [1] * 10}
+        # embedding and one diagonal form; then one stack of ten parameterization
+        # rebuilds; one rotation
+        assert calls == {"exp_normalized_fock_batch": [1, 1, 1, 1, 10], "_polar_rotations": [1]}
+
+    def test_identity_suite_calls_no_single_matrix_constructor(self, monkeypatch):
+        # every trial runs on stacks: no public one-matrix constructor is reached
+        import fermigauss
+        from fermigauss import fock
+
+        called = []
+        for module in (fermigauss, fock, gaussian, verify_module):
+            for name in ("quadratic_hamiltonian", "op_exp", "normal_ordered_exp", "gaussian_normalized",
+                         "gaussian_number_conserving", "greens_parameterization"):
+                if hasattr(module, name):
+                    def spy(*args, _name=name, _fn=getattr(module, name), **kwargs):
+                        called.append(_name)
+                        return _fn(*args, **kwargs)
+
+                    monkeypatch.setattr(module, name, spy)
+        operator_identity_suite(max_modes=3, seed=42, trials=50)
+        assert called == []
+
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    def test_greens_trial_matches_the_public_constructors(self, modes):
+        # the stacked trial against the per-draw route through the public
+        # constructors, gap for gap, bit for bit
+        from fermigauss import gaussian_number_conserving, greens_parameterization, normal_ordered_exp
+
+        for seed in range(5):
+            ((_, _, gaps),) = verify_module._greens_rebuild(RngSpec(seed).generator(), modes, 10)
+            per_draw = []
+            for h in verify_module._hermitian_matrices(RngSpec(seed).generator(), modes, 10):
+                n_tilde = greens_parameterization(h).n_tilde
+                coeff = (np.linalg.inv(n_tilde) - 2.0 * np.eye(modes)).T
+                rebuilt = np.linalg.det(n_tilde).real * normal_ordered_exp(coeff).matrix
+                per_draw.append(np.abs(rebuilt - gaussian_number_conserving(h).matrix).max())
+            assert gaps.tolist() == per_draw
 
     def test_selberg_consistency_suite_is_green(self):
         for res in selberg_consistency_suite(max_modes=6):
