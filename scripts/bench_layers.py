@@ -32,10 +32,13 @@ QUADRATURE_STEPS):
 Every row first runs once untimed, to warm the per-M caches. The chunk
 rows and the identity suite then run REPEATS times, the others
 SMALL_REPEATS times; each layer gives the minimum and the median in
-seconds. Everything runs with numpy's OpenBLAS on one thread, as inside a
-CLI call, through this checkout's ``fermigauss/blas.py`` (so any ``--src``
-tree is timed the same way); the JSON on stdout records that thread count
-and the numerical environment (benchmark/environment.py). Run from the
+seconds, and each row's whole-call layer also the median count of minor
+page faults per timed call (``minor_faults``, the getrusage ru_minflt
+delta), which shows where fresh memory is faulted in. Everything runs with
+numpy's OpenBLAS on one thread, as inside a CLI call, through this
+checkout's ``fermigauss/blas.py`` (so any ``--src`` tree is timed the same
+way); the JSON on stdout records that thread count and the numerical
+environment (benchmark/environment.py). Run from the
 repository root:
 
     python3 scripts/bench_layers.py
@@ -54,6 +57,7 @@ import functools
 import importlib.util
 import io
 import json
+import resource
 import statistics
 import sys
 import tempfile
@@ -112,11 +116,12 @@ def steps(timed, module, names) -> dict:
 
 def _row(whole: str, call, repeats: int, wrap) -> dict:
     """Min and median seconds of ``call()``, as the layer ``whole``, and of
-    each step it makes, over ``repeats`` rounds after one untimed round.
-    ``wrap(timed)`` gives the stand-ins for the steps (see patched), which
-    time them through ``timed(layer, fn, *args)``; a layer called more than
-    once in a round counts its sum."""
-    times = {}
+    each step it makes, over ``repeats`` rounds after one untimed round, and
+    the median minor page faults of ``call()``. ``wrap(timed)`` gives the
+    stand-ins for the steps (see patched), which time them through
+    ``timed(layer, fn, *args)``; a layer called more than once in a round
+    counts its sum."""
+    times, faults = {}, []
     for i in range(repeats + 1):
         def timed(layer, fn, *args, **kwargs):
             total = times.setdefault(layer, [0.0] * repeats)  # a layer is listed when its first call starts
@@ -127,8 +132,12 @@ def _row(whole: str, call, repeats: int, wrap) -> dict:
             return out
 
         with patched(wrap(timed)):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             timed(whole, call)
-    return {layer: {"min_s": min(ts), "median_s": statistics.median(ts)} for layer, ts in times.items()}
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    out = {layer: {"min_s": min(ts), "median_s": statistics.median(ts)} for layer, ts in times.items()}
+    out[whole]["minor_faults"] = statistics.median_low(faults[1:])
+    return out
 
 
 class _Built(Exception):

@@ -237,12 +237,17 @@ def class_d_pair_values(modes: int, p: float, rng, count: int) -> np.ndarray:
     diag, comps = _class_d_normals(modes, p, _as_generator(rng), count)
     if modes != 2:
         return np.linalg.eigvalsh(assemble_blocks(*_class_d_blocks(diag, comps)))[:, modes:]
-    normals = np.concatenate([diag, comps[:, :, 0]], axis=1)
-    top = np.abs(normals).max(axis=1, keepdims=True)
-    d0, d1, c0, c1, c2, c3 = (normals / np.where(top > 0.0, top, 1.0)).T
+    # one row per normal, the draws along the rows: numpy reduces a (count, 6)
+    # stack over its short last axis one row at a time, many times slower
+    normals = np.empty((6, count))
+    normals[:2], normals[2:] = diag.T, comps[:, :, 0].T
+    top = np.abs(normals).max(axis=0)
+    normals /= np.where(top > 0.0, top, 1.0)
+    d0, d1, c0, c1, c2, c3 = normals
     u = np.sqrt((d0 + d1) ** 2 + 4.0 * (c2 * c2 + c3 * c3))
     v = np.sqrt((d0 - d1) ** 2 + 4.0 * (c0 * c0 + c1 * c1))
-    return 0.5 * top * np.stack([np.abs(u - v), u + v], axis=-1)
+    half = 0.5 * top
+    return np.stack([half * np.abs(u - v), half * (u + v)], axis=1)
 
 
 def _normal_parts(gen: np.random.Generator, count: int, modes: int) -> tuple[np.ndarray, np.ndarray]:

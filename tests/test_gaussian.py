@@ -590,6 +590,21 @@ class TestNumberConservingDraws:
         assert not got[0].any()
         assert np.abs(got[1] - a).max() <= 1e-15 * a
 
+    @pytest.mark.parametrize("p", [1e-308, 1.0, 1e300])
+    @pytest.mark.parametrize("count", [0, 1, 1563])
+    def test_two_modes_give_contiguous_ascending_rows_at_every_size(self, count, p):
+        # the closed form's (6, n) rows of normals, from no draw to an nc_modified chunk
+        spec = RngSpec(56)
+        gen, gen_mats = spec.generator(), spec.generator()
+        got = class_d_pair_values(2, p, gen, count)
+        mats = sample_class_d_batch(2, p, gen_mats, count)
+        assert gen.bit_generator.state == gen_mats.bit_generator.state
+        assert got.shape == (count, 2) and got.dtype == np.float64 and got.flags.c_contiguous
+        assert (got[:, 0] <= got[:, 1]).all()
+        if count:
+            want = np.linalg.eigvalsh(mats)[:, 2:]
+            assert (np.abs(got - want) <= 1e-14 * want[:, -1:]).all()
+
     def test_two_modes_take_no_eigvalsh(self, monkeypatch):
         want = np.linalg.eigvalsh(sample_class_d_batch(2, 1.0, RngSpec(54), 20))[:, 2:]
 

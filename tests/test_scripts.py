@@ -97,6 +97,8 @@ class TestBenchLayers:
         for name, row in rows.items():
             # one whole-call layer, named after the row's first word and listed first
             assert [layer for layer in row if layer == name.split()[0]] == [list(row)[0]]
+            faults = row[name.split()[0]]["minor_faults"]
+            assert isinstance(faults, int) and faults >= 0
             for t in row.values():
                 assert 0.0 < t["min_s"] <= t["median_s"]
         # a chunk row's worker draws one chunk: the driver's 16 chunks of 8 never run

@@ -19,6 +19,7 @@ from fermigauss import (
     selberg_integral_log,
     vandermonde,
 )
+from fermigauss.verify import selberg_consistency_suite
 
 pytestmark = pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
 
@@ -332,3 +333,22 @@ class TestStiffnessAtTheFloatRange:
         # 2p just inside and just outside the float range: the two routes meet
         p = np.finfo(float).max / 2
         assert radial_gaussian_integral_log(1, p) == pytest.approx(radial_gaussian_integral_log(1, p * 1.0000001))
+
+
+class TestConsistencySuite:
+    FORMS = ("angular_volume_log", "radial_gaussian_integral_log", "cartesian_gaussian_integral_log",
+             "norm_const_gauss_log", "norm_const_det_log", "selberg_integral_log")
+
+    def test_each_closed_form_value_is_computed_once(self, monkeypatch):
+        # the suite looks every form up at its selberg name, so these spies see each call
+        calls = []
+        for name in self.FORMS:
+            def spy(*args, name=name, fn=getattr(selberg, name)):
+                calls.append((name, args))
+                return fn(*args)
+
+            monkeypatch.setattr(selberg, name, spy)
+        results = selberg_consistency_suite(6)
+        assert len(calls) == len(set(calls)) == 70
+        assert {name for name, _ in calls} == set(self.FORMS)
+        assert all(result.passed for result in results)

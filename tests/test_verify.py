@@ -99,10 +99,15 @@ class TestResolutionQuadrature:
             assert rep.max_abs_deviation < 1e-8
             assert rep.passed
 
-    def test_rotation_delta_alone_catches_a_skewed_rule(self, monkeypatch):
-        # nodes with lam_1 > 0 weigh 1 + 1e-7 too much; a rotation that swaps
-        # particle and hole moves the mean the other way, so the two rotations
-        # differ by twice the deviation, which alone stays within the bound
+    @pytest.mark.parametrize("seed, swaps", [(None, False), (0, False), (1, True)])
+    def test_rotation_delta_alone_catches_a_skewed_rule(self, monkeypatch, seed, swaps):
+        # nodes with lam_1 > 0 weigh 1 + 1e-7 too much; at M = 1 the second
+        # rotation swaps particle and hole against the first, whether or not
+        # the first swaps, and moves the mean the other way, so the two
+        # rotations differ by twice the deviation, which alone stays within the bound
+        rotation = None if seed is None else random_polar_rotation(1, RngSpec(seed))
+        bogoliubov = np.eye(2) if rotation is None else rotation.bogoliubov
+        assert abs(bogoliubov[0, 0]) == (0.0 if swaps else 1.0)
         real = verify_module.radial_quadrature_nodes
 
         def skewed(*args):
@@ -110,7 +115,7 @@ class TestResolutionQuadrature:
             return pts, wts * np.where(pts[:, 0] > 0.0, 1.0 + 1e-7, 1.0)
 
         monkeypatch.setattr(verify_module, "radial_quadrature_nodes", skewed)
-        rep = verify_resolution_quadrature(1, CLASS_C, WeightSpec.gaussian(1.0), random_polar_rotation(1, RngSpec(1)))
+        rep = verify_resolution_quadrature(1, CLASS_C, WeightSpec.gaussian(1.0), rotation)
         assert [b.name for b in rep.bounds if not b.passed] == ["rotation_delta"]
         assert rep.details["rotation_delta"] == pytest.approx(2.0 * rep.max_abs_deviation, rel=1e-6)
 
