@@ -32,13 +32,13 @@ QUADRATURE_STEPS):
 Every row first runs once untimed, to warm the per-M caches. The chunk
 rows and the identity suite then run REPEATS times, the others
 SMALL_REPEATS times; each layer gives the minimum and the median in
-seconds, and each row's whole-call layer also the median count of minor
-page faults per timed call (``minor_faults``, the getrusage ru_minflt
-delta), which shows where fresh memory is faulted in. Everything runs with
-numpy's OpenBLAS on one thread, as inside a CLI call, through this
-checkout's ``fermigauss/blas.py`` (so any ``--src`` tree is timed the same
-way); the JSON on stdout records that thread count and the numerical
-environment (benchmark/environment.py). Run from the
+seconds, and the median count of minor page faults per timed round
+(``minor_faults``, the getrusage ru_minflt delta, summed over the layer's
+calls like its time), which shows which step faults fresh memory in.
+Everything runs with numpy's OpenBLAS on one thread, as inside a CLI
+call, through this checkout's ``fermigauss/blas.py`` (so any ``--src``
+tree is timed the same way); the JSON on stdout records that thread count
+and the numerical environment (benchmark/environment.py). Run from the
 repository root:
 
     python3 scripts/bench_layers.py
@@ -70,7 +70,7 @@ REPEATS, SMALL_REPEATS = 5, 50
 #: The steps timed at their verify names: those of the Monte Carlo workers
 #: and the verdict on their chunks. A row lists only the steps its call makes.
 MC_STEPS = ("sample_class_d_batch", "real_form", "real_form_pair_rows", "class_d_pair_values",
-            "_haar_column_normals", "_rank_one_pair_rows", "wick_coordinates", "_fock_check", "_mc_report")
+            "_normal_parts", "_rank_one_pair_rows", "wick_coordinates", "_fock_check", "_mc_report")
 #: The report steps of a CLI command, timed at their reports names.
 REPORT_STEPS = ("estimator_to_criterion", "build_report", "write_report")
 QUADRATURE_STEPS = ("radial_quadrature_nodes", "filling_moments", "moment_wick_coordinates", "_fock_check")
@@ -117,27 +117,27 @@ def steps(timed, module, names) -> dict:
 def _row(whole: str, call, repeats: int, wrap) -> dict:
     """Min and median seconds of ``call()``, as the layer ``whole``, and of
     each step it makes, over ``repeats`` rounds after one untimed round, and
-    the median minor page faults of ``call()``. ``wrap(timed)`` gives the
+    the median minor page faults of each. ``wrap(timed)`` gives the
     stand-ins for the steps (see patched), which time them through
     ``timed(layer, fn, *args)``; a layer called more than once in a round
     counts its sum."""
-    times, faults = {}, []
+    times, faults = {}, {}
     for i in range(repeats + 1):
         def timed(layer, fn, *args, **kwargs):
             total = times.setdefault(layer, [0.0] * repeats)  # a layer is listed when its first call starts
+            faulted = faults.setdefault(layer, [0] * repeats)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
             out = fn(*args, **kwargs)
             if i:
                 total[i - 1] += time.perf_counter() - start
+                faulted[i - 1] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
             return out
 
         with patched(wrap(timed)):
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             timed(whole, call)
-            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-    out = {layer: {"min_s": min(ts), "median_s": statistics.median(ts)} for layer, ts in times.items()}
-    out[whole]["minor_faults"] = statistics.median_low(faults[1:])
-    return out
+    return {layer: {"min_s": min(ts), "median_s": statistics.median(ts),
+                    "minor_faults": statistics.median_low(faults[layer])} for layer, ts in times.items()}
 
 
 class _Built(Exception):

@@ -256,25 +256,20 @@ def _normal_parts(gen: np.random.Generator, count: int, modes: int) -> tuple[np.
     return gen.normal(size=(count, modes, modes)), gen.normal(size=(count, modes, modes))
 
 
-def sample_haar_unitary_batch(modes: int, rng, count: int) -> np.ndarray:
-    """``count`` Haar-distributed M x M unitaries, by QR with the R-diagonal phase fix."""
-    _count(modes, "modes", DomainError)
-    _count(count, "count", ContractError, low=0)
-    gen = _as_generator(rng)
-    real, imag = _normal_parts(gen, count, modes)
+def _haar_unitaries(real: np.ndarray, imag: np.ndarray) -> np.ndarray:
+    """The Haar unitaries of the normals ``real`` + i ``imag`` (_normal_parts),
+    by QR with the R-diagonal phase fix: column 0 is z_0 / |z_0|, z_0 the
+    normals' column 0, as z_0 = Q_0 R_00 and the fix scales Q_0 by R_00 / |R_00|."""
     q, r = np.linalg.qr((real + 1j * imag) / math.sqrt(2.0))
     d = np.einsum("sii->si", r)
     return q * (d / np.abs(d))[:, None, :]
 
 
-def _haar_column_normals(gen: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The real and imaginary parts, (2, count) rows each, of column 0 z_0 of
-    the normals behind the 2 x 2 unitaries that sample_haar_unitary_batch(2,
-    gen, count) draws: z_0 = Q_0 R_00 and the phase fix multiplies Q_0 by
-    R_00 / |R_00|, so U_0 = z_0 / |z_0|, with no QR. Both columns are drawn,
-    to keep the stream; the used one is copied out into contiguous rows."""
-    real, imag = _normal_parts(gen, count, 2)
-    return real[:, :, 0].T.copy(), imag[:, :, 0].T.copy()
+def sample_haar_unitary_batch(modes: int, rng, count: int) -> np.ndarray:
+    """``count`` Haar-distributed M x M unitaries, _haar_unitaries of one draw of normals."""
+    _count(modes, "modes", DomainError)
+    _count(count, "count", ContractError, low=0)
+    return _haar_unitaries(*_normal_parts(_as_generator(rng), count, modes))
 
 
 def _polar_rotations(modes: int, gen: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -315,25 +315,16 @@ def number_conserving_pair_rows(lam: np.ndarray, u: np.ndarray) -> np.ndarray:
     return _pair_rows(_majorana_form(from_eigenpairs(-0.5 * np.tanh(0.5 * lam), u), 0.0))
 
 
-def _rank_one_filling(w: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """u diag(w) u^dag for (n, 2) ``w`` and 2 x 2 unitaries u given by their
-    (n, 2) first columns ``q``: since u u^dag = I, it is
-    w_2 I + (w_1 - w_2) q q^dag, which the second column's phase leaves alone."""
-    f = (w[:, 0] - w[:, 1])[:, None, None] * (q[:, :, None] * q[:, None, :].conj())
-    f[:, [0, 1], [0, 1]] += w[:, 1:]
-    return f
-
-
 def _rank_one_pair_rows(lam: np.ndarray, real: np.ndarray, imag: np.ndarray) -> np.ndarray:
     """The (6, n) Wick pair rows, Gamma at (01, 02, 12, 03, 13, 23) as
     fock.WickPlan(2) orders them, of the normalized number-conserving
     operators of h = u diag(lam) u^dag for (n, 2) ``lam`` and 2 x 2 unitaries
     u with first columns z / |z|, z_j = real[j] + i imag[j] for the (2, n)
     rows ``real`` and ``imag``: in real arithmetic, with no complex stack.
-    The filling is _rank_one_filling's F = w_1 I + c z z^dag,
-    w = -tanh(lam/2)/2 and c = (w_0 - w_1) / |z|^2, and the rows are
-    2 (F_00, Im F_01, -Re F_01, Re F_01, Im F_01, F_11), the rows that
-    number_conserving_pair_rows gathers; the factor 2 is folded into w, exactly."""
+    As u u^dag = I, the filling is F = w_1 I + c z z^dag, whatever the phase
+    of u's second column, w = -tanh(lam/2)/2 and c = (w_0 - w_1) / |z|^2; the
+    rows are 2 (F_00, Im F_01, -Re F_01, Re F_01, Im F_01, F_11), the rows
+    that number_conserving_pair_rows gathers; the factor 2 is folded into w, exactly."""
     v = -np.tanh(0.5 * lam.T)  # 2 w
     norms = real * real + imag * imag  # |z_j|^2
     c = (v[0] - v[1]) / (norms[0] + norms[1])

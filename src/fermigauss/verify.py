@@ -17,8 +17,9 @@ from .ensembles import (  # noqa: F401  sample_class_d and sample_radial_mcmc st
     RngSpec,
     SymmetryClass,
     WeightSpec,
-    _haar_column_normals,
+    _haar_unitaries,
     _log_jacobian,
+    _normal_parts,
     _polar_rotations,
     class_d_pair_values,
     random_polar_rotation,
@@ -53,7 +54,6 @@ from .gaussian import (  # noqa: F401  gaussian_normalized, gaussian_number_cons
     _hole_filling,
     _paired_eigh,
     _principal_log,
-    _rank_one_filling,
     _rank_one_pair_rows,
     assemble_blocks,
     compose_general,
@@ -836,9 +836,12 @@ def verify_nc_modified(
     even in every eigenvalue. Each chunk therefore samples it exactly: the
     pair representatives of class-D draws at p/2 (class_d_pair_values, at
     M = 2 from the draws' normals with no matrix), with independent random
-    signs. The Haar rotations come by QR, except at M = 2, where the Wick
-    pair rows and h need only each unitary's first column, from the same
-    normals, and the pair rows come in real arithmetic with no covariance.
+    signs. The Haar rotations come by QR of one draw of normals per chunk,
+    except for the Wick pair rows at M = 2: they need only each unitary's
+    first column, the normals' column 0 over its norm, and come in real
+    arithmetic with no covariance. Chunk 0's Fock check builds its unitaries
+    by QR of the same normals at every M, so it does not share the rows'
+    column extraction.
     With ``keep_points`` the report keeps the signed pair values. Raises
     DomainError when the gate would judge no entry.
     """
@@ -848,19 +851,14 @@ def verify_nc_modified(
     def worker(gen: np.random.Generator, per: int, first: bool) -> _Chunk:
         pts = class_d_pair_values(modes, 0.5 * p, gen, per)
         pts = pts * gen.choice((-1.0, 1.0), size=(per, modes))
-        k = FOCK_CHECK_DRAWS
-        # h = U diag(pts) U^dag is known: no eigh is needed, and at M = 2 no QR
-        if modes == 2:
-            real, imag = _haar_column_normals(gen, per)
-            rows = _rank_one_pair_rows(pts, real, imag)
-            if first:
-                z = (real[:, :k] + 1j * imag[:, :k]).T
-                h = _rank_one_filling(pts[:k], z / np.linalg.norm(z, axis=-1, keepdims=True))
+        real, imag = _normal_parts(gen, per, modes)
+        if modes == 2:  # each unitary's first column z / |z|, z the normals' column 0: no QR
+            rows = _rank_one_pair_rows(pts, real[:, :, 0].T, imag[:, :, 0].T)
         else:
-            us = sample_haar_unitary_batch(modes, gen, per)
-            rows = number_conserving_pair_rows(pts, us)
-            if first:
-                h = from_eigenpairs(pts[:k], us[:k])
+            rows = number_conserving_pair_rows(pts, _haar_unitaries(real, imag))
+        k = FOCK_CHECK_DRAWS
+        # h = U diag(pts) U^dag is known, no eigh; at every M its U by QR of the full normals
+        h = from_eigenpairs(pts[:k], _haar_unitaries(real[:k], imag[:k])) if first else None
         fock_dev = _fock_check(assemble_blocks(h, np.zeros_like(h)), wick_coordinates(rows[:, :k])) if first else None
         return _Chunk(wick_coordinates(rows), per, fock_dev, pts if keep_points else None)
 

@@ -47,19 +47,17 @@ from fermigauss import (
 )
 from fermigauss.cli import run
 from fermigauss import ensembles, gaussian
-from fermigauss.ensembles import _haar_column_normals, _normal_parts, class_d_pair_values
+from fermigauss.ensembles import _haar_unitaries, _normal_parts, class_d_pair_values
 from fermigauss.fock import (
     _annihilators,
     _sigma_x,
     _wick_plan,
     embed_parity_blocks,
-    from_eigenpairs,
     quadratic_hamiltonian_batch,
 )
 from fermigauss.gaussian import (
     _expm,
     _pair_rows,
-    _rank_one_filling,
     _rank_one_pair_rows,
     _wick_block_draws,
     assemble_blocks,
@@ -616,15 +614,19 @@ class TestNumberConservingDraws:
         monkeypatch.setattr(ensembles, "_class_d_blocks", no_matrix)
         assert max_abs(class_d_pair_values(2, 1.0, RngSpec(54), 20), want) <= 1e-14 * want.max()
 
-    def test_haar_column_normals_keep_the_normals_and_the_stream(self):
-        gen, gen_z, gen_u = (RngSpec(55).generator() for _ in range(3))
-        real, imag = _haar_column_normals(gen, 300)
-        want_real, want_imag = _normal_parts(gen_z, 300, 2)  # the QR route's normals
-        assert np.array_equal(real, want_real[:, :, 0].T) and np.array_equal(imag, want_imag[:, :, 0].T)
-        # copied out: no view holds the (300, 2, 2) draws
-        assert all(rows.flags.c_contiguous and rows.base is None for rows in (real, imag))
-        sample_haar_unitary_batch(2, gen_u, 300)
-        assert gen.bit_generator.state == gen_z.bit_generator.state == gen_u.bit_generator.state
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4])
+    def test_haar_unitaries_keep_the_stream_and_column_zero(self, modes):
+        # sample_haar_unitary_batch is _haar_unitaries of one draw of
+        # _normal_parts, and the phase fix leaves column 0 at z_0 / |z_0|:
+        # the M = 2 pair rows read that column with no QR
+        gen_z, gen_u = RngSpec(55).generator(), RngSpec(55).generator()
+        real, imag = _normal_parts(gen_z, 300, modes)
+        us = _haar_unitaries(real, imag)
+        assert np.array_equal(us, sample_haar_unitary_batch(modes, gen_u, 300))
+        assert gen_z.bit_generator.state == gen_u.bit_generator.state
+        z = real[:, :, 0] + 1j * imag[:, :, 0]
+        assert max_abs(us[:, :, 0], z / np.linalg.norm(z, axis=-1, keepdims=True)) <= 1e-15
+        assert max_abs(us @ us.conj().transpose(0, 2, 1), np.eye(modes)) <= 1e-14
 
     @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
     def test_covariance_matches_the_embedding_eigenpairs(self, modes):
@@ -638,33 +640,21 @@ class TestNumberConservingDraws:
 
     @staticmethod
     def _two_routes(p):
-        """Signed pair values, the column-0 normals' rows, the first columns
-        z / |z| of the worker's M = 2 route and the QR unitaries of the same
-        normals, and z / |z| in extended precision."""
+        """Signed pair values, the rows of column 0 of the normals of the
+        worker's M = 2 route, the QR unitaries of the same normals, and the
+        first columns z / |z| in extended precision."""
         n, spec = 500, RngSpec(70)
         if p == "zero":
             lam = np.zeros((n, 2))
         else:
             lam = class_d_pair_values(2, p, spec.with_stream(1), n) * [1.0, -1.0]
         gen_q, gen_u = spec.generator(), spec.generator()
-        (real, imag), us = _haar_column_normals(gen_q, n), sample_haar_unitary_batch(2, gen_u, n)
+        (real, imag), us = _normal_parts(gen_q, n, 2), sample_haar_unitary_batch(2, gen_u, n)
         assert gen_q.bit_generator.state == gen_u.bit_generator.state
-        z = (real + 1j * imag).T
-        exact_z = z.astype(np.clongdouble)
+        real, imag = real[:, :, 0].T, imag[:, :, 0].T
+        exact_z = (real + 1j * imag).T.astype(np.clongdouble)
         exact_q = exact_z / np.sqrt((exact_z * exact_z.conj()).real.sum(axis=-1, keepdims=True))
-        return lam, real, imag, z / np.linalg.norm(z, axis=-1, keepdims=True), us, exact_q
-
-    @pytest.mark.parametrize("p", [1e-308, 1.0, 1e300, "zero"])
-    def test_rank_one_filling_matches_the_qr_unitaries(self, p):
-        # the Fock check's h on the worker's M = 2 route: the same normals, and no QR
-        lam, _, _, q, us, exact_q = self._two_routes(p)
-        for w in (-0.5 * np.tanh(0.5 * lam), lam):  # a filling F and the Fock check's h
-            # to 1e-15 of the largest w_1 - w_2, the scale of the rank-one
-            # term: against the same closed form in extended precision, and
-            # against the QR unitaries, whose own rounding is the larger
-            got, scale = _rank_one_filling(w, q), np.abs(w[:, 0] - w[:, 1]).max()
-            assert np.abs(got - _rank_one_filling(w.astype(np.longdouble), exact_q)).max() <= 1e-15 * scale
-            assert max_abs(got, from_eigenpairs(w, us)) <= 1e-15 * scale
+        return lam, real, imag, us, exact_q
 
     @pytest.mark.parametrize("p", [1e-308, 1.0, 1e300, "zero"])
     def test_pair_rows_match_the_qr_unitaries(self, p):
@@ -672,12 +662,15 @@ class TestNumberConservingDraws:
         # Im F_01, F_11), to 1e-15 of the largest 2 |w_1 - w_2|, the scale of
         # their rank-one term: against the pair rows of the QR route's
         # draws, and against 2F of the same tanh values in extended precision
-        lam, real, imag, _, us, exact_q = self._two_routes(p)
+        lam, real, imag, us, exact_q = self._two_routes(p)
         got = _rank_one_pair_rows(lam, real, imag)
         v = -np.tanh(0.5 * lam)  # 2 w, as the builder takes it
         scale = np.abs(v[:, 0] - v[:, 1]).max()
         assert max_abs(got, number_conserving_pair_rows(lam, us)) <= 1e-15 * scale
-        f = _rank_one_filling(v.astype(np.longdouble), exact_q)
+        # u diag(v) u^dag = v_2 I + (v_1 - v_2) q q^dag, q the first column, since u u^dag = I
+        exact_v = v.astype(np.longdouble)
+        f = (exact_v[:, 0] - exact_v[:, 1])[:, None, None] * (exact_q[:, :, None] * exact_q[:, None, :].conj())
+        f[:, [0, 1], [0, 1]] += exact_v[:, 1:]
         exact = np.stack([f[:, 0, 0].real, f[:, 0, 1].imag, -f[:, 0, 1].real, f[:, 0, 1].real, f[:, 0, 1].imag,
                           f[:, 1, 1].real])
         assert np.abs(got - exact).max() <= 1e-15 * scale

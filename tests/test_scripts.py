@@ -1,6 +1,7 @@
 """Smoke tests of the timing scripts: a rename in src/ breaks these, not the
 next timing session."""
 
+import ast
 import collections
 import importlib.util
 import json
@@ -86,7 +87,7 @@ class TestBenchLayers:
         assert {name: list(row) for name, row in rows.items()} == {
             **{f"verify_resolution_mc M={m} chunk=8": ["verify_resolution_mc"] + resolution for m in range(1, 7)},
             mc_m6: ["cli.run"] + resolution + report,
-            nc: ["cli.run", "class_d_pair_values", "_haar_column_normals", "_rank_one_pair_rows", "wick_coordinates",
+            nc: ["cli.run", "class_d_pair_values", "_normal_parts", "_rank_one_pair_rows", "wick_coordinates",
                  "_fock_check"] + report,
             "verify_resolution_quadrature M=2": ["verify_resolution_quadrature", "radial_quadrature_nodes",
                                                  "filling_moments", "moment_wick_coordinates", "_fock_check"],
@@ -97,10 +98,9 @@ class TestBenchLayers:
         for name, row in rows.items():
             # one whole-call layer, named after the row's first word and listed first
             assert [layer for layer in row if layer == name.split()[0]] == [list(row)[0]]
-            faults = row[name.split()[0]]["minor_faults"]
-            assert isinstance(faults, int) and faults >= 0
             for t in row.values():
                 assert 0.0 < t["min_s"] <= t["median_s"]
+                assert isinstance(t["minor_faults"], int) and t["minor_faults"] >= 0
         # a chunk row's worker draws one chunk: the driver's 16 chunks of 8 never run
         assert [c["sample_class_d_batch"] for c in per_row[:6]] == [2] * 6
         suite = list(rows).index("operator_identity_suite M=3 trials=50")
@@ -121,6 +121,15 @@ class TestBenchLayers:
         assert [name for name, c in called.items() if c["selberg_integral_log"]] == ["selberg_consistency_suite M=6"]
 
 
+def unused_package_imports(path: Path) -> set:
+    """The names the module at ``path`` imports from the package (by a
+    relative import) and never reads."""
+    tree = ast.parse(path.read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+                for alias in node.names}
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
 class TestBenchmarkFacts:
     # bench_pairs.py runs the workloads of BENCHMARK.json, read here on their
     # own (bench_layers.py's sizes are held to benchmark/workloads.py by the
@@ -130,6 +139,16 @@ class TestBenchmarkFacts:
         names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
         assert list(load("bench_pairs").WORKLOADS) == names
         assert set(names) <= set(load("workloads", ROOT / "benchmark").WORKLOADS)
+
+    def test_unused_package_imports_are_tracing_targets(self):
+        # a blanket noqa: F401 keeps importable the names benchmark/tracing.py
+        # wraps at a module; any other name it imports and never reads is stale
+        wrapped = collections.defaultdict(set)
+        for module, attr, *_ in load("tracing", ROOT / "benchmark").TARGETS:
+            wrapped[module].add(attr)
+        for path in (ROOT / "src" / "fermigauss").glob("*.py"):
+            if path.name != "__init__.py":  # the package's public names, re-exported
+                assert unused_package_imports(path) <= wrapped["fermigauss." + path.stem], path.name
 
 
 class TestBenchPairsSummary:

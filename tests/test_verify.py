@@ -37,7 +37,13 @@ from fermigauss import (
 from fermigauss import ensembles, gaussian, sample_class_d_batch, sample_radial_mcmc
 from fermigauss import verify as verify_module
 from fermigauss.cli import run
-from fermigauss.ensembles import _haar_column_normals, _log_jacobian, class_d_pair_values, sample_haar_unitary_batch
+from fermigauss.ensembles import (
+    _haar_unitaries,
+    _log_jacobian,
+    _normal_parts,
+    class_d_pair_values,
+    sample_haar_unitary_batch,
+)
 from fermigauss.fock import (
     embed_parity_blocks,
     from_eigenpairs,
@@ -507,25 +513,22 @@ class TestFockCrossCheck:
             assert rep.details["fock_check_deviation"] == _fock_check(-beta * mats[:k], coords, log_tr)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("modes", [2, 3])  # the pair-row route and the QR route
-    def test_nc_modified_checks_chunk_zero(self, modes, workers):
+    @pytest.mark.parametrize(  # the pair-row route and the QR route
+        "modes, pair_rows",
+        [(2, lambda pts, real, imag: gaussian._rank_one_pair_rows(pts, real[:, :, 0].T, imag[:, :, 0].T)),
+         (3, lambda pts, real, imag: gaussian.number_conserving_pair_rows(pts, _haar_unitaries(real, imag)))],
+        ids=["2", "3"],
+    )
+    def test_nc_modified_checks_chunk_zero(self, modes, pair_rows, workers):
         spec, n, p, k = RngSpec(16), 400, 1.0, FOCK_CHECK_DRAWS
         rep = verify_nc_modified(modes, p, n, spec, workers=workers)
         gen, per = spec.generator(), _chunk_layout(n)[1]
         pts = class_d_pair_values(modes, 0.5 * p, gen, per)
         pts = pts * gen.choice((-1.0, 1.0), size=(per, modes))
-        if modes == 2:
-            real, imag = _haar_column_normals(gen, per)
-            z = (real[:, :k] + 1j * imag[:, :k]).T
-            h = gaussian._rank_one_filling(pts[:k], z / np.linalg.norm(z, axis=-1, keepdims=True))
-            rows = gaussian._rank_one_pair_rows(pts, real, imag)
-        else:
-            us = sample_haar_unitary_batch(modes, gen, per)
-            h = from_eigenpairs(pts[:k], us[:k])
-            rows = gaussian.number_conserving_pair_rows(pts, us)
-        coords = gaussian.wick_coordinates(rows[:, :k])
-        mats = assemble_blocks(h, np.zeros_like(h))
-        assert rep.details["fock_check_deviation"] == _fock_check(mats, coords)
+        real, imag = _normal_parts(gen, per, modes)
+        h = from_eigenpairs(pts[:k], _haar_unitaries(real[:k], imag[:k]))  # by QR at every M
+        coords = gaussian.wick_coordinates(pair_rows(pts, real, imag)[:, :k])
+        assert rep.details["fock_check_deviation"] == _fock_check(assemble_blocks(h, np.zeros_like(h)), coords)
 
     def test_nc_modified_builds_no_covariance_at_two_modes(self, monkeypatch):
         want = verify_nc_modified(2, 1.0, 400, RngSpec(15))
@@ -537,8 +540,22 @@ class TestFockCrossCheck:
             monkeypatch.setattr(verify_module, name, no_covariance)
         for name in ("_majorana_form", "_pair_rows"):
             monkeypatch.setattr(gaussian, name, no_covariance)
+        drawn = []  # the draws of each QR call: the check's alone, as the chunk's rows need no unitary
+        monkeypatch.setattr(verify_module, "_haar_unitaries",
+                            lambda real, imag: drawn.append(len(real)) or _haar_unitaries(real, imag))
         got = verify_nc_modified(2, 1.0, 400, RngSpec(15))
         assert np.array_equal(got.mean.matrix, want.mean.matrix) and got.passed
+        assert drawn == [FOCK_CHECK_DRAWS]
+
+    @pytest.mark.parametrize("seed", [15, 16, 17])
+    def test_nc_modified_check_alone_catches_a_column_fault(self, seed, monkeypatch):
+        # power: the M = 2 rows from the conjugate of column 0 are still Haar,
+        # so the entry gate passes, but the check builds its unitaries by QR
+        # of the normals, not from the column the rows read, and sees them
+        rows = verify_module._rank_one_pair_rows
+        monkeypatch.setattr(verify_module, "_rank_one_pair_rows", lambda lam, real, imag: rows(lam, real, -imag))
+        rep = verify_nc_modified(2, 1.0, 400, RngSpec(seed))
+        assert [b.name for b in rep.bounds if not b.passed] == ["fock_check_deviation"]
 
     # power: i times one entry of the parity coordinate's scatter column moves
     # no entry far enough for the 5 SE gate, but the check of 4 draws sees it
@@ -977,15 +994,19 @@ class TestNcModified:
         b = verify_nc_modified(2, 1.0, 12_000, RngSpec(70), workers=4)
         assert np.array_equal(a.mean.matrix, b.mean.matrix)
 
-    def test_two_modes_take_no_qr_and_no_eigenpair_rebuild(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the QR route ran")
-
-        monkeypatch.setattr(np.linalg, "qr", refuse)
-        monkeypatch.setattr(verify_module, "from_eigenpairs", refuse)
-        assert verify_nc_modified(2, 1.0, 400, RngSpec(3)).passed
-        with pytest.raises(AssertionError, match="the QR route ran"):
-            verify_nc_modified(3, 1.0, 400, RngSpec(3))
+    def test_two_modes_take_qr_only_for_the_check(self, monkeypatch):
+        # the M = 2 rows need no unitary: QR and the eigenpair rebuild run on
+        # chunk 0's check draws alone, where at M = 3 QR runs on every chunk
+        qr, rebuild, calls = np.linalg.qr, verify_module.from_eigenpairs, []
+        monkeypatch.setattr(np.linalg, "qr", lambda a: calls.append(("qr", len(a))) or qr(a))
+        monkeypatch.setattr(verify_module, "from_eigenpairs",
+                            lambda w, u: calls.append(("rebuild", len(w))) or rebuild(w, u))
+        check = [("qr", FOCK_CHECK_DRAWS), ("rebuild", FOCK_CHECK_DRAWS)]
+        assert verify_nc_modified(2, 1.0, 400, RngSpec(3)).passed and sorted(calls) == check
+        calls.clear()
+        chunks, per = _chunk_layout(400)
+        assert verify_nc_modified(3, 1.0, 400, RngSpec(3)).passed
+        assert sorted(calls) == sorted(check + [("qr", per)] * chunks)
 
 
 def _modified_weight_moments(lam: np.ndarray) -> np.ndarray:
