@@ -1,34 +1,32 @@
 #!/usr/bin/env python3
-"""Parent-versus-change timings in alternating fresh processes.
+"""Parent-versus-change timings in rotating fresh processes.
 
-In each pair it runs ``benchmark/run.py`` of the parent tree and of the
-change tree on every workload, with one seed per pair, and each tree's own
-``scripts/bench_layers.py`` (the calls that tree's drivers make), each run
-in a fresh interpreter, the side that runs first alternating from pair to
-pair. For each end-to-end metric, and for each layer of each bench_layers
-row (its median seconds) that every tree times, it writes both trees'
-values, the per-pair ratios change/parent, the number of pairs the change
-won, both medians and the parent's interquartile range. A layer that only
+Every pair runs one table of rows in every tree, each run in a fresh
+interpreter, the order of the trees rotating from pair to pair, with one
+seed per pair:
+- each workload of BENCHMARK.json (``benchmark/run.py``): its end-to-end
+  metrics, and ``failed``;
+- ``layers``: the tree's own ``scripts/bench_layers.py`` (the calls that
+  tree's drivers make), the median seconds of every layer of every row;
+- ``workers_1`` and ``workers_2``: ``cli.run`` of WORKERS_ARGV at
+  ``--workers 1`` and ``2``, its wall and CPU seconds (unscaled), and
+  ``failed`` = 1 when it exits non-zero, since a failing verification is
+  timed all the same.
+
+For each metric that every tree reports, it writes both trees' values, the
+per-pair ratios change/parent, the number of pairs the change won, both
+medians and minima and the parent's interquartile range. A layer that only
 some trees time (a step a change adds, removes or renames) is listed under
 ``unmatched`` with each tree's median.
 
-With ``--aa COPY``, a second copy of the parent joins every pair as a third
-run, and the order of the three rotates from pair to pair. Each metric
-then also carries the A/A control: the copy's values, the per-pair ratios
-copy/parent, their median and interquartile range, and their spread, the
-largest distance of an A/A ratio from 1. A change's median ratio that
-stands further from 1 than that spread is more than the noise between two
-copies of one tree in the same session. An end-to-end metric whose A/A
-spread exceeds its ``bound`` in BENCHMARK.json is marked ``unresolved``:
-the session cannot tell a change of that size from noise.
-
-It then times ``resolution --mode mc --modes 6 --samples 16000`` at
-``--workers 1`` and ``--workers 2`` in fresh processes, in both trees, the
-parent and the change back to back at each count, in pairs that alternate
-which count and which tree run first: wall and CPU seconds of the
-``cli.run`` call alone, unscaled, and per worker count the number of runs
-that exited non-zero (``failed``), since a failing verification is timed
-all the same.
+With ``--aa COPY``, a second copy of the parent is the third tree of every
+pair. Each metric then also carries the A/A control: the copy's values, the
+per-pair ratios copy/parent, their median and interquartile range, and
+their spread, the largest distance of an A/A ratio from 1. A change's
+median ratio that stands further from 1 than that spread is more than the
+noise between two copies of one tree in the same session. An end-to-end
+metric whose A/A spread exceeds its ``bound`` in BENCHMARK.json is marked
+``unresolved``: the session cannot tell a change of that size from noise.
 
 Last, it runs this checkout's ``scripts/report_diff.py`` once, parent
 against change, and keeps its exit code and per-command results, so a
@@ -38,12 +36,10 @@ report_diff.py's code, after writing everything.
 Run from the repository root of the change, with the parent checked out
 elsewhere:
 
-    python3 scripts/bench_pairs.py --parent ../parent --out BENCH_14.json
     python3 scripts/bench_pairs.py --parent ../parent --aa ../parent-copy --out BENCH_18.json
 
-``--out`` adds the result under ``pairs`` (the layer rows under
-``pairs.layers``), ``workers`` and ``report_diff`` to the JSON file, keeping
-what is already in it.
+``--out`` adds the result under ``settings``, ``pairs`` (one entry per row)
+and ``report_diff`` to the JSON file, keeping what is already in it.
 """
 
 import argparse
@@ -57,9 +53,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 #: The workloads of BENCHMARK.json, in its order.
 WORKLOADS = tuple(w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"])
-LAYERS = "layers"  # the bench_layers.py rows, run in every pair beside the workloads
 #: The end-to-end metrics of BENCHMARK.json, by name: which way is better, and the bound.
 END_TO_END = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+#: The command of the workers_1 and workers_2 rows, before its --workers flag.
 WORKERS_ARGV = ["resolution", "--mode", "mc", "--modes", "6", "--samples", "16000", "--seed", "1"]
 TIME_CALL = """
 import json, sys, time
@@ -103,11 +99,14 @@ def top_level_sum(layers: dict) -> float:
 
 
 def timed_call(tree: Path, argv: list[str]) -> dict:
+    """Wall and CPU seconds of ``cli.run(argv)`` in ``tree``, and failed = 1
+    when it exits non-zero."""
     proc = subprocess.run(
         [sys.executable, "-c", TIME_CALL, json.dumps(argv + ["--out", "/dev/null"])],
         cwd=tree, capture_output=True, text=True, check=True,
     )
-    return _last_json(proc.stdout)
+    result = _last_json(proc.stdout)
+    return {"failed": int(result.pop("code") != 0)} | result
 
 
 def summary(parent: list[float], change: list[float], lower_is_better: bool, aa: list[float] | None = None,
@@ -122,6 +121,8 @@ def summary(parent: list[float], change: list[float], lower_is_better: bool, aa:
         "change_won": sum((r < 1.0) if lower_is_better else (r > 1.0) for r in ratios),
         "parent_median": med,
         "change_median": statistics.median(change),
+        "parent_min": min(parent),
+        "change_min": min(change),
         "parent_iqr_rel": (q3 - q1) / med,
     }
     if aa is not None:
@@ -142,60 +143,34 @@ def summary(parent: list[float], change: list[float], lower_is_better: bool, aa:
 
 def pairs(parent: Path, change: Path, count: int, seconds: float, aa: Path | None = None) -> dict:
     trees = [("parent", parent), ("change", change)] + ([("aa", aa)] if aa else [])
-    runs = {workload: {label: [] for label, _ in trees} for workload in WORKLOADS + (LAYERS,)}
+    rows = {w: lambda tree, seed, w=w: bench_run(tree, w, seed, seconds) for w in WORKLOADS}
+    rows["layers"] = lambda tree, seed: layer_run(tree)
+    for n in (1, 2):
+        rows[f"workers_{n}"] = lambda tree, seed, n=n: timed_call(tree, WORKERS_ARGV + ["--workers", str(n)])
+    runs = {row: {label: [] for label, _ in trees} for row in rows}
     for seed in range(1, count + 1):
         k = (seed - 1) % len(trees)  # which tree runs first rotates from pair to pair
-        for workload, by_tree in runs.items():
+        for row, runner in rows.items():
             for label, tree in trees[k:] + trees[:k]:
-                by_tree[label].append(layer_run(tree) if workload == LAYERS else bench_run(tree, workload, seed, seconds))
-            # wall_s of a workload run; the sum of the whole-call layer medians of a layer run
-            shown = (rs[-1]["wall_s"] if workload != LAYERS else top_level_sum(rs[-1]) for rs in by_tree.values())
-            print(f"{workload} pair {seed}: " + " / ".join(f"{x:.4f}" for x in shown), file=sys.stderr)
+                runs[row][label].append(runner(tree, seed))
+            last = [rs[-1] for rs in runs[row].values()]
+            # wall_s of a timed run; the sum of the whole-call layer medians of a layer run
+            shown = [r["wall_s"] if "wall_s" in r else top_level_sum(r) for r in last]
+            print(f"{row} pair {seed}: " + " / ".join(f"{x:.4f}" for x in shown), file=sys.stderr)
     out = {}
-    for workload, by_tree in runs.items():
+    for row, by_tree in runs.items():
         shared = [name for name in by_tree["parent"][0] if all(name in rs[0] for rs in by_tree.values())]
-        values = {name: {label: [r[name] for r in rs] for label, rs in by_tree.items()}
-                  for name in shared if name != "failed"}
-        out[workload] = {"metrics": {}}
-        if workload == LAYERS:
-            out[workload]["unmatched"] = {label: {name: statistics.median(r[name] for r in rs)
-                                                  for name in rs[0] if name not in shared}
-                                          for label, rs in by_tree.items()}
-        for name, v in values.items():
+        out[row] = {"metrics": {}, "unmatched": {label: {name: statistics.median(r[name] for r in rs)
+                                                         for name in rs[0] if name not in shared}
+                                                 for label, rs in by_tree.items()}}
+        for name in shared:
+            v = {label: [r[name] for r in rs] for label, rs in by_tree.items()}
+            if name == "failed":  # runs whose verification did not pass, per tree
+                out[row]["failed"] = v
+                continue
             metric = END_TO_END.get(name, {"better": "lower", "bound": None})  # a layer: seconds, no bound
-            out[workload]["metrics"][name] = summary(v["parent"], v["change"], metric["better"] == "lower",
-                                                     v.get("aa"), metric["bound"])
-        if workload != LAYERS:
-            out[workload]["failed"] = {label: [r["failed"] for r in rs] for label, rs in by_tree.items()}
-    return out
-
-
-def workers(parent: Path, change: Path, count: int) -> dict:
-    """``count`` pairs of WORKERS_ARGV timings at --workers 1 and 2 in both
-    trees. Within a pair the trees alternate at each worker count, so drift
-    of the machine between runs falls on both trees alike; which tree, and
-    which worker count, runs first alternates from pair to pair."""
-    trees = [("parent", parent), ("change", change)]
-    runs = {label: {1: [], 2: []} for label, _ in trees}
-    for k in range(count):
-        for n in (1, 2) if k % 2 == 0 else (2, 1):
-            for label, tree in trees if k % 2 == 0 else trees[::-1]:
-                runs[label][n].append(timed_call(tree, WORKERS_ARGV + ["--workers", str(n)]))
-    out = {}
-    for label, by_count in runs.items():
-        one, two = ([r["wall_s"] for r in by_count[n]] for n in (1, 2))
-        failed = {str(n): sum(r["code"] != 0 for r in by_count[n]) for n in (1, 2)}
-        out[label] = {
-            "workers_1": by_count[1],
-            "workers_2": by_count[2],
-            "two_won": sum(b < a for a, b in zip(one, two)),
-            "wall_median": {"1": statistics.median(one), "2": statistics.median(two)},
-            "failed": failed,  # runs whose verification did not pass (a non-zero exit code)
-        }
-        print(f"{label} workers: 1 -> {out[label]['wall_median']['1']:.3f} s, "
-              f"2 -> {out[label]['wall_median']['2']:.3f} s, 2 won {out[label]['two_won']} of {count}, "
-              f"failed {failed['1']} and {failed['2']} of {count}",
-              file=sys.stderr)
+            out[row]["metrics"][name] = summary(v["parent"], v["change"], metric["better"] == "lower",
+                                                v.get("aa"), metric["bound"])
     return out
 
 
@@ -220,20 +195,16 @@ def main() -> int:
     parser.add_argument("--parent", type=Path, required=True, help="root of the parent checkout")
     parser.add_argument("--change", type=Path, default=ROOT, help="root of the change checkout (default: this one)")
     parser.add_argument("--aa", type=Path, help="root of a second copy of the parent, run as an A/A control")
-    parser.add_argument("--pairs", type=int, default=10, help="benchmark pairs per workload")
+    parser.add_argument("--pairs", type=int, default=10, help="pairs per row")
     parser.add_argument("--seconds", type=float, default=25.0, help="--seconds of each benchmark run")
-    parser.add_argument("--worker-pairs", type=int, default=5, help="--workers 1/2 pairs per tree")
     parser.add_argument("--out", type=Path, help="JSON file to add the result to")
     args = parser.parse_args()
     if args.pairs < 2:  # summary() takes the parent's quartiles over the pairs
         parser.error(f"--pairs needs at least 2 pairs, got {args.pairs}")
-    if args.worker_pairs < 1:  # workers() takes the median over the pairs
-        parser.error(f"--worker-pairs needs at least 1 pair, got {args.worker_pairs}")
     result = {
-        "settings": {"pairs": args.pairs, "seconds": args.seconds, "worker_pairs": args.worker_pairs,
-                     "workers_argv": WORKERS_ARGV, "aa": args.aa is not None},
+        "settings": {"pairs": args.pairs, "seconds": args.seconds, "workers_argv": WORKERS_ARGV,
+                     "aa": args.aa is not None},
         "pairs": pairs(args.parent, args.change, args.pairs, args.seconds, args.aa),
-        "workers": workers(args.parent, args.change, args.worker_pairs),
         "report_diff": report_diff(args.parent, args.change),
     }
     if args.out is None:

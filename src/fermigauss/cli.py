@@ -1,7 +1,8 @@
 """Command-line driver: every verification as a reproducible, scriptable run.
 
 Exit codes: 0 all checks passed, 1 a verification failed its criterion,
-2 usage or configuration error.
+2 usage or configuration error, or a report, dump or config path that
+cannot be written or read.
 """
 
 import argparse
@@ -142,8 +143,12 @@ def _apply_config(argv: list[str]) -> list[str]:
     path = Path(argv[idx + 1])
     if not path.exists():
         raise FermigaussError(f"config file not found: {path}")
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, or not UTF-8 text
+        raise FermigaussError(f"cannot read config file {path}: {exc}") from None
     injected: list[str] = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -176,12 +181,15 @@ def _finish(args, command: str, criteria: list[dict], warnings=None, points=None
     }
     doc = reports.build_report(command, params, RngSpec(args.seed, args.stream), criteria, warnings)
     _print_criteria(criteria)
-    if args.out:
-        path = reports.write_report(doc, args.out)
-        print(f"report written to {path}")
-    if vars(args).get("csv"):  # only the commands with points to dump take --csv
-        path = reports.write_lambda_csv(args.csv, points, args.modes)
-        print(f"csv written to {path}")
+    try:
+        if args.out:
+            path = reports.write_report(doc, args.out)
+            print(f"report written to {path}")
+        if vars(args).get("csv"):  # only the commands with points to dump take --csv
+            path = reports.write_lambda_csv(args.csv, points, args.modes)
+            print(f"csv written to {path}")
+    except OSError as exc:  # a directory, or a path under a regular file
+        raise FermigaussError(f"cannot write {exc.filename}: {exc.strerror}") from None
     return 0 if doc["passed"] else 1
 
 

@@ -49,6 +49,15 @@ class TestExitCodes:
         assert run(["number-conserving", "--variant", "failure", "--modes", "2", "-p", "0"]) == 2
         assert "p > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    @pytest.mark.parametrize("where", ["a directory", "under a file"])
+    def test_an_unwritable_path_exits_2_naming_it(self, flag, where, tmp_path, capsys):
+        (tmp_path / "file").touch()
+        path, named = (tmp_path, tmp_path) if where == "a directory" else (tmp_path / "file" / "x", tmp_path / "file")
+        assert run(["resolution", "--mode", "mc", "--modes", "1", "--samples", "16", flag, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {named}: ") and "Traceback" not in err
+
     def test_zero_quad_order_is_usage_error(self, capsys):
         assert run(["resolution", "--mode", "quad", "--modes", "1", "--quad-order", "0"]) == 2
         assert "quad_order >= 1, got 0" in capsys.readouterr().err
@@ -483,6 +492,15 @@ class TestConfigFile:
     def test_missing_config_is_usage_error(self):
         assert run(["resolution", "--config", "/nonexistent/x.cfg"]) == 2
 
+    @pytest.mark.parametrize("kind", ["directory", "not UTF-8"])
+    def test_an_unreadable_config_is_usage_error_naming_it(self, kind, tmp_path, capsys):
+        path = tmp_path if kind == "directory" else tmp_path / "latin.cfg"
+        if kind == "not UTF-8":
+            path.write_bytes("modes = 1 # f\xfcnf\n".encode("latin-1"))
+        assert run(["resolution", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {path}: ") and "Traceback" not in err
+
     def test_malformed_config_is_usage_error(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("modes 2\n")
@@ -628,6 +646,10 @@ class TestBlasThreads:
         monkeypatch.setattr(cli, "selberg_consistency_suite", crash)
         with pytest.raises(RuntimeError, match="crash"):
             run(self.SELBERG)
+        assert blas.thread_count() == 2
+
+    def test_restored_after_an_unwritable_report(self, build_at_two, tmp_path, capsys):
+        assert run([*self.SELBERG, "--out", str(tmp_path)]) == 2
         assert blas.thread_count() == 2
 
     def test_parse_error_touches_no_count(self, build_at_two):

@@ -161,6 +161,7 @@ class TestBenchPairsSummary:
         assert out["ratios"] == pytest.approx([0.5, 1.1, 0.5, 0.9])
         assert out["change_won"] == 3
         assert out["parent_median"] == 1.5 and out["change_median"] == pytest.approx(1.45)
+        assert out["parent_min"] == 1.0 and out["change_min"] == 0.5
         assert out["aa"]["ratios"] == pytest.approx([1.1, 0.9, 1.0, 1.05])
         assert out["aa"]["copy_median"] == pytest.approx(1.45)
         assert out["aa"]["spread"] == pytest.approx(0.1)
@@ -193,7 +194,7 @@ class TestBenchPairsSummary:
 
 
 class TestBenchPairsArguments:
-    @pytest.mark.parametrize("flags", [["--pairs", "1"], ["--pairs", "0"], ["--worker-pairs", "0"]])
+    @pytest.mark.parametrize("flags", [["--pairs", "1"], ["--pairs", "0"]])
     def test_too_few_pairs_is_a_usage_error_before_any_run(self, flags, monkeypatch, tmp_path):
         pairs = load("bench_pairs")
 
@@ -216,7 +217,7 @@ class TestBenchPairsMain:
         values = {"failed": 0} | {name: 1.0 for name in pairs.END_TO_END}
         monkeypatch.setattr(pairs, "bench_run", lambda tree, workload, seed, seconds: values)
         monkeypatch.setattr(pairs, "layer_run", lambda tree: {"row: layer": 0.5})
-        monkeypatch.setattr(pairs, "timed_call", lambda tree, argv: {"code": 0, "wall_s": 1.0, "cpu_s": 1.0})
+        monkeypatch.setattr(pairs, "timed_call", lambda tree, argv: {"failed": 0, "wall_s": 1.0, "cpu_s": 1.0})
         results = [{"command": "ensembles --seed 5", "result": "changed", "names": ["x"]}]
         diff_calls = []
 
@@ -229,10 +230,10 @@ class TestBenchPairsMain:
         parent, change, out = tmp_path / "parent", tmp_path / "change", tmp_path / "bench.json"
         out.write_text(json.dumps({"kept": True}))
         monkeypatch.setattr(pairs.sys, "argv", ["bench_pairs.py", "--parent", str(parent), "--change", str(change),
-                                                "--pairs", "2", "--worker-pairs", "1", "--out", str(out)])
+                                                "--pairs", "2", "--out", str(out)])
         assert pairs.main() == 1  # report_diff.py's exit code
         doc = json.loads(out.read_text())
-        assert list(doc) == ["kept", "settings", "pairs", "workers", "report_diff"]
+        assert list(doc) == ["kept", "settings", "pairs", "report_diff"]
         assert doc["report_diff"] == {"exit_code": 1, "commands": results}
         assert doc["pairs"]["nc_modified"]["metrics"]["wall_s"]["change_won"] == 0
         [argv] = diff_calls
@@ -247,41 +248,55 @@ class TestBenchPairsMain:
             pairs.report_diff(tmp_path, tmp_path)
 
 
-class TestBenchPairsWorkers:
-    def test_failed_counts_the_non_zero_exit_codes_per_worker_count(self, monkeypatch, capsys):
-        pairs = load("bench_pairs")
-        calls = []
-
-        def timed_call(tree, argv):
-            calls.append((tree, argv))
-            n = argv[argv.index("--workers") + 1]
-            # the parent fails every run, the change only its second one at one worker
-            code = 1 if tree == "parent" or (n == "1" and calls.count((tree, argv)) == 2) else 0
-            return {"code": code, "wall_s": 1.0, "cpu_s": 1.0}
-
-        monkeypatch.setattr(pairs, "timed_call", timed_call)
-        out = pairs.workers("parent", "change", 2)
-        assert out["parent"]["failed"] == {"1": 2, "2": 2}
-        assert out["change"]["failed"] == {"1": 1, "2": 0}
-        assert all(argv[:-2] == pairs.WORKERS_ARGV for _, argv in calls)
-        err = capsys.readouterr().err.splitlines()
-        assert err[0].endswith("failed 2 and 2 of 2") and err[1].endswith("failed 1 and 0 of 2")
-
-
-    def test_the_trees_alternate_within_each_pair(self, monkeypatch):
-        # each worker count runs in both trees back to back; which tree and
-        # which count go first alternates from pair to pair
+class TestBenchPairsRows:
+    def test_every_row_rotates_the_three_trees(self, monkeypatch):
+        # with an A/A copy each row runs the parent, the change and the copy
+        # in turn, the first of them rotating from pair to pair
         pairs = load("bench_pairs")
         order = []
-        monkeypatch.setattr(pairs, "timed_call", lambda tree, argv: order.append((tree, argv[-1]))
-                            or {"code": 0, "wall_s": 1.0, "cpu_s": 1.0})
-        out = pairs.workers("parent", "change", 3)
-        assert order == [
-            ("parent", "1"), ("change", "1"), ("parent", "2"), ("change", "2"),
-            ("change", "2"), ("parent", "2"), ("change", "1"), ("parent", "1"),
-            ("parent", "1"), ("change", "1"), ("parent", "2"), ("change", "2"),
-        ]
-        assert all(len(out[tree][f"workers_{n}"]) == 3 for tree in ("parent", "change") for n in (1, 2))
+        values = {"failed": 0} | {name: 1.0 for name in pairs.END_TO_END}
+        monkeypatch.setattr(pairs, "bench_run", lambda tree, workload, seed, seconds:
+                            order.append((workload, tree)) or values)
+        monkeypatch.setattr(pairs, "layer_run", lambda tree: order.append(("layers", tree)) or {"row: row": 0.5})
+        monkeypatch.setattr(pairs, "timed_call", lambda tree, argv: order.append((f"workers_{argv[-1]}", tree))
+                            or {"failed": 0, "wall_s": 1.0, "cpu_s": 1.0})
+        out = pairs.pairs("parent", "change", 4, 1.0, aa="aa")
+        rows = [*pairs.WORKLOADS, "layers", "workers_1", "workers_2"]
+        trees = ["parent", "change", "aa"]
+        assert order == [(row, tree) for k in (0, 1, 2, 0) for row in rows for tree in trees[k:] + trees[:k]]
+        assert list(out) == rows
+        for row in ("workers_1", "workers_2"):
+            assert set(out[row]["metrics"]) == {"wall_s", "cpu_s"}
+            for metric in out[row]["metrics"].values():
+                assert metric["aa"]["copy"] == [1.0] * 4 and metric["unresolved"] is False
+            assert out[row]["failed"] == {tree: [0] * 4 for tree in trees}
+
+    def test_workers_rows_count_non_zero_exits_per_tree(self, monkeypatch):
+        pairs = load("bench_pairs")
+        monkeypatch.setattr(pairs, "bench_run", lambda tree, workload, seed, seconds:
+                            {"failed": 0} | {name: 1.0 for name in pairs.END_TO_END})
+        monkeypatch.setattr(pairs, "layer_run", lambda tree: {"row: row": 0.5})
+        calls = []
+
+        def run(argv, cwd, **kwargs):
+            # the subprocess of timed_call: the parent fails every run, the
+            # change only its second one at one worker
+            command = json.loads(argv[3])
+            calls.append((cwd, command))
+            n = command[command.index("--workers") + 1]
+            code = 1 if cwd == "parent" or (n == "1" and calls.count((cwd, command)) == 2) else 0
+            return subprocess.CompletedProcess(argv, 0, json.dumps({"code": code, "wall_s": 1.0, "cpu_s": 0.5}), "")
+
+        monkeypatch.setattr(pairs.subprocess, "run", run)
+        out = pairs.pairs("parent", "change", 2, 1.0)
+        assert out["workers_1"]["failed"] == {"parent": [1, 1], "change": [0, 1]}
+        assert out["workers_2"]["failed"] == {"parent": [1, 1], "change": [0, 0]}
+        assert out["workers_2"]["metrics"]["cpu_s"]["change"] == [0.5, 0.5]
+        assert {tuple(command) for _, command in calls} == {
+            tuple(pairs.WORKERS_ARGV + ["--workers", n, "--out", "/dev/null"]) for n in ("1", "2")}
+        assert pairs.WORKERS_ARGV == ["resolution", "--mode", "mc", "--modes", "6", "--samples", "16000",
+                                      "--seed", "1"]
+
 
 class TestReportDiff:
     @pytest.fixture(scope="class")
