@@ -2,44 +2,33 @@
 """Per-layer times of the calls the verification drivers make.
 
 Each row times one real call as one layer named after it (the row name's
-first word), and beside it each step that call makes, as a layer named
-after the step: every step is wrapped at the module name its callers look
-it up by, for the call alone, and summed over its calls within it. No
-listed step calls another, so the steps are disjoint parts of the whole
-call. The rows, p = 1, and their steps (MC_STEPS, REPORT_STEPS and
-QUADRATURE_STEPS):
+first word), and beside it each step the call makes, wrapped at the module
+name its callers look it up by and summed over its calls. No listed step
+runs inside another, so the steps are disjoint parts of the whole call.
+There are two kinds of row, p = 1:
 
 - ``verify_resolution_mc M=m chunk=4000``, M = 1..6: the resolution
-  driver's own worker, on chunk 0's generator and size, taken from the
+  driver's own worker on chunk 0's generator and size, taken from the
   driver by a stub of verify._run_chunks, so none of the driver's chunks
-  runs.
-- ``cli.run <command>``: the one command of the ``mc_m6`` and of the
-  ``nc_modified`` benchmark workload, read from benchmark/workloads.py,
-  through ``cli.run`` with the CLI's default seed, its stdout captured and
-  its report written to a temporary directory; beside the worker steps,
-  ``_mc_report`` and the report steps.
-- ``verify_resolution_quadrature M=2``: one default call (class D,
-  Gaussian weight, quad_order 60).
-- ``operator_identity_suite M=3 trials=50``: one call of the identity
-  suite as the ``checks`` workload runs it (``identities --modes 3``, seed
-  0), with one layer per trial of verify._IDENTITY_TRIALS (named after its
-  function), summed over its mode counts.
-- ``selberg_consistency_suite M=6``: one call of the closed-form suite as
-  the ``checks`` workload runs it (``selberg --consistency``), with the
-  closed forms it calls (SELBERG_STEPS) timed at their fermigauss.selberg
-  names.
+  runs; its steps are MC_STEPS.
+- ``cli.run <command>``: every command of every BENCHMARK.json workload, in
+  that file's order, read from benchmark/workloads.py and run through
+  ``cli.run`` with the CLI's default seed, its stdout captured and its
+  report written to a temporary directory. Its steps are REPORT_STEPS and
+  either the trials of verify._IDENTITY_TRIALS (``identities``, whose
+  trials draw through a driver step) or the driver steps (MC_STEPS,
+  QUADRATURE_STEPS) and SELBERG_STEPS. A command that exits 2 (a usage or
+  input error) stops the script; one that exits 1 (a failed verdict) is
+  timed.
 
-Every row first runs once untimed, to warm the per-M caches. The chunk
-rows and the identity suite then run REPEATS times, the others
-SMALL_REPEATS times; each layer gives the minimum and the median in
-seconds, and the median count of minor page faults per timed round
-(``minor_faults``, the getrusage ru_minflt delta, summed over the layer's
-calls like its time), which shows which step faults fresh memory in.
-Everything runs with numpy's OpenBLAS on one thread, as inside a CLI
-call, through this checkout's ``fermigauss/blas.py`` (so any ``--src``
-tree is timed the same way); the JSON on stdout records that thread count
-and the numerical environment (benchmark/environment.py). Run from the
-repository root:
+Every row first runs once untimed, to warm the per-M caches, then REPEATS
+(chunk rows) or SMALL_REPEATS (command rows) timed rounds. Each layer gives
+its minimum and median seconds and its median minor page faults per round
+(``minor_faults``, the getrusage ru_minflt delta). Everything runs with
+numpy's OpenBLAS on one thread, as inside a CLI call, through this
+checkout's ``fermigauss/blas.py``; the JSON on stdout records that thread
+count and the numerical environment (benchmark/environment.py). Run from
+the repository root:
 
     python3 scripts/bench_layers.py
     python3 scripts/bench_layers.py --src ../other-checkout/src
@@ -47,8 +36,7 @@ repository root:
 ``--src`` names the directory holding the ``fermigauss`` package to time
 (default: this checkout's ``src``); the rows call the package's current
 functions, so an older tree is timed by its own copy of this script, as
-scripts/bench_pairs.py does for the parent, the change and an A/A copy in
-alternating fresh processes.
+scripts/bench_pairs.py does.
 """
 
 import argparse
@@ -73,8 +61,10 @@ MC_STEPS = ("sample_class_d_batch", "real_form", "real_form_pair_rows", "class_d
             "_normal_parts", "_rank_one_pair_rows", "wick_coordinates", "_fock_check", "_mc_report")
 #: The report steps of a CLI command, timed at their reports names.
 REPORT_STEPS = ("estimator_to_criterion", "build_report", "write_report")
+#: The steps of the quadrature drivers, timed at their verify names.
 QUADRATURE_STEPS = ("radial_quadrature_nodes", "filling_moments", "moment_wick_coordinates", "_fock_check")
-#: The closed forms of selberg_consistency_suite, in the order of their first calls.
+#: The closed forms of selberg_consistency_suite, in the order of their first calls,
+#: timed at their fermigauss.selberg names.
 SELBERG_STEPS = ("angular_volume_log", "radial_gaussian_integral_log", "cartesian_gaussian_integral_log",
                  "norm_const_gauss_log", "norm_const_det_log", "selberg_integral_log")
 
@@ -85,12 +75,6 @@ def _load(path: Path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
-
-
-def _command(workload: str) -> tuple[str, ...]:
-    """The one command of a benchmark workload, without --seed and --out."""
-    (command,) = _load(ROOT / "benchmark" / "workloads.py").WORKLOADS[workload].commands
-    return command
 
 
 @contextlib.contextmanager
@@ -161,50 +145,34 @@ def chunk_row(modes: int) -> dict:
 
 
 def command_row(command: tuple[str, ...]) -> dict:
-    from fermigauss import cli, reports, verify
+    from fermigauss import cli, reports, selberg, verify
+
+    def wrap(timed):
+        if command[0] == "identities":  # its trials draw through sample_class_d_batch: time each trial instead
+            table = tuple((functools.partial(timed, trial.__name__, trial), schedule)
+                          for trial, schedule in verify._IDENTITY_TRIALS)
+            inner = {verify: {"_IDENTITY_TRIALS": table}}
+        else:
+            inner = steps(timed, verify, MC_STEPS + QUADRATURE_STEPS) | steps(timed, selberg, SELBERG_STEPS)
+        return inner | steps(timed, reports, REPORT_STEPS)
 
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         argv = [*command, "--out", str(Path(tmp) / "report.json")]
-        return _row("cli.run", lambda: cli.run(argv), SMALL_REPEATS,
-                    lambda timed: steps(timed, verify, MC_STEPS) | steps(timed, reports, REPORT_STEPS))
 
+        def call():  # a failed verdict (exit 1) is timed; a usage or input error is not a run
+            if cli.run(argv) == 2:
+                sys.exit(f"error: cli.run {' '.join(command)} exited 2 (a usage or input error)")
 
-def quadrature_row() -> dict:
-    from fermigauss import verify
-    from fermigauss.ensembles import CLASS_D, WeightSpec
-
-    weight = WeightSpec.gaussian(1.0)
-    return _row("verify_resolution_quadrature", lambda: verify.verify_resolution_quadrature(2, CLASS_D, weight),
-                SMALL_REPEATS, lambda timed: steps(timed, verify, QUADRATURE_STEPS))
-
-
-def identity_row() -> dict:
-    from fermigauss import verify
-
-    def trials(timed):  # each trial of the table, summed over its mode counts
-        table = tuple((functools.partial(timed, trial.__name__, trial), schedule)
-                      for trial, schedule in verify._IDENTITY_TRIALS)
-        return {verify: {"_IDENTITY_TRIALS": table}}
-
-    return _row("operator_identity_suite", lambda: verify.operator_identity_suite(3, 0, 50), REPEATS, trials)
-
-
-def selberg_row() -> dict:
-    from fermigauss import selberg, verify
-
-    return _row("selberg_consistency_suite", lambda: verify.selberg_consistency_suite(6), SMALL_REPEATS,
-                lambda timed: steps(timed, selberg, SELBERG_STEPS))
+        return _row("cli.run", call, SMALL_REPEATS, wrap)
 
 
 def tables() -> dict:
-    """Every row, in the order the docstring lists them."""
+    """The chunk rows, then one row per command of each BENCHMARK.json workload."""
     rows = {f"verify_resolution_mc M={m} chunk={CHUNK}": lambda m=m: chunk_row(m) for m in range(1, 7)}
-    for workload in ("mc_m6", "nc_modified"):
-        command = _command(workload)
-        rows["cli.run " + " ".join(command)] = lambda command=command: command_row(command)
-    rows["verify_resolution_quadrature M=2"] = quadrature_row
-    rows["operator_identity_suite M=3 trials=50"] = identity_row
-    rows["selberg_consistency_suite M=6"] = selberg_row
+    workloads = _load(ROOT / "benchmark" / "workloads.py").WORKLOADS
+    for workload in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]:
+        for command in workloads[workload["name"]].commands:
+            rows["cli.run " + " ".join(command)] = lambda command=command: command_row(command)
     out = {}
     for name, row in rows.items():
         out[name] = row()

@@ -12,7 +12,15 @@ from pathlib import Path
 
 from . import reports
 from .blas import blas_threads
-from .ensembles import CLASS_D, RngSpec, WeightSpec, sample_radial_mcmc, symmetry_class
+from .ensembles import (
+    CLASS_D,
+    MCMC_ACCEPTANCE_BAND,
+    MCMC_TARGET_ACCEPTANCE,
+    RngSpec,
+    WeightSpec,
+    sample_radial_mcmc,
+    symmetry_class,
+)
 from .errors import FermigaussError
 from .verify import (  # noqa: F401  benchmark/tracing.py wraps class_d_lambda_samples and radial_quadrature_nodes here
     class_d_lambda_samples,
@@ -261,14 +269,14 @@ def _cmd_ensembles(args) -> int:
     run = sample_radial_mcmc(
         sym, weight, args.modes, args.samples, spec, burn_in=args.burn_in, thin=args.thin
     )
-    ok = 0.1 <= run.acceptance_rate <= 0.9
+    low, high = MCMC_ACCEPTANCE_BAND
     criteria = [
         {
-            "name": "radial sampler acceptance rate in [0.1, 0.9]",
-            "target": 0.4,
+            "name": f"radial sampler acceptance rate in [{low}, {high}]",
+            "target": MCMC_TARGET_ACCEPTANCE,
             "measured": run.acceptance_rate,
-            "tolerance_or_se": [0.1, 0.9],
-            "passed": ok,
+            "tolerance_or_se": [low, high],
+            "passed": run.warning is None,
         }
     ]
     warnings = [run.warning] if run.warning else []

@@ -20,6 +20,10 @@ COINCIDENCE_FLOOR = 1e-300
 
 #: Independent walkers of sample_radial_mcmc (fewer when fewer samples are asked for).
 MCMC_CHAINS = 25
+#: Acceptance rate the burn-in tunes the walkers' step toward, and the band
+#: outside which sample_radial_mcmc warns that the rate is off.
+MCMC_TARGET_ACCEPTANCE = 0.4
+MCMC_ACCEPTANCE_BAND = (0.1, 0.9)
 
 
 @dataclass(frozen=True)
@@ -361,17 +365,18 @@ def sample_radial_mcmc(
         logp = np.where(accept, logq, logp)
         accepted += int(accept.sum())
         if k < burn_in and (k + 1) % window == 0:  # tune the step by windows within the burn-in
-            step *= math.exp(0.5 * (accepted / (window * chains) - 0.4))
+            step *= math.exp(0.5 * (accepted / (window * chains) - MCMC_TARGET_ACCEPTANCE))
             accepted = 0
         elif k >= burn_in and (k + 1 - burn_in) % thin == 0:
             kept[(k + 1 - burn_in) // thin - 1] = state
         if k + 1 == burn_in:  # the acceptance rate counts the sampling steps alone
             accepted = 0
     rate = accepted / (total * chains)
+    low, high = MCMC_ACCEPTANCE_BAND
     warning = None
-    if not 0.1 <= rate <= 0.9:
+    if not low <= rate <= high:
         warning = (
-            f"acceptance rate {rate:.3f} outside [0.1, 0.9]; "
+            f"acceptance rate {rate:.3f} outside [{low}, {high}]; "
             f"consider tuning the proposal step (current {step:.3g})"
         )
     return McmcSamples(

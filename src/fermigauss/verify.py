@@ -990,7 +990,7 @@ def _diagonal_form(gen: np.random.Generator, m: int, count: int) -> list[tuple]:
     the number operators n_j of the Bogoliubov-rotated modes; and its
     off-diagonal part in their common eigenbasis (eigh of sum 3^j n_j)."""
     lam, u = _polar_rotations(m, gen, count)
-    coeff = (np.swapaxes(u.conj(), -1, -2) * np.concatenate([lam, -lam], axis=-1)[:, None, :]) @ u
+    coeff = from_eigenpairs(np.concatenate([lam, -lam], axis=-1), np.swapaxes(u.conj(), -1, -2))
     lam_op = exp_normalized_fock_batch(_fock_matrices(assemble_blocks(coeff[:, :m, :m], coeff[:, :m, m:])))
     ann = _annihilators(m)
     dim, tanh = 1 << m, np.tanh(lam / 2.0)[..., None, None]

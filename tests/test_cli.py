@@ -260,6 +260,21 @@ class TestReports:
         assert len(measured["entries"]) == 16
         assert all(len(pair) == 2 for pair in measured["entries"])
 
+    @pytest.mark.parametrize("band", [None, (0.95, 0.99)])
+    def test_ensembles_verdict_is_the_samplers_own(self, band, monkeypatch, tmp_path, capsys):
+        # the criterion passes exactly when sample_radial_mcmc gives no warning:
+        # a band that the rate misses fails the run, under the README's name
+        if band:
+            monkeypatch.setattr(ensembles, "MCMC_ACCEPTANCE_BAND", band)
+        out = tmp_path / "ensembles.json"
+        code = run(["ensembles", "--modes", "2", "--samples", "200", "--burn-in", "400", "--out", str(out)])
+        (crit,) = read_report(out)["criteria"]
+        assert crit["name"] == "radial sampler acceptance rate in [0.1, 0.9]"
+        assert crit["target"] == ensembles.MCMC_TARGET_ACCEPTANCE
+        assert crit["tolerance_or_se"] == [0.1, 0.9]
+        assert 0.1 <= crit["measured"] <= 0.9
+        assert (code, crit["passed"]) == ((1, False) if band else (0, True))
+
     def test_byte_identical_apart_from_timestamp(self, tmp_path):
         args = [
             "resolution", "--mode", "mc", "--modes", "1", "-p", "1",

@@ -3,6 +3,7 @@ next timing session."""
 
 import ast
 import collections
+import functools
 import importlib.util
 import json
 import subprocess
@@ -23,29 +24,39 @@ def load(name, directory=SCRIPTS):
     return module
 
 
-def workload_command(name):
-    """The one command of a benchmark workload, read from benchmark/workloads.py."""
-    (command,) = load("workloads", ROOT / "benchmark").WORKLOADS[name].commands
-    return command
+def benchmark_commands():
+    """Every command of every BENCHMARK.json workload, in that file's order,
+    read from benchmark/workloads.py."""
+    workloads = load("workloads", ROOT / "benchmark").WORKLOADS
+    names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    return [command for name in names for command in workloads[name].commands]
 
 
 def spy_rows(monkeypatch, layers, steps):
-    """Wrap each (module, name) of ``steps`` where its callers look it up,
-    before bench_layers.py wraps it in turn, to log its calls: one Counter
-    per row that tables() times (rows go through _row once each, in order),
-    and every call made while another of ``steps`` runs, as (outer, inner)."""
+    """Wrap each (module, name) of ``steps`` where its callers look it up, and
+    each identity trial in verify._IDENTITY_TRIALS, before bench_layers.py
+    wraps them in turn, to log their calls: one Counter per row that tables()
+    times (rows go through _row once each, in order), and every call made
+    while another logged one runs, as (row index, outer, inner)."""
     per_row, nested, running = [], [], []
-    for module, name in steps:
-        def spy(*args, name=name, fn=getattr(module, name), **kwargs):
+
+    def spy(name, fn):
+        @functools.wraps(fn)
+        def logged(*args, **kwargs):
             per_row[-1][name] += 1
-            nested.extend((outer, name) for outer in running[-1:])
+            nested.extend((len(per_row) - 1, outer, name) for outer in running[-1:])
             running.append(name)
             try:
                 return fn(*args, **kwargs)
             finally:
                 running.pop()
 
-        monkeypatch.setattr(module, name, spy)
+        return logged
+
+    for module, name in steps:
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    monkeypatch.setattr(verify, "_IDENTITY_TRIALS", tuple((spy(trial.__name__, trial), schedule)
+                                                          for trial, schedule in verify._IDENTITY_TRIALS))
 
     def row(*args, _real=layers._row, **kwargs):
         per_row.append(collections.Counter())
@@ -80,20 +91,20 @@ class TestBenchLayers:
         rows = layers.tables()
         for module, before in names.items():  # every name a row patches is put back: steps, _run_chunks, the trial table
             assert vars(module).keys() == before.keys() and all(vars(module)[name] is fn for name, fn in before.items())
-        assert nested == []  # no listed step runs inside another
-        mc_m6, nc = ("cli.run " + " ".join(workload_command(name)) for name in ("mc_m6", "nc_modified"))
+        listed = [set(row) for row in rows.values()]
+        assert [call for call in nested if {call[1], call[2]} <= listed[call[0]]] == []  # no listed step runs inside another
+        mc_m6, nc, identities, *quadrature, closed_forms = ("cli.run " + " ".join(c) for c in benchmark_commands())
         resolution = ["sample_class_d_batch", "real_form", "real_form_pair_rows", "wick_coordinates", "_fock_check"]
-        report = ["_mc_report", "estimator_to_criterion", "build_report", "write_report"]
+        report = ["build_report", "write_report"]
+        mc_report = ["_mc_report", "estimator_to_criterion"] + report
         assert {name: list(row) for name, row in rows.items()} == {
             **{f"verify_resolution_mc M={m} chunk=8": ["verify_resolution_mc"] + resolution for m in range(1, 7)},
-            mc_m6: ["cli.run"] + resolution + report,
+            mc_m6: ["cli.run"] + resolution + mc_report,
             nc: ["cli.run", "class_d_pair_values", "_normal_parts", "_rank_one_pair_rows", "wick_coordinates",
-                 "_fock_check"] + report,
-            "verify_resolution_quadrature M=2": ["verify_resolution_quadrature", "radial_quadrature_nodes",
-                                                 "filling_moments", "moment_wick_coordinates", "_fock_check"],
-            "operator_identity_suite M=3 trials=50": ["operator_identity_suite"]
-            + [trial.__name__ for trial, _ in verify._IDENTITY_TRIALS],
-            "selberg_consistency_suite M=6": ["selberg_consistency_suite", *layers.SELBERG_STEPS],
+                 "_fock_check"] + mc_report,
+            identities: ["cli.run"] + [trial.__name__ for trial, _ in verify._IDENTITY_TRIALS] + report,
+            **{name: ["cli.run", *layers.QUADRATURE_STEPS, "estimator_to_criterion"] + report for name in quadrature},
+            closed_forms: ["cli.run", *layers.SELBERG_STEPS] + report,
         }
         for name, row in rows.items():
             # one whole-call layer, named after the row's first word and listed first
@@ -103,22 +114,44 @@ class TestBenchLayers:
                 assert isinstance(t["minor_faults"], int) and t["minor_faults"] >= 0
         # a chunk row's worker draws one chunk: the driver's 16 chunks of 8 never run
         assert [c["sample_class_d_batch"] for c in per_row[:6]] == [2] * 6
-        suite = list(rows).index("operator_identity_suite M=3 trials=50")
+        suite = list(rows).index(identities)
         assert max(n for i, n in assembled if i != suite) == verify.FOCK_CHECK_DRAWS
         assert max(n for i, n in assembled if i == suite) == 50  # the suite's largest stack: its 50 composition pairs
 
+    def test_one_row_per_benchmark_command(self, small_layers, monkeypatch):
+        # the chunk rows, then every command of every BENCHMARK.json workload, in that file's order
+        monkeypatch.setattr(small_layers, "chunk_row", lambda modes: {})
+        monkeypatch.setattr(small_layers, "command_row", lambda command: {})
+        assert list(small_layers.tables()) == [f"verify_resolution_mc M={m} chunk=8" for m in range(1, 7)] + [
+            "cli.run " + " ".join(command) for command in benchmark_commands()]
+
     def test_the_rows_time_the_code_that_runs(self, small_layers, monkeypatch):
-        # a step wrapped at the name the workers look it up by is called by
-        # the rows that time them: no row runs a copy of a worker
+        # a step wrapped at the name its callers look it up by is called by
+        # the rows that time it: no row runs a copy of a worker
         spied = [(verify, "real_form_pair_rows"), (verify, "_rank_one_pair_rows"), (selberg, "selberg_integral_log")]
         per_row, _ = spy_rows(monkeypatch, small_layers, spied)
         called = dict(zip(small_layers.tables(), per_row))
         chunks = [c for name, c in called.items() if name.startswith("verify_resolution_mc")]
         assert [bool(c["real_form_pair_rows"]) for c in chunks] == [True] * 6
-        mc_m6, nc = (called["cli.run " + " ".join(workload_command(name))] for name in ("mc_m6", "nc_modified"))
-        assert mc_m6["real_form_pair_rows"] and nc["_rank_one_pair_rows"]
-        # the closed-form row's suite calls the closed forms at their selberg names
-        assert [name for name, c in called.items() if c["selberg_integral_log"]] == ["selberg_consistency_suite M=6"]
+        rows = ["cli.run " + " ".join(command) for command in benchmark_commands()]
+        # the mc_m6 command writes its pair rows through the real form, the
+        # nc_modified one through the rank-one rows, and only the closed-form
+        # suite calls the closed forms, at their selberg names
+        assert [name for name in rows if called[name]["real_form_pair_rows"]] == rows[:1]
+        assert [name for name in rows if called[name]["_rank_one_pair_rows"]] == rows[1:2]
+        assert [name for name in rows if called[name]["selberg_integral_log"]] == ["cli.run selberg --consistency"]
+
+    def test_a_command_that_exits_2_stops_the_script(self, small_layers):
+        with pytest.raises(SystemExit) as exc:
+            small_layers.command_row(("resolution", "--mode", "mc", "--modes", "6", "--bogus"))
+        assert exc.value.code == "error: cli.run resolution --mode mc --modes 6 --bogus exited 2 (a usage or input error)"
+
+    def test_a_command_that_exits_1_is_timed(self, small_layers, monkeypatch):
+        # a failed verdict (such as a known max_sigma false alarm) is timed like a pass
+        from fermigauss import cli
+
+        monkeypatch.setattr(cli, "run", lambda argv: 1)
+        assert list(small_layers.command_row(("resolution", "--mode", "mc"))) == ["cli.run"]
 
 
 def unused_package_imports(path: Path) -> set:
