@@ -21,7 +21,8 @@ There are two kinds of row, p = 1:
   input error) stops the script; one that exits 1 (a failed verdict) is
   timed.
 
-Every row first runs once untimed, to warm the per-M caches, then REPEATS
+Every row first runs once untimed, to warm the per-M and per-law caches
+as a repeated call in one process finds them, then REPEATS
 (chunk rows) or SMALL_REPEATS (command rows) timed rounds. Each layer gives
 its minimum and median seconds and its median minor page faults per round
 (``minor_faults``, the getrusage ru_minflt delta). Everything runs with
@@ -61,8 +62,10 @@ MC_STEPS = ("sample_class_d_batch", "real_form", "real_form_pair_rows", "class_d
             "_normal_parts", "_rank_one_pair_rows", "wick_coordinates", "_fock_check", "_mc_report")
 #: The report steps of a CLI command, timed at their reports names.
 REPORT_STEPS = ("estimator_to_criterion", "build_report", "write_report")
-#: The steps of the quadrature drivers, timed at their verify names.
-QUADRATURE_STEPS = ("radial_quadrature_nodes", "filling_moments", "moment_wick_coordinates", "_fock_check")
+#: The steps of the quadrature drivers, timed at their verify names. A warm
+#: call takes its rules and their moments from the law-table lookup, which
+#: builds them (radial_quadrature_nodes, filling_moments) on its first call.
+QUADRATURE_STEPS = ("_law_tables", "moment_wick_coordinates", "_fock_check")
 #: The closed forms of selberg_consistency_suite, in the order of their first calls,
 #: timed at their fermigauss.selberg names.
 SELBERG_STEPS = ("angular_volume_log", "radial_gaussian_integral_log", "cartesian_gaussian_integral_log",

@@ -93,6 +93,12 @@ ABS_FLOOR = 1e-12
 #: Named seed from which the deterministic quadrature rotations are derived.
 ROTATION_SEED = 8128
 
+#: (law, order) rules with their moments, and fixed rotations per mode count,
+#: that one process keeps, least recently used out first: at the default order
+#: 60 at most about 28 MB of rules (odd-beta sector rules), 1.3 MB for the
+#: three laws of the benchmark's checks workload.
+LAW_CACHE_SIZE = 16
+
 QUAD_TOL = 1e-8
 QUAD_CONVERGENCE_TOL = 1e-9
 
@@ -461,6 +467,36 @@ def radial_quadrature_nodes(
     return points, wts
 
 
+@lru_cache(maxsize=LAW_CACHE_SIZE, typed=True)  # typed: True is no quad_order, but hashes as 1
+def _law_tables(
+    sym_class: SymmetryClass, weight: WeightSpec, modes: int, order: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rule of radial_quadrature_nodes and its filling_moments, read-only:
+    (points, weights, moments). A rule that raises is not kept."""
+    pts, wts = radial_quadrature_nodes(sym_class, weight, modes, order)
+    tables = pts, wts, filling_moments(pts, wts)
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
+@lru_cache(maxsize=LAW_CACHE_SIZE, typed=True)
+def _second_rotation(modes: int) -> np.ndarray:
+    """Eigenvectors, read-only, of the fixed second rotation of
+    verify_resolution_quadrature at M >= 2."""
+    v = random_polar_rotation(modes, RngSpec(ROTATION_SEED, stream=1)).bogoliubov.conj().T
+    v.setflags(write=False)
+    return v
+
+
+@lru_cache(maxsize=LAW_CACHE_SIZE, typed=True)
+def _nc_rotation(modes: int) -> np.ndarray:
+    """The fixed Haar unitary, read-only, of the even-weight failure run."""
+    u = sample_haar_unitary_batch(modes, RngSpec(ROTATION_SEED, stream=2), 1)[0]
+    u.setflags(write=False)
+    return u
+
+
 def class_d_lambda_samples(modes: int, p: float, rng, n_samples: int) -> np.ndarray:
     """Eigenvalue-pair representatives of the class-D draws that the Monte
     Carlo drivers consume, chunk for chunk (identical streams, identical
@@ -489,16 +525,17 @@ def _converged_mean(sym_class: SymmetryClass, weight: WeightSpec, modes: int, or
     every tanh(lam_j / 2) is near 1, so every Wick coordinate of their mean
     is of order one (those of the whole rule's mean vanish by the resolution
     of unity). Kept nodes are those of nonzero weight: the others sit on a
-    zero of the radial density. Returns the `2 * order` mean, the change,
-    the `2 * order` rule, its moments and the Fock gap."""
-    pts_lo, wts_lo = radial_quadrature_nodes(sym_class, weight, modes, order)
-    q_lo = _moment_mean(filling_moments(pts_lo, wts_lo), v)
+    zero of the radial density. Both rules and their moments come from
+    _law_tables; everything that reads ``v`` runs on every call. Returns the
+    `2 * order` mean, the change, the `2 * order` rule, its moments and the
+    Fock gap."""
+    pts_lo, wts_lo, moments_lo = _law_tables(sym_class, weight, modes, order)
+    q_lo = _moment_mean(moments_lo, v)
     keep = wts_lo > 0.0
     pts, w = pts_lo[keep][-FOCK_CHECK_DRAWS:], wts_lo[keep][-FOCK_CHECK_DRAWS:]  # v is shared: never index it by node
     coords = moment_wick_coordinates(filling_moments(pts, w), v)
     fock_dev = _fock_check(from_eigenpairs(np.concatenate([pts, -pts], axis=1), v), coords, np.log(w))
-    rule_hi = radial_quadrature_nodes(sym_class, weight, modes, 2 * order)
-    moments_hi = filling_moments(*rule_hi)
+    pts_hi, wts_hi, moments_hi = _law_tables(sym_class, weight, modes, 2 * order)
     q_hi = _moment_mean(moments_hi, v)
     delta = float(np.abs(q_hi - q_lo).max())
     if not delta <= QUAD_CONVERGENCE_TOL:
@@ -506,7 +543,7 @@ def _converged_mean(sym_class: SymmetryClass, weight: WeightSpec, modes: int, or
             f"quadrature order doubling changed the mean by {delta:.3e} "
             f"(> {QUAD_CONVERGENCE_TOL}); increase quad_order"
         )
-    return q_hi, delta, rule_hi, moments_hi, fock_dev
+    return q_hi, delta, (pts_hi, wts_hi), moments_hi, fock_dev
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +586,7 @@ def verify_resolution_quadrature(
     if modes == 1:  # swapping the eigenvector columns maps lam to -lam
         v_alt = v_main[:, ::-1]
     else:
-        v_alt = random_polar_rotation(modes, RngSpec(ROTATION_SEED, stream=1)).bogoliubov.conj().T
+        v_alt = _second_rotation(modes)
     q_main, delta, rule_hi, moments_hi, fock_dev = _converged_mean(sym_class, weight, modes, quad_order, v_main)
     pts_hi, wts_hi = rule_hi
     if not (np.abs(np.tanh(pts_hi[wts_hi > 0.0] / 2.0)) > QUAD_TOL).any():  # each node within ((1+T)^M - 1) / 2^M < T of 2^-M I
@@ -749,7 +786,7 @@ def _nc_even_mean(modes: int, p: float, quad_order: int) -> tuple[np.ndarray, np
     `2 * quad_order` rule it was taken over. With one mode the mean is
     proportional to the identity; with two the eigenvalue-repulsion factor is
     not even in each eigenvalue separately and a nonzero residual survives."""
-    u = sample_haar_unitary_batch(modes, RngSpec(ROTATION_SEED, stream=2), 1)[0]
+    u = _nc_rotation(modes)
     q, _, rule, _, fock_dev = _converged_mean(CLASS_D, WeightSpec.nc_even(p), modes, quad_order, _ncons_eigenvectors(u))
     return q, u, fock_dev, rule[0]
 

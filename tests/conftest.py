@@ -1,4 +1,15 @@
 import numpy as np
+import pytest
+
+from fermigauss import verify
+
+
+@pytest.fixture(autouse=True)
+def fresh_law_tables():
+    """Each test builds the quadrature-law tables and fixed rotations it reads,
+    so a test that patches a rule's builder never reads one an earlier test kept."""
+    for cached in (verify._law_tables, verify._second_rotation, verify._nc_rotation):
+        cached.cache_clear()
 
 
 def hermitian_matrix(gen, m):

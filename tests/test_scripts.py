@@ -103,7 +103,9 @@ class TestBenchLayers:
             nc: ["cli.run", "class_d_pair_values", "_normal_parts", "_rank_one_pair_rows", "wick_coordinates",
                  "_fock_check"] + mc_report,
             identities: ["cli.run"] + [trial.__name__ for trial, _ in verify._IDENTITY_TRIALS] + report,
-            **{name: ["cli.run", *layers.QUADRATURE_STEPS, "estimator_to_criterion"] + report for name in quadrature},
+            # a warm quadrature call looks its rules and moments up: it builds none
+            **{name: ["cli.run", "_law_tables", "moment_wick_coordinates", "_fock_check", "estimator_to_criterion"]
+               + report for name in quadrature},
             closed_forms: ["cli.run", *layers.SELBERG_STEPS] + report,
         }
         for name, row in rows.items():
@@ -272,6 +274,46 @@ class TestBenchPairsMain:
         [argv] = diff_calls
         assert Path(argv[1]) == SCRIPTS / "report_diff.py"
         assert argv[2:6] == ["--parent", str(parent), "--change", str(change)]
+
+    def test_the_default_change_is_a_copy_without_git(self, monkeypatch, tmp_path):
+        # without --change every row and report_diff.py run a copy of the
+        # checkout's listed files, laid out like the parent's git archive copy
+        pairs = load("bench_pairs")
+        root = tmp_path / "checkout"
+        for name, text in {".git/HEAD": "ref", "src/mod.py": "x = 1\n", "new.txt": "untracked\n"}.items():
+            (root / name).parent.mkdir(parents=True, exist_ok=True)
+            (root / name).write_text(text)
+        monkeypatch.setattr(pairs, "ROOT", root)
+        trees, seen = set(), {}
+
+        def tree_of(tree):
+            trees.add(tree)
+            seen[tree] = sorted(str(p.relative_to(tree)) for p in tree.rglob("*") if p.is_file())
+
+        values = {"failed": 0} | {name: 1.0 for name in pairs.END_TO_END}
+        monkeypatch.setattr(pairs, "bench_run", lambda tree, workload, seed, seconds: tree_of(tree) or values)
+        monkeypatch.setattr(pairs, "layer_run", lambda tree: tree_of(tree) or {"row: layer": 0.5})
+        monkeypatch.setattr(pairs, "timed_call", lambda tree, argv: tree_of(tree)
+                            or {"failed": 0, "wall_s": 1.0, "cpu_s": 1.0})
+        calls = []
+
+        def run(argv, **kwargs):
+            calls.append((argv, kwargs.get("cwd")))
+            if argv[0] == "git":  # a tracked file deleted from the working tree is listed too
+                return subprocess.CompletedProcess(argv, 0, "src/mod.py\0gone.py\0new.txt\0", "")
+            tree_of(Path(argv[argv.index("--change") + 1]))
+            Path(argv[argv.index("--out") + 1]).write_text("[]")
+            return subprocess.CompletedProcess(argv, 0, "", "")
+
+        monkeypatch.setattr(pairs.subprocess, "run", run)
+        parent = tmp_path / "parent"
+        monkeypatch.setattr(pairs.sys, "argv", ["bench_pairs.py", "--parent", str(parent), "--pairs", "2",
+                                                "--out", str(tmp_path / "bench.json")])
+        assert pairs.main() == 0
+        assert calls[0] == (["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"], root)
+        [copy] = trees - {parent}
+        assert copy != root and not copy.exists()  # a temporary directory, removed after the session
+        assert seen[copy] == ["new.txt", "src/mod.py"]
 
     def test_a_report_diff_that_writes_no_results_stops_the_session(self, monkeypatch, tmp_path):
         pairs = load("bench_pairs")

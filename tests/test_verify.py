@@ -260,6 +260,88 @@ class TestRadialQuadratureNodes:
             radial_quadrature_nodes(CLASS_D, weight, 2, 60)
 
 
+def _same_report(a: EstimatorReport, b: EstimatorReport) -> bool:
+    """Bit for bit the same mean, bounds, details and points."""
+    return (
+        np.array_equal(a.mean.matrix, b.mean.matrix)
+        and [dataclasses.astuple(x) for x in a.bounds] == [dataclasses.astuple(x) for x in b.bounds]
+        and json.dumps(a.details) == json.dumps(b.details)
+        and all(np.array_equal(x, y) for x, y in zip(a.point_chunks, b.point_chunks, strict=True))
+    )
+
+
+class TestLawTables:
+    """Each quadrature law's rule and moments, and each fixed rotation, are
+    built once per process (verify._law_tables, _second_rotation,
+    _nc_rotation); what reads the caller's rotation and every bound run on
+    every call."""
+
+    CALLS = {
+        "resolution": lambda rotation=None: verify_resolution_quadrature(
+            2, CLASS_DIII, WeightSpec.determinant(3.0), rotation, quad_order=30),
+        "nc_failure": lambda rotation=None: verify_nc_failure(2, 1.0, quad_order=30),
+    }
+
+    @pytest.mark.parametrize("kind", CALLS)
+    def test_a_second_call_builds_no_rule_and_draws_no_rotation(self, kind, monkeypatch):
+        first = self.CALLS[kind]()
+        calls = []
+        for name in ("radial_quadrature_nodes", "filling_moments", "random_polar_rotation", "sample_haar_unitary_batch"):
+            real = getattr(verify_module, name)
+            monkeypatch.setattr(verify_module, name,
+                                lambda *args, _name=name, _real=real: calls.append((_name, len(args[0]))) or _real(*args))
+        second = self.CALLS[kind]()
+        # only the Fock check's own nodes are reduced to moments again
+        assert calls == [("filling_moments", FOCK_CHECK_DRAWS)]
+        assert _same_report(first, second)
+
+    def test_a_warm_call_at_another_rotation_is_the_cold_call(self):
+        # the moment map at the caller's rotation is not cached, only the law's tables
+        self.CALLS["resolution"](random_polar_rotation(2, RngSpec(1)))
+        rotation = random_polar_rotation(2, RngSpec(2))
+        warm = self.CALLS["resolution"](rotation)
+        verify_module._law_tables.cache_clear()
+        verify_module._second_rotation.cache_clear()
+        assert _same_report(warm, self.CALLS["resolution"](rotation))
+
+    @pytest.mark.parametrize("kind", CALLS)
+    def test_cached_arrays_are_read_only_and_reports_still_give_points(self, kind):
+        rep = self.CALLS[kind]()
+        tables = [*verify_module._law_tables(CLASS_DIII, WeightSpec.determinant(3.0), 2, 60),
+                  verify_module._second_rotation(2), verify_module._nc_rotation(2)]
+        for arr in [rep.point_chunks[0], *tables]:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0.0
+        points = rep.points  # a fresh copy
+        points[0, 0] += 1.0
+        assert points.flags.writeable and rep.points[0, 0] == rep.point_chunks[0][0, 0]
+
+    def test_csv_dumps_of_a_warm_law_are_unchanged(self, tmp_path):
+        argv = ["resolution", "--mode", "quad", "--modes", "2", "--symmetry-class", "CI", "--weight", "gaussian"]
+        dumps = []
+        for n in range(2):
+            assert run(argv + ["--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / f"{n}.csv")]) == 0
+            dumps.append((tmp_path / f"{n}.csv").read_bytes())
+        assert dumps[0] == dumps[1] and len(dumps[0].splitlines()) == 1 + 8 * 120**2
+
+    def test_quad_order_true_is_rejected_after_quad_order_1(self):
+        # typed keys: True hashes as 1, but is no order
+        assert verify_resolution_quadrature(1, CLASS_D, WeightSpec.gaussian(1.0), quad_order=1).passed
+        with pytest.raises(ContractError, match="quad_order must be an integer"):
+            verify_resolution_quadrature(1, CLASS_D, WeightSpec.gaussian(1.0), quad_order=True)
+
+    def test_a_rule_that_raises_raises_again(self, monkeypatch):
+        weight = WeightSpec.gaussian(1e-300)
+        builds = []
+        real = verify_module.radial_quadrature_nodes
+        monkeypatch.setattr(verify_module, "radial_quadrature_nodes", lambda *args: builds.append(args) or real(*args))
+        for n in (1, 2):
+            with pytest.raises(DomainError, match="outside float64"):
+                verify_resolution_quadrature(2, CLASS_D, weight)
+            assert len(builds) == n
+
+
 class TestOneRadialLaw:
     """The quadrature rule and the Metropolis walk read one radial law
     (ensembles._log_jacobian), so one defect in its pair factor reaches both."""
