@@ -63,8 +63,9 @@ MC_STEPS = ("sample_class_d_batch", "real_form", "real_form_pair_rows", "class_d
 #: The report steps of a CLI command, timed at their reports names.
 REPORT_STEPS = ("estimator_to_criterion", "build_report", "write_report")
 #: The steps of the quadrature drivers, timed at their verify names. A warm
-#: call takes its rules and their moments from the law-table lookup, which
-#: builds them (radial_quadrature_nodes, filling_moments) on its first call.
+#: call takes its rules, their moments, the Fock check's nodes and the guard's
+#: verdict from the law-table lookup; a cold one builds them there, the rules
+#: and moments by radial_quadrature_nodes and filling_moments.
 QUADRATURE_STEPS = ("_law_tables", "moment_wick_coordinates", "_fock_check")
 #: The closed forms of selberg_consistency_suite, in the order of their first calls,
 #: timed at their fermigauss.selberg names.

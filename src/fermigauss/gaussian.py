@@ -155,14 +155,20 @@ def _assembled(bdg: BdgMatrix, context: str) -> np.ndarray:
     return bdg.assembled()
 
 
+def _pair_values(w: np.ndarray) -> np.ndarray:
+    """Pair representatives, ascending, of ascending spectra ``w`` of one
+    assembled coefficient matrix or a stack; StructureError unless every
+    spectrum is symmetric under sign reversal."""
+    m = w.shape[-1] // 2
+    _require_close(w, -w[..., ::-1], PAIR_TOL, "spectrum is not symmetric under sign reversal")
+    return (w[..., m:] - w[..., m - 1 :: -1]) / 2.0
+
+
 def _paired_eigh(mats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pair representatives (as paired_eigenvalues) and the eigenvectors of one
-    assembled coefficient matrix or a stack, ascending; StructureError unless
-    every spectrum is symmetric under sign reversal."""
+    assembled coefficient matrix or a stack, ascending (_pair_values)."""
     w, v = np.linalg.eigh(mats)
-    m = mats.shape[-1] // 2
-    _require_close(w, -w[..., ::-1], PAIR_TOL, "spectrum is not symmetric under sign reversal")
-    return (w[..., m:] - w[..., m - 1 :: -1]) / 2.0, v
+    return _pair_values(w), v
 
 
 def paired_eigenvalues(bdg: BdgMatrix) -> np.ndarray:

@@ -22,6 +22,7 @@ REPORT_DIR_ENV = "FERMIGAUSS_REPORT_DIR"
 
 
 _INDENT = "  "
+_INF = float("inf")
 
 
 def _encode(obj, level: int) -> str:
@@ -32,8 +33,20 @@ def _encode(obj, level: int) -> str:
     bulk, since json writes each float as its shortest repr: each distinct
     magnitude (bit pattern of its absolute value) is formatted once, and a
     set sign bit prefixes "-", as repr(-x) is "-" + repr(x) (so -0.0 stays
-    "-0.0"). Everything else goes through json itself, so NaN, Infinity and
-    string escapes are json's own."""
+    "-0.0"). Strings, dict keys and scalars of exact type bool, int and
+    finite float are written as json itself writes them (by
+    encode_basestring_ascii, "true"/"false" and repr). Everything else goes
+    through json itself, so NaN, Infinity and int and float subclasses are
+    json's own."""
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, str):
+        return json.encoder.encode_basestring_ascii(obj)
+    kind = type(obj)
+    if (kind is float and -_INF < obj < _INF) or kind is int:
+        return repr(obj)
+    if kind is bool:
+        return "true" if obj else "false"
     pad = "\n" + _INDENT * level
     inner = pad + _INDENT
     if isinstance(obj, dict):
@@ -42,7 +55,7 @@ def _encode(obj, level: int) -> str:
         for key in obj:
             if not isinstance(key, str):
                 raise TypeError(f"report keys must be strings, got {key!r}")
-        items = (json.dumps(k) + ": " + _encode(v, level + 1) for k, v in obj.items())
+        items = (json.encoder.encode_basestring_ascii(k) + ": " + _encode(v, level + 1) for k, v in obj.items())
         return "{" + inner + ("," + inner).join(items) + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
@@ -66,8 +79,6 @@ def _encode(obj, level: int) -> str:
         return "[" + inner + "[" + row + "".join(parts) + inner + "]" + pad + "]"
     if isinstance(obj, RngSpec):
         return _encode({"seed": obj.seed, "stream": obj.stream}, level)
-    if isinstance(obj, np.generic):
-        obj = obj.item()
     return json.dumps(obj)
 
 

@@ -7,7 +7,7 @@ consistency suites shared by the test suite and the CLI.
 import math
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .gaussian import (  # noqa: F401  gaussian_normalized, gaussian_number_cons
     _draw_weights,
     _expm,
     _hole_filling,
-    _paired_eigh,
+    _pair_values,
     _principal_log,
     _rank_one_pair_rows,
     assemble_blocks,
@@ -467,17 +467,45 @@ def radial_quadrature_nodes(
     return points, wts
 
 
+@dataclass(frozen=True)
+class _LawTable:
+    """One (law, order) rule of radial_quadrature_nodes and its
+    filling_moments, read-only, and two more functions of the rule alone,
+    each computed on its first use and kept from then on."""
+
+    points: np.ndarray
+    weights: np.ndarray
+    moments: np.ndarray
+
+    @cached_property
+    def fock_nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The last FOCK_CHECK_DRAWS kept nodes (those of nonzero weight: the
+        others sit on a zero of the radial density), read-only: the
+        eigenvalues [lam, -lam] of their coefficient matrices, their own
+        filling_moments and their log weights."""
+        keep = self.weights > 0.0
+        pts, w = self.points[keep][-FOCK_CHECK_DRAWS:], self.weights[keep][-FOCK_CHECK_DRAWS:]
+        nodes = np.concatenate([pts, -pts], axis=1), filling_moments(pts, w), np.log(w)
+        for arr in nodes:
+            arr.setflags(write=False)
+        return nodes
+
+    @cached_property
+    def resolvable(self) -> bool:
+        """Whether some kept node has |tanh(lam_j / 2)| above QUAD_TOL: each
+        node's operator is within ((1+T)^M - 1) / 2^M < T of 2^-M I."""
+        return bool((np.abs(np.tanh(self.points[self.weights > 0.0] / 2.0)) > QUAD_TOL).any())
+
+
 @lru_cache(maxsize=LAW_CACHE_SIZE, typed=True)  # typed: True is no quad_order, but hashes as 1
-def _law_tables(
-    sym_class: SymmetryClass, weight: WeightSpec, modes: int, order: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rule of radial_quadrature_nodes and its filling_moments, read-only:
-    (points, weights, moments). A rule that raises is not kept."""
+def _law_tables(sym_class: SymmetryClass, weight: WeightSpec, modes: int, order: int) -> _LawTable:
+    """The _LawTable of one rule, built once per process. A rule that raises
+    is not kept."""
     pts, wts = radial_quadrature_nodes(sym_class, weight, modes, order)
     tables = pts, wts, filling_moments(pts, wts)
     for arr in tables:
         arr.setflags(write=False)
-    return tables
+    return _LawTable(*tables)
 
 
 @lru_cache(maxsize=LAW_CACHE_SIZE, typed=True)
@@ -524,26 +552,24 @@ def _converged_mean(sym_class: SymmetryClass, weight: WeightSpec, modes: int, or
     go through _fock_check with the moment map of their own moments: there
     every tanh(lam_j / 2) is near 1, so every Wick coordinate of their mean
     is of order one (those of the whole rule's mean vanish by the resolution
-    of unity). Kept nodes are those of nonzero weight: the others sit on a
-    zero of the radial density. Both rules and their moments come from
+    of unity). Both rules, their moments and those nodes come from
     _law_tables; everything that reads ``v`` runs on every call. Returns the
-    `2 * order` mean, the change, the `2 * order` rule, its moments and the
+    `2 * order` mean, the change, the `2 * order` rule's _LawTable and the
     Fock gap."""
-    pts_lo, wts_lo, moments_lo = _law_tables(sym_class, weight, modes, order)
-    q_lo = _moment_mean(moments_lo, v)
-    keep = wts_lo > 0.0
-    pts, w = pts_lo[keep][-FOCK_CHECK_DRAWS:], wts_lo[keep][-FOCK_CHECK_DRAWS:]  # v is shared: never index it by node
-    coords = moment_wick_coordinates(filling_moments(pts, w), v)
-    fock_dev = _fock_check(from_eigenpairs(np.concatenate([pts, -pts], axis=1), v), coords, np.log(w))
-    pts_hi, wts_hi, moments_hi = _law_tables(sym_class, weight, modes, 2 * order)
-    q_hi = _moment_mean(moments_hi, v)
+    lo = _law_tables(sym_class, weight, modes, order)
+    q_lo = _moment_mean(lo.moments, v)
+    eigenvalues, moments, log_w = lo.fock_nodes
+    coords = moment_wick_coordinates(moments, v)  # v is shared: never index it by node
+    fock_dev = _fock_check(from_eigenpairs(eigenvalues, v), coords, log_w)
+    hi = _law_tables(sym_class, weight, modes, 2 * order)
+    q_hi = _moment_mean(hi.moments, v)
     delta = float(np.abs(q_hi - q_lo).max())
     if not delta <= QUAD_CONVERGENCE_TOL:
         raise NonConvergenceError(
             f"quadrature order doubling changed the mean by {delta:.3e} "
             f"(> {QUAD_CONVERGENCE_TOL}); increase quad_order"
         )
-    return q_hi, delta, (pts_hi, wts_hi), moments_hi, fock_dev
+    return q_hi, delta, hi, fock_dev
 
 
 # ---------------------------------------------------------------------------
@@ -587,23 +613,22 @@ def verify_resolution_quadrature(
         v_alt = v_main[:, ::-1]
     else:
         v_alt = _second_rotation(modes)
-    q_main, delta, rule_hi, moments_hi, fock_dev = _converged_mean(sym_class, weight, modes, quad_order, v_main)
-    pts_hi, wts_hi = rule_hi
-    if not (np.abs(np.tanh(pts_hi[wts_hi > 0.0] / 2.0)) > QUAD_TOL).any():  # each node within ((1+T)^M - 1) / 2^M < T of 2^-M I
+    q_main, delta, hi, fock_dev = _converged_mean(sym_class, weight, modes, quad_order, v_main)
+    if not hi.resolvable:
         raise DomainError(
             f"no kept node has |tanh(lam_j / 2)| above {QUAD_TOL:g} at p = {weight.p}, so the bound could not fail"
         )
-    q_alt = _moment_mean(moments_hi, v_alt)  # the same rule: its moments serve both rotations
+    q_alt = _moment_mean(hi.moments, v_alt)  # the same rule: its moments serve both rotations
 
     dim = 1 << modes
     target = FockOperator(modes, np.eye(dim) / dim, hermitian=True)
     dev = float(np.abs(q_main - target.matrix).max())
     rot_delta = float(np.abs(q_main - q_alt).max())
-    odd_coeffs = [float(abs(2.0 * moments_hi[1 << j])) for j in range(modes)]  # |E tanh(lam_j / 2)| = |2 m_j|
+    odd_coeffs = [float(abs(2.0 * hi.moments[1 << j])) for j in range(modes)]  # |E tanh(lam_j / 2)| = |2 m_j|
     return EstimatorReport(
         target=target,
         mean=FockOperator(modes, q_main),
-        samples=len(pts_hi),
+        samples=len(hi.points),
         per_entry_se=None,
         seed=RngSpec(ROTATION_SEED, stream=1),
         bounds=[
@@ -621,7 +646,7 @@ def verify_resolution_quadrature(
             "fock_check_deviation": fock_dev,
             "tolerance": QUAD_TOL,
         },
-        point_chunks=(pts_hi,),
+        point_chunks=(hi.points,),
     )
 
 
@@ -787,8 +812,8 @@ def _nc_even_mean(modes: int, p: float, quad_order: int) -> tuple[np.ndarray, np
     proportional to the identity; with two the eigenvalue-repulsion factor is
     not even in each eigenvalue separately and a nonzero residual survives."""
     u = _nc_rotation(modes)
-    q, _, rule, _, fock_dev = _converged_mean(CLASS_D, WeightSpec.nc_even(p), modes, quad_order, _ncons_eigenvectors(u))
-    return q, u, fock_dev, rule[0]
+    q, _, hi, fock_dev = _converged_mean(CLASS_D, WeightSpec.nc_even(p), modes, quad_order, _ncons_eigenvectors(u))
+    return q, u, fock_dev, hi.points
 
 
 def nc_failure_residual(p: float) -> float:
@@ -954,13 +979,14 @@ def _normal_ordering(gen: np.random.Generator, m: int, count: int) -> list[tuple
 
 def _trace_formula(gen: np.random.Generator, m: int, count: int) -> list[tuple]:
     """Per class-D draw H, relative to the closed form prod 2cosh(lam/2) over
-    its pair values (paired_eigenvalues' kernel): the Fock trace of the
-    exponential of its Fock matrix, by eigh (op_exp's kernel), and
-    sqrt|det 2cosh(H/2)| of the doubled matrix, rebuilt from its own eigh."""
+    its pair values (paired_eigenvalues' kernel, _pair_values of its eigh):
+    the Fock trace of the exponential of its Fock matrix, by eigh (op_exp's
+    kernel), and sqrt|det 2cosh(H/2)| of the doubled matrix, rebuilt from the
+    same eigh."""
     mats = sample_class_d_batch(m, 1.0, gen, count)
-    closed = np.prod(2.0 * np.cosh(_paired_eigh(mats)[0] / 2.0), axis=-1)
-    exact = np.trace(_exp_hermitian(_fock_matrices(mats)), axis1=-2, axis2=-1).real
     w, v = np.linalg.eigh(mats)
+    closed = np.prod(2.0 * np.cosh(_pair_values(w) / 2.0), axis=-1)
+    exact = np.trace(_exp_hermitian(_fock_matrices(mats)), axis1=-2, axis2=-1).real
     root_det = np.sqrt(np.abs(np.linalg.det(from_eigenpairs(2.0 * np.cosh(w / 2.0), v))))
     gaps = np.maximum(np.abs(exact - closed) / closed, np.abs(root_det - closed) / closed)
     return [("trace = product of 2cosh(lam/2) = sqrt(det 2cosh(H/2))", 1e-9, gaps)]

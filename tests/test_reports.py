@@ -1,3 +1,4 @@
+import enum
 import json
 import math
 
@@ -49,6 +50,39 @@ def repeats(n: int) -> np.ndarray:
     return gen.choice(pool, size=n) * gen.choice((-1.0, 1.0), size=n)
 
 
+class Mode(enum.IntEnum):
+    TWO = 2
+
+
+class Real(float):
+    def __repr__(self):
+        return "not json's"
+
+
+class Text(str):
+    def __str__(self):
+        return "not json's"
+
+
+#: Scalars and containers whose encodings differ in small ways: signed zero,
+#: subnormal and exponent floats, non-finite floats, bool against int, int and
+#: float and str subclasses, numpy scalars, escapes and non-ASCII text in
+#: values and keys, and empty containers nested in others.
+EDGE_TABLE = (
+    [-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-5, 1.5e300, 0.1],
+    [math.nan, math.inf, -math.inf, {"nan": math.nan}],
+    [True, 1, False, 0, {"true": True, "one": 1, "false": False, "zero": 0}],
+    [Mode.TWO, {"mode": Mode.TWO}, Real(0.5), Text("text")],
+    [np.float64(-0.0), np.float64(1e16), np.float64(math.nan), np.int64(-(2**63)), np.int64(7), np.bool_(True),
+     np.bool_(False)],
+    ["β = 0.3 µ ☃ 𝄞", "\x00\x1f\x7f", 'quote " backslash \\ tab \t newline \n', "\u2028\ud800", ""],
+    {"β = 0.3 µ ☃ 𝄞": 1, "\x00\x1f\x7f": "\x7f", 'quote " \\ \t \n': [], "": {}},
+    [[], {}, [[]], [{}], {"empty": {}, "list": [[], [[]]], "tuple": ()}, ()],
+    {"nested": {"deeper": {"deepest": [1, 2.5, "three", None, True]}}},
+    [None, 2**70, -(2**70), 10**15, 1e22, 123456789.0],
+)
+
+
 def stock(doc) -> str:
     """The standard library's indent=2 encoder, numpy values through their tolist()."""
     return json.dumps(doc, indent=2, default=lambda obj: obj.tolist())
@@ -79,6 +113,25 @@ class TestEncode:
     def test_rng_spec_is_a_seed_and_stream_object(self):
         doc = {"seed": RngSpec(7, 3), "none": None}
         assert _encode(doc, 0) == stock({"seed": {"seed": 7, "stream": 3}, "none": None})
+
+    @pytest.mark.parametrize("obj", EDGE_TABLE, ids=range(len(EDGE_TABLE)))
+    def test_edge_values_match_the_stock_encoder(self, obj, monkeypatch):
+        dumps, fallbacks = json.dumps, []
+        monkeypatch.setattr(json, "dumps", lambda o, **kw: fallbacks.append(o) or dumps(o, **kw))
+        text = _encode(obj, 0)
+        monkeypatch.undo()
+        assert text == stock(obj)
+        # strings, keys and exact bool, int and finite float are written without json.dumps; the rest go through it
+        for value in fallbacks:
+            assert not isinstance(value, (str, dict, list, tuple, np.ndarray))
+            assert type(value) not in (bool, int, float) or not math.isfinite(value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, Mode.TWO, Real(0.5)], ids=repr)
+    def test_non_finite_floats_and_subclasses_go_through_json(self, value, monkeypatch):
+        dumps, fallbacks = json.dumps, []
+        monkeypatch.setattr(json, "dumps", lambda o, **kw: fallbacks.append(o) or dumps(o, **kw))
+        _encode({"value": [value]}, 0)
+        assert len(fallbacks) == 1 and fallbacks[0] is value
 
     def test_non_string_key_is_rejected(self):
         with pytest.raises(TypeError, match="keys must be strings"):

@@ -271,29 +271,56 @@ def _same_report(a: EstimatorReport, b: EstimatorReport) -> bool:
 
 
 class TestLawTables:
-    """Each quadrature law's rule and moments, and each fixed rotation, are
-    built once per process (verify._law_tables, _second_rotation,
-    _nc_rotation); what reads the caller's rotation and every bound run on
-    every call."""
+    """Each quadrature law's rule and moments, its Fock-check nodes and its
+    guard verdict, and each fixed rotation, are built once per process
+    (verify._law_tables, _second_rotation, _nc_rotation); what reads the
+    caller's rotation and every bound run on every call."""
 
     CALLS = {
         "resolution": lambda rotation=None: verify_resolution_quadrature(
             2, CLASS_DIII, WeightSpec.determinant(3.0), rotation, quad_order=30),
         "nc_failure": lambda rotation=None: verify_nc_failure(2, 1.0, quad_order=30),
     }
+    #: The law of each call, as _law_tables keys it, without the order.
+    LAWS = {"resolution": (CLASS_DIII, WeightSpec.determinant(3.0), 2), "nc_failure": (CLASS_D, WeightSpec.nc_even(1.0), 2)}
 
     @pytest.mark.parametrize("kind", CALLS)
     def test_a_second_call_builds_no_rule_and_draws_no_rotation(self, kind, monkeypatch):
         first = self.CALLS[kind]()
-        calls = []
+        calls, tanh_sizes = [], []
         for name in ("radial_quadrature_nodes", "filling_moments", "random_polar_rotation", "sample_haar_unitary_batch"):
             real = getattr(verify_module, name)
             monkeypatch.setattr(verify_module, name,
                                 lambda *args, _name=name, _real=real: calls.append((_name, len(args[0]))) or _real(*args))
+        tanh = np.tanh
+        monkeypatch.setattr(np, "tanh", lambda x, *args, **kw: tanh_sizes.append(np.size(x)) or tanh(x, *args, **kw))
         second = self.CALLS[kind]()
-        # only the Fock check's own nodes are reduced to moments again
-        assert calls == [("filling_moments", FOCK_CHECK_DRAWS)]
+        # not even the Fock check's own nodes are reduced to moments again
+        assert calls == []
+        # and no tanh runs over a rule: the guard's verdict is kept with it
+        kept = (verify_module._law_tables(*self.LAWS[kind], 30).weights > 0.0).sum()
+        assert [size for size in tanh_sizes if size >= kept] == []
         assert _same_report(first, second)
+
+    @pytest.mark.parametrize("kind", CALLS)
+    def test_a_cold_call_computes_only_what_it_reads(self, kind):
+        # the Fock check reads the `order` rule's nodes, the guard (resolution only) the `2 * order` rule's verdict
+        self.CALLS[kind]()
+        lo, hi = (vars(verify_module._law_tables(*self.LAWS[kind], order)) for order in (30, 60))
+        assert ("fock_nodes" in lo, "resolvable" in lo, "fock_nodes" in hi) == (True, False, False)
+        assert ("resolvable" in hi) == (kind == "resolution")
+
+    def test_a_law_that_trips_the_guard_raises_on_every_call(self, monkeypatch):
+        # every node has |tanh(lam / 2)| <= 5.2e-15: the rule is kept, its verdict raises each time
+        weight = WeightSpec.gaussian(1e30)
+        builds = []
+        real = verify_module.radial_quadrature_nodes
+        monkeypatch.setattr(verify_module, "radial_quadrature_nodes", lambda *args: builds.append(args) or real(*args))
+        for _ in range(2):
+            with pytest.raises(DomainError, match="no kept node has"):
+                verify_resolution_quadrature(2, CLASS_D, weight)
+            assert len(builds) == 2  # the order and 2 * order rules, on the first call only
+        assert not verify_module._law_tables(CLASS_D, weight, 2, 120).resolvable
 
     def test_a_warm_call_at_another_rotation_is_the_cold_call(self):
         # the moment map at the caller's rotation is not cached, only the law's tables
@@ -307,9 +334,10 @@ class TestLawTables:
     @pytest.mark.parametrize("kind", CALLS)
     def test_cached_arrays_are_read_only_and_reports_still_give_points(self, kind):
         rep = self.CALLS[kind]()
-        tables = [*verify_module._law_tables(CLASS_DIII, WeightSpec.determinant(3.0), 2, 60),
-                  verify_module._second_rotation(2), verify_module._nc_rotation(2)]
-        for arr in [rep.point_chunks[0], *tables]:
+        tables = [verify_module._law_tables(*self.LAWS[kind], order) for order in (30, 60)]
+        # the rule, its moments, and the Fock check's eigenvalues, moments and log weights
+        arrays = [arr for table in tables for arr in (table.points, table.weights, table.moments, *table.fock_nodes)]
+        for arr in [rep.point_chunks[0], *arrays, verify_module._second_rotation(2), verify_module._nc_rotation(2)]:
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0.0
@@ -1305,12 +1333,23 @@ class TestSuites:
     def test_nan_trace_fails(self, monkeypatch):
         import fermigauss.verify as verify
 
-        # every pair value NaN
-        monkeypatch.setattr(verify, "_paired_eigh", lambda mats: (np.full(mats.shape[:-2] + (mats.shape[-1] // 2,), np.nan), None))
+        # every pair value NaN, as the trace trial reads them from its draws' eigenvalues
+        monkeypatch.setattr(verify, "_pair_values", lambda w: np.full(w.shape[:-1] + (w.shape[-1] // 2,), np.nan))
         results = {r.name: r for r in operator_identity_suite(max_modes=3, seed=42, trials=4)}
         res = results["trace = product of 2cosh(lam/2) = sqrt(det 2cosh(H/2))"]
         assert math.isnan(res.measured) and not res.passed
         assert all(r.passed for name, r in results.items() if r is not res)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_the_trace_trial_takes_one_eigh_of_its_draws(self, m, monkeypatch):
+        # the closed form's pair values and the rebuilt 2cosh(H/2) read the same eigenpairs
+        draws, eighs = [], []
+        sample, eigh = verify_module.sample_class_d_batch, np.linalg.eigh
+        monkeypatch.setattr(verify_module, "sample_class_d_batch", lambda *args: draws.append(sample(*args)) or draws[-1])
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw: eighs.append(np.array(a)) or eigh(a, *args, **kw))
+        [(_, _, gaps)] = verify_module._trace_formula(np.random.default_rng(3), m, 6)
+        assert len(draws) == 1 and gaps.shape == (6,) and (gaps < 1e-9).all()
+        assert sum(a.shape == draws[0].shape and np.array_equal(a, draws[0]) for a in eighs) == 1
 
     @pytest.mark.parametrize("context, name", [
         ("compose_general", "general composition law at operator level"),
