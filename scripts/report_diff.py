@@ -52,6 +52,10 @@ COMMANDS = [
     ["number-conserving", "--variant", "modified", "--samples", "25000", *SEED, "--csv"],
     ["canonical", "--modes", "2", "--samples", "4000", *SEED, "--csv"],
     ["ensembles", *SEED, "--csv"],
+    ["ensembles", "--weight", "nc_even", *SEED, "--csv"],
+    ["ensembles", "--weight", "nc_modified", *SEED, "--csv"],
+    ["ensembles", "--symmetry-class", "DIII", "--weight", "determinant", "-p", "3", *SEED, "--csv"],
+    ["resolution", "--mode", "quad", "--symmetry-class", "DIII", "--weight", "determinant", "-p", "3", *SEED, "--csv"],
 ]
 #: Runs each command of argv[1] (a JSON list of argvs) with --out argv[2]/<k>.json,
 #: and a command that ends in --csv with the dump path argv[2]/<k>.csv.

@@ -8,6 +8,7 @@ from .ensembles import (
     CLASS_DIII,
     SYMMETRY_CLASSES,
     McmcSamples,
+    RadialLaw,
     RngSpec,
     SymmetryClass,
     WeightSpec,

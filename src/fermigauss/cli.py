@@ -16,6 +16,7 @@ from .ensembles import (
     CLASS_D,
     MCMC_ACCEPTANCE_BAND,
     MCMC_TARGET_ACCEPTANCE,
+    RadialLaw,
     RngSpec,
     WeightSpec,
     sample_radial_mcmc,
@@ -264,11 +265,8 @@ def _cmd_selberg(args) -> int:
 
 def _cmd_ensembles(args) -> int:
     spec = RngSpec(args.seed, args.stream)
-    sym = symmetry_class(args.sym_class)
-    weight = WeightSpec(args.weight, args.p)
-    run = sample_radial_mcmc(
-        sym, weight, args.modes, args.samples, spec, burn_in=args.burn_in, thin=args.thin
-    )
+    law = RadialLaw.of(symmetry_class(args.sym_class), WeightSpec(args.weight, args.p))
+    run = sample_radial_mcmc(law, args.modes, args.samples, spec, burn_in=args.burn_in, thin=args.thin)
     low, high = MCMC_ACCEPTANCE_BAND
     criteria = [
         {

@@ -1,6 +1,6 @@
-"""Random-matrix sampling: Cartesian class-D draws, Haar unitaries, and a
-random-walk Metropolis sampler for the radial eigenvalue densities of the four
-particle-hole symmetry classes and of the number-conserving laws.
+"""Random-matrix sampling: Cartesian class-D draws, Haar unitaries, the radial
+eigenvalue laws (RadialLaw) of the four particle-hole symmetry classes and of
+the number-conserving weights, and a random-walk Metropolis sampler for them.
 
 Every sampler is a pure function of its parameters and an RngSpec; identical
 (seed, stream) pairs reproduce identical output bit for bit.
@@ -121,22 +121,6 @@ class WeightSpec:
     def nc_modified(cls, p: float) -> "WeightSpec":
         return cls("nc_modified", p)
 
-    @property
-    def uses_hermitian_jacobian(self) -> bool:
-        return self.kind.startswith("nc_")
-
-    @property
-    def is_even(self) -> bool:
-        """Even as a function of each eigenvalue separately."""
-        return self.kind in ("determinant", "gaussian", "nc_even")
-
-    def validate_for(self, modes: int, sym_class: SymmetryClass | None = None) -> None:
-        """Check integrability of this weight against the relevant Jacobian."""
-        if self.kind == "determinant":
-            _above(self.p, modes - 0.75, "p")
-            if sym_class is not None:  # the tail of one eigenvalue fiber must stay integrable
-                _above(self.p, (2 * sym_class.beta * (modes - 1) + sym_class.alpha + 1) / 4.0, "p")
-
     def log_weight(self, lams: np.ndarray) -> np.ndarray:
         """Log of the weight, vectorized over leading axes of (..., M) input."""
         lam = np.asarray(lams, dtype=float)
@@ -173,14 +157,65 @@ def _log_pairs(lam: np.ndarray, pair, power: float) -> np.ndarray:
     return power * _log_abs_sum(pair(lam[..., iu], lam[..., ju]))
 
 
-def _log_jacobian(sym_class: SymmetryClass, hermitian: bool, lam: np.ndarray) -> np.ndarray:
-    """Log of the radial Jacobian for rows of (..., M): the class Jacobian
-    |Delta(lam^2)|^beta prod |lam_j|^alpha or, with ``hermitian``, the
-    hermitian-matrix Delta(lam)^2; -inf within COINCIDENCE_FLOOR of a zero."""
-    if hermitian:
-        return _log_pairs(lam, np.subtract, 2.0)
-    out = _log_pairs(lam, lambda a, b: a**2 - b**2, sym_class.beta)
-    return out + sym_class.alpha * _log_abs_sum(lam) if sym_class.alpha else out
+@dataclass(frozen=True)
+class RadialLaw:
+    """One radial eigenvalue law: a Jacobian times ``weight``. The Jacobian is
+    the class measure |Delta(lam^2)|^beta prod |lam_j|^alpha of ``jacobian``
+    or, with ``jacobian`` None, the hermitian-matrix Delta(lam)^2 that the nc_
+    weight kinds, and they alone, weigh."""
+
+    jacobian: SymmetryClass | None
+    weight: WeightSpec
+
+    def __post_init__(self):
+        if (self.jacobian is None) != self.weight.kind.startswith("nc_"):
+            raise ContractError(f"the nc_ weight kinds, and they alone, weigh the hermitian measure; got {self}")
+
+    @classmethod
+    def of(cls, sym_class: SymmetryClass, weight: WeightSpec) -> "RadialLaw":
+        """The law that a symmetry class and a weight name: an nc_ kind takes
+        the hermitian Jacobian, which only class D, the default, may name."""
+        law = cls(None if weight.kind.startswith("nc_") else sym_class, weight)
+        if law.jacobian is None and sym_class != CLASS_D:
+            raise ContractError(f"the {weight.kind} weight weighs the hermitian measure, not class {sym_class.label}")
+        return law
+
+    @property
+    def is_even(self) -> bool:
+        """Whether the density is even in each eigenvalue separately: every class law's is, and
+        nc_modified's pair factor restores the parity that Delta(lam)^2 breaks under nc_even."""
+        return self.weight.kind != "nc_even"
+
+    def require_integrable(self, modes: int) -> None:
+        """DomainError unless the determinant weight's tails, those of one
+        eigenvalue fiber too, stay integrable at ``modes``."""
+        if self.weight.kind == "determinant":
+            _above(self.weight.p, modes - 0.75, "p")
+            _above(self.weight.p, (2 * self.jacobian.beta * (modes - 1) + self.jacobian.alpha + 1) / 4.0, "p")
+
+    def validate(self, modes: int) -> None:
+        """require_integrable, then DomainError unless the squares lam^2 near
+        1/(2p) that log_density takes sit a factor 1/eps inside the range where
+        it can be evaluated: below the largest float, and above the class
+        Jacobian's COINCIDENCE_FLOOR on lam_i^2 - lam_j^2 or, for the hermitian
+        one, whose pair factors are lam_i -+ lam_j, the smallest normal float."""
+        self.require_integrable(modes)
+        info = np.finfo(float)
+        floor = info.tiny if self.jacobian is None else COINCIDENCE_FLOOR
+        low, high = 0.5 / (info.eps * info.max), 0.5 * info.eps / floor
+        if not low <= self.weight.p <= high:
+            raise DomainError(f"this law's log_density needs {low:.3g} <= p <= {high:.3g}, got p = {self.weight.p}")
+
+    def log_jacobian(self, lam: np.ndarray) -> np.ndarray:
+        """Log of the Jacobian, rows of (..., M); -inf within COINCIDENCE_FLOOR of a zero."""
+        if self.jacobian is None:
+            return _log_pairs(lam, np.subtract, 2.0)
+        out = _log_pairs(lam, lambda a, b: a**2 - b**2, self.jacobian.beta)
+        return out + self.jacobian.alpha * _log_abs_sum(lam) if self.jacobian.alpha else out
+
+    def log_density(self, lam: np.ndarray) -> np.ndarray:
+        """Log of the weight times the Jacobian, rows of (..., M)."""
+        return self.weight.log_weight(lam) + self.log_jacobian(lam)
 
 
 def _class_d_normals(modes: int, p: float, gen: np.random.Generator, count: int):
@@ -312,45 +347,37 @@ class McmcSamples:
         return self.samples.shape[0] // self.chains
 
 
-def _log_density(sym_class: SymmetryClass, weight: WeightSpec, lam: np.ndarray) -> np.ndarray:
-    """Log of the weight times the radial Jacobian, rows of (..., M)."""
-    return weight.log_weight(lam) + _log_jacobian(sym_class, weight.uses_hermitian_jacobian, lam)
-
-
 def sample_radial_mcmc(
-    sym_class: SymmetryClass,
-    weight: WeightSpec,
-    modes: int,
-    steps: int,
-    rng,
-    burn_in: int = 10_000,
-    thin: int = 10,
+    law: RadialLaw, modes: int, steps: int, rng, burn_in: int = 10_000, thin: int = 10
 ) -> McmcSamples:
-    """Random-walk Metropolis samples of the radial eigenvalue density.
-
-    The density is Delta(lam^2)^beta * prod |lam_j|^alpha * weight for the
-    symmetry classes, or the hermitian-matrix Jacobian Delta(lam)^2 * weight
-    for the number-conserving kinds. ``steps`` counts retained samples, drawn
-    from MCMC_CHAINS independent walkers after per-chain burn-in with the step
+    """Random-walk Metropolis samples of the radial eigenvalue density of
+    ``law``, its log_density. ``steps`` counts retained samples, drawn from
+    MCMC_CHAINS independent walkers after per-chain burn-in with the step
     size tuned from 0.6 / sqrt(2p) toward 40% acceptance, then thinned.
     Log-density arithmetic throughout; proposals on a coincidence zero are
-    rejected outright.
+    rejected outright. Raises DomainError where law.validate(modes) does, for
+    the stiffness outside 1.25e-293 <= p <= 1.11e284 (4.99e291 for a hermitian
+    law), and when no start state of finite density comes in 64 redraws.
     """
     for name, value, low in (("modes", modes, 1), ("steps", steps, 1), ("thin", thin, 1), ("burn_in", burn_in, 0)):
         _count(value, name, ContractError, low)
-    weight.validate_for(modes, None if weight.uses_hermitian_jacobian else sym_class)
+    law.validate(modes)
     gen = _as_generator(rng)
     chains = min(MCMC_CHAINS, steps)
     per_chain = -(-steps // chains)  # ceil; total retained = chains * per_chain
 
-    scale = 1.0 / math.sqrt(2.0 * weight.p)
+    scale = 1.0 / math.sqrt(2.0 * law.weight.p)
     state = scale * (np.arange(1, modes + 1) - (modes + 1) / 2.0)
     state = state[None, :] + 0.35 * scale * gen.standard_normal((chains, modes))
-    logp = _log_density(sym_class, weight, state)
-    while not np.all(np.isfinite(logp)):  # coincidence at start is measure zero, but be safe
+    logp = law.log_density(state)
+    for _ in range(64):  # a coincidence at the start has measure zero, but be safe
         bad = ~np.isfinite(logp)
+        if not bad.any():
+            break
         state[bad] += 0.1 * scale * gen.standard_normal((int(bad.sum()), modes))
-        logp = _log_density(sym_class, weight, state)
+        logp = law.log_density(state)
+    else:
+        raise DomainError(f"no start state of finite density after 64 redraws at p = {law.weight.p}")
 
     step = 0.6 * scale
     window = 200
@@ -359,7 +386,7 @@ def sample_radial_mcmc(
     total = per_chain * thin
     for k in range(burn_in + total):
         prop = state + step * gen.standard_normal((chains, modes))
-        logq = _log_density(sym_class, weight, prop)
+        logq = law.log_density(prop)
         accept = np.log(gen.random(chains)) < (logq - logp)
         state = np.where(accept[:, None], prop, state)
         logp = np.where(accept, logq, logp)

@@ -13,12 +13,11 @@ import numpy as np
 
 from . import selberg
 from .ensembles import (  # noqa: F401  sample_class_d and sample_radial_mcmc stay importable here: benchmark/tracing.py wraps them
-    CLASS_D,
+    RadialLaw,
     RngSpec,
     SymmetryClass,
     WeightSpec,
     _haar_unitaries,
-    _log_jacobian,
     _normal_parts,
     _polar_rotations,
     class_d_pair_values,
@@ -371,25 +370,20 @@ def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _gauss_rule(np.polynomial.legendre.leggauss, "Legendre", order)
 
 
-def _gauss_scale(weight: WeightSpec) -> float:
-    """Coefficient c of the Gaussian factor exp(-c lam^2) in the weight."""
-    if weight.kind == "nc_modified":
-        raise ContractError(f"no per-mode quadrature rule for weight kind {weight.kind!r}")
-    return 2.0 * weight.p if weight.kind == "gaussian" else weight.p
-
-
 def _weight_rule(weight: WeightSpec, order: int, half: bool) -> tuple[np.ndarray, np.ndarray]:
     """One-mode nodes and weights absorbing the weight factor, on the full
     line or, with ``half``, on (0, inf). The determinant weight maps Gauss-
-    Legendre nodes through lam = tan(theta); the Gaussian weights use Gauss-
-    Hermite on the line and Gauss-Legendre up to exp(-c lam^2) = e^-50 on
-    the half line."""
+    Legendre nodes through lam = tan(theta); the Gaussian weights exp(-c lam^2)
+    use Gauss-Hermite on the line and Gauss-Legendre up to e^-50 on the half
+    line. nc_modified's pair factor has no one-mode rule."""
+    if weight.kind == "nc_modified":
+        raise ContractError(f"no per-mode quadrature rule for weight kind {weight.kind!r}")
     if weight.kind == "determinant":
         x, w = _leggauss(order)
         jac = 0.25 * math.pi if half else 0.5 * math.pi
         lam = np.tan(jac * (x + 1.0) if half else jac * x)
         return lam, jac * w * (1.0 + lam**2) ** (1.0 - 2.0 * weight.p)
-    c = _gauss_scale(weight)
+    c = 2.0 * weight.p if weight.kind == "gaussian" else weight.p
     if half:
         x, w = _leggauss(order)
         jac = 0.5 * math.sqrt(50.0 / c)
@@ -417,13 +411,10 @@ def _fold_signs(points: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.nda
     return np.concatenate([points * s for s in signs]), np.tile(wts, 1 << modes)
 
 
-def radial_quadrature_nodes(
-    sym_class: SymmetryClass, weight: WeightSpec, modes: int, order: int
-) -> tuple[np.ndarray, np.ndarray]:
+def radial_quadrature_nodes(law: RadialLaw, modes: int, order: int) -> tuple[np.ndarray, np.ndarray]:
     """The radial quadrature rule of every verifier: points (N, modes) and
-    weights integrating f against the radial density times the weight over
-    R^modes, for one or two modes. The density is the class Jacobian of
-    ``sym_class``, or Delta(lam)^2 for the number-conserving weight kinds.
+    weights integrating f against the density of ``law`` over R^modes, for
+    one or two modes.
 
     An even power of every kink is a plain tensor rule. An odd alpha puts a
     kink at lam_j = 0, so the positive orthant is integrated and reflected;
@@ -433,8 +424,8 @@ def radial_quadrature_nodes(
     outside float64, and ContractError when every node sits on a zero of the
     density (an order too low for it).
     """
-    hermitian = weight.uses_hermitian_jacobian
-    odd_alpha, odd_beta = (False, False) if hermitian else (sym_class.alpha % 2, sym_class.beta % 2)
+    weight, jac = law.weight, law.jacobian
+    odd_alpha, odd_beta = (False, False) if jac is None else (jac.alpha % 2, jac.beta % 2)
     with np.errstate(all="ignore"):
         if modes == 2 and odd_beta:
             r, w_r = _leggauss(order)
@@ -448,13 +439,13 @@ def radial_quadrature_nodes(
             points, wts = _fold_signs(*_tensor(*_weight_rule(weight, order, True), modes))
         else:
             points, wts = _tensor(*_weight_rule(weight, order, False), modes)
-        wts = wts * np.exp(_log_jacobian(sym_class, hermitian, points))
+        wts = wts * np.exp(law.log_jacobian(points))
         total = wts.sum()
     finite = np.isfinite(points).all() and np.isfinite(wts).all()
     if finite and total == 0.0:
         # scaling the nodes moves the density's underflow, not its zeros
         unit = points / (np.abs(points).max() or 1.0)
-        if not np.isfinite(_log_jacobian(sym_class, hermitian, unit)).any():
+        if not np.isfinite(law.log_jacobian(unit)).any():
             raise ContractError(
                 f"every node of the order-{order} radial rule sits on a zero of the radial density "
                 f"(total weight 0); raise quad_order"
@@ -498,10 +489,10 @@ class _LawTable:
 
 
 @lru_cache(maxsize=LAW_CACHE_SIZE, typed=True)  # typed: True is no quad_order, but hashes as 1
-def _law_tables(sym_class: SymmetryClass, weight: WeightSpec, modes: int, order: int) -> _LawTable:
+def _law_tables(law: RadialLaw, modes: int, order: int) -> _LawTable:
     """The _LawTable of one rule, built once per process. A rule that raises
     is not kept."""
-    pts, wts = radial_quadrature_nodes(sym_class, weight, modes, order)
+    pts, wts = radial_quadrature_nodes(law, modes, order)
     tables = pts, wts, filling_moments(pts, wts)
     for arr in tables:
         arr.setflags(write=False)
@@ -545,7 +536,7 @@ def _moment_mean(moments: np.ndarray, v: np.ndarray) -> np.ndarray:
     return embed_parity_blocks(wick_blocks(moment_wick_coordinates(moments, v))[0])
 
 
-def _converged_mean(sym_class: SymmetryClass, weight: WeightSpec, modes: int, order: int, v: np.ndarray):
+def _converged_mean(law: RadialLaw, modes: int, order: int, v: np.ndarray):
     """Wick mean of the operators with eigenvectors ``v`` over the `order` and
     `2 * order` rules, which must agree. The `order` rule's last
     FOCK_CHECK_DRAWS kept nodes, its outermost in the all-positive orthant,
@@ -556,12 +547,12 @@ def _converged_mean(sym_class: SymmetryClass, weight: WeightSpec, modes: int, or
     _law_tables; everything that reads ``v`` runs on every call. Returns the
     `2 * order` mean, the change, the `2 * order` rule's _LawTable and the
     Fock gap."""
-    lo = _law_tables(sym_class, weight, modes, order)
+    lo = _law_tables(law, modes, order)
     q_lo = _moment_mean(lo.moments, v)
     eigenvalues, moments, log_w = lo.fock_nodes
     coords = moment_wick_coordinates(moments, v)  # v is shared: never index it by node
     fock_dev = _fock_check(from_eigenpairs(eigenvalues, v), coords, log_w)
-    hi = _law_tables(sym_class, weight, modes, 2 * order)
+    hi = _law_tables(law, modes, 2 * order)
     q_hi = _moment_mean(hi.moments, v)
     delta = float(np.abs(q_hi - q_lo).max())
     if not delta <= QUAD_CONVERGENCE_TOL:
@@ -596,12 +587,13 @@ def verify_resolution_quadrature(
     Raises DomainError when no kept node has |tanh(lam_j / 2)| above QUAD_TOL,
     at a stiffness so large that the deviation bound could not fail.
     """
-    if not weight.is_even or weight.uses_hermitian_jacobian:
+    law = RadialLaw.of(sym_class, weight)
+    if law.jacobian is None or not law.is_even:
         raise ContractError(
             f"weight kind {weight.kind!r} is not a symmetry-class weight even in each eigenvalue (nc_ kinds weigh "
             f"the hermitian measure); the resolution hypothesis requires an even integrable weight"
         )
-    weight.validate_for(modes, sym_class)
+    law.require_integrable(modes)  # the rule guards float64 itself
     if not isinstance(rotation, (PolarForm, type(None))):
         raise ContractError(f"rotation must be a PolarForm or None, got {type(rotation).__name__}")
     if rotation is not None and rotation.modes != modes:
@@ -613,7 +605,7 @@ def verify_resolution_quadrature(
         v_alt = v_main[:, ::-1]
     else:
         v_alt = _second_rotation(modes)
-    q_main, delta, hi, fock_dev = _converged_mean(sym_class, weight, modes, quad_order, v_main)
+    q_main, delta, hi, fock_dev = _converged_mean(law, modes, quad_order, v_main)
     if not hi.resolvable:
         raise DomainError(
             f"no kept node has |tanh(lam_j / 2)| above {QUAD_TOL:g} at p = {weight.p}, so the bound could not fail"
@@ -671,10 +663,11 @@ def shifted_weight_quadrature_deviation(
             f"class {sym_class.label} puts a kink at {' and '.join(kinks)} in the radial density, which "
             f"the shifted tensor rule cannot integrate; use a class with even alpha and beta (D or C)"
         )
-    lam, w = _weight_rule(WeightSpec.gaussian(p), quad_order, False)
+    law = RadialLaw(sym_class, WeightSpec.gaussian(p))
+    lam, w = _weight_rule(law.weight, quad_order, False)
     with np.errstate(all="ignore"):
         points, wts = _tensor(lam + offset, w, modes)
-        wts = wts * np.exp(_log_jacobian(sym_class, False, points))
+        wts = wts * np.exp(law.log_jacobian(points))
     if not (np.isfinite(points).all() and np.isfinite(wts).all()):
         raise DomainError(f"offset = {offset} puts the shifted rule outside float64; choose a finite, moderate offset")
     if not wts.any():
@@ -682,7 +675,7 @@ def shifted_weight_quadrature_deviation(
         # only at offset 0, so a true zero stays at an offset scaled to unit
         # size, while nodes lam + offset that round together part again
         unit, _ = _tensor(lam + offset / max(1.0, abs(offset)), w, modes)
-        if np.isfinite(_log_jacobian(sym_class, False, unit)).any():
+        if np.isfinite(law.log_jacobian(unit)).any():
             raise DomainError(
                 f"offset = {offset} exceeds the float resolution of the shifted rule: its nodes "
                 f"lam + offset round together onto a zero of the radial density; choose a moderate offset"
@@ -804,15 +797,15 @@ def _closest_identity_multiple(mat: np.ndarray) -> tuple[float, float]:
     return float(c), float(max(off, 0.5 * (diag.max() - diag.min())))
 
 
-def _nc_even_mean(modes: int, p: float, quad_order: int) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+def _nc_even_mean(law: RadialLaw, modes: int, quad_order: int) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """Quadrature mean of rotated number-conserving operators under the
-    hermitian-matrix measure with the even weight exp(-p sum lam^2), the
-    fixed Haar rotation, the mean's Fock gap and the nodes of the
+    hermitian ``law``, in verify_nc_failure the even weight exp(-p sum lam^2),
+    the fixed Haar rotation, the mean's Fock gap and the nodes of the
     `2 * quad_order` rule it was taken over. With one mode the mean is
     proportional to the identity; with two the eigenvalue-repulsion factor is
     not even in each eigenvalue separately and a nonzero residual survives."""
     u = _nc_rotation(modes)
-    q, _, hi, fock_dev = _converged_mean(CLASS_D, WeightSpec.nc_even(p), modes, quad_order, _ncons_eigenvectors(u))
+    q, _, hi, fock_dev = _converged_mean(law, modes, quad_order, _ncons_eigenvectors(u))
     return q, u, fock_dev, hi.points
 
 
@@ -848,7 +841,7 @@ def verify_nc_failure(modes: int = 2, p: float = 1.0, quad_order: int = 60) -> E
         raise DomainError(
             f"the failure floor {floor:.3g} at p = {p} is not above the rounding level {FAILURE_ROUNDING_LEVEL:.3g}"
         )
-    q, u, fock_dev, pts = _nc_even_mean(modes, p, quad_order)
+    q, u, fock_dev, pts = _nc_even_mean(RadialLaw(None, WeightSpec.nc_even(p)), modes, quad_order)
     c, residual = _closest_identity_multiple(q)
 
     # residual decomposition over {I, N_1, N_2, N_1 N_2} built from b = U^dag a

@@ -24,6 +24,7 @@ from fermigauss import (
     FockOperator,
     GreensPair,
     PolarForm,
+    RadialLaw,
     RngSpec,
     StructureError,
     SymmetryClass,
@@ -75,6 +76,7 @@ EXEMPT = {
 BAD_COUNTS = (2.5, True, math.nan)
 
 GAUSS = WeightSpec.gaussian(1.0)
+GAUSS_D = RadialLaw(CLASS_D, GAUSS)
 EMPTY = np.zeros((0, 0))
 
 
@@ -86,6 +88,8 @@ PROBES = [
     ("SymmetryClass", lambda: SymmetryClass("X", 2, math.nan), DomainError),
     ("WeightSpec", lambda: WeightSpec.gaussian(math.nan), DomainError),
     ("WeightSpec", lambda: WeightSpec("gaussian", "1"), DomainError),
+    ("RadialLaw", lambda: RadialLaw(CLASS_D, WeightSpec.nc_even(1.0)), ContractError),
+    ("RadialLaw", lambda: RadialLaw(None, GAUSS), ContractError),
     ("random_polar_rotation", lambda: random_polar_rotation(2.5, RngSpec(0)), DomainError),
     *(("sample_class_d", lambda n=n: sample_class_d(n, 1.0, RngSpec(0)), DomainError) for n in BAD_COUNTS),
     ("sample_class_d", lambda: sample_class_d(2, math.inf, RngSpec(0)), DomainError),
@@ -96,7 +100,7 @@ PROBES = [
     ),
     ("sample_haar_unitary_batch", lambda: sample_haar_unitary_batch(2, RngSpec(0), True), ContractError),
     *(
-        ("sample_radial_mcmc", lambda n=n: sample_radial_mcmc(CLASS_D, GAUSS, 2, n, RngSpec(0)), ContractError)
+        ("sample_radial_mcmc", lambda n=n: sample_radial_mcmc(GAUSS_D, 2, n, RngSpec(0)), ContractError)
         for n in BAD_COUNTS
     ),
     ("FockOperator", lambda: FockOperator(2, np.ones((3, 3))), StructureError),

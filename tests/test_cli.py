@@ -14,7 +14,7 @@ import pytest
 
 from fermigauss import blas, cli, ensembles, reports, verify
 from fermigauss.cli import run
-from fermigauss.ensembles import CLASS_D, CLASS_DIII, WeightSpec
+from fermigauss.ensembles import CLASS_D, CLASS_DIII, RadialLaw, WeightSpec
 from fermigauss.verify import operator_identity_suite, radial_quadrature_nodes
 
 
@@ -132,6 +132,31 @@ class TestExitCodes:
             assert run(argv) == 2
         assert caught == []
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-p", "1e305"],
+            ["-p", "1e-320"],
+            ["--weight", "nc_even", "-p", "1e-320"],
+            ["-p", "1e300"],
+            ["-p", "1e-308"],
+            ["--symmetry-class", "C", "--weight", "nc_even"],
+            ["--symmetry-class", "CI", "--weight", "nc_modified"],
+        ],
+    )
+    def test_ensembles_outside_its_law_is_one_error_line(self, argv, capsys):
+        # the walk redrew its start forever at the first three, drew a biased law at the next two,
+        # and ran the hermitian law under a class label that its report recorded at the last two
+        assert run(["ensembles", "--samples", "50", "--burn-in", "100", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_ensembles_nc_weights_run_under_the_default_class(self, tmp_path):
+        for kind in ("nc_even", "nc_modified"):
+            argv = ["ensembles", "--weight", kind, "--samples", "50", "--burn-in", "100"]
+            assert run([*argv, "--out", str(tmp_path / "r.json")]) in (0, 1)
+            assert json.loads((tmp_path / "r.json").read_text())["parameters"]["sym_class"] == "D"
 
     @pytest.mark.parametrize(
         "argv",
@@ -445,7 +470,7 @@ class TestCsvDumps:
     def test_quadrature_dump_is_the_doubled_rule(self, argv, sym, weight, tmp_path):
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         assert run(argv + ["--quad-order", "20", "--csv", str(got)]) == 0
-        reports.write_lambda_csv(str(want), [radial_quadrature_nodes(sym, weight, 2, 40)[0]], 2)
+        reports.write_lambda_csv(str(want), [radial_quadrature_nodes(RadialLaw.of(sym, weight), 2, 40)[0]], 2)
         assert got.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize(

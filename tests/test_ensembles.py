@@ -12,6 +12,7 @@ from fermigauss import (
     CLASS_DIII,
     ContractError,
     DomainError,
+    RadialLaw,
     RngSpec,
     WeightSpec,
     polar_decompose,
@@ -21,7 +22,7 @@ from fermigauss import (
     sample_radial_mcmc,
     symmetry_class,
 )
-from fermigauss.ensembles import _log_jacobian, _upper_pairs
+from fermigauss.ensembles import _upper_pairs
 
 
 def chain_moment_se(run, f):
@@ -172,7 +173,7 @@ class TestRadialMcmc:
     def test_class_d_single_mode_second_moment(self):
         # density ~ exp(-2 p lam^2): E[lam^2] = 1 / (4p)
         p = 1.0
-        run = sample_radial_mcmc(CLASS_D, WeightSpec.gaussian(p), 1, 40_000, RngSpec(21))
+        run = sample_radial_mcmc(RadialLaw(CLASS_D, WeightSpec.gaussian(p)), 1, 40_000, RngSpec(21))
         mean, se = chain_moment_se(run, lambda row: row[0] ** 2)
         assert abs(mean - 1.0 / (4.0 * p)) < 5 * se
         assert se < 0.02
@@ -188,7 +189,7 @@ class TestRadialMcmc:
         den, _ = quad(lambda t: t**2 * np.exp(-2 * p * t * t), -np.inf, np.inf)
         oracle = num / den  # equals 3 / (4p)
         assert abs(oracle - 3.0 / (4.0 * p)) < 1e-12
-        run = sample_radial_mcmc(CLASS_C, WeightSpec.gaussian(p), 1, 40_000, RngSpec(22))
+        run = sample_radial_mcmc(RadialLaw(CLASS_C, WeightSpec.gaussian(p)), 1, 40_000, RngSpec(22))
         mean, se = chain_moment_se(run, lambda row: row[0] ** 2)
         assert abs(mean - oracle) < 5 * se
 
@@ -205,7 +206,7 @@ class TestRadialMcmc:
             "fourth": l1**4 + l2**4,
         }
         oracles = {k: float((ww * v).sum() / ww.sum()) for k, v in stats.items()}
-        run = sample_radial_mcmc(CLASS_D, WeightSpec.gaussian(p), 2, 40_000, RngSpec(23))
+        run = sample_radial_mcmc(RadialLaw(CLASS_D, WeightSpec.gaussian(p)), 2, 40_000, RngSpec(23))
         checks = {
             "sum_sq": lambda row: row[0] ** 2 + row[1] ** 2,
             "repulsion": lambda row: (row[0] ** 2 - row[1] ** 2) ** 2,
@@ -216,13 +217,13 @@ class TestRadialMcmc:
             assert abs(mean - oracles[key]) < 5 * se, key
 
     def test_hermitian_jacobian_kinds(self):
-        run = sample_radial_mcmc(CLASS_D, WeightSpec.nc_modified(1.0), 2, 10_000, RngSpec(24))
+        run = sample_radial_mcmc(RadialLaw(None, WeightSpec.nc_modified(1.0)), 2, 10_000, RngSpec(24))
         assert run.samples.shape == (10_000, 2)
         assert 0.1 <= run.acceptance_rate <= 0.9
 
     def test_determinism(self):
-        a = sample_radial_mcmc(CLASS_D, WeightSpec.gaussian(1.0), 2, 500, RngSpec(3, 1), burn_in=500)
-        b = sample_radial_mcmc(CLASS_D, WeightSpec.gaussian(1.0), 2, 500, RngSpec(3, 1), burn_in=500)
+        a = sample_radial_mcmc(RadialLaw(CLASS_D, WeightSpec.gaussian(1.0)), 2, 500, RngSpec(3, 1), burn_in=500)
+        b = sample_radial_mcmc(RadialLaw(CLASS_D, WeightSpec.gaussian(1.0)), 2, 500, RngSpec(3, 1), burn_in=500)
         assert np.array_equal(a.samples, b.samples)
 
     @pytest.mark.parametrize("burn_in, thin, steps, rows, total, first, last, rate", [
@@ -233,7 +234,8 @@ class TestRadialMcmc:
     ])
     def test_burn_in_off_the_tuning_window_is_pinned(self, burn_in, thin, steps, rows, total, first, last, rate):
         # exact values: the burn-in ends mid-window, and the acceptance count restarts where it ends
-        run = sample_radial_mcmc(CLASS_D, WeightSpec.gaussian(1.0), 2, steps, RngSpec(7), burn_in=burn_in, thin=thin)
+        law = RadialLaw(CLASS_D, WeightSpec.gaussian(1.0))
+        run = sample_radial_mcmc(law, 2, steps, RngSpec(7), burn_in=burn_in, thin=thin)
         assert run.samples.shape == (rows, 2)  # 25 chains of ceil(steps / 25) draws
         assert float(run.samples.sum()) == total
         assert run.samples[0].tolist() == first and run.samples[-1].tolist() == last
@@ -241,13 +243,50 @@ class TestRadialMcmc:
 
     def test_determinant_weight_domain(self):
         with pytest.raises(DomainError, match="p > 1.25 required"):
-            sample_radial_mcmc(CLASS_D, WeightSpec.determinant(1.0), 2, 100, RngSpec(0))
-        run = sample_radial_mcmc(CLASS_D, WeightSpec.determinant(2.0), 2, 2_000, RngSpec(25))
+            sample_radial_mcmc(RadialLaw(CLASS_D, WeightSpec.determinant(1.0)), 2, 100, RngSpec(0))
+        run = sample_radial_mcmc(RadialLaw(CLASS_D, WeightSpec.determinant(2.0)), 2, 2_000, RngSpec(25))
         assert np.isfinite(run.samples).all()
+
+    @pytest.mark.parametrize("p", [1e305, 1e300, 1e-308, 1e-320])
+    @pytest.mark.parametrize("kind", ["gaussian", "nc_even"])
+    def test_stiffness_outside_the_law_is_domain_error(self, kind, p):
+        # class D redrew its start forever at 1e305 and 1e-320 (nc_even at 1e-320), and drew a biased law at
+        # 1e300 and 1e-308
+        with pytest.raises(DomainError, match=re.escape(f"got p = {p}")):
+            sample_radial_mcmc(RadialLaw.of(CLASS_D, WeightSpec(kind, p)), 2, 50, RngSpec(0), burn_in=100)
+
+    @staticmethod
+    def _scale_free_mean(law: RadialLaw) -> float:
+        """Mean of 4p sum lam^2 / (M (2M - 1)) over a two-mode walk: the same at every p of an exact walk."""
+        run = sample_radial_mcmc(law, 2, 4000, RngSpec(1), burn_in=2000)
+        return float(np.mean(4.0 * law.weight.p * (run.samples**2).sum(axis=1) / 6.0))
+
+    @pytest.mark.parametrize("kind, floor", [("gaussian", 1e-300), ("nc_even", np.finfo(float).tiny)])
+    def test_the_extreme_accepted_stiffness_draws_the_law_of_p_1(self, kind, floor):
+        # squares near 1/(2p) sit a factor 1/eps inside the float range and above the pair floor;
+        # the next float out on either side is refused
+        info = np.finfo(float)
+        low, high = 0.5 / (info.eps * info.max), 0.5 * info.eps / floor
+        at_one = self._scale_free_mean(RadialLaw.of(CLASS_D, WeightSpec(kind, 1.0)))
+        if kind == "gaussian":
+            assert at_one == pytest.approx(0.99503891394881, abs=1e-14)
+        for p, out in ((low, np.nextafter(low, 0.0)), (high, np.nextafter(high, np.inf))):
+            with pytest.raises(DomainError, match=re.escape(f"got p = {out}")):
+                RadialLaw.of(CLASS_D, WeightSpec(kind, out)).validate(2)
+            extreme = self._scale_free_mean(RadialLaw.of(CLASS_D, WeightSpec(kind, p)))
+            assert extreme == pytest.approx(at_one, rel=1e-12)
+
+    def test_a_start_that_never_finds_a_finite_density_is_domain_error(self, monkeypatch):
+        # the start is redrawn at most 64 times, as _polar_rotations redraws, where it once looped forever
+        calls = []
+        monkeypatch.setattr(RadialLaw, "log_density", lambda self, lam: calls.append(1) or np.full(len(lam), -np.inf))
+        with pytest.raises(DomainError, match="no start state of finite density after 64 redraws at p = 1.0"):
+            sample_radial_mcmc(RadialLaw(CLASS_D, WeightSpec.gaussian(1.0)), 2, 50, RngSpec(0), burn_in=0)
+        assert len(calls) == 65
 
     def test_rejects_zero_steps(self):
         with pytest.raises(ContractError):
-            sample_radial_mcmc(CLASS_D, WeightSpec.gaussian(1.0), 1, 0, RngSpec(0))
+            sample_radial_mcmc(RadialLaw(CLASS_D, WeightSpec.gaussian(1.0)), 1, 0, RngSpec(0))
 
 
 class TestWeightSpec:
@@ -259,9 +298,6 @@ class TestWeightSpec:
         for p in (math.nan, math.inf, -math.inf):
             with pytest.raises(DomainError, match=f"got p = {p}"):
                 WeightSpec.gaussian(p)
-        assert WeightSpec.determinant(2.0).is_even
-        assert not WeightSpec.nc_modified(1.0).is_even
-        assert WeightSpec.nc_even(1.0).uses_hermitian_jacobian
 
     def test_modified_weight_restores_parity(self):
         # Delta(lam)^2 * modified weight is even in each eigenvalue separately
@@ -281,9 +317,25 @@ class TestWeightSpec:
             assert abs(total - total_f) < 1e-10
 
 
+#: One law of each Jacobian and weight kind; None is the hermitian Jacobian.
+LAWS = [
+    RadialLaw(CLASS_D, WeightSpec.gaussian(1.0)),
+    RadialLaw(CLASS_C, WeightSpec.determinant(3.0)),
+    RadialLaw(CLASS_DIII, WeightSpec.gaussian(0.7)),
+    RadialLaw(CLASS_CI, WeightSpec.determinant(2.0)),
+    RadialLaw(None, WeightSpec.nc_even(1.0)),
+    RadialLaw(None, WeightSpec.nc_modified(1.3)),
+]
+
+
+def law_id(law: RadialLaw) -> str:
+    return f"{law.jacobian.label if law.jacobian else 'hermitian'}-{law.weight.kind}"
+
+
 class TestRadialLaw:
-    """ensembles._log_jacobian, the one radial law of the walk and the
-    quadrature rule, against the products it stands for, pair by pair."""
+    """RadialLaw, the one radial law of the walk and the quadrature rule: its
+    Jacobian against the products it stands for, pair by pair, its pairing of
+    Jacobian and weight kind, its parity, and its bounds."""
 
     @pytest.mark.parametrize("modes", [1, 2, 3, 6])
     @pytest.mark.parametrize(
@@ -299,17 +351,18 @@ class TestRadialLaw:
             else:
                 repulsion = math.prod(abs(a * a - b * b) ** sym.beta for a, b in pairs)
                 want.append(repulsion * math.prod(abs(row)) ** sym.alpha)
-        got = np.exp(_log_jacobian(sym or CLASS_D, sym is None, lam))
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+        law = RadialLaw.of(sym or CLASS_D, WeightSpec.nc_even(1.0) if sym is None else WeightSpec.gaussian(1.0))
+        np.testing.assert_allclose(np.exp(law.log_jacobian(lam)), want, rtol=1e-12)
 
     def test_zeros_are_minus_infinity_without_warnings(self):
         rows = np.array([[0.3, 0.3, 1.0], [0.3, -0.3, 1.0], [0.0, 0.5, 1.0], [1e-301, 0.5, 1.0]])
+        gauss = WeightSpec.gaussian(1.0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             finite = {
-                "D": np.isfinite(_log_jacobian(CLASS_D, False, rows)),
-                "C": np.isfinite(_log_jacobian(CLASS_C, False, rows)),
-                "hermitian": np.isfinite(_log_jacobian(CLASS_D, True, rows)),
+                "D": np.isfinite(RadialLaw(CLASS_D, gauss).log_jacobian(rows)),
+                "C": np.isfinite(RadialLaw(CLASS_C, gauss).log_jacobian(rows)),
+                "hermitian": np.isfinite(RadialLaw(None, WeightSpec.nc_even(1.0)).log_jacobian(rows)),
                 "nc_modified": np.isfinite(WeightSpec.nc_modified(1.0).log_weight(rows)),
             }
         assert {k: v.tolist() for k, v in finite.items()} == {
@@ -318,6 +371,49 @@ class TestRadialLaw:
             "hermitian": [False, True, True, True],
             "nc_modified": [True, False, True, True],
         }
+
+    @pytest.mark.parametrize(
+        "sym, kind", [(CLASS_D, "nc_even"), (CLASS_C, "nc_modified"), (None, "gaussian"), (None, "determinant")]
+    )
+    def test_a_jacobian_of_the_other_kind_is_contract_error(self, sym, kind):
+        # the nc_ kinds weigh the hermitian measure, the others a class measure
+        with pytest.raises(ContractError, match="hermitian measure"):
+            RadialLaw(sym, WeightSpec(kind, 3.0))
+
+    def test_of_gives_the_nc_kinds_the_hermitian_jacobian(self):
+        for kind in ("nc_even", "nc_modified"):
+            assert RadialLaw.of(CLASS_D, WeightSpec(kind, 1.0)) == RadialLaw(None, WeightSpec(kind, 1.0))
+        for sym in (CLASS_D, CLASS_C, CLASS_DIII, CLASS_CI):
+            assert RadialLaw.of(sym, WeightSpec.gaussian(1.0)).jacobian is sym
+
+    @pytest.mark.parametrize("law", LAWS, ids=law_id)
+    def test_is_even_is_the_parity_of_the_density(self, law):
+        # flipping the sign of one eigenvalue keeps an even density; nc_even's Delta(lam)^2 is the one it moves
+        lam = RngSpec(32).generator().normal(size=(200, 3))
+        kept = np.isclose(law.log_density(lam), law.log_density(lam * [-1.0, 1.0, 1.0]), rtol=1e-12, atol=1e-12)
+        assert (kept.all(), kept.any()) == ((True, True) if law.is_even else (False, False))
+
+    def test_validate_keeps_its_bounds_and_their_order(self):
+        # the mode bound p > M - 0.75 first, then the fiber bound (2 beta (M - 1) + alpha + 1) / 4
+        cases = [(CLASS_CI, 1.2, "p > 1.25"), (CLASS_DIII, 1.0, "p > 1.25"), (CLASS_DIII, 2.0, "p > 2.5")]
+        for sym, p, bound in cases:
+            with pytest.raises(DomainError, match=re.escape(f"finite {bound} required, got p = {p}")):
+                RadialLaw(sym, WeightSpec.determinant(p)).validate(2)
+        RadialLaw(CLASS_DIII, WeightSpec.determinant(2.6)).validate(2)
+        RadialLaw(None, WeightSpec.nc_even(1e-3)).validate(6)  # no tail bound off the determinant weight
+
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4])
+    def test_nc_modified_log_density_is_its_weight_plus_the_hermitian_pair_sum(self, modes):
+        # bit for bit log_weight plus 2 sum_{i<j} log|lam_i - lam_j|, as the walk read it before the
+        # law type: its accept decisions depend on this arithmetic, which class D at p/2 does not share
+        lam = RngSpec(33).generator().normal(size=(400, modes))
+        lam[0, :2] = 0.25  # a coincidence
+        weight = WeightSpec.nc_modified(1.0)
+        iu, ju = np.triu_indices(modes, 1)
+        gap = np.abs(lam[:, iu] - lam[:, ju])
+        with np.errstate(divide="ignore"):
+            want = weight.log_weight(lam) + 2.0 * np.where(gap < 1e-300, -np.inf, np.log(gap)).sum(axis=-1)
+        assert np.array_equal(RadialLaw(None, weight).log_density(lam), want)
 
 
 class TestCartesianVersusRadial:
@@ -333,7 +429,7 @@ class TestCartesianVersusRadial:
             lams.append(polar_decompose(sample_class_d(modes, p, gen)).lambdas)
         lams = np.array(lams)
 
-        run = sample_radial_mcmc(CLASS_D, WeightSpec.gaussian(p), modes, 40_000, RngSpec(28))
+        run = sample_radial_mcmc(RadialLaw(CLASS_D, WeightSpec.gaussian(p)), modes, 40_000, RngSpec(28))
 
         for power in (2, 4, 6):
             cart_vals = (lams**power).mean(axis=1)

@@ -20,8 +20,10 @@ from fermigauss import (
     ContractError,
     DomainError,
     PolarForm,
+    RadialLaw,
     RngSpec,
     StructureError,
+    SymmetryClass,
     WeightSpec,
     make_bdg,
     operator_identity_suite,
@@ -39,7 +41,6 @@ from fermigauss import verify as verify_module
 from fermigauss.cli import run
 from fermigauss.ensembles import (
     _haar_unitaries,
-    _log_jacobian,
     _normal_parts,
     class_d_pair_values,
     sample_haar_unitary_batch,
@@ -193,7 +194,7 @@ class TestRadialQuadratureNodes:
 
     @staticmethod
     def _relative_error(sym, weight, modes):
-        _, wts = radial_quadrature_nodes(sym, weight, modes, 60)
+        _, wts = radial_quadrature_nodes(RadialLaw.of(sym, weight), modes, 60)
         return abs(math.expm1(math.log(wts.sum()) - _radial_total_log(sym, weight, modes)))
 
     @pytest.mark.parametrize("sym", [CLASS_D, CLASS_C, CLASS_DIII, CLASS_CI], ids=lambda s: s.label)
@@ -220,7 +221,7 @@ class TestRadialQuadratureNodes:
     def test_node_counts(self):
         gauss = WeightSpec.gaussian(1.0)
         counts = {
-            s.label: [radial_quadrature_nodes(s, gauss, m, 10)[0].shape for m in (1, 2)]
+            s.label: [radial_quadrature_nodes(RadialLaw(s, gauss), m, 10)[0].shape for m in (1, 2)]
             for s in (CLASS_D, CLASS_C, CLASS_DIII, CLASS_CI)
         }
         assert counts == {
@@ -232,9 +233,9 @@ class TestRadialQuadratureNodes:
 
     def test_rejects_three_modes_and_the_modified_weight(self):
         with pytest.raises(ContractError, match="one or two modes"):
-            radial_quadrature_nodes(CLASS_D, WeightSpec.gaussian(1.0), 3, 10)
+            radial_quadrature_nodes(RadialLaw(CLASS_D, WeightSpec.gaussian(1.0)), 3, 10)
         with pytest.raises(ContractError, match="nc_modified"):
-            radial_quadrature_nodes(CLASS_D, WeightSpec.nc_modified(1.0), 2, 10)
+            radial_quadrature_nodes(RadialLaw(None, WeightSpec.nc_modified(1.0)), 2, 10)
 
     @pytest.mark.parametrize(
         "sym, weight, modes, order",
@@ -250,14 +251,14 @@ class TestRadialQuadratureNodes:
     def test_rule_with_every_node_on_a_density_zero_names_quad_order(self, sym, weight, modes, order):
         # a node at lam = 0 or on |lam_1| = |lam_2| carries no weight whatever p is
         with pytest.raises(ContractError, match=f"order-{order} radial rule .* raise quad_order"):
-            radial_quadrature_nodes(sym, weight, modes, order)
+            radial_quadrature_nodes(RadialLaw.of(sym, weight), modes, order)
 
     @pytest.mark.parametrize(
         "weight", [WeightSpec.gaussian(1e-300), WeightSpec.gaussian(1e300), WeightSpec.determinant(1e300)]
     )
     def test_rule_outside_float64_is_domain_error(self, weight):
         with pytest.raises(DomainError, match=re.escape(f"{weight.kind} weight at p = {weight.p}")):
-            radial_quadrature_nodes(CLASS_D, weight, 2, 60)
+            radial_quadrature_nodes(RadialLaw(CLASS_D, weight), 2, 60)
 
 
 def _same_report(a: EstimatorReport, b: EstimatorReport) -> bool:
@@ -282,7 +283,10 @@ class TestLawTables:
         "nc_failure": lambda rotation=None: verify_nc_failure(2, 1.0, quad_order=30),
     }
     #: The law of each call, as _law_tables keys it, without the order.
-    LAWS = {"resolution": (CLASS_DIII, WeightSpec.determinant(3.0), 2), "nc_failure": (CLASS_D, WeightSpec.nc_even(1.0), 2)}
+    LAWS = {
+        "resolution": (RadialLaw(CLASS_DIII, WeightSpec.determinant(3.0)), 2),
+        "nc_failure": (RadialLaw(None, WeightSpec.nc_even(1.0)), 2),
+    }
 
     @pytest.mark.parametrize("kind", CALLS)
     def test_a_second_call_builds_no_rule_and_draws_no_rotation(self, kind, monkeypatch):
@@ -302,6 +306,16 @@ class TestLawTables:
         assert [size for size in tanh_sizes if size >= kept] == []
         assert _same_report(first, second)
 
+    def test_equal_laws_built_apart_share_one_entry(self, monkeypatch):
+        # the law is the key: two equal laws, down to a class built anew, build one rule
+        first = verify_module._law_tables(RadialLaw(CLASS_D, WeightSpec.gaussian(1.0)), 2, 30)
+        builds = []
+        real = verify_module.radial_quadrature_nodes
+        monkeypatch.setattr(verify_module, "radial_quadrature_nodes", lambda *args: builds.append(args) or real(*args))
+        again = RadialLaw(SymmetryClass("D", 2, 0), WeightSpec("gaussian", 1.0))
+        assert verify_module._law_tables(again, 2, 30) is first
+        assert builds == [] and verify_module._law_tables.cache_info().currsize == 1
+
     @pytest.mark.parametrize("kind", CALLS)
     def test_a_cold_call_computes_only_what_it_reads(self, kind):
         # the Fock check reads the `order` rule's nodes, the guard (resolution only) the `2 * order` rule's verdict
@@ -320,7 +334,7 @@ class TestLawTables:
             with pytest.raises(DomainError, match="no kept node has"):
                 verify_resolution_quadrature(2, CLASS_D, weight)
             assert len(builds) == 2  # the order and 2 * order rules, on the first call only
-        assert not verify_module._law_tables(CLASS_D, weight, 2, 120).resolvable
+        assert not verify_module._law_tables(RadialLaw(CLASS_D, weight), 2, 120).resolvable
 
     def test_a_warm_call_at_another_rotation_is_the_cold_call(self):
         # the moment map at the caller's rotation is not cached, only the law's tables
@@ -372,7 +386,7 @@ class TestLawTables:
 
 class TestOneRadialLaw:
     """The quadrature rule and the Metropolis walk read one radial law
-    (ensembles._log_jacobian), so one defect in its pair factor reaches both."""
+    (RadialLaw.log_jacobian), so one defect in its pair factor reaches both."""
 
     @pytest.mark.parametrize("halved", [False, True], ids=["law", "halved_pair_power"])
     def test_a_defect_in_the_pair_factor_reaches_rule_and_walk(self, halved, monkeypatch):
@@ -380,9 +394,9 @@ class TestOneRadialLaw:
             real = ensembles._log_pairs
             monkeypatch.setattr(ensembles, "_log_pairs", lambda lam, pair, power: real(lam, pair, power / 2))
         gauss = WeightSpec.gaussian(1.0)
-        _, wts = radial_quadrature_nodes(CLASS_D, gauss, 2, 60)
+        _, wts = radial_quadrature_nodes(RadialLaw(CLASS_D, gauss), 2, 60)
         rule_miss = abs(math.log(wts.sum()) - _radial_total_log(CLASS_D, gauss, 2))
-        run = sample_radial_mcmc(CLASS_D, gauss, 2, 40_000, RngSpec(23))
+        run = sample_radial_mcmc(RadialLaw(CLASS_D, gauss), 2, 40_000, RngSpec(23))
         mean, se = chain_moment_se(run, lambda row: row[0] ** 2 + row[1] ** 2)
         # the class-D two-mode law at p = 1 has E[lam_1^2 + lam_2^2] = 3/2
         if halved:
@@ -730,8 +744,8 @@ class TestFockCrossCheck:
     # phase too, where it depends on every node
 
     @staticmethod
-    def _last_nodes_gap(sym, weight, modes, order, v):
-        pts, wts = radial_quadrature_nodes(sym, weight, modes, order)
+    def _last_nodes_gap(law, modes, order, v):
+        pts, wts = radial_quadrature_nodes(law, modes, order)
         keep = wts > 0.0
         pts, w = pts[keep][-FOCK_CHECK_DRAWS:], wts[keep][-FOCK_CHECK_DRAWS:]
         assert (pts > 0.0).all()
@@ -747,7 +761,7 @@ class TestFockCrossCheck:
             break_phase(monkeypatch, modes)
         rotation = random_polar_rotation(modes, RngSpec(5))
         rep = verify_resolution_quadrature(modes, sym, weight, rotation, quad_order=30)
-        want = self._last_nodes_gap(sym, weight, modes, 30, rotation.bogoliubov.conj().T)
+        want = self._last_nodes_gap(RadialLaw(sym, weight), modes, 30, rotation.bogoliubov.conj().T)
         assert rep.details["fock_check_deviation"] == want
 
     @pytest.mark.parametrize("broken", [False, True], ids=["clean", "broken"])
@@ -755,8 +769,9 @@ class TestFockCrossCheck:
         if broken:
             break_phase(monkeypatch, 2)
         rep = verify_nc_failure(2, 1.0, quad_order=30)
-        v = _ncons_eigenvectors(_nc_even_mean(2, 1.0, 30)[1])
-        assert rep.details["fock_check_deviation"] == self._last_nodes_gap(CLASS_D, WeightSpec.nc_even(1.0), 2, 30, v)
+        law = RadialLaw(None, WeightSpec.nc_even(1.0))
+        v = _ncons_eigenvectors(_nc_even_mean(law, 2, 30)[1])
+        assert rep.details["fock_check_deviation"] == self._last_nodes_gap(law, 2, 30, v)
 
     # power per Wick column: the whole rule's mean has every non-empty Wick
     # coordinate at 0 (the resolution of unity), so i times one entry of any
@@ -796,16 +811,17 @@ class TestWickQuadrature:
     def test_resolution_matches_the_per_node_fock_path(self, modes, sym, weight):
         rotation = random_polar_rotation(modes, RngSpec(5))
         rep = verify_resolution_quadrature(modes, sym, weight, rotation)
-        pts, wts = radial_quadrature_nodes(sym, weight, modes, 120)
+        pts, wts = radial_quadrature_nodes(RadialLaw(sym, weight), modes, 120)
         want = _fock_quadrature_mean(pts, wts, lambda p: rotated_gaussian_blocks(p, rotation.bogoliubov))
         assert np.abs(rep.mean.matrix - want).max() <= 1e-13
 
     @pytest.mark.parametrize("offset", [0.1, 0.5])
     @pytest.mark.parametrize("modes", [1, 2])
     def test_shifted_weight_matches_the_per_node_fock_path(self, modes, offset):
-        lam, w = _weight_rule(WeightSpec.gaussian(1.0), 60, False)
+        law = RadialLaw(CLASS_D, WeightSpec.gaussian(1.0))
+        lam, w = _weight_rule(law.weight, 60, False)
         pts, wts = _tensor(lam + offset, w, modes)
-        wts = wts * np.exp(_log_jacobian(CLASS_D, False, pts))
+        wts = wts * np.exp(law.log_jacobian(pts))
         want = _fock_quadrature_mean(pts, wts, lambda p: rotated_gaussian_blocks(p, np.eye(2 * modes)))
         want_dev = np.abs(want - np.eye(1 << modes) / (1 << modes)).max()
         assert abs(shifted_weight_quadrature_deviation(modes, CLASS_D, 1.0, offset) - want_dev) <= 1e-13
@@ -813,8 +829,9 @@ class TestWickQuadrature:
     @pytest.mark.parametrize("p", [1.0, 2.5])
     @pytest.mark.parametrize("modes", [1, 2])
     def test_nc_even_weight_matches_the_per_node_fock_path(self, modes, p):
-        q, u, _, _ = _nc_even_mean(modes, p, 60)
-        pts, wts = radial_quadrature_nodes(CLASS_D, WeightSpec.nc_even(p), modes, 120)
+        law = RadialLaw(None, WeightSpec.nc_even(p))
+        q, u, _, _ = _nc_even_mean(law, modes, 60)
+        pts, wts = radial_quadrature_nodes(law, modes, 120)
         assert np.abs(q - _fock_quadrature_mean(pts, wts, lambda x: rotated_ncons_blocks(x, u))).max() <= 1e-13
 
     def test_a_rotation_without_the_particle_hole_pairing_is_rejected(self):
@@ -840,7 +857,7 @@ class TestWickQuadrature:
 
     def test_zero_weight_nodes_raise_no_warning(self):
         # the class-D tensor rule puts 240 of its 14400 nodes on lam_1 = +-lam_2
-        _, wts = radial_quadrature_nodes(CLASS_D, WeightSpec.gaussian(1.0), 2, 120)
+        _, wts = radial_quadrature_nodes(RadialLaw(CLASS_D, WeightSpec.gaussian(1.0)), 2, 120)
         assert (wts == 0.0).sum() == 240
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -1041,7 +1058,7 @@ class TestNcFailure:
         assert rep.details["sector_residual"] < 1e-9
 
     def test_single_mode_stays_proportional_to_identity(self):
-        q = _nc_even_mean(1, 1.0, 60)[0]
+        q = _nc_even_mean(RadialLaw(None, WeightSpec.nc_even(1.0)), 1, 60)[0]
         _, residual = _closest_identity_multiple(q)
         assert residual < 1e-10
 
