@@ -51,6 +51,7 @@ COMMANDS = [
     ["resolution", "--mode", "mc", "--modes", "6", "--samples", "400", *SEED, "--csv"],
     ["number-conserving", "--variant", "modified", "--samples", "25000", *SEED, "--csv"],
     ["canonical", "--modes", "2", "--samples", "4000", *SEED, "--csv"],
+    ["canonical", "--modes", "2", "--betas", "0.3,5", "--samples", "400", "--seed", "8"],  # beta = 5: ESS 112 of 400
     ["ensembles", *SEED, "--csv"],
     ["ensembles", "--weight", "nc_even", *SEED, "--csv"],
     ["ensembles", "--weight", "nc_modified", *SEED, "--csv"],

@@ -249,15 +249,6 @@ def _log_sum_exp(logs) -> float:
     return float(top + math.log(np.exp(np.subtract(logs, top)).sum()))
 
 
-def _max_sigma(dev: np.ndarray, se: np.ndarray) -> float:
-    """Largest deviation in standard errors over the entries the gate judges,
-    those not at or below ABS_FLOOR; 0 when there are none. So ``<= 5`` holds
-    when every entry is within 5 SE or at or below the floor: a NaN
-    deviation or SE stays NaN, and a judged entry with zero SE reads huge."""
-    judged = ~(dev <= ABS_FLOOR)
-    return float((dev[judged] / np.maximum(se[judged], 1e-300)).max(initial=0.0))
-
-
 def _require_judged(se: np.ndarray, p: float, samples: int) -> None:
     """Raise DomainError when no per-entry SE exceeds ABS_FLOOR: the gate then
     judges no entry, so a pass would say nothing (at huge p every draw is
@@ -271,12 +262,17 @@ def _require_judged(se: np.ndarray, p: float, samples: int) -> None:
 
 def _entry_gate(mean: np.ndarray, target: np.ndarray, se: np.ndarray) -> tuple[list[CriterionResult], dict]:
     """The entrywise Monte Carlo gate: its bounds on ``max_sigma`` and on the
-    entries in the 3-5 SE band, and the measurements they read."""
+    entries in the 3-5 SE band, and the measurements they read. ``max_sigma``
+    is the largest deviation in standard errors over the entries the gate
+    judges, those not at or below ABS_FLOOR; 0 when there are none. So
+    ``<= 5`` holds when every entry is within 5 SE or at or below the floor:
+    a NaN deviation or SE stays NaN, and a judged entry with zero SE reads huge."""
     dev = np.abs(mean - target)
     ok = (dev <= 5.0 * se) | (dev <= ABS_FLOOR)
     band = ok & (dev > 3.0 * se) & (dev > ABS_FLOOR)
+    judged = ~(dev <= ABS_FLOOR)
     info = {
-        "max_sigma": _max_sigma(dev, se),
+        "max_sigma": float((dev[judged] / np.maximum(se[judged], 1e-300)).max(initial=0.0)),
         "band_entries": int(band.sum()),
         "band_allowed": max(1, int(0.01 * dev.size)),
         "frobenius_deviation": float(np.linalg.norm(mean - target)),
@@ -304,11 +300,12 @@ def _fock_check(mats: np.ndarray, coords: np.ndarray, log_weights=None) -> float
 
 
 def _mc_report(modes: int, chunks: list[_Chunk], spec: RngSpec, details: dict, _exact: bool = False) -> EstimatorReport:
-    """The one Monte Carlo verdict path, and the one place that combines chunk
-    records, in chunk order: one scatter of their Wick coordinates to parity
-    blocks, their chunked estimate (weighing chunks by their sums of traces w
-    if they have them, with the Kish size (sum w)^2 / sum w^2 in ``details``),
-    and the gate of the mean against 2^-M I and of chunk 0's Fock gap against
+    """The one Monte Carlo verdict path, which alone sets a report's bounds
+    and details, and the one place that combines chunk records, in chunk
+    order: one scatter of their Wick coordinates to parity blocks, their
+    chunked estimate (weighing chunks by their sums of traces w if they have
+    them, with the Kish size (sum w)^2 / sum w^2 in ``details``), and the
+    gate of the mean against 2^-M I and of chunk 0's Fock gap against
     FOCK_CHECK_TOL; ``details``, which carry p, follow the gate's entries. With
     ``_exact`` (canonical beta = 0) the mean must also be 2^-M I to 1e-14, and
     the gate may judge no entry; otherwise one that judges none raises DomainError."""
@@ -724,13 +721,12 @@ def verify_canonical_triviality(
     beta = 0 case is exact by construction. exp(-beta H_op) is its trace
     prod_j 2 cosh(beta lambda_j / 2) times L(-beta H), so each chunk is the
     Wick mean of L(-beta H) with those traces as log weights, and the chunks,
-    all of one size, weigh the log sum of their traces. Each report carries
-    the pairwise agreement with the other nonzero betas in its details (0 at
-    beta = 0, whose exact mean is compared with none), and fails beyond 5
-    combined SE, and the Kish effective sample size of the traces. With
-    ``keep_points`` every report keeps the draws' pair values, the same
-    arrays. Raises DomainError when beta times an energy of the draws
-    overflows a float, or when the gate would judge no entry at some beta != 0.
+    all of one size, weigh the log sum of their traces. Each beta is judged
+    alone against 2^-M I by _mc_report, and its report carries the Kish
+    effective sample size of the traces. With ``keep_points`` every report
+    keeps the draws' pair values, the same arrays. Raises DomainError when
+    beta times an energy of the draws overflows a float, or when the gate
+    would judge no entry at some beta != 0.
     """
     spec = _as_rngspec(rng)
     if isinstance(betas, str) or not np.iterable(betas):
@@ -760,17 +756,7 @@ def verify_canonical_triviality(
         return out
 
     per_beta = zip(betas, zip(*_run_chunks(worker, n_samples, spec, modes, workers)))
-    reports = [_mc_report(modes, list(chunks), spec, {"beta": b, "p": p}, b == 0.0) for b, chunks in per_beta]
-    for beta, rep in zip(betas, reports):
-        sigmas = [  # the exact beta = 0 mean takes part in no comparison, on either side
-            _max_sigma(np.abs(rep.mean.matrix - other.mean.matrix), np.sqrt(rep.per_entry_se**2 + other.per_entry_se**2))
-            for other_beta, other in zip(betas, reports)
-            if other is not rep and 0.0 not in (beta, other_beta)
-        ]
-        worst = float(np.max(sigmas, initial=0.0))  # a NaN stays NaN, and fails
-        rep.details["pairwise_max_sigma"] = worst
-        rep.bounds.append(CriterionResult("pairwise_max_sigma", worst, 5.0))
-    return reports
+    return [_mc_report(modes, list(chunks), spec, {"beta": b, "p": p}, b == 0.0) for b, chunks in per_beta]
 
 
 # ---------------------------------------------------------------------------

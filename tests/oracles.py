@@ -1,6 +1,7 @@
 """Dense test oracles: the Fock-space constructions the package no longer
-runs, kept so the tests can hold its paths to an independent one; and
-break_phase, the fault of the Wick scatter that the Fock cross-check catches."""
+runs, kept so the tests can hold its paths to an independent one; a
+Parlett-Reid Pfaffian for every Wick coordinate; and break_phase, the fault
+of the Wick scatter that the Fock cross-check catches."""
 
 import dataclasses
 from functools import lru_cache, reduce
@@ -69,26 +70,28 @@ def covariance_x_from_eigenpairs(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u.imag * -0.5 * np.tanh(0.5 * w)[:, None, :]) @ np.swapaxes(u.real, -1, -2)
 
 
-def wick_sums_per_term(pairs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """gaussian._wick_sums as it ran before its blocks: all n draws of the
-    (P, n) pair rows at once, one term of the Pfaffian recursion at a time (a
-    product of two gathers per term, added into the level in term order).
-    The blocked kernel does the same arithmetic per coordinate, so on a stack
-    of one block the two agree exactly."""
-    plan = _wick_plan(len(weights))
-    pairs = np.ascontiguousarray(pairs)
-    coords, prev = [np.ones(1), pairs @ weights[0]], pairs
-    for (pair, sub), level_weights in zip(plan.levels, weights[1:]):
-        cur = pairs[pair[:, 0]] * prev[sub[:, 0]]
-        for t in range(1, pair.shape[1]):
-            term = pairs[pair[:, t]] * prev[sub[:, t]]
-            if t % 2:
-                cur -= term
-            else:
-                cur += term
-        coords.append(cur @ level_weights)
-        prev = cur
-    return np.concatenate(coords)
+def pfaffian(a: np.ndarray) -> float:
+    """Pf(a) of a real antisymmetric matrix of even order (1 for the empty
+    one) by Parlett-Reid tridiagonalization with pivoting (Wimmer,
+    arXiv:1102.3440, Algorithm 1). Step k swaps the largest entry of column k
+    below the diagonal into row k + 1, rows and columns alike, which flips the
+    sign of Pf; then a Gauss transform pivoting on a[k + 1, k] clears the rest
+    of rows and columns k and k + 1, which keeps Pf. Pf of the tridiagonal
+    result is the product of its entries a[k, k + 1], k even."""
+    a = np.array(a, dtype=float)
+    pf = 1.0
+    for k in range(0, len(a) - 1, 2):
+        piv = k + 1 + int(np.argmax(np.abs(a[k + 1 :, k])))
+        if piv != k + 1:
+            a[[k + 1, piv]] = a[[piv, k + 1]]
+            a[:, [k + 1, piv]] = a[:, [piv, k + 1]]
+            pf = -pf
+        if a[k, k + 1] == 0.0:
+            return 0.0
+        pf *= a[k, k + 1]
+        tau, col = a[k, k + 2 :] / a[k, k + 1], a[k + 2 :, k + 1]
+        a[k + 2 :, k + 2 :] += np.outer(tau, col) - np.outer(col, tau)
+    return pf
 
 
 def eigh_covariance_x(mats: np.ndarray) -> np.ndarray:

@@ -14,8 +14,8 @@ from oracles import (
     covariance_x_from_eigenpairs,
     eigh_covariance_x,
     gamma_ops,
+    pfaffian,
     quadratic_tensor,
-    wick_sums_per_term,
 )
 
 from fermigauss import (
@@ -393,19 +393,6 @@ class TestWickKernel:
             rel = np.exp(log_w[:n] - log_w[:n].max())
             assert max_abs(wick_coordinates(rows[:, :n], log_w[:n]), rel @ single[:n] / rel.sum()) <= 1e-15
 
-    @pytest.mark.parametrize("modes, draws", [(6, 25), (6, 4), (3, 4000), (2, 1563)])
-    def test_one_block_repeats_the_per_term_recursion_exactly(self, monkeypatch, modes, draws):
-        # the mc_m6 chunk and its Fock check, a full M = 3 chunk and an
-        # nc_modified chunk: reports stay byte-identical only if these agree
-        assert draws <= _wick_block_draws(modes)
-        gen = RngSpec(33).generator()
-        rows = _real_rows(sample_class_d_batch(modes, 1.0, gen, draws))
-        log_w = gen.normal(size=draws)
-        got = [wick_coordinates(rows), wick_coordinates(rows, log_w)]
-        monkeypatch.setattr(gaussian, "_wick_sums", wick_sums_per_term)
-        for coords, want in zip(got, [wick_coordinates(rows), wick_coordinates(rows, log_w)], strict=True):
-            assert np.array_equal(coords, want)
-
     @pytest.mark.parametrize("modes", [2, 3, 4, 5, 6])
     def test_pair_rows_are_the_covariance_entries_as_a_view_or_a_copy(self, modes):
         # one-block stacks and stacks on either side of one and two blocks:
@@ -453,14 +440,6 @@ class TestWickKernel:
         with pytest.raises(error, match=match):
             wick_coordinates(rows, log_w)
 
-    def test_the_moment_map_repeats_the_per_term_recursion_exactly(self, monkeypatch):
-        gen = RngSpec(34).generator()
-        v = random_polar_rotation(2, RngSpec(34)).bogoliubov.conj().T
-        moments = filling_moments(*TestMomentMap._nodes(gen, 2))
-        got = moment_wick_coordinates(moments, v)
-        monkeypatch.setattr(gaussian, "_wick_sums", wick_sums_per_term)
-        assert np.array_equal(got, moment_wick_coordinates(moments, v))
-
     def test_a_full_six_mode_chunk_stays_within_one_block_of_memory(self):
         # the pair rows of 4000 antisymmetric 12 x 12 covariances, the CLI's
         # chunk: the transient is one block's gathers, whatever the chunk's size
@@ -485,6 +464,70 @@ class TestWickKernel:
         assert good["details"]["fock_check_deviation"] <= 1e-15
         assert bad["details"]["fock_check_deviation"] > 1e-4
         assert bad["details"]["max_sigma"] < 3.0 and bad["details"]["band_entries"] == 0
+
+
+def _subset_indices(modes):
+    # the kernel's subsets as ascending index lists, in its coordinate order
+    return [[a for a in range(2 * modes) if s >> a & 1] for s in _even_subsets(modes)]
+
+
+def _pair_draws(kind, modes, gen, n):
+    """n draws' Wick pair rows of one producer, and their log weights."""
+    if kind == "class_d":
+        return _real_rows(sample_class_d_batch(modes, 1.0, gen, n)), None
+    if kind == "number_conserving":
+        return number_conserving_pair_rows(3.0 * gen.normal(size=(n, modes)), sample_haar_unitary_batch(modes, gen, n)), None
+    if kind == "rank_one":  # nc_modified's M = 2 rows
+        pts = class_d_pair_values(2, 0.5, gen, n) * gen.choice((-1.0, 1.0), size=(n, 2))
+        real, imag = _normal_parts(gen, n, 2)
+        return _rank_one_pair_rows(pts, real[:, :, 0].T, imag[:, :, 0].T), None
+    form = real_form(sample_class_d_batch(modes, 1.0, gen, n))  # canonical at beta = -1000
+    return real_form_pair_rows(*form, 1000.0), log_trace_of_pairs(-1000.0 * form[2][:, 1::2])
+
+
+class TestPfaffianOracle:
+    # every Wick coordinate Pf(Gamma_S) against the Parlett-Reid Pfaffian of
+    # tests/oracles.py, one draw at a time and as the (weighted) mean; Gamma
+    # and the subsets S come from bit masks, numbered by size and then mask as
+    # fock.WickPlan documents, not from its tables, so the numbering is checked too
+
+    def test_the_oracle_squares_to_the_determinant(self):
+        gen = RngSpec(37).generator()
+        for n in (2, 4, 6, 8, 12):
+            x = gen.normal(size=(n, n))
+            a = x - x.T
+            assert pfaffian(a) ** 2 == pytest.approx(np.linalg.det(a), rel=1e-12)
+        a = np.triu(gen.normal(size=(4, 4)), 1)
+        a -= a.T
+        assert pfaffian(a) == pytest.approx(a[0, 1] * a[2, 3] - a[0, 2] * a[1, 3] + a[0, 3] * a[1, 2], rel=1e-14)
+        assert pfaffian(np.zeros((0, 0))) == 1.0 and pfaffian(np.zeros((4, 4))) == 0.0
+
+    @pytest.mark.parametrize(
+        "kind, modes",
+        [(kind, m) for kind in ("class_d", "number_conserving", "canonical") for m in range(1, 7)] + [("rank_one", 2)],
+    )
+    def test_every_coordinate_is_the_pfaffian_of_its_subset(self, kind, modes):
+        n = 3
+        rows, log_w = _pair_draws(kind, modes, RngSpec(38 + modes).generator(), n)
+        subsets = _subset_indices(modes)
+        gamma = np.zeros((n, 2 * modes, 2 * modes))
+        for row, (i, j) in zip(rows, (s for s in subsets if len(s) == 2), strict=True):
+            gamma[:, i, j], gamma[:, j, i] = row, -row
+        pf = np.array([[pfaffian(g[np.ix_(s, s)]) for s in subsets] for g in gamma])
+        rel = np.ones(n) if log_w is None else np.exp(log_w - log_w.max())
+        got = [wick_coordinates(rows[:, k : k + 1]) for k in range(n)] + [wick_coordinates(rows, log_w)]
+        for coords, want in zip(got, [*pf, rel @ pf / rel.sum()], strict=True):
+            assert np.abs(coords - want).max() <= 4.0 * np.finfo(float).eps * np.abs(want).max()
+
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
+    def test_pair_rows_are_numbered_by_bit_mask(self, modes):
+        # the rows that the test above reads as Gamma, against Gamma = X - X^T
+        # of the complex eigh route, at the pairs {i < j} in ascending 2^i + 2^j
+        mats = sample_class_d_batch(modes, 1.0, RngSpec(38 + modes), 20)
+        x = eigh_covariance_x(mats)
+        pairs = [s for s in _subset_indices(modes) if len(s) == 2]
+        for row, (i, j) in zip(_real_rows(mats), pairs, strict=True):
+            assert max_abs(row, x[:, i, j] - x[:, j, i]) <= 1e-14
 
 
 class TestRealForm:

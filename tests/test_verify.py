@@ -537,7 +537,7 @@ class TestEstimatorVerdict:
             (lambda: [verify_nc_modified(2, 1.0, 400, RngSpec(15))], [MC_BOUNDS]),
             (
                 lambda: verify_canonical_triviality(2, 1.0, [0.0, 5.0], 400, RngSpec(8)),
-                [MC_BOUNDS + ["beta_zero_exact_deviation", "pairwise_max_sigma"], MC_BOUNDS + ["pairwise_max_sigma"]],
+                [MC_BOUNDS + ["beta_zero_exact_deviation"], MC_BOUNDS],
             ),
             (
                 lambda: [verify_resolution_quadrature(2, CLASS_D, WeightSpec.gaussian(1.0), quad_order=30)],
@@ -917,8 +917,6 @@ class TestCanonicalTriviality:
         reps = verify_canonical_triviality(2, 1.0, betas, 30_000, RngSpec(55))
         assert all(r.passed for r in reps)
         assert reps[0].details["beta_zero_exact_deviation"] <= 1e-14
-        for rep in reps:
-            assert rep.details["pairwise_max_sigma"] < 5.0
 
     @pytest.mark.parametrize("modes", [1, 4])
     def test_beta_zero_mean_is_exactly_the_maximally_mixed_state(self, modes):
@@ -954,23 +952,48 @@ class TestCanonicalTriviality:
         assert rep.details["max_sigma"] == 0.0 and rep.details["band_entries"] == 0
         assert rep.details["fock_check_deviation"] <= FOCK_CHECK_TOL
 
-    def test_pairwise_bound_alone_fails_a_report(self):
-        # the beta = 0.3 report passes its own three bounds but sits 6.3 sigma from beta = 5
-        cold = verify_canonical_triviality(2, 1.0, [0.3, 5.0], 400, RngSpec(8))[0]
-        assert [b.name for b in cold.bounds][-1] == "pairwise_max_sigma"
-        assert [b.passed for b in cold.bounds] == [True, True, True, False]
-        assert cold.details["pairwise_max_sigma"] > 5.0
-        assert not cold.passed and "pairwise_max_sigma <= 5" in cold.criterion
+    def test_a_low_ess_beta_fails_only_its_own_report(self, tmp_path):
+        # the README's example: beta = 5 carries 112 of its 400 draws in
+        # effective sample size and sits at 6.71 SE on its own max_sigma; the
+        # beta = 0.3 report, at 2.83 SE, is judged alone and passes
+        cold, hot = verify_canonical_triviality(2, 1.0, [0.3, 5.0], 400, RngSpec(8))
+        assert cold.passed and cold.details["max_sigma"] == pytest.approx(2.83, abs=5e-3)
+        assert [b.name for b in hot.bounds if not b.passed] == ["max_sigma"]
+        assert hot.details["max_sigma"] == pytest.approx(6.71, abs=5e-3)
+        assert hot.details["effective_sample_size"] == pytest.approx(112, abs=0.5)
+        argv = ["canonical", "--modes", "2", "--betas", "0.3,5", "--samples", "400", "--seed", "8"]
+        assert run([*argv, "--out", str(tmp_path / "r.json")]) == 1
+        crit = json.loads((tmp_path / "r.json").read_text())["criteria"]
+        assert [c["passed"] for c in crit] == [True, False]
 
-    def test_beta_zero_takes_part_in_no_pairwise_comparison(self):
+    def test_beta_zero_passes_beside_a_failing_beta(self):
         # beta = 5 sits beyond 5 SE on its own bounds; the exact beta = 0
-        # report must not fail on that, nor count in beta = 5's pairwise sigma
+        # report must not fail on that
         zero, hot = verify_canonical_triviality(2, 1.0, [0.0, 5.0], 400, RngSpec(8))
-        assert zero.passed and zero.details["pairwise_max_sigma"] == 0.0
+        assert zero.passed and zero.details["max_sigma"] == 0.0
         assert not hot.passed and hot.details["max_sigma"] > 5.0
-        assert hot.details["pairwise_max_sigma"] == 0.0
-        cold = verify_canonical_triviality(2, 1.0, [0.0, 0.3, 5.0], 400, RngSpec(8))[1]
-        assert cold.details["pairwise_max_sigma"] > 5.0
+
+    # power: each defect leaves a trace-weighted mixture of an even law, whose
+    # mean is still 2^-M I, so the entry gate cannot see it; the Fock check of
+    # chunk 0 does, alone, at exactly the betas it touches, on every seed
+
+    @pytest.mark.parametrize(
+        "name, defect, hit",
+        [
+            ("real_form_pair_rows", lambda f: lambda av, v, s, t=1.0: f(av, v, s, 1.05 * t if abs(t) >= 1 else t), [1.5]),
+            ("real_form_pair_rows", lambda f: lambda av, v, s, t=1.0: -f(av, v, s, t) if t == -0.7 else f(av, v, s, t), [0.7]),
+            ("wick_coordinates", lambda f: lambda rows, log_w=None: f(rows), [0.3, 0.7, 1.5]),
+            ("real_form_pair_rows", lambda f: lambda av, v, s, t=1.0: f(av, v, s, -t), [0.3, 0.7, 1.5]),
+        ],
+        ids=["rows_at_1.05t", "rows_negated_at_0.7", "log_weights_dropped", "rows_of_plus_beta"],
+    )
+    def test_each_defect_fails_the_fock_check_alone(self, monkeypatch, name, defect, hit):
+        monkeypatch.setattr(verify_module, name, defect(getattr(verify_module, name)))
+        betas = [0.0, 0.3, 0.7, 1.5]
+        for seed in range(100, 106):
+            reps = verify_canonical_triviality(2, 1.0, betas, 4000, RngSpec(seed))
+            failed = {beta: [b.name for b in rep.bounds if not b.passed] for beta, rep in zip(betas, reps)}
+            assert failed == {beta: ["fock_check_deviation"] if beta in hit else [] for beta in betas}, seed
 
     def test_empty_betas_rejected(self):
         with pytest.raises(ContractError):
@@ -1013,8 +1036,6 @@ class TestCanonicalTriviality:
         assert reps[1].details["effective_sample_size"] == pytest.approx(1.0, rel=1e-12)
         assert reps[1].details["band_entries"] == 3
         assert reps[1].max_abs_deviation == pytest.approx(0.499306266364742, rel=1e-12)
-        for rep in reps:  # the exact beta = 0 report is compared with none
-            assert rep.details["pairwise_max_sigma"] == 0.0
 
     def test_beta_times_energy_past_float_range_is_domain_error(self):
         with pytest.raises(DomainError, match=r"beta = 1e\+308"):
