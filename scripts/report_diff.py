@@ -47,6 +47,7 @@ COMMANDS = [
     ["resolution", "--mode", "quad", *SEED, "--csv"],
     ["resolution", "--mode", "quad", "--symmetry-class", "CI", *SEED, "--csv"],
     ["number-conserving", "--variant", "failure", *SEED, "--csv"],
+    ["number-conserving", "--variant", "failure", "-p", "2", *SEED],  # the oracle's floor away from p = 1
     ["selberg", "--consistency", *SEED],
     ["resolution", "--mode", "mc", "--modes", "6", "--samples", "400", *SEED, "--csv"],
     ["number-conserving", "--variant", "modified", "--samples", "25000", *SEED, "--csv"],

@@ -98,6 +98,10 @@ ROTATION_SEED = 8128
 #: three laws of the benchmark's checks workload.
 LAW_CACHE_SIZE = 16
 
+#: Nodes of the Gauss-Hermite rule over which _andreief_means takes
+#: nc_failure_residual and shifted_weight_quadrature_deviation.
+ORACLE_ORDER = 120
+
 QUAD_TOL = 1e-8
 QUAD_CONVERGENCE_TOL = 1e-9
 
@@ -142,7 +146,6 @@ class EstimatorReport:
     mean: FockOperator
     per_entry_se: np.ndarray | None
     samples: int
-    seed: RngSpec | None
     bounds: list[CriterionResult]
     details: dict = field(default_factory=dict)
     point_chunks: tuple[np.ndarray, ...] = ()
@@ -299,7 +302,7 @@ def _fock_check(mats: np.ndarray, coords: np.ndarray, log_weights=None) -> float
     return float(np.abs(np.einsum("s,spab->pab", _draw_weights(len(mats), log_weights), ops) - wick).max())
 
 
-def _mc_report(modes: int, chunks: list[_Chunk], spec: RngSpec, details: dict, _exact: bool = False) -> EstimatorReport:
+def _mc_report(modes: int, chunks: list[_Chunk], details: dict, _exact: bool = False) -> EstimatorReport:
     """The one Monte Carlo verdict path, which alone sets a report's bounds
     and details, and the one place that combines chunk records, in chunk
     order: one scatter of their Wick coordinates to parity blocks, their
@@ -331,7 +334,6 @@ def _mc_report(modes: int, chunks: list[_Chunk], spec: RngSpec, details: dict, _
         mean=FockOperator(modes, mean),
         per_entry_se=se,
         samples=samples,
-        seed=spec,
         bounds=bounds,
         details={**info, **details, "fock_check_deviation": fock_dev},
         point_chunks=() if chunks[0].points is None else tuple(c.points for c in chunks),
@@ -389,6 +391,22 @@ def _weight_rule(weight: WeightSpec, order: int, half: bool) -> tuple[np.ndarray
     x, w = _hermgauss(order)
     scale = math.sqrt(c)
     return x / scale, w / scale
+
+
+def _andreief_means(lam: np.ndarray, w: np.ndarray, u: np.ndarray, modes: int) -> np.ndarray:
+    """E[e_k(t)], k = 0..modes, with t = -tanh(lam/2)/2 and e_k the k-th
+    elementary symmetric polynomial, under the beta = 2 law
+    Delta(u)^2 prod_j w(lam_j) of ``modes`` eigenvalues over the one-mode rule
+    (lam, w), u(lam) being the variable whose Vandermonde the law squares. By
+    the Andreief identity E[prod_j (1 + z t_j)] = det(G + z G_t) / det(G), with
+    G = phi diag(w) phi^T over the Hermite basis phi_i(u), i < modes, and G_t
+    the same with w t; so the E[e_k] are the e_k of the eigenvalues of
+    G^-1 G_t. They come through the Cholesky factor R of G, from the QR
+    diag(sqrt w) phi^T = Q R, as those of Q^T diag(t) Q: G, whose condition
+    number forming it would square, is never formed."""
+    q = np.linalg.qr(np.polynomial.hermite.hermvander(u, modes - 1) * np.sqrt(w)[:, None])[0]
+    mu = np.linalg.eigvalsh((q.T * (-0.5 * np.tanh(0.5 * lam))) @ q)
+    return np.poly(mu) * (-1.0) ** np.arange(modes + 1)
 
 
 def _tensor(lam: np.ndarray, w: np.ndarray, modes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -619,7 +637,6 @@ def verify_resolution_quadrature(
         mean=FockOperator(modes, q_main),
         samples=len(hi.points),
         per_entry_se=None,
-        seed=RngSpec(ROTATION_SEED, stream=1),
         bounds=[
             CriterionResult("max_abs_deviation", dev, QUAD_TOL),
             CriterionResult("rotation_delta", rot_delta, QUAD_TOL),
@@ -639,49 +656,33 @@ def verify_resolution_quadrature(
     )
 
 
-def shifted_weight_quadrature_deviation(
-    modes: int,
-    sym_class: SymmetryClass,
-    p: float,
-    offset: float,
-    quad_order: int = 60,
-) -> float:
-    """Max-entry deviation from 2^-M I when the Gaussian weight is displaced by
-    ``offset`` (hence not even). Demonstrates that the evenness hypothesis is
-    doing real work; no pass rule attached. The displaced rule is a plain
-    tensor rule, so it needs a density without kinks: a class with an odd
-    alpha (a kink at lam_j = 0) or an odd beta (at |lam_1| = |lam_2|) raises
-    ContractError, as does a rule with every node on a zero of the density
-    (an order too low for it). Raises DomainError when the shifted rule
-    leaves float64 or its nodes round together at a huge offset."""
-    kinks = [at for at, odd in (("lam_j = 0", sym_class.alpha % 2), ("|lam_1| = |lam_2|", sym_class.beta % 2)) if odd]
-    if kinks:
-        raise ContractError(
-            f"class {sym_class.label} puts a kink at {' and '.join(kinks)} in the radial density, which "
-            f"the shifted tensor rule cannot integrate; use a class with even alpha and beta (D or C)"
-        )
-    law = RadialLaw(sym_class, WeightSpec.gaussian(p))
-    lam, w = _weight_rule(law.weight, quad_order, False)
-    with np.errstate(all="ignore"):
-        points, wts = _tensor(lam + offset, w, modes)
-        wts = wts * np.exp(law.log_jacobian(points))
-    if not (np.isfinite(points).all() and np.isfinite(wts).all()):
-        raise DomainError(f"offset = {offset} puts the shifted rule outside float64; choose a finite, moderate offset")
-    if not wts.any():
-        # in exact arithmetic, an order >= 2 rule has x_1 = +-x_2 at every node
-        # only at offset 0, so a true zero stays at an offset scaled to unit
-        # size, while nodes lam + offset that round together part again
-        unit, _ = _tensor(lam + offset / max(1.0, abs(offset)), w, modes)
-        if np.isfinite(law.log_jacobian(unit)).any():
-            raise DomainError(
-                f"offset = {offset} exceeds the float resolution of the shifted rule: its nodes "
-                f"lam + offset round together onto a zero of the radial density; choose a moderate offset"
-            )
-        raise ContractError(
-            f"every node of the order-{quad_order} shifted rule sits on a zero of the radial density; "
-            f"raise quad_order"
-        )
-    q = _moment_mean(filling_moments(points, wts), np.eye(2 * modes))
+def shifted_weight_quadrature_deviation(modes: int, sym_class: SymmetryClass, p: float, offset: float) -> float:
+    """Max-entry deviation from 2^-M I of the mean at v = I under the class
+    law with the Gaussian weight displaced by ``offset`` = c,
+    exp(-2p (lam - c)^2), which is not even: it shows that the evenness
+    hypothesis does real work; no pass rule attached. The law is symmetric in
+    the lam_j, so its moments are m_J = E[e_|J|(t)] / C(M, |J|), from
+    _andreief_means over the ORACLE_ORDER-node Hermite rule x = s y,
+    s = sqrt(2p), at lam = y + c. Its Delta(lam^2)^2 is that of
+    u = s y (c + y/2) / max(|c|, 1/s), affine in lam^2 and of order one at
+    every offset, and its |lam|^alpha enters the weight as
+    |lam / max|lam||^alpha, so every finite offset stays in float64. From |c|
+    near 1e8 up every tanh(lam/2) rounds to sign(c), and the value is the
+    limit 1 - 2^-M. ContractError for beta != 2 (DIII, CI), DomainError for a
+    non-finite offset."""
+    _check_modes(modes)
+    if sym_class.beta != 2:
+        raise ContractError(f"the Andreief oracle takes beta = 2 classes (D, C), not class {sym_class.label}")
+    WeightSpec.gaussian(p)  # rejects p <= 0 with the caller's value
+    _above(offset, -math.inf, "offset")
+    x, w = _hermgauss(ORACLE_ORDER)
+    s = math.sqrt(2.0) * math.sqrt(p)  # 2p overflows from p = 9e307
+    y = x / s
+    lam = y + offset
+    u = x * ((offset + 0.5 * y) / max(abs(offset), 1.0 / s))  # s y = x
+    e = _andreief_means(lam, w * np.abs(lam / np.abs(lam).max()) ** sym_class.alpha, u, modes)
+    sizes = np.bitwise_count(np.arange(1 << modes))  # |J| of every subset J
+    q = _moment_mean((e / [math.comb(modes, k) for k in range(modes + 1)])[sizes], np.eye(2 * modes))
     dim = 1 << modes
     return float(np.abs(q - np.eye(dim) / dim).max())
 
@@ -704,7 +705,7 @@ def verify_resolution_mc(
         return _Chunk(wick_coordinates(rows), per, fock_dev, pts)
 
     chunks = _run_chunks(worker, n_samples, spec, modes, workers)
-    return _mc_report(modes, chunks, spec, {"p": p, "chunks": len(chunks), "workers": workers})
+    return _mc_report(modes, chunks, {"p": p, "chunks": len(chunks), "workers": workers})
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +757,7 @@ def verify_canonical_triviality(
         return out
 
     per_beta = zip(betas, zip(*_run_chunks(worker, n_samples, spec, modes, workers)))
-    return [_mc_report(modes, list(chunks), spec, {"beta": b, "p": p}, b == 0.0) for b, chunks in per_beta]
+    return [_mc_report(modes, list(chunks), {"beta": b, "p": p}, b == 0.0) for b, chunks in per_beta]
 
 
 # ---------------------------------------------------------------------------
@@ -797,18 +798,16 @@ def _nc_even_mean(law: RadialLaw, modes: int, quad_order: int) -> tuple[np.ndarr
 
 def nc_failure_residual(p: float) -> float:
     """Two-mode residual of the even-weight number-conserving mean from the
-    nearest identity multiple, from scalar integrals outside the operator code.
+    nearest identity multiple, from a one-mode rule outside the operator code.
 
     At two modes the mean is 1/4 I + (c/4)(2 N_1 - I)(2 N_2 - I) with
-    c = E[t_1 t_2] and t = tanh(lam/2): the repulsion factor (lam_1 - lam_2)^2
-    cancels the single-t terms under the joint sign flip, but its cross term
-    -2 lam_1 lam_2 couples to t_1 t_2. With I1 = int lam tanh(lam/2) exp(-p lam^2),
-    I0 = sqrt(pi/p) and I2 = sqrt(pi)/(2 p^1.5), c = -2 I1^2 / (2 I2 I0), so the
-    residual |c|/4 is p^2 I1^2 / (2 pi): one 120-node Gauss-Hermite sum.
+    c = E[tanh(lam_1/2) tanh(lam_2/2)], so the residual is |c|/4 = |E[e_2(t)]|:
+    _andreief_means of the hermitian law Delta(lam)^2 exp(-p sum lam^2), with
+    u = sqrt(p) lam, over the ORACLE_ORDER-node Hermite rule x = u.
     """
     WeightSpec.nc_even(p)  # rejects p <= 0 with the caller's value
-    x, w = _hermgauss(120)
-    return float(np.dot(w, x * np.tanh(x / (2.0 * math.sqrt(p)))) ** 2 / (2.0 * math.pi))
+    x, w = _hermgauss(ORACLE_ORDER)
+    return float(abs(_andreief_means(x / math.sqrt(p), w, x, 2)[2]))
 
 
 def verify_nc_failure(modes: int = 2, p: float = 1.0, quad_order: int = 60) -> EstimatorReport:
@@ -844,7 +843,6 @@ def verify_nc_failure(modes: int = 2, p: float = 1.0, quad_order: int = 60) -> E
         mean=FockOperator(modes, q),
         per_entry_se=None,
         samples=len(pts),
-        seed=RngSpec(ROTATION_SEED, stream=2),
         bounds=[
             CriterionResult("failure_floor - residual", floor - residual, 0.0),  # residual >= floor
             CriterionResult("sector_residual", sector_residual, 1e-9),
@@ -904,7 +902,7 @@ def verify_nc_modified(
         return _Chunk(wick_coordinates(rows), per, fock_dev, pts if keep_points else None)
 
     chunks = _run_chunks(worker, n_samples, spec, modes, workers)
-    return _mc_report(modes, chunks, spec, {"p": p, "chunks": len(chunks)})
+    return _mc_report(modes, chunks, {"p": p, "chunks": len(chunks)})
 
 
 # ---------------------------------------------------------------------------

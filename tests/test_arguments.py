@@ -150,7 +150,7 @@ PROBES = [
     ("verify_canonical_triviality", lambda: verify_canonical_triviality(1, 1.0, [math.nan], 32, 0), DomainError),
     ("verify_nc_failure", lambda: verify_nc_failure(2, 1.0, quad_order=2.5), ContractError),
     ("shifted_weight_quadrature_deviation", lambda: shifted_weight_quadrature_deviation(1, CLASS_D, 1.0, math.nan), DomainError),
-    ("shifted_weight_quadrature_deviation", lambda: shifted_weight_quadrature_deviation(1, CLASS_D, 1.0, 0.5, 2.5), ContractError),
+    ("shifted_weight_quadrature_deviation", lambda: shifted_weight_quadrature_deviation(2.5, CLASS_D, 1.0, 0.5), CapacityError),
     ("verify_resolution_quadrature", lambda: verify_resolution_quadrature(1, CLASS_D, GAUSS, "identity"), ContractError),
     ("verify_resolution_quadrature", lambda: verify_resolution_quadrature(2, CLASS_D, WeightSpec.nc_even(1.0)), ContractError),
     ("verify_canonical_triviality", lambda: verify_canonical_triviality(1, 1.0, "0.5", 32, 0), ContractError),

@@ -36,18 +36,18 @@ def readme_table(text: str) -> dict:
 
 
 def emitted(tmp_path: Path) -> tuple[list, list]:
-    """(criteria, bounds) of every form's report, each as (name, tolerance),
-    the tolerance None where it is not one number."""
+    """(criteria, bounds) of every form's report: each criterion as (name,
+    tolerance, the names of its bounds), the tolerance None where it is not
+    one number, and each bound as (name, tolerance)."""
     criteria, bounds = [], []
     for k, argv in enumerate(FORMS):
         out = tmp_path / f"{k}.json"
         assert run([*argv, "--out", str(out)]) == 0, argv
         for c in json.loads(out.read_text())["criteria"]:
             tol = c["tolerance_or_se"]
-            criteria.append((c["name"], tol if isinstance(tol, (int, float)) else None))
-            for bound in c["rule"].split("; ") if "rule" in c else []:
-                name, tol = bound.split(" <= ")
-                bounds.append((name, float(tol)))
+            rule = [bound.split(" <= ") for bound in c["rule"].split("; ")] if "rule" in c else []
+            criteria.append((c["name"], tol if isinstance(tol, (int, float)) else None, {name for name, _ in rule}))
+            bounds += [(name, float(tol)) for name, tol in rule]
     return criteria, bounds
 
 
@@ -63,8 +63,13 @@ def _row_for(name: str, rows: dict) -> str:
 
 
 def check_table(rows: dict, criteria: list, bounds: list) -> None:
-    seen = set()
-    for kind, found in (("criterion", criteria), ("bound", bounds)):
+    seen, row_bounds = set(), {}
+    for name, _, names in criteria:  # a criterion row's cell names the bounds of every report it matches
+        row_bounds.setdefault(_row_for(name, rows), set()).update(names)
+    for row, names in row_bounds.items():
+        cell = set(re.findall(r"`([^`]+)`", rows[row][1]))
+        assert cell == names, f"{row!r}: the README names the bounds {sorted(cell)}, the reports {sorted(names)}"
+    for kind, found in (("criterion", [c[:2] for c in criteria]), ("bound", bounds)):
         for name, tol in found:
             row = _row_for(name, rows)
             assert rows[row][0] == kind, f"{name!r} is a {kind}, its row says {rows[row][0]}"
@@ -80,14 +85,17 @@ def test_the_criteria_table_names_exactly_what_the_reports_emit(tmp_path):
     check_table(readme_table(README.read_text()), criteria, bounds)
 
 
-@pytest.mark.parametrize("edit", ["rename", "drop", "retolerance"])
+@pytest.mark.parametrize("edit", ["rename", "drop", "retolerance", "extra_bound"])
 def test_the_check_sees_a_changed_name_a_missing_row_and_a_changed_tolerance(tmp_path, edit):
     criteria, bounds = emitted(tmp_path)
     rows = readme_table(README.read_text())
     if edit == "rename":
-        criteria[0] = (criteria[0][0] + " (renamed)", criteria[0][1])
+        criteria[0] = (criteria[0][0] + " (renamed)", *criteria[0][1:])
     elif edit == "drop":
         del rows["sector_residual"]
+    elif edit == "extra_bound":
+        kind, cell = rows["resolution of unity (quadrature)"]
+        rows["resolution of unity (quadrature)"] = (kind, cell + ", `sector_residual`")
     else:
         bounds[0] = (bounds[0][0], bounds[0][1] * 10)
     with pytest.raises(AssertionError):

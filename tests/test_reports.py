@@ -107,7 +107,7 @@ class TestEncode:
 
     def test_full_monte_carlo_report_at_six_modes_matches_the_stock_encoder(self):
         rep = verify_resolution_mc(6, 1.0, 64, RngSpec(5))
-        doc = build_report("resolution", {"modes": 6}, rep.seed, [estimator_to_criterion("resolution", rep)])
+        doc = build_report("resolution", {"modes": 6}, RngSpec(5), [estimator_to_criterion("resolution", rep)])
         assert _encode(doc, 0) == stock(doc | {"seed": {"seed": 5, "stream": 0}})
 
     def test_rng_spec_is_a_seed_and_stream_object(self):

@@ -67,6 +67,7 @@ from fermigauss.verify import (
     _nc_even_mean,
     _ncons_eigenvectors,
     _run_chunks,
+    _andreief_means,
     _tensor,
     _weight_rule,
     nc_failure_residual,
@@ -144,7 +145,7 @@ class TestResolutionQuadrature:
             verify_resolution_quadrature(2, CLASS_D, WeightSpec.gaussian(1.0), rotation)
 
     @pytest.mark.parametrize("modes, sym", [(2, CLASS_D), (1, CLASS_C)])
-    @pytest.mark.parametrize("offset, named", [(math.nan, "nan"), (math.inf, "inf"), (1e300, "1e+300")])
+    @pytest.mark.parametrize("offset, named", [(math.nan, "nan"), (math.inf, "inf")])
     def test_extreme_offset_is_domain_error_without_warning(self, modes, sym, offset, named):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -152,23 +153,17 @@ class TestResolutionQuadrature:
                 shifted_weight_quadrature_deviation(modes, sym, 1.0, offset)
         assert caught == []
 
-    def test_shifted_weight_breaks_resolution(self):
-        dev = shifted_weight_quadrature_deviation(1, CLASS_D, 1.0, 0.5)
-        assert dev > 10.0 * 1e-8
-        dev2 = shifted_weight_quadrature_deviation(2, CLASS_D, 1.0, 0.5)
-        assert dev2 > 10.0 * 1e-8
-        # restoring evenness restores the resolution
-        assert shifted_weight_quadrature_deviation(1, CLASS_D, 1.0, 0.0) < 1e-10
+    @pytest.mark.parametrize("modes", range(1, 7))
+    def test_shifted_weight_breaks_resolution(self, modes):
+        assert shifted_weight_quadrature_deviation(modes, CLASS_D, 1.0, 0.5) > 10.0 * 1e-8
+        # restoring evenness restores the resolution, to rounding in both beta = 2 classes
+        for sym in (CLASS_D, CLASS_C):
+            assert shifted_weight_quadrature_deviation(modes, sym, 1.0, 0.0) <= 1e-15
 
-    @pytest.mark.parametrize(
-        "modes, sym, kinks",
-        [(1, CLASS_DIII, "lam_j = 0"), (2, CLASS_CI, "lam_j = 0 and |lam_1| = |lam_2|")],
-        ids=["DIII-1", "CI-2"],
-    )
-    def test_shifted_weight_with_a_kink_is_contract_error(self, modes, sym, kinks):
-        # a plain tensor rule across the kink does not converge: DIII at one
-        # mode read 0.17957, 0.18067, 0.18029, 0.17967 at orders 30 to 240
-        with pytest.raises(ContractError, match=re.escape(f"class {sym.label} puts a kink at {kinks}")):
+    @pytest.mark.parametrize("modes, sym", [(1, CLASS_DIII), (2, CLASS_CI)], ids=["DIII-1", "CI-2"])
+    def test_shifted_weight_beyond_beta_two_is_contract_error(self, modes, sym):
+        # the Andreief oracle squares one Vandermonde: beta = 4 and 1 need de Bruijn's Pfaffian form
+        with pytest.raises(ContractError, match=re.escape(f"beta = 2 classes (D, C), not class {sym.label}")):
             shifted_weight_quadrature_deviation(modes, sym, 1.0, 0.5)
 
 
@@ -505,7 +500,7 @@ MC_BOUNDS = ["max_sigma", "band_entries", "fock_check_deviation"]
 class TestEstimatorVerdict:
     def test_report_stores_bounds_and_derives_verdict_rule_and_deviation(self):
         names = [f.name for f in dataclasses.fields(EstimatorReport)]
-        assert names == ["target", "mean", "per_entry_se", "samples", "seed", "bounds", "details", "point_chunks"]
+        assert names == ["target", "mean", "per_entry_se", "samples", "bounds", "details", "point_chunks"]
         rep = verify_resolution_mc(2, 1.0, 400, RngSpec(15), keep_points=True)
         for attr in ("points", "passed", "criterion", "max_abs_deviation"):
             with pytest.raises(AttributeError):
@@ -815,16 +810,17 @@ class TestWickQuadrature:
         want = _fock_quadrature_mean(pts, wts, lambda p: rotated_gaussian_blocks(p, rotation.bogoliubov))
         assert np.abs(rep.mean.matrix - want).max() <= 1e-13
 
+    @pytest.mark.parametrize("sym", [CLASS_D, CLASS_C], ids=lambda s: s.label)
     @pytest.mark.parametrize("offset", [0.1, 0.5])
     @pytest.mark.parametrize("modes", [1, 2])
-    def test_shifted_weight_matches_the_per_node_fock_path(self, modes, offset):
-        law = RadialLaw(CLASS_D, WeightSpec.gaussian(1.0))
+    def test_shifted_weight_matches_the_per_node_fock_path(self, modes, offset, sym):
+        law = RadialLaw(sym, WeightSpec.gaussian(1.0))
         lam, w = _weight_rule(law.weight, 60, False)
         pts, wts = _tensor(lam + offset, w, modes)
         wts = wts * np.exp(law.log_jacobian(pts))
         want = _fock_quadrature_mean(pts, wts, lambda p: rotated_gaussian_blocks(p, np.eye(2 * modes)))
         want_dev = np.abs(want - np.eye(1 << modes) / (1 << modes)).max()
-        assert abs(shifted_weight_quadrature_deviation(modes, CLASS_D, 1.0, offset) - want_dev) <= 1e-13
+        assert abs(shifted_weight_quadrature_deviation(modes, sym, 1.0, offset) - want_dev) <= 1e-13
 
     @pytest.mark.parametrize("p", [1.0, 2.5])
     @pytest.mark.parametrize("modes", [1, 2])
@@ -841,19 +837,16 @@ class TestWickQuadrature:
         with pytest.raises(StructureError, match="particle-hole pairing"):
             verify_resolution_quadrature(2, CLASS_D, WeightSpec.gaussian(1.0), PolarForm(np.array([0.5, 1.0]), u), 20)
 
-    def test_shifted_rule_with_every_node_on_a_density_zero_names_quad_order(self):
-        # one node per mode at lam = offset: the two-mode node sits on lam_1 = lam_2
-        with pytest.raises(ContractError, match="order-1 shifted rule .* raise quad_order"):
-            shifted_weight_quadrature_deviation(2, CLASS_D, 1.0, 0.5, 1)
-
-    @pytest.mark.parametrize("offset", [1e17, 1e150, -1e150])
-    def test_offset_beyond_float_resolution_is_domain_error(self, offset):
-        # the nodes lam + offset round together, so every node sits on
-        # lam_1 = lam_2; no quad_order helps, and order 1 still names it
-        with pytest.raises(DomainError, match=re.escape(f"offset = {offset} exceeds the float resolution")):
-            shifted_weight_quadrature_deviation(2, CLASS_D, 1.0, offset)
-        with pytest.raises(ContractError, match="order-1 shifted rule .* raise quad_order"):
-            shifted_weight_quadrature_deviation(2, CLASS_D, 1.0, offset, 1)
+    @pytest.mark.parametrize("offset", [1e8, 1e17, -1e17, 1e150, -1e150, 1e300])
+    @pytest.mark.parametrize("sym", [CLASS_D, CLASS_C], ids=lambda s: s.label)
+    def test_huge_offset_gives_the_limit_without_warning(self, sym, offset):
+        # every tanh(lam / 2) rounds to sign(offset), so the mean is the
+        # projector on the empty or the full state, 1 - 2^-M from 2^-M I
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            devs = [shifted_weight_quadrature_deviation(m, sym, 1.0, offset) for m in range(1, 7)]
+        assert caught == []
+        assert np.abs(np.array(devs) - (1.0 - 0.5 ** np.arange(1, 7))).max() <= 1e-15
 
     def test_zero_weight_nodes_raise_no_warning(self):
         # the class-D tensor rule puts 240 of its 14400 nodes on lam_1 = +-lam_2
@@ -880,6 +873,36 @@ class TestWickQuadrature:
         good, bad = (json.loads((tmp_path / f"{n}.json").read_text())["criteria"][0] for n in ("good", "bad"))
         assert good["details"]["fock_check_deviation"] <= FOCK_CHECK_TOL
         assert bad["details"]["fock_check_deviation"] > 1e-4
+
+
+def _elementary_symmetric(t: np.ndarray) -> np.ndarray:
+    """e_0..e_M of each row of the (n, M) ``t``, as (n, M + 1)."""
+    e = np.zeros((len(t), t.shape[1] + 1))
+    e[:, 0] = 1.0
+    for j in range(t.shape[1]):
+        e[:, 1:] = e[:, 1:] + e[:, :-1] * t[:, j : j + 1]
+    return e
+
+
+class TestAndreiefOracle:
+    @pytest.mark.parametrize("modes, draws", [(3, 40_000), (6, 20_000)])
+    def test_tilted_class_d_means_match_weighted_draws(self, modes, draws):
+        # exp(-2p (lam - c)^2) is the even weight times the tilt exp(4 p c sum lam),
+        # so signed class-D pair values weighted by the tilt sample the oracle's law
+        p, c = 1.0, 0.1
+        gen = RngSpec(11).generator()
+        lam = class_d_pair_values(modes, p, gen, draws) * gen.choice((-1.0, 1.0), size=(draws, modes))
+        w = np.exp(4.0 * p * c * lam.sum(axis=1))
+        w /= w.sum()
+        e = _elementary_symmetric(-0.5 * np.tanh(0.5 * lam))
+        mean = w @ e
+        se = np.sqrt((w[:, None] ** 2 * (e - mean) ** 2).sum(axis=0))
+        # the plain variable lam^2 as u, not shifted_weight_quadrature_deviation's offset-scaled one
+        x, hw = np.polynomial.hermite.hermgauss(120)
+        nodes = x / math.sqrt(2.0 * p) + c
+        oracle = _andreief_means(nodes, hw, nodes**2, modes)
+        assert oracle[0] == 1.0
+        assert np.abs((mean - oracle)[1:] / se[1:]).max() <= 5.0
 
 
 class TestChunkEstimate:
@@ -1116,8 +1139,6 @@ class TestNcFailure:
     def test_empty_quadrature_rejected(self, quad_order):
         with pytest.raises(ContractError, match="quad_order"):
             verify_nc_failure(2, 1.0, quad_order)
-        with pytest.raises(ContractError, match="quad_order"):
-            shifted_weight_quadrature_deviation(1, CLASS_D, 1.0, 0.5, quad_order)
 
 
 class TestNcModified:
