@@ -8,10 +8,13 @@ seed per pair:
   metrics, and ``failed``;
 - ``layers``: the tree's own ``scripts/bench_layers.py`` (the calls that
   tree's drivers make), the median seconds of every layer of every row;
-- ``workers_1`` and ``workers_2``: ``cli.run`` of WORKERS_ARGV at
-  ``--workers 1`` and ``2``, its wall and CPU seconds (unscaled), and
-  ``failed`` = 1 when it exits non-zero, since a failing verification is
-  timed all the same.
+- ``workers_1`` and ``workers_2``: WORKERS_CALLS calls of ``cli.run`` of
+  WORKERS_ARGV at ``--workers 1`` and ``2`` in one fresh process, the least
+  wall and the least CPU seconds of a call (unscaled), the process's peak
+  resident set (``ru_maxrss``) as ``peak_rss_mb``, and ``failed`` = 1 when
+  a call exits non-zero, since a failing verification is timed all the
+  same. The least of several calls keeps one slow stretch of the machine
+  from deciding a pair.
 
 For each metric that every tree reports, it writes both trees' values, the
 per-pair ratios change/parent, the number of pairs the change won, both
@@ -63,14 +66,21 @@ WORKLOADS = tuple(w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_t
 END_TO_END = {m["name"]: m for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
 #: The command of the workers_1 and workers_2 rows, before its --workers flag.
 WORKERS_ARGV = ["resolution", "--mode", "mc", "--modes", "6", "--samples", "16000", "--seed", "1"]
+#: cli.run calls per workers_N run, all in one process.
+WORKERS_CALLS = 3
 TIME_CALL = """
-import json, sys, time
+import json, resource, sys, time
 sys.path.insert(0, "src")
 from fermigauss import cli
-argv = json.loads(sys.argv[1])
-wall, cpu = time.perf_counter(), time.process_time()
-code = cli.run(argv)
-print(json.dumps({"code": code, "wall_s": time.perf_counter() - wall, "cpu_s": time.process_time() - cpu}))
+argv, calls = json.loads(sys.argv[1]), int(sys.argv[2])
+codes, walls, cpus = [], [], []
+for _ in range(calls):
+    wall, cpu = time.perf_counter(), time.process_time()
+    codes.append(cli.run(argv))
+    walls.append(time.perf_counter() - wall)
+    cpus.append(time.process_time() - cpu)
+print(json.dumps({"code": next((c for c in codes if c), 0), "wall_s": min(walls), "cpu_s": min(cpus),
+                  "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}))
 """
 
 
@@ -105,10 +115,11 @@ def top_level_sum(layers: dict) -> float:
 
 
 def timed_call(tree: Path, argv: list[str]) -> dict:
-    """Wall and CPU seconds of ``cli.run(argv)`` in ``tree``, and failed = 1
-    when it exits non-zero."""
+    """The least wall and CPU seconds of WORKERS_CALLS calls of
+    ``cli.run(argv)`` in one fresh process in ``tree``, its peak_rss_mb,
+    and failed = 1 when a call exits non-zero."""
     proc = subprocess.run(
-        [sys.executable, "-c", TIME_CALL, json.dumps(argv + ["--out", "/dev/null"])],
+        [sys.executable, "-c", TIME_CALL, json.dumps(argv + ["--out", "/dev/null"]), str(WORKERS_CALLS)],
         cwd=tree, capture_output=True, text=True, check=True,
     )
     result = _last_json(proc.stdout)

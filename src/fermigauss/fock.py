@@ -170,22 +170,42 @@ def _block_entry(dst: np.ndarray, src: np.ndarray, modes: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _assembly_plan(modes: int) -> np.ndarray:
+def _assembly_plan(modes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The linear map from a 2M x 2M coefficient matrix to the parity blocks
-    of (1/2) gamma^dag H gamma, as one dense real (4M^2, 2^(2M-1)) matrix.
+    of (1/2) gamma^dag H gamma, grouped by flip pattern: (cols, weights, entries).
 
-    Row k * 2M + l (the flat coefficient index) holds the parity blocks of
-    gamma_k^dag gamma_l / 2, which keeps parity: one batched product of the
-    rows of gamma_k^dag = (a^dag, a)_k at the states of each parity with the
-    matching columns of gamma_l, its transpose. The mode operators of
-    _annihilators are real with entries 0 or +-1, so the plan is exact.
+    gamma_k^dag gamma_l, gamma = (a, a^dag), flips the modes of k and l and
+    no other, so block entry (src ^ x, src) takes its terms from one flip
+    pattern x: none, or two modes (1 + C(M, 2) patterns, ascending by mask).
+    ``cols`` is (pattern, width): the flat coefficient indices k * 2M + l of
+    each pattern's terms, ascending, padded with index 0 to the widest group
+    (4M terms for no flip, 8 for two modes). ``weights`` is (pattern, term,
+    src): (1/2) gamma_k^dag[src ^ x, mid] gamma_l[mid, src], read from
+    _annihilators through the one state mid = src ^ bit(l) that gamma_l
+    reaches, 0 where gamma_l kills src and at the padding. ``entries`` is
+    (pattern, src): the flat parity-block entry of (src ^ x, src). The mode
+    operators have entries 0 or +-1, so the weights are exactly 0 or +-1/2.
     """
     ann = _annihilators(modes).real
-    rows = np.concatenate([np.swapaxes(ann, -1, -2), ann])[:, _parity_sectors(modes)]
-    blocks = rows[:, None] @ np.swapaxes(rows, -1, -2)[None, :]
-    plan = np.ascontiguousarray(0.5 * blocks.reshape(4 * modes * modes, -1))
-    plan.setflags(write=False)
-    return plan
+    gamma = np.concatenate([ann, np.swapaxes(ann, -1, -2)])  # gamma_k^dag = gamma_k^T
+    bit = 1 << (np.arange(2 * modes) % modes)
+    states = np.arange(1 << modes)
+    flipped = np.bitwise_count(states)
+    patterns = states[(flipped == 0) | (flipped == 2)]
+    number = np.searchsorted(patterns, (bit[:, None] ^ bit).ravel())  # each flat index's pattern
+    sizes = np.bincount(number)
+    order = np.argsort(number, kind="stable")  # the flat indices by pattern, ascending within each
+    rank = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # each one's place in its pattern
+    cols = np.zeros((patterns.size, sizes.max()), dtype=np.intp)
+    cols[number[order], rank] = order
+    k, l = (a[..., None] for a in np.divmod(cols, 2 * modes))
+    mid = states ^ bit[l]  # (pattern, term, src)
+    # a padding term, index 0, is a_0^dag a_0, which no other pattern's entry reaches: weight 0
+    weights = 0.5 * gamma[k, mid, states ^ patterns[:, None, None]] * gamma[l, mid, states]
+    entries = _block_entry(states ^ patterns[:, None], states, modes)
+    for arr in (cols, weights, entries):
+        arr.setflags(write=False)
+    return cols, weights, entries
 
 
 #: Powers of i, indexed by their exponent mod 4.
@@ -214,17 +234,22 @@ class WickPlan:
     k - 1 terms, each an (n_k, k - 1) array within its own level. ``scatter``
     maps the 2^(2M-1) coordinates Pf(Gamma_S) to the flat parity blocks of L,
     (2, 2^(M-1), 2^(M-1)) as quadratic_hamiltonian_batch lays them out. Every
-    block entry of flip pattern dst ^ src (2^(M-1) even masks) gathers the same
-    2^M coordinates: ``scatter`` is their (pattern, 2^M) columns, the (2, pattern,
-    src, 2^M) real and imaginary parts of the weights 2^-M i^phase, and the
-    (pattern, src) flat block entries, which number every block entry once.
+    block entry of flip pattern x = dst ^ src (2^(M-1) even masks) gathers the
+    same 2^M coordinates, one per free index y, with the weight
+    2^-M i^A(x, y) (-1)^B(x, src) (-1)^|y & src|: A = |y| + 3 |S(x, y)| / 2 and
+    B = sum_j x_j (parity of src below mode j). ``scatter`` holds the weight's
+    factors: the (pattern, 2^M) ``columns`` of the coordinates; ``units``, the
+    (2, pattern, 2^M) real and imaginary parts of i^A, each 0 or +-1;
+    ``scale``, the (pattern, src) values (-1)^B 2^-M; ``hadamard``, the one
+    (src, 2^M) matrix (-1)^|y & src|; and ``entries``, the (pattern, src) flat
+    block entries, which number every block entry once.
     """
 
     majorana: np.ndarray
     pair_rows: np.ndarray
     pair_cols: np.ndarray
     levels: tuple[tuple[np.ndarray, np.ndarray], ...]
-    scatter: tuple[np.ndarray, np.ndarray, np.ndarray]
+    scatter: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 @lru_cache(maxsize=None)
@@ -262,20 +287,24 @@ def _wick_plan(modes: int) -> WickPlan:
         else:
             levels.append((number[pairs] - starts[1], number[masks[:, None] ^ pairs] - starts[k // 2 - 1]))
 
-    # scatter, by (flip pattern, src, free index): small integers keep the bit arrays cheap to build
+    # scatter, by flip pattern and free index, or pattern and src: small integers keep the bit arrays cheap to build
     dtype = np.min_scalar_type(1 << (2 * modes))
-    flips = _parity_sectors(modes)[0].astype(dtype)[:, None, None]  # the even states are the even masks
-    src, free = np.arange(1 << modes, dtype=dtype)[:, None], np.arange(1 << modes, dtype=dtype)
-    subset = np.zeros((flips.size, 1, free.size), dtype=dtype)
-    phase = np.zeros((flips.size, src.size, free.size), dtype=dtype)
+    flips = _parity_sectors(modes)[0].astype(dtype)[:, None]  # the even states are the even masks
+    states = np.arange(1 << modes, dtype=dtype)  # the free indices, or src
+    subset = np.zeros((flips.size, states.size), dtype=dtype)
+    below = np.zeros((flips.size, states.size), dtype=dtype)  # B(pattern, src)
     for j in range(modes):
-        xj, yj = (flips >> j) & 1, (free >> j) & 1
+        xj, yj = (flips >> j) & 1, (states >> j) & 1
         subset |= np.where(xj == 1, 1 << (2 * j + yj), (3 * yj) << (2 * j))
-        below = np.bitwise_count(src & ((1 << j) - 1)) & 1
-        phase += 2 * xj * below + yj * (1 + 2 * ((src >> j) & 1))
-    phase += 3 * (np.bitwise_count(subset) // 2)
-    weights = _I_POWERS[phase & 3] / (1 << modes)
-    scatter = (number[subset[:, 0]], np.stack([weights.real, weights.imag]), _block_entry(src ^ flips, src, modes)[..., 0])
+        below += xj * (np.bitwise_count(states & ((1 << j) - 1)) & 1)
+    units = _I_POWERS[(np.bitwise_count(states) + 3 * (np.bitwise_count(subset) // 2)) & 3]
+    scatter = (
+        number[subset],
+        np.stack([units.real, units.imag]),
+        np.where(below & 1, -1.0, 1.0) / (1 << modes),
+        np.where(np.bitwise_count(states[:, None] & states) & 1, -1.0, 1.0),
+        _block_entry(states ^ flips, states, modes),
+    )
     for arr in [majorana, pair_rows, pair_cols, *scatter] + [a for level in levels for a in level]:
         arr.setflags(write=False)
     return WickPlan(majorana, pair_rows, pair_cols, tuple(levels), scatter)
@@ -330,19 +359,29 @@ def quadratic_hamiltonian_batch(mats: np.ndarray) -> np.ndarray:
     is this call with n = 1, embedded. ``mats`` has shape (n, 2M, 2M) and the
     result (n, 2, 2^(M-1), 2^(M-1)): the even-parity block, then the odd one,
     each over its basis states in ascending order (embed_parity_blocks turns
-    them into full matrices). It is one product of the real and one of the
-    imaginary parts of ``mats`` with the cached _assembly_plan. No per-element
-    structure validation is done, so callers are expected to feed matrices
-    built by validated constructors (or validated one at a time, as
+    them into full matrices). It gathers the real and imaginary parts of each
+    flip pattern's coefficients from the cached _assembly_plan and takes one
+    batched product with the pattern's weights, then writes the products to
+    their block entries; entries that no pattern reaches (more than two flipped
+    modes) stay 0. The gathered parts are the rows of the product, so each
+    entry sums its terms in ascending flat index, as a dense map would. No
+    per-element structure validation is done, so callers are expected to feed
+    matrices built by validated constructors (or validated one at a time, as
     quadratic_hamiltonian does).
     """
-    mats = np.asarray(mats, dtype=complex)
+    mats = np.ascontiguousarray(mats, dtype=complex)
     modes = mats.shape[-1] // 2
     _check_modes(modes)
-    half = 1 << (modes - 1)
-    flat = mats.reshape(len(mats), -1)
-    plan = _assembly_plan(modes)
-    return (flat.real @ plan + 1j * (flat.imag @ plan)).reshape(len(mats), 2, half, half)
+    half, count = 1 << (modes - 1), len(mats)
+    cols, weights, entries = _assembly_plan(modes)
+    # (count, 2, pattern, term): the real, then the imaginary part of each term
+    parts = mats.reshape(count, -1).view(float)[:, 2 * cols + np.arange(2)[:, None, None]]
+    products = np.swapaxes(parts.reshape(2 * count, *cols.shape), 0, 1) @ weights  # (pattern, count, 2, src)
+    # each product's float in the complex (count, 2^(2M-1)) output, in the products' order
+    floats = 2 * entries[:, None, None, :] + np.arange(2)[:, None] + 4 * half * half * np.arange(count)[:, None, None]
+    out = np.zeros(count * 4 * half * half)
+    out[floats.ravel()] = products.ravel()
+    return out.view(complex).reshape(count, 2, half, half)
 
 
 def from_eigenpairs(w: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -460,13 +460,23 @@ def moment_wick_coordinates(moments: np.ndarray, v: np.ndarray) -> np.ndarray:
 def wick_blocks(coords: np.ndarray) -> np.ndarray:
     """Parity blocks, (k, 2, 2^(M-1), 2^(M-1)), of the operators whose Wick
     coordinates are the k rows of ``coords`` (or its one row): with the scatter
-    of fock.WickPlan, one gather of every flip pattern's coordinates and one
-    batched product with its weights, so a Monte Carlo run maps all its chunks at once."""
+    of fock.WickPlan, one gather of every flip pattern's coordinates times their
+    units i^A, one batched product with the shared Hadamard matrix, and each
+    block entry's sum times its scale, so a Monte Carlo run maps all its chunks
+    at once. The scale is a power of two times a sign, so each sum is the one a
+    table of the full weights would give, up to the order of the product; the
+    sign would turn a zero sum into -0, so zeros are written as +0."""
     coords = np.atleast_2d(coords)
-    columns, weights, entries = _wick_plan(coords.shape[-1].bit_length() // 2).scatter
-    parts = weights @ coords.T[columns]  # (2, pattern, src, k): the real and imaginary parts
-    out = np.empty((len(coords), entries.size), dtype=complex)
-    out[:, entries] = np.moveaxis(parts[0] + 1j * parts[1], -1, 0)
+    count, size = coords.shape
+    columns, units, scale, hadamard, entries = _wick_plan(size.bit_length() // 2).scatter
+    sums = hadamard @ (units[..., None] * coords.T[columns])  # (2, pattern, src, k): the real and imaginary parts
+    order = np.empty(size, dtype=np.intp)
+    order[entries.ravel()] = np.arange(size)  # the (pattern, src) of each block entry
+    rows, scale = np.take(sums.reshape(2, size, count), order, axis=1), scale.ravel()[order]
+    out = np.empty((count, size), dtype=complex)
+    np.multiply(rows[0].T, scale, out=out.real)
+    np.multiply(rows[1].T, scale, out=out.imag)
+    out += 0.0
     return out.reshape(-1, 2, len(columns), len(columns))  # as many flip patterns as states of one parity
 
 

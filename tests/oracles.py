@@ -3,14 +3,13 @@ runs, kept so the tests can hold its paths to an independent one; a
 Parlett-Reid Pfaffian for every Wick coordinate; and break_phase, the fault
 of the Wick scatter that the Fock cross-check catches."""
 
-import dataclasses
 from functools import lru_cache, reduce
 from itertools import product
 from math import factorial
 
 import numpy as np
 
-from fermigauss import gaussian
+from fermigauss import gaussian, verify
 from fermigauss.fock import _annihilators, _wick_plan, from_eigenpairs, quadratic_hamiltonian_batch
 from fermigauss.gaussian import assemble_blocks, exp_normalized_fock_batch
 
@@ -118,14 +117,24 @@ def tuple_normal_ordered_exp(bmat: np.ndarray) -> np.ndarray:
 
 
 def break_phase(monkeypatch, modes: int, column: int = -1) -> None:
-    """Make the Wick kernel at ``modes`` modes multiply one entry of a Wick
-    coordinate's scatter column by i, the column's first in block-entry order;
-    by default the parity coordinate's (the full Majorana set's), the last column."""
-    plan = _wick_plan(modes)
-    columns, weights, entries = plan.scatter
+    """Make the Wick scatter at ``modes`` modes multiply one weight w of a Wick
+    coordinate's column by i, the column's first in block-entry order; by
+    default the parity coordinate's (the full Majorana set's), the last column.
+    The scatter holds w only as the product of its factors (fock.WickPlan), so
+    wick_blocks, in gaussian and where verify calls it, adds (i - 1) w c at
+    that block entry for the coordinate c."""
+    columns, units, scale, hadamard, entries = _wick_plan(modes).scatter
     pattern, free = np.argwhere(columns == column % columns.size)[0]
     src = np.argmin(entries[pattern])
-    bad = weights.copy()
-    bad[:, pattern, src, free] = -weights[1, pattern, src, free], weights[0, pattern, src, free]
-    bad = dataclasses.replace(plan, scatter=(columns, bad, entries))
-    monkeypatch.setattr(gaussian, "_wick_plan", lambda m: bad if m == modes else _wick_plan(m))
+    weight = scale[pattern, src] * hadamard[src, free] * complex(*units[:, pattern, free])
+    wick_blocks = gaussian.wick_blocks
+
+    def broken(coords):
+        out = wick_blocks(coords)
+        if out.shape[-1] == len(columns):  # as many flip patterns as states of one parity
+            coordinate = np.atleast_2d(coords)[:, columns[pattern, free]]
+            out.reshape(len(out), -1)[:, entries[pattern, src]] += (1j - 1) * weight * coordinate
+        return out
+
+    for module in (gaussian, verify):
+        monkeypatch.setattr(module, "wick_blocks", broken)

@@ -595,6 +595,22 @@ class TestBenchmarkWorkloads:
             assert run([*argv, "--seed", str(BENCHMARK.SETUP_SEED), "--out", str(out)]) in (0, 1), argv
             assert out.exists()
 
+    def test_setup_commands_load_neither_numpy_ma_nor_scipy(self, tmp_path):
+        # a fresh process pays for its imports in setup_s and peak_rss_mb:
+        # np.unique without return_inverse, for one, imports numpy.ma
+        calls = [[*argv, "--seed", str(BENCHMARK.SETUP_SEED), "--out", str(tmp_path / f"{k}.json")]
+                 for k, argv in enumerate(a for w in BENCHMARK.WORKLOADS.values() for a in w.setup)]
+        script = f"""
+import json, sys
+from fermigauss import cli
+for argv in {calls!r}:
+    cli.run(argv)
+print(json.dumps(sorted(name for name in sys.modules if name == "numpy.ma" or name.split(".")[0] == "scipy")))
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env)
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+
 
 #: The smallest call of every subcommand.
 SMALLEST_CALLS = [

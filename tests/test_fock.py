@@ -152,9 +152,16 @@ class TestAssemblyPlan:
 
     @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
     def test_plan_is_half_the_dense_quadratic_tensor_exactly(self, modes):
+        # densified: weight (pattern, term, src) at (flat index, block entry);
+        # every flat index is one pattern's term, the rest is padding of index 0
+        cols, weights, entries = _assembly_plan(modes)
+        size = 4 * modes * modes
+        assert np.array_equal(np.sort(cols, axis=None)[-size:], np.arange(size))
+        plan = np.zeros((size, 1 << (2 * modes - 1)))
+        np.add.at(plan, (cols[:, :, None], entries[:, None, :]), weights)
         sectors = _parity_sectors(modes)
         dense = 0.5 * quadratic_tensor(modes)[:, :, sectors[:, :, None], sectors[:, None, :]]
-        assert np.array_equal(_assembly_plan(modes), dense.real.reshape(4 * modes * modes, -1))
+        assert np.array_equal(plan, dense.real.reshape(size, -1))
 
     @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
     def test_embedding_is_zero_across_parities(self, modes):
@@ -174,18 +181,24 @@ class TestWickPlan:
         # Tr(c_S^dag c_T) = 2^M delta_ST, and each c_S is 2^M entries of modulus
         # 1, scaled by 2^-M: the scatter has orthogonal columns of norm^2 2^-M
         # and every block entry gathers 2^M coordinates, those of its flip pattern
-        columns, weights, entries = _wick_plan(modes).scatter
+        columns, units, scale, hadamard, entries = _wick_plan(modes).scatter
         dim, size = 1 << modes, 1 << (2 * modes - 1)
-        assert columns.shape == entries.shape == (dim // 2, dim) and weights.shape == (2, dim // 2, dim, dim)
+        assert columns.shape == entries.shape == scale.shape == (dim // 2, dim)
+        assert units.shape == (2, dim // 2, dim) and hadamard.shape == (dim, dim)
         # each coordinate is the column of one pattern, and each block entry one
         # (pattern, src): columns of two patterns share no block entry
         for arr in (columns, entries):
             assert np.array_equal(np.sort(arr, axis=None), np.arange(size))
-        values = weights[0] + 1j * weights[1]  # (pattern, src, free index)
-        assert (np.abs(values) == 1.0 / dim).all()
+        assert (np.abs(units[0] + 1j * units[1]) == 1.0).all() and (np.abs(scale) == 1.0 / dim).all()
+        values = scale[:, :, None] * hadamard * (units[0] + 1j * units[1])[:, None, :]  # (pattern, src, free index)
         gram = np.zeros((size, size), dtype=complex)
         gram[columns[:, :, None], columns[:, None, :]] = np.swapaxes(values.conj(), -1, -2) @ values
         assert np.array_equal(gram, np.eye(size) / dim)
+
+    def test_mode_cap_plans_hold_under_half_a_megabyte(self):
+        # the structure, not a dense (4M^2, 2^(2M-1)) map or a (2, P, 2^M, 2^M) weight table
+        held = sum(a.nbytes for a in (*_assembly_plan(6), *_wick_plan(6).scatter))
+        assert held <= 0.5 * 2**20
 
     @pytest.mark.parametrize("modes", [2, 4])
     def test_recursion_expands_along_the_lowest_index(self, modes):

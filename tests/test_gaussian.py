@@ -520,6 +520,22 @@ class TestPfaffianOracle:
             assert np.abs(coords - want).max() <= 4.0 * np.finfo(float).eps * np.abs(want).max()
 
     @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
+    def test_pfaffian_squares_sum_to_the_tanh_squares(self, modes):
+        # per draw, sum_(|S| = 2k) Pf(Gamma_S)^2 is the sum of the principal
+        # 2k-minors of Gamma, whose eigenvalues are +-i tanh(lam_j / 2), so it is
+        # e_k(tanh^2(lam / 2)): an oracle for every Pfaffian level, off the scatter
+        form = real_form(sample_class_d_batch(modes, 1.0, RngSpec(44 + modes), 5))
+        rows = real_form_pair_rows(*form)
+        level = np.array([len(s) // 2 for s in _subset_indices(modes)])
+        for k, lam in enumerate(form[2][:, 1::2]):
+            e = np.zeros(modes + 1)
+            e[0] = 1.0
+            for t in np.tanh(lam / 2.0) ** 2:
+                e[1:] = e[1:] + t * e[:-1]
+            squares = np.bincount(level, weights=wick_coordinates(rows[:, k : k + 1]) ** 2)
+            assert np.abs(squares - e).max() <= 1e-14
+
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
     def test_pair_rows_are_numbered_by_bit_mask(self, modes):
         # the rows that the test above reads as Gamma, against Gamma = X - X^T
         # of the complex eigh route, at the pairs {i < j} in ascending 2^i + 2^j

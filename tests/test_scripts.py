@@ -373,6 +373,22 @@ class TestBenchPairsRows:
                                       "--seed", "1"]
 
 
+    def test_workers_run_keeps_the_least_of_its_calls_and_the_peak_rss(self, tmp_path):
+        # the real script, on a stand-in cli whose calls take 0.2, 0.05 and 0.1 s
+        # and whose second call exits 1
+        pairs = load("bench_pairs")
+        (tmp_path / "src" / "fermigauss").mkdir(parents=True)
+        (tmp_path / "src" / "fermigauss" / "__init__.py").write_text("")
+        (tmp_path / "src" / "fermigauss" / "cli.py").write_text(
+            "import time\nseen = []\n\ndef run(argv):\n    seen.append(argv)\n"
+            "    time.sleep((0.2, 0.05, 0.1)[len(seen) - 1])\n    return int(len(seen) == 2)\n")
+        out = pairs.timed_call(tmp_path, ["resolution"])
+        assert pairs.WORKERS_CALLS == 3
+        assert out["failed"] == 1
+        assert 0.05 <= out["wall_s"] < 0.1 and out["cpu_s"] < 0.05
+        assert out["peak_rss_mb"] > 1.0
+
+
 class TestReportDiff:
     @pytest.fixture(scope="class")
     def diff(self):
