@@ -11,7 +11,8 @@ results per command, for its report and its dump together:
 - ``identical``: the same bytes;
 - ``numeric``: the same keys, key order, strings and verdicts (for a dump,
   the same header and row count), with the largest absolute change of a
-  number and the path to it (under ``.csv`` for a dump);
+  number, the path to it (under ``.csv`` for a dump) and the parent's and
+  the change's number there, so a gap that moved shows whether it grew;
 - ``changed``: the verdicts, keys or names (strings) that differ, or a
   command that wrote no report in one tree (no dump in one tree shows as a
   ``csv`` key on one side only).
@@ -118,7 +119,7 @@ def _walk(a, b, path: str, found: dict) -> None:
         same = a == b or (math.isnan(a) and math.isnan(b))
         change = 0.0 if same else abs(a - b) if math.isfinite(a - b) else math.inf
         if change > found["max_change"]:
-            found["max_change"], found["where"] = change, path
+            found["max_change"], found["where"], found["values"] = change, path, (a, b)
     elif a != b:
         found["names"].append(f"{path}: {a!r} -> {b!r}")
 
@@ -130,11 +131,13 @@ def compare(parent: str | None, change: str | None, dumps=(None, None)) -> dict:
         return {"result": "changed", "names": [f"report written: {parent is not None} -> {change is not None}"]}
     if RUN_LINES.sub("", parent) == RUN_LINES.sub("", change) and dumps[0] == dumps[1]:
         return {"result": "identical"}
-    found = {"verdicts": [], "keys": [], "names": [], "max_change": 0.0, "where": None}
+    found = {"verdicts": [], "keys": [], "names": [], "max_change": 0.0, "where": None, "values": (None, None)}
     _walk(document(parent, dumps[0]), document(change, dumps[1]), "", found)
+    parent_value, change_value = found.pop("values")
     if found["verdicts"] or found["keys"] or found["names"]:
         return {"result": "changed", **found}
-    return {"result": "numeric", "max_change": found["max_change"], "where": found["where"]}
+    return {"result": "numeric", "max_change": found["max_change"], "where": found["where"],
+            "parent": parent_value, "change": change_value}
 
 
 def main(argv=None) -> int:
@@ -157,6 +160,8 @@ def main(argv=None) -> int:
         line = f"{res['command']}: {res['result']}"
         if res.get("where"):
             line += f", largest numeric change {res['max_change']:.3g} at {res['where']}"
+            if res["result"] == "numeric":
+                line += f": {res['parent']!r} -> {res['change']!r}"
         line += "".join(f"\n  {what}" for key in ("verdicts", "keys", "names") for what in res.get(key, []))
         print(line)
     if args.out:

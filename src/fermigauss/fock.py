@@ -172,19 +172,22 @@ def _block_entry(dst: np.ndarray, src: np.ndarray, modes: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _assembly_plan(modes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The linear map from a 2M x 2M coefficient matrix to the parity blocks
-    of (1/2) gamma^dag H gamma, grouped by flip pattern: (cols, weights, entries).
+    of (1/2) gamma^dag H gamma, grouped by flip pattern: (src, weights, dst).
 
     gamma_k^dag gamma_l, gamma = (a, a^dag), flips the modes of k and l and
     no other, so block entry (src ^ x, src) takes its terms from one flip
     pattern x: none, or two modes (1 + C(M, 2) patterns, ascending by mask).
-    ``cols`` is (pattern, width): the flat coefficient indices k * 2M + l of
-    each pattern's terms, ascending, padded with index 0 to the widest group
-    (4M terms for no flip, 8 for two modes). ``weights`` is (pattern, term,
-    src): (1/2) gamma_k^dag[src ^ x, mid] gamma_l[mid, src], read from
-    _annihilators through the one state mid = src ^ bit(l) that gamma_l
-    reaches, 0 where gamma_l kills src and at the padding. ``entries`` is
-    (pattern, src): the flat parity-block entry of (src ^ x, src). The mode
-    operators have entries 0 or +-1, so the weights are exactly 0 or +-1/2.
+    Each pattern's terms are the flat coefficient indices k * 2M + l,
+    ascending, padded with index 0 to the widest group (4M terms for no flip,
+    8 for two modes). ``src`` is (pattern, 2, term): the offsets of each
+    term's real and imaginary part in one matrix's float view. ``weights`` is
+    (pattern, term, src): (1/2) gamma_k^dag[src ^ x, mid] gamma_l[mid, src],
+    read from _annihilators through the one state mid = src ^ bit(l) that
+    gamma_l reaches, 0 where gamma_l kills src and at the padding. ``dst`` is
+    (pattern, 2, src): the offsets of the real and imaginary part of block
+    entry (src ^ x, src) in one matrix's float view of its flat parity
+    blocks. The mode operators have entries 0 or +-1, so the weights are
+    exactly 0 or +-1/2.
     """
     ann = _annihilators(modes).real
     gamma = np.concatenate([ann, np.swapaxes(ann, -1, -2)])  # gamma_k^dag = gamma_k^T
@@ -202,10 +205,12 @@ def _assembly_plan(modes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mid = states ^ bit[l]  # (pattern, term, src)
     # a padding term, index 0, is a_0^dag a_0, which no other pattern's entry reaches: weight 0
     weights = 0.5 * gamma[k, mid, states ^ patterns[:, None, None]] * gamma[l, mid, states]
-    entries = _block_entry(states ^ patterns[:, None], states, modes)
-    for arr in (cols, weights, entries):
+    parts = np.arange(2)[:, None]  # the real, then the imaginary part
+    src = 2 * cols[:, None, :] + parts
+    dst = 2 * _block_entry(states ^ patterns[:, None], states, modes)[:, None, :] + parts
+    for arr in (src, weights, dst):
         arr.setflags(write=False)
-    return cols, weights, entries
+    return src, weights, dst
 
 
 #: Powers of i, indexed by their exponent mod 4.
@@ -360,27 +365,24 @@ def quadratic_hamiltonian_batch(mats: np.ndarray) -> np.ndarray:
     result (n, 2, 2^(M-1), 2^(M-1)): the even-parity block, then the odd one,
     each over its basis states in ascending order (embed_parity_blocks turns
     them into full matrices). It gathers the real and imaginary parts of each
-    flip pattern's coefficients from the cached _assembly_plan and takes one
-    batched product with the pattern's weights, then writes the products to
-    their block entries; entries that no pattern reaches (more than two flipped
-    modes) stay 0. The gathered parts are the rows of the product, so each
-    entry sums its terms in ascending flat index, as a dense map would. No
-    per-element structure validation is done, so callers are expected to feed
-    matrices built by validated constructors (or validated one at a time, as
-    quadratic_hamiltonian does).
+    flip pattern's coefficients at the cached _assembly_plan's offsets, takes
+    one batched product with the pattern's weights, and writes the products
+    to their block entries' offsets; entries that no pattern reaches (more
+    than two flipped modes) stay 0. The gathered parts are the rows of the
+    product, so each entry sums its terms in ascending flat index, as a dense
+    map would. No per-element structure validation is done, so callers are
+    expected to feed matrices built by validated constructors (or validated
+    one at a time, as quadratic_hamiltonian does).
     """
     mats = np.ascontiguousarray(mats, dtype=complex)
     modes = mats.shape[-1] // 2
     _check_modes(modes)
     half, count = 1 << (modes - 1), len(mats)
-    cols, weights, entries = _assembly_plan(modes)
-    # (count, 2, pattern, term): the real, then the imaginary part of each term
-    parts = mats.reshape(count, -1).view(float)[:, 2 * cols + np.arange(2)[:, None, None]]
-    products = np.swapaxes(parts.reshape(2 * count, *cols.shape), 0, 1) @ weights  # (pattern, count, 2, src)
-    # each product's float in the complex (count, 2^(2M-1)) output, in the products' order
-    floats = 2 * entries[:, None, None, :] + np.arange(2)[:, None] + 4 * half * half * np.arange(count)[:, None, None]
-    out = np.zeros(count * 4 * half * half)
-    out[floats.ravel()] = products.ravel()
+    src, weights, dst = _assembly_plan(modes)
+    parts = mats.reshape(count, -1).view(float)[:, src]  # (count, pattern, 2, term)
+    products = np.swapaxes(parts, 0, 1).reshape(len(src), 2 * count, -1) @ weights  # (pattern, count * 2, src)
+    out = np.zeros((count, 4 * half * half))
+    out[:, dst] = np.swapaxes(products.reshape(len(src), count, 2, -1), 0, 1)
     return out.view(complex).reshape(count, 2, half, half)
 
 

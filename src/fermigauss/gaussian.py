@@ -512,18 +512,41 @@ def greens_parameterization(h) -> GreensPair:
     return GreensPair(n=np.eye(h.shape[0]) - n_tilde, n_tilde=n_tilde)
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a) as v diag(exp(w)) v^-1 from one eigendecomposition a = v diag(w) v^-1.
+#: Higham's degree-13 Pade coefficients b_0 .. b_13 and the 1-norm below which
+#: that approximant needs no scaling (SIAM J. Matrix Anal. Appl. 26 (2005) 1179).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
+    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
 
-    Exact to rounding when ``a`` is similar to a hermitian matrix, a = x h x^-1:
-    then ``a`` is diagonalizable with real eigenvalues, however degenerate, and
-    v is as well conditioned as x. Every input the package gives it is such a
-    matrix: a hermitian one, the logarithm x L x^-1 of _principal_log, or the
-    Fock matrix of a composed coefficient matrix, which the similarity x
-    lifts to one in Fock space.
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of one square matrix or a stack, by degree-13 Pade with scaling
+    and squaring (Higham 2005), with no precondition on ``a``: defective and
+    nilpotent matrices are exact to rounding too.
+
+    Each matrix is scaled by its own 2^-s, s = max(0, ceil(log2(|a|_1 /
+    theta_13))), and squared s times, so every matrix of a stack is its own
+    scalar call bit for bit. U and V take A^2, A^4 and A^6 (six matmuls), and
+    r = (V - U)^-1 (V + U) one solve.
     """
-    w, v = np.linalg.eig(a)
-    return (v * np.exp(w)[..., None, :]) @ np.linalg.inv(v)
+    b = _PADE13
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    s = np.ceil(np.log2(np.maximum(norm / _THETA13, 1.0))).astype(int)
+    a = a / np.exp2(s)[..., None, None]
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(s.max(initial=0)):
+        mask = s > k  # a 0-d mask indexes one matrix as a stack of one
+        r[mask] = r[mask] @ r[mask]
+    return r
 
 
 def _principal_log(a: np.ndarray, b: np.ndarray, context: str) -> np.ndarray:

@@ -946,11 +946,11 @@ def _normal_ordering(gen: np.random.Generator, m: int, count: int) -> list[tuple
     """Per hermitian draw h: the exponential, by eigh (op_exp's kernel), of the
     Fock matrix of the embedding (h, 0), which is a^dag h a - (1/2) tr h, its
     shift undone, against the sum over minors of :exp(a^dag B a): with
-    B = _expm(h) - I (normal_ordered_exp's kernel)."""
+    B = exp(h) - I, by eigh as well (normal_ordered_exp's kernel)."""
     h = _hermitian_matrices(gen, m, count)
     direct = _exp_hermitian(_fock_matrices(assemble_blocks(h, np.zeros_like(h))))
     direct = np.exp(0.5 * np.trace(h, axis1=-2, axis2=-1).real)[:, None, None] * direct
-    ordered = _normal_ordered_stack(_expm(h) - np.eye(m))
+    ordered = _normal_ordered_stack(_exp_hermitian(h) - np.eye(m))
     return [("normal-ordered exponential identity", 1e-9, _max_gaps(direct, ordered))]
 
 

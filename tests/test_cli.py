@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -646,6 +647,14 @@ print(json.dumps({{"scipy": sorted(name for name in sys.modules if name.split(".
 def test_no_subcommand_loads_scipy(after_every_call):
     # every run's start-up cost includes its imports, and the package is numpy alone
     assert after_every_call["scipy"] == []
+
+
+def test_no_module_calls_the_general_eigensolver():
+    # every exponential is eigh's or _expm's Pade: a general eig is exact only
+    # for diagonalizable matrices
+    calls = [f"{path.name}: {line.strip()}" for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+             for line in path.read_text().splitlines() if re.search(r"linalg\.eig(vals)?\(", line)]
+    assert calls == []
 
 
 def test_no_cli_call_maps_scipy_openblas(after_every_call):

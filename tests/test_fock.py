@@ -153,8 +153,11 @@ class TestAssemblyPlan:
     @pytest.mark.parametrize("modes", [1, 2, 3, 4, 5, 6])
     def test_plan_is_half_the_dense_quadratic_tensor_exactly(self, modes):
         # densified: weight (pattern, term, src) at (flat index, block entry);
-        # every flat index is one pattern's term, the rest is padding of index 0
-        cols, weights, entries = _assembly_plan(modes)
+        # every flat index is one pattern's term, the rest is padding of index 0;
+        # the offsets are those of the real and imaginary part of each
+        src, weights, dst = _assembly_plan(modes)
+        assert np.array_equal(src[:, 1], src[:, 0] + 1) and np.array_equal(dst[:, 1], dst[:, 0] + 1)
+        cols, entries = src[:, 0] // 2, dst[:, 0] // 2
         size = 4 * modes * modes
         assert np.array_equal(np.sort(cols, axis=None)[-size:], np.arange(size))
         plan = np.zeros((size, 1 << (2 * modes - 1)))

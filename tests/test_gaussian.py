@@ -1132,16 +1132,34 @@ def _expm_inputs():
     for n in (4, 8):  # degenerate and non-normal: y diag(w) y^-1 with repeated real w
         y = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
         out.append((f"degenerate similarity {n}", y @ np.diag(np.repeat([0.4, -1.1], n // 2)) @ np.linalg.inv(y)))
+    # no eigendecomposition exists or none is well conditioned
+    out += [
+        ("Jordan block", np.array([[1.0, 1.0], [0.0, 1.0]])),
+        ("nilpotent 3", np.array([[0.0, 1.5, -2.0], [0.0, 0.0, 0.7], [0.0, 0.0, 0.0]])),
+        ("near-defective", np.array([[2.0, 1e-9], [0.0, 2.0 + 1e-12]])),
+    ]
     return out
 
 
 class TestExpm:
-    """gaussian._expm, one eigendecomposition, against scipy.linalg.expm as the oracle."""
+    """gaussian._expm, Pade with scaling and squaring, against scipy.linalg.expm as the oracle."""
 
     @pytest.mark.parametrize("mat", [pytest.param(mat, id=label) for label, mat in _expm_inputs()])
     def test_matches_scipy_expm(self, mat):
         want = scipy.linalg.expm(mat)
         assert max_abs(_expm(mat), want) <= 1e-13 * max(1.0, np.abs(want).max())
+
+    def test_each_matrix_of_a_stack_is_its_own_call(self):
+        # 1-norms from 1e-3 to 50 take from 0 to 4 squarings, each its own
+        gen = RngSpec(72).generator()
+        stack = gen.normal(size=(12, 6, 6)) + 1j * gen.normal(size=(12, 6, 6))
+        stack *= (np.geomspace(1e-3, 50.0, 12) / np.abs(stack).sum(axis=-2).max(axis=-1))[:, None, None]
+        out = _expm(stack)
+        assert out.shape == stack.shape
+        for mat, got in zip(stack, out):
+            assert np.array_equal(got, _expm(mat))
+            want = scipy.linalg.expm(mat)
+            assert max_abs(got, want) <= 1e-13 * max(1.0, np.abs(want).max())
 
     @pytest.mark.parametrize("compose", [compose_general, compose_number_conserving])
     def test_perturbed_round_trip_raises_branch_cut_error(self, compose, monkeypatch):

@@ -405,7 +405,7 @@ class TestReportDiff:
 
         assert diff.compare(text(), text()) == {"result": "identical"}
         assert diff.compare(text(), text(measured=1.5)) == {
-            "result": "numeric", "max_change": 0.5, "where": ".criteria['c'].measured"
+            "result": "numeric", "max_change": 0.5, "where": ".criteria['c'].measured", "parent": 1.0, "change": 1.5
         }
         assert diff.compare(text(), text(passed=False))["verdicts"] == [".criteria['c'].passed: True -> False"]
         assert diff.compare(text(), text(name="d"))["names"] == [".criteria['c'].name: 'c' -> 'd'"]
@@ -416,8 +416,23 @@ class TestReportDiff:
         assert diff.compare("{}", "{}", (dump, dump)) == {"result": "identical"}
         ulp = dump.replace("0.5", "0.50000000000000011")
         assert diff.compare("{}", "{}", (dump, ulp)) == {
-            "result": "numeric", "max_change": 2.0**-53, "where": ".csv.rows[0][0]"
+            "result": "numeric", "max_change": 2.0**-53, "where": ".csv.rows[0][0]", "parent": 0.5, "change": 0.5 + 2.0**-53
         }
+
+    def test_a_numeric_command_prints_and_writes_both_values(self, diff, monkeypatch, capsys, tmp_path):
+        # the parent's gap 2e-13 and the change's 2.5e-13: the gap grew
+        def text(measured, other):
+            return json.dumps({"criteria": [{"name": "c", "measured": measured, "passed": True},
+                                            {"name": "d", "measured": other, "passed": True}]}, indent=2)
+
+        sides = iter([[(text(2e-13, 1.0), None)], [(text(2.5e-13, 1.0 + 2.0**-52), None)]])
+        monkeypatch.setattr(diff, "COMMANDS", [["identities"]])
+        monkeypatch.setattr(diff, "reports", lambda tree, commands, out_dir: next(sides))
+        assert diff.main(["--parent", ".", "--out", str(tmp_path / "diff.json")]) == 0
+        assert capsys.readouterr().out == (
+            "identities: numeric, largest numeric change 5e-14 at .criteria['c'].measured: 2e-13 -> 2.5e-13\n")
+        (res,) = json.loads((tmp_path / "diff.json").read_text())
+        assert (res["where"], res["parent"], res["change"]) == (".criteria['c'].measured", 2e-13, 2.5e-13)
 
     def test_a_missing_dump_is_changed(self, diff):
         res = diff.compare("{}", "{}", ("lambda_1\n0.5\n", None))

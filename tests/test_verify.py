@@ -1472,12 +1472,13 @@ def _scalar_expm_fock(coefficients) -> np.ndarray:
 
 def _scalar_normal_ordering(gen, m, count):
     from fermigauss import normal_ordered_exp, op_exp, quadratic_hamiltonian
+    from fermigauss.fock import _exp_hermitian
 
     gaps = []
     for h in verify_module._hermitian_matrices(gen, m, count):
         direct = op_exp(quadratic_hamiltonian(make_bdg(h, np.zeros_like(h)))).matrix
         direct = np.exp(0.5 * np.trace(h).real) * direct
-        gaps.append(np.abs(direct - normal_ordered_exp(verify_module._expm(h) - np.eye(m)).matrix).max())
+        gaps.append(np.abs(direct - normal_ordered_exp(_exp_hermitian(h) - np.eye(m)).matrix).max())
     return [gaps]
 
 
