@@ -49,6 +49,9 @@ COMMANDS = [
     ["resolution", "--mode", "quad", "--symmetry-class", "CI", *SEED, "--csv"],
     ["number-conserving", "--variant", "failure", *SEED, "--csv"],
     ["number-conserving", "--variant", "failure", "-p", "2", *SEED],  # the oracle's floor away from p = 1
+    ["number-conserving", "--variant", "failure", "--modes", "1", *SEED],
+    ["number-conserving", "--variant", "failure", "--modes", "3", "--samples", "16000", *SEED, "--csv"],
+    ["number-conserving", "--variant", "failure", "--modes", "6", "--samples", "4000", *SEED],
     ["selberg", "--consistency", *SEED],
     ["resolution", "--mode", "mc", "--modes", "6", "--samples", "400", *SEED, "--csv"],
     ["number-conserving", "--variant", "modified", "--samples", "25000", *SEED, "--csv"],

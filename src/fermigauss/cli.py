@@ -247,14 +247,14 @@ def _cmd_canonical(args) -> int:
 
 
 def _cmd_number_conserving(args) -> int:
-    spec = RngSpec(args.seed, args.stream)
+    spec, keep = RngSpec(args.seed, args.stream), bool(args.csv)
     if args.variant == "failure":
-        rep = verify_nc_failure(args.modes, args.p, args.quad_order)
-        criteria = [reports.estimator_to_criterion("even-weight residual exceeds the oracle floor", rep)]
-        return _finish(args, "number-conserving", criteria, points=rep.point_chunks)
-    rep = verify_nc_modified(args.modes, args.p, args.samples, spec, workers=args.workers, keep_points=bool(args.csv))
-    criteria = [reports.estimator_to_criterion("modified-weight mean reaches the identity", rep)]
-    return _finish(args, "number-conserving", criteria, points=rep.point_chunks)
+        rep = verify_nc_failure(args.modes, args.p, args.quad_order, args.samples, spec, args.workers, keep)
+        name = "even-weight mean reaches its exact target"
+    else:
+        rep = verify_nc_modified(args.modes, args.p, args.samples, spec, workers=args.workers, keep_points=keep)
+        name = "modified-weight mean reaches the identity"
+    return _finish(args, "number-conserving", [reports.estimator_to_criterion(name, rep)], points=rep.point_chunks)
 
 
 def _cmd_selberg(args) -> int:

@@ -92,25 +92,26 @@ ABS_FLOOR = 1e-12
 #: Named seed from which the deterministic quadrature rotations are derived.
 ROTATION_SEED = 8128
 
-#: (law, order) rules with their moments, and fixed rotations per mode count,
-#: that one process keeps, least recently used out first: at the default order
-#: 60 at most about 28 MB of rules (odd-beta sector rules), 1.3 MB for the
-#: three laws of the benchmark's checks workload.
+#: (law, order) rules with their moments, fixed rotations per mode count and
+#: even-weight targets per (M, p) that one process keeps, least recently used
+#: out first: at the default order 60 at most about 28 MB of rules (odd-beta
+#: sector rules), 1.3 MB for the three laws of the benchmark's checks workload.
 LAW_CACHE_SIZE = 16
 
 #: Nodes of the Gauss-Hermite rule over which _andreief_means takes
-#: nc_failure_residual and shifted_weight_quadrature_deviation.
+#: shifted_weight_quadrature_deviation; nc_even_target takes twice as many.
 ORACLE_ORDER = 120
 
 QUAD_TOL = 1e-8
 QUAD_CONVERGENCE_TOL = 1e-9
 
-#: The even-weight residual must exceed this fraction of nc_failure_residual.
+#: The even-weight mean must lie at least this fraction of its exact target's
+#: distance from 2^-M I.
 FAILURE_FLOOR_FRACTION = 0.95
 
-#: Smallest failure floor verify_nc_failure judges: float64's eps. The rounding
-#: of the mean's 1/4 entries moves the residual by 7e-18 to 1e-17 (p = 1e14 to
-#: 1e15), 3% of the oracle at this floor, inside the 5% the floor fraction leaves.
+#: Smallest failure floor verify_nc_failure judges: float64's eps. At M = 2 it
+#: admits p up to about 1.3e14, where the mean's and the target's 1/4 entries
+#: still round alike, so their gaps from 2^-M I are one double.
 FAILURE_ROUNDING_LEVEL = float(np.finfo(float).eps)
 
 #: Largest max-entry gap allowed between the Wick mean of FOCK_CHECK_DRAWS
@@ -302,16 +303,16 @@ def _fock_check(mats: np.ndarray, coords: np.ndarray, log_weights=None) -> float
     return float(np.abs(np.einsum("s,spab->pab", _draw_weights(len(mats), log_weights), ops) - wick).max())
 
 
-def _mc_report(modes: int, chunks: list[_Chunk], details: dict, _exact: bool = False) -> EstimatorReport:
+def _mc_report(modes: int, chunks: list[_Chunk], details: dict, _exact: bool = False, target=None, floor=None) -> EstimatorReport:
     """The one Monte Carlo verdict path, which alone sets a report's bounds
     and details, and the one place that combines chunk records, in chunk
     order: one scatter of their Wick coordinates to parity blocks, their
     chunked estimate (weighing chunks by their sums of traces w if they have
     them, with the Kish size (sum w)^2 / sum w^2 in ``details``), and the
-    gate of the mean against 2^-M I and of chunk 0's Fock gap against
-    FOCK_CHECK_TOL; ``details``, which carry p, follow the gate's entries. With
-    ``_exact`` (canonical beta = 0) the mean must also be 2^-M I to 1e-14, and
-    the gate may judge no entry; otherwise one that judges none raises DomainError."""
+    gate of the mean against ``target`` (a full matrix, or 2^-M I), of its
+    distance from 2^-M I against ``floor`` if given, and of chunk 0's Fock gap
+    against FOCK_CHECK_TOL; ``details``, which carry p, follow the gate's entries. With ``_exact``
+    (canonical beta = 0) the mean must also be 2^-M I to 1e-14; otherwise a gate that judges no entry raises DomainError."""
     log_w = None if chunks[0].log_w is None else [c.log_w for c in chunks]
     mean, se = _chunk_estimate(wick_blocks(np.stack([c.coords for c in chunks])), log_w)
     if log_w is not None:
@@ -324,9 +325,10 @@ def _mc_report(modes: int, chunks: list[_Chunk], details: dict, _exact: bool = F
     else:
         _require_judged(se, details["p"], samples)
     mean, se, fock_dev = embed_parity_blocks(mean), embed_parity_blocks(se), chunks[0].fock_dev
-    target = FockOperator(modes, np.eye(dim) / dim, hermitian=True)
+    target = FockOperator(modes, np.eye(dim) / dim if target is None else target, hermitian=True)
     bounds, info = _entry_gate(mean, target.matrix, se)
-    bounds.append(CriterionResult("fock_check_deviation", fock_dev, FOCK_CHECK_TOL))
+    failure, gap = _failure_bounds(mean, floor)
+    bounds += [*failure, CriterionResult("fock_check_deviation", fock_dev, FOCK_CHECK_TOL)]
     if _exact:
         bounds.append(CriterionResult("beta_zero_exact_deviation", details["beta_zero_exact_deviation"], 1e-14))
     return EstimatorReport(
@@ -335,7 +337,7 @@ def _mc_report(modes: int, chunks: list[_Chunk], details: dict, _exact: bool = F
         per_entry_se=se,
         samples=samples,
         bounds=bounds,
-        details={**info, **details, "fock_check_deviation": fock_dev},
+        details={**info, **gap, **details, "fock_check_deviation": fock_dev},
         point_chunks=() if chunks[0].points is None else tuple(c.points for c in chunks),
     )
 
@@ -682,9 +684,7 @@ def shifted_weight_quadrature_deviation(modes: int, sym_class: SymmetryClass, p:
     u = x * ((offset + 0.5 * y) / max(abs(offset), 1.0 / s))  # s y = x
     e = _andreief_means(lam, w * np.abs(lam / np.abs(lam).max()) ** sym_class.alpha, u, modes)
     sizes = np.bitwise_count(np.arange(1 << modes))  # |J| of every subset J
-    q = _moment_mean((e / [math.comb(modes, k) for k in range(modes + 1)])[sizes], np.eye(2 * modes))
-    dim = 1 << modes
-    return float(np.abs(q - np.eye(dim) / dim).max())
+    return _identity_gap(_moment_mean((e / [math.comb(modes, k) for k in range(modes + 1)])[sizes], np.eye(2 * modes)))
 
 
 def verify_resolution_mc(
@@ -776,88 +776,88 @@ def _ncons_eigenvectors(unitaries: np.ndarray) -> np.ndarray:
     return v
 
 
-def _closest_identity_multiple(mat: np.ndarray) -> tuple[float, float]:
-    """(c, residual) minimizing the max-entry norm of mat - c I for hermitian mat."""
-    diag = np.real(np.diagonal(mat))
-    c = 0.5 * (diag.max() + diag.min())
-    off = np.abs(mat - np.diag(np.diagonal(mat))).max()
-    return float(c), float(max(off, 0.5 * (diag.max() - diag.min())))
-
-
-def _nc_even_mean(law: RadialLaw, modes: int, quad_order: int) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-    """Quadrature mean of rotated number-conserving operators under the
-    hermitian ``law``, in verify_nc_failure the even weight exp(-p sum lam^2),
-    the fixed Haar rotation, the mean's Fock gap and the nodes of the
-    `2 * quad_order` rule it was taken over. With one mode the mean is
-    proportional to the identity; with two the eigenvalue-repulsion factor is
-    not even in each eigenvalue separately and a nonzero residual survives."""
-    u = _nc_rotation(modes)
-    q, _, hi, fock_dev = _converged_mean(law, modes, quad_order, _ncons_eigenvectors(u))
-    return q, u, fock_dev, hi.points
-
-
-def nc_failure_residual(p: float) -> float:
-    """Two-mode residual of the even-weight number-conserving mean from the
-    nearest identity multiple, from a one-mode rule outside the operator code.
-
-    At two modes the mean is 1/4 I + (c/4)(2 N_1 - I)(2 N_2 - I) with
-    c = E[tanh(lam_1/2) tanh(lam_2/2)], so the residual is |c|/4 = |E[e_2(t)]|:
-    _andreief_means of the hermitian law Delta(lam)^2 exp(-p sum lam^2), with
-    u = sqrt(p) lam, over the ORACLE_ORDER-node Hermite rule x = u.
-    """
+@lru_cache(maxsize=LAW_CACHE_SIZE)
+def nc_even_target(modes: int, p: float) -> np.ndarray:
+    """The exact mean (a full matrix) of the number-conserving operators under
+    the even weight exp(-p sum lam^2), outside the operator code. The law is
+    exchangeable, so the mean is diagonal: at N particles 2^-M sum_k
+    E[e_k(tau)] K_k(N) / C(M, k), tau = tanh(lam/2), K_k(N) = e_k of N ones and
+    M - N minus ones; a sum of projectors on fixed N, which every
+    number-conserving rotation keeps. The E[e_k] are _andreief_means over the
+    2 * ORACLE_ORDER-node rule, which must agree with the ORACLE_ORDER one to
+    QUAD_CONVERGENCE_TOL (tanh(lam/2) nears a step as p -> 0). The law is even,
+    so odd k give 0, and at M = 1 the mean is I / 2. Kept per process, read-only."""
+    _check_modes(modes)
     WeightSpec.nc_even(p)  # rejects p <= 0 with the caller's value
-    x, w = _hermgauss(ORACLE_ORDER)
-    return float(abs(_andreief_means(x / math.sqrt(p), w, x, 2)[2]))
+    lo, e = (_andreief_means(x / math.sqrt(p), w, x, modes) for x, w in map(_hermgauss, (ORACLE_ORDER, 2 * ORACLE_ORDER)))
+    delta = float(np.abs(e - lo).max())
+    if not delta <= QUAD_CONVERGENCE_TOL:
+        raise NonConvergenceError(
+            f"the even-weight oracle moved by {delta:.3e} from {ORACLE_ORDER} to {2 * ORACLE_ORDER} nodes "
+            f"at p = {p} (> {QUAD_CONVERGENCE_TOL}); choose a larger p"
+        )
+    e = e * (-2.0) ** np.arange(modes + 1)  # tau = -2 t
+    e[1::2] = 0.0
+    krawtchouk = np.array([np.poly(np.repeat([-1.0, 1.0], [n, modes - n])) for n in range(modes + 1)])
+    c = krawtchouk @ (e / [math.comb(modes, k) for k in range(modes + 1)]) / (1 << modes)
+    target = np.diag(c[np.bitwise_count(np.arange(1 << modes))])
+    target.setflags(write=False)
+    return target
 
 
-def verify_nc_failure(modes: int = 2, p: float = 1.0, quad_order: int = 60) -> EstimatorReport:
-    """Quadrature of the number-conserving family against the even weight: the
-    residual distance from all identity multiples must *exceed* the oracle
-    floor, FAILURE_FLOOR_FRACTION of nc_failure_residual(p), and must live
-    entirely in the rotated number-operator sector; the last FOCK_CHECK_DRAWS
-    kept nodes of its quad_order rule are held to the Fock construction as
-    in verify_resolution_quadrature. Raises DomainError when the floor is not
-    above FAILURE_ROUNDING_LEVEL."""
-    if modes != 2:
-        raise ContractError("the even-weight failure demonstration is pinned at two modes")
-    oracle = nc_failure_residual(p)
-    floor = FAILURE_FLOOR_FRACTION * oracle
-    if not floor > FAILURE_ROUNDING_LEVEL:
+def _identity_gap(mat: np.ndarray) -> float:
+    """max |mat - 2^-M I| of a full 2^M x 2^M matrix."""
+    return float(np.abs(mat - np.eye(len(mat)) / len(mat)).max())
+
+
+def _failure_bounds(mean: np.ndarray, floor: float | None) -> tuple[list[CriterionResult], dict]:
+    """With a ``floor``, the bound that ``mean`` lies that far from 2^-M I or more, and the gap it reads."""
+    if floor is None:
+        return [], {}
+    gap = _identity_gap(mean)
+    return [CriterionResult("failure_floor - identity_gap", floor - gap, 0.0)], {"identity_gap": gap}
+
+
+def verify_nc_failure(
+    modes: int = 2, p: float = 1.0, quad_order: int = 60, n_samples: int = 16_000, rng=0, workers: int = 1, keep_points=False
+) -> EstimatorReport:
+    """The even-weight number-conserving mean against nc_even_target: at M <= 2
+    the quadrature at the fixed Haar rotation, to 1e-10, with the Fock check of
+    verify_resolution_quadrature; at M >= 3 n_samples GUE draws h, law
+    exp(-p tr h^2), one eigh each, as in verify_resolution_mc. From M = 2 it
+    must lie FAILURE_FLOOR_FRACTION of the target's distance from 2^-M I or
+    more; DomainError when that floor is not above FAILURE_ROUNDING_LEVEL."""
+    WeightSpec.nc_even(p)  # a named error for any p, before the target's cache hashes it
+    target = nc_even_target(modes, p)
+    floor = None if modes == 1 else FAILURE_FLOOR_FRACTION * _identity_gap(target)
+    if floor is not None and not floor > FAILURE_ROUNDING_LEVEL:
         raise DomainError(
             f"the failure floor {floor:.3g} at p = {p} is not above the rounding level {FAILURE_ROUNDING_LEVEL:.3g}"
         )
-    q, u, fock_dev, pts = _nc_even_mean(RadialLaw(None, WeightSpec.nc_even(p)), modes, quad_order)
-    c, residual = _closest_identity_multiple(q)
+    details = {"p": p} if floor is None else {"p": p, "failure_floor": floor}
+    if modes > 2:
+        def worker(gen: np.random.Generator, per: int, first: bool) -> _Chunk:
+            h = _hermitian_matrices(gen, modes, per) / (math.sqrt(2.0) * math.sqrt(p))  # 2p overflows from p = 9e307
+            lam, u = np.linalg.eigh(h)
+            rows, k = number_conserving_pair_rows(lam, u), FOCK_CHECK_DRAWS
+            fock_dev = _fock_check(assemble_blocks(h[:k], np.zeros_like(h[:k])), wick_coordinates(rows[:, :k])) if first else None
+            return _Chunk(wick_coordinates(rows), per, fock_dev, lam if keep_points else None)
 
-    # residual decomposition over {I, N_1, N_2, N_1 N_2} built from b = U^dag a
-    b = np.einsum("kj,kab->jab", u.conj(), _annihilators(modes))
-    nops = [bj.conj().T @ bj for bj in b]
-    basis = [np.eye(1 << modes, dtype=complex), nops[0], nops[1], nops[0] @ nops[1]]
-    stack = np.stack([m.ravel() for m in basis]).T
-    coeffs, *_ = np.linalg.lstsq(stack, q.ravel(), rcond=None)
-    sector_residual = float(np.abs(q.ravel() - stack @ coeffs).max())
+        chunks = _run_chunks(worker, n_samples, _as_rngspec(rng), modes, workers)
+        return _mc_report(modes, chunks, {**details, "chunks": len(chunks), "workers": workers}, target=target, floor=floor)
 
-    dim = 1 << modes
+    v = _ncons_eigenvectors(_nc_rotation(modes))
+    q, _, hi, fock_dev = _converged_mean(RadialLaw(None, WeightSpec.nc_even(p)), modes, quad_order, v)
+    failure, gap = _failure_bounds(q, floor)
+    fock = CriterionResult("fock_check_deviation", fock_dev, FOCK_CHECK_TOL)
     return EstimatorReport(
-        target=FockOperator(modes, c * np.eye(dim), hermitian=True),
+        target=FockOperator(modes, target, hermitian=True),
         mean=FockOperator(modes, q),
         per_entry_se=None,
-        samples=len(pts),
-        bounds=[
-            CriterionResult("failure_floor - residual", floor - residual, 0.0),  # residual >= floor
-            CriterionResult("sector_residual", sector_residual, 1e-9),
-            CriterionResult("fock_check_deviation", fock_dev, FOCK_CHECK_TOL),
-        ],
-        details={
-            "p": p,
-            "closest_multiple": c,
-            "residual": residual,
-            "failure_floor": floor,
-            "oracle_residual": oracle,
-            "sector_residual": sector_residual,
-            "fock_check_deviation": fock_dev,
-        },
-        point_chunks=(pts,),
+        samples=len(hi.points),
+        bounds=[CriterionResult("max_abs_deviation", float(np.abs(q - target).max()), 1e-10), *failure, fock],
+        details={**details, **gap, "fock_check_deviation": fock_dev, "tolerance": 1e-10},
+        point_chunks=(hi.points,),
     )
 
 

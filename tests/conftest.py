@@ -7,9 +7,9 @@ from fermigauss import verify
 @pytest.fixture(autouse=True)
 def fresh_law_tables():
     """Each test builds the quadrature-law tables (with the Fock-check nodes
-    and guard verdict each keeps) and fixed rotations it reads, so a test that
-    patches a rule's builder never reads one an earlier test kept."""
-    for cached in (verify._law_tables, verify._second_rotation, verify._nc_rotation):
+    and guard verdict each keeps), fixed rotations and even-weight targets it
+    reads, so a test that patches a rule's builder never reads one an earlier test kept."""
+    for cached in (verify._law_tables, verify._second_rotation, verify._nc_rotation, verify.nc_even_target):
         cached.cache_clear()
 
 

@@ -27,7 +27,7 @@ from fermigauss import (
     laguerre_selberg_log,
     selberg_integral_log,
 )
-from fermigauss.verify import FAILURE_FLOOR_FRACTION, nc_failure_residual
+from fermigauss.verify import FAILURE_FLOOR_FRACTION, _identity_gap, nc_even_target
 
 from test_selberg import (
     gauss_hermite_2d,
@@ -170,20 +170,22 @@ def test_acceptance_6_canonical_triviality():
 
 def test_acceptance_7_number_conserving_dichotomy():
     start = time.perf_counter()
-    fail_rep = verify_nc_failure(2, 1.0)
-    floor = FAILURE_FLOOR_FRACTION * nc_failure_residual(1.0)
+    # the even weight's mean is its exact target, away from 2^-M I: by quadrature at M = 2, by draws at M = 6
+    fail_reps = [verify_nc_failure(2, 1.0), verify_nc_failure(6, 1.0, n_samples=4_000, rng=RngSpec(707))]
+    floors = [FAILURE_FLOOR_FRACTION * _identity_gap(nc_even_target(m, 1.0)) for m in (2, 6)]
     mod_rep = verify_nc_modified(2, 1.0, 100_000, RngSpec(707))
     elapsed = time.perf_counter() - start
+    gaps = [rep.details["identity_gap"] for rep in fail_reps]
     ok = (
-        fail_rep.passed
-        and fail_rep.max_abs_deviation >= floor > 0.0
+        all(rep.passed for rep in fail_reps)
+        and all(gap >= floor > 0.0 for gap, floor in zip(gaps, floors))
         and mod_rep.passed
     )
     report(
         7,
-        "number-conserving dichotomy (even weight fails above oracle floor; modified weight converges)",
+        "number-conserving dichotomy (even weight reaches its exact target above the floor; modified weight converges)",
         ok and elapsed < 120.0,
-        f"residual {fail_rep.max_abs_deviation:.4f} >= floor {floor:.4f}, "
+        f"M = 2 / 6 gaps {gaps[0]:.4f} / {gaps[1]:.4f} >= floors {floors[0]:.4f} / {floors[1]:.4f}, "
         f"modified dev {mod_rep.max_abs_deviation:.1e}, {elapsed:.1f}s",
     )
 

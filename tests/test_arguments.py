@@ -149,6 +149,10 @@ PROBES = [
     ("verify_canonical_triviality", lambda: verify_canonical_triviality(1, 1.0, [0.0], 2.5, 0), ContractError),
     ("verify_canonical_triviality", lambda: verify_canonical_triviality(1, 1.0, [math.nan], 32, 0), DomainError),
     ("verify_nc_failure", lambda: verify_nc_failure(2, 1.0, quad_order=2.5), ContractError),
+    *(("verify_nc_failure", lambda n=n: verify_nc_failure(3, 1.0, n_samples=n), ContractError) for n in BAD_COUNTS),
+    *(("verify_nc_failure", lambda n=n: verify_nc_failure(n, 1.0), CapacityError) for n in BAD_COUNTS),
+    ("verify_nc_failure", lambda: verify_nc_failure(3, 1.0, n_samples=32, workers=0), ContractError),
+    ("verify_nc_failure", lambda: verify_nc_failure(2, np.array(1.0)), DomainError),
     ("shifted_weight_quadrature_deviation", lambda: shifted_weight_quadrature_deviation(1, CLASS_D, 1.0, math.nan), DomainError),
     ("shifted_weight_quadrature_deviation", lambda: shifted_weight_quadrature_deviation(2.5, CLASS_D, 1.0, 0.5), CapacityError),
     ("verify_resolution_quadrature", lambda: verify_resolution_quadrature(1, CLASS_D, GAUSS, "identity"), ContractError),

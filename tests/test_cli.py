@@ -37,8 +37,21 @@ class TestExitCodes:
     def test_unknown_subcommand(self):
         assert run(["frobnicate"]) == 2
 
-    def test_nc_failure_needs_two_modes(self, capsys):
-        assert run(["number-conserving", "--variant", "failure", "--modes", "3"]) == 2
+    def test_nc_failure_stops_at_the_mode_cap(self, capsys):
+        assert run(["number-conserving", "--variant", "failure", "--modes", "7"]) == 2
+        assert "modes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("modes", range(1, 7))
+    def test_nc_failure_passes_at_every_mode_count(self, modes, tmp_path):
+        # by quadrature at M <= 2, by 16000 GUE draws above, each against its
+        # exact target, and every report holds up in the benchmark's checker
+        out = tmp_path / "nc.json"
+        argv = ["number-conserving", "--variant", "failure", "--modes", str(modes), "--seed", "5", "--out", str(out)]
+        assert run(argv + (["--samples", "16000"] if modes > 2 else [])) == 0
+        crit = read_report(out)["criteria"][0]
+        want = verify.nc_even_target(modes, 1.0)
+        assert np.array_equal(np.array(crit["target"]["entries"])[:, 0].reshape(want.shape), want)
+        assert CHECKER.check_call(0, None, read_report(out)) is None
 
     def test_mc_with_determinant_weight_rejected(self):
         assert run(["resolution", "--mode", "mc", "--weight", "determinant"]) == 2
@@ -421,6 +434,15 @@ class TestCsvDumps:
         assert rows[0] == "lambda_1"
         assert len(rows) == 4001
 
+    def test_nc_failure_monte_carlo_dump(self, tmp_path):
+        csv = tmp_path / "even.csv"
+        argv = ["number-conserving", "--variant", "failure", "--modes", "3", "--samples", "400", "--csv", str(csv)]
+        assert run(argv) in (0, 1)
+        rows = csv.read_text().splitlines()
+        assert rows[0] == "lambda_1,lambda_2,lambda_3" and len(rows) == 401
+        got = np.array([[float(x) for x in row.split(",")] for row in rows[1:]])
+        assert (np.diff(got, axis=1) >= 0.0).all()  # eigh's ascending eigenvalues, one row per draw
+
     def test_modified_dump(self, tmp_path):
         csv = tmp_path / "mod.csv"
         code = run(
@@ -567,16 +589,17 @@ class TestConfigFile:
         assert f"usage: fermigauss {argv[0]} " in err  # the subcommand's own usage
 
 
-def _load_benchmark_workloads():
-    """benchmark/workloads.py, read from its file and left unchanged."""
-    path = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+def _load_benchmark(name):
+    """benchmark/<name>.py, read from its file and left unchanged."""
+    path = Path(__file__).resolve().parents[1] / "benchmark" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-BENCHMARK = _load_benchmark_workloads()
+BENCHMARK = _load_benchmark("workloads")
+CHECKER = _load_benchmark("checker")
 
 
 class TestBenchmarkWorkloads:

@@ -149,9 +149,19 @@ def test_fock_entries_are_row_major_re_im_pairs():
 
 
 def test_failure_report_states_its_floor():
+    # from two modes the floor; at one mode, which has none, the target tolerance
     rep = verify_nc_failure(2, 1.0, 20)
-    crit = estimator_to_criterion("even-weight residual exceeds the oracle floor", rep)
+    crit = estimator_to_criterion("even-weight mean reaches its exact target", rep)
     assert crit["tolerance_or_se"] == {"kind": "floor", "value": rep.details["failure_floor"]}
-    del rep.details["failure_floor"]
+    crit = estimator_to_criterion("even-weight mean reaches its exact target", verify_nc_failure(1, 1.0, 20))
+    assert crit["tolerance_or_se"] == {"kind": "tolerance", "value": 1e-10}
+    del rep.details["failure_floor"], rep.details["tolerance"]
     with pytest.raises(KeyError, match="tolerance"):  # no default tolerance is made up
         estimator_to_criterion("no bound", rep)
+
+
+def test_monte_carlo_failure_report_states_its_standard_errors():
+    rep = verify_nc_failure(3, 1.0, n_samples=400, rng=RngSpec(3))
+    crit = estimator_to_criterion("even-weight mean reaches its exact target", rep)
+    assert crit["tolerance_or_se"]["kind"] == "standard_error"
+    assert np.array_equal(crit["tolerance_or_se"]["matrix"], rep.per_entry_se)

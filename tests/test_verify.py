@@ -13,6 +13,8 @@ from scipy.special import gammaln
 from test_ensembles import chain_moment_se
 
 from fermigauss import (
+    CapacityError,
+    NonConvergenceError,
     CLASS_C,
     CLASS_CI,
     CLASS_D,
@@ -61,16 +63,15 @@ from fermigauss.verify import (
     QUAD_TOL,
     _chunk_estimate,
     _chunk_layout,
-    _closest_identity_multiple,
     _entry_gate,
     _fock_check,
-    _nc_even_mean,
     _ncons_eigenvectors,
     _run_chunks,
     _andreief_means,
     _tensor,
     _weight_rule,
-    nc_failure_residual,
+    _identity_gap,
+    nc_even_target,
     radial_quadrature_nodes,
 )
 
@@ -539,11 +540,16 @@ class TestEstimatorVerdict:
                 [["max_abs_deviation", "rotation_delta", "fock_check_deviation"]],
             ),
             (
-                lambda: [verify_nc_failure(2, 1.0, quad_order=30)],
-                [["failure_floor - residual", "sector_residual", "fock_check_deviation"]],
+                lambda: [verify_nc_failure(m, 1.0, quad_order=30) for m in (1, 2)],
+                [["max_abs_deviation", "fock_check_deviation"],
+                 ["max_abs_deviation", "failure_floor - identity_gap", "fock_check_deviation"]],
+            ),
+            (
+                lambda: [verify_nc_failure(3, 1.0, n_samples=400, rng=RngSpec(15))],
+                [MC_BOUNDS[:2] + ["failure_floor - identity_gap", "fock_check_deviation"]],
             ),
         ],
-        ids=["resolution_mc", "nc_modified", "canonical", "resolution_quadrature", "nc_failure"],
+        ids=["resolution_mc", "nc_modified", "canonical", "resolution_quadrature", "nc_failure", "nc_failure_mc"],
     )
     def test_verdict_and_rule_are_the_listed_bounds(self, driver, bounds):
         reps = driver()
@@ -602,6 +608,7 @@ class TestFockCrossCheck:
         reps = [
             verify_resolution_mc(2, 1.0, 400, RngSpec(15)),
             verify_nc_modified(2, 1.0, 400, RngSpec(15)),
+            verify_nc_failure(3, 1.0, n_samples=400, rng=RngSpec(15)),
             *verify_canonical_triviality(2, 1.0, [0.0, 0.7, -1000.0], 400, RngSpec(15)),
         ]
         for rep in reps:
@@ -649,6 +656,15 @@ class TestFockCrossCheck:
         coords = gaussian.wick_coordinates(pair_rows(pts, real, imag)[:, :k])
         assert rep.details["fock_check_deviation"] == _fock_check(assemble_blocks(h, np.zeros_like(h)), coords)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_nc_failure_mc_checks_chunk_zero(self, workers):
+        # the raw GUE draws (h, 0) against the pair rows of their own eigh
+        spec, modes, n, k = RngSpec(16), 3, 400, FOCK_CHECK_DRAWS
+        rep = verify_nc_failure(modes, 1.0, n_samples=n, rng=spec, workers=workers)
+        h = verify_module._hermitian_matrices(spec.generator(), modes, _chunk_layout(n)[1]) / math.sqrt(2.0)
+        coords = gaussian.wick_coordinates(gaussian.number_conserving_pair_rows(*np.linalg.eigh(h))[:, :k])
+        assert rep.details["fock_check_deviation"] == _fock_check(assemble_blocks(h[:k], np.zeros_like(h[:k])), coords)
+
     def test_nc_modified_builds_no_covariance_at_two_modes(self, monkeypatch):
         want = verify_nc_modified(2, 1.0, 400, RngSpec(15))
 
@@ -684,6 +700,16 @@ class TestFockCrossCheck:
         assert verify_resolution_mc(modes, 1.0, 64, RngSpec(17)).details["fock_check_deviation"] <= FOCK_CHECK_TOL
         break_phase(monkeypatch, modes)
         rep = verify_resolution_mc(modes, 1.0, 64, RngSpec(17))
+        assert rep.details["fock_check_deviation"] > 1e-6 and not rep.passed
+
+    @pytest.mark.parametrize("modes", [3, 6])
+    def test_nc_failure_mc_fails_on_a_wrong_phase(self, modes, monkeypatch):
+        def failure():
+            return verify_nc_failure(modes, 1.0, n_samples=64, rng=RngSpec(17))
+
+        assert failure().details["fock_check_deviation"] <= FOCK_CHECK_TOL
+        break_phase(monkeypatch, modes)
+        rep = failure()
         assert rep.details["fock_check_deviation"] > 1e-6 and not rep.passed
 
     @pytest.mark.parametrize("modes", [1, 2, 3])
@@ -724,9 +750,10 @@ class TestFockCrossCheck:
 
     @pytest.mark.parametrize("modes", [1, 2])
     def test_every_quadrature_report_carries_it(self, modes):
-        reps = [verify_resolution_quadrature(modes, CLASS_D, WeightSpec.gaussian(1.0), quad_order=30)]
-        if modes == 2:
-            reps.append(verify_nc_failure(2, 1.0, quad_order=30))
+        reps = [
+            verify_resolution_quadrature(modes, CLASS_D, WeightSpec.gaussian(1.0), quad_order=30),
+            verify_nc_failure(modes, 1.0, quad_order=30),
+        ]
         for rep in reps:
             assert 0.0 <= rep.details["fock_check_deviation"] <= FOCK_CHECK_TOL
             assert f"fock_check_deviation <= {FOCK_CHECK_TOL:g}" in rep.criterion
@@ -765,7 +792,7 @@ class TestFockCrossCheck:
             break_phase(monkeypatch, 2)
         rep = verify_nc_failure(2, 1.0, quad_order=30)
         law = RadialLaw(None, WeightSpec.nc_even(1.0))
-        v = _ncons_eigenvectors(_nc_even_mean(law, 2, 30)[1])
+        v = _ncons_eigenvectors(verify_module._nc_rotation(2))
         assert rep.details["fock_check_deviation"] == self._last_nodes_gap(law, 2, 30, v)
 
     # power per Wick column: the whole rule's mean has every non-empty Wick
@@ -826,7 +853,8 @@ class TestWickQuadrature:
     @pytest.mark.parametrize("modes", [1, 2])
     def test_nc_even_weight_matches_the_per_node_fock_path(self, modes, p):
         law = RadialLaw(None, WeightSpec.nc_even(p))
-        q, u, _, _ = _nc_even_mean(law, modes, 60)
+        u = verify_module._nc_rotation(modes)
+        q = verify_module._converged_mean(law, modes, 60, _ncons_eigenvectors(u))[0]
         pts, wts = radial_quadrature_nodes(law, modes, 120)
         assert np.abs(q - _fock_quadrature_mean(pts, wts, lambda x: rotated_ncons_blocks(x, u))).max() <= 1e-13
 
@@ -1089,30 +1117,59 @@ class TestCanonicalTriviality:
 
 
 class TestNcFailure:
-    def test_residual_exceeds_golden_floor(self):
-        rep = verify_nc_failure(2, 1.0)
-        assert rep.passed
-        oracle = nc_failure_residual(1.0)
-        assert rep.max_abs_deviation >= FAILURE_FLOOR_FRACTION * oracle
-        # quadrature residual reproduces the scalar-oracle value
-        assert abs(rep.max_abs_deviation - oracle) < 1e-6
+    """The even-weight number-conserving mean against its exact target,
+    nc_even_target: by quadrature at M <= 2, by GUE draws at M >= 3."""
 
-    def test_residual_sits_in_number_sector(self):
-        rep = verify_nc_failure(2, 1.0)
-        assert rep.details["sector_residual"] < 1e-9
+    @staticmethod
+    def _failed(rep):
+        """The names of a report's failed bounds, in order."""
+        return [b.name for b in rep.bounds if not b.passed]
 
-    def test_single_mode_stays_proportional_to_identity(self):
-        q = _nc_even_mean(RadialLaw(None, WeightSpec.nc_even(1.0)), 1, 60)[0]
-        _, residual = _closest_identity_multiple(q)
-        assert residual < 1e-10
+    @pytest.mark.parametrize("modes", range(1, 7))
+    def test_target_is_the_moment_map_mean_at_every_rotation(self, modes):
+        # the oracle's moments m_J = E[e_|J|(t)] / C(M, |J|) through the Wick
+        # moment map, at v = I and at 5 Haar rotations: a diagonal function of N alone
+        x, w = verify_module._hermgauss(2 * verify_module.ORACLE_ORDER)
+        e = _andreief_means(x, w, x, modes)  # p = 1
+        sizes = np.bitwise_count(np.arange(1 << modes))
+        moments = (e / [math.comb(modes, k) for k in range(modes + 1)])[sizes]
+        target = nc_even_target(modes, 1.0)
+        assert np.array_equal(target, np.diag(np.diagonal(target)))
+        for n in range(modes + 1):
+            assert np.ptp(np.diagonal(target)[sizes == n]) == 0.0
+        us = sample_haar_unitary_batch(modes, RngSpec(3).generator(), 5)
+        for v in [np.eye(2 * modes), *_ncons_eigenvectors(us)]:
+            assert np.abs(verify_module._moment_mean(moments, v) - target).max() <= 1e-15
+
+    def test_the_target_is_built_once_per_mode_count_and_stiffness(self, monkeypatch):
+        target = nc_even_target(3, 1.0)
+        monkeypatch.setattr(verify_module, "_andreief_means", lambda *args: pytest.fail("the target was rebuilt"))
+        assert nc_even_target(3, 1.0) is target and not target.flags.writeable
+
+    def test_single_mode_target_is_half_the_identity(self):
+        rep = verify_nc_failure(1, 1.0)
+        assert np.array_equal(rep.target.matrix, np.eye(2) / 2.0)
+        assert rep.passed and [b.name for b in rep.bounds] == ["max_abs_deviation", "fock_check_deviation"]
+        assert rep.max_abs_deviation <= 1e-15 and "failure_floor" not in rep.details
+
+    @pytest.mark.parametrize("p", [0.25, 1.0, 2.0])
+    def test_residual_exceeds_golden_floor(self, p):
+        # the quadrature mean is the exact target to rounding, and far from 2^-M I
+        rep = verify_nc_failure(2, p)
+        assert rep.passed and rep.max_abs_deviation <= 1e-15
+        gap = _identity_gap(nc_even_target(2, p))
+        assert rep.details["failure_floor"] == FAILURE_FLOOR_FRACTION * gap
+        assert abs(rep.details["identity_gap"] - gap) <= 1e-15
 
     def test_other_mode_counts_rejected(self):
-        with pytest.raises(ContractError):
-            verify_nc_failure(3, 1.0)
+        for modes in (0, 7):
+            with pytest.raises(CapacityError):
+                verify_nc_failure(modes, 1.0)
 
     @pytest.mark.parametrize("p", [0.25, 0.5, 1.0, 2.0, 5.0, 20.0])
     def test_residual_matches_adaptive_quadrature(self, p):
-        # |E[t_1 t_2]| / 4 from three adaptive 1-D integrals, none in closed form
+        # the target's two-mode gap from 2^-M I is |E[t_1 t_2]| = |c| / 4,
+        # from three adaptive 1-D integrals, none in closed form
         from scipy.integrate import quad
 
         kw = {"epsabs": 1e-13, "epsrel": 1e-13, "limit": 400}
@@ -1120,25 +1177,98 @@ class TestNcFailure:
         i2, _ = quad(lambda lam: 2.0 * lam * lam * np.exp(-p * lam * lam), 0, np.inf, **kw)
         i0, _ = quad(lambda lam: 2.0 * np.exp(-p * lam * lam), 0, np.inf, **kw)
         expected = abs(-2.0 * i1 * i1 / (2.0 * i2 * i0)) / 4.0
-        assert abs(nc_failure_residual(p) - expected) <= 1e-13
+        assert abs(_identity_gap(nc_even_target(2, p)) - expected) <= 1e-13
 
     def test_residual_at_unit_stiffness(self):
-        assert abs(nc_failure_residual(1.0) - 0.025227828724403045) <= 1e-15
+        assert abs(_identity_gap(nc_even_target(2, 1.0)) - 0.025227828724403045) <= 1e-15
 
     @pytest.mark.parametrize("p", [0.5, 2.0])
     def test_passes_away_from_unit_stiffness(self, p):
         rep = verify_nc_failure(2, p)
         assert rep.passed
-        assert abs(rep.max_abs_deviation - nc_failure_residual(p)) <= 1e-12
+        assert abs(rep.details["identity_gap"] - _identity_gap(nc_even_target(2, p))) <= 1e-12
 
     def test_nonpositive_stiffness_rejected(self):
         with pytest.raises(DomainError):
             verify_nc_failure(2, 0.0)
 
+    @pytest.mark.parametrize("modes, p", [(2, 0.045), (3, 0.03), (6, 1e-8)])
+    def test_a_target_whose_oracle_has_not_converged_raises(self, modes, p):
+        # tanh(lam / 2) nears a step as p -> 0: the 120-node rule's moments were
+        # 1.4e-2 off at M = 6, p = 1e-8, and at M = 3 the draws failed the gate
+        with pytest.raises(NonConvergenceError, match="even-weight oracle moved"):
+            verify_nc_failure(modes, p, n_samples=400)
+
+    def test_a_larger_quadrature_order_meets_the_target_at_small_stiffness(self):
+        # at p = 0.05 the 120-node oracle was 2.4e-9 off, which failed the 1e-10 bound
+        rep = verify_nc_failure(2, 0.05, 150)
+        assert rep.passed and rep.max_abs_deviation <= 1e-12
+
     @pytest.mark.parametrize("quad_order", [0, -3])
     def test_empty_quadrature_rejected(self, quad_order):
         with pytest.raises(ContractError, match="quad_order"):
             verify_nc_failure(2, 1.0, quad_order)
+
+    @pytest.mark.parametrize("modes, n", [(3, 16_000), (6, 4_000)])
+    def test_monte_carlo_mean_is_within_the_gate_of_the_target(self, modes, n):
+        rep = verify_nc_failure(modes, 1.0, n_samples=n, rng=RngSpec(5))
+        assert rep.passed and rep.per_entry_se is not None
+        assert np.array_equal(rep.target.matrix, nc_even_target(modes, 1.0))
+        assert [b.name for b in rep.bounds] == MC_BOUNDS[:2] + ["failure_floor - identity_gap", "fock_check_deviation"]
+        # against 2^-M I the same mean sits far outside the gate
+        dev = np.abs(rep.mean.matrix - np.eye(1 << modes) / (1 << modes))
+        assert (dev / np.maximum(rep.per_entry_se, 1e-300)).max() > 50.0
+
+    def test_monte_carlo_route_does_not_depend_on_the_worker_count(self):
+        one, two = (verify_nc_failure(3, 1.0, n_samples=1_600, rng=RngSpec(9), workers=w) for w in (1, 2))
+        assert np.array_equal(one.mean.matrix, two.mean.matrix) and np.array_equal(one.per_entry_se, two.per_entry_se)
+        assert [dataclasses.astuple(b) for b in one.bounds] == [dataclasses.astuple(b) for b in two.bounds]
+        assert {**one.details, "workers": 2} == two.details and one.passed == two.passed
+
+    def test_monte_carlo_keeps_the_eigenvalues_of_its_draws(self):
+        rep = verify_nc_failure(3, 1.0, n_samples=400, rng=RngSpec(4), keep_points=True)
+        gen, per = RngSpec(4).generator(), _chunk_layout(400)[1]
+        h = verify_module._hermitian_matrices(gen, 3, per) / math.sqrt(2.0)
+        assert rep.points.shape == (400, 3)
+        assert np.array_equal(rep.point_chunks[0], np.linalg.eigh(h)[0])
+
+    # power: each defect below fails the new bounds
+
+    def test_modified_weight_draws_fail_the_even_weight_target(self, monkeypatch):
+        # verify_nc_modified's draws, judged against the even-weight target and floor
+        target = nc_even_target(3, 1.0)
+        floor = FAILURE_FLOOR_FRACTION * _identity_gap(target)
+        real = verify_module._mc_report
+        monkeypatch.setattr(verify_module, "_mc_report",
+                            lambda modes, chunks, details: real(modes, chunks, details, target=target, floor=floor))
+        rep = verify_nc_modified(3, 1.0, 16_000, RngSpec(5))
+        assert rep.details["max_sigma"] > 5.0
+        assert {"max_sigma", "failure_floor - identity_gap"} <= set(self._failed(rep))
+        assert rep.details["fock_check_deviation"] <= FOCK_CHECK_TOL
+
+    @pytest.mark.parametrize("modes, failed", [(2, ["max_abs_deviation"]), (3, ["max_sigma"])])
+    def test_a_target_at_twice_the_stiffness_fails(self, modes, failed, monkeypatch):
+        real = verify_module.nc_even_target
+        monkeypatch.setattr(verify_module, "nc_even_target", lambda m, p: real(m, 2.0 * p))
+        rep = verify_nc_failure(modes, 1.0, n_samples=16_000, rng=RngSpec(5))
+        assert self._failed(rep) == failed
+
+    def test_an_off_diagonal_entry_in_the_mean_fails(self, monkeypatch):
+        # a hermitian 1e-9 between the two one-particle states: it keeps the
+        # particle number, and the mean stays 0.024 from 2^-M I
+        real = verify_module._converged_mean
+
+        def perturbed(*args):
+            q, *rest = real(*args)
+            q = q.copy()
+            q[1, 2] += 1e-9
+            q[2, 1] += 1e-9
+            return (q, *rest)
+
+        monkeypatch.setattr(verify_module, "_converged_mean", perturbed)
+        rep = verify_nc_failure(2, 1.0)
+        assert self._failed(rep) == ["max_abs_deviation"]
+        assert rep.max_abs_deviation == pytest.approx(1e-9, rel=1e-6)
 
 
 class TestNcModified:
