@@ -98,8 +98,8 @@ ROTATION_SEED = 8128
 #: sector rules), 1.3 MB for the three laws of the benchmark's checks workload.
 LAW_CACHE_SIZE = 16
 
-#: Nodes of the Gauss-Hermite rule over which _andreief_means takes
-#: shifted_weight_quadrature_deviation; nc_even_target takes twice as many.
+#: Nodes of the Andreief oracle's Hermite rule, which _doubled holds to twice as many:
+#: nc_even_target returns the larger rule's value, shifted_weight_quadrature_deviation this one's.
 ORACLE_ORDER = 120
 
 QUAD_TOL = 1e-8
@@ -395,7 +395,7 @@ def _weight_rule(weight: WeightSpec, order: int, half: bool) -> tuple[np.ndarray
     return x / scale, w / scale
 
 
-def _andreief_means(lam: np.ndarray, w: np.ndarray, u: np.ndarray, modes: int) -> np.ndarray:
+def _andreief_means(lam: np.ndarray, w: np.ndarray, u: np.ndarray, modes: int) -> tuple[np.ndarray, float]:
     """E[e_k(t)], k = 0..modes, with t = -tanh(lam/2)/2 and e_k the k-th
     elementary symmetric polynomial, under the beta = 2 law
     Delta(u)^2 prod_j w(lam_j) of ``modes`` eigenvalues over the one-mode rule
@@ -405,10 +405,12 @@ def _andreief_means(lam: np.ndarray, w: np.ndarray, u: np.ndarray, modes: int) -
     the same with w t; so the E[e_k] are the e_k of the eigenvalues of
     G^-1 G_t. They come through the Cholesky factor R of G, from the QR
     diag(sqrt w) phi^T = Q R, as those of Q^T diag(t) Q: G, whose condition
-    number forming it would square, is never formed."""
-    q = np.linalg.qr(np.polynomial.hermite.hermvander(u, modes - 1) * np.sqrt(w)[:, None])[0]
+    number forming it would square, is never formed. Also returns log det G =
+    2 sum log |R_ii|: the law's normalization, the rule's sum of Delta(u)^2
+    prod w, is M! det G / 4^(M (M - 1) / 2), as phi_i leads with 2^i."""
+    q, r = np.linalg.qr(np.polynomial.hermite.hermvander(u, modes - 1) * np.sqrt(w)[:, None])
     mu = np.linalg.eigvalsh((q.T * (-0.5 * np.tanh(0.5 * lam))) @ q)
-    return np.poly(mu) * (-1.0) ** np.arange(modes + 1)
+    return np.poly(mu) * (-1.0) ** np.arange(modes + 1), 2.0 * float(np.log(np.abs(np.diagonal(r))).sum())
 
 
 def _tensor(lam: np.ndarray, w: np.ndarray, modes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -553,31 +555,54 @@ def _moment_mean(moments: np.ndarray, v: np.ndarray) -> np.ndarray:
     return embed_parity_blocks(wick_blocks(moment_wick_coordinates(moments, v))[0])
 
 
+def _doubled(evaluate, order: int, what: str, advice: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """The one order-doubling rule of every quadrature value: ``evaluate``
+    over the ``order``- and ``2 * order``-node rules, which must agree to
+    QUAD_CONVERGENCE_TOL in every entry, or NonConvergenceError saying that
+    ``what`` moved, with the ``advice``. Returns both values and the change."""
+    lo, hi = evaluate(order), evaluate(2 * order)
+    delta = float(np.abs(hi - lo).max())
+    if not delta <= QUAD_CONVERGENCE_TOL:
+        raise NonConvergenceError(
+            f"{what} moved by {delta:.3e} from order {order} to {2 * order} (> {QUAD_CONVERGENCE_TOL}); {advice}"
+        )
+    return lo, hi, delta
+
+
 def _converged_mean(law: RadialLaw, modes: int, order: int, v: np.ndarray):
     """Wick mean of the operators with eigenvectors ``v`` over the `order` and
-    `2 * order` rules, which must agree. The `order` rule's last
+    `2 * order` rules, which _doubled holds together. The `order` rule's last
     FOCK_CHECK_DRAWS kept nodes, its outermost in the all-positive orthant,
     go through _fock_check with the moment map of their own moments: there
     every tanh(lam_j / 2) is near 1, so every Wick coordinate of their mean
     is of order one (those of the whole rule's mean vanish by the resolution
     of unity). Both rules, their moments and those nodes come from
     _law_tables; everything that reads ``v`` runs on every call. Returns the
-    `2 * order` mean, the change, the `2 * order` rule's _LawTable and the
-    Fock gap."""
-    lo = _law_tables(law, modes, order)
-    q_lo = _moment_mean(lo.moments, v)
-    eigenvalues, moments, log_w = lo.fock_nodes
+    `2 * order` mean, the change, that rule's _LawTable and the Fock gap."""
+    _, q, delta = _doubled(lambda n: _moment_mean(_law_tables(law, modes, n).moments, v), order,
+                           "the quadrature mean", "increase quad_order")
+    eigenvalues, moments, log_w = _law_tables(law, modes, order).fock_nodes
     coords = moment_wick_coordinates(moments, v)  # v is shared: never index it by node
     fock_dev = _fock_check(from_eigenpairs(eigenvalues, v), coords, log_w)
-    hi = _law_tables(law, modes, 2 * order)
-    q_hi = _moment_mean(hi.moments, v)
-    delta = float(np.abs(q_hi - q_lo).max())
-    if not delta <= QUAD_CONVERGENCE_TOL:
-        raise NonConvergenceError(
-            f"quadrature order doubling changed the mean by {delta:.3e} "
-            f"(> {QUAD_CONVERGENCE_TOL}); increase quad_order"
-        )
-    return q_hi, delta, hi, fock_dev
+    return q, delta, _law_tables(law, modes, 2 * order), fock_dev
+
+
+def _quad_report(modes, mean, target, tol, table, fock_dev, details, extra_bounds=(), floor=None) -> EstimatorReport:
+    """The one quadrature verdict path: ``mean`` over the rule of ``table``
+    against ``target`` to ``tol``, the ``extra_bounds``, the floor if given
+    and the Fock gap; the gap the floor reads, the Fock gap and ``tol`` follow
+    the ``details``. The report keeps the rule's points."""
+    failure, gap = _failure_bounds(mean, floor)
+    dev = CriterionResult("max_abs_deviation", float(np.abs(mean - target).max()), tol)
+    return EstimatorReport(
+        target=FockOperator(modes, target, hermitian=True),
+        mean=FockOperator(modes, mean),
+        per_entry_se=None,
+        samples=len(table.points),
+        bounds=[dev, *extra_bounds, *failure, CriterionResult("fock_check_deviation", fock_dev, FOCK_CHECK_TOL)],
+        details={**details, **gap, "fock_check_deviation": fock_dev, "tolerance": tol},
+        point_chunks=(table.points,),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -629,33 +654,12 @@ def verify_resolution_quadrature(
         )
     q_alt = _moment_mean(hi.moments, v_alt)  # the same rule: its moments serve both rotations
 
-    dim = 1 << modes
-    target = FockOperator(modes, np.eye(dim) / dim, hermitian=True)
-    dev = float(np.abs(q_main - target.matrix).max())
     rot_delta = float(np.abs(q_main - q_alt).max())
     odd_coeffs = [float(abs(2.0 * hi.moments[1 << j])) for j in range(modes)]  # |E tanh(lam_j / 2)| = |2 m_j|
-    return EstimatorReport(
-        target=target,
-        mean=FockOperator(modes, q_main),
-        samples=len(hi.points),
-        per_entry_se=None,
-        bounds=[
-            CriterionResult("max_abs_deviation", dev, QUAD_TOL),
-            CriterionResult("rotation_delta", rot_delta, QUAD_TOL),
-            CriterionResult("fock_check_deviation", fock_dev, FOCK_CHECK_TOL),
-        ],
-        details={
-            "symmetry_class": sym_class.label,
-            "weight": weight.kind,
-            "p": weight.p,
-            "convergence_delta": delta,
-            "rotation_delta": rot_delta,
-            "odd_mode_coefficients": odd_coeffs,
-            "fock_check_deviation": fock_dev,
-            "tolerance": QUAD_TOL,
-        },
-        point_chunks=(hi.points,),
-    )
+    details = {"symmetry_class": sym_class.label, "weight": weight.kind, "p": weight.p, "convergence_delta": delta,
+               "rotation_delta": rot_delta, "odd_mode_coefficients": odd_coeffs}
+    rotation = CriterionResult("rotation_delta", rot_delta, QUAD_TOL)
+    return _quad_report(modes, q_main, np.eye(1 << modes) / (1 << modes), QUAD_TOL, hi, fock_dev, details, [rotation])
 
 
 def shifted_weight_quadrature_deviation(modes: int, sym_class: SymmetryClass, p: float, offset: float) -> float:
@@ -665,7 +669,8 @@ def shifted_weight_quadrature_deviation(modes: int, sym_class: SymmetryClass, p:
     hypothesis does real work; no pass rule attached. The law is symmetric in
     the lam_j, so its moments are m_J = E[e_|J|(t)] / C(M, |J|), from
     _andreief_means over the ORACLE_ORDER-node Hermite rule x = s y,
-    s = sqrt(2p), at lam = y + c. Its Delta(lam^2)^2 is that of
+    s = sqrt(2p), at lam = y + c, held by _doubled to the rule of twice as
+    many nodes (tanh(lam/2) nears a step as p -> 0). Its Delta(lam^2)^2 is that of
     u = s y (c + y/2) / max(|c|, 1/s), affine in lam^2 and of order one at
     every offset, and its |lam|^alpha enters the weight as
     |lam / max|lam||^alpha, so every finite offset stays in float64. From |c|
@@ -677,12 +682,16 @@ def shifted_weight_quadrature_deviation(modes: int, sym_class: SymmetryClass, p:
         raise ContractError(f"the Andreief oracle takes beta = 2 classes (D, C), not class {sym_class.label}")
     WeightSpec.gaussian(p)  # rejects p <= 0 with the caller's value
     _above(offset, -math.inf, "offset")
-    x, w = _hermgauss(ORACLE_ORDER)
     s = math.sqrt(2.0) * math.sqrt(p)  # 2p overflows from p = 9e307
-    y = x / s
-    lam = y + offset
-    u = x * ((offset + 0.5 * y) / max(abs(offset), 1.0 / s))  # s y = x
-    e = _andreief_means(lam, w * np.abs(lam / np.abs(lam).max()) ** sym_class.alpha, u, modes)
+
+    def means(order: int) -> np.ndarray:
+        x, w = _hermgauss(order)
+        y = x / s
+        lam = y + offset
+        u = x * ((offset + 0.5 * y) / max(abs(offset), 1.0 / s))  # s y = x
+        return _andreief_means(lam, w * np.abs(lam / np.abs(lam).max()) ** sym_class.alpha, u, modes)[0]
+
+    e = _doubled(means, ORACLE_ORDER, "the displaced-weight oracle", f"p = {p} is too small, choose a larger p")[0]
     sizes = np.bitwise_count(np.arange(1 << modes))  # |J| of every subset J
     return _identity_gap(_moment_mean((e / [math.comb(modes, k) for k in range(modes + 1)])[sizes], np.eye(2 * modes)))
 
@@ -784,19 +793,18 @@ def nc_even_target(modes: int, p: float) -> np.ndarray:
     E[e_k(tau)] K_k(N) / C(M, k), tau = tanh(lam/2), K_k(N) = e_k of N ones and
     M - N minus ones; a sum of projectors on fixed N, which every
     number-conserving rotation keeps. The E[e_k] are _andreief_means over the
-    2 * ORACLE_ORDER-node rule, which must agree with the ORACLE_ORDER one to
-    QUAD_CONVERGENCE_TOL (tanh(lam/2) nears a step as p -> 0). The law is even,
+    2 * ORACLE_ORDER-node rule, which _doubled holds to the ORACLE_ORDER one
+    (tanh(lam/2) nears a step as p -> 0). The law is even,
     so odd k give 0, and at M = 1 the mean is I / 2. Kept per process, read-only."""
     _check_modes(modes)
     WeightSpec.nc_even(p)  # rejects p <= 0 with the caller's value
-    lo, e = (_andreief_means(x / math.sqrt(p), w, x, modes) for x, w in map(_hermgauss, (ORACLE_ORDER, 2 * ORACLE_ORDER)))
-    delta = float(np.abs(e - lo).max())
-    if not delta <= QUAD_CONVERGENCE_TOL:
-        raise NonConvergenceError(
-            f"the even-weight oracle moved by {delta:.3e} from {ORACLE_ORDER} to {2 * ORACLE_ORDER} nodes "
-            f"at p = {p} (> {QUAD_CONVERGENCE_TOL}); choose a larger p"
-        )
-    e = e * (-2.0) ** np.arange(modes + 1)  # tau = -2 t
+
+    def means(order: int) -> np.ndarray:
+        x, w = _hermgauss(order)
+        return _andreief_means(x / math.sqrt(p), w, x, modes)[0]
+
+    e = _doubled(means, ORACLE_ORDER, "the even-weight oracle", f"p = {p} is too small, choose a larger p")[1]
+    e *= (-2.0) ** np.arange(modes + 1)  # tau = -2 t
     e[1::2] = 0.0
     krawtchouk = np.array([np.poly(np.repeat([-1.0, 1.0], [n, modes - n])) for n in range(modes + 1)])
     c = krawtchouk @ (e / [math.comb(modes, k) for k in range(modes + 1)]) / (1 << modes)
@@ -848,17 +856,7 @@ def verify_nc_failure(
 
     v = _ncons_eigenvectors(_nc_rotation(modes))
     q, _, hi, fock_dev = _converged_mean(RadialLaw(None, WeightSpec.nc_even(p)), modes, quad_order, v)
-    failure, gap = _failure_bounds(q, floor)
-    fock = CriterionResult("fock_check_deviation", fock_dev, FOCK_CHECK_TOL)
-    return EstimatorReport(
-        target=FockOperator(modes, target, hermitian=True),
-        mean=FockOperator(modes, q),
-        per_entry_se=None,
-        samples=len(hi.points),
-        bounds=[CriterionResult("max_abs_deviation", float(np.abs(q - target).max()), 1e-10), *failure, fock],
-        details={**details, **gap, "fock_check_deviation": fock_dev, "tolerance": 1e-10},
-        point_chunks=(hi.points,),
-    )
+    return _quad_report(modes, q, target, 1e-10, hi, fock_dev, details, floor=floor)
 
 
 def verify_nc_modified(

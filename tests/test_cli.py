@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import dataclasses
 import importlib.util
@@ -678,6 +679,24 @@ def test_no_module_calls_the_general_eigensolver():
     calls = [f"{path.name}: {line.strip()}" for path in sorted(Path(cli.__file__).parent.glob("*.py"))
              for line in path.read_text().splitlines() if re.search(r"linalg\.eig(vals)?\(", line)]
     assert calls == []
+
+
+def test_reports_and_non_convergence_come_from_one_place_each():
+    # every EstimatorReport from the Monte Carlo or the quadrature verdict
+    # path, and every NonConvergenceError from the one order-doubling rule
+    built, raised = [], []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "EstimatorReport":
+                    built.append(f"{path.name}: {func.name}")
+        raised += [path.name for node in ast.walk(tree)
+                   if isinstance(node, ast.Raise) and node.exc and "NonConvergenceError" in ast.dump(node.exc)]
+    assert sorted(built) == ["verify.py: _mc_report", "verify.py: _quad_report"]
+    assert raised == ["verify.py"]
 
 
 def test_no_cli_call_maps_scipy_openblas(after_every_call):

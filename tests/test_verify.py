@@ -161,6 +161,30 @@ class TestResolutionQuadrature:
         for sym in (CLASS_D, CLASS_C):
             assert shifted_weight_quadrature_deviation(modes, sym, 1.0, 0.0) <= 1e-15
 
+    # the 120-node rule's values at offset 0.5, M = 1..6
+    SHIFTED_AT_HALF = {
+        ("D", 1.0): [0.11597605106534453, 0.20050693862761992, 0.2267614875194245,
+                     0.22251262591183218, 0.20544489650005907, 0.18450159566926835],
+        ("D", 0.05): [0.07024286492211662, 0.14445039094918666, 0.1682583740359187,
+                      0.16512823119068154, 0.15075838926871668, 0.13314279219539743],
+        ("C", 1.0): [0.2220768656838008, 0.30555641875120176, 0.31972359124253624,
+                     0.30332196864700756, 0.27571843741741003, 0.2459148893667481],
+        ("C", 0.05): [0.1597953320833166, 0.22716879957015934, 0.23860492434695413,
+                      0.22438405669805417, 0.20087684712632392, 0.17584127083293852],
+    }
+
+    @pytest.mark.parametrize("p", [1.0, 0.05])
+    @pytest.mark.parametrize("sym", [CLASS_D, CLASS_C], ids=lambda s: s.label)
+    def test_shifted_weight_keeps_its_values_under_the_doubling_check(self, sym, p):
+        # the check reads the 240-node rule; the value stays the 120-node rule's, bit for bit
+        devs = [shifted_weight_quadrature_deviation(m, sym, p, 0.5) for m in range(1, 7)]
+        assert devs == self.SHIFTED_AT_HALF[sym.label, p]
+
+    def test_shifted_weight_that_has_not_converged_raises(self):
+        # at p = 1e-4 the 120-node rule gave 0.010062, and 240 nodes 0.010576
+        with pytest.raises(NonConvergenceError, match="displaced-weight oracle moved"):
+            shifted_weight_quadrature_deviation(3, CLASS_D, 1e-4, 1.0)
+
     @pytest.mark.parametrize("modes, sym", [(1, CLASS_DIII), (2, CLASS_CI)], ids=["DIII-1", "CI-2"])
     def test_shifted_weight_beyond_beta_two_is_contract_error(self, modes, sym):
         # the Andreief oracle squares one Vandermonde: beta = 4 and 1 need de Bruijn's Pfaffian form
@@ -928,9 +952,46 @@ class TestAndreiefOracle:
         # the plain variable lam^2 as u, not shifted_weight_quadrature_deviation's offset-scaled one
         x, hw = np.polynomial.hermite.hermgauss(120)
         nodes = x / math.sqrt(2.0 * p) + c
-        oracle = _andreief_means(nodes, hw, nodes**2, modes)
+        oracle = _andreief_means(nodes, hw, nodes**2, modes)[0]
         assert oracle[0] == 1.0
         assert np.abs((mean - oracle)[1:] / se[1:]).max() <= 5.0
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("modes", range(1, 7))
+    def test_log_normalization_matches_the_closed_forms(self, modes, p):
+        # the rule's integral of Delta(u)^2 prod w is M! det G / 4^(M (M - 1) / 2):
+        # Laguerre-Selberg for classes D and C in u = lam^2, Mehta's integral for
+        # the hermitian law in u = lam
+        x, hw = verify_module._hermgauss(2 * verify_module.ORACLE_ORDER)
+        scale = math.lgamma(modes + 1) - math.log(4.0) * modes * (modes - 1) / 2
+        for sym in (CLASS_D, CLASS_C):
+            lam = x / math.sqrt(2.0 * p)
+            log_det = _andreief_means(lam, hw / math.sqrt(2.0 * p) * np.abs(lam) ** sym.alpha, lam**2, modes)[1]
+            assert abs(log_det + scale - _radial_total_log(sym, WeightSpec.gaussian(p), modes)) <= 1e-12
+        lam = x / math.sqrt(p)
+        log_det = _andreief_means(lam, hw / math.sqrt(p), lam, modes)[1]
+        assert abs(log_det + scale - _radial_total_log(CLASS_D, WeightSpec.nc_even(p), modes)) <= 1e-12
+
+
+class TestOrderDoubling:
+    """Power of the one order-doubling rule: each of its three users raises
+    on a rule with too few nodes."""
+
+    def test_a_low_quadrature_order_raises(self):
+        with pytest.raises(NonConvergenceError, match="quadrature mean moved"):
+            verify_nc_failure(2, 1.0, 5)
+
+    @pytest.mark.parametrize(
+        "call, moved",
+        [(lambda: nc_even_target(2, 1.0), "even-weight"), (lambda: shifted_weight_quadrature_deviation(2, CLASS_D, 1.0, 0.5), "displaced-weight")],
+        ids=["target", "shifted"],
+    )
+    def test_an_oracle_rule_of_too_few_nodes_raises(self, monkeypatch, call, moved):
+        # 4 and 8 nodes in place of 120 and 240
+        real = verify_module._hermgauss
+        monkeypatch.setattr(verify_module, "_hermgauss", lambda order: real(order // 30))
+        with pytest.raises(NonConvergenceError, match=f"{moved} oracle moved"):
+            call()
 
 
 class TestChunkEstimate:
@@ -1130,7 +1191,7 @@ class TestNcFailure:
         # the oracle's moments m_J = E[e_|J|(t)] / C(M, |J|) through the Wick
         # moment map, at v = I and at 5 Haar rotations: a diagonal function of N alone
         x, w = verify_module._hermgauss(2 * verify_module.ORACLE_ORDER)
-        e = _andreief_means(x, w, x, modes)  # p = 1
+        e = _andreief_means(x, w, x, modes)[0]  # p = 1
         sizes = np.bitwise_count(np.arange(1 << modes))
         moments = (e / [math.comb(modes, k) for k in range(modes + 1)])[sizes]
         target = nc_even_target(modes, 1.0)
