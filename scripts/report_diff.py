@@ -47,6 +47,7 @@ COMMANDS = [
     ["resolution", "--mode", "quad", "--weight", "determinant", "-p", "2", *SEED, "--csv"],
     ["resolution", "--mode", "quad", *SEED, "--csv"],
     ["resolution", "--mode", "quad", "--symmetry-class", "CI", *SEED, "--csv"],
+    ["resolution", "--mode", "quad", "--modes", "1", *SEED, "--csv"],  # the particle-hole swap in place of a second rotation
     ["number-conserving", "--variant", "failure", *SEED, "--csv"],
     ["number-conserving", "--variant", "failure", "-p", "2", *SEED],  # the oracle's floor away from p = 1
     ["number-conserving", "--variant", "failure", "--modes", "1", *SEED],

@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", choices=("gaussian", "determinant"), default="gaussian")
     p.add_argument("--symmetry-class", default="D", dest="sym_class")
     p.add_argument("--samples", type=int, default=200_000, action=_Count)
-    p.add_argument("--quad-order", type=int, default=60, action=_Count)
+    p.add_argument("--quad-order", type=int, default=120, action=_Count, help="nodes per mode of the one Gauss rule of --mode quad (at most 370)")
     p.add_argument("--workers", type=int, default=1, action=_Count)
     _add_common(p)
     p.set_defaults(func=_cmd_resolution)
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=int, default=2)
     p.add_argument("-p", "--stiffness", type=float, default=1.0, dest="p")
     p.add_argument("--samples", type=int, default=100_000, action=_Count)
-    p.add_argument("--quad-order", type=int, default=60, action=_Count)
+    p.add_argument("--quad-order", type=int, default=60, action=_Count, help="nodes per mode of the smaller of the two Gauss rules of the M <= 2 failure run, which must agree (at most 185)")
     p.add_argument("--workers", type=int, default=1, action=_Count)
     _add_common(p)
     p.set_defaults(func=_cmd_number_conserving)

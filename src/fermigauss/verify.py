@@ -94,13 +94,16 @@ ROTATION_SEED = 8128
 
 #: (law, order) rules with their moments, fixed rotations per mode count and
 #: even-weight targets per (M, p) that one process keeps, least recently used
-#: out first: at the default order 60 at most about 28 MB of rules (odd-beta
-#: sector rules), 1.3 MB for the three laws of the benchmark's checks workload.
+#: out first: at the default order 120 at most about 44 MB of rules (2.8 MB for
+#: an odd-beta sector rule), 1.1 MB for the three laws of the benchmark's checks workload.
 LAW_CACHE_SIZE = 16
 
 #: Nodes of the Andreief oracle's Hermite rule, which _doubled holds to twice as many:
 #: nc_even_target returns the larger rule's value, shifted_weight_quadrature_deviation this one's.
 ORACLE_ORDER = 120
+
+#: Most nodes of any Gauss rule: numpy's Hermite weights are all zero at 371 nodes, NaN from 372.
+MAX_QUAD_ORDER = 370
 
 QUAD_TOL = 1e-8
 QUAD_CONVERGENCE_TOL = 1e-9
@@ -296,7 +299,7 @@ def _fock_check(mats: np.ndarray, coords: np.ndarray, log_weights=None) -> float
     exp_normalized_fock_batch, weighted by ``log_weights`` when given, as the
     coordinates were. The one Fock cross-check of every driver: the Monte
     Carlo workers hand it wick_coordinates(rows[:, :FOCK_CHECK_DRAWS]) of
-    chunk 0's pair rows with those draws' raw ``mats``, and _converged_mean
+    chunk 0's pair rows with those draws' raw ``mats``, and _rule_fock_check
     the moment map of the last FOCK_CHECK_DRAWS kept nodes of its rule."""
     wick = wick_blocks(coords)[0]  # parity blocks, as the Fock mean's
     ops = exp_normalized_fock_batch(quadratic_hamiltonian_batch(mats))
@@ -348,17 +351,13 @@ def _mc_report(modes: int, chunks: list[_Chunk], details: dict, _exact: bool = F
 
 
 def _gauss_rule(build, name: str, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """An ``order``-node Gauss rule, or a ContractError when it has no nodes
-    or does not fit in float64 (numpy gives NaN Hermite weights from 372 nodes)."""
+    """An ``order``-node Gauss rule, or, before it is built, a ContractError
+    when it has no nodes or more than MAX_QUAD_ORDER."""
     _count(order, "quad_order", ContractError)
-    with np.errstate(all="ignore"):
-        x, w = build(order)
-    if not (np.isfinite(x).all() and np.isfinite(w).all()):
-        raise ContractError(
-            f"the {order}-node Gauss-{name} rule is not finite in float64; lower quad_order "
-            f"(the drivers also evaluate 2 x quad_order nodes)"
-        )
-    return x, w
+    if order > MAX_QUAD_ORDER:
+        raise ContractError(f"the {order}-node Gauss-{name} rule is above the {MAX_QUAD_ORDER}-node cap; lower quad_order "
+                            f"(the even-weight failure run also evaluates 2 x quad_order nodes)")
+    return build(order)
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: True is no quad_order, but hashes as 1
@@ -560,7 +559,7 @@ def _doubled(evaluate, order: int, what: str, advice: str) -> tuple[np.ndarray, 
     over the ``order``- and ``2 * order``-node rules, which must agree to
     QUAD_CONVERGENCE_TOL in every entry, or NonConvergenceError saying that
     ``what`` moved, with the ``advice``. Returns both values and the change."""
-    lo, hi = evaluate(order), evaluate(2 * order)
+    hi, lo = evaluate(2 * order), evaluate(order)  # an order over the cap raises before any rule is built
     delta = float(np.abs(hi - lo).max())
     if not delta <= QUAD_CONVERGENCE_TOL:
         raise NonConvergenceError(
@@ -569,22 +568,21 @@ def _doubled(evaluate, order: int, what: str, advice: str) -> tuple[np.ndarray, 
     return lo, hi, delta
 
 
-def _converged_mean(law: RadialLaw, modes: int, order: int, v: np.ndarray):
-    """Wick mean of the operators with eigenvectors ``v`` over the `order` and
-    `2 * order` rules, which _doubled holds together. The `order` rule's last
-    FOCK_CHECK_DRAWS kept nodes, its outermost in the all-positive orthant,
-    go through _fock_check with the moment map of their own moments: there
-    every tanh(lam_j / 2) is near 1, so every Wick coordinate of their mean
-    is of order one (those of the whole rule's mean vanish by the resolution
-    of unity). Both rules, their moments and those nodes come from
-    _law_tables; everything that reads ``v`` runs on every call. Returns the
-    `2 * order` mean, the change, that rule's _LawTable and the Fock gap."""
-    _, q, delta = _doubled(lambda n: _moment_mean(_law_tables(law, modes, n).moments, v), order,
-                           "the quadrature mean", "increase quad_order")
-    eigenvalues, moments, log_w = _law_tables(law, modes, order).fock_nodes
+def _rule_fock_check(table: _LawTable, v: np.ndarray) -> float:
+    """_fock_check of the last FOCK_CHECK_DRAWS kept nodes of ``table``'s rule, its outermost in the
+    all-positive orthant, with the moment map of their own moments at the eigenvectors ``v``: there every
+    tanh(lam_j / 2) is near 1, so every Wick coordinate of their mean is of order one (those of the
+    whole rule's mean vanish by the resolution of unity)."""
+    eigenvalues, moments, log_w = table.fock_nodes
     coords = moment_wick_coordinates(moments, v)  # v is shared: never index it by node
-    fock_dev = _fock_check(from_eigenpairs(eigenvalues, v), coords, log_w)
-    return q, delta, _law_tables(law, modes, 2 * order), fock_dev
+    return _fock_check(from_eigenpairs(eigenvalues, v), coords, log_w)
+
+
+def _converged_mean(law: RadialLaw, modes: int, order: int, v: np.ndarray):
+    """Wick mean of the operators with eigenvectors ``v`` over the `2 * order` rule, which _doubled holds to the
+    `order` one, that rule's _LawTable, and the `order` rule's _rule_fock_check."""
+    q = _doubled(lambda n: _moment_mean(_law_tables(law, modes, n).moments, v), order, "the quadrature mean", "increase quad_order")[1]
+    return q, _law_tables(law, modes, 2 * order), _rule_fock_check(_law_tables(law, modes, order), v)
 
 
 def _quad_report(modes, mean, target, tol, table, fock_dev, details, extra_bounds=(), floor=None) -> EstimatorReport:
@@ -615,15 +613,16 @@ def verify_resolution_quadrature(
     sym_class: SymmetryClass,
     weight: WeightSpec,
     rotation: PolarForm | None = None,
-    quad_order: int = 60,
+    quad_order: int = 120,
 ) -> EstimatorReport:
     """Tensor-quadrature mean of the rotated normalized Gaussian operators
     against the normalized radial density; target is 2^-M times the identity.
 
     Requires an even, integrable weight of a class measure, not an nc_ one
     (the hypothesis doing the work), and a PolarForm rotation or None.
-    Convergence is checked by order doubling, and independence from the
-    rotation by comparing against a second, deterministically seeded rotation;
+    Every value comes from the one ``quad_order`` rule, with no order doubling: the rule is even, so
+    its mean is 2^-M I to rounding at any order, and a skewed rule fails max_abs_deviation itself.
+    Independence from the rotation is checked against a second, deterministically seeded rotation;
     at M = 1, where a rotation only keeps or swaps particle and hole and the
     mean depends on nothing else, against the first with the two swapped.
     Raises DomainError when no kept node has |tanh(lam_j / 2)| above QUAD_TOL,
@@ -647,19 +646,19 @@ def verify_resolution_quadrature(
         v_alt = v_main[:, ::-1]
     else:
         v_alt = _second_rotation(modes)
-    q_main, delta, hi, fock_dev = _converged_mean(law, modes, quad_order, v_main)
-    if not hi.resolvable:
+    table = _law_tables(law, modes, quad_order)
+    if not table.resolvable:
         raise DomainError(
             f"no kept node has |tanh(lam_j / 2)| above {QUAD_TOL:g} at p = {weight.p}, so the bound could not fail"
         )
-    q_alt = _moment_mean(hi.moments, v_alt)  # the same rule: its moments serve both rotations
+    q_main, q_alt = (_moment_mean(table.moments, v) for v in (v_main, v_alt))  # one rule's moments serve both
 
     rot_delta = float(np.abs(q_main - q_alt).max())
-    odd_coeffs = [float(abs(2.0 * hi.moments[1 << j])) for j in range(modes)]  # |E tanh(lam_j / 2)| = |2 m_j|
-    details = {"symmetry_class": sym_class.label, "weight": weight.kind, "p": weight.p, "convergence_delta": delta,
-               "rotation_delta": rot_delta, "odd_mode_coefficients": odd_coeffs}
-    rotation = CriterionResult("rotation_delta", rot_delta, QUAD_TOL)
-    return _quad_report(modes, q_main, np.eye(1 << modes) / (1 << modes), QUAD_TOL, hi, fock_dev, details, [rotation])
+    odd_coeffs = [float(abs(2.0 * table.moments[1 << j])) for j in range(modes)]  # |E tanh(lam_j / 2)| = |2 m_j|
+    details = {"symmetry_class": sym_class.label, "weight": weight.kind, "p": weight.p, "rotation_delta": rot_delta,
+               "odd_mode_coefficients": odd_coeffs}
+    return _quad_report(modes, q_main, np.eye(1 << modes) / (1 << modes), QUAD_TOL, table, _rule_fock_check(table, v_main),
+                        details, [CriterionResult("rotation_delta", rot_delta, QUAD_TOL)])
 
 
 def shifted_weight_quadrature_deviation(modes: int, sym_class: SymmetryClass, p: float, offset: float) -> float:
@@ -855,7 +854,7 @@ def verify_nc_failure(
         return _mc_report(modes, chunks, {**details, "chunks": len(chunks), "workers": workers}, target=target, floor=floor)
 
     v = _ncons_eigenvectors(_nc_rotation(modes))
-    q, _, hi, fock_dev = _converged_mean(RadialLaw(None, WeightSpec.nc_even(p)), modes, quad_order, v)
+    q, hi, fock_dev = _converged_mean(RadialLaw(None, WeightSpec.nc_even(p)), modes, quad_order, v)
     return _quad_report(modes, q, target, 1e-10, hi, fock_dev, details, floor=floor)
 
 

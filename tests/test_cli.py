@@ -77,14 +77,22 @@ class TestExitCodes:
         assert run(["resolution", "--mode", "quad", "--modes", "1", "--quad-order", "0"]) == 2
         assert "quad_order >= 1, got 0" in capsys.readouterr().err
 
-    def test_hermite_quad_order_beyond_float_range_is_usage_error(self, capsys):
-        for argv in (
-            ["resolution", "--mode", "quad", "--modes", "2", "--quad-order", "200"],
-            ["number-conserving", "--variant", "failure", "--quad-order", "200"],
+    def test_hermite_quad_order_beyond_float_range_is_usage_error(self, capsys, monkeypatch):
+        # numpy's 371-node Hermite rule has all-zero weights: the cap raises before any rule is built
+        verify.nc_even_target(2, 1.0)  # the failure run's target, from its own fixed rules
+        for module, name in ((np.polynomial.hermite, "hermgauss"), (np.polynomial.legendre, "leggauss")):
+            monkeypatch.setattr(module, name, lambda n: pytest.fail(f"a {n}-node rule was built"))
+        verify._hermgauss.cache_clear()
+        verify._leggauss.cache_clear()
+        for argv, nodes in (
+            (["resolution", "--mode", "quad", "--modes", "1", "--quad-order", "371"], 371),
+            (["number-conserving", "--variant", "failure", "--quad-order", "371"], 742),
+            (["number-conserving", "--variant", "failure", "--quad-order", "186"], 372),  # the doubled rule
+            (["resolution", "--mode", "quad", "--weight", "determinant", "-p", "2", "--quad-order", "5000"], 5000),
         ):
             assert run(argv) == 2
             err = capsys.readouterr().err
-            assert "400-node Gauss-Hermite rule" in err and "quad_order" in err
+            assert f"{nodes}-node Gauss-" in err and "370-node cap" in err and "quad_order" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -492,9 +500,11 @@ class TestCsvDumps:
         ],
     )
     def test_quadrature_dump_is_the_doubled_rule(self, argv, sym, weight, tmp_path):
+        # resolution keeps its one --quad-order rule; the failure run its doubled one
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         assert run(argv + ["--quad-order", "20", "--csv", str(got)]) == 0
-        reports.write_lambda_csv(str(want), [radial_quadrature_nodes(RadialLaw.of(sym, weight), 2, 40)[0]], 2)
+        order = 20 if argv[0] == "resolution" else 40
+        reports.write_lambda_csv(str(want), [radial_quadrature_nodes(RadialLaw.of(sym, weight), 2, order)[0]], 2)
         assert got.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize(

@@ -338,11 +338,14 @@ class TestLawTables:
 
     @pytest.mark.parametrize("kind", CALLS)
     def test_a_cold_call_computes_only_what_it_reads(self, kind):
-        # the Fock check reads the `order` rule's nodes, the guard (resolution only) the `2 * order` rule's verdict
+        # the Fock check reads the `order` rule's nodes, the guard (resolution only) that rule's verdict;
+        # only the failure run builds the `2 * order` rule, and reads neither of its own
         self.CALLS[kind]()
+        built = verify_module._law_tables.cache_info().currsize
         lo, hi = (vars(verify_module._law_tables(*self.LAWS[kind], order)) for order in (30, 60))
-        assert ("fock_nodes" in lo, "resolvable" in lo, "fock_nodes" in hi) == (True, False, False)
-        assert ("resolvable" in hi) == (kind == "resolution")
+        assert built == (1 if kind == "resolution" else 2)
+        assert ("fock_nodes" in lo, "resolvable" in lo) == (True, kind == "resolution")
+        assert ("fock_nodes" in hi, "resolvable" in hi) == (False, False)
 
     def test_a_law_that_trips_the_guard_raises_on_every_call(self, monkeypatch):
         # every node has |tanh(lam / 2)| <= 5.2e-15: the rule is kept, its verdict raises each time
@@ -353,7 +356,7 @@ class TestLawTables:
         for _ in range(2):
             with pytest.raises(DomainError, match="no kept node has"):
                 verify_resolution_quadrature(2, CLASS_D, weight)
-            assert len(builds) == 2  # the order and 2 * order rules, on the first call only
+            assert len(builds) == 1  # the one quad_order rule, on the first call only
         assert not verify_module._law_tables(RadialLaw(CLASS_D, weight), 2, 120).resolvable
 
     def test_a_warm_call_at_another_rotation_is_the_cold_call(self):
@@ -388,8 +391,10 @@ class TestLawTables:
         assert dumps[0] == dumps[1] and len(dumps[0].splitlines()) == 1 + 8 * 120**2
 
     def test_quad_order_true_is_rejected_after_quad_order_1(self):
-        # typed keys: True hashes as 1, but is no order
-        assert verify_resolution_quadrature(1, CLASS_D, WeightSpec.gaussian(1.0), quad_order=1).passed
+        # typed keys: True hashes as 1, but is no order; the order-1 rule is kept, and its one node,
+        # lam = 0, trips the guard
+        with pytest.raises(DomainError, match="no kept node has"):
+            verify_resolution_quadrature(1, CLASS_D, WeightSpec.gaussian(1.0), quad_order=1)
         with pytest.raises(ContractError, match="quad_order must be an integer"):
             verify_resolution_quadrature(1, CLASS_D, WeightSpec.gaussian(1.0), quad_order=True)
 
@@ -992,6 +997,53 @@ class TestOrderDoubling:
         monkeypatch.setattr(verify_module, "_hermgauss", lambda order: real(order // 30))
         with pytest.raises(NonConvergenceError, match=f"{moved} oracle moved"):
             call()
+
+
+class TestOneRule:
+    """verify_resolution_quadrature reads one rule, the quad_order one: an
+    even rule's mean is 2^-M I at any order, so a skewed rule fails its
+    bounds, not an order-doubling check."""
+
+    LAWS = [(c, w) for c in (CLASS_D, CLASS_C, CLASS_DIII, CLASS_CI) for w in (WeightSpec.gaussian(1.0), WeightSpec.determinant(3.0))]
+
+    def test_a_skewed_rule_fails_its_bounds(self, monkeypatch, capsys):
+        # the nodes with lam_1 > 0 weigh 1e-5 more: the law is no longer even
+        real = verify_module.radial_quadrature_nodes
+
+        def skewed(law, modes, order):
+            points, weights = real(law, modes, order)
+            return points, weights * (1.0 + 1e-5 * (points[:, 0] > 0.0))
+
+        monkeypatch.setattr(verify_module, "radial_quadrature_nodes", skewed)
+        rep = verify_resolution_quadrature(2, CLASS_D, WeightSpec.gaussian(1.0), quad_order=20)
+        failed = {c.name: c.measured for c in rep.bounds if not c.passed}
+        assert sorted(failed) == ["max_abs_deviation", "rotation_delta"] and 1e-7 < failed["max_abs_deviation"] < 1e-6
+        verify_module._law_tables.cache_clear()
+        assert run(["resolution", "--mode", "quad", "--modes", "2", "--quad-order", "20"]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
+    def test_a_cold_call_builds_one_rule(self, monkeypatch):
+        rules, nodes = [], []
+        hermgauss, real = np.polynomial.hermite.hermgauss, verify_module.radial_quadrature_nodes
+        monkeypatch.setattr(np.polynomial.hermite, "hermgauss", lambda n: rules.append(n) or hermgauss(n))
+        monkeypatch.setattr(verify_module, "radial_quadrature_nodes", lambda *args: nodes.append(args[2]) or real(*args))
+        verify_module._hermgauss.cache_clear()
+        rep = verify_resolution_quadrature(2, CLASS_D, WeightSpec.gaussian(1.0), quad_order=24)
+        assert rules == [24] and nodes == [24] and rep.samples == 24**2
+        assert "convergence_delta" not in rep.details
+
+    @pytest.mark.parametrize("order", [3, 4, 8])
+    def test_an_even_rule_of_few_nodes_gives_the_identity(self, order):
+        coarse = []
+        for (sym, weight), modes in [(law, m) for law in self.LAWS for m in (1, 2)]:
+            try:
+                rep = verify_resolution_quadrature(modes, sym, weight, quad_order=order)
+            except ContractError as err:  # every node on a zero of the density
+                assert "sits on a zero" in str(err)
+                coarse.append((sym.label, modes))
+                continue
+            assert float(np.abs(rep.mean.matrix - np.eye(1 << modes) / (1 << modes)).max()) <= 1e-15, (sym, weight, modes)
+        assert coarse == ([("C", 2)] * 2 if order == 3 else [])
 
 
 class TestChunkEstimate:
