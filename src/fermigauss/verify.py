@@ -27,7 +27,7 @@ from .ensembles import (  # noqa: F401  sample_class_d and sample_radial_mcmc st
     sample_haar_unitary_batch,
     sample_radial_mcmc,
 )
-from .errors import CapacityError, ContractError, DomainError, NonConvergenceError, _above, _count
+from .errors import CapacityError, ContractError, DomainError, _above, _count
 from .fock import (  # noqa: F401  quadratic_hamiltonian, op_exp and normal_ordered_exp stay importable here: benchmark/tracing.py wraps them
     FockOperator,
     _annihilators,
@@ -72,6 +72,7 @@ from .gaussian import (  # noqa: F401  gaussian_normalized, gaussian_number_cons
     wick_blocks,
     wick_coordinates,
 )
+from .oracle import _leggauss, _weight_rule, exchangeable_moments
 
 #: Samples per Monte Carlo chunk; the chunk index doubles as the RNG substream,
 #: which makes results independent of how chunks are assigned to workers.
@@ -98,15 +99,7 @@ ROTATION_SEED = 8128
 #: an odd-beta sector rule), 1.1 MB for the three laws of the benchmark's checks workload.
 LAW_CACHE_SIZE = 16
 
-#: Nodes of the Andreief oracle's Hermite rule, which _doubled holds to twice as many:
-#: nc_even_target returns the larger rule's value, shifted_weight_quadrature_deviation this one's.
-ORACLE_ORDER = 120
-
-#: Most nodes of any Gauss rule: numpy's Hermite weights are all zero at 371 nodes, NaN from 372.
-MAX_QUAD_ORDER = 370
-
 QUAD_TOL = 1e-8
-QUAD_CONVERGENCE_TOL = 1e-9
 
 #: The even-weight mean must lie at least this fraction of its exact target's
 #: distance from 2^-M I.
@@ -350,68 +343,6 @@ def _mc_report(modes: int, chunks: list[_Chunk], details: dict, _exact: bool = F
 # ---------------------------------------------------------------------------
 
 
-def _gauss_rule(build, name: str, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """An ``order``-node Gauss rule, or, before it is built, a ContractError
-    when it has no nodes or more than MAX_QUAD_ORDER."""
-    _count(order, "quad_order", ContractError)
-    if order > MAX_QUAD_ORDER:
-        raise ContractError(f"the {order}-node Gauss-{name} rule is above the {MAX_QUAD_ORDER}-node cap; lower quad_order "
-                            f"(the even-weight failure run also evaluates 2 x quad_order nodes)")
-    return build(order)
-
-
-@lru_cache(maxsize=None, typed=True)  # typed: True is no quad_order, but hashes as 1
-def _hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return _gauss_rule(np.polynomial.hermite.hermgauss, "Hermite", order)
-
-
-@lru_cache(maxsize=None, typed=True)
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return _gauss_rule(np.polynomial.legendre.leggauss, "Legendre", order)
-
-
-def _weight_rule(weight: WeightSpec, order: int, half: bool) -> tuple[np.ndarray, np.ndarray]:
-    """One-mode nodes and weights absorbing the weight factor, on the full
-    line or, with ``half``, on (0, inf). The determinant weight maps Gauss-
-    Legendre nodes through lam = tan(theta); the Gaussian weights exp(-c lam^2)
-    use Gauss-Hermite on the line and Gauss-Legendre up to e^-50 on the half
-    line. nc_modified's pair factor has no one-mode rule."""
-    if weight.kind == "nc_modified":
-        raise ContractError(f"no per-mode quadrature rule for weight kind {weight.kind!r}")
-    if weight.kind == "determinant":
-        x, w = _leggauss(order)
-        jac = 0.25 * math.pi if half else 0.5 * math.pi
-        lam = np.tan(jac * (x + 1.0) if half else jac * x)
-        return lam, jac * w * (1.0 + lam**2) ** (1.0 - 2.0 * weight.p)
-    c = 2.0 * weight.p if weight.kind == "gaussian" else weight.p
-    if half:
-        x, w = _leggauss(order)
-        jac = 0.5 * math.sqrt(50.0 / c)
-        lam = jac * (x + 1.0)
-        return lam, jac * w * np.exp(-c * lam**2)
-    x, w = _hermgauss(order)
-    scale = math.sqrt(c)
-    return x / scale, w / scale
-
-
-def _andreief_means(lam: np.ndarray, w: np.ndarray, u: np.ndarray, modes: int) -> tuple[np.ndarray, float]:
-    """E[e_k(t)], k = 0..modes, with t = -tanh(lam/2)/2 and e_k the k-th
-    elementary symmetric polynomial, under the beta = 2 law
-    Delta(u)^2 prod_j w(lam_j) of ``modes`` eigenvalues over the one-mode rule
-    (lam, w), u(lam) being the variable whose Vandermonde the law squares. By
-    the Andreief identity E[prod_j (1 + z t_j)] = det(G + z G_t) / det(G), with
-    G = phi diag(w) phi^T over the Hermite basis phi_i(u), i < modes, and G_t
-    the same with w t; so the E[e_k] are the e_k of the eigenvalues of
-    G^-1 G_t. They come through the Cholesky factor R of G, from the QR
-    diag(sqrt w) phi^T = Q R, as those of Q^T diag(t) Q: G, whose condition
-    number forming it would square, is never formed. Also returns log det G =
-    2 sum log |R_ii|: the law's normalization, the rule's sum of Delta(u)^2
-    prod w, is M! det G / 4^(M (M - 1) / 2), as phi_i leads with 2^i."""
-    q, r = np.linalg.qr(np.polynomial.hermite.hermvander(u, modes - 1) * np.sqrt(w)[:, None])
-    mu = np.linalg.eigvalsh((q.T * (-0.5 * np.tanh(0.5 * lam))) @ q)
-    return np.poly(mu) * (-1.0) ** np.arange(modes + 1), 2.0 * float(np.log(np.abs(np.diagonal(r))).sum())
-
-
 def _tensor(lam: np.ndarray, w: np.ndarray, modes: int) -> tuple[np.ndarray, np.ndarray]:
     """One- or two-mode tensor power of a one-mode rule: points (n^modes, modes)
     and weights (n^modes,)."""
@@ -554,20 +485,6 @@ def _moment_mean(moments: np.ndarray, v: np.ndarray) -> np.ndarray:
     return embed_parity_blocks(wick_blocks(moment_wick_coordinates(moments, v))[0])
 
 
-def _doubled(evaluate, order: int, what: str, advice: str) -> tuple[np.ndarray, np.ndarray, float]:
-    """The one order-doubling rule of every quadrature value: ``evaluate``
-    over the ``order``- and ``2 * order``-node rules, which must agree to
-    QUAD_CONVERGENCE_TOL in every entry, or NonConvergenceError saying that
-    ``what`` moved, with the ``advice``. Returns both values and the change."""
-    hi, lo = evaluate(2 * order), evaluate(order)  # an order over the cap raises before any rule is built
-    delta = float(np.abs(hi - lo).max())
-    if not delta <= QUAD_CONVERGENCE_TOL:
-        raise NonConvergenceError(
-            f"{what} moved by {delta:.3e} from order {order} to {2 * order} (> {QUAD_CONVERGENCE_TOL}); {advice}"
-        )
-    return lo, hi, delta
-
-
 def _rule_fock_check(table: _LawTable, v: np.ndarray) -> float:
     """_fock_check of the last FOCK_CHECK_DRAWS kept nodes of ``table``'s rule, its outermost in the
     all-positive orthant, with the moment map of their own moments at the eigenvectors ``v``: there every
@@ -576,13 +493,6 @@ def _rule_fock_check(table: _LawTable, v: np.ndarray) -> float:
     eigenvalues, moments, log_w = table.fock_nodes
     coords = moment_wick_coordinates(moments, v)  # v is shared: never index it by node
     return _fock_check(from_eigenpairs(eigenvalues, v), coords, log_w)
-
-
-def _converged_mean(law: RadialLaw, modes: int, order: int, v: np.ndarray):
-    """Wick mean of the operators with eigenvectors ``v`` over the `2 * order` rule, which _doubled holds to the
-    `order` one, that rule's _LawTable, and the `order` rule's _rule_fock_check."""
-    q = _doubled(lambda n: _moment_mean(_law_tables(law, modes, n).moments, v), order, "the quadrature mean", "increase quad_order")[1]
-    return q, _law_tables(law, modes, 2 * order), _rule_fock_check(_law_tables(law, modes, order), v)
 
 
 def _quad_report(modes, mean, target, tol, table, fock_dev, details, extra_bounds=(), floor=None) -> EstimatorReport:
@@ -666,33 +576,15 @@ def shifted_weight_quadrature_deviation(modes: int, sym_class: SymmetryClass, p:
     law with the Gaussian weight displaced by ``offset`` = c,
     exp(-2p (lam - c)^2), which is not even: it shows that the evenness
     hypothesis does real work; no pass rule attached. The law is symmetric in
-    the lam_j, so its moments are m_J = E[e_|J|(t)] / C(M, |J|), from
-    _andreief_means over the ORACLE_ORDER-node Hermite rule x = s y,
-    s = sqrt(2p), at lam = y + c, held by _doubled to the rule of twice as
-    many nodes (tanh(lam/2) nears a step as p -> 0). Its Delta(lam^2)^2 is that of
-    u = s y (c + y/2) / max(|c|, 1/s), affine in lam^2 and of order one at
-    every offset, and its |lam|^alpha enters the weight as
-    |lam / max|lam||^alpha, so every finite offset stays in float64. From |c|
-    near 1e8 up every tanh(lam/2) rounds to sign(c), and the value is the
-    limit 1 - 2^-M. ContractError for beta != 2 (DIII, CI), DomainError for a
-    non-finite offset."""
+    the lam_j, so its moments are the oracle's exchangeable_moments, on the
+    ORACLE_ORDER-node rule. From |c| near 1e8 up every tanh(lam/2) rounds to
+    sign(c), and the value is the limit 1 - 2^-M. ContractError for beta != 2
+    (DIII, CI), DomainError for a non-finite offset."""
     _check_modes(modes)
-    if sym_class.beta != 2:
-        raise ContractError(f"the Andreief oracle takes beta = 2 classes (D, C), not class {sym_class.label}")
-    WeightSpec.gaussian(p)  # rejects p <= 0 with the caller's value
+    law = RadialLaw.of(sym_class, WeightSpec.gaussian(p))  # rejects p <= 0 with the caller's value
     _above(offset, -math.inf, "offset")
-    s = math.sqrt(2.0) * math.sqrt(p)  # 2p overflows from p = 9e307
-
-    def means(order: int) -> np.ndarray:
-        x, w = _hermgauss(order)
-        y = x / s
-        lam = y + offset
-        u = x * ((offset + 0.5 * y) / max(abs(offset), 1.0 / s))  # s y = x
-        return _andreief_means(lam, w * np.abs(lam / np.abs(lam).max()) ** sym_class.alpha, u, modes)[0]
-
-    e = _doubled(means, ORACLE_ORDER, "the displaced-weight oracle", f"p = {p} is too small, choose a larger p")[0]
-    sizes = np.bitwise_count(np.arange(1 << modes))  # |J| of every subset J
-    return _identity_gap(_moment_mean((e / [math.comb(modes, k) for k in range(modes + 1)])[sizes], np.eye(2 * modes)))
+    m = exchangeable_moments(law, modes, offset)[0]
+    return _identity_gap(_moment_mean(m[np.bitwise_count(np.arange(1 << modes))], np.eye(2 * modes)))
 
 
 def verify_resolution_mc(
@@ -791,22 +683,15 @@ def nc_even_target(modes: int, p: float) -> np.ndarray:
     exchangeable, so the mean is diagonal: at N particles 2^-M sum_k
     E[e_k(tau)] K_k(N) / C(M, k), tau = tanh(lam/2), K_k(N) = e_k of N ones and
     M - N minus ones; a sum of projectors on fixed N, which every
-    number-conserving rotation keeps. The E[e_k] are _andreief_means over the
-    2 * ORACLE_ORDER-node rule, which _doubled holds to the ORACLE_ORDER one
-    (tanh(lam/2) nears a step as p -> 0). The law is even,
+    number-conserving rotation keeps. The E[e_k] / C(M, k) are the oracle's
+    exchangeable_moments on the 2 * ORACLE_ORDER-node rule. The law is even,
     so odd k give 0, and at M = 1 the mean is I / 2. Kept per process, read-only."""
     _check_modes(modes)
-    WeightSpec.nc_even(p)  # rejects p <= 0 with the caller's value
-
-    def means(order: int) -> np.ndarray:
-        x, w = _hermgauss(order)
-        return _andreief_means(x / math.sqrt(p), w, x, modes)[0]
-
-    e = _doubled(means, ORACLE_ORDER, "the even-weight oracle", f"p = {p} is too small, choose a larger p")[1]
-    e *= (-2.0) ** np.arange(modes + 1)  # tau = -2 t
-    e[1::2] = 0.0
+    law = RadialLaw(None, WeightSpec.nc_even(p))  # rejects p <= 0 with the caller's value
+    m = exchangeable_moments(law, modes)[1] * (-2.0) ** np.arange(modes + 1)  # tau = -2 t
+    m[1::2] = 0.0
     krawtchouk = np.array([np.poly(np.repeat([-1.0, 1.0], [n, modes - n])) for n in range(modes + 1)])
-    c = krawtchouk @ (e / [math.comb(modes, k) for k in range(modes + 1)]) / (1 << modes)
+    c = krawtchouk @ m / (1 << modes)
     target = np.diag(c[np.bitwise_count(np.arange(1 << modes))])
     target.setflags(write=False)
     return target
@@ -826,15 +711,16 @@ def _failure_bounds(mean: np.ndarray, floor: float | None) -> tuple[list[Criteri
 
 
 def verify_nc_failure(
-    modes: int = 2, p: float = 1.0, quad_order: int = 60, n_samples: int = 16_000, rng=0, workers: int = 1, keep_points=False
+    modes: int = 2, p: float = 1.0, quad_order: int = 120, n_samples: int = 16_000, rng=0, workers: int = 1, keep_points=False
 ) -> EstimatorReport:
     """The even-weight number-conserving mean against nc_even_target: at M <= 2
-    the quadrature at the fixed Haar rotation, to 1e-10, with the Fock check of
+    the quadrature at the fixed Haar rotation over the one ``quad_order`` rule,
+    with no order doubling, to 1e-10, with the Fock check of
     verify_resolution_quadrature; at M >= 3 n_samples GUE draws h, law
     exp(-p tr h^2), one eigh each, as in verify_resolution_mc. From M = 2 it
     must lie FAILURE_FLOOR_FRACTION of the target's distance from 2^-M I or
     more; DomainError when that floor is not above FAILURE_ROUNDING_LEVEL."""
-    WeightSpec.nc_even(p)  # a named error for any p, before the target's cache hashes it
+    law = RadialLaw(None, WeightSpec.nc_even(p))  # a named error for any p, before the target's cache hashes it
     target = nc_even_target(modes, p)
     floor = None if modes == 1 else FAILURE_FLOOR_FRACTION * _identity_gap(target)
     if floor is not None and not floor > FAILURE_ROUNDING_LEVEL:
@@ -854,8 +740,8 @@ def verify_nc_failure(
         return _mc_report(modes, chunks, {**details, "chunks": len(chunks), "workers": workers}, target=target, floor=floor)
 
     v = _ncons_eigenvectors(_nc_rotation(modes))
-    q, hi, fock_dev = _converged_mean(RadialLaw(None, WeightSpec.nc_even(p)), modes, quad_order, v)
-    return _quad_report(modes, q, target, 1e-10, hi, fock_dev, details, floor=floor)
+    table = _law_tables(law, modes, quad_order)
+    return _quad_report(modes, _moment_mean(table.moments, v), target, 1e-10, table, _rule_fock_check(table, v), details, floor=floor)
 
 
 def verify_nc_modified(

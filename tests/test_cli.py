@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fermigauss import blas, cli, ensembles, reports, verify
+from fermigauss import blas, cli, ensembles, oracle, reports, verify
 from fermigauss.cli import run
 from fermigauss.ensembles import CLASS_D, CLASS_DIII, RadialLaw, WeightSpec
 from fermigauss.verify import operator_identity_suite, radial_quadrature_nodes
@@ -82,12 +82,11 @@ class TestExitCodes:
         verify.nc_even_target(2, 1.0)  # the failure run's target, from its own fixed rules
         for module, name in ((np.polynomial.hermite, "hermgauss"), (np.polynomial.legendre, "leggauss")):
             monkeypatch.setattr(module, name, lambda n: pytest.fail(f"a {n}-node rule was built"))
-        verify._hermgauss.cache_clear()
-        verify._leggauss.cache_clear()
+        oracle._hermgauss.cache_clear()
+        oracle._leggauss.cache_clear()
         for argv, nodes in (
             (["resolution", "--mode", "quad", "--modes", "1", "--quad-order", "371"], 371),
-            (["number-conserving", "--variant", "failure", "--quad-order", "371"], 742),
-            (["number-conserving", "--variant", "failure", "--quad-order", "186"], 372),  # the doubled rule
+            (["number-conserving", "--variant", "failure", "--quad-order", "371"], 371),
             (["resolution", "--mode", "quad", "--weight", "determinant", "-p", "2", "--quad-order", "5000"], 5000),
         ):
             assert run(argv) == 2
@@ -113,6 +112,10 @@ class TestExitCodes:
     def test_legendre_quad_order_200_still_passes(self):
         argv = ["resolution", "--mode", "quad", "--modes", "2", "-p", "2", "--weight", "determinant"]
         assert run(argv + ["--quad-order", "200"]) == 0
+
+    def test_the_failure_run_takes_a_rule_at_the_cap(self):
+        # one 370-node rule: the run no longer doubles its order past the cap
+        assert run(["number-conserving", "--variant", "failure", "--quad-order", "370"]) == 0
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize(
@@ -377,6 +380,36 @@ class TestReports:
         text = out.read_text()
         assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["resolution", "--mode", "quad", "--modes", "1"],
+            ["number-conserving", "--variant", "failure", "--modes", "1"],
+            ["number-conserving", "--variant", "failure", "--modes", "2"],
+        ],
+        ids=["resolution_quad", "failure_1", "failure_2"],
+    )
+    def test_a_run_that_reads_a_rule_states_its_order(self, argv, tmp_path):
+        out = tmp_path / "report.json"
+        assert run(argv + ["--quad-order", "24", "--out", str(out)]) == 0
+        assert read_report(out)["parameters"]["quad_order"] == 24
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["resolution", "--mode", "mc", "--modes", "1", "--samples", "64"],
+            ["number-conserving", "--variant", "modified", "--modes", "1", "--samples", "64"],
+            ["number-conserving", "--variant", "failure", "--modes", "3", "--samples", "400"],
+        ],
+        ids=["resolution_mc", "modified", "failure_3"],
+    )
+    def test_a_run_that_reads_no_rule_states_no_order(self, argv, tmp_path):
+        # the flag still parses, and is checked, in every mode
+        out = tmp_path / "report.json"
+        assert run(argv + ["--quad-order", "24", "--seed", "5", "--out", str(out)]) == 0
+        params = read_report(out)["parameters"]
+        assert "quad_order" not in params and "samples" in params
+
     def test_identities_draw_from_the_stream(self, tmp_path):
         base = ["identities", "--modes", "3", "--trials", "4", "--seed", "14"]
         docs = []
@@ -499,12 +532,11 @@ class TestCsvDumps:
             (["number-conserving", "--variant", "failure", "-p", "2"], CLASS_D, WeightSpec.nc_even(2.0)),
         ],
     )
-    def test_quadrature_dump_is_the_doubled_rule(self, argv, sym, weight, tmp_path):
-        # resolution keeps its one --quad-order rule; the failure run its doubled one
+    def test_quadrature_dump_is_the_quad_order_rule(self, argv, sym, weight, tmp_path):
+        # each quadrature run keeps its one --quad-order rule
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         assert run(argv + ["--quad-order", "20", "--csv", str(got)]) == 0
-        order = 20 if argv[0] == "resolution" else 40
-        reports.write_lambda_csv(str(want), [radial_quadrature_nodes(RadialLaw.of(sym, weight), 2, order)[0]], 2)
+        reports.write_lambda_csv(str(want), [radial_quadrature_nodes(RadialLaw.of(sym, weight), 2, 20)[0]], 2)
         assert got.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize(
@@ -706,7 +738,20 @@ def test_reports_and_non_convergence_come_from_one_place_each():
         raised += [path.name for node in ast.walk(tree)
                    if isinstance(node, ast.Raise) and node.exc and "NonConvergenceError" in ast.dump(node.exc)]
     assert sorted(built) == ["verify.py: _mc_report", "verify.py: _quad_report"]
-    assert raised == ["verify.py"]
+    assert raised == ["oracle.py"]
+
+
+def test_the_oracle_imports_no_operator_code():
+    # the oracle's values check the operator code, so none of them may come from it
+    tree = ast.parse((Path(cli.__file__).parent / "oracle.py").read_text())
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+    last = {name.rsplit(".", 1)[-1] for name in modules}
+    assert "ensembles" in last and not last & {"fock", "gaussian", "verify", "cli", "reports"}
 
 
 def test_no_cli_call_maps_scipy_openblas(after_every_call):

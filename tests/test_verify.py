@@ -39,6 +39,7 @@ from fermigauss import (
     verify_resolution_quadrature,
 )
 from fermigauss import ensembles, gaussian, sample_class_d_batch, sample_radial_mcmc
+from fermigauss import oracle
 from fermigauss import verify as verify_module
 from fermigauss.cli import run
 from fermigauss.ensembles import (
@@ -53,6 +54,7 @@ from fermigauss.fock import (
     quadratic_hamiltonian_batch,
 )
 from fermigauss.gaussian import assemble_blocks
+from fermigauss.oracle import _andreief_means, _weight_rule
 from fermigauss.selberg import laguerre_selberg_log, selberg_integral_log
 from fermigauss.verify import (
     FAILURE_FLOOR_FRACTION,
@@ -67,9 +69,7 @@ from fermigauss.verify import (
     _fock_check,
     _ncons_eigenvectors,
     _run_chunks,
-    _andreief_means,
     _tensor,
-    _weight_rule,
     _identity_gap,
     nc_even_target,
     radial_quadrature_nodes,
@@ -338,14 +338,11 @@ class TestLawTables:
 
     @pytest.mark.parametrize("kind", CALLS)
     def test_a_cold_call_computes_only_what_it_reads(self, kind):
-        # the Fock check reads the `order` rule's nodes, the guard (resolution only) that rule's verdict;
-        # only the failure run builds the `2 * order` rule, and reads neither of its own
+        # each run builds its one `order` rule; the Fock check reads its nodes, the guard (resolution only) its verdict
         self.CALLS[kind]()
-        built = verify_module._law_tables.cache_info().currsize
-        lo, hi = (vars(verify_module._law_tables(*self.LAWS[kind], order)) for order in (30, 60))
-        assert built == (1 if kind == "resolution" else 2)
-        assert ("fock_nodes" in lo, "resolvable" in lo) == (True, kind == "resolution")
-        assert ("fock_nodes" in hi, "resolvable" in hi) == (False, False)
+        assert verify_module._law_tables.cache_info().currsize == 1
+        table = vars(verify_module._law_tables(*self.LAWS[kind], 30))
+        assert ("fock_nodes" in table, "resolvable" in table) == (True, kind == "resolution")
 
     def test_a_law_that_trips_the_guard_raises_on_every_call(self, monkeypatch):
         # every node has |tanh(lam / 2)| <= 5.2e-15: the rule is kept, its verdict raises each time
@@ -371,9 +368,9 @@ class TestLawTables:
     @pytest.mark.parametrize("kind", CALLS)
     def test_cached_arrays_are_read_only_and_reports_still_give_points(self, kind):
         rep = self.CALLS[kind]()
-        tables = [verify_module._law_tables(*self.LAWS[kind], order) for order in (30, 60)]
+        table = verify_module._law_tables(*self.LAWS[kind], 30)
         # the rule, its moments, and the Fock check's eigenvalues, moments and log weights
-        arrays = [arr for table in tables for arr in (table.points, table.weights, table.moments, *table.fock_nodes)]
+        arrays = [table.points, table.weights, table.moments, *table.fock_nodes]
         for arr in [rep.point_chunks[0], *arrays, verify_module._second_rotation(2), verify_module._nc_rotation(2)]:
             assert not arr.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
@@ -883,7 +880,7 @@ class TestWickQuadrature:
     def test_nc_even_weight_matches_the_per_node_fock_path(self, modes, p):
         law = RadialLaw(None, WeightSpec.nc_even(p))
         u = verify_module._nc_rotation(modes)
-        q = verify_module._converged_mean(law, modes, 60, _ncons_eigenvectors(u))[0]
+        q = verify_nc_failure(modes, p).mean.matrix
         pts, wts = radial_quadrature_nodes(law, modes, 120)
         assert np.abs(q - _fock_quadrature_mean(pts, wts, lambda x: rotated_ncons_blocks(x, u))).max() <= 1e-13
 
@@ -967,7 +964,7 @@ class TestAndreiefOracle:
         # the rule's integral of Delta(u)^2 prod w is M! det G / 4^(M (M - 1) / 2):
         # Laguerre-Selberg for classes D and C in u = lam^2, Mehta's integral for
         # the hermitian law in u = lam
-        x, hw = verify_module._hermgauss(2 * verify_module.ORACLE_ORDER)
+        x, hw = oracle._hermgauss(2 * oracle.ORACLE_ORDER)
         scale = math.lgamma(modes + 1) - math.log(4.0) * modes * (modes - 1) / 2
         for sym in (CLASS_D, CLASS_C):
             lam = x / math.sqrt(2.0 * p)
@@ -979,12 +976,14 @@ class TestAndreiefOracle:
 
 
 class TestOrderDoubling:
-    """Power of the one order-doubling rule: each of its three users raises
-    on a rule with too few nodes."""
+    """Power of the one order-doubling rule: each oracle user raises on a
+    rule with too few nodes. The failure run's own rule fails its bound."""
 
-    def test_a_low_quadrature_order_raises(self):
-        with pytest.raises(NonConvergenceError, match="quadrature mean moved"):
-            verify_nc_failure(2, 1.0, 5)
+    def test_a_low_quadrature_order_fails_its_bound(self, capsys):
+        rep = verify_nc_failure(2, 1.0, 5)
+        assert [b.name for b in rep.bounds if not b.passed] == ["max_abs_deviation"]
+        assert run(["number-conserving", "--variant", "failure", "--quad-order", "5"]) == 1
+        assert "[FAIL] even-weight mean reaches its exact target" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "call, moved",
@@ -993,8 +992,8 @@ class TestOrderDoubling:
     )
     def test_an_oracle_rule_of_too_few_nodes_raises(self, monkeypatch, call, moved):
         # 4 and 8 nodes in place of 120 and 240
-        real = verify_module._hermgauss
-        monkeypatch.setattr(verify_module, "_hermgauss", lambda order: real(order // 30))
+        real = oracle._hermgauss
+        monkeypatch.setattr(oracle, "_hermgauss", lambda order: real(order // 30))
         with pytest.raises(NonConvergenceError, match=f"{moved} oracle moved"):
             call()
 
@@ -1027,7 +1026,7 @@ class TestOneRule:
         hermgauss, real = np.polynomial.hermite.hermgauss, verify_module.radial_quadrature_nodes
         monkeypatch.setattr(np.polynomial.hermite, "hermgauss", lambda n: rules.append(n) or hermgauss(n))
         monkeypatch.setattr(verify_module, "radial_quadrature_nodes", lambda *args: nodes.append(args[2]) or real(*args))
-        verify_module._hermgauss.cache_clear()
+        oracle._hermgauss.cache_clear()
         rep = verify_resolution_quadrature(2, CLASS_D, WeightSpec.gaussian(1.0), quad_order=24)
         assert rules == [24] and nodes == [24] and rep.samples == 24**2
         assert "convergence_delta" not in rep.details
@@ -1242,7 +1241,7 @@ class TestNcFailure:
     def test_target_is_the_moment_map_mean_at_every_rotation(self, modes):
         # the oracle's moments m_J = E[e_|J|(t)] / C(M, |J|) through the Wick
         # moment map, at v = I and at 5 Haar rotations: a diagonal function of N alone
-        x, w = verify_module._hermgauss(2 * verify_module.ORACLE_ORDER)
+        x, w = oracle._hermgauss(2 * oracle.ORACLE_ORDER)
         e = _andreief_means(x, w, x, modes)[0]  # p = 1
         sizes = np.bitwise_count(np.arange(1 << modes))
         moments = (e / [math.comb(modes, k) for k in range(modes + 1)])[sizes]
@@ -1256,7 +1255,7 @@ class TestNcFailure:
 
     def test_the_target_is_built_once_per_mode_count_and_stiffness(self, monkeypatch):
         target = nc_even_target(3, 1.0)
-        monkeypatch.setattr(verify_module, "_andreief_means", lambda *args: pytest.fail("the target was rebuilt"))
+        monkeypatch.setattr(oracle, "_andreief_means", lambda *args: pytest.fail("the target was rebuilt"))
         assert nc_even_target(3, 1.0) is target and not target.flags.writeable
 
     def test_single_mode_target_is_half_the_identity(self):
@@ -1313,9 +1312,15 @@ class TestNcFailure:
             verify_nc_failure(modes, p, n_samples=400)
 
     def test_a_larger_quadrature_order_meets_the_target_at_small_stiffness(self):
-        # at p = 0.05 the 120-node oracle was 2.4e-9 off, which failed the 1e-10 bound
-        rep = verify_nc_failure(2, 0.05, 150)
+        # at p = 0.05 the 120-node rule's mean is 6.0e-10 off, which fails the 1e-10 bound
+        rep = verify_nc_failure(2, 0.05, 300)
         assert rep.passed and rep.max_abs_deviation <= 1e-12
+
+    def test_the_default_rule_meets_the_target_at_a_tenth_of_unit_stiffness(self):
+        # tanh(lam / 2) is steep here, and the one 120-node rule's mean is still 2.1e-13 from the target
+        rep = verify_nc_failure(2, 0.1)
+        assert rep.passed and rep.max_abs_deviation <= 1e-12
+        assert rep.samples == 120**2
 
     @pytest.mark.parametrize("quad_order", [0, -3])
     def test_empty_quadrature_rejected(self, quad_order):
@@ -1369,16 +1374,15 @@ class TestNcFailure:
     def test_an_off_diagonal_entry_in_the_mean_fails(self, monkeypatch):
         # a hermitian 1e-9 between the two one-particle states: it keeps the
         # particle number, and the mean stays 0.024 from 2^-M I
-        real = verify_module._converged_mean
+        real = verify_module._moment_mean
 
         def perturbed(*args):
-            q, *rest = real(*args)
-            q = q.copy()
+            q = real(*args).copy()
             q[1, 2] += 1e-9
             q[2, 1] += 1e-9
-            return (q, *rest)
+            return q
 
-        monkeypatch.setattr(verify_module, "_converged_mean", perturbed)
+        monkeypatch.setattr(verify_module, "_moment_mean", perturbed)
         rep = verify_nc_failure(2, 1.0)
         assert self._failed(rep) == ["max_abs_deviation"]
         assert rep.max_abs_deviation == pytest.approx(1e-9, rel=1e-6)
