@@ -51,8 +51,8 @@ COMMANDS = [
     ["number-conserving", "--variant", "failure", *SEED, "--csv"],
     ["number-conserving", "--variant", "failure", "-p", "2", *SEED],  # the oracle's floor away from p = 1
     ["number-conserving", "--variant", "failure", "--modes", "1", *SEED],
-    ["number-conserving", "--variant", "failure", "--modes", "2", "-p", "0.05", "--quad-order", "150", *SEED],  # nearest the oracle's guard
-    ["number-conserving", "--variant", "failure", "-p", "0.1", *SEED],  # the default rule where the doubling raised
+    ["number-conserving", "--variant", "failure", "-p", "0.05", *SEED],  # just above the oracle's guard, which raises below p = 0.0474
+    ["number-conserving", "--variant", "failure", "-p", "0.1", *SEED],  # a steep tanh(lam / 2)
     ["number-conserving", "--variant", "failure", "--modes", "3", "--samples", "16000", *SEED, "--csv"],
     ["number-conserving", "--variant", "failure", "--modes", "6", "--samples", "4000", *SEED],
     ["selberg", "--consistency", *SEED],

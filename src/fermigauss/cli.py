@@ -90,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", choices=("gaussian", "determinant"), default="gaussian")
     p.add_argument("--symmetry-class", default="D", dest="sym_class")
     p.add_argument("--samples", type=int, default=200_000, action=_Count)
-    p.add_argument("--quad-order", type=int, default=120, action=_Count, help="nodes per mode of the one Gauss rule of --mode quad (at most 370)")
     p.add_argument("--workers", type=int, default=1, action=_Count)
     _add_common(p)
     p.set_defaults(func=_cmd_resolution)
@@ -109,7 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=int, default=2)
     p.add_argument("-p", "--stiffness", type=float, default=1.0, dest="p")
     p.add_argument("--samples", type=int, default=100_000, action=_Count)
-    p.add_argument("--quad-order", type=int, default=120, action=_Count, help="nodes per mode of the one Gauss rule of the M <= 2 failure run (at most 370)")
     p.add_argument("--workers", type=int, default=1, action=_Count)
     _add_common(p)
     p.set_defaults(func=_cmd_number_conserving)
@@ -214,7 +212,7 @@ def _cmd_resolution(args) -> int:
     weight = WeightSpec(args.weight, args.p)
     if args.mode == "quad":
         rotation = random_polar_rotation(args.modes, spec)
-        rep = verify_resolution_quadrature(args.modes, sym, weight, rotation, args.quad_order)
+        rep = verify_resolution_quadrature(args.modes, sym, weight, rotation)
         criteria = [reports.estimator_to_criterion("resolution of unity (quadrature)", rep)]
         return _finish(args, "resolution", criteria, points=rep.point_chunks)
     if args.weight != "gaussian":
@@ -224,7 +222,6 @@ def _cmd_resolution(args) -> int:
             f"the Monte Carlo resolution run samples class D only, got --symmetry-class {sym.label}"
         )
     rep = verify_resolution_mc(args.modes, args.p, args.samples, spec, workers=args.workers, keep_points=bool(args.csv))
-    del args.quad_order  # a report states quad_order only where its run reads a rule
     criteria = [reports.estimator_to_criterion("resolution of unity (Monte Carlo)", rep)]
     return _finish(args, "resolution", criteria, points=rep.point_chunks)
 
@@ -250,13 +247,11 @@ def _cmd_canonical(args) -> int:
 def _cmd_number_conserving(args) -> int:
     spec, keep = RngSpec(args.seed, args.stream), bool(args.csv)
     if args.variant == "failure":
-        rep = verify_nc_failure(args.modes, args.p, args.quad_order, args.samples, spec, args.workers, keep)
+        rep = verify_nc_failure(args.modes, args.p, args.samples, spec, args.workers, keep)
         name = "even-weight mean reaches its exact target"
     else:
         rep = verify_nc_modified(args.modes, args.p, args.samples, spec, workers=args.workers, keep_points=keep)
         name = "modified-weight mean reaches the identity"
-    if args.variant == "modified" or args.modes > 2:
-        del args.quad_order  # a report states quad_order only where its run reads a rule
     return _finish(args, "number-conserving", [reports.estimator_to_criterion(name, rep)], points=rep.point_chunks)
 
 

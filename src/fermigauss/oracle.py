@@ -11,25 +11,26 @@ import numpy as np
 from .ensembles import RadialLaw, WeightSpec
 from .errors import ContractError, NonConvergenceError, _count
 
-#: Nodes of the Andreief oracle's Hermite rule, which _doubled holds to twice as many, to QUAD_CONVERGENCE_TOL;
-#: nc_even_target reads the larger rule's value, shifted_weight_quadrature_deviation this one's.
+#: Nodes per mode of the package's one Gauss rule: every quadrature run reads it, and the Andreief
+#: oracle's values on it, which _doubled holds to twice as many nodes, to QUAD_CONVERGENCE_TOL.
 ORACLE_ORDER = 120
 QUAD_CONVERGENCE_TOL = 1e-9
 
-#: Most nodes of any Gauss rule: numpy's Hermite weights are all zero at 371 nodes, NaN from 372.
+#: Most nodes of any Gauss rule (radial_quadrature_nodes takes any order): numpy's Hermite weights
+#: are all zero at 371 nodes, NaN from 372.
 MAX_QUAD_ORDER = 370
 
 
 def _gauss_rule(build, name: str, order: int) -> tuple[np.ndarray, np.ndarray]:
     """An ``order``-node Gauss rule, or, before it is built, a ContractError
     when it has no nodes or more than MAX_QUAD_ORDER."""
-    _count(order, "quad_order", ContractError)
+    _count(order, "order", ContractError)
     if order > MAX_QUAD_ORDER:
-        raise ContractError(f"the {order}-node Gauss-{name} rule is above the {MAX_QUAD_ORDER}-node cap; lower quad_order")
+        raise ContractError(f"the {order}-node Gauss-{name} rule is above the {MAX_QUAD_ORDER}-node cap; lower order")
     return build(order)
 
 
-@lru_cache(maxsize=None, typed=True)  # typed: True is no quad_order, but hashes as 1
+@lru_cache(maxsize=None, typed=True)  # typed: True is no order, but hashes as 1
 def _hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _gauss_rule(np.polynomial.hermite.hermgauss, "Hermite", order)
 
@@ -63,18 +64,18 @@ def _weight_rule(weight: WeightSpec, order: int, half: bool) -> tuple[np.ndarray
     return x / scale, w / scale
 
 
-def _doubled(evaluate, order: int, what: str, advice: str) -> tuple[np.ndarray, np.ndarray]:
+def _doubled(evaluate, order: int, what: str, advice: str) -> np.ndarray:
     """The one order-doubling rule of every oracle value: ``evaluate`` over
     the ``order``- and ``2 * order``-node rules, which must agree to
     QUAD_CONVERGENCE_TOL in every entry, or NonConvergenceError saying that
-    ``what`` moved, with the ``advice``. Returns both values."""
+    ``what`` moved, with the ``advice``. Returns the ``order``-node value."""
     hi, lo = evaluate(2 * order), evaluate(order)  # an order over the cap raises before any rule is built
     delta = float(np.abs(hi - lo).max())
     if not delta <= QUAD_CONVERGENCE_TOL:
         raise NonConvergenceError(
             f"{what} moved by {delta:.3e} from order {order} to {2 * order} (> {QUAD_CONVERGENCE_TOL}); {advice}"
         )
-    return lo, hi
+    return lo
 
 
 def _andreief_means(lam: np.ndarray, w: np.ndarray, u: np.ndarray, modes: int) -> tuple[np.ndarray, float]:
@@ -95,12 +96,12 @@ def _andreief_means(lam: np.ndarray, w: np.ndarray, u: np.ndarray, modes: int) -
     return np.poly(mu) * (-1.0) ** np.arange(modes + 1), 2.0 * float(np.log(np.abs(np.diagonal(r))).sum())
 
 
-def exchangeable_moments(law: RadialLaw, modes: int, offset: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def exchangeable_moments(law: RadialLaw, modes: int, offset: float = 0.0) -> np.ndarray:
     """The moments E[e_k(t)] / C(M, k), k = 0..modes, t = -tanh(lam/2)/2 (each set of k modes has the k-th),
     of ``modes`` eigenvalues under the exchangeable beta = 2 ``law``: the hermitian Delta(lam)^2 exp(-p sum lam^2),
     or a class D or C law Delta(lam^2)^2 prod |lam_j|^alpha exp(-2p (lam_j - c)^2), displaced by ``offset`` = c.
-    Returns _andreief_means over the ORACLE_ORDER- and 2 * ORACLE_ORDER-node Hermite rules x = s y, s = sqrt(p) or
-    sqrt(2p), at lam = y + c, which _doubled holds to each other (tanh(lam/2) nears a step as p -> 0). The class
+    Returns _andreief_means over the ORACLE_ORDER-node Hermite rule x = s y, s = sqrt(p) or sqrt(2p), at
+    lam = y + c, which _doubled holds to the 2 * ORACLE_ORDER-node one (tanh(lam/2) nears a step as p -> 0). The class
     law's Delta(lam^2)^2 is that of u = s y (c + y/2) / max(|c|, 1/s), affine in lam^2 and of order one at every
     offset, and its |lam|^alpha enters the weight as |lam / max|lam||^alpha, so every finite offset stays in
     float64. ContractError for a class with beta != 2 (DIII, CI)."""
@@ -119,6 +120,5 @@ def exchangeable_moments(law: RadialLaw, modes: int, offset: float = 0.0) -> tup
         return _andreief_means(lam, w * np.abs(lam / np.abs(lam).max()) ** law.jacobian.alpha, u, modes)[0]
 
     what = "the even-weight oracle" if hermitian else "the displaced-weight oracle"
-    lo, hi = _doubled(means, ORACLE_ORDER, what, f"p = {p} is too small, choose a larger p")
     comb = [math.comb(modes, k) for k in range(modes + 1)]
-    return lo / comb, hi / comb
+    return _doubled(means, ORACLE_ORDER, what, f"p = {p} is too small, choose a larger p") / comb

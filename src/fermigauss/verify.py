@@ -72,15 +72,15 @@ from .gaussian import (  # noqa: F401  gaussian_normalized, gaussian_number_cons
     wick_blocks,
     wick_coordinates,
 )
-from .oracle import _leggauss, _weight_rule, exchangeable_moments
+from .oracle import ORACLE_ORDER, _leggauss, _weight_rule, exchangeable_moments
 
 #: Samples per Monte Carlo chunk; the chunk index doubles as the RNG substream,
 #: which makes results independent of how chunks are assigned to workers.
 CHUNK = 4000
 
 #: Draws or nodes that every driver also builds through the Fock construction
-#: (_fock_check): chunk 0's first draws, or the quad_order rule's last kept
-#: nodes; a fixed cost per run, whatever the chunk size or quad_order.
+#: (_fock_check): chunk 0's first draws, or the rule's last kept nodes; a
+#: fixed cost per run, whatever the chunk size.
 FOCK_CHECK_DRAWS = 4
 
 #: Minimum number of chunks, so batch-means standard errors stay usable.
@@ -93,9 +93,9 @@ ABS_FLOOR = 1e-12
 #: Named seed from which the deterministic quadrature rotations are derived.
 ROTATION_SEED = 8128
 
-#: (law, order) rules with their moments, fixed rotations per mode count and
+#: (law, modes) rules with their moments, fixed rotations per mode count and
 #: even-weight targets per (M, p) that one process keeps, least recently used
-#: out first: at the default order 120 at most about 44 MB of rules (2.8 MB for
+#: out first: at ORACLE_ORDER nodes per mode at most about 44 MB of rules (2.8 MB for
 #: an odd-beta sector rule), 1.1 MB for the three laws of the benchmark's checks workload.
 LAW_CACHE_SIZE = 16
 
@@ -397,7 +397,7 @@ def radial_quadrature_nodes(law: RadialLaw, modes: int, order: int) -> tuple[np.
         if not np.isfinite(law.log_jacobian(unit)).any():
             raise ContractError(
                 f"every node of the order-{order} radial rule sits on a zero of the radial density "
-                f"(total weight 0); raise quad_order"
+                f"(total weight 0); raise order"
             )
     if not (finite and 0.0 < total < math.inf):
         raise DomainError(
@@ -409,7 +409,7 @@ def radial_quadrature_nodes(law: RadialLaw, modes: int, order: int) -> tuple[np.
 
 @dataclass(frozen=True)
 class _LawTable:
-    """One (law, order) rule of radial_quadrature_nodes and its
+    """One (law, modes) rule of radial_quadrature_nodes and its
     filling_moments, read-only, and two more functions of the rule alone,
     each computed on its first use and kept from then on."""
 
@@ -437,11 +437,11 @@ class _LawTable:
         return bool((np.abs(np.tanh(self.points[self.weights > 0.0] / 2.0)) > QUAD_TOL).any())
 
 
-@lru_cache(maxsize=LAW_CACHE_SIZE, typed=True)  # typed: True is no quad_order, but hashes as 1
-def _law_tables(law: RadialLaw, modes: int, order: int) -> _LawTable:
-    """The _LawTable of one rule, built once per process. A rule that raises
-    is not kept."""
-    pts, wts = radial_quadrature_nodes(law, modes, order)
+@lru_cache(maxsize=LAW_CACHE_SIZE)
+def _law_tables(law: RadialLaw, modes: int) -> _LawTable:
+    """The _LawTable of the law's ORACLE_ORDER rule, built once per process.
+    A rule that raises is not kept."""
+    pts, wts = radial_quadrature_nodes(law, modes, ORACLE_ORDER)
     tables = pts, wts, filling_moments(pts, wts)
     for arr in tables:
         arr.setflags(write=False)
@@ -523,14 +523,13 @@ def verify_resolution_quadrature(
     sym_class: SymmetryClass,
     weight: WeightSpec,
     rotation: PolarForm | None = None,
-    quad_order: int = 120,
 ) -> EstimatorReport:
     """Tensor-quadrature mean of the rotated normalized Gaussian operators
     against the normalized radial density; target is 2^-M times the identity.
 
     Requires an even, integrable weight of a class measure, not an nc_ one
     (the hypothesis doing the work), and a PolarForm rotation or None.
-    Every value comes from the one ``quad_order`` rule, with no order doubling: the rule is even, so
+    Every value comes from the one ORACLE_ORDER rule, with no order doubling: the rule is even, so
     its mean is 2^-M I to rounding at any order, and a skewed rule fails max_abs_deviation itself.
     Independence from the rotation is checked against a second, deterministically seeded rotation;
     at M = 1, where a rotation only keeps or swaps particle and hole and the
@@ -556,7 +555,7 @@ def verify_resolution_quadrature(
         v_alt = v_main[:, ::-1]
     else:
         v_alt = _second_rotation(modes)
-    table = _law_tables(law, modes, quad_order)
+    table = _law_tables(law, modes)
     if not table.resolvable:
         raise DomainError(
             f"no kept node has |tanh(lam_j / 2)| above {QUAD_TOL:g} at p = {weight.p}, so the bound could not fail"
@@ -583,7 +582,7 @@ def shifted_weight_quadrature_deviation(modes: int, sym_class: SymmetryClass, p:
     _check_modes(modes)
     law = RadialLaw.of(sym_class, WeightSpec.gaussian(p))  # rejects p <= 0 with the caller's value
     _above(offset, -math.inf, "offset")
-    m = exchangeable_moments(law, modes, offset)[0]
+    m = exchangeable_moments(law, modes, offset)
     return _identity_gap(_moment_mean(m[np.bitwise_count(np.arange(1 << modes))], np.eye(2 * modes)))
 
 
@@ -684,11 +683,12 @@ def nc_even_target(modes: int, p: float) -> np.ndarray:
     E[e_k(tau)] K_k(N) / C(M, k), tau = tanh(lam/2), K_k(N) = e_k of N ones and
     M - N minus ones; a sum of projectors on fixed N, which every
     number-conserving rotation keeps. The E[e_k] / C(M, k) are the oracle's
-    exchangeable_moments on the 2 * ORACLE_ORDER-node rule. The law is even,
-    so odd k give 0, and at M = 1 the mean is I / 2. Kept per process, read-only."""
+    exchangeable_moments on the ORACLE_ORDER-node rule, the M <= 2 failure run's own
+    nodes, weights and Delta(lam)^2, so the two agree to rounding. The law is even, so
+    odd k give 0, and at M = 1 the mean is I / 2. Kept per process, read-only."""
     _check_modes(modes)
     law = RadialLaw(None, WeightSpec.nc_even(p))  # rejects p <= 0 with the caller's value
-    m = exchangeable_moments(law, modes)[1] * (-2.0) ** np.arange(modes + 1)  # tau = -2 t
+    m = exchangeable_moments(law, modes) * (-2.0) ** np.arange(modes + 1)  # tau = -2 t
     m[1::2] = 0.0
     krawtchouk = np.array([np.poly(np.repeat([-1.0, 1.0], [n, modes - n])) for n in range(modes + 1)])
     c = krawtchouk @ m / (1 << modes)
@@ -711,11 +711,11 @@ def _failure_bounds(mean: np.ndarray, floor: float | None) -> tuple[list[Criteri
 
 
 def verify_nc_failure(
-    modes: int = 2, p: float = 1.0, quad_order: int = 120, n_samples: int = 16_000, rng=0, workers: int = 1, keep_points=False
+    modes: int = 2, p: float = 1.0, n_samples: int = 16_000, rng=0, workers: int = 1, keep_points=False
 ) -> EstimatorReport:
     """The even-weight number-conserving mean against nc_even_target: at M <= 2
-    the quadrature at the fixed Haar rotation over the one ``quad_order`` rule,
-    with no order doubling, to 1e-10, with the Fock check of
+    the quadrature at the fixed Haar rotation over the target's ORACLE_ORDER
+    rule, with no order doubling, to 1e-10, with the Fock check of
     verify_resolution_quadrature; at M >= 3 n_samples GUE draws h, law
     exp(-p tr h^2), one eigh each, as in verify_resolution_mc. From M = 2 it
     must lie FAILURE_FLOOR_FRACTION of the target's distance from 2^-M I or
@@ -740,7 +740,7 @@ def verify_nc_failure(
         return _mc_report(modes, chunks, {**details, "chunks": len(chunks), "workers": workers}, target=target, floor=floor)
 
     v = _ncons_eigenvectors(_nc_rotation(modes))
-    table = _law_tables(law, modes, quad_order)
+    table = _law_tables(law, modes)
     return _quad_report(modes, _moment_mean(table.moments, v), target, 1e-10, table, _rule_fock_check(table, v), details, floor=floor)
 
 

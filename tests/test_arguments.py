@@ -142,13 +142,8 @@ PROBES = [
     *(("operator_identity_suite", lambda n=n: operator_identity_suite(max_modes=n), CapacityError) for n in BAD_COUNTS),
     *(("operator_identity_suite", lambda n=n: operator_identity_suite(trials=n), ContractError) for n in BAD_COUNTS),
     *(("selberg_consistency_suite", lambda n=n: selberg_consistency_suite(n), ContractError) for n in BAD_COUNTS),
-    *(
-        ("verify_resolution_quadrature", lambda n=n: verify_resolution_quadrature(1, CLASS_D, GAUSS, quad_order=n), ContractError)
-        for n in BAD_COUNTS
-    ),
     ("verify_canonical_triviality", lambda: verify_canonical_triviality(1, 1.0, [0.0], 2.5, 0), ContractError),
     ("verify_canonical_triviality", lambda: verify_canonical_triviality(1, 1.0, [math.nan], 32, 0), DomainError),
-    ("verify_nc_failure", lambda: verify_nc_failure(2, 1.0, quad_order=2.5), ContractError),
     *(("verify_nc_failure", lambda n=n: verify_nc_failure(3, 1.0, n_samples=n), ContractError) for n in BAD_COUNTS),
     *(("verify_nc_failure", lambda n=n: verify_nc_failure(n, 1.0), CapacityError) for n in BAD_COUNTS),
     ("verify_nc_failure", lambda: verify_nc_failure(3, 1.0, n_samples=32, workers=0), ContractError),

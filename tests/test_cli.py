@@ -73,49 +73,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {named}: ") and "Traceback" not in err
 
-    def test_zero_quad_order_is_usage_error(self, capsys):
-        assert run(["resolution", "--mode", "quad", "--modes", "1", "--quad-order", "0"]) == 2
-        assert "quad_order >= 1, got 0" in capsys.readouterr().err
-
-    def test_hermite_quad_order_beyond_float_range_is_usage_error(self, capsys, monkeypatch):
-        # numpy's 371-node Hermite rule has all-zero weights: the cap raises before any rule is built
-        verify.nc_even_target(2, 1.0)  # the failure run's target, from its own fixed rules
-        for module, name in ((np.polynomial.hermite, "hermgauss"), (np.polynomial.legendre, "leggauss")):
-            monkeypatch.setattr(module, name, lambda n: pytest.fail(f"a {n}-node rule was built"))
-        oracle._hermgauss.cache_clear()
-        oracle._leggauss.cache_clear()
-        for argv, nodes in (
-            (["resolution", "--mode", "quad", "--modes", "1", "--quad-order", "371"], 371),
-            (["number-conserving", "--variant", "failure", "--quad-order", "371"], 371),
-            (["resolution", "--mode", "quad", "--weight", "determinant", "-p", "2", "--quad-order", "5000"], 5000),
-        ):
-            assert run(argv) == 2
-            err = capsys.readouterr().err
-            assert f"{nodes}-node Gauss-" in err and "370-node cap" in err and "quad_order" in err
-
     @pytest.mark.parametrize(
         "argv",
         [
-            ["resolution", "--mode", "quad", "--modes", "2"],
-            ["resolution", "--mode", "quad", "--modes", "2", "--weight", "determinant", "-p", "2"],
-            ["resolution", "--mode", "quad", "--modes", "1", "--symmetry-class", "C"],
+            ["resolution", "--mode", "quad", "--modes", "1"],
+            ["resolution", "--mode", "mc", "--modes", "1", "--samples", "16"],
             ["number-conserving", "--variant", "failure"],
+            ["number-conserving", "--variant", "modified", "--samples", "16"],
         ],
     )
-    def test_rule_too_coarse_for_its_density_names_quad_order(self, argv, capsys):
-        # the one node sits on a zero of the radial density, whatever p is
-        assert run(argv + ["--quad-order", "1"]) == 2
-        err = capsys.readouterr().err
-        assert "sits on a zero of the radial density" in err and "raise quad_order" in err
-        assert "moderate p" not in err
-
-    def test_legendre_quad_order_200_still_passes(self):
-        argv = ["resolution", "--mode", "quad", "--modes", "2", "-p", "2", "--weight", "determinant"]
-        assert run(argv + ["--quad-order", "200"]) == 0
-
-    def test_the_failure_run_takes_a_rule_at_the_cap(self):
-        # one 370-node rule: the run no longer doubles its order past the cap
-        assert run(["number-conserving", "--variant", "failure", "--quad-order", "370"]) == 0
+    def test_a_quadrature_order_is_no_option(self, argv, capsys):
+        # every quadrature run reads the one 120-node rule
+        assert run(argv + ["--quad-order", "20"]) == 2
+        assert "unrecognized arguments: --quad-order 20" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     @pytest.mark.parametrize(
@@ -272,8 +242,6 @@ class TestExitCodes:
             (["number-conserving", "--variant", "failure", "--samples", "0"], "samples >= 1, got 0"),
             (["canonical", "--samples", "0"], "samples >= 1, got 0"),
             (["ensembles", "--samples", "0"], "samples >= 1, got 0"),
-            (["resolution", "--mode", "mc", "--samples", "16", "--quad-order", "0"], "quad_order >= 1"),
-            (["number-conserving", "--variant", "modified", "--samples", "16", "--quad-order", "0"], "quad_order >= 1"),
         ],
     )
     def test_out_of_range_count_is_usage_error(self, argv, message, capsys):
@@ -386,27 +354,16 @@ class TestReports:
             ["resolution", "--mode", "quad", "--modes", "1"],
             ["number-conserving", "--variant", "failure", "--modes", "1"],
             ["number-conserving", "--variant", "failure", "--modes", "2"],
-        ],
-        ids=["resolution_quad", "failure_1", "failure_2"],
-    )
-    def test_a_run_that_reads_a_rule_states_its_order(self, argv, tmp_path):
-        out = tmp_path / "report.json"
-        assert run(argv + ["--quad-order", "24", "--out", str(out)]) == 0
-        assert read_report(out)["parameters"]["quad_order"] == 24
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
             ["resolution", "--mode", "mc", "--modes", "1", "--samples", "64"],
             ["number-conserving", "--variant", "modified", "--modes", "1", "--samples", "64"],
             ["number-conserving", "--variant", "failure", "--modes", "3", "--samples", "400"],
         ],
-        ids=["resolution_mc", "modified", "failure_3"],
+        ids=["resolution_quad", "failure_1", "failure_2", "resolution_mc", "modified", "failure_3"],
     )
-    def test_a_run_that_reads_no_rule_states_no_order(self, argv, tmp_path):
-        # the flag still parses, and is checked, in every mode
+    def test_no_report_states_a_quadrature_order(self, argv, tmp_path):
+        # a run that reads a rule reads the one 120-node rule, and states its node count as samples
         out = tmp_path / "report.json"
-        assert run(argv + ["--quad-order", "24", "--seed", "5", "--out", str(out)]) == 0
+        assert run(argv + ["--seed", "5", "--out", str(out)]) == 0
         params = read_report(out)["parameters"]
         assert "quad_order" not in params and "samples" in params
 
@@ -532,11 +489,12 @@ class TestCsvDumps:
             (["number-conserving", "--variant", "failure", "-p", "2"], CLASS_D, WeightSpec.nc_even(2.0)),
         ],
     )
-    def test_quadrature_dump_is_the_quad_order_rule(self, argv, sym, weight, tmp_path):
-        # each quadrature run keeps its one --quad-order rule
+    def test_quadrature_dump_is_the_one_rule(self, argv, sym, weight, tmp_path):
+        # each quadrature run keeps its one ORACLE_ORDER rule
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
-        assert run(argv + ["--quad-order", "20", "--csv", str(got)]) == 0
-        reports.write_lambda_csv(str(want), [radial_quadrature_nodes(RadialLaw.of(sym, weight), 2, 20)[0]], 2)
+        assert run(argv + ["--csv", str(got)]) == 0
+        law = RadialLaw.of(sym, weight)
+        reports.write_lambda_csv(str(want), [radial_quadrature_nodes(law, 2, oracle.ORACLE_ORDER)[0]], 2)
         assert got.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize(
@@ -682,9 +640,9 @@ print(json.dumps(sorted(name for name in sys.modules if name == "numpy.ma" or na
 #: The smallest call of every subcommand.
 SMALLEST_CALLS = [
     ["resolution", "--mode", "mc", "--modes", "1", "--samples", "64"],
-    ["resolution", "--mode", "quad", "--modes", "1", "--quad-order", "4"],
+    ["resolution", "--mode", "quad", "--modes", "1"],
     ["canonical", "--modes", "1", "--samples", "64"],
-    ["number-conserving", "--variant", "failure", "--quad-order", "30"],
+    ["number-conserving", "--variant", "failure"],
     ["number-conserving", "--variant", "modified", "--modes", "1", "--samples", "64"],
     ["selberg", "--max-modes", "1"],
     ["ensembles", "--modes", "1", "--samples", "10", "--burn-in", "10", "--thin", "1"],

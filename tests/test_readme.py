@@ -13,11 +13,11 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 #: Every subcommand form at its smallest size; canonical takes beta = 0 for its exactness bound.
 FORMS = [
     ["identities", "--modes", "1", "--trials", "1"],
-    ["resolution", "--mode", "quad", "--modes", "1", "--quad-order", "8"],
+    ["resolution", "--mode", "quad", "--modes", "1"],
     ["resolution", "--mode", "mc", "--modes", "1", "--samples", "16"],
     ["canonical", "--modes", "1", "--betas", "0,0.3", "--samples", "16"],
-    ["number-conserving", "--variant", "failure", "--quad-order", "20"],
-    ["number-conserving", "--variant", "failure", "--modes", "1", "--quad-order", "20"],
+    ["number-conserving", "--variant", "failure"],
+    ["number-conserving", "--variant", "failure", "--modes", "1"],
     ["number-conserving", "--variant", "failure", "--modes", "3", "--samples", "400"],
     ["number-conserving", "--variant", "modified", "--modes", "1", "--samples", "16"],
     ["selberg", "--max-modes", "1"],

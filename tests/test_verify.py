@@ -54,7 +54,7 @@ from fermigauss.fock import (
     quadratic_hamiltonian_batch,
 )
 from fermigauss.gaussian import assemble_blocks
-from fermigauss.oracle import _andreief_means, _weight_rule
+from fermigauss.oracle import MAX_QUAD_ORDER, ORACLE_ORDER, _andreief_means, _weight_rule
 from fermigauss.selberg import laguerre_selberg_log, selberg_integral_log
 from fermigauss.verify import (
     FAILURE_FLOOR_FRACTION,
@@ -71,6 +71,7 @@ from fermigauss.verify import (
     _run_chunks,
     _tensor,
     _identity_gap,
+    filling_moments,
     nc_even_target,
     radial_quadrature_nodes,
 )
@@ -268,10 +269,48 @@ class TestRadialQuadratureNodes:
         ],
         ids=["D-2-order1", "D-2-order2", "D-determinant-2-order1", "C-1-order1", "nc_even-2-order1"],
     )
-    def test_rule_with_every_node_on_a_density_zero_names_quad_order(self, sym, weight, modes, order):
+    def test_rule_with_every_node_on_a_density_zero_names_order(self, sym, weight, modes, order):
         # a node at lam = 0 or on |lam_1| = |lam_2| carries no weight whatever p is
-        with pytest.raises(ContractError, match=f"order-{order} radial rule .* raise quad_order"):
+        with pytest.raises(ContractError, match=f"order-{order} radial rule .* raise order") as caught:
             radial_quadrature_nodes(RadialLaw.of(sym, weight), modes, order)
+        assert "moderate p" not in str(caught.value)
+
+    @pytest.mark.parametrize("order, message", [(0, "need order >= 1"), (-3, "need order >= 1"),
+                                                (2.5, "order must be an integer"), (True, "order must be an integer"),
+                                                (math.nan, "order must be an integer")])
+    def test_an_empty_or_non_integer_order_is_a_contract_error(self, order, message):
+        with pytest.raises(ContractError, match=message):
+            radial_quadrature_nodes(RadialLaw(None, WeightSpec.nc_even(1.0)), 2, order)
+
+    def test_order_true_is_rejected_after_order_1(self):
+        # typed rule caches: True hashes as 1, but is no order; the order-1 rule,
+        # one node at lam = 0, is kept, and True still raises
+        points, _ = radial_quadrature_nodes(RadialLaw(CLASS_D, WeightSpec.gaussian(1.0)), 1, 1)
+        assert points.tolist() == [[0.0]]
+        with pytest.raises(ContractError, match="order must be an integer"):
+            radial_quadrature_nodes(RadialLaw(CLASS_D, WeightSpec.gaussian(1.0)), 1, True)
+
+    def test_an_order_above_the_cap_builds_no_rule(self, monkeypatch):
+        # numpy's 371-node Hermite rule has all-zero weights: the cap raises before any rule is built
+        for module, name in ((np.polynomial.hermite, "hermgauss"), (np.polynomial.legendre, "leggauss")):
+            monkeypatch.setattr(module, name, lambda n: pytest.fail(f"a {n}-node rule was built"))
+        oracle._hermgauss.cache_clear()
+        oracle._leggauss.cache_clear()
+        for law, modes, nodes in (
+            (RadialLaw(CLASS_D, WeightSpec.gaussian(1.0)), 1, 371),
+            (RadialLaw(None, WeightSpec.nc_even(1.0)), 2, 371),
+            (RadialLaw(CLASS_D, WeightSpec.determinant(2.0)), 2, 5000),
+        ):
+            with pytest.raises(ContractError) as caught:
+                radial_quadrature_nodes(law, modes, nodes)
+            err = str(caught.value)
+            assert f"{nodes}-node Gauss-" in err and "370-node cap" in err and "lower order" in err
+
+    def test_the_rule_at_the_cap_meets_the_even_weight_target(self):
+        # 370 nodes per mode, the most any rule takes: its failure-run mean is the 120-node target's
+        rule = radial_quadrature_nodes(RadialLaw(None, WeightSpec.nc_even(1.0)), 2, MAX_QUAD_ORDER)
+        mean = verify_module._moment_mean(filling_moments(*rule), _ncons_eigenvectors(verify_module._nc_rotation(2)))
+        assert MAX_QUAD_ORDER == 370 and np.abs(mean - nc_even_target(2, 1.0)).max() <= 1e-12
 
     @pytest.mark.parametrize(
         "weight", [WeightSpec.gaussian(1e-300), WeightSpec.gaussian(1e300), WeightSpec.determinant(1e300)]
@@ -298,11 +337,10 @@ class TestLawTables:
     caller's rotation and every bound run on every call."""
 
     CALLS = {
-        "resolution": lambda rotation=None: verify_resolution_quadrature(
-            2, CLASS_DIII, WeightSpec.determinant(3.0), rotation, quad_order=30),
-        "nc_failure": lambda rotation=None: verify_nc_failure(2, 1.0, quad_order=30),
+        "resolution": lambda rotation=None: verify_resolution_quadrature(2, CLASS_DIII, WeightSpec.determinant(3.0), rotation),
+        "nc_failure": lambda rotation=None: verify_nc_failure(2, 1.0),
     }
-    #: The law of each call, as _law_tables keys it, without the order.
+    #: The law of each call, as _law_tables keys it.
     LAWS = {
         "resolution": (RadialLaw(CLASS_DIII, WeightSpec.determinant(3.0)), 2),
         "nc_failure": (RadialLaw(None, WeightSpec.nc_even(1.0)), 2),
@@ -322,26 +360,26 @@ class TestLawTables:
         # not even the Fock check's own nodes are reduced to moments again
         assert calls == []
         # and no tanh runs over a rule: the guard's verdict is kept with it
-        kept = (verify_module._law_tables(*self.LAWS[kind], 30).weights > 0.0).sum()
+        kept = (verify_module._law_tables(*self.LAWS[kind]).weights > 0.0).sum()
         assert [size for size in tanh_sizes if size >= kept] == []
         assert _same_report(first, second)
 
     def test_equal_laws_built_apart_share_one_entry(self, monkeypatch):
         # the law is the key: two equal laws, down to a class built anew, build one rule
-        first = verify_module._law_tables(RadialLaw(CLASS_D, WeightSpec.gaussian(1.0)), 2, 30)
+        first = verify_module._law_tables(RadialLaw(CLASS_D, WeightSpec.gaussian(1.0)), 2)
         builds = []
         real = verify_module.radial_quadrature_nodes
         monkeypatch.setattr(verify_module, "radial_quadrature_nodes", lambda *args: builds.append(args) or real(*args))
         again = RadialLaw(SymmetryClass("D", 2, 0), WeightSpec("gaussian", 1.0))
-        assert verify_module._law_tables(again, 2, 30) is first
+        assert verify_module._law_tables(again, 2) is first
         assert builds == [] and verify_module._law_tables.cache_info().currsize == 1
 
     @pytest.mark.parametrize("kind", CALLS)
     def test_a_cold_call_computes_only_what_it_reads(self, kind):
-        # each run builds its one `order` rule; the Fock check reads its nodes, the guard (resolution only) its verdict
+        # each run builds its one rule; the Fock check reads its nodes, the guard (resolution only) its verdict
         self.CALLS[kind]()
         assert verify_module._law_tables.cache_info().currsize == 1
-        table = vars(verify_module._law_tables(*self.LAWS[kind], 30))
+        table = vars(verify_module._law_tables(*self.LAWS[kind]))
         assert ("fock_nodes" in table, "resolvable" in table) == (True, kind == "resolution")
 
     def test_a_law_that_trips_the_guard_raises_on_every_call(self, monkeypatch):
@@ -353,8 +391,8 @@ class TestLawTables:
         for _ in range(2):
             with pytest.raises(DomainError, match="no kept node has"):
                 verify_resolution_quadrature(2, CLASS_D, weight)
-            assert len(builds) == 1  # the one quad_order rule, on the first call only
-        assert not verify_module._law_tables(RadialLaw(CLASS_D, weight), 2, 120).resolvable
+            assert len(builds) == 1  # the one rule, on the first call only
+        assert not verify_module._law_tables(RadialLaw(CLASS_D, weight), 2).resolvable
 
     def test_a_warm_call_at_another_rotation_is_the_cold_call(self):
         # the moment map at the caller's rotation is not cached, only the law's tables
@@ -368,7 +406,7 @@ class TestLawTables:
     @pytest.mark.parametrize("kind", CALLS)
     def test_cached_arrays_are_read_only_and_reports_still_give_points(self, kind):
         rep = self.CALLS[kind]()
-        table = verify_module._law_tables(*self.LAWS[kind], 30)
+        table = verify_module._law_tables(*self.LAWS[kind])
         # the rule, its moments, and the Fock check's eigenvalues, moments and log weights
         arrays = [table.points, table.weights, table.moments, *table.fock_nodes]
         for arr in [rep.point_chunks[0], *arrays, verify_module._second_rotation(2), verify_module._nc_rotation(2)]:
@@ -386,14 +424,6 @@ class TestLawTables:
             assert run(argv + ["--out", str(tmp_path / "r.json"), "--csv", str(tmp_path / f"{n}.csv")]) == 0
             dumps.append((tmp_path / f"{n}.csv").read_bytes())
         assert dumps[0] == dumps[1] and len(dumps[0].splitlines()) == 1 + 8 * 120**2
-
-    def test_quad_order_true_is_rejected_after_quad_order_1(self):
-        # typed keys: True hashes as 1, but is no order; the order-1 rule is kept, and its one node,
-        # lam = 0, trips the guard
-        with pytest.raises(DomainError, match="no kept node has"):
-            verify_resolution_quadrature(1, CLASS_D, WeightSpec.gaussian(1.0), quad_order=1)
-        with pytest.raises(ContractError, match="quad_order must be an integer"):
-            verify_resolution_quadrature(1, CLASS_D, WeightSpec.gaussian(1.0), quad_order=True)
 
     def test_a_rule_that_raises_raises_again(self, monkeypatch):
         weight = WeightSpec.gaussian(1e-300)
@@ -562,11 +592,11 @@ class TestEstimatorVerdict:
                 [MC_BOUNDS + ["beta_zero_exact_deviation"], MC_BOUNDS],
             ),
             (
-                lambda: [verify_resolution_quadrature(2, CLASS_D, WeightSpec.gaussian(1.0), quad_order=30)],
+                lambda: [verify_resolution_quadrature(2, CLASS_D, WeightSpec.gaussian(1.0))],
                 [["max_abs_deviation", "rotation_delta", "fock_check_deviation"]],
             ),
             (
-                lambda: [verify_nc_failure(m, 1.0, quad_order=30) for m in (1, 2)],
+                lambda: [verify_nc_failure(m, 1.0) for m in (1, 2)],
                 [["max_abs_deviation", "fock_check_deviation"],
                  ["max_abs_deviation", "failure_floor - identity_gap", "fock_check_deviation"]],
             ),
@@ -777,8 +807,8 @@ class TestFockCrossCheck:
     @pytest.mark.parametrize("modes", [1, 2])
     def test_every_quadrature_report_carries_it(self, modes):
         reps = [
-            verify_resolution_quadrature(modes, CLASS_D, WeightSpec.gaussian(1.0), quad_order=30),
-            verify_nc_failure(modes, 1.0, quad_order=30),
+            verify_resolution_quadrature(modes, CLASS_D, WeightSpec.gaussian(1.0)),
+            verify_nc_failure(modes, 1.0),
         ]
         for rep in reps:
             assert 0.0 <= rep.details["fock_check_deviation"] <= FOCK_CHECK_TOL
@@ -786,7 +816,7 @@ class TestFockCrossCheck:
         assert list(reps[0].details)[-2:] == ["fock_check_deviation", "tolerance"]
 
     # each quadrature driver checks the last FOCK_CHECK_DRAWS kept nodes of its
-    # quad_order rule, the outermost of the all-positive orthant, with the one
+    # ORACLE_ORDER rule, the outermost of the all-positive orthant, with the one
     # shared v, through the moment map of those nodes alone; the tests rebuild
     # them from radial_quadrature_nodes, and pin the gap with a broken parity
     # phase too, where it depends on every node
@@ -808,18 +838,18 @@ class TestFockCrossCheck:
         if broken:
             break_phase(monkeypatch, modes)
         rotation = random_polar_rotation(modes, RngSpec(5))
-        rep = verify_resolution_quadrature(modes, sym, weight, rotation, quad_order=30)
-        want = self._last_nodes_gap(RadialLaw(sym, weight), modes, 30, rotation.bogoliubov.conj().T)
+        rep = verify_resolution_quadrature(modes, sym, weight, rotation)
+        want = self._last_nodes_gap(RadialLaw(sym, weight), modes, ORACLE_ORDER, rotation.bogoliubov.conj().T)
         assert rep.details["fock_check_deviation"] == want
 
     @pytest.mark.parametrize("broken", [False, True], ids=["clean", "broken"])
     def test_nc_failure_checks_the_last_nodes(self, broken, monkeypatch):
         if broken:
             break_phase(monkeypatch, 2)
-        rep = verify_nc_failure(2, 1.0, quad_order=30)
+        rep = verify_nc_failure(2, 1.0)
         law = RadialLaw(None, WeightSpec.nc_even(1.0))
         v = _ncons_eigenvectors(verify_module._nc_rotation(2))
-        assert rep.details["fock_check_deviation"] == self._last_nodes_gap(law, 2, 30, v)
+        assert rep.details["fock_check_deviation"] == self._last_nodes_gap(law, 2, ORACLE_ORDER, v)
 
     # power per Wick column: the whole rule's mean has every non-empty Wick
     # coordinate at 0 (the resolution of unity), so i times one entry of any
@@ -833,14 +863,14 @@ class TestFockCrossCheck:
         for column in range(1, 1 << (2 * modes - 1)):
             with monkeypatch.context() as patch:
                 break_phase(patch, modes, column)
-                rep = verify_resolution_quadrature(modes, sym, weight, rotation, quad_order=30)
+                rep = verify_resolution_quadrature(modes, sym, weight, rotation)
             assert rep.details["fock_check_deviation"] > 1e-9 and not rep.passed, column
 
     def test_nc_failure_fails_on_a_wrong_phase_in_every_column(self, monkeypatch):
         for column in range(1, 8):
             with monkeypatch.context() as patch:
                 break_phase(patch, 2, column)
-                rep = verify_nc_failure(2, 1.0, 30)
+                rep = verify_nc_failure(2, 1.0)
             assert rep.details["fock_check_deviation"] > 1e-9 and not rep.passed, column
 
 
@@ -920,7 +950,6 @@ class TestWickQuadrature:
     )
     def test_perturbed_phase_fails_the_report_through_the_cross_check(self, argv, monkeypatch, tmp_path):
         # i times one entry of the empty set's column, which every node carries
-        argv = argv + ["--quad-order", "30"]
         assert run(argv + ["--out", str(tmp_path / "good.json")]) == 0
         break_phase(monkeypatch, 2, 0)
         assert run(argv + ["--out", str(tmp_path / "bad.json")]) == 1
@@ -977,12 +1006,22 @@ class TestAndreiefOracle:
 
 class TestOrderDoubling:
     """Power of the one order-doubling rule: each oracle user raises on a
-    rule with too few nodes. The failure run's own rule fails its bound."""
+    rule with too few nodes. A wrong failure-run mean fails its bound."""
 
-    def test_a_low_quadrature_order_fails_its_bound(self, capsys):
-        rep = verify_nc_failure(2, 1.0, 5)
+    def test_a_wrong_mean_fails_the_run_with_exit_1(self, monkeypatch, capsys):
+        # a hermitian 1e-9 between the two one-particle states, ten times the bound
+        real = verify_module._moment_mean
+
+        def perturbed(*args):
+            q = real(*args).copy()
+            q[1, 2] += 1e-9
+            q[2, 1] += 1e-9
+            return q
+
+        monkeypatch.setattr(verify_module, "_moment_mean", perturbed)
+        rep = verify_nc_failure(2, 1.0)
         assert [b.name for b in rep.bounds if not b.passed] == ["max_abs_deviation"]
-        assert run(["number-conserving", "--variant", "failure", "--quad-order", "5"]) == 1
+        assert run(["number-conserving", "--variant", "failure"]) == 1
         assert "[FAIL] even-weight mean reaches its exact target" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
@@ -999,7 +1038,7 @@ class TestOrderDoubling:
 
 
 class TestOneRule:
-    """verify_resolution_quadrature reads one rule, the quad_order one: an
+    """verify_resolution_quadrature reads one rule, the ORACLE_ORDER one: an
     even rule's mean is 2^-M I at any order, so a skewed rule fails its
     bounds, not an order-doubling check."""
 
@@ -1014,11 +1053,11 @@ class TestOneRule:
             return points, weights * (1.0 + 1e-5 * (points[:, 0] > 0.0))
 
         monkeypatch.setattr(verify_module, "radial_quadrature_nodes", skewed)
-        rep = verify_resolution_quadrature(2, CLASS_D, WeightSpec.gaussian(1.0), quad_order=20)
+        rep = verify_resolution_quadrature(2, CLASS_D, WeightSpec.gaussian(1.0))
         failed = {c.name: c.measured for c in rep.bounds if not c.passed}
         assert sorted(failed) == ["max_abs_deviation", "rotation_delta"] and 1e-7 < failed["max_abs_deviation"] < 1e-6
         verify_module._law_tables.cache_clear()
-        assert run(["resolution", "--mode", "quad", "--modes", "2", "--quad-order", "20"]) == 1
+        assert run(["resolution", "--mode", "quad", "--modes", "2"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_a_cold_call_builds_one_rule(self, monkeypatch):
@@ -1027,21 +1066,24 @@ class TestOneRule:
         monkeypatch.setattr(np.polynomial.hermite, "hermgauss", lambda n: rules.append(n) or hermgauss(n))
         monkeypatch.setattr(verify_module, "radial_quadrature_nodes", lambda *args: nodes.append(args[2]) or real(*args))
         oracle._hermgauss.cache_clear()
-        rep = verify_resolution_quadrature(2, CLASS_D, WeightSpec.gaussian(1.0), quad_order=24)
-        assert rules == [24] and nodes == [24] and rep.samples == 24**2
+        rep = verify_resolution_quadrature(2, CLASS_D, WeightSpec.gaussian(1.0))
+        assert rules == [ORACLE_ORDER] and nodes == [ORACLE_ORDER] and rep.samples == ORACLE_ORDER**2
         assert "convergence_delta" not in rep.details
 
-    @pytest.mark.parametrize("order", [3, 4, 8])
-    def test_an_even_rule_of_few_nodes_gives_the_identity(self, order):
+    @pytest.mark.parametrize("order", [3, 4, 8, 200])
+    def test_an_even_rule_of_any_order_gives_the_identity(self, order):
+        # the driver's mean of the rule's moments, at v = I and at a Haar rotation
         coarse = []
         for (sym, weight), modes in [(law, m) for law in self.LAWS for m in (1, 2)]:
             try:
-                rep = verify_resolution_quadrature(modes, sym, weight, quad_order=order)
+                points, weights = radial_quadrature_nodes(RadialLaw(sym, weight), modes, order)
             except ContractError as err:  # every node on a zero of the density
                 assert "sits on a zero" in str(err)
                 coarse.append((sym.label, modes))
                 continue
-            assert float(np.abs(rep.mean.matrix - np.eye(1 << modes) / (1 << modes)).max()) <= 1e-15, (sym, weight, modes)
+            moments = filling_moments(points, weights)
+            for v in (np.eye(2 * modes), random_polar_rotation(modes, RngSpec(5)).bogoliubov.conj().T):
+                assert _identity_gap(verify_module._moment_mean(moments, v)) <= 1e-15, (sym, weight, modes)
         assert coarse == ([("C", 2)] * 2 if order == 3 else [])
 
 
@@ -1241,7 +1283,7 @@ class TestNcFailure:
     def test_target_is_the_moment_map_mean_at_every_rotation(self, modes):
         # the oracle's moments m_J = E[e_|J|(t)] / C(M, |J|) through the Wick
         # moment map, at v = I and at 5 Haar rotations: a diagonal function of N alone
-        x, w = oracle._hermgauss(2 * oracle.ORACLE_ORDER)
+        x, w = oracle._hermgauss(ORACLE_ORDER)
         e = _andreief_means(x, w, x, modes)[0]  # p = 1
         sizes = np.bitwise_count(np.arange(1 << modes))
         moments = (e / [math.comb(modes, k) for k in range(modes + 1)])[sizes]
@@ -1311,21 +1353,21 @@ class TestNcFailure:
         with pytest.raises(NonConvergenceError, match="even-weight oracle moved"):
             verify_nc_failure(modes, p, n_samples=400)
 
-    def test_a_larger_quadrature_order_meets_the_target_at_small_stiffness(self):
-        # at p = 0.05 the 120-node rule's mean is 6.0e-10 off, which fails the 1e-10 bound
-        rep = verify_nc_failure(2, 0.05, 300)
-        assert rep.passed and rep.max_abs_deviation <= 1e-12
+    @pytest.mark.parametrize("p", [0.0474, 0.048, 0.05, 0.055, 0.059])
+    def test_the_mean_meets_the_target_down_to_the_oracle_guard(self, p):
+        # mean and target read one 120-node rule, so they agree to rounding down to the oracle's guard
+        rep = verify_nc_failure(2, p)
+        assert rep.passed and rep.max_abs_deviation <= 1e-15
 
-    def test_the_default_rule_meets_the_target_at_a_tenth_of_unit_stiffness(self):
-        # tanh(lam / 2) is steep here, and the one 120-node rule's mean is still 2.1e-13 from the target
+    def test_just_below_the_band_the_oracle_guard_raises(self):
+        with pytest.raises(NonConvergenceError, match="even-weight oracle moved"):
+            verify_nc_failure(2, 0.047)
+
+    def test_the_rule_meets_the_target_at_a_tenth_of_unit_stiffness(self):
+        # tanh(lam / 2) is steep here, and the one 120-node rule's mean is the target to rounding
         rep = verify_nc_failure(2, 0.1)
-        assert rep.passed and rep.max_abs_deviation <= 1e-12
-        assert rep.samples == 120**2
-
-    @pytest.mark.parametrize("quad_order", [0, -3])
-    def test_empty_quadrature_rejected(self, quad_order):
-        with pytest.raises(ContractError, match="quad_order"):
-            verify_nc_failure(2, 1.0, quad_order)
+        assert rep.passed and rep.max_abs_deviation <= 1e-15
+        assert rep.samples == ORACLE_ORDER**2
 
     @pytest.mark.parametrize("modes, n", [(3, 16_000), (6, 4_000)])
     def test_monte_carlo_mean_is_within_the_gate_of_the_target(self, modes, n):
