@@ -48,6 +48,7 @@ COMMANDS = [
     ["resolution", "--mode", "quad", *SEED, "--csv"],
     ["resolution", "--mode", "quad", "--symmetry-class", "CI", *SEED, "--csv"],
     ["resolution", "--mode", "quad", "--modes", "1", *SEED, "--csv"],  # the particle-hole swap in place of a second rotation
+    ["resolution", "--mode", "quad", "--symmetry-class", "DIII", *SEED, "--csv"],  # the odd-alpha fold of the Gaussian half-line rule
     ["number-conserving", "--variant", "failure", *SEED, "--csv"],
     ["number-conserving", "--variant", "failure", "-p", "2", *SEED],  # the oracle's floor away from p = 1
     ["number-conserving", "--variant", "failure", "--modes", "1", *SEED],

@@ -180,12 +180,6 @@ class RadialLaw:
             raise ContractError(f"the {weight.kind} weight weighs the hermitian measure, not class {sym_class.label}")
         return law
 
-    @property
-    def is_even(self) -> bool:
-        """Whether the density is even in each eigenvalue separately: every class law's is, and
-        nc_modified's pair factor restores the parity that Delta(lam)^2 breaks under nc_even."""
-        return self.weight.kind != "nc_even"
-
     def require_integrable(self, modes: int) -> None:
         """DomainError unless the determinant weight's tails, those of one
         eigenvalue fiber too, stay integrable at ``modes``."""

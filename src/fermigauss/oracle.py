@@ -1,6 +1,7 @@
 """The quadrature rules and the exact eigenvalue-moment oracle, outside the
 operator code: the Gauss rules, the one-mode rule of each weight, the one
-order-doubling rule, and the Andreief means of the exchangeable beta = 2 laws.
+radial rule of every quadrature driver, and the Andreief means of the
+exchangeable beta = 2 laws.
 """
 
 import math
@@ -9,38 +10,25 @@ from functools import lru_cache
 import numpy as np
 
 from .ensembles import RadialLaw, WeightSpec
-from .errors import ContractError, NonConvergenceError, _count
+from .errors import ContractError, DomainError, NonConvergenceError
 
 #: Nodes per mode of the package's one Gauss rule: every quadrature run reads it, and the Andreief
-#: oracle's values on it, which _doubled holds to twice as many nodes, to QUAD_CONVERGENCE_TOL.
+#: oracle's values on it, which exchangeable_moments holds to twice as many nodes, to QUAD_CONVERGENCE_TOL.
 ORACLE_ORDER = 120
 QUAD_CONVERGENCE_TOL = 1e-9
 
-#: Most nodes of any Gauss rule (radial_quadrature_nodes takes any order): numpy's Hermite weights
-#: are all zero at 371 nodes, NaN from 372.
-MAX_QUAD_ORDER = 370
 
-
-def _gauss_rule(build, name: str, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """An ``order``-node Gauss rule, or, before it is built, a ContractError
-    when it has no nodes or more than MAX_QUAD_ORDER."""
-    _count(order, "order", ContractError)
-    if order > MAX_QUAD_ORDER:
-        raise ContractError(f"the {order}-node Gauss-{name} rule is above the {MAX_QUAD_ORDER}-node cap; lower order")
-    return build(order)
-
-
-@lru_cache(maxsize=None, typed=True)  # typed: True is no order, but hashes as 1
+@lru_cache(maxsize=None)
 def _hermgauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return _gauss_rule(np.polynomial.hermite.hermgauss, "Hermite", order)
+    return np.polynomial.hermite.hermgauss(order)
 
 
-@lru_cache(maxsize=None, typed=True)
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    return _gauss_rule(np.polynomial.legendre.leggauss, "Legendre", order)
+@lru_cache(maxsize=None)
+def _leggauss() -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(ORACLE_ORDER)
 
 
-def _weight_rule(weight: WeightSpec, order: int, half: bool) -> tuple[np.ndarray, np.ndarray]:
+def _weight_rule(weight: WeightSpec, half: bool) -> tuple[np.ndarray, np.ndarray]:
     """One-mode nodes and weights absorbing the weight factor, on the full
     line or, with ``half``, on (0, inf). The determinant weight maps Gauss-
     Legendre nodes through lam = tan(theta); the Gaussian weights exp(-c lam^2)
@@ -49,33 +37,73 @@ def _weight_rule(weight: WeightSpec, order: int, half: bool) -> tuple[np.ndarray
     if weight.kind == "nc_modified":
         raise ContractError(f"no per-mode quadrature rule for weight kind {weight.kind!r}")
     if weight.kind == "determinant":
-        x, w = _leggauss(order)
+        x, w = _leggauss()
         jac = 0.25 * math.pi if half else 0.5 * math.pi
         lam = np.tan(jac * (x + 1.0) if half else jac * x)
         return lam, jac * w * (1.0 + lam**2) ** (1.0 - 2.0 * weight.p)
     c = 2.0 * weight.p if weight.kind == "gaussian" else weight.p
     if half:
-        x, w = _leggauss(order)
+        x, w = _leggauss()
         jac = 0.5 * math.sqrt(50.0 / c)
         lam = jac * (x + 1.0)
         return lam, jac * w * np.exp(-c * lam**2)
-    x, w = _hermgauss(order)
+    x, w = _hermgauss(ORACLE_ORDER)
     scale = math.sqrt(c)
     return x / scale, w / scale
 
 
-def _doubled(evaluate, order: int, what: str, advice: str) -> np.ndarray:
-    """The one order-doubling rule of every oracle value: ``evaluate`` over
-    the ``order``- and ``2 * order``-node rules, which must agree to
-    QUAD_CONVERGENCE_TOL in every entry, or NonConvergenceError saying that
-    ``what`` moved, with the ``advice``. Returns the ``order``-node value."""
-    hi, lo = evaluate(2 * order), evaluate(order)  # an order over the cap raises before any rule is built
-    delta = float(np.abs(hi - lo).max())
-    if not delta <= QUAD_CONVERGENCE_TOL:
-        raise NonConvergenceError(
-            f"{what} moved by {delta:.3e} from order {order} to {2 * order} (> {QUAD_CONVERGENCE_TOL}); {advice}"
+def _tensor(lam: np.ndarray, w: np.ndarray, modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """One- or two-mode tensor power of a one-mode rule: points (n^modes, modes)
+    and weights (n^modes,)."""
+    if modes not in (1, 2):
+        raise ContractError("radial quadrature is implemented for one or two modes")
+    if modes == 1:
+        return lam[:, None], w
+    return np.column_stack([np.repeat(lam, lam.size), np.tile(lam, lam.size)]), np.outer(w, w).ravel()
+
+
+def _fold_signs(points: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reflect positive-orthant nodes into all sign orthants."""
+    modes = points.shape[1]
+    signs = [np.array([1.0 if s & (1 << j) else -1.0 for j in range(modes)]) for s in range(1 << modes)]
+    return np.concatenate([points * s for s in signs]), np.tile(wts, 1 << modes)
+
+
+def radial_quadrature_nodes(law: RadialLaw, modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The radial quadrature rule of every verifier, ORACLE_ORDER nodes per
+    one-mode rule: points (N, modes) and weights integrating f against the
+    density of ``law`` over R^modes, for one or two modes.
+
+    An even power of every kink is a plain tensor rule. An odd alpha puts a
+    kink at lam_j = 0, so the positive orthant is integrated and reflected;
+    an odd beta puts one at |lam_1| = |lam_2|, so the ordered sector of the
+    positive quadrant is integrated, both orderings are added, and the result
+    is reflected. Raises DomainError when the stiffness leaves the rule
+    outside float64.
+    """
+    weight, jac = law.weight, law.jacobian
+    odd_alpha, odd_beta = (False, False) if jac is None else (jac.alpha % 2, jac.beta % 2)
+    with np.errstate(all="ignore"):
+        if modes == 2 and odd_beta:
+            r, w_r = _leggauss()
+            t, w_t = _weight_rule(weight, True)
+            inner = np.outer(0.5 * (r + 1.0), t).ravel()
+            t = np.tile(t, ORACLE_ORDER)
+            base = np.outer(0.5 * w_r, w_t).ravel() * t * np.exp(weight.log_weight(inner[:, None]))
+            sector = np.concatenate([np.column_stack([inner, t]), np.column_stack([t, inner])])
+            points, wts = _fold_signs(sector, np.concatenate([base, base]))
+        elif odd_alpha:
+            points, wts = _fold_signs(*_tensor(*_weight_rule(weight, True), modes))
+        else:
+            points, wts = _tensor(*_weight_rule(weight, False), modes)
+        wts = wts * np.exp(law.log_jacobian(points))
+        total = wts.sum()
+    if not (np.isfinite(points).all() and np.isfinite(wts).all() and 0.0 < total < math.inf):
+        raise DomainError(
+            f"the {weight.kind} weight at p = {weight.p} gives a radial quadrature rule "
+            f"outside float64 (total weight {total:.3g}); choose a moderate p"
         )
-    return lo
+    return points, wts
 
 
 def _andreief_means(lam: np.ndarray, w: np.ndarray, u: np.ndarray, modes: int) -> tuple[np.ndarray, float]:
@@ -101,7 +129,7 @@ def exchangeable_moments(law: RadialLaw, modes: int, offset: float = 0.0) -> np.
     of ``modes`` eigenvalues under the exchangeable beta = 2 ``law``: the hermitian Delta(lam)^2 exp(-p sum lam^2),
     or a class D or C law Delta(lam^2)^2 prod |lam_j|^alpha exp(-2p (lam_j - c)^2), displaced by ``offset`` = c.
     Returns _andreief_means over the ORACLE_ORDER-node Hermite rule x = s y, s = sqrt(p) or sqrt(2p), at
-    lam = y + c, which _doubled holds to the 2 * ORACLE_ORDER-node one (tanh(lam/2) nears a step as p -> 0). The class
+    lam = y + c, held to the 2 * ORACLE_ORDER-node one to QUAD_CONVERGENCE_TOL (tanh(lam/2) nears a step as p -> 0). The class
     law's Delta(lam^2)^2 is that of u = s y (c + y/2) / max(|c|, 1/s), affine in lam^2 and of order one at every
     offset, and its |lam|^alpha enters the weight as |lam / max|lam||^alpha, so every finite offset stays in
     float64. ContractError for a class with beta != 2 (DIII, CI)."""
@@ -119,6 +147,12 @@ def exchangeable_moments(law: RadialLaw, modes: int, offset: float = 0.0) -> np.
         u = x * ((offset + 0.5 * y) / max(abs(offset), 1.0 / s))  # s y = x
         return _andreief_means(lam, w * np.abs(lam / np.abs(lam).max()) ** law.jacobian.alpha, u, modes)[0]
 
-    what = "the even-weight oracle" if hermitian else "the displaced-weight oracle"
-    comb = [math.comb(modes, k) for k in range(modes + 1)]
-    return _doubled(means, ORACLE_ORDER, what, f"p = {p} is too small, choose a larger p") / comb
+    hi, lo = means(2 * ORACLE_ORDER), means(ORACLE_ORDER)
+    delta = float(np.abs(hi - lo).max())
+    if not delta <= QUAD_CONVERGENCE_TOL:
+        what = "the even-weight oracle" if hermitian else "the displaced-weight oracle"
+        raise NonConvergenceError(
+            f"{what} moved by {delta:.3e} from order {ORACLE_ORDER} to {2 * ORACLE_ORDER} (> {QUAD_CONVERGENCE_TOL}); "
+            f"p = {p} is too small, choose a larger p"
+        )
+    return lo / [math.comb(modes, k) for k in range(modes + 1)]

@@ -72,7 +72,7 @@ from .gaussian import (  # noqa: F401  gaussian_normalized, gaussian_number_cons
     wick_blocks,
     wick_coordinates,
 )
-from .oracle import ORACLE_ORDER, _leggauss, _weight_rule, exchangeable_moments
+from .oracle import exchangeable_moments, radial_quadrature_nodes
 
 #: Samples per Monte Carlo chunk; the chunk index doubles as the RNG substream,
 #: which makes results independent of how chunks are assigned to workers.
@@ -338,75 +338,6 @@ def _mc_report(modes: int, chunks: list[_Chunk], details: dict, _exact: bool = F
     )
 
 
-# ---------------------------------------------------------------------------
-# The radial quadrature rule
-# ---------------------------------------------------------------------------
-
-
-def _tensor(lam: np.ndarray, w: np.ndarray, modes: int) -> tuple[np.ndarray, np.ndarray]:
-    """One- or two-mode tensor power of a one-mode rule: points (n^modes, modes)
-    and weights (n^modes,)."""
-    if modes not in (1, 2):
-        raise ContractError("radial quadrature is implemented for one or two modes")
-    if modes == 1:
-        return lam[:, None], w
-    return np.column_stack([np.repeat(lam, lam.size), np.tile(lam, lam.size)]), np.outer(w, w).ravel()
-
-
-def _fold_signs(points: np.ndarray, wts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reflect positive-orthant nodes into all sign orthants."""
-    modes = points.shape[1]
-    signs = [np.array([1.0 if s & (1 << j) else -1.0 for j in range(modes)]) for s in range(1 << modes)]
-    return np.concatenate([points * s for s in signs]), np.tile(wts, 1 << modes)
-
-
-def radial_quadrature_nodes(law: RadialLaw, modes: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """The radial quadrature rule of every verifier: points (N, modes) and
-    weights integrating f against the density of ``law`` over R^modes, for
-    one or two modes.
-
-    An even power of every kink is a plain tensor rule. An odd alpha puts a
-    kink at lam_j = 0, so the positive orthant is integrated and reflected;
-    an odd beta puts one at |lam_1| = |lam_2|, so the ordered sector of the
-    positive quadrant is integrated, both orderings are added, and the result
-    is reflected. Raises DomainError when the stiffness leaves the rule
-    outside float64, and ContractError when every node sits on a zero of the
-    density (an order too low for it).
-    """
-    weight, jac = law.weight, law.jacobian
-    odd_alpha, odd_beta = (False, False) if jac is None else (jac.alpha % 2, jac.beta % 2)
-    with np.errstate(all="ignore"):
-        if modes == 2 and odd_beta:
-            r, w_r = _leggauss(order)
-            t, w_t = _weight_rule(weight, order, True)
-            inner = np.outer(0.5 * (r + 1.0), t).ravel()
-            t = np.tile(t, order)
-            base = np.outer(0.5 * w_r, w_t).ravel() * t * np.exp(weight.log_weight(inner[:, None]))
-            sector = np.concatenate([np.column_stack([inner, t]), np.column_stack([t, inner])])
-            points, wts = _fold_signs(sector, np.concatenate([base, base]))
-        elif odd_alpha:
-            points, wts = _fold_signs(*_tensor(*_weight_rule(weight, order, True), modes))
-        else:
-            points, wts = _tensor(*_weight_rule(weight, order, False), modes)
-        wts = wts * np.exp(law.log_jacobian(points))
-        total = wts.sum()
-    finite = np.isfinite(points).all() and np.isfinite(wts).all()
-    if finite and total == 0.0:
-        # scaling the nodes moves the density's underflow, not its zeros
-        unit = points / (np.abs(points).max() or 1.0)
-        if not np.isfinite(law.log_jacobian(unit)).any():
-            raise ContractError(
-                f"every node of the order-{order} radial rule sits on a zero of the radial density "
-                f"(total weight 0); raise order"
-            )
-    if not (finite and 0.0 < total < math.inf):
-        raise DomainError(
-            f"the {weight.kind} weight at p = {weight.p} gives a radial quadrature rule "
-            f"outside float64 (total weight {total:.3g}); choose a moderate p"
-        )
-    return points, wts
-
-
 @dataclass(frozen=True)
 class _LawTable:
     """One (law, modes) rule of radial_quadrature_nodes and its
@@ -441,7 +372,7 @@ class _LawTable:
 def _law_tables(law: RadialLaw, modes: int) -> _LawTable:
     """The _LawTable of the law's ORACLE_ORDER rule, built once per process.
     A rule that raises is not kept."""
-    pts, wts = radial_quadrature_nodes(law, modes, ORACLE_ORDER)
+    pts, wts = radial_quadrature_nodes(law, modes)
     tables = pts, wts, filling_moments(pts, wts)
     for arr in tables:
         arr.setflags(write=False)
@@ -538,7 +469,7 @@ def verify_resolution_quadrature(
     at a stiffness so large that the deviation bound could not fail.
     """
     law = RadialLaw.of(sym_class, weight)
-    if law.jacobian is None or not law.is_even:
+    if law.jacobian is None:
         raise ContractError(
             f"weight kind {weight.kind!r} is not a symmetry-class weight even in each eigenvalue (nc_ kinds weigh "
             f"the hermitian measure); the resolution hypothesis requires an even integrable weight"
@@ -675,7 +606,7 @@ def _ncons_eigenvectors(unitaries: np.ndarray) -> np.ndarray:
     return v
 
 
-@lru_cache(maxsize=LAW_CACHE_SIZE)
+@lru_cache(maxsize=LAW_CACHE_SIZE, typed=True)
 def nc_even_target(modes: int, p: float) -> np.ndarray:
     """The exact mean (a full matrix) of the number-conserving operators under
     the even weight exp(-p sum lam^2), outside the operator code. The law is

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fermigauss import blas, cli, ensembles, oracle, reports, verify
+from fermigauss import blas, cli, ensembles, reports, verify
 from fermigauss.cli import run
 from fermigauss.ensembles import CLASS_D, CLASS_DIII, RadialLaw, WeightSpec
 from fermigauss.verify import operator_identity_suite, radial_quadrature_nodes
@@ -494,7 +494,7 @@ class TestCsvDumps:
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
         assert run(argv + ["--csv", str(got)]) == 0
         law = RadialLaw.of(sym, weight)
-        reports.write_lambda_csv(str(want), [radial_quadrature_nodes(law, 2, oracle.ORACLE_ORDER)[0]], 2)
+        reports.write_lambda_csv(str(want), [radial_quadrature_nodes(law, 2)[0]], 2)
         assert got.read_bytes() == want.read_bytes()
 
     @pytest.mark.parametrize(

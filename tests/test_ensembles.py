@@ -387,11 +387,12 @@ class TestRadialLaw:
             assert RadialLaw.of(sym, WeightSpec.gaussian(1.0)).jacobian is sym
 
     @pytest.mark.parametrize("law", LAWS, ids=law_id)
-    def test_is_even_is_the_parity_of_the_density(self, law):
-        # flipping the sign of one eigenvalue keeps an even density; nc_even's Delta(lam)^2 is the one it moves
+    def test_only_nc_even_moves_under_one_sign_flip(self, law):
+        # flipping the sign of one eigenvalue keeps every class law's density and nc_modified's, whose
+        # pair factor restores the parity; nc_even's Delta(lam)^2 moves it at every draw
         lam = RngSpec(32).generator().normal(size=(200, 3))
         kept = np.isclose(law.log_density(lam), law.log_density(lam * [-1.0, 1.0, 1.0]), rtol=1e-12, atol=1e-12)
-        assert (kept.all(), kept.any()) == ((True, True) if law.is_even else (False, False))
+        assert (kept.all(), kept.any()) == ((False, False) if law.weight.kind == "nc_even" else (True, True))
 
     def test_validate_keeps_its_bounds_and_their_order(self):
         # the mode bound p > M - 0.75 first, then the fiber bound (2 beta (M - 1) + alpha + 1) / 4
